@@ -15,6 +15,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import FixtureFormatError, JacobiFnError
 from .identity_engine import IdentityReport, list_identities, run_selftest, verify_identity
@@ -401,7 +402,9 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="jacobifn",
         description="Jacobi functions of the first and second kind, plus the identity verifier.",
@@ -415,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--gamma", default="0")
     p_eval.add_argument("--z", required=True)
     p_eval.add_argument("--rep", choices=("auto", "1", "2", "3", "4"), default="auto")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_tab = sub.add_parser("table", help="emit values on a z grid")
     p_tab.add_argument("--kind", choices=("P", "Q"), required=True)
@@ -425,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--z-grid", required=True, help="start:stop:count or real a,b,n")
     p_tab.add_argument("--format", choices=("csv", "json"), default="csv")
     p_tab.add_argument("--out", default=None)
-    p_tab.set_defaults(func=cmd_table)
 
     p_ver = sub.add_parser("verify", help="run seeded identity verification")
     p_ver.add_argument("--id", default=None)
@@ -438,11 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--json", default=None, metavar="PATH")
     p_ver.add_argument("--csv", default=None, metavar="PATH")
     p_ver.add_argument("--out", default=None, metavar="PATH")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_self = sub.add_parser("selftest", help="re-run the pinned fixtures")
     p_self.add_argument("--fixtures", default=None)
-    p_self.set_defaults(func=cmd_selftest)
 
     return parser
 
@@ -454,8 +453,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through.
         return int(exc.code or 0)
+    # Handlers are looked up per call, not stored in the cached parser, so a
+    # rebound cmd_* (a tracer, a test double) is the one that runs.
+    handler = {
+        "eval": cmd_eval,
+        "table": cmd_table,
+        "verify": cmd_verify,
+        "selftest": cmd_selftest,
+    }[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,11 +4,18 @@ Three evaluation layers:
 
 * ``phyp`` / ``ohyp`` -- raw power series for pFq and its Olver-regularized
   companion (lower-parameter Pochhammers replaced by reciprocal gammas, so
-  the regularized form is entire in every lower parameter).
-* ``gauss2f1`` / ``ohyp2f1`` -- the 2F1 specializations with automatic
-  argument transformation.  The reachable arguments under the classical maps
-  are {z, z/(z-1)} (Euler's map keeps the argument), so the selector simply
-  picks the smaller modulus, preferring the untransformed series on ties.
+  the regularized form is entire in every lower parameter).  Both classify
+  convergence and then call one series core, ``_series``, whose
+  ``regularized`` flag decides only the leading terms.  Its term-ratio phase
+  has a tight loop for two upper parameters and one lower (every call from
+  the 2F1 routines); other arities take the generic loop, which is also the
+  tight loop's reference.  The reciprocal gammas of the lower parameters
+  are memoized, since every point of a parameter triple repeats them.
+* ``gauss2f1`` / ``ohyp2f1`` -- the 2F1 specializations, both served by one
+  continuation routine with automatic argument transformation.  The
+  reachable arguments under the classical maps are {z, z/(z-1)} (Euler's map
+  keeps the argument), so the selector simply picks the smaller modulus,
+  preferring the untransformed series on ties.
 * ``reverse_finite_series`` -- a finite sum evaluated both directly and in
   reversed order as a new hypergeometric sum in 1/z; the two routes must
   agree and are used as mutual checks.
@@ -31,7 +38,7 @@ from .errors import (
     TruncationWarning,
     ZeroArgument,
 )
-from .scalar_kernel import pochhammer_product, reciprocal_gamma
+from .scalar_kernel import exact_memo, pochhammer_product, reciprocal_gamma
 
 STOP_RATIO = 1e-15
 STOP_RUN = 3
@@ -84,80 +91,52 @@ def _lower_pole_guard(lower, n_terms: int | None, tol: float = 1e-12) -> None:
                 raise LowerPoleError(f"lower parameter {b} pole not shielded")
 
 
-def _sum_plain(upper, lower, z: complex, m_stop: int | None) -> SeriesValue:
-    """Sum the plain series by term-ratio updates.
-
-    m_stop is the exact termination order (inclusive) or None for the
-    adaptive stopping rule.
-    """
-    term = 1.0 + 0.0j
-    total = term
-    abs_acc = 1.0
-    small_run = 0
-    k = 0
-    limit = m_stop if m_stop is not None else MAX_TERMS
-    while k < limit:
-        num = 1.0 + 0.0j
-        for a in upper:
-            num *= a + k
-        den = 1.0 + 0.0j
-        for b in lower:
-            den *= b + k
-        den *= k + 1
-        term = term * num * z / den
-        total += term
-        abs_acc += abs(term)
-        k += 1
-        if m_stop is None:
-            if abs(term) <= STOP_RATIO * max(abs(total), 1e-300):
-                small_run += 1
-                if small_run >= STOP_RUN:
-                    break
-            else:
-                small_run = 0
-    rounding = _EPS * abs_acc
-    if m_stop is not None:
-        return SeriesValue(total, rounding, k + 1, True)
-    if k >= MAX_TERMS:
-        warnings.warn(
-            f"series stopped at the {MAX_TERMS}-term cap", TruncationWarning
-        )
-        return SeriesValue(total, 10.0 * abs(term) + rounding, k + 1, False)
-    return SeriesValue(total, abs(term) + rounding, k + 1, False)
+@exact_memo
+def _lower_rgamma(w: complex) -> complex:
+    """1/Gamma at a lower parameter plus k; a triple's series repeat these."""
+    return reciprocal_gamma(w)
 
 
-def _sum_regularized(upper, lower, z: complex, m_stop: int | None) -> SeriesValue:
-    """Sum the Olver-regularized series (reciprocal gammas on the lowers).
+def _leading_terms(upper, lower, z: complex, limit: int, regularized: bool):
+    """Sum terms 0..k0 directly; return (k0, last term, total, sum of |terms|).
 
-    Terms up to the last lower-parameter pole are computed directly; beyond
-    that every b_j + k stays away from the poles and ratio updates apply.
+    Plain series start from the single term 1 (k0 = 0).  The regularized
+    series carries 1/Gamma(b_j + k) on every term, so terms up to the last
+    lower-parameter pole are formed from Pochhammer products and reciprocal
+    gammas; beyond it every b_j + k stays off the poles and ratio updates
+    apply.
     """
     k0 = 0
-    for b in lower:
-        k0 = max(k0, int(math.ceil(0.5 - complex(b).real)))
-    limit = m_stop if m_stop is not None else MAX_TERMS
-    k0 = min(k0, limit + 1)
-
+    if regularized:
+        for b in lower:
+            k0 = max(k0, int(math.ceil(0.5 - b.real)))
+        k0 = min(k0, limit)
     total = 0.0 + 0.0j
     abs_acc = 0.0
-    term = 0.0 + 0.0j
+    term = 1.0 + 0.0j
     zk = 1.0 + 0.0j
     kfac = 1.0
     for k in range(k0 + 1):
         if k > 0:
             zk *= z
             kfac *= k
-        if k > limit:
-            break
-        term = pochhammer_product(upper, k) * zk / kfac
-        for b in lower:
-            term *= reciprocal_gamma(b + k)
+            term = pochhammer_product(upper, k) * zk / kfac
+        if regularized:
+            for b in lower:
+                term *= _lower_rgamma(b + k)
         total += term
         abs_acc += abs(term)
-    terms_done = min(k0, limit) + 1
+    return k0, term, total, abs_acc
 
+
+def _ratio_loop(upper, lower, z, k, limit, adaptive, term, total, abs_acc):
+    """Term-ratio phase for any arity; the reference for the 2F1 loop.
+
+    Continues from term k up to the exact end ``limit`` or, when adaptive,
+    until STOP_RUN consecutive terms fall below STOP_RATIO of the total.
+    Returns (k, last term, total, sum of |terms|).
+    """
     small_run = 0
-    k = min(k0, limit)
     while k < limit:
         num = 1.0 + 0.0j
         for a in upper:
@@ -170,23 +149,89 @@ def _sum_regularized(upper, lower, z: complex, m_stop: int | None) -> SeriesValu
         total += term
         abs_acc += abs(term)
         k += 1
-        terms_done += 1
-        if m_stop is None:
+        if adaptive:
             if abs(term) <= STOP_RATIO * max(abs(total), 1e-300):
                 small_run += 1
                 if small_run >= STOP_RUN:
                     break
             else:
                 small_run = 0
+    return k, term, total, abs_acc
+
+
+def _ratio_loop_2f1(upper, lower, z, k, limit, adaptive, term, total, abs_acc):
+    """``_ratio_loop`` for two upper parameters and one lower.
+
+    The same floating-point operations in the same order: for finite
+    parameters the generic loop's leading ``(1+0j) *`` factors are exact
+    (a + k never has a -0.0 part), and the inline floor picks what ``max``
+    picks, so results agree bit for bit.
+    """
+    (a, b), (c,) = upper, lower
+    if not adaptive:
+        while k < limit:
+            term = term * ((a + k) * (b + k)) * z / ((c + k) * (k + 1))
+            total += term
+            abs_acc += abs(term)
+            k += 1
+        return k, term, total, abs_acc
+    small_run = 0
+    while k < limit:
+        term = term * ((a + k) * (b + k)) * z / ((c + k) * (k + 1))
+        total += term
+        size = abs(term)
+        abs_acc += size
+        k += 1
+        scale = abs(total)
+        if size <= STOP_RATIO * (1e-300 if scale < 1e-300 else scale):
+            small_run += 1
+            if small_run >= STOP_RUN:
+                break
+        else:
+            small_run = 0
+    return k, term, total, abs_acc
+
+
+def _series(upper, lower, z: complex, m_stop: int | None, regularized: bool) -> SeriesValue:
+    """The series core: the plain or Olver-regularized pFq partial sum.
+
+    m_stop is the exact termination order (inclusive) or None for the
+    adaptive stopping rule.  ``regularized`` decides only the leading terms.
+    """
+    limit = m_stop if m_stop is not None else MAX_TERMS
+    k0, term, total, abs_acc = _leading_terms(upper, lower, z, limit, regularized)
+    loop = _ratio_loop_2f1 if len(upper) == 2 and len(lower) == 1 else _ratio_loop
+    k, term, total, abs_acc = loop(
+        upper, lower, z, k0, limit, m_stop is None, term, total, abs_acc
+    )
+    terms_used = k + 1
     rounding = _EPS * abs_acc
     if m_stop is not None:
-        return SeriesValue(total, rounding, terms_done, True)
+        return SeriesValue(total, rounding, terms_used, True)
     if k >= MAX_TERMS:
         warnings.warn(
             f"series stopped at the {MAX_TERMS}-term cap", TruncationWarning
         )
-        return SeriesValue(total, 10.0 * abs(term) + rounding, terms_done, False)
-    return SeriesValue(total, abs(term) + rounding, terms_done, False)
+        return SeriesValue(total, 10.0 * abs(term) + rounding, terms_used, False)
+    return SeriesValue(total, abs(term) + rounding, terms_used, False)
+
+
+def _checked_series(upper, lower, argument, regularized: bool) -> SeriesValue:
+    """Classify convergence, then sum: the body of phyp and ohyp."""
+    upper = tuple(map(complex, upper))
+    lower = tuple(map(complex, lower))
+    z = complex(argument)
+    m = termination_index(upper)
+    if not regularized:
+        _lower_pole_guard(lower, None if m is None else m + 1)
+    if m is None:
+        r, s = len(upper), len(lower)
+        if r > s + 1:
+            kind = "regularized " if regularized else ""
+            raise DivergentError(f"{kind}{r}F{s} diverges for z != 0 without termination")
+        if r == s + 1 and abs(z) >= 1.0:
+            raise ContinuationRequired(f"|z|={abs(z):.3f} outside the unit disk")
+    return _series(upper, lower, z, m, regularized)
 
 
 def phyp(upper, lower=None, argument=None) -> SeriesValue:
@@ -199,33 +244,12 @@ def phyp(upper, lower=None, argument=None) -> SeriesValue:
     """
     if isinstance(upper, HypParams):
         upper, lower, argument = upper.upper, upper.lower, upper.argument
-    upper = tuple(complex(a) for a in upper)
-    lower = tuple(complex(b) for b in lower)
-    z = complex(argument)
-    m = termination_index(upper)
-    _lower_pole_guard(lower, None if m is None else m + 1)
-    if m is None:
-        r, s = len(upper), len(lower)
-        if r > s + 1:
-            raise DivergentError(f"{r}F{s} diverges for z != 0 without termination")
-        if r == s + 1 and abs(z) >= 1.0:
-            raise ContinuationRequired(f"|z|={abs(z):.3f} outside the unit disk")
-    return _sum_plain(upper, lower, z, m)
+    return _checked_series(upper, lower, argument, regularized=False)
 
 
 def ohyp(upper, lower, argument) -> SeriesValue:
     """Olver-regularized pFq series; entire in every lower parameter."""
-    upper = tuple(complex(a) for a in upper)
-    lower = tuple(complex(b) for b in lower)
-    z = complex(argument)
-    m = termination_index(upper)
-    if m is None:
-        r, s = len(upper), len(lower)
-        if r > s + 1:
-            raise DivergentError(f"regularized {r}F{s} diverges without termination")
-        if r == s + 1 and abs(z) >= 1.0:
-            raise ContinuationRequired(f"|z|={abs(z):.3f} outside the unit disk")
-    return _sum_regularized(upper, lower, z, m)
+    return _checked_series(upper, lower, argument, regularized=True)
 
 
 def _cut_distance(z: complex) -> float:
@@ -251,15 +275,16 @@ def _pick_argument(z: complex, terminating: bool) -> str:
     return choice
 
 
-def gauss2f1(a, b, c, z) -> SeriesValue:
-    """Gauss 2F1(a, b; c; z), continued off the disk via the z/(z-1) map."""
+def _continued_2f1(a, b, c, z, regularized: bool) -> SeriesValue:
+    """2F1(a, b; c; z), plain or regularized, continued via the z/(z-1) map."""
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    if _cut_distance(z) < 1e-12 and termination_index((a, b)) is None:
+    terminating = termination_index((a, b)) is not None
+    if _cut_distance(z) < 1e-12 and not terminating:
         raise CutError(f"z={z} on the cut [1, oo)")
-    choice = _pick_argument(z, termination_index((a, b)) is not None)
-    if choice == "direct":
-        return phyp(upper=(a, b), lower=(c,), argument=z)
-    inner = phyp(upper=(a, c - b), lower=(c,), argument=z / (z - 1.0))
+    series = ohyp if regularized else phyp
+    if _pick_argument(z, terminating) == "direct":
+        return series((a, b), (c,), z)
+    inner = series((a, c - b), (c,), z / (z - 1.0))
     fac = (1.0 - z) ** (-a)
     return SeriesValue(
         fac * inner.value,
@@ -267,24 +292,16 @@ def gauss2f1(a, b, c, z) -> SeriesValue:
         inner.terms_used,
         inner.terminated,
     )
+
+
+def gauss2f1(a, b, c, z) -> SeriesValue:
+    """Gauss 2F1(a, b; c; z), continued off the disk via the z/(z-1) map."""
+    return _continued_2f1(a, b, c, z, regularized=False)
 
 
 def ohyp2f1(a, b, c, z) -> SeriesValue:
     """Olver-regularized 2F1; valid for every c, including c in -N0."""
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    if _cut_distance(z) < 1e-12 and termination_index((a, b)) is None:
-        raise CutError(f"z={z} on the cut [1, oo)")
-    choice = _pick_argument(z, termination_index((a, b)) is not None)
-    if choice == "direct":
-        return ohyp((a, b), (c,), z)
-    inner = ohyp((a, c - b), (c,), z / (z - 1.0))
-    fac = (1.0 - z) ** (-a)
-    return SeriesValue(
-        fac * inner.value,
-        abs(fac) * inner.abs_error_estimate,
-        inner.terms_used,
-        inner.terminated,
-    )
+    return _continued_2f1(a, b, c, z, regularized=True)
 
 
 def reverse_finite_series(upper, lower, m: int, z) -> tuple[SeriesValue, SeriesValue]:
@@ -303,7 +320,7 @@ def reverse_finite_series(upper, lower, m: int, z) -> tuple[SeriesValue, SeriesV
         raise ZeroArgument("reversed form undefined at z = 0")
 
     _lower_pole_guard(lower, m + 1)
-    direct = _sum_plain(upper, lower, z, m)
+    direct = _series(upper, lower, z, m, regularized=False)
 
     if m == 0:
         return direct, SeriesValue(1.0 + 0.0j, 0.0, 1, True)

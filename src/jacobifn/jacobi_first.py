@@ -5,7 +5,8 @@ representations cover the plane: two in the variable (1-z)/2 and two in
 (z-1)/(z+1).  AUTO picks the smallest-modulus argument; when neither series
 argument is inside the safe disk (large |z|), evaluation falls back to the
 two-solution decomposition in terms of the second-kind functions, whose
-arguments shrink as |z| grows.
+arguments shrink as |z| grows.  On [-1, 1], the second kind's cut, that
+decomposition is undefined and AUTO stays with the slower series.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import DomainCutError, NoConvergentPath, ValidityError
 from .hypergeom import ohyp, ohyp2f1
 from .result import EvalResult
 from .scalar_kernel import (
+    exact_memo,
     gamma,
     is_gamma_pole,
     log_gamma,
@@ -66,6 +68,22 @@ def _p_cut_distance(z: complex) -> float:
     return abs(z + 1.0)
 
 
+def _q_cut_distance(z: complex) -> float:
+    """Distance from z to the second-kind cut [-1, 1]."""
+    if -1.0 <= z.real <= 1.0:
+        return abs(z.imag)
+    return min(abs(z - 1.0), abs(z + 1.0))
+
+
+def _require_p_domain(params: JacobiParams, z: complex) -> None:
+    if not params.first_kind_valid():
+        raise ValidityError(
+            f"alpha+gamma={complex(params.alpha) + complex(params.gamma)} is a negative integer"
+        )
+    if _p_cut_distance(z) < CUT_GUARD:
+        raise DomainCutError(f"z={z} on or too near the cut (-oo, -1]")
+
+
 def _power(base: complex, exponent: complex) -> complex:
     """Principal power exp(s Log w)."""
     if exponent == 0:
@@ -73,8 +91,9 @@ def _power(base: complex, exponent: complex) -> complex:
     return cmath.exp(complex(exponent) * cmath.log(base))
 
 
+@exact_memo
 def _degree_prefactor(alpha: complex, gam: complex) -> complex:
-    """Gamma(alpha+gamma+1) / Gamma(gamma+1), in log space.
+    """Gamma(alpha+gamma+1) / Gamma(gamma+1), in log space; memoized per pair.
 
     The reciprocal-gamma zero at gamma in -N makes the whole function vanish
     there (admissible once alpha+gamma stays off -N).
@@ -143,14 +162,15 @@ def _rep_value(params: JacobiParams, z: complex, rep: Representation) -> EvalRes
     return EvalResult(value, err, f"rep{rep.value}")
 
 
-def _connection_coeffs(params: JacobiParams) -> tuple[complex, complex, complex]:
+@exact_memo
+def _connection_coeffs(a: complex, b: complex, g: complex) -> tuple[complex, complex, complex]:
     """Connection coefficients (A, B, companion degree) of the two-solution split.
 
     P_g^(a,b) = A Q_g^(a,b) + B Q_{-a-b-g-1}^(a,b), built from the 1 <-> oo
     connection of the hypergeometric series.  Degenerate on the resonant set
     where the two large-z exponents merge or a companion becomes invalid.
+    Memoized per triple.
     """
-    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     denom = cmath.sin(math.pi * (a + b + 2.0 * g))
     if abs(denom) < 1e-8:
         raise NoConvergentPath("degenerate large-z connection (resonant exponents)")
@@ -178,7 +198,7 @@ def _connection_scaled(params: JacobiParams, z: complex) -> tuple[complex, compl
     from .jacobi_second import jacobi_q_log
 
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    coef_a, coef_b, g2 = _connection_coeffs(params)
+    coef_a, coef_b, g2 = _connection_coeffs(a, b, g)
     log1 = jacobi_q_log(params, z)
     log2 = jacobi_q_log(JacobiParams(a, b, g2), z)
     if log1.real >= log2.real:
@@ -198,6 +218,36 @@ def _effective_modulus(x: complex) -> float:
     return min(abs(x), abs(pf))
 
 
+def _auto(params: JacobiParams, z: complex, connection):
+    """AUTO dispatch of jacobi_p and jacobi_p_scaled.
+
+    Takes the smallest-modulus series argument when one is inside the
+    preferred disk.  Otherwise it returns connection(params, z) and falls back
+    to a slow series while an argument map keeps the modulus below the hard
+    limit.  On [-1, 1], Q's cut, the second-kind pair of the connection is
+    undefined, so there the series is the only route.
+    """
+    x1 = 0.5 * (1.0 - z)
+    x2 = (z - 1.0) / (z + 1.0)
+    if min(abs(x1), abs(x2)) <= AUTO_ARG_LIMIT:
+        chosen = Representation.REP1 if abs(x1) <= abs(x2) else Representation.REP3
+        return _rep_value(params, z, chosen)
+    m1, m2 = _effective_modulus(x1), _effective_modulus(x2)
+    if _q_cut_distance(z) >= CUT_GUARD:
+        try:
+            return connection(params, z)
+        except NoConvergentPath:
+            if min(m1, m2) > 0.99:
+                raise
+    elif min(m1, m2) > 0.99:
+        raise NoConvergentPath(
+            f"z={z} on [-1, 1]: no argument map reaches modulus 0.99 "
+            f"(best {min(m1, m2):.4f})"
+        )
+    chosen = Representation.REP1 if m1 <= m2 else Representation.REP3
+    return _rep_value(params, z, chosen)
+
+
 def jacobi_p(
     params: JacobiParams,
     z,
@@ -211,29 +261,10 @@ def jacobi_p(
     keeps the modulus below the hard limit.
     """
     z = complex(z)
-    if not params.first_kind_valid():
-        raise ValidityError(
-            f"alpha+gamma={complex(params.alpha) + complex(params.gamma)} is a negative integer"
-        )
-    if _p_cut_distance(z) < CUT_GUARD:
-        raise DomainCutError(f"z={z} on or too near the cut (-oo, -1]")
-
+    _require_p_domain(params, z)
     if rep is not Representation.AUTO:
         return _rep_value(params, z, rep)
-
-    x1 = 0.5 * (1.0 - z)
-    x2 = (z - 1.0) / (z + 1.0)
-    if min(abs(x1), abs(x2)) <= AUTO_ARG_LIMIT:
-        chosen = Representation.REP1 if abs(x1) <= abs(x2) else Representation.REP3
-        return _rep_value(params, z, chosen)
-    try:
-        return _connection_value(params, z)
-    except NoConvergentPath:
-        m1, m2 = _effective_modulus(x1), _effective_modulus(x2)
-        if min(m1, m2) <= 0.99:
-            chosen = Representation.REP1 if m1 <= m2 else Representation.REP3
-            return _rep_value(params, z, chosen)
-        raise
+    return _auto(params, z, _connection_value)
 
 
 def jacobi_p_scaled(params: JacobiParams, z) -> tuple[complex, complex]:
@@ -243,25 +274,11 @@ def jacobi_p_scaled(params: JacobiParams, z) -> tuple[complex, complex]:
     dominant solution branch overflows a double.
     """
     z = complex(z)
-    if not params.first_kind_valid():
-        raise ValidityError(
-            f"alpha+gamma={complex(params.alpha) + complex(params.gamma)} is a negative integer"
-        )
-    if _p_cut_distance(z) < CUT_GUARD:
-        raise DomainCutError(f"z={z} on or too near the cut (-oo, -1]")
-    x1 = 0.5 * (1.0 - z)
-    x2 = (z - 1.0) / (z + 1.0)
-    if min(abs(x1), abs(x2)) <= AUTO_ARG_LIMIT:
-        chosen = Representation.REP1 if abs(x1) <= abs(x2) else Representation.REP3
-        return 0.0 + 0.0j, _rep_value(params, z, chosen).value
-    try:
-        return _connection_scaled(params, z)
-    except NoConvergentPath:
-        m1, m2 = _effective_modulus(x1), _effective_modulus(x2)
-        if min(m1, m2) <= 0.99:
-            chosen = Representation.REP1 if m1 <= m2 else Representation.REP3
-            return 0.0 + 0.0j, _rep_value(params, z, chosen).value
-        raise
+    _require_p_domain(params, z)
+    out = _auto(params, z, _connection_scaled)
+    if isinstance(out, EvalResult):
+        return 0.0 + 0.0j, out.value
+    return out
 
 
 def taylor_section(params: JacobiParams, n: int, z) -> tuple[complex, complex]:
@@ -275,10 +292,7 @@ def taylor_section(params: JacobiParams, n: int, z) -> tuple[complex, complex]:
         raise ValueError("taylor section needs n >= 1")
     z = complex(z)
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    if not params.first_kind_valid():
-        raise ValidityError(f"alpha+gamma={a + g} is a negative integer")
-    if _p_cut_distance(z) < CUT_GUARD:
-        raise DomainCutError(f"z={z} on or too near the cut (-oo, -1]")
+    _require_p_domain(params, z)
     if abs(z - 1.0) < 1e-12:
         raise ValueError("taylor section closed form is singular at z = 1")
     s = a + b + g

@@ -22,10 +22,17 @@ from .errors import (
     ValidityError,
 )
 from .hypergeom import ohyp2f1
-from .jacobi_first import CUT_GUARD, JacobiParams, Representation, _power, jacobi_polynomial
+from .jacobi_first import (
+    CUT_GUARD,
+    JacobiParams,
+    Representation,
+    _power,
+    _q_cut_distance,
+    jacobi_polynomial,
+)
 from .quadrature import gauss_jacobi_rule, tanh_sinh_segment
 from .result import EvalResult
-from .scalar_kernel import log_gamma, pochhammer
+from .scalar_kernel import exact_memo, log_gamma, pochhammer
 
 _RULE_SIZES = (8, 16, 32, 64, 128, 256)
 _MAX_AUTO_SHIFT = 8
@@ -40,13 +47,6 @@ class QIntegralSpec:
     shift_k: int = 0
 
 
-def _q_cut_distance(z: complex) -> float:
-    """Distance from z to the second-kind cut [-1, 1]."""
-    if -1.0 <= z.real <= 1.0:
-        return abs(z.imag)
-    return min(abs(z - 1.0), abs(z + 1.0))
-
-
 def _require_q_domain(params: JacobiParams, z: complex) -> None:
     if not params.second_kind_valid():
         raise ValidityError(
@@ -56,6 +56,15 @@ def _require_q_domain(params: JacobiParams, z: complex) -> None:
         )
     if _q_cut_distance(z) < CUT_GUARD:
         raise DomainCutError(f"z={z} on or too near the cut [-1, 1]")
+
+
+@exact_memo
+def _q_log_prefactor(a: complex, b: complex, g: complex) -> complex:
+    """log of 2^(a+b+g) Gamma(a+g+1) Gamma(b+g+1); memoized per triple.
+
+    Shared by all four representations; each adds its own powers of z -+ 1.
+    """
+    return (a + b + g) * math.log(2.0) + log_gamma(a + g + 1.0) + log_gamma(b + g + 1.0)
 
 
 def _q_parts(
@@ -69,11 +78,7 @@ def _q_parts(
         rep = Representation.REP1 if abs(y) <= abs(x) else Representation.REP3
 
     c = a + b + 2.0 * g + 2.0
-    base_log = (
-        (a + b + g) * math.log(2.0)
-        + log_gamma(a + g + 1.0)
-        + log_gamma(b + g + 1.0)
-    )
+    base_log = _q_log_prefactor(a, b, g)
     if rep is Representation.REP1:
         series = ohyp2f1(g + 1.0, a + g + 1.0, c, y)
         logf = base_log - (a + g + 1.0) * cmath.log(z - 1.0) - b * cmath.log(z + 1.0)

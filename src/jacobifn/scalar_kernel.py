@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
+from functools import lru_cache, wraps
 
 from .errors import PoleError, UndefinedError
 
@@ -38,6 +40,10 @@ _LANCZOS_C = (
 
 _LOG_SQRT_2PI = 0.91893853320467274178
 POLE_TOL = 1e-12
+# Entries per exact_memo cache.  Enough for the keys of one parameter triple
+# and its shifted companions; 256 raised the hit rate of a verify sweep by
+# 0.2 % and added about 0.5 MB of resident memory.
+MEMO_SIZE = 64
 
 Complex = complex | float | int
 
@@ -167,9 +173,41 @@ def pochhammer_product(a_list: list[Complex] | tuple[Complex, ...], k: int) -> c
     return p
 
 
-def gamma_product(a_list: list[Complex] | tuple[Complex, ...]) -> complex:
-    """Product of gamma(a_i) over the list; the empty list gives 1."""
-    p = 1.0 + 0.0j
-    for a in a_list:
-        p *= gamma(a)
-    return p
+def exact_memo(fn):
+    """Memoize fn, a function of one to three complex arguments, on their bits.
+
+    The cache is a functools.lru_cache of MEMO_SIZE entries whose key leads
+    with the arguments packed as doubles.  Keying on the complex values alone
+    would not do: 0.0 == -0.0, yet across a branch cut the two give results
+    that differ in the last bits, and a value must not depend on what was
+    evaluated before.
+    """
+
+    @lru_cache(maxsize=MEMO_SIZE)
+    def cached(bits: bytes, *args):
+        return fn(*args)
+
+    n = fn.__code__.co_argcount
+    pack = struct.Struct(f"{2 * n}d").pack
+    # The doubles are spelt out per arity: flattening the arguments in a
+    # loop costs as much as the cache lookup itself.
+    if n == 1:
+
+        def memo(a):
+            return cached(pack(a.real, a.imag), a)
+
+    elif n == 2:
+
+        def memo(a, b):
+            return cached(pack(a.real, a.imag, b.real, b.imag), a, b)
+
+    elif n == 3:
+
+        def memo(a, b, c):
+            return cached(pack(a.real, a.imag, b.real, b.imag, c.real, c.imag), a, b, c)
+
+    else:
+        raise TypeError("exact_memo takes a function of one to three arguments")
+    memo = wraps(fn)(memo)
+    memo.cache_info = cached.cache_info
+    return memo

@@ -150,6 +150,38 @@ def test_table_real_grid(tmp_path):
     assert abs(float(first[2]) - (-0.5)) < 1e-12
 
 
+def test_table_p_real_interval_near_minus_one(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["table", "--kind", "P", "--z-grid=-0.95,0.95,16", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 17
+
+
+def test_main_twice_keeps_calls_apart(tmp_path):
+    # The parser is built once per process; one call's values and the
+    # other's defaults must not mix.
+    a, b = tmp_path / "a.json", tmp_path / "b.csv"
+    argv = ["table", "--kind", "P", "--z-grid", "0.1,0.5,3"]
+    assert main(argv + ["--gamma", "2", "--format", "json", "--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
+    rows = json.loads(a.read_text())
+    assert rows[0]["value"][0] == pytest.approx(-0.485, abs=1e-12)  # Legendre P2(0.1)
+    lines = b.read_text().splitlines()
+    assert lines[0].startswith("z_re,")
+    assert float(lines[1].split(",")[2]) == pytest.approx(1.0, abs=1e-12)  # gamma = 0
+
+
+def test_main_runs_the_current_handler(monkeypatch, tmp_path):
+    # The cached parser must not pin the handler that was bound when it was
+    # built: the benchmark's tracer and test doubles rebind cmd_*.
+    from jacobifn import cli
+
+    bad = tmp_path / "fixtures.json"
+    bad.write_text("{ not json")
+    assert main(["selftest", "--fixtures", str(bad)]) == 2
+    monkeypatch.setattr(cli, "cmd_selftest", lambda args: 42)
+    assert main(["selftest", "--fixtures", str(bad)]) == 42
+
+
 def test_table_grid_crossing_cut_writes_nothing(tmp_path):
     out = tmp_path / "t.csv"
     code = main(["table", "--kind", "P", "--z-grid=-3,-2,4", "--out", str(out)])

@@ -1,13 +1,18 @@
 import cmath
 import math
 from random import Random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jacobifn import hypergeom
 from jacobifn.errors import (
     ContinuationRequired,
     CutError,
     DivergentError,
+    JacobiFnError,
     LowerPoleError,
     NoConvergentPath,
     ZeroArgument,
@@ -228,3 +233,56 @@ def test_truncation_warning_at_term_cap():
         r = phyp((0.5, 0.5), (1.5,), 0.9995)
     assert not r.terminated
     assert r.abs_error_estimate > 1e-12
+
+
+# Parameters of the 2F1 calls the Jacobi representations make for the
+# catalog box, plus terminating uppers and lowers in -N0.
+_box_param = st.one_of(
+    st.builds(complex, st.floats(-3.0, 9.0), st.floats(-1.5, 1.5)),
+    st.integers(-8, 0).map(float),
+)
+_lower_param = st.one_of(
+    st.builds(complex, st.floats(-3.0, 9.0), st.floats(-1.5, 1.5)),
+    st.integers(-4, 0).map(float),
+)
+_disk_point = st.builds(
+    cmath.rect, st.floats(0.0, 0.99), st.floats(-math.pi, math.pi)
+)
+
+
+def _outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except JacobiFnError as exc:
+        return type(exc)
+    return (r.value, r.abs_error_estimate, r.terms_used, r.terminated)
+
+
+@given(_box_param, _box_param, _lower_param, _disk_point)
+@settings(max_examples=200, deadline=None)
+def test_2f1_loop_matches_generic_loop(a, b, c, z):
+    calls = [
+        (ohyp2f1, a, b, c, z),
+        (gauss2f1, a, b, c, z),
+        (ohyp, (a, b), (c,), z),
+        (phyp, (a, b), (c,), z),
+    ]
+    fast = [_outcome(*call) for call in calls]
+    with mock.patch.object(hypergeom, "_ratio_loop_2f1", hypergeom._ratio_loop):
+        generic = [_outcome(*call) for call in calls]
+    assert fast == generic
+
+
+def test_ohyp2f1_work_count_pinned():
+    # A fixed sweep's total series work; a change to the stopping rule, the
+    # argument map or the continuation shows up here as a different count.
+    rng = Random(20261018)
+    terms = raised = 0
+    for _ in range(200):
+        a, b, c = (complex(rng.uniform(-1.0, 3.0), rng.uniform(-0.5, 0.5)) for _ in range(3))
+        z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0))
+        try:
+            terms += ohyp2f1(a, b, c, z).terms_used
+        except JacobiFnError:
+            raised += 1
+    assert (terms, raised) == (17358, 48)

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from conftest import jacobi_poly_via_recurrence, legendre_via_recurrence
-from jacobifn.errors import DomainCutError, ValidityError
+from jacobifn.errors import DomainCutError, NoConvergentPath, ValidityError
 from jacobifn.jacobi_first import (
     JacobiParams,
     Representation,
@@ -195,3 +195,29 @@ def test_legendre_reduction_on_real_axis():
             got = jacobi_p(JacobiParams(0, 0, n), x).value
             want = legendre_via_recurrence(n, x)
             assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def test_real_interval_near_minus_one_uses_series():
+    # On (-1, -0.5) AUTO is past the preferred disk, and the connection's
+    # second-kind pair is undefined on [-1, 1]: the series must answer.
+    for p in (JacobiParams(0.3 + 0.1j, -0.2, 1.3 - 0.2j), JacobiParams(1.1, 0.4, 2.6)):
+        for z in (-0.6, -0.95):
+            auto = jacobi_p(p, z)
+            rep1 = jacobi_p(p, z, Representation.REP1)
+            rep3 = jacobi_p(p, z, Representation.REP3)
+            assert auto == rep1
+            bound = max(
+                1e-9 * abs(rep1.value),
+                3.0 * (rep1.abs_error_estimate + rep3.abs_error_estimate),
+            )
+            assert abs(rep1.value - rep3.value) <= bound
+            assert jacobi_p_scaled(p, z) == (0.0, rep1.value)
+
+
+def test_real_interval_past_every_argument_map():
+    # At z = -0.985 both maps leave modulus 0.9925 > 0.99.
+    p = JacobiParams(0.3 + 0.1j, -0.2, 1.3 - 0.2j)
+    with pytest.raises(NoConvergentPath):
+        jacobi_p(p, -0.985)
+    with pytest.raises(NoConvergentPath):
+        jacobi_p_scaled(p, -0.985)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from jacobifn.errors import PoleError, UndefinedError
 from jacobifn.scalar_kernel import (
     binomial,
+    exact_memo,
     gamma,
     log_gamma,
     pochhammer,
@@ -159,3 +160,13 @@ def test_pochhammer_product():
     assert pochhammer_product([], 3) == 1.0
     assert pochhammer_product([1, 2], 2) == pytest.approx(12.0, rel=1e-14)
     assert pochhammer_product([-1], 3) == 0.0
+
+
+def test_exact_memo_tells_signed_zeros_apart():
+    # -1+0j and -1-0j are equal but lie on either side of log's cut.
+    log = exact_memo(lambda z: cmath.log(z))
+    assert log(complex(-1.0, 0.0)).imag == math.pi
+    assert log(complex(-1.0, -0.0)).imag == -math.pi
+    assert log(complex(-1.0, 0.0)).imag == math.pi
+    info = log.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
