@@ -11,14 +11,18 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FixtureFormatError, JacobiFnError
-from .identity_engine import IdentityReport, list_identities, run_selftest, verify_identity
+from .identity_engine import (
+    IdentityReport,
+    _c2pair,
+    list_identities,
+    run_selftest,
+    verify_identity,
+)
 from .jacobi_first import JacobiParams, Representation, jacobi_p
 from .jacobi_second import jacobi_q
 
@@ -97,10 +101,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
     return values
-
-
-def _c2pair(x: complex) -> list[float]:
-    return [float(x.real), float(x.imag)]
 
 
 def report_payload(r: IdentityReport) -> dict:
@@ -352,30 +352,16 @@ def cmd_verify(args) -> int:
             return 2
         idents = [args.id]
 
-    threads = 1
-    env = os.environ.get("JACOBI_FN_THREADS")
-    if env:
-        try:
-            threads = max(1, int(env))
-        except ValueError:
-            print("error: JACOBI_FN_THREADS must be an integer", file=sys.stderr)
-            return 2
-
-    def run_one(ident: str) -> IdentityReport:
-        return verify_identity(
+    reports = [
+        verify_identity(
             ident,
             samples=config.samples,
             seed=config.seed,
             tol=config.tolerance,
             n_values=config.n_values,
         )
-
-    if threads > 1 and len(idents) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            by_id = dict(zip(idents, pool.map(run_one, idents)))
-        reports = [by_id[i] for i in idents]
-    else:
-        reports = [run_one(i) for i in idents]
+        for ident in idents
+    ]
 
     if config.format == "json":
         text = _reports_json(reports)

@@ -16,18 +16,36 @@ Three evaluation layers:
   reachable arguments under the classical maps are {z, z/(z-1)} (Euler's map
   keeps the argument), so the selector simply picks the smaller modulus,
   preferring the untransformed series on ties.
+* ``_ohyp2f1_batch`` -- the regularized 2F1 of one (a, b, c) over an ndarray
+  of z, for the oracles that evaluate one parameter triple at every node of
+  a level.  It routes each point by the scalar routine's predicates
+  (``_on_cut``, ``_takes_direct``, ``_has_path``: direct series or the
+  z/(z-1) map, exact termination) and keeps its stopping rule and error
+  estimate, but sums with numpy: Taylor coefficients memoized per triple,
+  powers by ``cumprod``, in column blocks of at least ``_BATCH_COLS`` terms
+  that widen while a block stays within ``BATCH_POINTS * _BATCH_COLS``
+  terms.  Callers pass at most ``BATCH_POINTS`` points at a time.  A status
+  per point marks those it does not cover (on the cut, no map inside the
+  disk, the term cap); the Jacobi layers evaluate them with the scalar call,
+  which raises or warns as documented.  The scalar routines stay the
+  reference and serve single calls, where numpy's per-call overhead would
+  lose.
 * ``reverse_finite_series`` -- a finite sum evaluated both directly and in
   reversed order as a new hypergeometric sum in 1/z; the two routes must
   agree and are used as mutual checks.
 
-All powers are principal: w**s = exp(s Log w) with Arg in (-pi, pi].
+All powers are principal: w**s = exp(s Log w) with Arg in (-pi, pi]
+(``power``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ContinuationRequired,
@@ -44,6 +62,44 @@ STOP_RATIO = 1e-15
 STOP_RUN = 3
 MAX_TERMS = 10_000
 _EPS = 2.220446049250313e-16
+# Argument routing of the 2F1 continuation: the direct series is taken
+# inside DIRECT_LIMIT, and no series runs beyond MAP_LIMIT.
+DIRECT_LIMIT = 0.75
+MAP_LIMIT = 0.99
+_CUT_GUARD = 1e-12
+# Block shape of the batched series: points per call (the Jacobi layers
+# split longer arrays) and terms per column block, which bound the
+# temporaries to a few arrays of BATCH_POINTS * _BATCH_COLS entries.
+BATCH_POINTS = 256
+_BATCH_COLS = 32
+# Status of a point in a batched evaluation: covered; not covered because
+# the scalar call raises NoConvergentPath; not covered for another reason.
+BATCH_OK, BATCH_NO_PATH, BATCH_SCALAR = 0, 1, 2
+
+
+def power(base, s):
+    """Principal power exp(s Log w) of a scalar or an ndarray base.
+
+    A scalar base goes through cmath; s = 0 gives exactly 1 (an array of
+    ones for an array base).
+    """
+    if isinstance(base, np.ndarray):
+        if s == 0:
+            return np.ones(base.shape, dtype=complex)
+        return np.exp(complex(s) * np.log(base.astype(complex, copy=False)))
+    if s == 0:
+        return 1.0 + 0.0j
+    return cmath.exp(complex(s) * cmath.log(base))
+
+
+def where(cond, a, b):
+    """a where cond holds, else b: elementwise when cond is an ndarray.
+
+    Lets one routing predicate serve a scalar call and a batch.
+    """
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
 @dataclass(frozen=True)
@@ -252,34 +308,42 @@ def ohyp(upper, lower, argument) -> SeriesValue:
     return _checked_series(upper, lower, argument, regularized=True)
 
 
-def _cut_distance(z: complex) -> float:
-    """Distance from z to the ray [1, oo) on the real axis."""
-    if z.real >= 1.0:
-        return abs(z.imag)
-    return abs(z - 1.0)
+def _on_cut(z):
+    """Whether z lies within _CUT_GUARD of the ray [1, oo); z a scalar or an ndarray."""
+    return where(z.real >= 1.0, abs(z.imag), abs(z - 1.0)) < _CUT_GUARD
+
+
+def _takes_direct(az, au):
+    """Whether the direct series is preferred, from |z| and |z/(z-1)|.
+
+    Inside DIRECT_LIMIT always, else on a modulus no larger than the map's.
+    Elementwise on ndarrays.
+    """
+    return (az <= DIRECT_LIMIT) | (az <= au)
+
+
+def _has_path(az, au):
+    """Whether z or z/(z-1) lies within MAP_LIMIT; elementwise on ndarrays."""
+    return (az <= MAP_LIMIT) | (au <= MAP_LIMIT)
 
 
 def _pick_argument(z: complex, terminating: bool) -> str:
     """Choose between the direct series and the z/(z-1) map."""
-    if terminating or abs(z) <= 0.75:
+    if terminating:
         return "direct"
-    u = z / (z - 1.0)
-    if abs(z) <= abs(u):
-        choice, mod = "direct", abs(z)
-    else:
-        choice, mod = "pfaff", abs(u)
-    if mod > 0.99:
+    az, au = abs(z), abs(z / (z - 1.0))
+    if not _has_path(az, au):
         raise NoConvergentPath(
-            f"no transformed argument inside the disk (best modulus {mod:.3f})"
+            f"no transformed argument inside the disk (best modulus {min(az, au):.3f})"
         )
-    return choice
+    return "direct" if _takes_direct(az, au) else "pfaff"
 
 
 def _continued_2f1(a, b, c, z, regularized: bool) -> SeriesValue:
     """2F1(a, b; c; z), plain or regularized, continued via the z/(z-1) map."""
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     terminating = termination_index((a, b)) is not None
-    if _cut_distance(z) < 1e-12 and not terminating:
+    if not terminating and _on_cut(z):
         raise CutError(f"z={z} on the cut [1, oo)")
     series = ohyp if regularized else phyp
     if _pick_argument(z, terminating) == "direct":
@@ -302,6 +366,157 @@ def gauss2f1(a, b, c, z) -> SeriesValue:
 def ohyp2f1(a, b, c, z) -> SeriesValue:
     """Olver-regularized 2F1; valid for every c, including c in -N0."""
     return _continued_2f1(a, b, c, z, regularized=True)
+
+
+class _Taylor:
+    """Regularized 2F1 Taylor coefficients of one (a, b; c), extended on demand.
+
+    Coefficients up to the last lower-parameter pole come from Pochhammer
+    products and reciprocal gammas, as in ``_leading_terms``; later ones from
+    the term ratio.  Each coefficient depends only on its predecessors, so no
+    value depends on how far an earlier call extended the table.
+    """
+
+    def __init__(self, a: complex, b: complex, c: complex):
+        self.a, self.b, self.c = a, b, c
+        self.k0 = max(0, int(math.ceil(0.5 - c.real)))
+        coef = []
+        kfac = 1.0
+        for k in range(self.k0 + 1):
+            if k > 0:
+                kfac *= k
+            coef.append(pochhammer_product((a, b), k) / kfac * _lower_rgamma(c + k))
+        self.coef = np.array(coef, dtype=complex)
+
+    def upto(self, n: int) -> np.ndarray:
+        """The coefficients of the terms 0..n-1."""
+        have = self.coef.size
+        if have < n:
+            a, b, c = self.a, self.b, self.c
+            t = complex(self.coef[-1])
+            more = []
+            for k in range(have - 1, max(n, 2 * have) - 1):
+                t = t * ((a + k) * (b + k)) / ((c + k) * (k + 1))
+                more.append(t)
+            self.coef = np.concatenate((self.coef, more))
+        return self.coef[:n]
+
+
+@exact_memo
+def _taylor(a: complex, b: complex, c: complex) -> _Taylor:
+    return _Taylor(a, b, c)
+
+
+def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
+    """The regularized 2F1 series at every point of a 1-D array z.
+
+    Sums terms 0..m_stop exactly or, when m_stop is None, stops each point
+    by the scalar rule: STOP_RUN consecutive terms past the leading ones
+    below STOP_RATIO of the running sum.  Running sums add the terms left
+    to right as the scalar loop does.  The column blocks start at
+    _BATCH_COLS terms and double while the block stays within
+    BATCH_POINTS * _BATCH_COLS terms; the running sum, sum of |terms|, z^k
+    and the last two stop flags carry from one column block to the next.
+    Returns (value, error estimate, covered); a point that reaches the term
+    cap is not covered.
+    """
+    taylor = _taylor(a, b, c)
+    value = np.zeros(z.size, dtype=complex)
+    err = np.zeros(z.size)
+    covered = np.zeros(z.size, dtype=bool)
+    adaptive = m_stop is None
+    last = MAX_TERMS - 1 if adaptive else m_stop
+    budget = BATCH_POINTS * _BATCH_COLS
+    rows = np.arange(z.size)
+    zr = z
+    total = np.zeros(z.size, dtype=complex)
+    acc = np.zeros(z.size)
+    zk = np.ones(z.size, dtype=complex)
+    flags = np.zeros((z.size, 2), dtype=bool)
+    k = 0
+    width = _BATCH_COLS
+    while rows.size and k <= last:
+        width = min(last + 1 - k, width)
+        terms = np.empty((rows.size, width), dtype=complex)
+        terms[:, 0] = zk
+        terms[:, 1:] = zr[:, None]
+        np.cumprod(terms, axis=1, out=terms)
+        zk = terms[:, -1] * zr
+        terms *= taylor.upto(k + width)[k:]
+        sizes = np.abs(terms)
+        terms[:, 0] += total
+        sums = np.cumsum(terms, axis=1, out=terms)
+        accs = np.cumsum(sizes, axis=1)
+        if adaptive:
+            run = np.empty((rows.size, width + 2), dtype=bool)
+            run[:, :2] = flags
+            np.less_equal(sizes, STOP_RATIO * np.maximum(np.abs(sums), 1e-300), out=run[:, 2:])
+            run[:, 2 : max(2, taylor.k0 + 3 - k)] = False
+            hit = run[:, 2:] & run[:, 1:-1] & run[:, :-2]
+            stop = hit.any(axis=1)
+            col = hit.argmax(axis=1)
+        else:
+            stop = np.full(rows.size, k + width > last)
+            col = np.full(rows.size, width - 1)
+        if stop.any():
+            out, at = rows[stop], col[stop]
+            value[out] = sums[stop, at]
+            tail = sizes[stop, at] if adaptive else 0.0
+            err[out] = tail + _EPS * (acc[stop] + accs[stop, at])
+            covered[out] = True
+            keep = ~stop
+            rows, zr, zk = rows[keep], zr[keep], zk[keep]
+            sums, accs, acc = sums[keep], accs[keep], acc[keep]
+            if adaptive:
+                run = run[keep]
+        total = sums[:, -1]
+        acc = acc + accs[:, -1]
+        if adaptive:
+            flags = run[:, -2:]
+        k += width
+        width = max(width, min(2 * width, budget // max(rows.size, 1)))
+    return value, err, covered
+
+
+def _ohyp2f1_batch(a, b, c, z: np.ndarray):
+    """``ohyp2f1`` at every point of a 1-D array z: (value, error estimate, status).
+
+    Routes each point by the scalar routine's predicates.  ``status`` is
+    BATCH_OK where the batch covered the point, BATCH_NO_PATH where the
+    scalar call raises NoConvergentPath, and BATCH_SCALAR where it raises
+    CutError, warns at the term cap or the batch's result is not finite;
+    callers evaluate the points not covered with the scalar call.
+    """
+    a, b, c = complex(a), complex(b), complex(c)
+    value = np.zeros(z.size, dtype=complex)
+    err = np.zeros(z.size)
+    status = np.full(z.size, BATCH_SCALAR, dtype=np.int8)
+    m = termination_index((a, b))
+    if m is not None:
+        direct, pfaff = np.ones(z.size, dtype=bool), np.zeros(z.size, dtype=bool)
+    else:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            az, au = np.abs(z), np.abs(z / (z - 1.0))
+        off_cut = ~_on_cut(z)
+        path = off_cut & _has_path(az, au)
+        direct = path & _takes_direct(az, au)
+        pfaff = path & ~direct
+        status[off_cut & ~path] = BATCH_NO_PATH
+
+    def put(mask, v, e, ok):
+        with np.errstate(invalid="ignore"):
+            ok &= np.isfinite(v) & np.isfinite(e)
+        value[mask], err[mask] = v, e
+        status[mask] = np.where(ok, BATCH_OK, BATCH_SCALAR)
+
+    if direct.any():
+        put(direct, *_series_batch(a, b, c, z[direct], m))
+    if pfaff.any():
+        zp = z[pfaff]
+        v, e, ok = _series_batch(a, c - b, c, zp / (zp - 1.0), termination_index((a, c - b)))
+        fac = power(1.0 - zp, -a)
+        put(pfaff, fac * v, np.abs(fac) * e, ok)
+    return value, err, status
 
 
 def reverse_finite_series(upper, lower, m: int, z) -> tuple[SeriesValue, SeriesValue]:

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
-from .hypergeom import phyp
+import numpy as np
+
+from .hypergeom import phyp, power
 from .jacobi_first import (
     JacobiParams,
     jacobi_p,
@@ -78,20 +81,16 @@ def take_cost() -> int:
     return c
 
 
-def pval(a, b, g, w) -> complex:
-    _count()
+def pval(a, b, g, w):
+    """P at w (a scalar or an ndarray); counts one evaluation per point."""
+    _count(np.size(w))
     return jacobi_p(JacobiParams(a, b, g), w).value
 
 
-def qval(a, b, g, w) -> complex:
-    _count()
+def qval(a, b, g, w):
+    """Q at w (a scalar or an ndarray); counts one evaluation per point."""
+    _count(np.size(w))
     return jacobi_q(JacobiParams(a, b, g), w).value
-
-
-def _pow(base: complex, s: complex) -> complex:
-    if s == 0:
-        return 1.0 + 0.0j
-    return cmath.exp(complex(s) * cmath.log(base))
 
 
 @dataclass(frozen=True)
@@ -241,7 +240,7 @@ def _contour_radius(cut: Cut, z: complex) -> float:
 
 
 def plain_derivative(f, z: complex, n: int, cut: Cut) -> complex:
-    return contour_derivative(f, z, n, _contour_radius(cut, z), cut=cut)
+    return contour_derivative(f, z, n, _contour_radius(cut, z), cut=cut, vectorized=True)
 
 
 _OPERATOR_COEFFS: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -269,7 +268,7 @@ def operator_power(f, z: complex, n: int, base_point: float, cut: Cut) -> comple
         return f(z)
     orders = tuple(range(1, n + 1))
     radius = _contour_radius(cut, z)
-    derivs = dict(zip(orders, contour_derivatives(f, z, orders, radius)))
+    derivs = dict(zip(orders, contour_derivatives(f, z, orders, radius, vectorized=True)))
     shift = z - base_point
     total = 0.0 + 0.0j
     for k, c in _operator_coeffs(n):
@@ -355,15 +354,15 @@ def _fi_entry(ident, desc, pairs, anchor_exp, rhs, cons, sample, nvals=(1, 2), n
         a, b, g = params.alpha, params.beta, params.gamma
         exps = tuple((sym, complex(e(params))) for sym, e in pairs)
 
-        def f(w: complex, hi_dist: complex, lo_dist: complex) -> complex:
+        def f(w: np.ndarray, hi_dist: np.ndarray, lo_dist: np.ndarray) -> np.ndarray:
             val = pval(a, b, g, w)
             for sym, e in exps:
-                val *= _pow(hi_dist if sym == "1-w" else 1.0 + w, e)
+                val *= power(hi_dist if sym == "1-w" else 1.0 + w, e)
             return val
 
         spec = RepeatedIntegralSpec(n, z, 1.0, FLAT, "lower")
         return repeated_integral(
-            f, spec, anchor_exponent=anchor_exp(params), rtol=1e-12
+            f, spec, anchor_exponent=anchor_exp(params), rtol=1e-12, vectorized=True
         ).value
 
     _register(IdentityDescriptor(ident, desc, nvals, 1e-6, lhs, rhs, cons, sample, note))
@@ -377,16 +376,16 @@ def _fj_entry(ident, desc, pairs, rhs, cons, sample, note=None):
         a, b, g = params.alpha, params.beta, params.gamma
         exps = tuple((sym, complex(e(params))) for sym, e in pairs)
 
-        def f(w: complex) -> complex:
-            _count()
+        def f(w: np.ndarray) -> np.ndarray:
+            _count(w.size)
             log_scale, mant = jacobi_p_scaled(JacobiParams(a, b, g), w)
             logw = 0.0 + 0.0j
             for sym, e in exps:
-                logw += e * cmath.log((1.0 - w) if sym == "1-w" else (1.0 + w))
-            return cmath.exp(logw + log_scale) * mant
+                logw = logw + e * np.log((1.0 - w) if sym == "1-w" else (1.0 + w))
+            return np.exp(logw + log_scale) * mant
 
         spec = RepeatedIntegralSpec(n, z, None, FLAT, "lower")
-        return repeated_integral(f, spec, rtol=1e-12).value
+        return repeated_integral(f, spec, rtol=1e-12, vectorized=True).value
 
     _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, cons, sample, note))
 
@@ -399,15 +398,15 @@ def _fk_entry(ident, desc, pairs, measure, anchor_exp, rhs, cons, sample=None, n
         a, b, g = params.alpha, params.beta, params.gamma
         exps = tuple((sym, complex(e(params))) for sym, e in pairs)
 
-        def f(w: complex, hi_dist: complex, lo_dist: complex) -> complex:
+        def f(w: np.ndarray, hi_dist: np.ndarray, lo_dist: np.ndarray) -> np.ndarray:
             val = pval(a, b, g, w)
             for sym, e in exps:
-                val *= _pow(lo_dist if sym == "w-1" else w + 1.0, e)
+                val *= power(lo_dist if sym == "w-1" else w + 1.0, e)
             return val
 
         spec = RepeatedIntegralSpec(n, 1.0, z, measure, "upper")
         return repeated_integral(
-            f, spec, anchor_exponent=anchor_exp(params), rtol=1e-12
+            f, spec, anchor_exponent=anchor_exp(params), rtol=1e-12, vectorized=True
         ).value
 
     _register(
@@ -425,15 +424,15 @@ def _si_entry(ident, desc, pairs, rhs, cons, sample, note=None):
         p = JacobiParams(params.alpha, params.beta, params.gamma)
         exps = tuple((sym, complex(e(params))) for sym, e in pairs)
 
-        def f(w: complex) -> complex:
-            _count()
+        def f(w: np.ndarray) -> np.ndarray:
+            _count(w.size)
             logq = jacobi_q_log(p, w)
             for sym, e in exps:
-                logq += e * cmath.log((w - 1.0) if sym == "w-1" else (1.0 + w))
-            return cmath.exp(logq)
+                logq = logq + e * np.log((w - 1.0) if sym == "w-1" else (1.0 + w))
+            return np.exp(logq)
 
         spec = RepeatedIntegralSpec(n, z, None, FLAT, "lower")
-        return repeated_integral(f, spec, rtol=1e-12).value
+        return repeated_integral(f, spec, rtol=1e-12, vectorized=True).value
 
     _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, cons, sample, note))
 
@@ -443,30 +442,30 @@ def _si_entry(ident, desc, pairs, rhs, cons, sample, note=None):
 _fd_entry(
     "FD1",
     "n-th derivative of the fully weighted function raises degree, lowers both exponents",
-    lambda p: (lambda w: _pow(1.0 - w, p.alpha) * _pow(1.0 + w, p.beta)),
+    lambda p: (lambda w: power(1.0 - w, p.alpha) * power(1.0 + w, p.beta)),
     lambda p, z, n: (-2.0) ** n
     * pochhammer(p.gamma + 1.0, n)
-    * _pow(1.0 - z, p.alpha - n)
-    * _pow(1.0 + z, p.beta - n)
+    * power(1.0 - z, p.alpha - n)
+    * power(1.0 + z, p.beta - n)
     * pval(p.alpha - n, p.beta - n, p.gamma + n, z),
 )
 
 _fd_entry(
     "FD2",
     "n-th derivative of the (1-z)-weighted function trades the exponents",
-    lambda p: (lambda w: _pow(1.0 - w, p.alpha)),
+    lambda p: (lambda w: power(1.0 - w, p.alpha)),
     lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
-    * _pow(1.0 - z, p.alpha - n)
+    * power(1.0 - z, p.alpha - n)
     * pval(p.alpha - n, p.beta + n, p.gamma, z),
 )
 
 _fd_entry(
     "FD3",
     "n-th derivative of the (1+z)-weighted function trades the exponents",
-    lambda p: (lambda w: _pow(1.0 + w, p.beta)),
+    lambda p: (lambda w: power(1.0 + w, p.beta)),
     lambda p, z, n: (-1.0) ** n
     * pochhammer(-p.beta - p.gamma, n)
-    * _pow(1.0 + z, p.beta - n)
+    * power(1.0 + z, p.beta - n)
     * pval(p.alpha + n, p.beta - n, p.gamma, z),
     cut=P_DERIV_CUT,
 )
@@ -487,20 +486,20 @@ _fd_entry(
 _fw_entry(
     "FW1",
     "degree-preserving operator power shifting the second exponent up",
-    lambda p: (lambda w: _pow(w - 1.0, p.alpha + p.beta + p.gamma + 1.0)),
+    lambda p: (lambda w: power(w - 1.0, p.alpha + p.beta + p.gamma + 1.0)),
     1.0,
     lambda p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
-    * _pow(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
+    * power(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
     * pval(p.alpha, p.beta + n, p.gamma, z),
 )
 
 _fw_entry(
     "FW2",
     "operator power on the degree-scaled function lowering the degree",
-    lambda p: (lambda w: _pow(w - 1.0, -p.gamma)),
+    lambda p: (lambda w: power(w - 1.0, -p.gamma)),
     1.0,
     lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
-    * _pow(z - 1.0, n - p.gamma)
+    * power(z - 1.0, n - p.gamma)
     * pval(p.alpha, p.beta + n, p.gamma - n, z),
 )
 
@@ -508,13 +507,13 @@ _fw_entry(
     "FW3",
     "operator power raising the degree against the mixed weight",
     lambda p: (
-        lambda w: _pow(w + 1.0, p.beta) * _pow(w - 1.0, p.alpha + p.gamma + 1.0)
+        lambda w: power(w + 1.0, p.beta) * power(w - 1.0, p.alpha + p.gamma + 1.0)
     ),
     1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(p.gamma + 1.0, n)
-    * _pow(z + 1.0, p.beta - n)
-    * _pow(z - 1.0, p.alpha + p.gamma + 1.0 + n)
+    * power(z + 1.0, p.beta - n)
+    * power(z - 1.0, p.alpha + p.gamma + 1.0 + n)
     * pval(p.alpha, p.beta - n, p.gamma + n, z),
 )
 
@@ -522,33 +521,33 @@ _fw_entry(
     "FW4",
     "degree-preserving operator power shifting the second exponent down",
     lambda p: (
-        lambda w: _pow(w + 1.0, p.beta) * _pow(w - 1.0, -(p.beta + p.gamma))
+        lambda w: power(w + 1.0, p.beta) * power(w - 1.0, -(p.beta + p.gamma))
     ),
     1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(-p.beta - p.gamma, n)
-    * _pow(z + 1.0, p.beta - n)
-    * _pow(z - 1.0, -(p.beta - n + p.gamma))
+    * power(z + 1.0, p.beta - n)
+    * power(z - 1.0, -(p.beta - n + p.gamma))
     * pval(p.alpha, p.beta - n, p.gamma, z),
 )
 
 _fw_entry(
     "FW5",
     "mirrored operator power shifting the first exponent up",
-    lambda p: (lambda w: _pow(w + 1.0, p.alpha + p.beta + p.gamma + 1.0)),
+    lambda p: (lambda w: power(w + 1.0, p.alpha + p.beta + p.gamma + 1.0)),
     -1.0,
     lambda p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
-    * _pow(z + 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
+    * power(z + 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
     * pval(p.alpha + n, p.beta, p.gamma, z),
 )
 
 _fw_entry(
     "FW6",
     "mirrored operator power lowering the degree",
-    lambda p: (lambda w: _pow(w + 1.0, -p.gamma)),
+    lambda p: (lambda w: power(w + 1.0, -p.gamma)),
     -1.0,
     lambda p, z, n: pochhammer(1.0 + p.beta + p.gamma - n, n)
-    * _pow(z + 1.0, n - p.gamma)
+    * power(z + 1.0, n - p.gamma)
     * pval(p.alpha + n, p.beta, p.gamma - n, z),
 )
 
@@ -556,13 +555,13 @@ _fw_entry(
     "FW7",
     "mirrored operator power raising the degree against the mixed weight",
     lambda p: (
-        lambda w: _pow(w - 1.0, p.alpha) * _pow(w + 1.0, p.beta + p.gamma + 1.0)
+        lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, p.beta + p.gamma + 1.0)
     ),
     -1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(p.gamma + 1.0, n)
-    * _pow(z - 1.0, p.alpha - n)
-    * _pow(z + 1.0, p.beta + p.gamma + n + 1.0)
+    * power(z - 1.0, p.alpha - n)
+    * power(z + 1.0, p.beta + p.gamma + n + 1.0)
     * pval(p.alpha - n, p.beta, p.gamma + n, z),
     note="(z+1) exponent corrected to beta+gamma+n+1; the printed beta+gamma+n "
     "fails its own Rodrigues specialization and the n=1 hand check.",
@@ -572,13 +571,13 @@ _fw_entry(
     "FW8",
     "mirrored degree-preserving operator power shifting the first exponent down",
     lambda p: (
-        lambda w: _pow(w - 1.0, p.alpha) * _pow(w + 1.0, -(p.alpha + p.gamma))
+        lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, -(p.alpha + p.gamma))
     ),
     -1.0,
     lambda p, z, n: (-2.0) ** n
     * pochhammer(-p.alpha - p.gamma, n)
-    * _pow(z - 1.0, p.alpha - n)
-    * _pow(z + 1.0, -(p.alpha - n + p.gamma))
+    * power(z - 1.0, p.alpha - n)
+    * power(z + 1.0, -(p.alpha - n + p.gamma))
     * pval(p.alpha - n, p.beta, p.gamma, z),
 )
 
@@ -658,8 +657,8 @@ _fi_entry(
     lambda p: complex(p.alpha).real,
     lambda p, z, n: (-1.0) ** n
     / (2.0**n * pochhammer(-p.gamma, n))
-    * _pow(1.0 - z, p.alpha + n)
-    * _pow(1.0 + z, p.beta + n)
+    * power(1.0 - z, p.alpha + n)
+    * power(1.0 + z, p.beta + n)
     * pval(p.alpha + n, p.beta + n, p.gamma - n, z),
     _fi1_cons,
     _P_INT_SAMPLE,
@@ -680,7 +679,7 @@ _fi_entry(
     "n-fold (1-w)-weighted integral toward 1 trading the exponents",
     (("1-w", lambda p: p.alpha),),
     lambda p: complex(p.alpha).real,
-    lambda p, z, n: _pow(1.0 - z, p.alpha + n)
+    lambda p, z, n: power(1.0 - z, p.alpha + n)
     / pochhammer(p.alpha + p.gamma + 1.0, n)
     * pval(p.alpha + n, p.beta - n, p.gamma, z),
     _fi2_cons,
@@ -716,7 +715,7 @@ def _fi3a_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     boundary = (
         2.0
         * gamma(a + g + 1.0)
-        * _pow(1.0 - z, n - 1)
+        * power(1.0 - z, n - 1)
         / (math.factorial(n - 1) * s)
         * reciprocal_gamma(a)
         * reciprocal_gamma(g + 2.0)
@@ -756,7 +755,7 @@ def _fi3b_rhs(p: JacobiParams, z: complex, n: int) -> complex:
         gamma(a + g + 1.0)
         * reciprocal_gamma(a + 1.0)
         * reciprocal_gamma(g + 1.0)
-        * _pow(1.0 - z, n)
+        * power(1.0 - z, n)
         / math.factorial(n)
         * series.value
     )
@@ -811,8 +810,8 @@ _fj_entry(
     (("1-w", lambda p: p.alpha), ("1+w", lambda p: p.beta)),
     lambda p, z, n: (-1.0) ** n
     / (2.0**n * pochhammer(-p.gamma, n))
-    * _pow(1.0 - z, p.alpha + n)
-    * _pow(1.0 + z, p.beta + n)
+    * power(1.0 - z, p.alpha + n)
+    * power(1.0 + z, p.beta + n)
     * pval(p.alpha + n, p.beta + n, p.gamma - n, z),
     _fj1_cons,
     _fj_sample(
@@ -841,7 +840,7 @@ _fj_entry(
     "FJ2",
     "n-fold (1-w)-weighted ray integral trading the exponents",
     (("1-w", lambda p: p.alpha),),
-    lambda p, z, n: _pow(1.0 - z, p.alpha + n)
+    lambda p, z, n: power(1.0 - z, p.alpha + n)
     / pochhammer(p.alpha + p.gamma + 1.0, n)
     * pval(p.alpha + n, p.beta - n, p.gamma, z),
     _fj2_cons,
@@ -870,7 +869,7 @@ _fj_entry(
     "n-fold (1+w)-weighted ray integral trading the exponents",
     (("1+w", lambda p: p.beta),),
     lambda p, z, n: (-1.0) ** n
-    * _pow(1.0 + z, p.beta + n)
+    * power(1.0 + z, p.beta + n)
     / pochhammer(p.beta + p.gamma + 1.0, n)
     * pval(p.alpha - n, p.beta + n, p.gamma, z),
     _fj3_cons,
@@ -934,7 +933,7 @@ _fk_entry(
     (("w-1", lambda p: p.alpha + p.beta + p.gamma + 1.0),),
     INV_SQ_MINUS,
     lambda p: (complex(p.alpha) + complex(p.beta) + complex(p.gamma) + 1.0).real,
-    lambda p, z, n: _pow(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 - n)
+    lambda p, z, n: power(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 - n)
     / pochhammer(p.alpha + p.beta + p.gamma - n + 1.0, n)
     * pval(p.alpha, p.beta - n, p.gamma, z),
     _fk1_cons,
@@ -959,8 +958,8 @@ _fk_entry(
     (("1+w", lambda p: p.beta), ("w-1", lambda p: p.alpha + p.gamma + 1.0)),
     INV_SQ_MINUS,
     lambda p: (complex(p.alpha) + complex(p.gamma) + 1.0).real,
-    lambda p, z, n: _pow(z + 1.0, p.beta + n)
-    * _pow(z - 1.0, p.alpha + p.gamma - n + 1.0)
+    lambda p, z, n: power(z + 1.0, p.beta + n)
+    * power(z - 1.0, p.alpha + p.gamma - n + 1.0)
     / (2.0**n * pochhammer(p.gamma - n + 1.0, n))
     * pval(p.alpha, p.beta + n, p.gamma - n, z),
     _fk2_cons,
@@ -987,8 +986,8 @@ _fk_entry(
     (("w-1", lambda p: p.alpha), ("1+w", lambda p: p.beta + p.gamma + 1.0)),
     INV_SQ_PLUS,
     lambda p: complex(p.alpha).real,
-    lambda p, z, n: _pow(z - 1.0, p.alpha + n)
-    * _pow(z + 1.0, p.beta + p.gamma - n + 1.0)
+    lambda p, z, n: power(z - 1.0, p.alpha + n)
+    * power(z + 1.0, p.beta + p.gamma - n + 1.0)
     / (2.0**n * pochhammer(p.gamma - n + 1.0, n))
     * pval(p.alpha + n, p.beta, p.gamma - n, z),
     _fk3_cons,
@@ -1013,8 +1012,8 @@ _fk_entry(
     (("w-1", lambda p: p.alpha), ("1+w", lambda p: -(p.alpha + p.gamma))),
     INV_SQ_PLUS,
     lambda p: complex(p.alpha).real,
-    lambda p, z, n: _pow(z - 1.0, p.alpha + n)
-    * _pow(z + 1.0, -(p.alpha + n + p.gamma))
+    lambda p, z, n: power(z - 1.0, p.alpha + n)
+    * power(z + 1.0, -(p.alpha + n + p.gamma))
     / (2.0**n * pochhammer(1.0 + p.alpha + p.gamma, n))
     * pval(p.alpha + n, p.beta, p.gamma, z),
     _fk4_cons,
@@ -1041,7 +1040,7 @@ _fk_entry(
     lambda p: -complex(p.gamma).real,
     lambda p, z, n: (-1.0) ** n
     / pochhammer(p.alpha + p.gamma + 1.0, n)
-    * _pow(z - 1.0, -(p.gamma + n))
+    * power(z - 1.0, -(p.gamma + n))
     * pval(p.alpha, p.beta - n, p.gamma + n, z),
     _fk5_cons,
     sample=_box_sampler(_z_int_p, g_box=(-4.4, -1.35)),
@@ -1066,8 +1065,8 @@ _fk_entry(
     lambda p: -(complex(p.beta) + complex(p.gamma)).real,
     lambda p, z, n: (-1.0) ** n
     / (2.0**n * pochhammer(p.beta + p.gamma + 1.0, n))
-    * _pow(z + 1.0, p.beta + n)
-    * _pow(z - 1.0, -(p.beta + p.gamma + n))
+    * power(z + 1.0, p.beta + n)
+    * power(z - 1.0, -(p.beta + p.gamma + n))
     * pval(p.alpha, p.beta + n, p.gamma, z),
     _fk6_cons,
     sample=_box_sampler(_z_int_p, b_box=(-2.3, 0.4), g_box=(-4.4, -1.35)),
@@ -1103,17 +1102,17 @@ def _fk7_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
     s = a + b + g
     main = (
-        _pow(z + 1.0, s + 1.0 - n)
+        power(z + 1.0, s + 1.0 - n)
         / pochhammer(s + 1.0 - n, n)
         * pval(a - n, b, g, z)
     )
     boundary = (
-        _pow(2.0, s + 1.0 - n)
+        power(2.0, s + 1.0 - n)
         * gamma(a + g)
         * reciprocal_gamma(a)
         * reciprocal_gamma(g + 1.0)
         / (s * math.factorial(n - 1))
-        * _pow((z - 1.0) / (z + 1.0), n - 1)
+        * power((z - 1.0) / (z + 1.0), n - 1)
         * phyp(
             (1.0 - n, 1.0 - a, 1.0),
             (1.0 - a - g, 1.0 - s),
@@ -1153,14 +1152,14 @@ def _fk8_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
     main = (
         pval(a - n, b, g + n, z)
-        / (pochhammer(b + g + 1.0, n) * _pow(z + 1.0, g + n))
+        / (pochhammer(b + g + 1.0, n) * power(z + 1.0, g + n))
     )
     boundary = (
         gamma(a + g + 1.0)
         * reciprocal_gamma(a)
         * reciprocal_gamma(g + 2.0)
-        / (_pow(2.0, g + n) * (b + g + 1.0) * math.factorial(n - 1))
-        * _pow((z - 1.0) / (z + 1.0), n - 1)
+        / (power(2.0, g + n) * (b + g + 1.0) * math.factorial(n - 1))
+        * power((z - 1.0) / (z + 1.0), n - 1)
         * phyp(
             (1.0 - n, 1.0 - a, 1.0),
             (2.0 + g, 2.0 + b + g),
@@ -1269,11 +1268,11 @@ _sd_cut_full = Q_DERIV_CUT
 _sd_entry(
     "SD1",
     "n-th derivative of the fully weighted second-kind function",
-    lambda p: (lambda w: _pow(w - 1.0, p.alpha) * _pow(1.0 + w, p.beta)),
+    lambda p: (lambda w: power(w - 1.0, p.alpha) * power(1.0 + w, p.beta)),
     lambda p, z, n: (-2.0) ** n
     * pochhammer(p.gamma + 1.0, n)
-    * _pow(z - 1.0, p.alpha - n)
-    * _pow(1.0 + z, p.beta - n)
+    * power(z - 1.0, p.alpha - n)
+    * power(1.0 + z, p.beta - n)
     * qval(p.alpha - n, p.beta - n, p.gamma + n, z),
     note="theorem constant (-2)^n(gamma+1)_n confirmed; the proof display's "
     "+2(gamma+1) belongs to the (1-z)-weighted operand.",
@@ -1285,15 +1284,15 @@ def _sd2_rhs(p: JacobiParams, z: complex, n: int) -> complex:
 
     def inner(w: complex) -> complex:
         return (
-            _pow(w - 1.0, a + n) * _pow(w + 1.0, b + n) * qval(a + n, b + n, g - n, w)
+            power(w - 1.0, a + n) * power(w + 1.0, b + n) * qval(a + n, b + n, g - n, w)
         )
 
     deriv = plain_derivative(inner, z, n, Q_DERIV_CUT)
     return (
         deriv
         / (2.0**n * pochhammer(-g, n))
-        * _pow(z - 1.0, -a)
-        * _pow(z + 1.0, -b)
+        * power(z - 1.0, -a)
+        * power(z + 1.0, -b)
     )
 
 
@@ -1322,9 +1321,9 @@ _register(
 _sd_entry(
     "SD3",
     "n-th derivative of the (z-1)-weighted second-kind function",
-    lambda p: (lambda w: _pow(w - 1.0, p.alpha)),
+    lambda p: (lambda w: power(w - 1.0, p.alpha)),
     lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
-    * _pow(z - 1.0, p.alpha - n)
+    * power(z - 1.0, p.alpha - n)
     * qval(p.alpha - n, p.beta + n, p.gamma, z),
 )
 
@@ -1359,8 +1358,8 @@ _si_entry(
     "SI1",
     "n-fold weighted ray integral of Q lowering the degree",
     (("w-1", lambda p: p.alpha), ("1+w", lambda p: p.beta)),
-    lambda p, z, n: _pow(z - 1.0, p.alpha + n)
-    * _pow(1.0 + z, p.beta + n)
+    lambda p, z, n: power(z - 1.0, p.alpha + n)
+    * power(1.0 + z, p.beta + n)
     / (2.0**n * pochhammer(p.gamma - n + 1.0, n))
     * qval(p.alpha + n, p.beta + n, p.gamma - n, z),
     _si1_cons,
@@ -1388,7 +1387,7 @@ _si_entry(
     "SI2",
     "n-fold (w-1)-weighted ray integral of Q trading the exponents",
     (("w-1", lambda p: p.alpha),),
-    lambda p, z, n: _pow(z - 1.0, p.alpha + n)
+    lambda p, z, n: power(z - 1.0, p.alpha + n)
     / pochhammer(p.alpha + p.gamma + 1.0, n)
     * qval(p.alpha + n, p.beta - n, p.gamma, z),
     _si2_cons,
@@ -1429,10 +1428,10 @@ _si_entry(
 _sw_entry(
     "SW1",
     "second-kind analog of the degree-preserving (z-1) operator power",
-    lambda p: (lambda w: _pow(w - 1.0, p.alpha + p.beta + p.gamma + 1.0)),
+    lambda p: (lambda w: power(w - 1.0, p.alpha + p.beta + p.gamma + 1.0)),
     1.0,
     lambda p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
-    * _pow(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
+    * power(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
     * qval(p.alpha, p.beta + n, p.gamma, z),
 )
 
@@ -1446,10 +1445,10 @@ def _sw2_extra(p: JacobiParams, z: complex, n: int) -> str | None:
 _sw_entry(
     "SW2",
     "second-kind analog of the degree-lowering (z-1) operator power",
-    lambda p: (lambda w: _pow(w - 1.0, -p.gamma)),
+    lambda p: (lambda w: power(w - 1.0, -p.gamma)),
     1.0,
     lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
-    * _pow(z - 1.0, n - p.gamma)
+    * power(z - 1.0, n - p.gamma)
     * qval(p.alpha, p.beta + n, p.gamma - n, z),
     extra=_sw2_extra,
 )
@@ -1458,13 +1457,13 @@ _sw_entry(
     "SW3",
     "second-kind analog of the degree-raising (z-1) operator power",
     lambda p: (
-        lambda w: _pow(w + 1.0, p.beta) * _pow(w - 1.0, p.alpha + p.gamma + 1.0)
+        lambda w: power(w + 1.0, p.beta) * power(w - 1.0, p.alpha + p.gamma + 1.0)
     ),
     1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(p.gamma + 1.0, n)
-    * _pow(z + 1.0, p.beta - n)
-    * _pow(z - 1.0, p.alpha + p.gamma + 1.0 + n)
+    * power(z + 1.0, p.beta - n)
+    * power(z - 1.0, p.alpha + p.gamma + 1.0 + n)
     * qval(p.alpha, p.beta - n, p.gamma + n, z),
 )
 
@@ -1479,13 +1478,13 @@ _sw_entry(
     "SW4",
     "second-kind analog of the exponent-lowering (z-1) operator power",
     lambda p: (
-        lambda w: _pow(w + 1.0, p.beta) * _pow(w - 1.0, -(p.beta + p.gamma))
+        lambda w: power(w + 1.0, p.beta) * power(w - 1.0, -(p.beta + p.gamma))
     ),
     1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(-p.beta - p.gamma, n)
-    * _pow(z + 1.0, p.beta - n)
-    * _pow(z - 1.0, -(p.beta - n + p.gamma))
+    * power(z + 1.0, p.beta - n)
+    * power(z - 1.0, -(p.beta - n + p.gamma))
     * qval(p.alpha, p.beta - n, p.gamma, z),
     extra=_sw4_extra,
 )
@@ -1498,11 +1497,11 @@ _SW_MIRROR_NOTE = (
 _sw_entry(
     "SW5",
     "second-kind analog of the mirrored exponent-raising operator power",
-    lambda p: (lambda w: _pow(w + 1.0, p.alpha + p.beta + p.gamma + 1.0)),
+    lambda p: (lambda w: power(w + 1.0, p.alpha + p.beta + p.gamma + 1.0)),
     -1.0,
     lambda p, z, n: (-1.0) ** n
     * pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
-    * _pow(z + 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
+    * power(z + 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
     * qval(p.alpha + n, p.beta, p.gamma, z),
     note=_SW_MIRROR_NOTE,
 )
@@ -1517,11 +1516,11 @@ def _sw6_extra(p: JacobiParams, z: complex, n: int) -> str | None:
 _sw_entry(
     "SW6",
     "second-kind analog of the mirrored degree-lowering operator power",
-    lambda p: (lambda w: _pow(w + 1.0, -p.gamma)),
+    lambda p: (lambda w: power(w + 1.0, -p.gamma)),
     -1.0,
     lambda p, z, n: (-1.0) ** n
     * pochhammer(1.0 + p.beta + p.gamma - n, n)
-    * _pow(z + 1.0, n - p.gamma)
+    * power(z + 1.0, n - p.gamma)
     * qval(p.alpha + n, p.beta, p.gamma - n, z),
     extra=_sw6_extra,
     note=_SW_MIRROR_NOTE,
@@ -1531,13 +1530,13 @@ _sw_entry(
     "SW7",
     "second-kind analog of the mirrored degree-raising operator power",
     lambda p: (
-        lambda w: _pow(w - 1.0, p.alpha) * _pow(w + 1.0, p.beta + p.gamma + 1.0)
+        lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, p.beta + p.gamma + 1.0)
     ),
     -1.0,
     lambda p, z, n: (-2.0) ** n
     * pochhammer(p.gamma + 1.0, n)
-    * _pow(z - 1.0, p.alpha - n)
-    * _pow(z + 1.0, p.beta + p.gamma + n + 1.0)
+    * power(z - 1.0, p.alpha - n)
+    * power(z + 1.0, p.beta + p.gamma + n + 1.0)
     * qval(p.alpha - n, p.beta, p.gamma + n, z),
     note=_SW_MIRROR_NOTE + " (z+1) exponent also corrected to beta+gamma+n+1.",
 )
@@ -1546,13 +1545,13 @@ _sw_entry(
     "SW8",
     "second-kind analog of the mirrored exponent-lowering operator power",
     lambda p: (
-        lambda w: _pow(w - 1.0, p.alpha) * _pow(w + 1.0, -(p.alpha + p.gamma))
+        lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, -(p.alpha + p.gamma))
     ),
     -1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(-p.alpha - p.gamma, n)
-    * _pow(z - 1.0, p.alpha - n)
-    * _pow(z + 1.0, -(p.alpha - n + p.gamma))
+    * power(z - 1.0, p.alpha - n)
+    * power(z + 1.0, -(p.alpha - n + p.gamma))
     * qval(p.alpha - n, p.beta, p.gamma, z),
     note=_SW_MIRROR_NOTE,
 )
@@ -1659,20 +1658,38 @@ def _ode_terms(kind: str, p: JacobiParams, z: complex) -> tuple[complex, complex
         f = _weighted_q(p, None)
         cut = Cut.segment(-1.0, 1.0)
     radius = _contour_radius(cut, z)
-    w0, w1, w2 = contour_derivatives(f, z, (0, 1, 2), radius)
+    w0, w1, w2 = contour_derivatives(f, z, (0, 1, 2), radius, vectorized=True)
     t1 = (1.0 - z * z) * w2
     t2 = (b - a - z * (a + b + 2.0)) * w1
     t3 = g * (a + b + g + 1.0) * w0
     return t1, t2, t3
 
 
+_pack_sample = struct.Struct("8d").pack
+
+
+def _sample_bits(p: JacobiParams, z: complex) -> bytes:
+    """The exact bits of (triple, z): 0.0 and -0.0 differ, as in exact_memo."""
+    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
+    return _pack_sample(a.real, a.imag, b.real, b.imag, g.real, g.imag, z.real, z.imag)
+
+
 def _ode_entry(ident: str, kind: str, sample: Sampler, cons) -> None:
+    # The lhs leaves its third term for the rhs of the same sample, so a
+    # sample runs one contour.  The rhs takes the entry out, keyed on the
+    # exact bits of (triple, z), so nothing carries over to a later sample.
+    pending: dict[bytes, complex] = {}
+
     def lhs(p: JacobiParams, z: complex, n: int) -> complex:
         t1, t2, t3 = _ode_terms(kind, p, z)
+        pending.clear()
+        pending[_sample_bits(p, z)] = t3
         return t1 + t2
 
     def rhs(p: JacobiParams, z: complex, n: int) -> complex:
-        t1, t2, t3 = _ode_terms(kind, p, z)
+        t3 = pending.pop(_sample_bits(p, z), None)
+        if t3 is None:
+            t3 = _ode_terms(kind, p, z)[2]
         return -t3
 
     _register(

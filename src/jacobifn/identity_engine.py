@@ -23,6 +23,7 @@ from .errors import (
     FixtureFormatError,
     UnknownIdentity,
 )
+from .hypergeom import power
 from .identity_catalog import (
     CATALOG,
     CATALOG_ORDER,
@@ -213,7 +214,7 @@ def ode_residual(kind: str, params: JacobiParams, z) -> float:
     else:
         raise ValueError("kind must be FIRST/P or SECOND/Q")
     radius = min(0.5, 0.5 * cut.distance(z))
-    w0, w1, w2 = contour_derivatives(f, z, (0, 1, 2), radius)
+    w0, w1, w2 = contour_derivatives(f, z, (0, 1, 2), radius, vectorized=True)
     t1 = (1.0 - z * z) * w2
     t2 = (b - a - z * (a + b + 2.0)) * w1
     t3 = g * (a + b + g + 1.0) * w0
@@ -234,15 +235,14 @@ def rodrigues_jacobi(n: int, alpha, beta, z, variant: str = "ONE") -> complex:
     if abs(z - 1.0) < 1e-9 or abs(z + 1.0) < 1e-9:
         raise ValueError("Rodrigues prefactors are singular at z = +-1")
 
-    def power_product(pa: complex, pb: complex):
-        return lambda w: cmath.exp(pa * cmath.log(w - 1.0) + pb * cmath.log(w + 1.0))
-
     norm = 1.0 / (2.0**n * math.factorial(n))
     if variant.upper() == "ONE":
-        op = operator_power(power_product(a + n, b + 1.0), z, n, -1.0, Q_DERIV_CUT)
+        operand = lambda w: power(w - 1.0, a + n) * power(w + 1.0, b + 1.0)
+        op = operator_power(operand, z, n, -1.0, Q_DERIV_CUT)
         pre = cmath.exp(-a * cmath.log(z - 1.0) - (b + n + 1.0) * cmath.log(z + 1.0))
     elif variant.upper() == "TWO":
-        op = operator_power(power_product(a + 1.0, b + n), z, n, 1.0, Q_DERIV_CUT)
+        operand = lambda w: power(w - 1.0, a + 1.0) * power(w + 1.0, b + n)
+        op = operator_power(operand, z, n, 1.0, Q_DERIV_CUT)
         pre = cmath.exp(-(a + n + 1.0) * cmath.log(z - 1.0) - b * cmath.log(z + 1.0))
     else:
         raise ValueError("variant must be ONE or TWO")

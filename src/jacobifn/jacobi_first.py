@@ -7,6 +7,13 @@ argument is inside the safe disk (large |z|), evaluation falls back to the
 two-solution decomposition in terms of the second-kind functions, whose
 arguments shrink as |z| grows.  On [-1, 1], the second kind's cut, that
 decomposition is undefined and AUTO stays with the slower series.
+
+Under AUTO, ``jacobi_p`` and ``jacobi_p_scaled`` also take an ndarray of z
+for one parameter triple.  The points are grouped by the scalar dispatch's
+choice (REP1 or REP3, direct or through the argument map, the large-z
+connection through batched second-kind logarithms, the slow series) and
+each group is summed by the batched series; a point the batch does not
+cover takes the scalar call, which raises its documented error there.
 """
 
 from __future__ import annotations
@@ -16,8 +23,20 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainCutError, NoConvergentPath, ValidityError
-from .hypergeom import ohyp, ohyp2f1
+from .hypergeom import (
+    BATCH_NO_PATH,
+    BATCH_OK,
+    BATCH_POINTS,
+    MAP_LIMIT,
+    _ohyp2f1_batch,
+    ohyp,
+    ohyp2f1,
+    power,
+    where,
+)
 from .result import EvalResult
 from .scalar_kernel import (
     exact_memo,
@@ -61,18 +80,15 @@ class Representation(enum.Enum):
     AUTO = 0
 
 
-def _p_cut_distance(z: complex) -> float:
-    """Distance from z to the first-kind cut (-oo, -1]."""
-    if z.real <= -1.0:
-        return abs(z.imag)
-    return abs(z + 1.0)
+def _p_cut_distance(z):
+    """Distance from z to the first-kind cut (-oo, -1]; z a scalar or an ndarray."""
+    return where(z.real <= -1.0, abs(z.imag), abs(z + 1.0))
 
 
-def _q_cut_distance(z: complex) -> float:
-    """Distance from z to the second-kind cut [-1, 1]."""
-    if -1.0 <= z.real <= 1.0:
-        return abs(z.imag)
-    return min(abs(z - 1.0), abs(z + 1.0))
+def _q_cut_distance(z):
+    """Distance from z to the second-kind cut [-1, 1]; z a scalar or an ndarray."""
+    dm, dp = abs(z - 1.0), abs(z + 1.0)
+    return where(abs(z.real) <= 1.0, abs(z.imag), where(dm <= dp, dm, dp))
 
 
 def _require_p_domain(params: JacobiParams, z: complex) -> None:
@@ -82,13 +98,6 @@ def _require_p_domain(params: JacobiParams, z: complex) -> None:
         )
     if _p_cut_distance(z) < CUT_GUARD:
         raise DomainCutError(f"z={z} on or too near the cut (-oo, -1]")
-
-
-def _power(base: complex, exponent: complex) -> complex:
-    """Principal power exp(s Log w)."""
-    if exponent == 0:
-        return 1.0 + 0.0j
-    return cmath.exp(complex(exponent) * cmath.log(base))
 
 
 @exact_memo
@@ -118,11 +127,12 @@ def jacobi_polynomial(n: int, alpha, beta, x) -> complex:
     """Degree-n Jacobi polynomial via its exact terminating sum.
 
     Uses the pole-free regrouping (alpha+k+1)_{n-k} of the usual prefactor
-    ratio, so negative-integer alpha is fine.
+    ratio, so negative-integer alpha is fine.  x may be an ndarray.
     """
     if n < 0:
         raise ValueError("polynomial degree must be >= 0")
-    alpha, beta, x = complex(alpha), complex(beta), complex(x)
+    alpha, beta = complex(alpha), complex(beta)
+    x = np.asarray(x, dtype=complex) if isinstance(x, np.ndarray) else complex(x)
     half = 0.5 * (x - 1.0)
     total = 0.0 + 0.0j
     hk = 1.0 + 0.0j
@@ -138,27 +148,35 @@ def jacobi_polynomial(n: int, alpha, beta, x) -> complex:
     return total
 
 
-def _rep_value(params: JacobiParams, z: complex, rep: Representation) -> EvalResult:
+def _rep_terms(params: JacobiParams, z, rep: Representation):
+    """(a, b, c, argument, factor) of the 2F1 in a single-2F1 representation.
+
+    z is a scalar or an ndarray (argument and factor are then arrays).
+    """
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     pre = _degree_prefactor(a, g)
-    x1 = 0.5 * (1.0 - z)
-    x2 = (z - 1.0) / (z + 1.0)
     if rep is Representation.REP1:
-        series = ohyp2f1(-g, a + b + g + 1.0, a + 1.0, x1)
-        factor = pre
-    elif rep is Representation.REP2:
-        series = ohyp2f1(-b - g, a + g + 1.0, a + 1.0, x1)
-        factor = pre * _power(2.0 / (z + 1.0), b)
-    elif rep is Representation.REP3:
-        series = ohyp2f1(-g, -b - g, a + 1.0, x2)
-        factor = pre * _power(0.5 * (z + 1.0), g)
-    elif rep is Representation.REP4:
-        series = ohyp2f1(a + g + 1.0, a + b + g + 1.0, a + 1.0, x2)
-        factor = pre * _power(2.0 / (z + 1.0), a + b + g + 1.0)
-    else:
-        raise ValueError("explicit representation required here")
-    value = factor * series.value
-    err = abs(factor) * series.abs_error_estimate + 1e-15 * abs(value)
+        return -g, a + b + g + 1.0, a + 1.0, 0.5 * (1.0 - z), pre
+    if rep is Representation.REP2:
+        return -b - g, a + g + 1.0, a + 1.0, 0.5 * (1.0 - z), pre * power(2.0 / (z + 1.0), b)
+    if rep is Representation.REP3:
+        return -g, -b - g, a + 1.0, (z - 1.0) / (z + 1.0), pre * power(0.5 * (z + 1.0), g)
+    if rep is Representation.REP4:
+        s = a + b + g + 1.0
+        return a + g + 1.0, s, a + 1.0, (z - 1.0) / (z + 1.0), pre * power(2.0 / (z + 1.0), s)
+    raise ValueError("explicit representation required here")
+
+
+def _apply_factor(factor, series, series_err):
+    """(value, error estimate) of factor * series; scalars or ndarrays."""
+    value = factor * series
+    return value, abs(factor) * series_err + 1e-15 * abs(value)
+
+
+def _rep_value(params: JacobiParams, z: complex, rep: Representation) -> EvalResult:
+    a1, b1, c1, x, factor = _rep_terms(params, z, rep)
+    series = ohyp2f1(a1, b1, c1, x)
+    value, err = _apply_factor(factor, series.value, series.abs_error_estimate)
     return EvalResult(value, err, f"rep{rep.value}")
 
 
@@ -193,29 +211,76 @@ def _connection_coeffs(a: complex, b: complex, g: complex) -> tuple[complex, com
     return coef_a, coef_b, -a - b - g - 1.0
 
 
+def _exp(w):
+    """exp of a scalar (cmath) or an ndarray (numpy)."""
+    return np.exp(w) if isinstance(w, np.ndarray) else cmath.exp(w)
+
+
+def _connection_mix(coeffs, log1: complex, log2: complex):
+    """(log_scale, mantissa) of A e^log1 + B e^log2, scaled by the larger term.
+
+    Scalars or ndarrays of the two second-kind logs.
+    """
+    coef_a, coef_b, _ = coeffs
+    first = log1.real >= log2.real
+    ratio = _exp(where(first, log2 - log1, log1 - log2))
+    return where(first, log1, log2), where(first, coef_a + coef_b * ratio, coef_a * ratio + coef_b)
+
+
 def _connection_scaled(params: JacobiParams, z: complex) -> tuple[complex, complex]:
     """(log_scale, mantissa) of P via the second-kind pair; never overflows."""
     from .jacobi_second import jacobi_q_log
 
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    coef_a, coef_b, g2 = _connection_coeffs(a, b, g)
+    coeffs = _connection_coeffs(a, b, g)
     log1 = jacobi_q_log(params, z)
-    log2 = jacobi_q_log(JacobiParams(a, b, g2), z)
-    if log1.real >= log2.real:
-        return log1, coef_a + coef_b * cmath.exp(log2 - log1)
-    return log2, coef_a * cmath.exp(log1 - log2) + coef_b
+    log2 = jacobi_q_log(JacobiParams(a, b, coeffs[2]), z)
+    return _connection_mix(coeffs, log1, log2)
+
+
+def _unscale(log_scale, mantissa):
+    """(value, flat error estimate) of a connection value; scalars or ndarrays."""
+    value = _exp(log_scale) * mantissa
+    return value, 1e-13 * abs(value)
 
 
 def _connection_value(params: JacobiParams, z: complex) -> EvalResult:
-    log_scale, mantissa = _connection_scaled(params, z)
-    value = cmath.exp(log_scale) * mantissa
-    return EvalResult(value, 1e-13 * abs(value), "connection")
+    value, err = _unscale(*_connection_scaled(params, z))
+    return EvalResult(value, err, "connection")
 
 
-def _effective_modulus(x: complex) -> float:
-    """Smallest series argument reachable through the internal argument map."""
-    pf = x / (x - 1.0) if x != 1.0 else complex("inf")
-    return min(abs(x), abs(pf))
+def _effective_modulus(x):
+    """Smallest series argument reachable through the internal argument map.
+
+    x is a scalar or an ndarray; x = 1 (z = -1, on P's cut) never reaches it.
+    """
+    ax, au = abs(x), abs(x / (x - 1.0))
+    return where(ax <= au, ax, au)
+
+
+def _near_route(z):
+    """AUTO's first choice at z, a scalar or an ndarray.
+
+    Returns the arguments x1 = (1-z)/2 (REP1) and x2 = (z-1)/(z+1) (REP3),
+    whether one lies in the preferred disk, and whether REP1 is taken there.
+    """
+    x1 = 0.5 * (1.0 - z)
+    x2 = (z - 1.0) / (z + 1.0)
+    m1, m2 = abs(x1), abs(x2)
+    return x1, x2, (m1 <= AUTO_ARG_LIMIT) | (m2 <= AUTO_ARG_LIMIT), m1 <= m2
+
+
+def _far_route(z, x1, x2):
+    """AUTO's choice beyond the preferred disk, from ``_near_route``'s arguments.
+
+    Returns whether the large-z connection is defined (z off Q's cut),
+    whether the slow series is reachable, whether it takes REP1, and the
+    best modulus an argument map reaches.
+    """
+    m1, m2 = _effective_modulus(x1), _effective_modulus(x2)
+    rep1 = m1 <= m2
+    best = where(rep1, m1, m2)
+    return _q_cut_distance(z) >= CUT_GUARD, best <= MAP_LIMIT, rep1, best
 
 
 def _auto(params: JacobiParams, z: complex, connection):
@@ -227,25 +292,133 @@ def _auto(params: JacobiParams, z: complex, connection):
     limit.  On [-1, 1], Q's cut, the second-kind pair of the connection is
     undefined, so there the series is the only route.
     """
-    x1 = 0.5 * (1.0 - z)
-    x2 = (z - 1.0) / (z + 1.0)
-    if min(abs(x1), abs(x2)) <= AUTO_ARG_LIMIT:
-        chosen = Representation.REP1 if abs(x1) <= abs(x2) else Representation.REP3
-        return _rep_value(params, z, chosen)
-    m1, m2 = _effective_modulus(x1), _effective_modulus(x2)
-    if _q_cut_distance(z) >= CUT_GUARD:
+    x1, x2, near, rep1 = _near_route(z)
+    if near:
+        return _rep_value(params, z, Representation.REP1 if rep1 else Representation.REP3)
+    conn_ok, slow_ok, rep1, best = _far_route(z, x1, x2)
+    if conn_ok:
         try:
             return connection(params, z)
         except NoConvergentPath:
-            if min(m1, m2) > 0.99:
+            if not slow_ok:
                 raise
-    elif min(m1, m2) > 0.99:
+    elif not slow_ok:
         raise NoConvergentPath(
-            f"z={z} on [-1, 1]: no argument map reaches modulus 0.99 "
-            f"(best {min(m1, m2):.4f})"
+            f"z={z} on [-1, 1]: no argument map reaches modulus {MAP_LIMIT} "
+            f"(best {best:.4f})"
         )
-    chosen = Representation.REP1 if m1 <= m2 else Representation.REP3
-    return _rep_value(params, z, chosen)
+    return _rep_value(params, z, Representation.REP1 if rep1 else Representation.REP3)
+
+
+# Provenance of the batched groups, by code.
+_BATCH_PROVENANCE = ("rep1", "rep3", "connection")
+
+
+def _blockwise(fn, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fn over consecutive blocks of BATCH_POINTS points of z, its outputs joined.
+
+    Bounds the temporaries when an oracle level brings thousands of nodes.
+    """
+    parts = [fn(z[i : i + BATCH_POINTS]) for i in range(0, max(z.size, 1), BATCH_POINTS)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
+
+
+def _rep_batch(params: JacobiParams, z: np.ndarray, rep: Representation):
+    """(value, error estimate, covered) of a representation at every point of z."""
+    a1, b1, c1, x, factor = _rep_terms(params, z, rep)
+    series, serr, status = _ohyp2f1_batch(a1, b1, c1, x)
+    return (*_apply_factor(factor, series, serr), status == BATCH_OK)
+
+
+def _connection_batch(params: JacobiParams, z: np.ndarray, coeffs):
+    """(log_scale, mantissa, status) of the large-z connection at every point.
+
+    The status is BATCH_NO_PATH where the scalar connection raises
+    NoConvergentPath: the first second-kind log has no path, or the first
+    is covered and the second has none.
+    """
+    from .jacobi_second import _q_batch
+
+    a, b = complex(params.alpha), complex(params.beta)
+    log1, _, status1, _ = _q_batch(params, z, log=True)
+    log2, _, status2, _ = _q_batch(JacobiParams(a, b, coeffs[2]), z, log=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_scale, mantissa = _connection_mix(coeffs, log1, log2)
+    return log_scale, mantissa, np.where(status1 == BATCH_OK, status2, status1)
+
+
+def _auto_batch(params: JacobiParams, z: np.ndarray):
+    """The AUTO dispatch of ``_auto`` at every point of a 1-D array z.
+
+    Returns (log_scale, mantissa, error estimate, provenance code, covered);
+    the error estimate of a connection value is left to the caller.  A point
+    is not covered where the scalar call raises or where a batched route
+    could not decide; the caller evaluates it with the scalar call.
+    """
+    n = z.size
+    log_scale = np.zeros(n, dtype=complex)
+    mantissa = np.zeros(n, dtype=complex)
+    err = np.zeros(n)
+    code = np.zeros(n, dtype=np.int8)
+    covered = np.zeros(n, dtype=bool)
+    if not params.first_kind_valid():
+        return log_scale, mantissa, err, code, covered
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x1, x2, near, rep1 = _near_route(z)
+        conn_ok, slow_ok, slow_rep1, _ = _far_route(z, x1, x2)
+    inside = _p_cut_distance(z) >= CUT_GUARD
+    near &= inside
+    far = inside & ~near
+    conn = far & conn_ok
+    slow = far & ~conn_ok & slow_ok
+    if conn.any():
+        a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
+        try:
+            coeffs = _connection_coeffs(a, b, g)
+        except NoConvergentPath:
+            slow |= conn & slow_ok
+        else:
+            idx = np.flatnonzero(conn)
+            ls, mt, status = _connection_batch(params, z[idx], coeffs)
+            log_scale[idx], mantissa[idx], code[idx] = ls, mt, 2
+            covered[idx] = status == BATCH_OK
+            slow[idx] = (status == BATCH_NO_PATH) & slow_ok[idx]
+    groups = (
+        (near & rep1, Representation.REP1),
+        (near & ~rep1, Representation.REP3),
+        (slow & slow_rep1, Representation.REP1),
+        (slow & ~slow_rep1, Representation.REP3),
+    )
+    for mask, rep in groups:
+        if mask.any():
+            idx = np.flatnonzero(mask)
+            log_scale[idx] = 0.0
+            mantissa[idx], err[idx], covered[idx] = _rep_batch(params, z[idx], rep)
+            code[idx] = 0 if rep is Representation.REP1 else 1
+    return log_scale, mantissa, err, code, covered
+
+
+def _p_batch(params: JacobiParams, z: np.ndarray, scaled: bool):
+    """Batched ``jacobi_p`` (an EvalResult) or ``jacobi_p_scaled`` (a pair)."""
+    shape = z.shape
+    z = np.asarray(z, dtype=complex).ravel()
+    log_scale, value, err, code, covered = _blockwise(lambda zb: _auto_batch(params, zb), z)
+    if not scaled:
+        conn = code == 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            value[conn], err[conn] = _unscale(log_scale[conn], value[conn])
+        covered &= np.isfinite(value)
+    provenance = {_BATCH_PROVENANCE[c] for c in set(code[covered].tolist())}
+    for i in np.flatnonzero(~covered):
+        if scaled:
+            log_scale[i], value[i] = jacobi_p_scaled(params, complex(z[i]))
+        else:
+            res = jacobi_p(params, complex(z[i]))
+            value[i], err[i] = res.value, res.abs_error_estimate
+            provenance.add(res.provenance)
+    if scaled:
+        return log_scale.reshape(shape), value.reshape(shape)
+    return EvalResult(value.reshape(shape), err.reshape(shape), "+".join(sorted(provenance)))
 
 
 def jacobi_p(
@@ -259,7 +432,14 @@ def jacobi_p(
     preferred disk; for larger arguments it prefers the two-solution
     decomposition and falls back to a slow series while any argument map
     keeps the modulus below the hard limit.
+
+    Under AUTO, z may be an ndarray: the result then holds arrays of values
+    and error estimates, and its provenance joins the routes taken with "+".
     """
+    if isinstance(z, np.ndarray):
+        if rep is not Representation.AUTO:
+            raise ValueError("an array of z needs Representation.AUTO")
+        return _p_batch(params, z, scaled=False)
     z = complex(z)
     _require_p_domain(params, z)
     if rep is not Representation.AUTO:
@@ -271,8 +451,11 @@ def jacobi_p_scaled(params: JacobiParams, z) -> tuple[complex, complex]:
     """P as (log_scale, mantissa) with value = exp(log_scale) * mantissa.
 
     The scaled form stays representable along rays to infinity where the
-    dominant solution branch overflows a double.
+    dominant solution branch overflows a double.  z may be an ndarray; the
+    pair then holds arrays.
     """
+    if isinstance(z, np.ndarray):
+        return _p_batch(params, z, scaled=True)
     z = complex(z)
     _require_p_domain(params, z)
     out = _auto(params, z, _connection_scaled)
@@ -318,7 +501,7 @@ def taylor_section(params: JacobiParams, n: int, z) -> tuple[complex, complex]:
         * gamma(-s)
         * reciprocal_gamma(a + n)
         / math.factorial(n - 1)
-        * _power(0.5 * (1.0 - z), n - 1)
+        * power(0.5 * (1.0 - z), n - 1)
         * series.value
     )
     return lhs, rhs

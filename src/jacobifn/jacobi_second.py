@@ -4,6 +4,11 @@ Four Gauss hypergeometric representations (arguments 2/(1-z) and 2/(1+z)),
 the weighted-kernel integral representation, its shifted variant with an
 interior Jacobi polynomial, and the integer-degree Neumann-type integral.
 
+Under AUTO, ``jacobi_q`` and ``jacobi_q_log`` also take an ndarray of z for
+one parameter triple: REP1 and REP3 points are summed by the batched series,
+and a point the batch does not cover takes the scalar call, which raises its
+documented error there.
+
 Quadrature note: the kernel weights carry complex exponents; the rules use
 their real parts and the unit-modulus oscillatory remainder (1 -+ t)^(i Im)
 is folded into the evaluated factor.
@@ -15,26 +20,28 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     CoefficientZeroError,
     ConvergenceConstraintError,
     DomainCutError,
     ValidityError,
 )
-from .hypergeom import ohyp2f1
+from .hypergeom import BATCH_OK, BATCH_SCALAR, _ohyp2f1_batch, ohyp2f1, power
 from .jacobi_first import (
     CUT_GUARD,
     JacobiParams,
     Representation,
-    _power,
+    _apply_factor,
+    _blockwise,
     _q_cut_distance,
     jacobi_polynomial,
 )
-from .quadrature import gauss_jacobi_rule, tanh_sinh_segment
+from .quadrature import integrate_finite, tanh_sinh_segment
 from .result import EvalResult
 from .scalar_kernel import exact_memo, log_gamma, pochhammer
 
-_RULE_SIZES = (8, 16, 32, 64, 128, 256)
 _MAX_AUTO_SHIFT = 8
 
 
@@ -67,31 +74,88 @@ def _q_log_prefactor(a: complex, b: complex, g: complex) -> complex:
     return (a + b + g) * math.log(2.0) + log_gamma(a + g + 1.0) + log_gamma(b + g + 1.0)
 
 
+def _q_route(z):
+    """Q's AUTO arguments y = 2/(1-z), x = 2/(1+z) and whether REP1 (on y)
+    is taken rather than REP3 (on x); z a scalar or an ndarray."""
+    y = 2.0 / (1.0 - z)
+    x = 2.0 / (1.0 + z)
+    return y, x, abs(y) <= abs(x)
+
+
+def _q_terms(a: complex, b: complex, g: complex, rep: Representation):
+    """(upper parameters, series on y rather than x, exponents of z-1 and z+1).
+
+    The representation's log prefactor is the triple's log prefactor minus
+    each exponent times the log of its factor.
+    """
+    if rep is Representation.REP1:
+        return (g + 1.0, a + g + 1.0), True, a + g + 1.0, b
+    if rep is Representation.REP2:
+        return (b + g + 1.0, a + b + g + 1.0), True, a + b + g + 1.0, 0.0
+    if rep is Representation.REP3:
+        return (g + 1.0, b + g + 1.0), False, a, b + g + 1.0
+    return (a + g + 1.0, a + b + g + 1.0), False, 0.0, a + b + g + 1.0
+
+
 def _q_parts(
     params: JacobiParams, z: complex, rep: Representation
 ) -> tuple[complex, "object", Representation]:
     """(log prefactor, hypergeometric SeriesValue, chosen representation)."""
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    y = 2.0 / (1.0 - z)
-    x = 2.0 / (1.0 + z)
+    y, x, rep1 = _q_route(z)
     if rep is Representation.AUTO:
-        rep = Representation.REP1 if abs(y) <= abs(x) else Representation.REP3
+        rep = Representation.REP1 if rep1 else Representation.REP3
+    (p1, p2), on_y, e_m, e_p = _q_terms(a, b, g, rep)
+    series = ohyp2f1(p1, p2, a + b + 2.0 * g + 2.0, y if on_y else x)
+    logf = (
+        _q_log_prefactor(a, b, g) - e_m * cmath.log(z - 1.0) - e_p * cmath.log(z + 1.0)
+    )
+    return logf, series, rep
 
+
+def _q_batch(params: JacobiParams, z: np.ndarray, log: bool):
+    """Q (or its log) under AUTO at every point of a 1-D array z.
+
+    Returns (value or log, error estimate of the value, status, REP1 mask),
+    with the status codes of ``_ohyp2f1_batch``; the caller evaluates the
+    points not covered with the scalar call.
+    """
+    n = z.size
+    out = np.zeros(n, dtype=complex)
+    err = np.zeros(n)
+    status = np.full(n, BATCH_SCALAR, dtype=np.int8)
+    rep1 = np.zeros(n, dtype=bool)
+    if not params.second_kind_valid():
+        return out, err, status, rep1
+    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
+    inside = _q_cut_distance(z) >= CUT_GUARD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y, x, rep1 = _q_route(z)
+        log_zm, log_zp = np.log(z - 1.0), np.log(z + 1.0)
+    rep1 &= inside
     c = a + b + 2.0 * g + 2.0
     base_log = _q_log_prefactor(a, b, g)
-    if rep is Representation.REP1:
-        series = ohyp2f1(g + 1.0, a + g + 1.0, c, y)
-        logf = base_log - (a + g + 1.0) * cmath.log(z - 1.0) - b * cmath.log(z + 1.0)
-    elif rep is Representation.REP2:
-        series = ohyp2f1(b + g + 1.0, a + b + g + 1.0, c, y)
-        logf = base_log - (a + b + g + 1.0) * cmath.log(z - 1.0)
-    elif rep is Representation.REP3:
-        series = ohyp2f1(g + 1.0, b + g + 1.0, c, x)
-        logf = base_log - a * cmath.log(z - 1.0) - (b + g + 1.0) * cmath.log(z + 1.0)
-    else:
-        series = ohyp2f1(a + g + 1.0, a + b + g + 1.0, c, x)
-        logf = base_log - (a + b + g + 1.0) * cmath.log(z + 1.0)
-    return logf, series, rep
+    series = np.zeros(n, dtype=complex)
+    serr = np.zeros(n)
+    logf = np.zeros(n, dtype=complex)
+    for mask, rep in ((rep1, Representation.REP1), (inside & ~rep1, Representation.REP3)):
+        if mask.any():
+            idx = np.flatnonzero(mask)
+            (p1, p2), on_y, e_m, e_p = _q_terms(a, b, g, rep)
+            arg = (y if on_y else x)[idx]
+            series[idx], serr[idx], status[idx] = _ohyp2f1_batch(p1, p2, c, arg)
+            logf[idx] = base_log - e_m * log_zm[idx] - e_p * log_zp[idx]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if log:
+            out = logf + np.log(series)
+        else:
+            out, err = _apply_factor(np.exp(logf), series, serr)
+    # The scalar call raises where the value overflows or its log is taken of 0.
+    bad = ~np.isfinite(out)
+    if log:
+        bad |= series == 0
+    status[(status == BATCH_OK) & bad] = BATCH_SCALAR
+    return out, err, status, rep1
 
 
 def jacobi_q(
@@ -104,18 +168,43 @@ def jacobi_q(
     AUTO picks the smaller of the arguments 2/(1-z) and 2/(1+z); explicit
     representations are evaluated as requested (the series layer applies its
     own argument map when the raw argument leaves the disk).
+
+    Under AUTO, z may be an ndarray: the result then holds arrays of values
+    and error estimates, and its provenance joins the representations taken
+    with "+".
     """
+    if isinstance(z, np.ndarray):
+        if rep is not Representation.AUTO:
+            raise ValueError("an array of z needs Representation.AUTO")
+        shape = z.shape
+        z = np.asarray(z, dtype=complex).ravel()
+        value, err, status, rep1 = _blockwise(lambda zb: _q_batch(params, zb, log=False), z)
+        covered = status == BATCH_OK
+        provenance = {"rep1" if r else "rep3" for r in set(rep1[covered].tolist())}
+        for i in np.flatnonzero(~covered):
+            res = jacobi_q(params, complex(z[i]))
+            value[i], err[i] = res.value, res.abs_error_estimate
+            provenance.add(res.provenance)
+        return EvalResult(value.reshape(shape), err.reshape(shape), "+".join(sorted(provenance)))
     z = complex(z)
     _require_q_domain(params, z)
     logf, series, rep = _q_parts(params, z, rep)
-    factor = cmath.exp(logf)
-    value = factor * series.value
-    err = abs(factor) * series.abs_error_estimate + 1e-15 * abs(value)
+    value, err = _apply_factor(cmath.exp(logf), series.value, series.abs_error_estimate)
     return EvalResult(value, err, f"rep{rep.value}")
 
 
 def jacobi_q_log(params: JacobiParams, z) -> complex:
-    """log of the second-kind value; usable where the value itself overflows."""
+    """log of the second-kind value; usable where the value itself overflows.
+
+    z may be an ndarray; the result is then an array.
+    """
+    if isinstance(z, np.ndarray):
+        shape = z.shape
+        z = np.asarray(z, dtype=complex).ravel()
+        out, _, status, _ = _blockwise(lambda zb: _q_batch(params, zb, log=True), z)
+        for i in np.flatnonzero(status != BATCH_OK):
+            out[i] = jacobi_q_log(params, complex(z[i]))
+        return out.reshape(shape)
     z = complex(z)
     _require_q_domain(params, z)
     logf, series, _ = _q_parts(params, z, Representation.AUTO)
@@ -136,7 +225,8 @@ def _kernel_quadrature(
     """Integral over [-1,1] of (1-t)^ea (1+t)^eb (z-t)^(-kp) P_deg(t) dt.
 
     Real exponents: Gauss-Jacobi with the weight absorbed exactly, rule
-    doubled.  Complex exponents: the imaginary parts oscillate on a log scale
+    doubled by ``integrate_finite``, which raises NonConvergence when the
+    doubling stalls.  Complex exponents: the imaginary parts oscillate on a log scale
     near the endpoints, which defeats the fixed Gauss weight, so tanh-sinh
     nodes evaluate the full factors (stable endpoint complements included).
     """
@@ -147,31 +237,19 @@ def _kernel_quadrature(
         )
     ia, ib = exp_a.imag, exp_b.imag
 
-    def core(t: complex) -> complex:
-        val = _power(z - t, -kernel_power)
+    def core(t):
+        val = power(z - t, -kernel_power)
         if poly_degree:
-            val *= jacobi_polynomial(poly_degree, poly_alpha, poly_beta, t)
+            val = val * jacobi_polynomial(poly_degree, poly_alpha, poly_beta, t)
         return val
 
     if ia == 0.0 and ib == 0.0:
-        prev = None
-        delta = math.inf
-        for m in _RULE_SIZES:
-            rule = gauss_jacobi_rule(m, ra, rb)
-            total = 0.0 + 0.0j
-            for t, w in zip(rule.nodes, rule.weights):
-                total += w * core(t)
-            if prev is not None:
-                delta = abs(total - prev)
-                if delta <= 1e-11 * max(abs(total), 1e-300):
-                    return EvalResult(total, delta, f"gauss-jacobi-{m}")
-            prev = total
-        return EvalResult(prev, delta, f"gauss-jacobi-{_RULE_SIZES[-1]}")
+        return integrate_finite(core, ra, rb, rtol=1e-11)
 
-    def g(t: float, omt: float, opt: float) -> complex:
-        return core(t) * _power(omt, exp_a) * _power(opt, exp_b)
+    def g(t: np.ndarray, omt: np.ndarray, opt: np.ndarray) -> np.ndarray:
+        return core(t) * power(omt, exp_a) * power(opt, exp_b)
 
-    return tanh_sinh_segment(g, rtol=1e-11)
+    return tanh_sinh_segment(g, rtol=1e-11, vectorized=True)
 
 
 def jacobi_q_integral(spec: QIntegralSpec) -> EvalResult:
@@ -211,9 +289,9 @@ def jacobi_q_integral_shifted(spec: QIntegralSpec) -> EvalResult:
     prefactor = (
         sign
         * math.factorial(k)
-        / (shift_coef * _power(2.0, g + 1.0 - k))
-        * _power(z - 1.0, -a)
-        * _power(z + 1.0, -b)
+        / (shift_coef * power(2.0, g + 1.0 - k))
+        * power(z - 1.0, -a)
+        * power(z + 1.0, -b)
     )
     value = prefactor * quad.value
     return EvalResult(
@@ -249,7 +327,7 @@ def neumann_q(n: int, alpha, beta, z) -> EvalResult:
         raise DomainCutError(f"z={z} on or too near the cut [-1, 1]")
 
     quad = _kernel_quadrature(z, a, b, 1.0, n, a, b)
-    prefactor = 0.5 * _power(z - 1.0, -a) * _power(z + 1.0, -b)
+    prefactor = 0.5 * power(z - 1.0, -a) * power(z + 1.0, -b)
     value = prefactor * quad.value
     return EvalResult(
         value,

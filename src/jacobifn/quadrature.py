@@ -9,7 +9,18 @@
   the repeated-integration kernel, in the measure's own antiderivative
   variable.
 * Cauchy-contour derivatives by trapezoid sums on circles, with geometric
-  convergence and multi-order reuse of the sampled values.
+  convergence and multi-order reuse of the sampled values; the sums for all
+  orders are one ``numpy.fft.fft`` of the samples (the trapezoid rule on a
+  circle is a discrete Fourier transform, Trefethen & Weideman 2014).
+
+The contour, tanh-sinh segment, ray and repeated-integral oracles build each
+doubling level's new nodes as one ndarray.  ``vectorized`` declares the
+integrand's calling convention, as in ``scipy.integrate.solve_ivp``: with
+``vectorized=True`` the integrand is called once per level with arrays of
+nodes and returns an array of values; with the default ``False`` it is
+called once per node with Python scalars.  Both visit the same nodes.
+A level whose samples or sum are not finite (an integrand that overflows)
+raises NonConvergence rather than return inf or nan.
 
 All routines are pure; Gauss rules are memoized in a table that is only
 appended to, so concurrent readers are safe.
@@ -17,7 +28,6 @@ appended to, so concurrent readers are safe.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -126,6 +136,7 @@ def integrate_finite(
         total = 0.0 + 0.0j
         for t, w in zip(rule.nodes, rule.weights):
             total += w * f(t)
+        _require_finite(total, f"gauss-jacobi-{m}")
         if prev is not None:
             delta = abs(total - prev)
             if delta <= rtol * max(abs(total), 1e-300):
@@ -138,33 +149,77 @@ def integrate_finite(
     return EvalResult(prev, delta, f"gauss-jacobi-{_RULE_SIZES[-1]}")
 
 
-# --- tanh-sinh machinery for the compactified ray ---------------------------
+def _require_finite(value, label: str) -> None:
+    """Raise NonConvergence when a sum or its samples are not all finite.
+
+    An integrand that overflows (inf) or forms inf * 0 (nan) at a node
+    would otherwise pass the doubling tests, which compare with NaN as
+    false, and come back as a result.
+    """
+    if not np.all(np.isfinite(value)):
+        raise NonConvergence(f"{label}: integrand values not finite")
+
+
+def _lift(f):
+    """Call a scalar integrand once per node of its array arguments."""
+
+    def lifted(*arrays):
+        points = zip(*(a.tolist() for a in arrays))
+        return np.array([f(*p) for p in points], dtype=complex)
+
+    return lifted
+
+
+# --- tanh-sinh machinery ------------------------------------------------------
 
 # |t| cap keeps u/(1-u) below ~1e75 so integrand factors with algebraic
 # growth stay inside double range.
 _TS_TMAX = 4.7
 _TS_MAX_LEVEL = 11
+_TS_SEG_TMAX = 5.0
 
 
-def _ts_point(t: float) -> tuple[float, float, float]:
-    """Return (u, 1-u, du/dt) of the tanh-sinh map onto (0, 1)."""
-    s = 0.5 * math.pi * math.sinh(t)
-    # u = (1 + tanh(s)) / 2 computed without cancellation at either end.
-    e2s = math.exp(2.0 * s)
-    u = e2s / (1.0 + e2s) if s < 0 else 1.0 / (1.0 + math.exp(-2.0 * s))
-    one_minus_u = 1.0 / (1.0 + e2s)
-    sech = 2.0 / (math.exp(s) + math.exp(-s))
-    dudt = 0.25 * math.pi * math.cosh(t) * sech * sech
-    return u, one_minus_u, dudt
+def _tanh_sinh(values, tmax: float, max_level: int, rtol: float, label: str) -> EvalResult:
+    """Tanh-sinh doubling on t in [-tmax, tmax]: step 1, then 1/2, 1/4, ...
+
+    ``values`` maps an ndarray of t to the weighted integrand there; it is
+    called once per level, with only the level's new (odd) nodes.
+    """
+    t = np.arange(1.0, math.floor(tmax) + 1.0)
+    v = values(np.concatenate(([0.0], t, -t)))
+    total = v[0] + np.sum(v[1 : t.size + 1] + v[t.size + 1 :])
+    _require_finite(total, f"{label}-0")
+    prev = None
+    delta = math.inf
+    h = 1.0
+    for level in range(1, max_level + 1):
+        h *= 0.5
+        t = np.arange(1.0, math.floor(tmax / h) + 1.0, 2.0) * h
+        v = values(np.concatenate((t, -t)))
+        total = 0.5 * total + h * np.sum(v[: t.size] + v[t.size :])
+        _require_finite(total, f"{label}-{level}")
+        if prev is not None:
+            delta = float(abs(total - prev))
+            if delta <= rtol * max(abs(total), 1e-300):
+                return EvalResult(complex(total), delta, f"{label}-{level}")
+        prev = total
+    if delta > 1e-8 * max(abs(total), 1e-300):
+        raise NonConvergence(f"{label} stalled at level {max_level} (abs change {delta:.2e})")
+    return EvalResult(complex(total), delta, f"{label}-{max_level}")
 
 
-def _decay_check(f: Callable[[complex], complex], start: complex) -> None:
-    """Reject integrands whose sampled tail fails |f| * t^1.01 decay."""
-    ts = [2.0**j for j in range(4, 21, 2)]
-    gs = [abs(f(start + t)) * t**1.01 for t in ts]
+def _decay_check(fv, start: complex) -> None:
+    """Reject integrands whose sampled tail fails |f| * t^1.01 decay.
+
+    fv takes an ndarray of points.
+    """
+    ts = 2.0 ** np.arange(4, 21, 2)
+    gs = np.abs(fv(start + ts)) * ts**1.01
     floor = 1e-280
     tail = gs[-4:]
-    if all(g < floor for g in tail):
+    if not np.all(np.isfinite(tail)):
+        raise DecayCheckFailed(f"sampled tail not finite: |f|*t^1.01 = {tail}")
+    if np.all(tail < floor):
         return
     for older, newer in zip(tail, tail[1:]):
         if newer > 1.01 * older + floor:
@@ -178,50 +233,29 @@ def integrate_to_infinity(
     start: complex,
     *,
     rtol: float = 1e-11,
+    vectorized: bool = False,
 ) -> EvalResult:
     """Integral of f along the ray start + t, t in [0, oo).
 
     Substitutes t = u/(1-u) and runs tanh-sinh on u in (0, 1), doubling the
-    node density until two levels agree.
+    node density until two levels agree.  With ``vectorized`` f takes an
+    ndarray of points.
     """
     start = complex(start)
-    _decay_check(f, start)
+    fv = f if vectorized else _lift(f)
+    _decay_check(fv, start)
 
-    def g(t: float) -> complex:
-        u, omu, dudt = _ts_point(t)
-        return f(start + u / omu) * dudt / (omu * omu)
+    def values(t: np.ndarray) -> np.ndarray:
+        s = 0.5 * math.pi * np.sinh(t)
+        # u = (1 + tanh(s)) / 2 computed without cancellation at either end.
+        e2s = np.exp(2.0 * s)
+        u = np.where(s < 0, e2s / (1.0 + e2s), 1.0 / (1.0 + np.exp(-2.0 * s)))
+        omu = 1.0 / (1.0 + e2s)
+        sech = 2.0 / (np.exp(s) + np.exp(-s))
+        dudt = 0.25 * math.pi * np.cosh(t) * sech * sech
+        return fv(start + u / omu) * dudt / (omu * omu)
 
-    h = 1.0
-    total = g(0.0)
-    k = 1
-    while k * h <= _TS_TMAX:
-        total += g(k * h) + g(-k * h)
-        k += 1
-    total *= h
-    prev = None
-    delta = math.inf
-    for level in range(1, _TS_MAX_LEVEL + 1):
-        h *= 0.5
-        add = 0.0 + 0.0j
-        k = 1
-        while k * h <= _TS_TMAX:
-            t = k * h
-            add += g(t) + g(-t)
-            k += 2
-        total = 0.5 * total + h * add
-        if prev is not None:
-            delta = abs(total - prev)
-            if delta <= rtol * max(abs(total), 1e-300):
-                return EvalResult(total, delta, f"tanh-sinh-{level}")
-        prev = total
-    if delta > 1e-8 * max(abs(total), 1e-300):
-        raise NonConvergence(
-            f"tanh-sinh stalled at level {_TS_MAX_LEVEL} (abs change {delta:.2e})"
-        )
-    return EvalResult(total, delta, f"tanh-sinh-{_TS_MAX_LEVEL}")
-
-
-_TS_SEG_TMAX = 5.0
+    return _tanh_sinh(values, _TS_TMAX, _TS_MAX_LEVEL, rtol, "tanh-sinh")
 
 
 def tanh_sinh_segment(
@@ -229,55 +263,31 @@ def tanh_sinh_segment(
     *,
     rtol: float = 1e-11,
     max_level: int = 11,
+    vectorized: bool = False,
 ) -> EvalResult:
     """Integral over x in (-1, 1) of g(x, 1-x, 1+x) by tanh-sinh doubling.
 
     The endpoint complements are passed explicitly (computed without
     cancellation), so integrands with algebraic or oscillatory endpoint
     factors of complex exponent can be formed stably at nodes exponentially
-    close to +-1.
+    close to +-1.  With ``vectorized`` g takes three ndarrays.
     """
+    gv = g if vectorized else _lift(g)
 
-    def node(t: float) -> complex:
-        s = 0.5 * math.pi * math.sinh(t)
-        e2 = math.exp(-2.0 * abs(s))
+    def values(t: np.ndarray) -> np.ndarray:
+        s = 0.5 * math.pi * np.sinh(t)
+        sa = np.abs(s)
+        e2 = np.exp(-2.0 * sa)
         comp = 2.0 * e2 / (1.0 + e2)  # 1 - |x|
-        if s >= 0:
-            x, omx, opx = 1.0 - comp, comp, 2.0 - comp
-        else:
-            x, omx, opx = comp - 1.0, 2.0 - comp, comp
-        sa = abs(s)
-        sech = 2.0 / (math.exp(sa) + math.exp(-sa))
-        dxdt = 0.5 * math.pi * math.cosh(t) * sech * sech
-        return g(x, omx, opx) * dxdt
+        right = s >= 0
+        x = np.where(right, 1.0 - comp, comp - 1.0)
+        omx = np.where(right, comp, 2.0 - comp)
+        opx = np.where(right, 2.0 - comp, comp)
+        sech = 2.0 / (np.exp(sa) + np.exp(-sa))
+        dxdt = 0.5 * math.pi * np.cosh(t) * sech * sech
+        return gv(x, omx, opx) * dxdt
 
-    h = 1.0
-    total = node(0.0)
-    k = 1
-    while k * h <= _TS_SEG_TMAX:
-        total += node(k * h) + node(-k * h)
-        k += 1
-    total *= h
-    prev = None
-    delta = math.inf
-    for level in range(1, max_level + 1):
-        h *= 0.5
-        add = 0.0 + 0.0j
-        k = 1
-        while k * h <= _TS_SEG_TMAX:
-            add += node(k * h) + node(-k * h)
-            k += 2
-        total = 0.5 * total + h * add
-        if prev is not None:
-            delta = abs(total - prev)
-            if delta <= rtol * max(abs(total), 1e-300):
-                return EvalResult(total, delta, f"tanh-sinh-seg-{level}")
-        prev = total
-    if delta > 1e-8 * max(abs(total), 1e-300):
-        raise NonConvergence(
-            f"segment tanh-sinh stalled at level {max_level} (abs change {delta:.2e})"
-        )
-    return EvalResult(total, delta, f"tanh-sinh-seg-{max_level}")
+    return _tanh_sinh(values, _TS_SEG_TMAX, max_level, rtol, "tanh-sinh-seg")
 
 
 # --- repeated integrals ------------------------------------------------------
@@ -337,6 +347,7 @@ def repeated_integral(
     anchor_exponent: float = 0.0,
     variable_exponent: float = 0.0,
     rtol: float = 1e-11,
+    vectorized: bool = False,
 ) -> EvalResult:
     """Reduce an n-fold iterated integral to one weighted integral.
 
@@ -347,7 +358,8 @@ def repeated_integral(
     exponents included), or along the compactified ray for improper specs.
 
     f may accept (w) or (w, upper_dist, lower_dist); the distances are the
-    cancellation-free endpoint offsets of the straight segment.
+    cancellation-free endpoint offsets of the straight segment.  With
+    ``vectorized`` its arguments are ndarrays.
     """
     n = spec.order_n
     if n < 1:
@@ -367,7 +379,7 @@ def repeated_integral(
         def ray_integrand(w: complex) -> complex:
             return f(w) * (w - z) ** (n - 1) * fac
 
-        res = integrate_to_infinity(ray_integrand, z, rtol=rtol)
+        res = integrate_to_infinity(ray_integrand, z, rtol=rtol, vectorized=vectorized)
         return EvalResult(res.value, res.abs_error_estimate, f"repeated-{n}|{res.provenance}")
 
     lo = complex(spec.lower)
@@ -404,11 +416,13 @@ def repeated_integral(
     half = 0.5 * (hi - lo)
     u_var = u_of(var_pt)
     call = _integrand_adapter(f)
+    if not vectorized:
+        call = _lift(call)
 
-    def g(t: float, omt: float, opt: float) -> complex:
+    def g(t: np.ndarray, omt: np.ndarray, opt: np.ndarray) -> np.ndarray:
         hi_dist = half * omt  # hi - w
         lo_dist = half * opt  # w - lo
-        w = lo + lo_dist if t < 0 else hi - hi_dist
+        w = np.where(t < 0, lo + lo_dist, hi - hi_dist)
         if measure_at_anchor:
             # Form U-differences from the stable endpoint offsets.
             anchor_is_lo = abs(anc_pt - lo) < 1e-9
@@ -425,7 +439,7 @@ def repeated_integral(
             dens = density(w)
         return call(w, hi_dist, lo_dist) * kern * dens * half
 
-    res = tanh_sinh_segment(g, rtol=rtol)
+    res = tanh_sinh_segment(g, rtol=rtol, vectorized=True)
     return EvalResult(res.value, res.abs_error_estimate, f"repeated-{n}|{res.provenance}")
 
 
@@ -484,49 +498,41 @@ def contour_derivatives(
     radius: float,
     *,
     rtol: float = 1e-11,
+    vectorized: bool = False,
 ) -> tuple[complex, ...]:
     """Derivatives of several orders from one set of circle samples.
 
     Trapezoid sums of f(w)/(w-z0)^(n+1) on |w - z0| = radius, doubling the
     point count (and reusing previous samples) until every order is stable.
+    The sums for all orders are one FFT of the samples.  With ``vectorized``
+    f takes the ndarray of each level's new points.
     """
     z0 = complex(z0)
     if radius <= 0.0:
         raise ValueError("radius must be positive")
+    fv = f if vectorized else _lift(f)
     nmax = max(orders)
     m = 16
     while m < 4 * nmax:
         m *= 2
-    vals = [f(z0 + radius * cmath.exp(2j * math.pi * j / m)) for j in range(m)]
-    prev: dict[int, complex] | None = None
+    index = np.array(orders)
+    scale = np.array([math.factorial(n) / radius**n for n in orders])
+    vals = np.asarray(fv(z0 + radius * np.exp(2j * np.pi * np.arange(m) / m)), dtype=complex)
+    prev = None
     while True:
-        fmax = max(abs(v) for v in vals)
-        est: dict[int, complex] = {}
-        for n in orders:
-            acc = 0.0 + 0.0j
-            for j, v in enumerate(vals):
-                acc += v * cmath.exp(-2j * math.pi * j * n / m)
-            est[n] = acc * math.factorial(n) / (m * radius**n)
+        _require_finite(vals, f"contour-{m}")
+        est = np.fft.fft(vals)[index] * scale / m
         if prev is not None:
-            ok = True
-            for n in orders:
-                floor = 64.0 * 2.2e-16 * fmax * math.factorial(n) / radius**n
-                if abs(est[n] - prev[n]) > max(rtol * abs(est[n]), floor):
-                    ok = False
-                    break
-            if ok:
-                return tuple(est[n] for n in orders)
+            floor = 64.0 * 2.2e-16 * np.max(np.abs(vals)) * scale
+            if not np.any(np.abs(est - prev) > np.maximum(rtol * np.abs(est), floor)):
+                return tuple(complex(e) for e in est)
         if m >= 4096:
             raise NonConvergence(f"contour trapezoid stalled at {m} points")
         prev = est
-        new_vals = [
-            f(z0 + radius * cmath.exp(2j * math.pi * (2 * j + 1) / (2 * m)))
-            for j in range(m)
-        ]
-        merged = []
-        for old, new in zip(vals, new_vals):
-            merged.append(old)
-            merged.append(new)
+        odd = z0 + radius * np.exp(2j * np.pi * (2 * np.arange(m) + 1) / (2 * m))
+        merged = np.empty(2 * m, dtype=complex)
+        merged[0::2] = vals
+        merged[1::2] = fv(odd)
         vals = merged
         m *= 2
 
@@ -539,11 +545,13 @@ def contour_derivative(
     *,
     cut: Cut | None = None,
     rtol: float = 1e-11,
+    vectorized: bool = False,
 ) -> complex:
     """n-th derivative of an analytic f at z0 via the Cauchy integral.
 
     When a cut is declared, the default radius is half the distance to it
     (capped at 0.5) and a disk touching the cut raises CutIntersection.
+    ``vectorized`` is as for ``contour_derivatives``.
     """
     if n < 0:
         raise ValueError("derivative order must be >= 0")
@@ -558,4 +566,4 @@ def contour_derivative(
             )
     elif radius is None:
         radius = 0.5
-    return contour_derivatives(f, z0, (n,), radius, rtol=rtol)[0]
+    return contour_derivatives(f, z0, (n,), radius, rtol=rtol, vectorized=vectorized)[0]

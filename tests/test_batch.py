@@ -1,0 +1,209 @@
+"""The batched evaluators against the scalar calls they batch.
+
+An ndarray of z under AUTO must give, at every point, what the scalar call
+gives there: a value within the two error estimates plus a few ulps, or the
+scalar's exception.  The ulps allow for the batch forming z^k by repeated
+products and powers as exp(s Log w), where the scalar series carries the
+term ratio and uses Python's complex power.  Neither error estimate covers
+the rounding of a power or an exponential, which is about |s Log w| ulps,
+so where one enters (the z/(z-1) map's factor, a logarithm) the ulps scale
+with it.  Nor does the series estimate, |last term| + eps sum |terms|, count
+the rounding that builds up in a term formed by k products; the two
+evaluations' difference from it grows like sqrt(K) for K terms, so the
+estimates are scaled by that.  (At z = -0.952 a 1419-term series is 9e-12
+from the exact value against an estimate of 3e-13, in both evaluations.)
+The large-z connection of P reports a flat 1e-13 |value| estimate
+that ignores its parts, so its values are compared within the parts'
+estimates: the two second-kind values and their series errors.
+
+The examples are fixed (``derandomize``) so that a run repeats; the
+properties also held over 8 000 / 4 000 random examples.
+"""
+
+import cmath
+import math
+import warnings
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jacobifn import hypergeom
+from jacobifn.errors import JacobiFnError, NoConvergentPath, TruncationWarning
+from jacobifn.hypergeom import BATCH_NO_PATH, BATCH_OK, _ohyp2f1_batch, ohyp2f1
+from jacobifn.jacobi_first import (
+    JacobiParams,
+    Representation,
+    _connection_coeffs,
+    jacobi_p,
+    jacobi_p_scaled,
+)
+from jacobifn.jacobi_second import jacobi_q, jacobi_q_log
+
+ULPS = 16 * 2.220446049250313e-16
+# The ulps of a subnormal value.
+TINY = 16 * math.ulp(0.0)
+
+# The catalog's parameter box, and z over the plane the domain checks use.
+_box = st.builds(complex, st.floats(-0.65, 2.8), st.floats(-0.45, 0.45))
+_z = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-2.0, 2.0))
+_zs = st.lists(_z, min_size=1, max_size=12)
+# 2F1 parameters as the representations form them from the box, plus
+# terminating uppers and lowers in -N0.
+_param_2f1 = st.one_of(
+    st.builds(complex, st.floats(-3.0, 9.0), st.floats(-1.5, 1.5)),
+    st.integers(-6, 0).map(float),
+)
+
+
+@contextmanager
+def _series_length():
+    """Record the most terms any scalar series in the block summed."""
+    longest = [1]
+    series = hypergeom._series
+
+    def recorded(*args):
+        out = series(*args)
+        longest[0] = max(longest[0], out.terms_used)
+        return out
+
+    with mock.patch.object(hypergeom, "_series", recorded):
+        yield longest
+
+
+def _scalar(fn, *args):
+    try:
+        return fn(*args)
+    except (JacobiFnError, ArithmeticError, ValueError) as exc:
+        return exc
+
+
+def _p_slack(params, w, ref, growth: float) -> float:
+    """Allowed difference of two P values at w beyond their own estimates."""
+    if ref.provenance != "connection":
+        return ULPS * abs(ref.value)
+    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
+    coef_a, coef_b, g2 = _connection_coeffs(a, b, g)
+    slack = 0.0
+    for coef, part in ((coef_a, params), (coef_b, JacobiParams(a, b, g2))):
+        q = jacobi_q(part, w)
+        cond = 1.0 + abs(jacobi_q_log(part, w))
+        slack += abs(coef) * (2.0 * growth * q.abs_error_estimate + cond * ULPS * abs(q.value))
+    return slack
+
+
+def _split(fn, params, zs):
+    """Scalar outcomes, the points where the scalar returned, its first error,
+    and the square root of each point's longest series."""
+    outs, growth = [], []
+    for w in zs:
+        with _series_length() as longest:
+            outs.append(_scalar(fn, params, w))
+        growth.append(math.sqrt(longest[0]))
+    ok = [i for i, o in enumerate(outs) if not isinstance(o, Exception)]
+    errors = [o for o in outs if isinstance(o, Exception)]
+    return outs, ok, errors[0] if errors else None, growth
+
+
+@given(_param_2f1, _param_2f1, _param_2f1, _zs)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_batched_2f1_matches_scalar(a, b, c, zs):
+    value, err, status = _ohyp2f1_batch(a, b, c, np.array(zs))
+    for w, v, e, s in zip(zs, value, err, status):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            try:
+                ref = _scalar(ohyp2f1, a, b, c, w)
+            except TruncationWarning as capped:
+                ref = capped
+        if isinstance(ref, Exception) and not isinstance(ref, (JacobiFnError, TruncationWarning)):
+            raise ref
+        if s == BATCH_OK:
+            assert not isinstance(ref, Exception)
+            # Past |z| = 0.75 the value may carry the factor (1-z)^(-a).
+            mapped = abs(w) > 0.75 and w != 1.0
+            cond = 1.0 + abs(a * cmath.log(1.0 - w)) if mapped else 1.0
+            growth = math.sqrt(ref.terms_used)
+            tol = growth * (e + ref.abs_error_estimate) + cond * ULPS * abs(ref.value) + TINY
+            assert abs(v - ref.value) <= tol
+        elif s == BATCH_NO_PATH:
+            assert isinstance(ref, NoConvergentPath)
+
+
+@given(_box, _box, _box, _zs)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_batched_p_matches_scalar(a, b, g, zs):
+    params = JacobiParams(a, b, g)
+    outs, ok, first_error, growth = _split(jacobi_p, params, zs)
+    if ok:
+        got = jacobi_p(params, np.array([zs[i] for i in ok]))
+        scaled = jacobi_p_scaled(params, np.array([zs[i] for i in ok]))
+        for v, e, log_scale, mant, i in zip(got.value, got.abs_error_estimate, *scaled, ok):
+            ref = outs[i]
+            tol = growth[i] * (e + ref.abs_error_estimate) + _p_slack(params, zs[i], ref, growth[i])
+            assert abs(v - ref.value) <= tol
+            ref_log, ref_mant = jacobi_p_scaled(params, zs[i])
+            rel = tol / abs(ref.value) + ULPS * (1.0 + abs(ref_log))
+            assert abs(cmath.exp(log_scale - ref_log) * mant - ref_mant) <= rel * abs(ref_mant)
+    if first_error is not None:
+        with pytest.raises(type(first_error)):
+            jacobi_p(params, np.array(zs))
+        with pytest.raises(type(first_error)):
+            jacobi_p_scaled(params, np.array(zs))
+
+
+@given(_box, _box, _box, _zs)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_batched_q_matches_scalar(a, b, g, zs):
+    params = JacobiParams(a, b, g)
+    outs, ok, first_error, growth = _split(jacobi_q, params, zs)
+    if ok:
+        points = np.array([zs[i] for i in ok])
+        got = jacobi_q(params, points)
+        logs = jacobi_q_log(params, points)
+        for v, e, log_v, i in zip(got.value, got.abs_error_estimate, logs, ok):
+            ref = outs[i]
+            log_ref = jacobi_q_log(params, zs[i])
+            # Q is exp(log prefactor) times a series.
+            rel = growth[i] * (e + ref.abs_error_estimate) / abs(ref.value)
+            rel += ULPS * (1.0 + abs(log_ref))
+            assert abs(v - ref.value) <= rel * abs(ref.value)
+            # exp of the difference: the two logs may differ by 2 pi i.
+            assert abs(cmath.exp(log_v - log_ref) - 1.0) <= rel
+    if first_error is not None:
+        with pytest.raises(type(first_error)):
+            jacobi_q(params, np.array(zs))
+        with pytest.raises(type(first_error)):
+            jacobi_q_log(params, np.array(zs))
+
+
+def test_batch_takes_every_route():
+    # Points near 1 (REP1), near -1 from the right half plane (REP3), far out
+    # (the connection) and on (-1, -0.5) where only the slow series applies.
+    params = JacobiParams(0.3 + 0.2j, -0.4, 1.1 - 0.1j)
+    zs = [0.5 + 0.1j, 3.0 + 1.0j, 40.0 - 25.0j, -0.8, -0.7 + 1e-13j]
+    got = jacobi_p(params, np.array(zs))
+    assert set(got.provenance.split("+")) == {"rep1", "rep3", "connection"}
+    for w, v, e in zip(zs, got.value, got.abs_error_estimate):
+        ref = jacobi_p(params, w)
+        assert abs(v - ref.value) <= e + ref.abs_error_estimate + _p_slack(params, w, ref, 1.0)
+
+
+def test_array_needs_auto():
+    with pytest.raises(ValueError):
+        jacobi_p(JacobiParams(0.2, 0.1, 1.3), np.array([0.5]), Representation.REP2)
+    with pytest.raises(ValueError):
+        jacobi_q(JacobiParams(0.2, 0.1, 1.3), np.array([2.5]), Representation.REP2)
+
+
+def test_batch_keeps_shape_and_empty_input():
+    params = JacobiParams(0.2, 0.1, 1.3)
+    grid = np.array([[0.5, 0.6], [2.0 + 1.0j, 3.0]])
+    got = jacobi_p(params, grid)
+    assert got.value.shape == (2, 2)
+    assert got.value[1, 0] == pytest.approx(jacobi_p(params, 2.0 + 1.0j).value, rel=1e-13)
+    assert jacobi_q(params, np.array([], dtype=complex)).value.shape == (0,)
+    assert math.isfinite(jacobi_q_log(params, np.array([3.0]))[0].real)

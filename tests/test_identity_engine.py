@@ -1,4 +1,5 @@
 import math
+import re
 from random import Random
 
 import pytest
@@ -104,6 +105,13 @@ def test_ode_residual_generic():
 def test_rodrigues_degree_zero():
     assert rodrigues_jacobi(0, 0.3, 0.7, 1.4 + 0.2j, "ONE") == pytest.approx(1.0)
     assert rodrigues_jacobi(0, 0.3, 0.7, 1.4 + 0.2j, "TWO") == pytest.approx(1.0)
+
+
+def test_rodrigues_constant_operand():
+    # alpha = -n, beta = -1: the ONE operand (w-1)^0 (w+1)^0 is the constant
+    # 1, and the degree-1 polynomial with alpha = beta = -1 vanishes.
+    assert abs(rodrigues_jacobi(1, -1.0, -1.0, 0.3 + 0.4j, "ONE")) <= 1e-12
+    assert abs(jacobi_polynomial(1, -1.0, -1.0, 0.3 + 0.4j)) <= 1e-12
 
 
 def test_rodrigues_legendre_case():
@@ -213,3 +221,54 @@ def test_fixture_audit_constants_recorded_stable():
             c = complex(rec["c"][0], rec["c"][1])
             assert abs(c - 1.0) < 1e-6, f"{ident} n={n}: audited constant {c}"
             assert rec["spread"] < 1e-6
+
+
+def _first_admissible(ident: str, seed: int):
+    entry = CATALOG[ident]
+    rng = Random(seed)
+    for i in range(40):
+        n = entry.n_values[i % len(entry.n_values)]
+        params, z = entry.sample(rng, n)
+        if entry.constraints(params, z, n) is None:
+            return params, z, n
+    raise AssertionError(f"{ident}: no admissible sample")
+
+
+def test_oracle_cost_pinned():
+    # One sample of every identity; the oracle evaluations (contour points,
+    # quadrature nodes, integral calls) summed per family.  A change to a
+    # stopping rule, a node set or the doubling shows up here.  The ODE
+    # entries count one contour per sample (two before they shared it).
+    costs: dict[str, int] = {}
+    for ident in list_identities():
+        check = eval_identity_sides(ident, *_first_admissible(ident, 4242))
+        fam = re.match(r"[A-Z]+", ident).group(0)
+        costs[fam] = costs.get(fam, 0) + check.oracle_cost
+    assert costs == {
+        "FD": 260, "FW": 488, "FR": 0, "FI": 647, "FJ": 1544, "FK": 1296, "FT": 0,
+        "SRL": 65, "SD": 196, "SI": 483, "SW": 520, "SQ": 4, "SN": 2, "ODE": 128,
+    }
+
+
+def test_ode_entry_runs_one_contour(monkeypatch):
+    from jacobifn import identity_catalog
+
+    contour = identity_catalog.contour_derivatives
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return contour(*args, **kwargs)
+
+    for ident in ("ODE-P", "ODE-Q"):
+        params, z, n = _first_admissible(ident, 7)
+        t1, t2, t3 = identity_catalog._ode_terms(ident[-1], params, z)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(identity_catalog, "contour_derivatives", counted)
+            check = eval_identity_sides(ident, params, z, n)
+            # The rhs alone, as for a sample whose lhs did not run, computes
+            # its own contour.
+            rhs_alone = CATALOG[ident].rhs(params, z, n)
+        assert calls == [z, z]
+        assert (check.lhs_value, check.rhs_value, rhs_alone) == (t1 + t2, -t3, -t3)

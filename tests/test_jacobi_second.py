@@ -9,6 +9,7 @@ from jacobifn.errors import (
     CoefficientZeroError,
     ConvergenceConstraintError,
     DomainCutError,
+    NonConvergence,
     ValidityError,
 )
 from jacobifn.jacobi_first import JacobiParams, Representation
@@ -168,3 +169,10 @@ def test_neumann_examples():
 def test_neumann_constraint():
     with pytest.raises(ConvergenceConstraintError):
         neumann_q(2, -1.2, 0.0, 2.0)
+
+
+def test_neumann_stalled_gauss_doubling_raises():
+    # Close to the cut the kernel (z - t)^-1 defeats every Gauss rule up to
+    # 256 nodes; the last estimate changed by 4x its value, so no value.
+    with pytest.raises(NonConvergence):
+        neumann_q(2, 0.2, 0.3, 0.3 + 1e-3j)

@@ -2,14 +2,18 @@ import cmath
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from jacobifn.errors import (
     CutIntersection,
     DecayCheckFailed,
     ExponentError,
+    NonConvergence,
     OrderCapExceeded,
 )
+from jacobifn.hypergeom import power
+from jacobifn.identity_catalog import pval, qval
 from jacobifn.quadrature import (
     FLAT,
     INV_SQ_MINUS,
@@ -254,3 +258,110 @@ def test_cut_distances():
     seg = Cut.segment(-1.0, 1.0)
     assert seg.distance(0.2 + 0.4j) == pytest.approx(0.4)
     assert seg.distance(2.0) == pytest.approx(1.0)
+
+
+# --- vectorized and scalar integrands -----------------------------------------
+
+_A, _B, _G = 0.3 + 0.2j, -0.4, 1.1 - 0.1j
+
+
+def _counted(f):
+    """f plus a count of the points it was evaluated at."""
+    seen = [0]
+
+    def g(*args):
+        seen[0] += np.size(args[0])
+        return f(*args)
+
+    return g, seen
+
+
+def _both_ways(oracle, f):
+    """(value, points) of the oracle with f called per node and per array."""
+    out = []
+    for vectorized in (False, True):
+        g, seen = _counted(f)
+        out.append((oracle(g, vectorized), seen[0]))
+    return out
+
+
+def _assert_same(runs):
+    (scalar, n_scalar), (batch, n_batch) = runs
+    assert n_scalar == n_batch
+    for s, b in zip(np.atleast_1d(scalar), np.atleast_1d(batch)):
+        assert abs(s - b) <= 1e-13 * abs(s)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [np.exp, lambda w: power(w - 1.0, _A) * pval(_A, _B, _G, w)],
+    ids=["exp", "weighted-P"],
+)
+def test_contour_vectorized_matches_scalar(f):
+    oracle = lambda g, v: contour_derivatives(g, 1.6 + 0.7j, (0, 1, 2, 3), 0.4, vectorized=v)
+    _assert_same(_both_ways(oracle, f))
+    oracle = lambda g, v: contour_derivative(g, 1.6 + 0.7j, 2, cut=Cut.left_ray(1.0), vectorized=v)
+    _assert_same(_both_ways(oracle, f))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        lambda x, omx, opx: np.exp(x),
+        lambda x, omx, opx: power(omx, 0.3 + 0.2j) * qval(_A, _B, _G, 2.5 + x),
+    ],
+    ids=["exp", "weighted-Q"],
+)
+def test_tanh_sinh_segment_vectorized_matches_scalar(g):
+    _assert_same(_both_ways(lambda h, v: tanh_sinh_segment(h, vectorized=v).value, g))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda w: np.exp(-w), lambda w: qval(_A, _B, _G, w)],
+    ids=["exp", "Q"],
+)
+def test_integrate_to_infinity_vectorized_matches_scalar(f):
+    oracle = lambda g, v: integrate_to_infinity(g, 2.0 + 0.5j, rtol=1e-12, vectorized=v).value
+    _assert_same(_both_ways(oracle, f))
+
+
+@pytest.mark.parametrize(
+    "f, spec, anchor",
+    [
+        (lambda w: np.exp(w), RepeatedIntegralSpec(2, 0.2, 1.0), 0.0),
+        (lambda w: np.exp(-w), RepeatedIntegralSpec(2, 1.5 + 0.5j, None), 0.0),
+        (
+            lambda w, hd, ld: power(ld, _A + _B + 2.9) * pval(_A, _B, 1.9, w),
+            RepeatedIntegralSpec(2, 1.0, 1.6 + 0.8j, INV_SQ_MINUS, "upper"),
+            (_A + _B + 2.9).real,
+        ),
+    ],
+    ids=["exp", "exp-ray", "FK1-integrand"],
+)
+def test_repeated_integral_vectorized_matches_scalar(f, spec, anchor):
+    def oracle(g, v):
+        # The adapter reads the integrand's signature; keep f's visible.
+        h = (lambda w, hd, ld: g(w, hd, ld)) if f.__code__.co_argcount == 3 else g
+        return repeated_integral(h, spec, anchor_exponent=anchor, rtol=1e-12, vectorized=v).value
+
+    _assert_same(_both_ways(oracle, f))
+
+
+# --- integrands that overflow ------------------------------------------------
+
+
+def test_overflowing_integrands_raise():
+    """An inf or nan sample raises instead of passing the doubling tests."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergence):
+            contour_derivatives(lambda w: np.exp(1000.0 * w), 1.0, (0, 1), 0.5, vectorized=True)
+        with pytest.raises(NonConvergence):
+            tanh_sinh_segment(lambda x, omx, opx: omx**-4.0, vectorized=True)
+        # Decays on the sampled tail, then forms inf * 0 far out on the ray.
+        with pytest.raises(NonConvergence):
+            integrate_to_infinity(lambda w: np.exp(-w) * w**40, 1.0, vectorized=True)
+        with pytest.raises(DecayCheckFailed):
+            integrate_to_infinity(lambda w: np.exp(-w) * w**400, 1.0, vectorized=True)
+        with pytest.raises(NonConvergence):
+            integrate_finite(lambda t: np.exp(800.0 * (t + 1.0)), 0.0, 0.0)
