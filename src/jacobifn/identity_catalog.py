@@ -11,6 +11,10 @@ derivatives, weighted-operator derivatives, Rodrigues forms, finite
 multi-integrals, improper multi-integrals, measure-weighted multi-integrals,
 Taylor sections); SRL/SD/SW/SI/SQ/SN and the ODE entries drive the second
 kind.
+
+Entries that share an oracle share one factory: ``_contour_entry`` (FD, FW,
+SD, SW), ``_finite_entry`` (FI, FK) and ``_ray_entry`` (FJ, SI).  Every
+entry's constraints open with its family's parameter guard (``_guard``).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import cmath
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import Callable
 
@@ -28,7 +33,6 @@ from .hypergeom import phyp, power
 from .jacobi_first import (
     JacobiParams,
     jacobi_p,
-    jacobi_p_at_one,
     jacobi_p_scaled,
     jacobi_polynomial,
     taylor_section,
@@ -136,16 +140,16 @@ def _poch_zero_dist(x: complex, n: int) -> float:
     return abs(x - m)
 
 
-def _p_valid(a, b, g, margin=MARGIN) -> str | None:
-    if _dist_neg_int(complex(a) + complex(g)) < margin:
+def _p_valid(a, b, g) -> str | None:
+    if _dist_neg_int(complex(a) + complex(g)) < MARGIN:
         return "alpha+gamma near a negative integer"
     return None
 
 
-def _q_valid(a, b, g, margin=MARGIN) -> str | None:
-    if _dist_neg_int(complex(a) + complex(g)) < margin:
+def _q_valid(a, b, g) -> str | None:
+    if _dist_neg_int(complex(a) + complex(g)) < MARGIN:
         return "alpha+gamma near a negative integer"
-    if _dist_neg_int(complex(b) + complex(g)) < margin:
+    if _dist_neg_int(complex(b) + complex(g)) < MARGIN:
         return "beta+gamma near a negative integer"
     return None
 
@@ -221,18 +225,13 @@ _Q_SAMPLE = _box_sampler(_z_q, g_box=(-0.5, 2.5))
 # --- LHS machinery -----------------------------------------------------------
 
 
-def _weighted_p(params: JacobiParams, weight: Callable[[complex], complex] | None):
+def _weighted(kind: str, params: JacobiParams, weight: Callable[[complex], complex] | None):
+    """P (kind "P") or Q (kind "Q") at w, times weight(w) when a weight is given."""
     a, b, g = params.alpha, params.beta, params.gamma
+    val = pval if kind == "P" else qval
     if weight is None:
-        return lambda w: pval(a, b, g, w)
-    return lambda w: weight(w) * pval(a, b, g, w)
-
-
-def _weighted_q(params: JacobiParams, weight: Callable[[complex], complex] | None):
-    a, b, g = params.alpha, params.beta, params.gamma
-    if weight is None:
-        return lambda w: qval(a, b, g, w)
-    return lambda w: weight(w) * qval(a, b, g, w)
+        return lambda w: val(a, b, g, w)
+    return lambda w: weight(w) * val(a, b, g, w)
 
 
 def _contour_radius(cut: Cut, z: complex) -> float:
@@ -240,7 +239,7 @@ def _contour_radius(cut: Cut, z: complex) -> float:
 
 
 def plain_derivative(f, z: complex, n: int, cut: Cut) -> complex:
-    return contour_derivative(f, z, n, _contour_radius(cut, z), cut=cut, vectorized=True)
+    return contour_derivative(f, z, n, cut=cut)
 
 
 _OPERATOR_COEFFS: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -268,7 +267,7 @@ def operator_power(f, z: complex, n: int, base_point: float, cut: Cut) -> comple
         return f(z)
     orders = tuple(range(1, n + 1))
     radius = _contour_radius(cut, z)
-    derivs = dict(zip(orders, contour_derivatives(f, z, orders, radius, vectorized=True)))
+    derivs = dict(zip(orders, contour_derivatives(f, z, orders, radius)))
     shift = z - base_point
     total = 0.0 + 0.0j
     for k, c in _operator_coeffs(n):
@@ -287,161 +286,121 @@ def _register(entry: IdentityDescriptor) -> None:
     _CATALOG[entry.identity_id] = entry
 
 
-def _fd_entry(ident, desc, weight, rhs, cut=P_DERIV_CUT, extra=None, note=None):
-    def lhs(params: JacobiParams, z: complex, n: int) -> complex:
-        return plain_derivative(_weighted_p(params, weight(params) if weight else None), z, n, cut)
+def _guard(kind: str, extra: ConstraintFn | None = None) -> ConstraintFn:
+    """The family's parameter guard (``_p_valid`` or ``_q_valid``), then extra."""
+    valid = _p_valid if kind == "P" else _q_valid
 
     def cons(params: JacobiParams, z: complex, n: int) -> str | None:
-        bad = _p_valid(params.alpha, params.beta, params.gamma)
-        if bad:
-            return bad
-        return extra(params, z, n) if extra else None
+        bad = valid(params.alpha, params.beta, params.gamma)
+        if bad is None and extra is not None:
+            bad = extra(params, z, n)
+        return bad
 
-    _register(
-        IdentityDescriptor(ident, desc, (1, 2, 3), 1e-8, lhs, rhs, cons, _P_DERIV_SAMPLE, note)
-    )
+    return cons
 
 
-def _fw_entry(ident, desc, weight, base_point, rhs, extra=None, note=None):
-    # The (w-1)^s weights carry a principal-branch cut on all of (-oo, 1].
-    def lhs(params: JacobiParams, z: complex, n: int) -> complex:
-        return operator_power(_weighted_p(params, weight(params)), z, n, base_point, Q_DERIV_CUT)
+def _contour_entry(
+    ident, desc, kind, weight, rhs, base_point=None, cut=None, extra=None, note=None
+):
+    """Contour oracle on the weighted P or Q (kind "P" or "Q").
 
-    def cons(params: JacobiParams, z: complex, n: int) -> str | None:
-        bad = _p_valid(params.alpha, params.beta, params.gamma)
-        if bad:
-            return bad
-        return extra(params, z, n) if extra else None
-
-    _register(
-        IdentityDescriptor(ident, desc, (1, 2, 3), 1e-8, lhs, rhs, cons, _P_DERIV_SAMPLE, note)
-    )
-
-
-def _sd_entry(ident, desc, weight, rhs, extra=None, nvals=(1, 2, 3), note=None):
-    def lhs(params: JacobiParams, z: complex, n: int) -> complex:
-        return plain_derivative(
-            _weighted_q(params, weight(params) if weight else None), z, n, Q_DERIV_CUT
-        )
-
-    def cons(params: JacobiParams, z: complex, n: int) -> str | None:
-        bad = _q_valid(params.alpha, params.beta, params.gamma)
-        if bad:
-            return bad
-        return extra(params, z, n) if extra else None
-
-    _register(IdentityDescriptor(ident, desc, nvals, 1e-8, lhs, rhs, cons, _Q_SAMPLE, note))
-
-
-def _sw_entry(ident, desc, weight, base_point, rhs, extra=None, note=None):
-    def lhs(params: JacobiParams, z: complex, n: int) -> complex:
-        return operator_power(_weighted_q(params, weight(params)), z, n, base_point, Q_DERIV_CUT)
-
-    def cons(params: JacobiParams, z: complex, n: int) -> str | None:
-        bad = _q_valid(params.alpha, params.beta, params.gamma)
-        if bad:
-            return bad
-        return extra(params, z, n) if extra else None
-
-    _register(IdentityDescriptor(ident, desc, (1, 2, 3), 1e-8, lhs, rhs, cons, _Q_SAMPLE, note))
-
-
-def _fi_entry(ident, desc, pairs, anchor_exp, rhs, cons, sample, nvals=(1, 2), note=None):
-    """Finite multi-integral toward 1: weights (1-w)^e come from the stable
-    upper-endpoint distance; (1+w)^e factors are regular on the path."""
+    Without a base point the lhs is the plain n-th derivative; the contour
+    keeps off ``cut``, by default both real rays outside [-1, 1] for P and
+    (-oo, 1] for Q.  With one it is the operator power
+    [(z - base_point)^2 D]^n, whose (w-1)^s weights carry a principal-branch
+    cut on all of (-oo, 1].
+    """
+    if cut is None:
+        cut = P_DERIV_CUT if kind == "P" and base_point is None else Q_DERIV_CUT
 
     def lhs(params: JacobiParams, z: complex, n: int) -> complex:
-        a, b, g = params.alpha, params.beta, params.gamma
-        exps = tuple((sym, complex(e(params))) for sym, e in pairs)
+        f = _weighted(kind, params, weight(params) if weight else None)
+        if base_point is None:
+            return plain_derivative(f, z, n, cut)
+        return operator_power(f, z, n, base_point, cut)
 
-        def f(w: np.ndarray, hi_dist: np.ndarray, lo_dist: np.ndarray) -> np.ndarray:
-            val = pval(a, b, g, w)
-            for sym, e in exps:
-                val *= power(hi_dist if sym == "1-w" else 1.0 + w, e)
-            return val
-
-        spec = RepeatedIntegralSpec(n, z, 1.0, FLAT, "lower")
-        return repeated_integral(
-            f, spec, anchor_exponent=anchor_exp(params), rtol=1e-12, vectorized=True
-        ).value
-
-    _register(IdentityDescriptor(ident, desc, nvals, 1e-6, lhs, rhs, cons, sample, note))
-
-
-def _fj_entry(ident, desc, pairs, rhs, cons, sample, note=None):
-    """Improper ray integral: the first-kind value is used in scaled form so
-    the dominant large-w branch cannot overflow before the weight kills it."""
-
-    def lhs(params: JacobiParams, z: complex, n: int) -> complex:
-        a, b, g = params.alpha, params.beta, params.gamma
-        exps = tuple((sym, complex(e(params))) for sym, e in pairs)
-
-        def f(w: np.ndarray) -> np.ndarray:
-            _count(w.size)
-            log_scale, mant = jacobi_p_scaled(JacobiParams(a, b, g), w)
-            logw = 0.0 + 0.0j
-            for sym, e in exps:
-                logw = logw + e * np.log((1.0 - w) if sym == "1-w" else (1.0 + w))
-            return np.exp(logw + log_scale) * mant
-
-        spec = RepeatedIntegralSpec(n, z, None, FLAT, "lower")
-        return repeated_integral(f, spec, rtol=1e-12, vectorized=True).value
-
-    _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, cons, sample, note))
-
-
-def _fk_entry(ident, desc, pairs, measure, anchor_exp, rhs, cons, sample=None, note=None):
-    """Measure-weighted multi-integral from 1: weights (w-1)^e come from the
-    stable lower-endpoint distance; (w+1)^e factors are regular on the path."""
-
-    def lhs(params: JacobiParams, z: complex, n: int) -> complex:
-        a, b, g = params.alpha, params.beta, params.gamma
-        exps = tuple((sym, complex(e(params))) for sym, e in pairs)
-
-        def f(w: np.ndarray, hi_dist: np.ndarray, lo_dist: np.ndarray) -> np.ndarray:
-            val = pval(a, b, g, w)
-            for sym, e in exps:
-                val *= power(lo_dist if sym == "w-1" else w + 1.0, e)
-            return val
-
-        spec = RepeatedIntegralSpec(n, 1.0, z, measure, "upper")
-        return repeated_integral(
-            f, spec, anchor_exponent=anchor_exp(params), rtol=1e-12, vectorized=True
-        ).value
-
+    sample = _P_DERIV_SAMPLE if kind == "P" else _Q_SAMPLE
     _register(
         IdentityDescriptor(
-            ident, desc, (1, 2), 1e-6, lhs, rhs, cons, sample or _P_INT_SAMPLE, note
+            ident, desc, (1, 2, 3), 1e-8, lhs, rhs, _guard(kind, extra), sample, note
         )
     )
 
 
-def _si_entry(ident, desc, pairs, rhs, cons, sample, note=None):
-    """Improper ray integral of Q; weights and value combine in log space so
-    neither factor overflows before their product decays."""
+def _finite_entry(
+    ident, desc, pairs, anchor_exp, rhs, extra, measure=FLAT, sample=_P_INT_SAMPLE, note=None
+):
+    """Endpoint-weighted n-fold integral of P between z and 1.
+
+    Under the flat measure it runs from z toward 1 (FI); under an
+    inverse-square measure from 1 to z (FK).  The weights (1-w)^e and
+    (w-1)^e come from the stable distance to 1; (1+w)^e factors are regular
+    on the path.
+    """
+    toward_one = measure == FLAT
 
     def lhs(params: JacobiParams, z: complex, n: int) -> complex:
-        p = JacobiParams(params.alpha, params.beta, params.gamma)
+        a, b, g = params.alpha, params.beta, params.gamma
         exps = tuple((sym, complex(e(params))) for sym, e in pairs)
 
-        def f(w: np.ndarray) -> np.ndarray:
-            _count(w.size)
-            logq = jacobi_q_log(p, w)
+        def f(w: np.ndarray, hi_dist: np.ndarray, lo_dist: np.ndarray) -> np.ndarray:
+            val = pval(a, b, g, w)
+            one_dist = hi_dist if toward_one else lo_dist
             for sym, e in exps:
-                logq = logq + e * np.log((w - 1.0) if sym == "w-1" else (1.0 + w))
-            return np.exp(logq)
+                val *= power(1.0 + w if sym == "1+w" else one_dist, e)
+            return val
+
+        if toward_one:
+            spec = RepeatedIntegralSpec(n, z, 1.0, FLAT, "lower")
+        else:
+            spec = RepeatedIntegralSpec(n, 1.0, z, measure, "upper")
+        return repeated_integral(f, spec, anchor_exponent=anchor_exp(params), rtol=1e-12).value
+
+    _register(
+        IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, _guard("P", extra), sample, note)
+    )
+
+
+_LOG_BASES = {"1-w": lambda w: 1.0 - w, "w-1": lambda w: w - 1.0, "1+w": lambda w: 1.0 + w}
+
+
+def _ray_entry(ident, desc, kind, pairs, rhs, extra, sample, note=None):
+    """Improper n-fold integral of P or Q along the ray from z to infinity.
+
+    P enters in scaled form and Q in log form, and the weights join in log
+    space, so neither the dominant large-w branch nor a weight overflows
+    before their product decays.
+    """
+
+    def lhs(p: JacobiParams, z: complex, n: int) -> complex:
+        exps = tuple((_LOG_BASES[sym], complex(e(p))) for sym, e in pairs)
+
+        def add_log_weights(log, w: np.ndarray):
+            for base, e in exps:
+                log = log + e * np.log(base(w))
+            return log
+
+        def f(w: np.ndarray, hi_dist: np.ndarray, lo_dist: np.ndarray) -> np.ndarray:
+            _count(w.size)
+            if kind == "Q":
+                return np.exp(add_log_weights(jacobi_q_log(p, w), w))
+            log_scale, mant = jacobi_p_scaled(p, w)
+            return np.exp(add_log_weights(0.0 + 0.0j, w) + log_scale) * mant
 
         spec = RepeatedIntegralSpec(n, z, None, FLAT, "lower")
-        return repeated_integral(f, spec, rtol=1e-12, vectorized=True).value
+        return repeated_integral(f, spec, rtol=1e-12).value
 
-    _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, cons, sample, note))
+    _register(
+        IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, _guard(kind, extra), sample, note)
+    )
 
 
 # --- FD: plain n-th derivatives of weighted P --------------------------------
 
-_fd_entry(
+_contour_entry(
     "FD1",
     "n-th derivative of the fully weighted function raises degree, lowers both exponents",
+    "P",
     lambda p: (lambda w: power(1.0 - w, p.alpha) * power(1.0 + w, p.beta)),
     lambda p, z, n: (-2.0) ** n
     * pochhammer(p.gamma + 1.0, n)
@@ -450,29 +409,31 @@ _fd_entry(
     * pval(p.alpha - n, p.beta - n, p.gamma + n, z),
 )
 
-_fd_entry(
+_contour_entry(
     "FD2",
     "n-th derivative of the (1-z)-weighted function trades the exponents",
+    "P",
     lambda p: (lambda w: power(1.0 - w, p.alpha)),
     lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
     * power(1.0 - z, p.alpha - n)
     * pval(p.alpha - n, p.beta + n, p.gamma, z),
 )
 
-_fd_entry(
+_contour_entry(
     "FD3",
     "n-th derivative of the (1+z)-weighted function trades the exponents",
+    "P",
     lambda p: (lambda w: power(1.0 + w, p.beta)),
     lambda p, z, n: (-1.0) ** n
     * pochhammer(-p.beta - p.gamma, n)
     * power(1.0 + z, p.beta - n)
     * pval(p.alpha + n, p.beta - n, p.gamma, z),
-    cut=P_DERIV_CUT,
 )
 
-_fd_entry(
+_contour_entry(
     "FD4",
     "plain n-th derivative lowers degree, raises both exponents",
+    "P",
     None,
     lambda p, z, n: 2.0**-n
     * pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
@@ -483,102 +444,110 @@ _fd_entry(
 
 # --- FW: [(z -+ 1)^2 D]^n operator identities for P ---------------------------
 
-_fw_entry(
+_contour_entry(
     "FW1",
     "degree-preserving operator power shifting the second exponent up",
+    "P",
     lambda p: (lambda w: power(w - 1.0, p.alpha + p.beta + p.gamma + 1.0)),
-    1.0,
     lambda p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
     * power(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
     * pval(p.alpha, p.beta + n, p.gamma, z),
+    base_point=1.0,
 )
 
-_fw_entry(
+_contour_entry(
     "FW2",
     "operator power on the degree-scaled function lowering the degree",
+    "P",
     lambda p: (lambda w: power(w - 1.0, -p.gamma)),
-    1.0,
     lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
     * power(z - 1.0, n - p.gamma)
     * pval(p.alpha, p.beta + n, p.gamma - n, z),
+    base_point=1.0,
 )
 
-_fw_entry(
+_contour_entry(
     "FW3",
     "operator power raising the degree against the mixed weight",
+    "P",
     lambda p: (
         lambda w: power(w + 1.0, p.beta) * power(w - 1.0, p.alpha + p.gamma + 1.0)
     ),
-    1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(p.gamma + 1.0, n)
     * power(z + 1.0, p.beta - n)
     * power(z - 1.0, p.alpha + p.gamma + 1.0 + n)
     * pval(p.alpha, p.beta - n, p.gamma + n, z),
+    base_point=1.0,
 )
 
-_fw_entry(
+_contour_entry(
     "FW4",
     "degree-preserving operator power shifting the second exponent down",
+    "P",
     lambda p: (
         lambda w: power(w + 1.0, p.beta) * power(w - 1.0, -(p.beta + p.gamma))
     ),
-    1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(-p.beta - p.gamma, n)
     * power(z + 1.0, p.beta - n)
     * power(z - 1.0, -(p.beta - n + p.gamma))
     * pval(p.alpha, p.beta - n, p.gamma, z),
+    base_point=1.0,
 )
 
-_fw_entry(
+_contour_entry(
     "FW5",
     "mirrored operator power shifting the first exponent up",
+    "P",
     lambda p: (lambda w: power(w + 1.0, p.alpha + p.beta + p.gamma + 1.0)),
-    -1.0,
     lambda p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
     * power(z + 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
     * pval(p.alpha + n, p.beta, p.gamma, z),
+    base_point=-1.0,
 )
 
-_fw_entry(
+_contour_entry(
     "FW6",
     "mirrored operator power lowering the degree",
+    "P",
     lambda p: (lambda w: power(w + 1.0, -p.gamma)),
-    -1.0,
     lambda p, z, n: pochhammer(1.0 + p.beta + p.gamma - n, n)
     * power(z + 1.0, n - p.gamma)
     * pval(p.alpha + n, p.beta, p.gamma - n, z),
+    base_point=-1.0,
 )
 
-_fw_entry(
+_contour_entry(
     "FW7",
     "mirrored operator power raising the degree against the mixed weight",
+    "P",
     lambda p: (
         lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, p.beta + p.gamma + 1.0)
     ),
-    -1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(p.gamma + 1.0, n)
     * power(z - 1.0, p.alpha - n)
     * power(z + 1.0, p.beta + p.gamma + n + 1.0)
     * pval(p.alpha - n, p.beta, p.gamma + n, z),
+    base_point=-1.0,
     note="(z+1) exponent corrected to beta+gamma+n+1; the printed beta+gamma+n "
     "fails its own Rodrigues specialization and the n=1 hand check.",
 )
 
-_fw_entry(
+_contour_entry(
     "FW8",
     "mirrored degree-preserving operator power shifting the first exponent down",
+    "P",
     lambda p: (
         lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, -(p.alpha + p.gamma))
     ),
-    -1.0,
     lambda p, z, n: (-2.0) ** n
     * pochhammer(-p.alpha - p.gamma, n)
     * power(z - 1.0, p.alpha - n)
     * power(z + 1.0, -(p.alpha - n + p.gamma))
     * pval(p.alpha - n, p.beta, p.gamma, z),
+    base_point=-1.0,
 )
 
 
@@ -638,9 +607,6 @@ _register(
 
 
 def _fi1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    bad = _p_valid(p.alpha, p.beta, p.gamma)
-    if bad:
-        return bad
     if complex(p.alpha).real <= -1.0 + MARGIN:
         return "Re(alpha) too close to -1"
     if complex(p.beta).real <= -1.0 + MARGIN:
@@ -650,7 +616,7 @@ def _fi1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_fi_entry(
+_finite_entry(
     "FI1",
     "n-fold weighted integral toward 1 lowering the degree",
     (("1-w", lambda p: p.alpha), ("1+w", lambda p: p.beta)),
@@ -661,20 +627,16 @@ _fi_entry(
     * power(1.0 + z, p.beta + n)
     * pval(p.alpha + n, p.beta + n, p.gamma - n, z),
     _fi1_cons,
-    _P_INT_SAMPLE,
 )
 
 
 def _fi2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    bad = _p_valid(p.alpha, p.beta, p.gamma)
-    if bad:
-        return bad
     if complex(p.alpha).real <= -1.0 + MARGIN:
         return "Re(alpha) too close to -1"
     return None
 
 
-_fi_entry(
+_finite_entry(
     "FI2",
     "n-fold (1-w)-weighted integral toward 1 trading the exponents",
     (("1-w", lambda p: p.alpha),),
@@ -683,14 +645,10 @@ _fi_entry(
     / pochhammer(p.alpha + p.gamma + 1.0, n)
     * pval(p.alpha + n, p.beta - n, p.gamma, z),
     _fi2_cons,
-    _P_INT_SAMPLE,
 )
 
 
 def _fi3_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    bad = _p_valid(p.alpha, p.beta, p.gamma)
-    if bad:
-        return bad
     s = complex(p.alpha) + complex(p.beta) + complex(p.gamma)
     if _poch_zero_dist(-s, n) < MARGIN:
         return "(-alpha-beta-gamma)_n vanishes"
@@ -724,21 +682,17 @@ def _fi3a_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     return main + boundary
 
 
-_fi_entry(
+_finite_entry(
     "FI3a",
     "n-fold plain integral toward 1: degree-raising form plus boundary series",
     (),
     lambda p: 0.0,
     _fi3a_rhs,
     _fi3_cons,
-    _P_INT_SAMPLE,
 )
 
 
 def _fi3b_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    bad = _p_valid(p.alpha, p.beta, p.gamma)
-    if bad:
-        return bad
     if _dist_nonpos_int(complex(p.alpha) + 1.0) < MARGIN:
         return "alpha+1 near a non-positive integer"
     if abs(1.0 - z) > 1.45:
@@ -761,14 +715,13 @@ def _fi3b_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     )
 
 
-_fi_entry(
+_finite_entry(
     "FI3b",
     "n-fold plain integral toward 1: single convergent series form",
     (),
     lambda p: 0.0,
     _fi3b_rhs,
     _fi3b_cons,
-    _P_INT_SAMPLE,
 )
 
 
@@ -794,9 +747,6 @@ def _fj_sample(a_box, b_box, g_box) -> Sampler:
 
 def _fj1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     if (a + b + g).real >= -n - RAY_MARGIN:
         return "Re(alpha+beta+gamma) not below -n"
     if g.real <= n - 1 + RAY_MARGIN:
@@ -804,9 +754,10 @@ def _fj1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return _connection_safe(a, b, g)
 
 
-_fj_entry(
+_ray_entry(
     "FJ1",
     "n-fold weighted ray integral lowering the degree",
+    "P",
     (("1-w", lambda p: p.alpha), ("1+w", lambda p: p.beta)),
     lambda p, z, n: (-1.0) ** n
     / (2.0**n * pochhammer(-p.gamma, n))
@@ -826,9 +777,6 @@ _fj_entry(
 
 def _fj2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     if (a + g).real >= -n - RAY_MARGIN:
         return "Re(alpha+gamma) not below -n"
     if (b + g).real <= n - 1 + RAY_MARGIN:
@@ -836,9 +784,10 @@ def _fj2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return _connection_safe(a, b, g)
 
 
-_fj_entry(
+_ray_entry(
     "FJ2",
     "n-fold (1-w)-weighted ray integral trading the exponents",
+    "P",
     (("1-w", lambda p: p.alpha),),
     lambda p, z, n: power(1.0 - z, p.alpha + n)
     / pochhammer(p.alpha + p.gamma + 1.0, n)
@@ -854,9 +803,6 @@ _fj_entry(
 
 def _fj3_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     if (b + g).real >= -n - RAY_MARGIN:
         return "Re(beta+gamma) not below -n"
     if (a + g).real <= n - 1 + RAY_MARGIN:
@@ -864,9 +810,10 @@ def _fj3_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return _connection_safe(a, b, g)
 
 
-_fj_entry(
+_ray_entry(
     "FJ3",
     "n-fold (1+w)-weighted ray integral trading the exponents",
+    "P",
     (("1+w", lambda p: p.beta),),
     lambda p, z, n: (-1.0) ** n
     * power(1.0 + z, p.beta + n)
@@ -883,9 +830,6 @@ _fj_entry(
 
 def _fj4_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     if g.real >= -n - RAY_MARGIN:
         return "Re(gamma) not below -n"
     if (a + b + g).real <= n - 1 + RAY_MARGIN:
@@ -893,9 +837,10 @@ def _fj4_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return _connection_safe(a, b, g)
 
 
-_fj_entry(
+_ray_entry(
     "FJ4",
     "n-fold plain ray integral raising the degree",
+    "P",
     (),
     lambda p, z, n: 2.0**n
     / pochhammer(-p.alpha - p.beta - p.gamma, n)
@@ -916,9 +861,6 @@ _fj_entry(
 
 def _fk1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     s = a + b + g
     if (s + 1.0).real <= n + MARGIN:
         return "Re(alpha+beta+gamma+1) not above n"
@@ -927,24 +869,21 @@ def _fk1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_fk_entry(
+_finite_entry(
     "FK1",
     "n-fold (w-1)^-2-measure integral shifting the second exponent down",
     (("w-1", lambda p: p.alpha + p.beta + p.gamma + 1.0),),
-    INV_SQ_MINUS,
     lambda p: (complex(p.alpha) + complex(p.beta) + complex(p.gamma) + 1.0).real,
     lambda p, z, n: power(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 - n)
     / pochhammer(p.alpha + p.beta + p.gamma - n + 1.0, n)
     * pval(p.alpha, p.beta - n, p.gamma, z),
     _fk1_cons,
+    measure=INV_SQ_MINUS,
 )
 
 
 def _fk2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     if (a + g + 1.0).real <= n + MARGIN:
         return "Re(alpha+gamma+1) not above n"
     if _poch_zero_dist(g - n + 1.0, n) < MARGIN:
@@ -952,25 +891,22 @@ def _fk2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_fk_entry(
+_finite_entry(
     "FK2",
     "n-fold (w-1)^-2-measure integral lowering the degree",
     (("1+w", lambda p: p.beta), ("w-1", lambda p: p.alpha + p.gamma + 1.0)),
-    INV_SQ_MINUS,
     lambda p: (complex(p.alpha) + complex(p.gamma) + 1.0).real,
     lambda p, z, n: power(z + 1.0, p.beta + n)
     * power(z - 1.0, p.alpha + p.gamma - n + 1.0)
     / (2.0**n * pochhammer(p.gamma - n + 1.0, n))
     * pval(p.alpha, p.beta + n, p.gamma - n, z),
     _fk2_cons,
+    measure=INV_SQ_MINUS,
 )
 
 
 def _fk3_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     if (a + n).real <= MARGIN:
         return "Re(alpha+n) not positive"
     if a.real <= -1.0 + MARGIN:
@@ -980,25 +916,22 @@ def _fk3_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_fk_entry(
+_finite_entry(
     "FK3",
     "n-fold (w+1)^-2-measure integral lowering the degree",
     (("w-1", lambda p: p.alpha), ("1+w", lambda p: p.beta + p.gamma + 1.0)),
-    INV_SQ_PLUS,
     lambda p: complex(p.alpha).real,
     lambda p, z, n: power(z - 1.0, p.alpha + n)
     * power(z + 1.0, p.beta + p.gamma - n + 1.0)
     / (2.0**n * pochhammer(p.gamma - n + 1.0, n))
     * pval(p.alpha + n, p.beta, p.gamma - n, z),
     _fk3_cons,
+    measure=INV_SQ_PLUS,
 )
 
 
 def _fk4_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     if (a + n).real <= MARGIN:
         return "Re(alpha+n) not positive"
     if a.real <= -1.0 + MARGIN:
@@ -1006,25 +939,22 @@ def _fk4_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_fk_entry(
+_finite_entry(
     "FK4",
     "n-fold (w+1)^-2-measure integral shifting the first exponent up",
     (("w-1", lambda p: p.alpha), ("1+w", lambda p: -(p.alpha + p.gamma))),
-    INV_SQ_PLUS,
     lambda p: complex(p.alpha).real,
     lambda p, z, n: power(z - 1.0, p.alpha + n)
     * power(z + 1.0, -(p.alpha + n + p.gamma))
     / (2.0**n * pochhammer(1.0 + p.alpha + p.gamma, n))
     * pval(p.alpha + n, p.beta, p.gamma, z),
     _fk4_cons,
+    measure=INV_SQ_PLUS,
 )
 
 
 def _fk5_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     if g.real >= -n - MARGIN:
         return "Re(gamma) not below -n"
     if _dist_neg_int(a + g + n) < MARGIN:
@@ -1032,36 +962,32 @@ def _fk5_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_fk_entry(
+_finite_entry(
     "FK5",
     "n-fold (w-1)^-2-measure integral raising the degree",
     (("w-1", lambda p: -p.gamma),),
-    INV_SQ_MINUS,
     lambda p: -complex(p.gamma).real,
     lambda p, z, n: (-1.0) ** n
     / pochhammer(p.alpha + p.gamma + 1.0, n)
     * power(z - 1.0, -(p.gamma + n))
     * pval(p.alpha, p.beta - n, p.gamma + n, z),
     _fk5_cons,
+    measure=INV_SQ_MINUS,
     sample=_box_sampler(_z_int_p, g_box=(-4.4, -1.35)),
 )
 
 
 def _fk6_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     if (b + g).real >= -n - MARGIN:
         return "Re(beta+gamma) not below -n"
     return None
 
 
-_fk_entry(
+_finite_entry(
     "FK6",
     "n-fold (w-1)^-2-measure integral shifting the second exponent up",
     (("1+w", lambda p: p.beta), ("w-1", lambda p: -(p.beta + p.gamma))),
-    INV_SQ_MINUS,
     lambda p: -(complex(p.beta) + complex(p.gamma)).real,
     lambda p, z, n: (-1.0) ** n
     / (2.0**n * pochhammer(p.beta + p.gamma + 1.0, n))
@@ -1069,6 +995,7 @@ _fk_entry(
     * power(z - 1.0, -(p.beta + p.gamma + n))
     * pval(p.alpha, p.beta + n, p.gamma, z),
     _fk6_cons,
+    measure=INV_SQ_MINUS,
     sample=_box_sampler(_z_int_p, b_box=(-2.3, 0.4), g_box=(-4.4, -1.35)),
     note="RHS resolved to (-1)^n/(2^n(beta+gamma+1)_n) (z+1)^(beta+n) "
     "(z-1)^-(beta+gamma+n) P with the beta+n shift; the print drops the +n "
@@ -1078,9 +1005,6 @@ _fk_entry(
 
 def _fk7_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     s = a + b + g
     if abs(s) < MARGIN:
         return "alpha+beta+gamma near 0"
@@ -1122,22 +1046,19 @@ def _fk7_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     return main - boundary
 
 
-_fk_entry(
+_finite_entry(
     "FK7",
     "n-fold (w+1)^-2-measure plain-weight integral with boundary series",
     (("1+w", lambda p: p.alpha + p.beta + p.gamma + 1.0),),
-    INV_SQ_PLUS,
     lambda p: 0.0,
     _fk7_rhs,
     _fk7_cons,
+    measure=INV_SQ_PLUS,
 )
 
 
 def _fk8_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     if _poch_zero_dist(b + g + 1.0, n) < MARGIN:
         return "(beta+gamma+1)_n vanishes"
     if n >= 2:
@@ -1169,14 +1090,14 @@ def _fk8_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     return main - boundary
 
 
-_fk_entry(
+_finite_entry(
     "FK8",
     "n-fold (w+1)^-2-measure degree-scaled integral with boundary series",
     (("1+w", lambda p: -p.gamma),),
-    INV_SQ_PLUS,
     lambda p: 0.0,
     _fk8_rhs,
     _fk8_cons,
+    measure=INV_SQ_PLUS,
 )
 
 
@@ -1193,9 +1114,6 @@ def _ft1_rhs(p: JacobiParams, z: complex, n: int) -> complex:
 
 def _ft1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _p_valid(a, b, g)
-    if bad:
-        return bad
     if _dist_nonpos_int(-(a + b + g)) < MARGIN:
         return "alpha+beta+gamma near a non-negative integer (prefactor pole)"
     return None
@@ -1209,7 +1127,7 @@ _register(
         1e-6,
         _ft1_lhs,
         _ft1_rhs,
-        _ft1_cons,
+        _guard("P", _ft1_cons),
         _P_INT_SAMPLE,
         note="prefactor power resolved to ((1-z)/2)^(n-1); the printed "
         "((z-1)/2)^(n-1) flips every even-n value.",
@@ -1221,7 +1139,7 @@ _register(
 
 
 def _srl_lhs(p: JacobiParams, z: complex, n: int) -> complex:
-    return plain_derivative(_weighted_q(p, None), z, 1, Cut.segment(-1.0, 1.0))
+    return plain_derivative(_weighted("Q", p, None), z, 1, Cut.segment(-1.0, 1.0))
 
 
 def _srl_rhs(p: JacobiParams, z: complex, n: int) -> complex:
@@ -1239,9 +1157,6 @@ def raising_form(p: JacobiParams, z: complex) -> complex:
 
 def _srl_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _q_valid(a, b, g)
-    if bad:
-        return bad
     if _dist_neg_int(a + g) < MARGIN or _dist_neg_int(b + g) < MARGIN:
         return "shifted degree validity fails"
     return None
@@ -1255,7 +1170,7 @@ _register(
         1e-8,
         _srl_lhs,
         _srl_rhs,
-        _srl_cons,
+        _guard("Q", _srl_cons),
         _Q_SAMPLE,
     )
 )
@@ -1263,11 +1178,10 @@ _register(
 
 # --- SD: plain n-th derivatives of weighted Q ---------------------------------
 
-_sd_cut_full = Q_DERIV_CUT
-
-_sd_entry(
+_contour_entry(
     "SD1",
     "n-th derivative of the fully weighted second-kind function",
+    "Q",
     lambda p: (lambda w: power(w - 1.0, p.alpha) * power(1.0 + w, p.beta)),
     lambda p, z, n: (-2.0) ** n
     * pochhammer(p.gamma + 1.0, n)
@@ -1282,7 +1196,7 @@ _sd_entry(
 def _sd2_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
 
-    def inner(w: complex) -> complex:
+    def inner(w: np.ndarray) -> np.ndarray:
         return (
             power(w - 1.0, a + n) * power(w + 1.0, b + n) * qval(a + n, b + n, g - n, w)
         )
@@ -1297,9 +1211,6 @@ def _sd2_rhs(p: JacobiParams, z: complex, n: int) -> complex:
 
 
 def _sd2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    bad = _q_valid(p.alpha, p.beta, p.gamma)
-    if bad:
-        return bad
     if _poch_zero_dist(-complex(p.gamma), n) < MARGIN:
         return "(-gamma)_n vanishes"
     return None
@@ -1313,23 +1224,25 @@ _register(
         1e-8,
         lambda p, z, n: qval(p.alpha, p.beta, p.gamma, z),
         _sd2_rhs,
-        _sd2_cons,
+        _guard("Q", _sd2_cons),
         _Q_SAMPLE,
     )
 )
 
-_sd_entry(
+_contour_entry(
     "SD3",
     "n-th derivative of the (z-1)-weighted second-kind function",
+    "Q",
     lambda p: (lambda w: power(w - 1.0, p.alpha)),
     lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
     * power(z - 1.0, p.alpha - n)
     * qval(p.alpha - n, p.beta + n, p.gamma, z),
 )
 
-_sd_entry(
+_contour_entry(
     "SD4",
     "plain n-th derivative of the second-kind function",
+    "Q",
     None,
     lambda p, z, n: (-2.0) ** -n
     * pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
@@ -1342,9 +1255,6 @@ _sd_entry(
 
 def _si1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _q_valid(a, b, g)
-    if bad:
-        return bad
     if a.real <= -1.0 + RAY_MARGIN:
         return "Re(alpha) not above -1"
     if b.real <= -1.0 + RAY_MARGIN:
@@ -1354,9 +1264,10 @@ def _si1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_si_entry(
+_ray_entry(
     "SI1",
     "n-fold weighted ray integral of Q lowering the degree",
+    "Q",
     (("w-1", lambda p: p.alpha), ("1+w", lambda p: p.beta)),
     lambda p, z, n: power(z - 1.0, p.alpha + n)
     * power(1.0 + z, p.beta + n)
@@ -1369,9 +1280,6 @@ _si_entry(
 
 def _si2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _q_valid(a, b, g)
-    if bad:
-        return bad
     if a.real <= -1.0 + RAY_MARGIN:
         return "Re(alpha) not above -1"
     if b.real <= n - 1 + RAY_MARGIN:
@@ -1383,9 +1291,10 @@ def _si2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_si_entry(
+_ray_entry(
     "SI2",
     "n-fold (w-1)-weighted ray integral of Q trading the exponents",
+    "Q",
     (("w-1", lambda p: p.alpha),),
     lambda p, z, n: power(z - 1.0, p.alpha + n)
     / pochhammer(p.alpha + p.gamma + 1.0, n)
@@ -1397,9 +1306,6 @@ _si_entry(
 
 def _si3_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    bad = _q_valid(a, b, g)
-    if bad:
-        return bad
     if a.real <= n - 1 + RAY_MARGIN:
         return "Re(alpha) not above n-1"
     if b.real <= n - 1 + RAY_MARGIN:
@@ -1411,9 +1317,10 @@ def _si3_cons(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_si_entry(
+_ray_entry(
     "SI3",
     "n-fold plain ray integral of Q raising the degree",
+    "Q",
     (),
     lambda p, z, n: 2.0**n
     / pochhammer(p.alpha + p.beta + p.gamma - n + 1.0, n)
@@ -1425,14 +1332,15 @@ _si_entry(
 
 # --- SW: operator-power identities for Q --------------------------------------
 
-_sw_entry(
+_contour_entry(
     "SW1",
     "second-kind analog of the degree-preserving (z-1) operator power",
+    "Q",
     lambda p: (lambda w: power(w - 1.0, p.alpha + p.beta + p.gamma + 1.0)),
-    1.0,
     lambda p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
     * power(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
     * qval(p.alpha, p.beta + n, p.gamma, z),
+    base_point=1.0,
 )
 
 
@@ -1442,29 +1350,31 @@ def _sw2_extra(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_sw_entry(
+_contour_entry(
     "SW2",
     "second-kind analog of the degree-lowering (z-1) operator power",
+    "Q",
     lambda p: (lambda w: power(w - 1.0, -p.gamma)),
-    1.0,
     lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
     * power(z - 1.0, n - p.gamma)
     * qval(p.alpha, p.beta + n, p.gamma - n, z),
+    base_point=1.0,
     extra=_sw2_extra,
 )
 
-_sw_entry(
+_contour_entry(
     "SW3",
     "second-kind analog of the degree-raising (z-1) operator power",
+    "Q",
     lambda p: (
         lambda w: power(w + 1.0, p.beta) * power(w - 1.0, p.alpha + p.gamma + 1.0)
     ),
-    1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(p.gamma + 1.0, n)
     * power(z + 1.0, p.beta - n)
     * power(z - 1.0, p.alpha + p.gamma + 1.0 + n)
     * qval(p.alpha, p.beta - n, p.gamma + n, z),
+    base_point=1.0,
 )
 
 
@@ -1474,18 +1384,19 @@ def _sw4_extra(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_sw_entry(
+_contour_entry(
     "SW4",
     "second-kind analog of the exponent-lowering (z-1) operator power",
+    "Q",
     lambda p: (
         lambda w: power(w + 1.0, p.beta) * power(w - 1.0, -(p.beta + p.gamma))
     ),
-    1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(-p.beta - p.gamma, n)
     * power(z + 1.0, p.beta - n)
     * power(z - 1.0, -(p.beta - n + p.gamma))
     * qval(p.alpha, p.beta - n, p.gamma, z),
+    base_point=1.0,
     extra=_sw4_extra,
 )
 
@@ -1494,15 +1405,16 @@ _SW_MIRROR_NOTE = (
     "x = 2/(1+z), whose Jacobian is negative, unlike the first-kind case."
 )
 
-_sw_entry(
+_contour_entry(
     "SW5",
     "second-kind analog of the mirrored exponent-raising operator power",
+    "Q",
     lambda p: (lambda w: power(w + 1.0, p.alpha + p.beta + p.gamma + 1.0)),
-    -1.0,
     lambda p, z, n: (-1.0) ** n
     * pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
     * power(z + 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
     * qval(p.alpha + n, p.beta, p.gamma, z),
+    base_point=-1.0,
     note=_SW_MIRROR_NOTE,
 )
 
@@ -1513,46 +1425,49 @@ def _sw6_extra(p: JacobiParams, z: complex, n: int) -> str | None:
     return None
 
 
-_sw_entry(
+_contour_entry(
     "SW6",
     "second-kind analog of the mirrored degree-lowering operator power",
+    "Q",
     lambda p: (lambda w: power(w + 1.0, -p.gamma)),
-    -1.0,
     lambda p, z, n: (-1.0) ** n
     * pochhammer(1.0 + p.beta + p.gamma - n, n)
     * power(z + 1.0, n - p.gamma)
     * qval(p.alpha + n, p.beta, p.gamma - n, z),
+    base_point=-1.0,
     extra=_sw6_extra,
     note=_SW_MIRROR_NOTE,
 )
 
-_sw_entry(
+_contour_entry(
     "SW7",
     "second-kind analog of the mirrored degree-raising operator power",
+    "Q",
     lambda p: (
         lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, p.beta + p.gamma + 1.0)
     ),
-    -1.0,
     lambda p, z, n: (-2.0) ** n
     * pochhammer(p.gamma + 1.0, n)
     * power(z - 1.0, p.alpha - n)
     * power(z + 1.0, p.beta + p.gamma + n + 1.0)
     * qval(p.alpha - n, p.beta, p.gamma + n, z),
+    base_point=-1.0,
     note=_SW_MIRROR_NOTE + " (z+1) exponent also corrected to beta+gamma+n+1.",
 )
 
-_sw_entry(
+_contour_entry(
     "SW8",
     "second-kind analog of the mirrored exponent-lowering operator power",
+    "Q",
     lambda p: (
         lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, -(p.alpha + p.gamma))
     ),
-    -1.0,
     lambda p, z, n: 2.0**n
     * pochhammer(-p.alpha - p.gamma, n)
     * power(z - 1.0, p.alpha - n)
     * power(z + 1.0, -(p.alpha - n + p.gamma))
     * qval(p.alpha - n, p.beta, p.gamma, z),
+    base_point=-1.0,
     note=_SW_MIRROR_NOTE,
 )
 
@@ -1563,9 +1478,6 @@ _sw_entry(
 def _sq_cons(shift_from_n: bool):
     def cons(p: JacobiParams, z: complex, n: int) -> str | None:
         a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-        bad = _q_valid(a, b, g)
-        if bad:
-            return bad
         k = n if shift_from_n else 0
         if (a + g - k).real <= -1.0 + MARGIN:
             return "Re(alpha+gamma-k) not above -1"
@@ -1595,7 +1507,7 @@ _register(
         1e-6,
         _sq_lhs,
         _sq_rhs,
-        _sq_cons(False),
+        _guard("Q", _sq_cons(False)),
         _box_sampler(_z_q, g_box=(0.0, 2.6)),
     )
 )
@@ -1608,7 +1520,7 @@ _register(
         1e-6,
         _sq_lhs,
         _sq_rhs,
-        _sq_cons(True),
+        _guard("Q", _sq_cons(True)),
         _box_sampler(_z_q, a_box=(0.3, 2.8), b_box=(0.3, 2.8), g_box=(1.2, 2.8)),
     )
 )
@@ -1650,15 +1562,12 @@ _register(
 
 
 def _ode_terms(kind: str, p: JacobiParams, z: complex) -> tuple[complex, complex, complex]:
+    """The three terms of the defining ODE for P (kind "P") or Q at z."""
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if kind == "P":
-        f = _weighted_p(p, None)
-        cut = P_PLAIN_CUT
-    else:
-        f = _weighted_q(p, None)
-        cut = Cut.segment(-1.0, 1.0)
+    f = _weighted(kind, p, None)
+    cut = P_PLAIN_CUT if kind == "P" else Cut.segment(-1.0, 1.0)
     radius = _contour_radius(cut, z)
-    w0, w1, w2 = contour_derivatives(f, z, (0, 1, 2), radius, vectorized=True)
+    w0, w1, w2 = contour_derivatives(f, z, (0, 1, 2), radius)
     t1 = (1.0 - z * z) * w2
     t2 = (b - a - z * (a + b + 2.0)) * w1
     t3 = g * (a + b + g + 1.0) * w0
@@ -1674,50 +1583,40 @@ def _sample_bits(p: JacobiParams, z: complex) -> bytes:
     return _pack_sample(a.real, a.imag, b.real, b.imag, g.real, g.imag, z.real, z.imag)
 
 
-def _ode_entry(ident: str, kind: str, sample: Sampler, cons) -> None:
-    # The lhs leaves its third term for the rhs of the same sample, so a
-    # sample runs one contour.  The rhs takes the entry out, keyed on the
-    # exact bits of (triple, z), so nothing carries over to a later sample.
-    pending: dict[bytes, complex] = {}
+# The lhs leaves its third term in the entry's ``pending`` for the rhs of the
+# same sample, so a sample runs one contour.  The rhs takes the term out,
+# keyed on the exact bits of (triple, z), so nothing carries over to a later
+# sample.
 
-    def lhs(p: JacobiParams, z: complex, n: int) -> complex:
-        t1, t2, t3 = _ode_terms(kind, p, z)
-        pending.clear()
-        pending[_sample_bits(p, z)] = t3
-        return t1 + t2
 
-    def rhs(p: JacobiParams, z: complex, n: int) -> complex:
-        t3 = pending.pop(_sample_bits(p, z), None)
-        if t3 is None:
-            t3 = _ode_terms(kind, p, z)[2]
-        return -t3
+def _ode_lhs(kind: str, pending: dict, p: JacobiParams, z: complex, n: int) -> complex:
+    t1, t2, t3 = _ode_terms(kind, p, z)
+    pending.clear()
+    pending[_sample_bits(p, z)] = t3
+    return t1 + t2
 
+
+def _ode_rhs(kind: str, pending: dict, p: JacobiParams, z: complex, n: int) -> complex:
+    t3 = pending.pop(_sample_bits(p, z), None)
+    if t3 is None:
+        t3 = _ode_terms(kind, p, z)[2]
+    return -t3
+
+
+for _kind, _sample in (("P", _P_DERIV_SAMPLE), ("Q", _Q_SAMPLE)):
+    _pending: dict[bytes, complex] = {}
     _register(
         IdentityDescriptor(
-            ident,
-            f"differential-equation residual of the {kind} solution",
+            f"ODE-{_kind}",
+            f"differential-equation residual of the {_kind} solution",
             (0,),
             1e-7,
-            lhs,
-            rhs,
-            cons,
-            sample,
+            partial(_ode_lhs, _kind, _pending),
+            partial(_ode_rhs, _kind, _pending),
+            _guard(_kind),
+            _sample,
         )
     )
-
-
-_ode_entry(
-    "ODE-P",
-    "P",
-    _P_DERIV_SAMPLE,
-    lambda p, z, n: _p_valid(p.alpha, p.beta, p.gamma),
-)
-_ode_entry(
-    "ODE-Q",
-    "Q",
-    _Q_SAMPLE,
-    lambda p, z, n: _q_valid(p.alpha, p.beta, p.gamma),
-)
 
 
 CATALOG: dict[str, IdentityDescriptor] = dict(_CATALOG)

@@ -29,12 +29,11 @@ from .identity_catalog import (
     CATALOG_ORDER,
     IdentityDescriptor,
     Q_DERIV_CUT,
+    _ode_terms,
     operator_power,
     take_cost,
 )
-from .jacobi_first import JacobiParams, jacobi_p
-from .jacobi_second import jacobi_q
-from .quadrature import Cut, contour_derivatives
+from .jacobi_first import JacobiParams
 
 FIXTURES_RESOURCE = "fixtures/identities.json"
 
@@ -203,21 +202,13 @@ def ode_residual(kind: str, params: JacobiParams, z) -> float:
     |(1-z^2) w'' + (beta-alpha-z(alpha+beta+2)) w' + gamma(alpha+beta+gamma+1) w|
     over the largest of the three term magnitudes; derivatives by contour.
     """
-    z = complex(z)
-    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     if kind.upper() in ("P", "FIRST"):
-        f = lambda w: jacobi_p(params, w).value
-        cut = Cut.left_ray(-1.0)
+        kind = "P"
     elif kind.upper() in ("Q", "SECOND"):
-        f = lambda w: jacobi_q(params, w).value
-        cut = Cut.segment(-1.0, 1.0)
+        kind = "Q"
     else:
         raise ValueError("kind must be FIRST/P or SECOND/Q")
-    radius = min(0.5, 0.5 * cut.distance(z))
-    w0, w1, w2 = contour_derivatives(f, z, (0, 1, 2), radius, vectorized=True)
-    t1 = (1.0 - z * z) * w2
-    t2 = (b - a - z * (a + b + 2.0)) * w1
-    t3 = g * (a + b + g + 1.0) * w0
+    t1, t2, t3 = _ode_terms(kind, params, complex(z))
     scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
     return abs(t1 + t2 + t3) / scale
 

@@ -249,7 +249,7 @@ def _kernel_quadrature(
     def g(t: np.ndarray, omt: np.ndarray, opt: np.ndarray) -> np.ndarray:
         return core(t) * power(omt, exp_a) * power(opt, exp_b)
 
-    return tanh_sinh_segment(g, rtol=1e-11, vectorized=True)
+    return tanh_sinh_segment(g, rtol=1e-11)
 
 
 def jacobi_q_integral(spec: QIntegralSpec) -> EvalResult:

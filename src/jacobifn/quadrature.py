@@ -13,14 +13,12 @@
   orders are one ``numpy.fft.fft`` of the samples (the trapezoid rule on a
   circle is a discrete Fourier transform, Trefethen & Weideman 2014).
 
-The contour, tanh-sinh segment, ray and repeated-integral oracles build each
-doubling level's new nodes as one ndarray.  ``vectorized`` declares the
-integrand's calling convention, as in ``scipy.integrate.solve_ivp``: with
-``vectorized=True`` the integrand is called once per level with arrays of
-nodes and returns an array of values; with the default ``False`` it is
-called once per node with Python scalars.  Both visit the same nodes.
-A level whose samples or sum are not finite (an integrand that overflows)
-raises NonConvergence rather than return inf or nan.
+Every oracle calls its integrand once per doubling level (once per rule
+size for the Gauss sums) with ndarrays of that level's new nodes, and the
+integrand returns an array of values.  A scalar callable runs there as
+``numpy.vectorize(f, otypes=[complex])``.  A level whose samples or sum are
+not finite (an integrand that overflows) raises NonConvergence rather than
+return inf or nan.
 
 All routines are pure; Gauss rules are memoized in a table that is only
 appended to, so concurrent readers are safe.
@@ -117,7 +115,7 @@ def gauss_jacobi_rule(m: int, a: float, b: float) -> QuadratureRule:
 
 
 def integrate_finite(
-    f: Callable[[float], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     a_endpoint_exp: float,
     b_endpoint_exp: float,
     *,
@@ -126,6 +124,7 @@ def integrate_finite(
     """Integral of f(t) (1-t)^a (1+t)^b over [-1, 1] by rule doubling.
 
     f is the smooth factor only; the endpoint weight is absorbed by the rule.
+    It is called once per rule size, with the ndarray of the rule's nodes.
     """
     if a_endpoint_exp <= -1.0 or b_endpoint_exp <= -1.0:
         raise ExponentError("endpoint exponents must exceed -1")
@@ -133,9 +132,7 @@ def integrate_finite(
     delta = math.inf
     for m in _RULE_SIZES:
         rule = gauss_jacobi_rule(m, a_endpoint_exp, b_endpoint_exp)
-        total = 0.0 + 0.0j
-        for t, w in zip(rule.nodes, rule.weights):
-            total += w * f(t)
+        total = np.sum(rule.weights * f(rule.nodes))
         _require_finite(total, f"gauss-jacobi-{m}")
         if prev is not None:
             delta = abs(total - prev)
@@ -158,16 +155,6 @@ def _require_finite(value, label: str) -> None:
     """
     if not np.all(np.isfinite(value)):
         raise NonConvergence(f"{label}: integrand values not finite")
-
-
-def _lift(f):
-    """Call a scalar integrand once per node of its array arguments."""
-
-    def lifted(*arrays):
-        points = zip(*(a.tolist() for a in arrays))
-        return np.array([f(*p) for p in points], dtype=complex)
-
-    return lifted
 
 
 # --- tanh-sinh machinery ------------------------------------------------------
@@ -208,13 +195,10 @@ def _tanh_sinh(values, tmax: float, max_level: int, rtol: float, label: str) -> 
     return EvalResult(complex(total), delta, f"{label}-{max_level}")
 
 
-def _decay_check(fv, start: complex) -> None:
-    """Reject integrands whose sampled tail fails |f| * t^1.01 decay.
-
-    fv takes an ndarray of points.
-    """
+def _decay_check(f, start: complex) -> None:
+    """Reject integrands whose sampled tail fails |f| * t^1.01 decay."""
     ts = 2.0 ** np.arange(4, 21, 2)
-    gs = np.abs(fv(start + ts)) * ts**1.01
+    gs = np.abs(f(start + ts)) * ts**1.01
     floor = 1e-280
     tail = gs[-4:]
     if not np.all(np.isfinite(tail)):
@@ -229,21 +213,18 @@ def _decay_check(fv, start: complex) -> None:
 
 
 def integrate_to_infinity(
-    f: Callable[[complex], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     start: complex,
     *,
     rtol: float = 1e-11,
-    vectorized: bool = False,
 ) -> EvalResult:
     """Integral of f along the ray start + t, t in [0, oo).
 
     Substitutes t = u/(1-u) and runs tanh-sinh on u in (0, 1), doubling the
-    node density until two levels agree.  With ``vectorized`` f takes an
-    ndarray of points.
+    node density until two levels agree.  f takes an ndarray of points.
     """
     start = complex(start)
-    fv = f if vectorized else _lift(f)
-    _decay_check(fv, start)
+    _decay_check(f, start)
 
     def values(t: np.ndarray) -> np.ndarray:
         s = 0.5 * math.pi * np.sinh(t)
@@ -253,7 +234,7 @@ def integrate_to_infinity(
         omu = 1.0 / (1.0 + e2s)
         sech = 2.0 / (np.exp(s) + np.exp(-s))
         dudt = 0.25 * math.pi * np.cosh(t) * sech * sech
-        return fv(start + u / omu) * dudt / (omu * omu)
+        return f(start + u / omu) * dudt / (omu * omu)
 
     return _tanh_sinh(values, _TS_TMAX, _TS_MAX_LEVEL, rtol, "tanh-sinh")
 
@@ -263,16 +244,14 @@ def tanh_sinh_segment(
     *,
     rtol: float = 1e-11,
     max_level: int = 11,
-    vectorized: bool = False,
 ) -> EvalResult:
     """Integral over x in (-1, 1) of g(x, 1-x, 1+x) by tanh-sinh doubling.
 
     The endpoint complements are passed explicitly (computed without
     cancellation), so integrands with algebraic or oscillatory endpoint
     factors of complex exponent can be formed stably at nodes exponentially
-    close to +-1.  With ``vectorized`` g takes three ndarrays.
+    close to +-1.  g takes three ndarrays.
     """
-    gv = g if vectorized else _lift(g)
 
     def values(t: np.ndarray) -> np.ndarray:
         s = 0.5 * math.pi * np.sinh(t)
@@ -285,7 +264,7 @@ def tanh_sinh_segment(
         opx = np.where(right, 2.0 - comp, comp)
         sech = 2.0 / (np.exp(sa) + np.exp(-sa))
         dxdt = 0.5 * math.pi * np.cosh(t) * sech * sech
-        return gv(x, omx, opx) * dxdt
+        return g(x, omx, opx) * dxdt
 
     return _tanh_sinh(values, _TS_SEG_TMAX, max_level, rtol, "tanh-sinh-seg")
 
@@ -322,24 +301,6 @@ def _measure_funcs(measure: str):
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def _integrand_adapter(f):
-    """Wrap f(w) or the richer f(w, hi_dist, lo_dist) behind one call shape.
-
-    The endpoint distances are computed without cancellation, letting
-    integrands form singular endpoint factors stably at tanh-sinh nodes
-    exponentially close to an endpoint.
-    """
-    import inspect
-
-    try:
-        three = len(inspect.signature(f).parameters) >= 3
-    except (TypeError, ValueError):
-        three = False
-    if three:
-        return f
-    return lambda w, hi_dist, lo_dist: f(w)
-
-
 def repeated_integral(
     f,
     spec: RepeatedIntegralSpec,
@@ -347,7 +308,6 @@ def repeated_integral(
     anchor_exponent: float = 0.0,
     variable_exponent: float = 0.0,
     rtol: float = 1e-11,
-    vectorized: bool = False,
 ) -> EvalResult:
     """Reduce an n-fold iterated integral to one weighted integral.
 
@@ -357,9 +317,11 @@ def repeated_integral(
     integrability; the single integral runs on tanh-sinh nodes (complex
     exponents included), or along the compactified ray for improper specs.
 
-    f may accept (w) or (w, upper_dist, lower_dist); the distances are the
-    cancellation-free endpoint offsets of the straight segment.  With
-    ``vectorized`` its arguments are ndarrays.
+    f is called as f(w, hi_dist, lo_dist) with ndarrays: the nodes and
+    their offsets hi - w and w - lo from the segment's ends, computed
+    without cancellation, so integrands can form singular endpoint factors
+    stably at nodes exponentially close to an end.  On a ray,
+    lo_dist = w - lower and hi_dist = inf.
     """
     n = spec.order_n
     if n < 1:
@@ -376,10 +338,11 @@ def repeated_integral(
         z = complex(spec.lower)
         fac = 1.0 / math.factorial(n - 1)
 
-        def ray_integrand(w: complex) -> complex:
-            return f(w) * (w - z) ** (n - 1) * fac
+        def ray_integrand(w: np.ndarray) -> np.ndarray:
+            lo_dist = w - z
+            return f(w, np.full(w.shape, math.inf), lo_dist) * lo_dist ** (n - 1) * fac
 
-        res = integrate_to_infinity(ray_integrand, z, rtol=rtol, vectorized=vectorized)
+        res = integrate_to_infinity(ray_integrand, z, rtol=rtol)
         return EvalResult(res.value, res.abs_error_estimate, f"repeated-{n}|{res.provenance}")
 
     lo = complex(spec.lower)
@@ -415,9 +378,6 @@ def repeated_integral(
 
     half = 0.5 * (hi - lo)
     u_var = u_of(var_pt)
-    call = _integrand_adapter(f)
-    if not vectorized:
-        call = _lift(call)
 
     def g(t: np.ndarray, omt: np.ndarray, opt: np.ndarray) -> np.ndarray:
         hi_dist = half * omt  # hi - w
@@ -437,9 +397,9 @@ def repeated_integral(
         else:
             kern = (sign * (u_var - u_of(w))) ** (n - 1) * fac
             dens = density(w)
-        return call(w, hi_dist, lo_dist) * kern * dens * half
+        return f(w, hi_dist, lo_dist) * kern * dens * half
 
-    res = tanh_sinh_segment(g, rtol=rtol, vectorized=True)
+    res = tanh_sinh_segment(g, rtol=rtol)
     return EvalResult(res.value, res.abs_error_estimate, f"repeated-{n}|{res.provenance}")
 
 
@@ -492,32 +452,30 @@ class Cut:
 
 
 def contour_derivatives(
-    f: Callable[[complex], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     z0: complex,
     orders: tuple[int, ...],
     radius: float,
     *,
     rtol: float = 1e-11,
-    vectorized: bool = False,
 ) -> tuple[complex, ...]:
     """Derivatives of several orders from one set of circle samples.
 
     Trapezoid sums of f(w)/(w-z0)^(n+1) on |w - z0| = radius, doubling the
     point count (and reusing previous samples) until every order is stable.
-    The sums for all orders are one FFT of the samples.  With ``vectorized``
-    f takes the ndarray of each level's new points.
+    The sums for all orders are one FFT of the samples.  f takes the ndarray
+    of each level's new points.
     """
     z0 = complex(z0)
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    fv = f if vectorized else _lift(f)
     nmax = max(orders)
     m = 16
     while m < 4 * nmax:
         m *= 2
     index = np.array(orders)
     scale = np.array([math.factorial(n) / radius**n for n in orders])
-    vals = np.asarray(fv(z0 + radius * np.exp(2j * np.pi * np.arange(m) / m)), dtype=complex)
+    vals = np.asarray(f(z0 + radius * np.exp(2j * np.pi * np.arange(m) / m)), dtype=complex)
     prev = None
     while True:
         _require_finite(vals, f"contour-{m}")
@@ -532,26 +490,25 @@ def contour_derivatives(
         odd = z0 + radius * np.exp(2j * np.pi * (2 * np.arange(m) + 1) / (2 * m))
         merged = np.empty(2 * m, dtype=complex)
         merged[0::2] = vals
-        merged[1::2] = fv(odd)
+        merged[1::2] = f(odd)
         vals = merged
         m *= 2
 
 
 def contour_derivative(
-    f: Callable[[complex], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     z0: complex,
     n: int,
     radius: float | None = None,
     *,
     cut: Cut | None = None,
     rtol: float = 1e-11,
-    vectorized: bool = False,
 ) -> complex:
     """n-th derivative of an analytic f at z0 via the Cauchy integral.
 
     When a cut is declared, the default radius is half the distance to it
     (capped at 0.5) and a disk touching the cut raises CutIntersection.
-    ``vectorized`` is as for ``contour_derivatives``.
+    f is called as for ``contour_derivatives``.
     """
     if n < 0:
         raise ValueError("derivative order must be >= 0")
@@ -566,4 +523,4 @@ def contour_derivative(
             )
     elif radius is None:
         radius = 0.5
-    return contour_derivatives(f, z0, (n,), radius, rtol=rtol, vectorized=vectorized)[0]
+    return contour_derivatives(f, z0, (n,), radius, rtol=rtol)[0]

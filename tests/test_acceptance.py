@@ -9,6 +9,7 @@ import math
 import time
 from random import Random
 
+import numpy as np
 from conftest import jacobi_poly_via_recurrence
 from jacobifn.cli import main
 from jacobifn.identity_engine import (
@@ -181,7 +182,8 @@ def test_acceptance_5_integral_catalog():
         f = lambda w: cmath.exp(c1 * w) * (w + 3.0) ** -c2
         lo = rng.uniform(-0.5, 0.6)
         reduced = repeated_integral(
-            f, RepeatedIntegralSpec(2, lo, 1.0, FLAT, "lower")
+            np.vectorize(lambda w, hd, ld: f(w), otypes=[complex]),
+            RepeatedIntegralSpec(2, lo, 1.0, FLAT, "lower"),
         ).value
         nested = gauss_segment(lambda x: gauss_segment(f, x, 1.0), lo, 1.0)
         assert abs(reduced - nested) <= 1e-7 * max(abs(nested), 1e-10)

@@ -3,6 +3,7 @@ import math
 from random import Random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,11 @@ from jacobifn.hypergeom import (
 )
 from jacobifn.quadrature import contour_derivative
 from jacobifn.scalar_kernel import gamma, pochhammer, reciprocal_gamma
+
+
+def vec(f):
+    """A scalar integrand evaluated per node of the oracles' node arrays."""
+    return np.vectorize(f, otypes=[complex])
 
 
 def test_phyp_at_zero_is_one():
@@ -144,7 +150,7 @@ def test_derivative_relations_against_contour(rng: Random):
         w = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.25, 0.25))
         n = rng.randint(1, 3)
 
-        F = lambda aa, bb, cc: (lambda x: ohyp2f1(aa, bb, cc, x).value)
+        F = lambda aa, bb, cc: vec(lambda x: ohyp2f1(aa, bb, cc, x).value)
 
         # plain derivative raises all parameters
         lhs = contour_derivative(F(a, b, c), w, n, 0.3)
@@ -152,14 +158,14 @@ def test_derivative_relations_against_contour(rng: Random):
         assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1e-6)
 
         # x^(c-1)-weighted derivative lowers c; keep the disk inside (0,1)
-        f4 = lambda x: x ** (c - 1) * ohyp2f1(a, b, c, x).value
+        f4 = vec(lambda x: x ** (c - 1) * ohyp2f1(a, b, c, x).value)
         x0 = 0.45 + w / 4
         lhs = contour_derivative(f4, x0, n, 0.18)
         rhs = x0 ** (c - n - 1) * ohyp2f1(a, b, c - n, x0).value
         assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1e-6)
 
         # (1-x)^(a+b-c)-weighted derivative raises c
-        f6 = lambda x: (1 - x) ** (a + b - c) * ohyp2f1(a, b, c, x).value
+        f6 = vec(lambda x: (1 - x) ** (a + b - c) * ohyp2f1(a, b, c, x).value)
         lhs = contour_derivative(f6, w, n, 0.3)
         rhs = (
             pochhammer(c - a, n)
@@ -170,7 +176,7 @@ def test_derivative_relations_against_contour(rng: Random):
         assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1e-6)
 
         # doubly weighted derivative lowers everything
-        f9 = lambda x: x ** (c - 1) * (1 - x) ** (a + b - c) * ohyp2f1(a, b, c, x).value
+        f9 = vec(lambda x: x ** (c - 1) * (1 - x) ** (a + b - c) * ohyp2f1(a, b, c, x).value)
         x0 = 0.5 + w / 4
         lhs = contour_derivative(f9, x0, n, 0.15)
         rhs = (

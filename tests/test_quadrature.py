@@ -14,6 +14,7 @@ from jacobifn.errors import (
 )
 from jacobifn.hypergeom import power
 from jacobifn.identity_catalog import pval, qval
+from jacobifn.jacobi_first import jacobi_polynomial
 from jacobifn.quadrature import (
     FLAT,
     INV_SQ_MINUS,
@@ -98,11 +99,35 @@ def test_integrate_finite_examples():
         integrate_finite(lambda t: 1.0, -1.1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [np.exp, lambda t: power(2.2 + 0.4j - t, -1.3) * jacobi_polynomial(2, 0.4, 0.7, t)],
+    ids=["exp", "kernel-core"],
+)
+def test_integrate_finite_calls_once_per_rule(f):
+    """One call per rule size with the whole node array; same sum as per node."""
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return f(t)
+
+    a, b = -0.3, 0.6
+    got = integrate_finite(g, a, b)
+    m = int(got.provenance.rsplit("-", 1)[1])
+    assert all(isinstance(t, np.ndarray) for t in calls)
+    assert [t.size for t in calls] == [8 * 2**k for k in range(len(calls))]
+    assert calls[-1].size == m
+    rule = gauss_jacobi_rule(m, a, b)
+    per_node = sum(w * f(t) for t, w in zip(rule.nodes, rule.weights))
+    assert abs(got.value - per_node) <= 1e-14 * abs(per_node)
+
+
 def test_integrate_to_infinity_examples():
     assert integrate_to_infinity(lambda w: w**-2, 2.0).value == pytest.approx(
         0.5, rel=1e-11
     )
-    assert integrate_to_infinity(lambda w: cmath.exp(-w), 1.0).value == pytest.approx(
+    assert integrate_to_infinity(lambda w: np.exp(-w), 1.0).value == pytest.approx(
         math.exp(-1.0), rel=1e-11
     )
     with pytest.raises(DecayCheckFailed):
@@ -116,33 +141,48 @@ def test_integrate_to_infinity_slow_algebraic_decay():
 
 def test_repeated_order_one_is_plain():
     spec = RepeatedIntegralSpec(1, 0.0, 1.0, FLAT, "lower")
-    got = repeated_integral(lambda w: w * w, spec).value
+    got = repeated_integral(lambda w, hd, ld: w * w, spec).value
     assert got == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_repeated_flat_constant():
     spec = RepeatedIntegralSpec(2, 0.5, 1.0, FLAT, "lower")
-    assert repeated_integral(lambda w: 1.0, spec).value == pytest.approx(
+    assert repeated_integral(lambda w, hd, ld: 1.0, spec).value == pytest.approx(
         0.125, rel=1e-12
     )
 
 
 def test_repeated_order_cap():
     with pytest.raises(OrderCapExceeded):
-        repeated_integral(lambda w: 1.0, RepeatedIntegralSpec(7, 0.0, 1.0, FLAT))
+        repeated_integral(lambda w, hd, ld: 1.0, RepeatedIntegralSpec(7, 0.0, 1.0, FLAT))
 
 
 def test_repeated_matches_nested_singular_weight():
     f = lambda w, hd, ld: hd**0.3 * (1 + w) ** 0.2
     spec = RepeatedIntegralSpec(2, 0.4, 1.0, FLAT, "lower")
     reduced = repeated_integral(f, spec, anchor_exponent=0.3).value
-    inner = lambda x: repeated_integral(
-        f, RepeatedIntegralSpec(1, x, 1.0, FLAT, "lower"), anchor_exponent=0.3
-    ).value
+    inner = np.vectorize(
+        lambda x, hd, ld: repeated_integral(
+            f, RepeatedIntegralSpec(1, x, 1.0, FLAT, "lower"), anchor_exponent=0.3
+        ).value,
+        otypes=[complex],
+    )
     nested = repeated_integral(
         inner, RepeatedIntegralSpec(1, 0.4, 1.0, FLAT, "lower")
     ).value
     assert abs(reduced - nested) <= 1e-8 * abs(nested)
+
+
+def test_repeated_integral_wrapped_integrand():
+    """A *args wrapper of a three-argument integrand gives the same value."""
+    f = lambda w, hd, ld: hd**0.3 * np.exp(w)
+
+    def wrapped(*args):
+        return f(*args)
+
+    spec = RepeatedIntegralSpec(2, 0.4, 1.0, FLAT, "lower")
+    want = repeated_integral(f, spec, anchor_exponent=0.3).value
+    assert repeated_integral(wrapped, spec, anchor_exponent=0.3).value == want
 
 
 def gauss_segment(g, lo, hi, m=80):
@@ -161,7 +201,9 @@ def test_repeated_matches_nested_smooth_sweep(rng: Random):
         lo = rng.uniform(-0.5, 0.6)
         for n in (2, 3):
             spec = RepeatedIntegralSpec(n, lo, 1.0, FLAT, "lower")
-            reduced = repeated_integral(f, spec).value
+            reduced = repeated_integral(
+                np.vectorize(lambda w, hd, ld: f(w), otypes=[complex]), spec
+            ).value
 
             def nest(x, depth):
                 if depth == 0:
@@ -192,7 +234,7 @@ def test_repeated_measure_reduction_matches_nested():
 
 
 def test_repeated_plus_measure_smoke():
-    f = lambda w: (w + 1.0) ** 2
+    f = lambda w, hd, ld: (w + 1.0) ** 2
     spec = RepeatedIntegralSpec(1, 1.0, 2.0, INV_SQ_PLUS, "upper")
     got = repeated_integral(f, spec).value
     assert got == pytest.approx(1.0, rel=1e-12)  # integral of dw over [1,2]
@@ -211,7 +253,7 @@ def test_contour_polynomial():
 
 
 def test_contour_exponential():
-    got = contour_derivative(cmath.exp, 0.3, 4, 0.4)
+    got = contour_derivative(np.exp, 0.3, 4, 0.4)
     assert got == pytest.approx(math.exp(0.3), rel=1e-10)
 
 
@@ -246,7 +288,7 @@ def test_contour_trapezoid_converges_geometrically():
 
 def test_contour_multi_order_consistent():
     orders = (0, 1, 2, 3)
-    vals = contour_derivatives(cmath.exp, 0.2, orders, 0.4)
+    vals = contour_derivatives(np.exp, 0.2, orders, 0.4)
     for v in vals:
         assert v == pytest.approx(math.exp(0.2), rel=1e-9)
 
@@ -260,7 +302,7 @@ def test_cut_distances():
     assert seg.distance(2.0) == pytest.approx(1.0)
 
 
-# --- vectorized and scalar integrands -----------------------------------------
+# --- per-node and array evaluation of one integrand ---------------------------
 
 _A, _B, _G = 0.3 + 0.2j, -0.4, 1.1 - 0.1j
 
@@ -277,11 +319,14 @@ def _counted(f):
 
 
 def _both_ways(oracle, f):
-    """(value, points) of the oracle with f called per node and per array."""
+    """(value, points) of the oracle with f evaluated per node and per array.
+
+    Per node, ``numpy.vectorize`` calls f once for each node, with scalars.
+    """
     out = []
-    for vectorized in (False, True):
-        g, seen = _counted(f)
-        out.append((oracle(g, vectorized), seen[0]))
+    for h in (np.vectorize(f, otypes=[complex]), f):
+        g, seen = _counted(h)
+        out.append((oracle(g), seen[0]))
     return out
 
 
@@ -298,9 +343,9 @@ def _assert_same(runs):
     ids=["exp", "weighted-P"],
 )
 def test_contour_vectorized_matches_scalar(f):
-    oracle = lambda g, v: contour_derivatives(g, 1.6 + 0.7j, (0, 1, 2, 3), 0.4, vectorized=v)
+    oracle = lambda g: contour_derivatives(g, 1.6 + 0.7j, (0, 1, 2, 3), 0.4)
     _assert_same(_both_ways(oracle, f))
-    oracle = lambda g, v: contour_derivative(g, 1.6 + 0.7j, 2, cut=Cut.left_ray(1.0), vectorized=v)
+    oracle = lambda g: contour_derivative(g, 1.6 + 0.7j, 2, cut=Cut.left_ray(1.0))
     _assert_same(_both_ways(oracle, f))
 
 
@@ -313,7 +358,7 @@ def test_contour_vectorized_matches_scalar(f):
     ids=["exp", "weighted-Q"],
 )
 def test_tanh_sinh_segment_vectorized_matches_scalar(g):
-    _assert_same(_both_ways(lambda h, v: tanh_sinh_segment(h, vectorized=v).value, g))
+    _assert_same(_both_ways(lambda h: tanh_sinh_segment(h).value, g))
 
 
 @pytest.mark.parametrize(
@@ -322,15 +367,15 @@ def test_tanh_sinh_segment_vectorized_matches_scalar(g):
     ids=["exp", "Q"],
 )
 def test_integrate_to_infinity_vectorized_matches_scalar(f):
-    oracle = lambda g, v: integrate_to_infinity(g, 2.0 + 0.5j, rtol=1e-12, vectorized=v).value
+    oracle = lambda g: integrate_to_infinity(g, 2.0 + 0.5j, rtol=1e-12).value
     _assert_same(_both_ways(oracle, f))
 
 
 @pytest.mark.parametrize(
     "f, spec, anchor",
     [
-        (lambda w: np.exp(w), RepeatedIntegralSpec(2, 0.2, 1.0), 0.0),
-        (lambda w: np.exp(-w), RepeatedIntegralSpec(2, 1.5 + 0.5j, None), 0.0),
+        (lambda w, hd, ld: np.exp(w), RepeatedIntegralSpec(2, 0.2, 1.0), 0.0),
+        (lambda w, hd, ld: np.exp(-w), RepeatedIntegralSpec(2, 1.5 + 0.5j, None), 0.0),
         (
             lambda w, hd, ld: power(ld, _A + _B + 2.9) * pval(_A, _B, 1.9, w),
             RepeatedIntegralSpec(2, 1.0, 1.6 + 0.8j, INV_SQ_MINUS, "upper"),
@@ -340,10 +385,8 @@ def test_integrate_to_infinity_vectorized_matches_scalar(f):
     ids=["exp", "exp-ray", "FK1-integrand"],
 )
 def test_repeated_integral_vectorized_matches_scalar(f, spec, anchor):
-    def oracle(g, v):
-        # The adapter reads the integrand's signature; keep f's visible.
-        h = (lambda w, hd, ld: g(w, hd, ld)) if f.__code__.co_argcount == 3 else g
-        return repeated_integral(h, spec, anchor_exponent=anchor, rtol=1e-12, vectorized=v).value
+    def oracle(g):
+        return repeated_integral(g, spec, anchor_exponent=anchor, rtol=1e-12).value
 
     _assert_same(_both_ways(oracle, f))
 
@@ -355,13 +398,13 @@ def test_overflowing_integrands_raise():
     """An inf or nan sample raises instead of passing the doubling tests."""
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonConvergence):
-            contour_derivatives(lambda w: np.exp(1000.0 * w), 1.0, (0, 1), 0.5, vectorized=True)
+            contour_derivatives(lambda w: np.exp(1000.0 * w), 1.0, (0, 1), 0.5)
         with pytest.raises(NonConvergence):
-            tanh_sinh_segment(lambda x, omx, opx: omx**-4.0, vectorized=True)
+            tanh_sinh_segment(lambda x, omx, opx: omx**-4.0)
         # Decays on the sampled tail, then forms inf * 0 far out on the ray.
         with pytest.raises(NonConvergence):
-            integrate_to_infinity(lambda w: np.exp(-w) * w**40, 1.0, vectorized=True)
+            integrate_to_infinity(lambda w: np.exp(-w) * w**40, 1.0)
         with pytest.raises(DecayCheckFailed):
-            integrate_to_infinity(lambda w: np.exp(-w) * w**400, 1.0, vectorized=True)
+            integrate_to_infinity(lambda w: np.exp(-w) * w**400, 1.0)
         with pytest.raises(NonConvergence):
             integrate_finite(lambda t: np.exp(800.0 * (t + 1.0)), 0.0, 0.0)
