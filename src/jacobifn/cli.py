@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import FixtureFormatError, JacobiFnError
 from .identity_engine import (
     IdentityReport,
@@ -23,8 +25,8 @@ from .identity_engine import (
     run_selftest,
     verify_identity,
 )
-from .jacobi_first import JacobiParams, Representation, jacobi_p
-from .jacobi_second import jacobi_q
+from .jacobi_first import _PROVENANCE, JacobiParams, Representation, _p_points, jacobi_p
+from .jacobi_second import _q_points, jacobi_q
 
 USAGE_HINT = "run 'jacobifn --help' for usage"
 
@@ -231,6 +233,50 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# One row of the table's JSON, as json.dumps(rows, sort_keys=True, indent=1)
+# writes it: the writer formats rows directly, since ``indent`` sends json to
+# its pure-Python encoder.
+_JSON_ROW = (
+    ' {{\n  "err_estimate": {},\n  "representation": {},\n'
+    '  "value": [\n   {},\n   {}\n  ],\n  "z": [\n   {},\n   {}\n  ]\n }}'
+)
+
+
+# json's spelling of the floats that have no literal.
+_JSON_SPECIAL = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_float(x: float) -> str:
+    """A float as json writes it."""
+    r = float.__repr__(x)
+    return _JSON_SPECIAL.get(r, r)
+
+
+def _table_json(rows) -> str:
+    """json.dumps of the table rows with sorted keys and indent 1, plus a newline.
+
+    rows holds (z, value, error estimate, representation) per point.
+    """
+    if not rows:
+        return "[]\n"
+    f = _json_float
+    labels = {rep: json.dumps(rep) for _, _, _, rep in rows}
+    body = ",\n".join(
+        _JSON_ROW.format(f(e), labels[rep], f(v.real), f(v.imag), f(z.real), f(z.imag))
+        for z, v, e, rep in rows
+    )
+    return "[\n" + body + "\n]\n"
+
+
+def _table_csv(rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["z_re", "z_im", "value_re", "value_im", "err_estimate", "representation"])
+    for z, v, e, rep in rows:
+        writer.writerow([repr(z.real), repr(z.imag), repr(v.real), repr(v.imag), repr(e), rep])
+    return buf.getvalue()
+
+
 def cmd_table(args) -> int:
     try:
         params = JacobiParams(
@@ -241,52 +287,23 @@ def cmd_table(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(USAGE_HINT, file=sys.stderr)
         return 2
-    fn = jacobi_p if args.kind == "P" else jacobi_q
     if count == 1:
         grid = [start]
     else:
         step = (stop - start) / (count - 1)
         grid = [start + k * step for k in range(count)]
 
-    rows = []
-    for z in grid:
-        try:
-            res = fn(params, z)
-        except JacobiFnError as exc:
-            print(f"{type(exc).__name__} at z={z}: {exc}", file=sys.stderr)
-            return 1
-        rows.append((z, res))
-
-    if args.format == "json":
-        payload = [
-            {
-                "z": _c2pair(z),
-                "value": _c2pair(res.value),
-                "err_estimate": res.abs_error_estimate,
-                "representation": res.provenance,
-            }
-            for z, res in rows
-        ]
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    # One batch for the grid, as the scalar calls point by point would give.
+    if args.kind == "P":
+        _, value, err, code, failure = _p_points(params, np.array(grid))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["z_re", "z_im", "value_re", "value_im", "err_estimate", "representation"]
-        )
-        for z, res in rows:
-            writer.writerow(
-                [
-                    repr(z.real),
-                    repr(z.imag),
-                    repr(res.value.real),
-                    repr(res.value.imag),
-                    repr(res.abs_error_estimate),
-                    res.provenance,
-                ]
-            )
-        text = buf.getvalue()
-    _emit(text, args.out)
+        value, err, code, failure = _q_points(params, np.array(grid))
+    if failure is not None:
+        i, exc = failure
+        print(f"{type(exc).__name__} at z={grid[i]}: {exc}", file=sys.stderr)
+        return 1
+    rows = list(zip(grid, value.tolist(), err.tolist(), [_PROVENANCE[c] for c in code.tolist()]))
+    _emit(_table_json(rows) if args.format == "json" else _table_csv(rows), args.out)
     return 0
 
 

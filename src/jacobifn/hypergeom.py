@@ -21,10 +21,15 @@ Three evaluation layers:
   a level.  It routes each point by the scalar routine's predicates
   (``_on_cut``, ``_takes_direct``, ``_has_path``: direct series or the
   z/(z-1) map, exact termination) and keeps its stopping rule and error
-  estimate, but sums with numpy: Taylor coefficients memoized per triple,
-  powers by ``cumprod``, in column blocks of at least ``_BATCH_COLS`` terms
-  that widen while a block stays within ``BATCH_POINTS * _BATCH_COLS``
-  terms.  Callers pass at most ``BATCH_POINTS`` points at a time.  A status
+  estimate, but sums with numpy: Taylor coefficients memoized per triple
+  (extended by one ``cumprod`` of the term ratios), powers by ``cumprod``,
+  in column blocks.  The first block is as wide as the series at the
+  largest argument needs, about log(eps)/log(max |z|) terms (Pearson, Olver
+  & Porter 2017) corrected for the growth of the coefficients, clipped to
+  [``_BATCH_COLS``, ``BATCH_POINTS * _BATCH_COLS`` / points]; later blocks
+  double while they stay within that budget.  Sums run left to right across
+  blocks, so the widths change no result.
+  Callers pass at most ``BATCH_POINTS`` points at a time.  A status
   per point marks those it does not cover (on the cut, no map inside the
   disk, the term cap); the Jacobi layers evaluate them with the scalar call,
   which raises or warns as documented.  The scalar routines stay the
@@ -72,6 +77,12 @@ _CUT_GUARD = 1e-12
 # temporaries to a few arrays of BATCH_POINTS * _BATCH_COLS entries.
 BATCH_POINTS = 256
 _BATCH_COLS = 32
+# Terms added to the first column block's estimate, for the STOP_RUN run.
+_FIRST_MARGIN = 8
+# Taylor coefficients kept per memoized triple.  A longer series extends a
+# copy for the call: one row of work against the batch's rows of terms,
+# while the memo's 64 tables stay small.
+_TAYLOR_KEEP = 256
 # Status of a point in a batched evaluation: covered; not covered because
 # the scalar call raises NoConvergentPath; not covered for another reason.
 BATCH_OK, BATCH_NO_PATH, BATCH_SCALAR = 0, 1, 2
@@ -327,6 +338,16 @@ def _has_path(az, au):
     return (az <= MAP_LIMIT) | (au <= MAP_LIMIT)
 
 
+def _raises(z: np.ndarray) -> np.ndarray:
+    """Where a non-terminating 2F1 continuation raises at z, elementwise.
+
+    CutError on the cut, NoConvergentPath where no map reaches the disk.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        az, au = np.abs(z), np.abs(z / (z - 1.0))
+    return _on_cut(z) | ~_has_path(az, au)
+
+
 def _pick_argument(z: complex, terminating: bool) -> str:
     """Choose between the direct series and the z/(z-1) map."""
     if terminating:
@@ -388,18 +409,28 @@ class _Taylor:
             coef.append(pochhammer_product((a, b), k) / kfac * _lower_rgamma(c + k))
         self.coef = np.array(coef, dtype=complex)
 
-    def upto(self, n: int) -> np.ndarray:
-        """The coefficients of the terms 0..n-1."""
-        have = self.coef.size
-        if have < n:
-            a, b, c = self.a, self.b, self.c
-            t = complex(self.coef[-1])
-            more = []
-            for k in range(have - 1, max(n, 2 * have) - 1):
-                t = t * ((a + k) * (b + k)) / ((c + k) * (k + 1))
-                more.append(t)
-            self.coef = np.concatenate((self.coef, more))
-        return self.coef[:n]
+    def upto(self, n: int, known: np.ndarray | None = None) -> np.ndarray:
+        """The coefficients of the terms 0..n-1, or more.
+
+        The table keeps at most _TAYLOR_KEEP coefficients (or its leading
+        ones, if more).  A longer request extends ``known``, an earlier
+        result of this table, or else the table, by one ``cumprod`` of the
+        term ratios; each coefficient is its predecessor times a ratio, so
+        it has the same bits however it was reached.
+        """
+        base = self.coef if known is None or known.size < self.coef.size else known
+        have = base.size
+        if have >= n:
+            return base
+        a, b, c = self.a, self.b, self.c
+        k = np.arange(have - 1.0, n - 1.0)
+        ratio = np.empty(n - have + 1, dtype=complex)
+        ratio[0] = base[-1]
+        ratio[1:] = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        coef = np.concatenate((base, np.cumprod(ratio)[1:]))
+        if self.coef.size < _TAYLOR_KEEP:
+            self.coef = coef[:_TAYLOR_KEEP].copy() if n > _TAYLOR_KEEP else coef
+        return coef
 
 
 @exact_memo
@@ -407,23 +438,52 @@ def _taylor(a: complex, b: complex, c: complex) -> _Taylor:
     return _Taylor(a, b, c)
 
 
+def _first_width(z: np.ndarray, last: int, taylor: _Taylor) -> int:
+    """Terms in the first column block of ``_series_batch`` for the points z.
+
+    Past the leading ones the terms fall like k^s |z|^k, where s =
+    Re(a + b - c - 1) is the growth of the coefficients, so a series at
+    |z| < 1 needs about the k with k log|z| + s log k = log eps, found by
+    two fixed-point steps from log(eps)/log|z| (Pearson, Olver & Porter
+    2017).  A block that wide for the largest |z| usually covers every
+    point at once; a margin covers the STOP_RUN run.  An exact sum needs no
+    more than its last + 1 terms.  The width is clipped to [_BATCH_COLS,
+    BATCH_POINTS * _BATCH_COLS / points], the budget of the later blocks.
+    It decides only how the work is cut, never a value or a stop.
+    """
+    top = float(np.max(np.abs(z)))
+    need = last + 1
+    if top < 1.0:
+        rate = -math.log(max(top, 1e-300))
+        growth = (taylor.a + taylor.b - taylor.c).real - 1.0
+        k = -math.log(_EPS) / rate
+        for _ in range(2):
+            k = (growth * math.log(max(k, 1.0)) - math.log(_EPS)) / rate
+        need = min(need, taylor.k0 + _FIRST_MARGIN + int(k))
+    budget = BATCH_POINTS * _BATCH_COLS // z.size
+    return max(_BATCH_COLS, min(need, budget))
+
+
 def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
     """The regularized 2F1 series at every point of a 1-D array z.
 
     Sums terms 0..m_stop exactly or, when m_stop is None, stops each point
     by the scalar rule: STOP_RUN consecutive terms past the leading ones
-    below STOP_RATIO of the running sum.  Running sums add the terms left
-    to right as the scalar loop does.  The column blocks start at
-    _BATCH_COLS terms and double while the block stays within
-    BATCH_POINTS * _BATCH_COLS terms; the running sum, sum of |terms|, z^k
-    and the last two stop flags carry from one column block to the next.
-    Returns (value, error estimate, covered); a point that reaches the term
-    cap is not covered.
+    below STOP_RATIO of the running sum.  The running sum and the sum of
+    |terms| add the terms left to right as the scalar loop does, so neither
+    depends on the column blocks.  The first block is ``_first_width``
+    terms wide; later ones double while the block stays within
+    BATCH_POINTS * _BATCH_COLS terms.  The running sums, z^k and the last
+    two stop flags carry from one column block to the next.  Returns
+    (value, error estimate, covered); a point that reaches the term cap is
+    not covered.
     """
     taylor = _taylor(a, b, c)
     value = np.zeros(z.size, dtype=complex)
     err = np.zeros(z.size)
     covered = np.zeros(z.size, dtype=bool)
+    if not z.size:
+        return value, err, covered
     adaptive = m_stop is None
     last = MAX_TERMS - 1 if adaptive else m_stop
     budget = BATCH_POINTS * _BATCH_COLS
@@ -434,25 +494,37 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
     zk = np.ones(z.size, dtype=complex)
     flags = np.zeros((z.size, 2), dtype=bool)
     k = 0
-    width = _BATCH_COLS
+    coef = None
+    width = _first_width(z, last, taylor)
     while rows.size and k <= last:
         width = min(last + 1 - k, width)
-        terms = np.empty((rows.size, width), dtype=complex)
-        terms[:, 0] = zk
-        terms[:, 1:] = zr[:, None]
-        np.cumprod(terms, axis=1, out=terms)
-        zk = terms[:, -1] * zr
-        terms *= taylor.upto(k + width)[k:]
+        # z^k .. z^(k+width), all from one product chain, so that a power
+        # has the same bits whatever the blocks.
+        powers = np.empty((rows.size, width + 1), dtype=complex)
+        powers[:, 0] = zk
+        powers[:, 1:] = zr[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        zk = powers[:, -1]
+        terms = powers[:, :-1]
+        coef = taylor.upto(k + width, coef)
+        terms *= coef[k : k + width]
         sizes = np.abs(terms)
         terms[:, 0] += total
         sums = np.cumsum(terms, axis=1, out=terms)
-        accs = np.cumsum(sizes, axis=1)
+        accs = np.empty((rows.size, width + 1))
+        accs[:, 0] = acc
+        accs[:, 1:] = sizes
+        np.cumsum(accs, axis=1, out=accs)
         if adaptive:
             run = np.empty((rows.size, width + 2), dtype=bool)
             run[:, :2] = flags
-            np.less_equal(sizes, STOP_RATIO * np.maximum(np.abs(sums), 1e-300), out=run[:, 2:])
+            scale = np.abs(sums)
+            np.maximum(scale, 1e-300, out=scale)
+            scale *= STOP_RATIO
+            np.less_equal(sizes, scale, out=run[:, 2:])
             run[:, 2 : max(2, taylor.k0 + 3 - k)] = False
-            hit = run[:, 2:] & run[:, 1:-1] & run[:, :-2]
+            hit = run[:, 2:] & run[:, 1:-1]
+            hit &= run[:, :-2]
             stop = hit.any(axis=1)
             col = hit.argmax(axis=1)
         else:
@@ -462,15 +534,17 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
             out, at = rows[stop], col[stop]
             value[out] = sums[stop, at]
             tail = sizes[stop, at] if adaptive else 0.0
-            err[out] = tail + _EPS * (acc[stop] + accs[stop, at])
+            err[out] = tail + _EPS * accs[stop, at + 1]
             covered[out] = True
+            if out.size == rows.size:
+                break
             keep = ~stop
             rows, zr, zk = rows[keep], zr[keep], zk[keep]
-            sums, accs, acc = sums[keep], accs[keep], acc[keep]
+            sums, accs = sums[keep], accs[keep]
             if adaptive:
                 run = run[keep]
         total = sums[:, -1]
-        acc = acc + accs[:, -1]
+        acc = accs[:, -1]
         if adaptive:
             flags = run[:, -2:]
         k += width

@@ -52,6 +52,7 @@ from .quadrature import (
     RepeatedIntegralSpec,
     contour_derivative,
     contour_derivatives,
+    contour_radius,
     repeated_integral,
 )
 from .scalar_kernel import gamma, pochhammer, reciprocal_gamma
@@ -234,10 +235,6 @@ def _weighted(kind: str, params: JacobiParams, weight: Callable[[complex], compl
     return lambda w: weight(w) * val(a, b, g, w)
 
 
-def _contour_radius(cut: Cut, z: complex) -> float:
-    return min(0.5, 0.5 * cut.distance(z))
-
-
 def plain_derivative(f, z: complex, n: int, cut: Cut) -> complex:
     return contour_derivative(f, z, n, cut=cut)
 
@@ -264,10 +261,9 @@ def _operator_coeffs(n: int) -> tuple[tuple[int, int], ...]:
 def operator_power(f, z: complex, n: int, base_point: float, cut: Cut) -> complex:
     """Apply [(z - base_point)^2 d/dz]^n to f at z via one contour."""
     if n == 0:
-        return f(z)
+        return complex(f(np.array([z]))[0])
     orders = tuple(range(1, n + 1))
-    radius = _contour_radius(cut, z)
-    derivs = dict(zip(orders, contour_derivatives(f, z, orders, radius)))
+    derivs = dict(zip(orders, contour_derivatives(f, z, orders, contour_radius(z, cut))))
     shift = z - base_point
     total = 0.0 + 0.0j
     for k, c in _operator_coeffs(n):
@@ -1566,8 +1562,7 @@ def _ode_terms(kind: str, p: JacobiParams, z: complex) -> tuple[complex, complex
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
     f = _weighted(kind, p, None)
     cut = P_PLAIN_CUT if kind == "P" else Cut.segment(-1.0, 1.0)
-    radius = _contour_radius(cut, z)
-    w0, w1, w2 = contour_derivatives(f, z, (0, 1, 2), radius)
+    w0, w1, w2 = contour_derivatives(f, z, (0, 1, 2), contour_radius(z, cut))
     t1 = (1.0 - z * z) * w2
     t2 = (b - a - z * (a + b + 2.0)) * w1
     t3 = g * (a + b + g + 1.0) * w0

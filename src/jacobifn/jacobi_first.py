@@ -13,7 +13,11 @@ for one parameter triple.  The points are grouped by the scalar dispatch's
 choice (REP1 or REP3, direct or through the argument map, the large-z
 connection through batched second-kind logarithms, the slow series) and
 each group is summed by the batched series; a point the batch does not
-cover takes the scalar call, which raises its documented error there.
+cover takes the scalar call, which raises its documented error there.  A
+batch stops before the first point where the route predicates say the
+scalar call raises, and the scalar call there raises, so an array is
+evaluated only up to its first failing point (``_pointwise``); ``jacobifn
+table`` reads the rows of the same pass.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainCutError, NoConvergentPath, ValidityError
+from .errors import DomainCutError, JacobiFnError, NoConvergentPath, ValidityError
 from .hypergeom import (
     BATCH_NO_PATH,
     BATCH_OK,
@@ -261,26 +265,26 @@ def _effective_modulus(x):
 def _near_route(z):
     """AUTO's first choice at z, a scalar or an ndarray.
 
-    Returns the arguments x1 = (1-z)/2 (REP1) and x2 = (z-1)/(z+1) (REP3),
-    whether one lies in the preferred disk, and whether REP1 is taken there.
+    Returns REP1's argument x1 = (1-z)/2, whether it or REP3's argument
+    x2 = (z-1)/(z+1) lies in the preferred disk, and whether REP1 is taken
+    there.
     """
     x1 = 0.5 * (1.0 - z)
-    x2 = (z - 1.0) / (z + 1.0)
-    m1, m2 = abs(x1), abs(x2)
-    return x1, x2, (m1 <= AUTO_ARG_LIMIT) | (m2 <= AUTO_ARG_LIMIT), m1 <= m2
+    m1, m2 = abs(x1), abs((z - 1.0) / (z + 1.0))
+    return x1, (m1 <= AUTO_ARG_LIMIT) | (m2 <= AUTO_ARG_LIMIT), m1 <= m2
 
 
-def _far_route(z, x1, x2):
-    """AUTO's choice beyond the preferred disk, from ``_near_route``'s arguments.
+def _far_route(z, x1):
+    """AUTO's choice beyond the preferred disk, from REP1's argument x1.
 
     Returns whether the large-z connection is defined (z off Q's cut),
-    whether the slow series is reachable, whether it takes REP1, and the
-    best modulus an argument map reaches.
+    whether the slow series is reachable, and the best modulus its argument
+    map reaches.  The slow series is REP1: the map takes x1 to x1/(x1-1) =
+    x2, and REP3's map takes x2 back to x1, so both representations would
+    sum the same series on the smaller of |x1| and |x2|.
     """
-    m1, m2 = _effective_modulus(x1), _effective_modulus(x2)
-    rep1 = m1 <= m2
-    best = where(rep1, m1, m2)
-    return _q_cut_distance(z) >= CUT_GUARD, best <= MAP_LIMIT, rep1, best
+    best = _effective_modulus(x1)
+    return _q_cut_distance(z) >= CUT_GUARD, best <= MAP_LIMIT, best
 
 
 def _auto(params: JacobiParams, z: complex, connection):
@@ -292,10 +296,10 @@ def _auto(params: JacobiParams, z: complex, connection):
     limit.  On [-1, 1], Q's cut, the second-kind pair of the connection is
     undefined, so there the series is the only route.
     """
-    x1, x2, near, rep1 = _near_route(z)
+    x1, near, rep1 = _near_route(z)
     if near:
         return _rep_value(params, z, Representation.REP1 if rep1 else Representation.REP3)
-    conn_ok, slow_ok, rep1, best = _far_route(z, x1, x2)
+    conn_ok, slow_ok, best = _far_route(z, x1)
     if conn_ok:
         try:
             return connection(params, z)
@@ -307,20 +311,16 @@ def _auto(params: JacobiParams, z: complex, connection):
             f"z={z} on [-1, 1]: no argument map reaches modulus {MAP_LIMIT} "
             f"(best {best:.4f})"
         )
-    return _rep_value(params, z, Representation.REP1 if rep1 else Representation.REP3)
+    return _rep_value(params, z, Representation.REP1)
 
 
-# Provenance of the batched groups, by code.
-_BATCH_PROVENANCE = ("rep1", "rep3", "connection")
+# Provenance of an AUTO value, by code.
+_PROVENANCE = ("rep1", "rep3", "connection")
 
 
-def _blockwise(fn, z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """fn over consecutive blocks of BATCH_POINTS points of z, its outputs joined.
-
-    Bounds the temporaries when an oracle level brings thousands of nodes.
-    """
-    parts = [fn(z[i : i + BATCH_POINTS]) for i in range(0, max(z.size, 1), BATCH_POINTS)]
-    return tuple(np.concatenate(out) for out in zip(*parts))
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True of a 1-D mask, or its size when there is none."""
+    return int(mask.argmax()) if mask.any() else mask.size
 
 
 def _rep_batch(params: JacobiParams, z: np.ndarray, rep: Representation):
@@ -340,8 +340,8 @@ def _connection_batch(params: JacobiParams, z: np.ndarray, coeffs):
     from .jacobi_second import _q_batch
 
     a, b = complex(params.alpha), complex(params.beta)
-    log1, _, status1, _ = _q_batch(params, z, log=True)
-    log2, _, status2, _ = _q_batch(JacobiParams(a, b, coeffs[2]), z, log=True)
+    log1, _, status1, _, _ = _q_batch(params, z, log=True)
+    log2, _, status2, _, _ = _q_batch(JacobiParams(a, b, coeffs[2]), z, log=True)
     with np.errstate(over="ignore", invalid="ignore"):
         log_scale, mantissa = _connection_mix(coeffs, log1, log2)
     return log_scale, mantissa, np.where(status1 == BATCH_OK, status2, status1)
@@ -350,10 +350,14 @@ def _connection_batch(params: JacobiParams, z: np.ndarray, coeffs):
 def _auto_batch(params: JacobiParams, z: np.ndarray):
     """The AUTO dispatch of ``_auto`` at every point of a 1-D array z.
 
-    Returns (log_scale, mantissa, error estimate, provenance code, covered);
-    the error estimate of a connection value is left to the caller.  A point
-    is not covered where the scalar call raises or where a batched route
-    could not decide; the caller evaluates it with the scalar call.
+    Returns (log_scale, mantissa, error estimate, provenance code, covered,
+    stop); the error estimate of a connection value is left to the caller.
+    Only the points before ``stop`` are evaluated: it is the first point
+    where ``_auto``'s predicates say the scalar call raises (an invalid
+    triple, z on the cut, or neither the connection nor the slow series
+    beyond the preferred disk), or the size of z.  A point is not covered
+    where the scalar call raises or where a batched route could not decide;
+    the caller evaluates it with the scalar call.
     """
     n = z.size
     log_scale = np.zeros(n, dtype=complex)
@@ -362,11 +366,13 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     code = np.zeros(n, dtype=np.int8)
     covered = np.zeros(n, dtype=bool)
     if not params.first_kind_valid():
-        return log_scale, mantissa, err, code, covered
+        return log_scale, mantissa, err, code, covered, 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        x1, x2, near, rep1 = _near_route(z)
-        conn_ok, slow_ok, slow_rep1, _ = _far_route(z, x1, x2)
+        x1, near, rep1 = _near_route(z)
+        conn_ok, slow_ok, _ = _far_route(z, x1)
     inside = _p_cut_distance(z) >= CUT_GUARD
+    stop = _first(~inside | ~(near | conn_ok | slow_ok))
+    inside[stop:] = False
     near &= inside
     far = inside & ~near
     conn = far & conn_ok
@@ -383,42 +389,98 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
             log_scale[idx], mantissa[idx], code[idx] = ls, mt, 2
             covered[idx] = status == BATCH_OK
             slow[idx] = (status == BATCH_NO_PATH) & slow_ok[idx]
-    groups = (
-        (near & rep1, Representation.REP1),
-        (near & ~rep1, Representation.REP3),
-        (slow & slow_rep1, Representation.REP1),
-        (slow & ~slow_rep1, Representation.REP3),
-    )
+    groups = ((near & rep1) | slow, Representation.REP1), (near & ~rep1, Representation.REP3)
     for mask, rep in groups:
         if mask.any():
             idx = np.flatnonzero(mask)
             log_scale[idx] = 0.0
             mantissa[idx], err[idx], covered[idx] = _rep_batch(params, z[idx], rep)
             code[idx] = 0 if rep is Representation.REP1 else 1
-    return log_scale, mantissa, err, code, covered
+    return log_scale, mantissa, err, code, covered, stop
+
+
+def _pointwise(block, scalar, n: int):
+    """Evaluate points 0..n-1 in order, up to the first one that raises.
+
+    ``block(lo, hi)`` evaluates points lo..hi-1, at most BATCH_POINTS of
+    them, with the batch, which stops before the first point where the
+    route predicates say the scalar call raises; it returns the mask of the
+    points it covered before that point, and the point's index (hi if
+    none).  ``scalar(i)`` evaluates point i with the scalar call.  Both
+    write into the caller's arrays.  The scalar call at a predicted failure
+    raises, so nothing after the first failing point is evaluated; a point
+    marked wrongly just returns its value.  Returns None, or (index, error)
+    of the first point that raised a JacobiFnError.
+    """
+    start = 0
+    while start < n:
+        hi = min(n, start + BATCH_POINTS)
+        covered, stop = block(start, hi)
+        todo = (start + np.flatnonzero(~covered)).tolist()
+        if stop < hi:
+            todo.append(stop)
+        for i in todo:
+            try:
+                scalar(i)
+            except JacobiFnError as exc:
+                return i, exc
+        start = stop + 1 if stop < hi else hi
+    return None
+
+
+def _p_points(params: JacobiParams, z: np.ndarray, scaled: bool = False):
+    """``jacobi_p`` (or ``jacobi_p_scaled``) under AUTO at the points of a 1-D z.
+
+    Returns (log_scale, value, error estimate, provenance code, failure):
+    per point what the scalar call returns (the log scale only when scaled;
+    the code indexes ``_PROVENANCE``), up to the first point where it
+    raises, and ``_pointwise``'s failure.
+    """
+    n = z.size
+    log_scale = np.zeros(n, dtype=complex)
+    value = np.zeros(n, dtype=complex)
+    err = np.zeros(n)
+    code = np.zeros(n, dtype=np.int8)
+
+    def block(lo: int, hi: int):
+        ls, v, e, c, covered, stop = _auto_batch(params, z[lo:hi])
+        if not scaled:
+            conn = c == 2
+            with np.errstate(over="ignore", invalid="ignore"):
+                v[conn], e[conn] = _unscale(ls[conn], v[conn])
+            covered &= np.isfinite(v)
+        log_scale[lo:hi], value[lo:hi], err[lo:hi], code[lo:hi] = ls, v, e, c
+        return covered[:stop], lo + stop
+
+    def scalar(i: int) -> None:
+        w = complex(z[i])
+        if scaled:
+            log_scale[i], value[i] = jacobi_p_scaled(params, w)
+        else:
+            res = jacobi_p(params, w)
+            value[i], err[i] = res.value, res.abs_error_estimate
+            code[i] = _PROVENANCE.index(res.provenance)
+
+    failure = _pointwise(block, scalar, n)
+    return log_scale, value, err, code, failure
 
 
 def _p_batch(params: JacobiParams, z: np.ndarray, scaled: bool):
     """Batched ``jacobi_p`` (an EvalResult) or ``jacobi_p_scaled`` (a pair)."""
     shape = z.shape
-    z = np.asarray(z, dtype=complex).ravel()
-    log_scale, value, err, code, covered = _blockwise(lambda zb: _auto_batch(params, zb), z)
-    if not scaled:
-        conn = code == 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            value[conn], err[conn] = _unscale(log_scale[conn], value[conn])
-        covered &= np.isfinite(value)
-    provenance = {_BATCH_PROVENANCE[c] for c in set(code[covered].tolist())}
-    for i in np.flatnonzero(~covered):
-        if scaled:
-            log_scale[i], value[i] = jacobi_p_scaled(params, complex(z[i]))
-        else:
-            res = jacobi_p(params, complex(z[i]))
-            value[i], err[i] = res.value, res.abs_error_estimate
-            provenance.add(res.provenance)
+    log_scale, value, err, code, failure = _p_points(
+        params, np.asarray(z, dtype=complex).ravel(), scaled
+    )
+    if failure is not None:
+        raise failure[1]
     if scaled:
         return log_scale.reshape(shape), value.reshape(shape)
-    return EvalResult(value.reshape(shape), err.reshape(shape), "+".join(sorted(provenance)))
+    return EvalResult(value.reshape(shape), err.reshape(shape), _joined(code))
+
+
+def _joined(code: np.ndarray) -> str:
+    """The provenance of an array result: the routes taken, joined with "+"."""
+    return "+".join(sorted(_PROVENANCE[c] for c in set(code.tolist())))
 
 
 def jacobi_p(

@@ -7,7 +7,8 @@ interior Jacobi polynomial, and the integer-degree Neumann-type integral.
 Under AUTO, ``jacobi_q`` and ``jacobi_q_log`` also take an ndarray of z for
 one parameter triple: REP1 and REP3 points are summed by the batched series,
 and a point the batch does not cover takes the scalar call, which raises its
-documented error there.
+documented error there.  As for P, evaluation stops at the first point
+where the scalar call raises.
 
 Quadrature note: the kernel weights carry complex exponents; the rules use
 their real parts and the unit-modulus oscillatory remainder (1 -+ t)^(i Im)
@@ -28,13 +29,24 @@ from .errors import (
     DomainCutError,
     ValidityError,
 )
-from .hypergeom import BATCH_OK, BATCH_SCALAR, _ohyp2f1_batch, ohyp2f1, power
+from .hypergeom import (
+    BATCH_OK,
+    BATCH_SCALAR,
+    _ohyp2f1_batch,
+    _raises,
+    ohyp2f1,
+    power,
+    termination_index,
+)
 from .jacobi_first import (
+    _PROVENANCE,
     CUT_GUARD,
     JacobiParams,
     Representation,
     _apply_factor,
-    _blockwise,
+    _first,
+    _joined,
+    _pointwise,
     _q_cut_distance,
     jacobi_polynomial,
 )
@@ -113,12 +125,17 @@ def _q_parts(
     return logf, series, rep
 
 
-def _q_batch(params: JacobiParams, z: np.ndarray, log: bool):
+def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool = False):
     """Q (or its log) under AUTO at every point of a 1-D array z.
 
-    Returns (value or log, error estimate of the value, status, REP1 mask),
-    with the status codes of ``_ohyp2f1_batch``; the caller evaluates the
-    points not covered with the scalar call.
+    Returns (value or log, error estimate of the value, status, REP1 mask,
+    stop), with the status codes of ``_ohyp2f1_batch``.  With
+    ``until_failure`` only the points before ``stop`` are evaluated: the
+    first point where the scalar call raises by the route predicates (an
+    invalid triple, z on the cut, or a chosen series with no path), or the
+    size of z.  Without it, as for the connection of P, which falls back
+    per point where its second-kind logs have no path, stop is the size of
+    z.  The caller evaluates the points not covered with the scalar call.
     """
     n = z.size
     out = np.zeros(n, dtype=complex)
@@ -126,12 +143,20 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool):
     status = np.full(n, BATCH_SCALAR, dtype=np.int8)
     rep1 = np.zeros(n, dtype=bool)
     if not params.second_kind_valid():
-        return out, err, status, rep1
+        return out, err, status, rep1, 0 if until_failure else n
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     inside = _q_cut_distance(z) >= CUT_GUARD
     with np.errstate(divide="ignore", invalid="ignore"):
         y, x, rep1 = _q_route(z)
         log_zm, log_zp = np.log(z - 1.0), np.log(z + 1.0)
+    stop = n
+    if until_failure:
+        grows1, grows3 = (
+            termination_index(_q_terms(a, b, g, rep)[0]) is None
+            for rep in (Representation.REP1, Representation.REP3)
+        )
+        stop = _first(~inside | (np.where(rep1, grows1, grows3) & _raises(np.where(rep1, y, x))))
+        inside[stop:] = False
     rep1 &= inside
     c = a + b + 2.0 * g + 2.0
     base_log = _q_log_prefactor(a, b, g)
@@ -155,7 +180,36 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool):
     if log:
         bad |= series == 0
     status[(status == BATCH_OK) & bad] = BATCH_SCALAR
-    return out, err, status, rep1
+    return out, err, status, rep1, stop
+
+
+def _q_points(params: JacobiParams, z: np.ndarray, log: bool = False):
+    """``jacobi_q`` (or ``jacobi_q_log``) under AUTO at the points of a 1-D z.
+
+    Returns (value or log, error estimate, provenance code, failure) as
+    ``_p_points`` does; the code indexes ``_PROVENANCE`` (rep1 or rep3).
+    """
+    n = z.size
+    value = np.zeros(n, dtype=complex)
+    err = np.zeros(n)
+    code = np.zeros(n, dtype=np.int8)
+
+    def block(lo: int, hi: int):
+        v, e, status, rep1, stop = _q_batch(params, z[lo:hi], log, until_failure=True)
+        value[lo:hi], err[lo:hi], code[lo:hi] = v, e, ~rep1
+        return status[:stop] == BATCH_OK, lo + stop
+
+    def scalar(i: int) -> None:
+        w = complex(z[i])
+        if log:
+            value[i] = jacobi_q_log(params, w)
+        else:
+            res = jacobi_q(params, w)
+            value[i], err[i] = res.value, res.abs_error_estimate
+            code[i] = _PROVENANCE.index(res.provenance)
+
+    failure = _pointwise(block, scalar, n)
+    return value, err, code, failure
 
 
 def jacobi_q(
@@ -176,16 +230,10 @@ def jacobi_q(
     if isinstance(z, np.ndarray):
         if rep is not Representation.AUTO:
             raise ValueError("an array of z needs Representation.AUTO")
-        shape = z.shape
-        z = np.asarray(z, dtype=complex).ravel()
-        value, err, status, rep1 = _blockwise(lambda zb: _q_batch(params, zb, log=False), z)
-        covered = status == BATCH_OK
-        provenance = {"rep1" if r else "rep3" for r in set(rep1[covered].tolist())}
-        for i in np.flatnonzero(~covered):
-            res = jacobi_q(params, complex(z[i]))
-            value[i], err[i] = res.value, res.abs_error_estimate
-            provenance.add(res.provenance)
-        return EvalResult(value.reshape(shape), err.reshape(shape), "+".join(sorted(provenance)))
+        value, err, code, failure = _q_points(params, np.asarray(z, dtype=complex).ravel())
+        if failure is not None:
+            raise failure[1]
+        return EvalResult(value.reshape(z.shape), err.reshape(z.shape), _joined(code))
     z = complex(z)
     _require_q_domain(params, z)
     logf, series, rep = _q_parts(params, z, rep)
@@ -199,12 +247,10 @@ def jacobi_q_log(params: JacobiParams, z) -> complex:
     z may be an ndarray; the result is then an array.
     """
     if isinstance(z, np.ndarray):
-        shape = z.shape
-        z = np.asarray(z, dtype=complex).ravel()
-        out, _, status, _ = _blockwise(lambda zb: _q_batch(params, zb, log=True), z)
-        for i in np.flatnonzero(status != BATCH_OK):
-            out[i] = jacobi_q_log(params, complex(z[i]))
-        return out.reshape(shape)
+        out, _, _, failure = _q_points(params, np.asarray(z, dtype=complex).ravel(), log=True)
+        if failure is not None:
+            raise failure[1]
+        return out.reshape(z.shape)
     z = complex(z)
     _require_q_domain(params, z)
     logf, series, _ = _q_parts(params, z, Representation.AUTO)

@@ -14,8 +14,9 @@
   circle is a discrete Fourier transform, Trefethen & Weideman 2014).
 
 Every oracle calls its integrand once per doubling level (once per rule
-size for the Gauss sums) with ndarrays of that level's new nodes, and the
-integrand returns an array of values.  A scalar callable runs there as
+size for the Gauss sums, once per chunk of 2048 nodes on a deep tanh-sinh
+level) with ndarrays of that level's new nodes, and the integrand returns
+an array of values.  A scalar callable runs there as
 ``numpy.vectorize(f, otypes=[complex])``.  A level whose samples or sum are
 not finite (an integrand that overflows) raises NonConvergence rather than
 return inf or nan.
@@ -164,16 +165,28 @@ def _require_finite(value, label: str) -> None:
 _TS_TMAX = 4.7
 _TS_MAX_LEVEL = 11
 _TS_SEG_TMAX = 5.0
+# Nodes per integrand call: a deep level is evaluated in chunks, so the
+# integrand's temporaries stay the size of a chunk, not of a level.  A
+# multiple of the Jacobi batches' BATCH_POINTS.
+_TS_CHUNK = 2048
+
+
+def _level_values(values, t: np.ndarray) -> np.ndarray:
+    """values at the nodes t, in chunks of at most _TS_CHUNK nodes, joined."""
+    if t.size <= _TS_CHUNK:
+        return values(t)
+    return np.concatenate([values(t[i : i + _TS_CHUNK]) for i in range(0, t.size, _TS_CHUNK)])
 
 
 def _tanh_sinh(values, tmax: float, max_level: int, rtol: float, label: str) -> EvalResult:
     """Tanh-sinh doubling on t in [-tmax, tmax]: step 1, then 1/2, 1/4, ...
 
     ``values`` maps an ndarray of t to the weighted integrand there; it is
-    called once per level, with only the level's new (odd) nodes.
+    called with only each level's new (odd) nodes, once per chunk of
+    _TS_CHUNK nodes.
     """
     t = np.arange(1.0, math.floor(tmax) + 1.0)
-    v = values(np.concatenate(([0.0], t, -t)))
+    v = _level_values(values, np.concatenate(([0.0], t, -t)))
     total = v[0] + np.sum(v[1 : t.size + 1] + v[t.size + 1 :])
     _require_finite(total, f"{label}-0")
     prev = None
@@ -182,7 +195,7 @@ def _tanh_sinh(values, tmax: float, max_level: int, rtol: float, label: str) -> 
     for level in range(1, max_level + 1):
         h *= 0.5
         t = np.arange(1.0, math.floor(tmax / h) + 1.0, 2.0) * h
-        v = values(np.concatenate((t, -t)))
+        v = _level_values(values, np.concatenate((t, -t)))
         total = 0.5 * total + h * np.sum(v[: t.size] + v[t.size :])
         _require_finite(total, f"{label}-{level}")
         if prev is not None:
@@ -495,6 +508,24 @@ def contour_derivatives(
         m *= 2
 
 
+def contour_radius(z0: complex, cut: Cut, radius: float | None = None) -> float:
+    """The radius of a derivative contour about z0 that keeps clear of a cut.
+
+    By default half the distance to the cut, capped at 0.5.  A disk that
+    touches the cut (z0 on it, or a given radius too large) raises
+    CutIntersection.
+    """
+    z0 = complex(z0)
+    dist = cut.distance(z0)
+    if radius is None:
+        radius = min(0.5, 0.5 * dist)
+    if radius <= 0.0 or radius >= dist:
+        raise CutIntersection(
+            f"disk of radius {radius} about {z0} touches the cut (distance {dist:.3e})"
+        )
+    return radius
+
+
 def contour_derivative(
     f: Callable[[np.ndarray], np.ndarray],
     z0: complex,
@@ -514,13 +545,7 @@ def contour_derivative(
         raise ValueError("derivative order must be >= 0")
     z0 = complex(z0)
     if cut is not None:
-        dist = cut.distance(z0)
-        if radius is None:
-            radius = min(0.5, 0.5 * dist)
-        if radius <= 0.0 or radius >= dist:
-            raise CutIntersection(
-                f"disk of radius {radius} about {z0} touches the cut (distance {dist:.3e})"
-            )
+        radius = contour_radius(z0, cut, radius)
     elif radius is None:
         radius = 0.5
     return contour_derivatives(f, z0, (n,), radius, rtol=rtol)[0]

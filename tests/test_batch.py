@@ -207,3 +207,26 @@ def test_batch_keeps_shape_and_empty_input():
     assert got.value[1, 0] == pytest.approx(jacobi_p(params, 2.0 + 1.0j).value, rel=1e-13)
     assert jacobi_q(params, np.array([], dtype=complex)).value.shape == (0,)
     assert math.isfinite(jacobi_q_log(params, np.array([3.0]))[0].real)
+
+
+_disk = st.builds(complex, st.floats(-0.99, 0.99), st.floats(-0.99, 0.99)).filter(
+    lambda w: abs(w) <= 0.99
+)
+
+
+@given(_param_2f1, _param_2f1, _param_2f1, st.lists(_disk, min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_first_block_width_changes_no_result(a, b, c, zs):
+    # The first column block is sized from max |z|; starting at _BATCH_COLS
+    # columns instead must give the same points covered and the same bits.
+    # The running sums add left to right across blocks, and the estimate
+    # holds the size of the last term summed, so equal bits mean the same
+    # stop index at every point.
+    z = np.array(zs)
+    a, b, c = complex(a), complex(b), complex(c)
+    m = hypergeom.termination_index((a, b))
+    sized = hypergeom._series_batch(a, b, c, z, m)
+    with mock.patch.object(hypergeom, "_first_width", lambda *args: hypergeom._BATCH_COLS):
+        doubled = hypergeom._series_batch(a, b, c, z, m)
+    for got, want in zip(sized, doubled):
+        assert got.tobytes() == want.tobytes()

@@ -1,8 +1,17 @@
+import csv
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jacobifn.cli import main, parse_complex
+from jacobifn.cli import _table_json, main, parse_complex
+from jacobifn.errors import JacobiFnError
+from jacobifn.jacobi_first import JacobiParams, jacobi_p
+from jacobifn.jacobi_second import jacobi_q, jacobi_q_log
+from test_batch import ULPS, _p_slack, _series_length
 
 
 def test_parse_complex_forms():
@@ -219,3 +228,185 @@ def test_selftest_perturbed_constant(tmp_path, capsys):
     f.write_text(json.dumps(data))
     assert main(["selftest", "--fixtures", str(f)]) == 1
     assert "FD4" in capsys.readouterr().err
+
+
+# --- table: one batch against the scalar loop it replaces --------------------
+
+
+def _lit(x: complex) -> str:
+    return f"{x.real!r},{x.imag!r}"
+
+
+def _table_cases(seed: int, count: int):
+    """Seeded (kind, params, grid spec) of the three table shapes: P on a real
+    interval in (-1, 1), P on a complex segment right of -1, Q on a complex
+    segment in one half plane (often through the lens where Q has no series)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        u = rng.random(11).tolist()
+        params = JacobiParams(
+            *(complex(-0.65 + 3.45 * u[2 * j], 0.45 * (2.0 * u[2 * j + 1] - 1.0)) for j in range(3))
+        )
+        shape = ("P-real", "P-segment", "Q-segment")[i % 3]
+        if shape == "P-real":
+            yield "P", params, f"{-0.95 + 0.35 * u[6]!r},{0.6 + 0.35 * u[7]!r},16"
+        elif shape == "P-segment":
+            a = complex(-0.9 + 4.9 * u[6], -2.0 + 4.0 * u[7])
+            b = complex(-0.9 + 4.9 * u[8], -2.0 + 4.0 * u[9])
+            yield "P", params, f"{_lit(a)}:{_lit(b)}:16"
+        else:
+            side = 1.0 if u[10] < 0.5 else -1.0
+            a = complex(-4.0 + 8.0 * u[6], side * (0.1 + 1.9 * u[7]))
+            b = complex(-4.0 + 8.0 * u[8], side * (0.1 + 1.9 * u[9]))
+            yield "Q", params, f"{_lit(a)}:{_lit(b)}:16"
+
+
+def _grid(spec: str) -> list[complex]:
+    from jacobifn.cli import _parse_grid
+
+    start, stop, count = _parse_grid(spec)
+    if count == 1:
+        return [start]
+    step = (stop - start) / (count - 1)
+    return [start + k * step for k in range(count)]
+
+
+def _scalar_loop(kind, params, grid):
+    """The rows of the scalar calls point by point, with the square root of
+    each point's longest series, or the stderr line of the first failure."""
+    fn = jacobi_p if kind == "P" else jacobi_q
+    rows = []
+    for z in grid:
+        try:
+            with _series_length() as longest:
+                res = fn(params, z)
+        except JacobiFnError as exc:
+            return None, f"{type(exc).__name__} at z={z}: {exc}\n"
+        rows.append((z, res, math.sqrt(longest[0])))
+    return rows, ""
+
+
+def _read_table(path, fmt):
+    """(z reprs, value, error estimate, representation) of each written row."""
+    if fmt == "json":
+        rows = json.loads(path.read_text())
+        return [
+            ((repr(r["z"][0]), repr(r["z"][1])), complex(*r["value"]), r["err_estimate"],
+             r["representation"])
+            for r in rows
+        ]
+    lines = list(csv.reader(path.read_text().splitlines()))
+    assert lines[0] == ["z_re", "z_im", "value_re", "value_im", "err_estimate", "representation"]
+    return [
+        ((zr, zi), complex(float(vr), float(vi)), float(e), rep)
+        for zr, zi, vr, vi, e, rep in lines[1:]
+    ]
+
+
+def _assert_same_table(tmp_path, capsys, kind, params, spec, fmt):
+    out = tmp_path / f"t.{fmt}"
+    if out.exists():
+        out.unlink()
+    argv = ["table", f"--kind={kind}", f"--alpha={_lit(params.alpha)}",
+            f"--beta={_lit(params.beta)}", f"--gamma={_lit(params.gamma)}",
+            f"--z-grid={spec}", f"--format={fmt}", f"--out={out}"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    grid = _grid(spec)
+    ref, ref_err = _scalar_loop(kind, params, grid)
+    assert (code, err) == ((1, ref_err) if ref is None else (0, ""))
+    if ref is None:
+        assert not out.exists()
+        return
+    got = _read_table(out, fmt)
+    assert len(got) == len(ref)
+    for (zs, v, e, rep), (z, res, growth) in zip(got, ref):
+        assert zs == (repr(z.real), repr(z.imag))
+        assert rep == res.provenance
+        if kind == "P":
+            tol = growth * (e + res.abs_error_estimate) + _p_slack(params, z, res, growth)
+        else:
+            rel = growth * (e + res.abs_error_estimate) / abs(res.value)
+            tol = (rel + ULPS * (1.0 + abs(jacobi_q_log(params, z)))) * abs(res.value)
+        assert abs(v - res.value) <= tol
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_batch_matches_scalar_loop(tmp_path, capsys, fmt):
+    for kind, params, spec in _table_cases(seed=515, count=30):
+        _assert_same_table(tmp_path, capsys, kind, params, spec, fmt)
+
+
+@pytest.mark.parametrize(
+    "kind, spec",
+    [
+        ("Q", "-3,0.5:3,0.5:16"),  # through Q's lens: NoConvergentPath
+        ("Q", "-3,0:3,0:7"),  # onto Q's cut: DomainCutError
+        ("P", "-3,0.25:-0.5,-0.25:16"),  # across P's cut, near -1: NoConvergentPath
+        ("P", "-3,0.3:-0.5,-0.3:7"),  # a point on P's cut: DomainCutError
+        ("P", "-2,0:-2,0:1"),  # one point, on P's cut
+        ("Q", "2,1:2,1:1"),  # one point that evaluates
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_stops_where_the_scalar_loop_stops(tmp_path, capsys, kind, spec, fmt):
+    params = JacobiParams(0.3 + 0.1j, 0.7, 1.4 - 0.2j)
+    _assert_same_table(tmp_path, capsys, kind, params, spec, fmt)
+
+
+@pytest.mark.parametrize(
+    "kind, spec, entries",
+    [
+        ("Q", "3,0.5:-3,0.5:16", ("_ohyp2f1_batch",)),
+        ("P", "-3,0.3:-0.5,-0.3:7", ("_rep_batch", "_connection_batch")),
+    ],
+)
+def test_table_evaluates_nothing_past_the_first_failing_point(monkeypatch, kind, spec, entries):
+    # The batch stops before the first point where the scalar call raises:
+    # no series, and no connection, runs for a point after it.
+    from jacobifn import jacobi_first, jacobi_second
+
+    params = JacobiParams(0.3 + 0.1j, 0.7, 1.4 - 0.2j)
+    grid = _grid(spec)
+    fn = jacobi_p if kind == "P" else jacobi_q
+    first = 0
+    with pytest.raises(JacobiFnError):
+        for first, z in enumerate(grid):
+            fn(params, z)
+    module = jacobi_first if kind == "P" else jacobi_second
+    rows = []
+    for name in entries:
+        entry = getattr(module, name)
+
+        def counted(*args, _entry=entry):
+            rows.append(next(a for a in args if isinstance(a, np.ndarray)).size)
+            return _entry(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    points = jacobi_first._p_points if kind == "P" else jacobi_second._q_points
+    *_, failure = points(params, np.array(grid))
+    assert failure[0] == first > 0
+    # One series (Q) or one representation or connection (P) per point.
+    assert sum(rows) == first
+
+
+# --- table: the JSON writer ---------------------------------------------------
+
+_any_float = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan]),
+)
+_complex = st.builds(complex, _any_float, _any_float)
+_table_row = st.tuples(
+    _complex, _complex, _any_float, st.one_of(st.sampled_from(["rep1", "rep3", "connection"]), st.text())
+)
+
+
+@given(st.lists(_table_row, max_size=6))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_table_json_writer_matches_json_dumps(rows):
+    payload = [
+        {"z": [z.real, z.imag], "value": [v.real, v.imag], "err_estimate": e, "representation": rep}
+        for z, v, e, rep in rows
+    ]
+    assert _table_json(rows) == json.dumps(payload, sort_keys=True, indent=1) + "\n"

@@ -2,6 +2,7 @@ import math
 import re
 from random import Random
 
+import numpy as np
 import pytest
 
 from jacobifn.errors import (
@@ -272,3 +273,26 @@ def test_ode_entry_runs_one_contour(monkeypatch):
             rhs_alone = CATALOG[ident].rhs(params, z, n)
         assert calls == [z, z]
         assert (check.lhs_value, check.rhs_value, rhs_alone) == (t1 + t2, -t3, -t3)
+
+
+def test_operator_power_of_order_zero_takes_arrays():
+    # Every oracle path hands the integrand an array, n = 0 included.
+    from jacobifn.identity_catalog import Q_DERIV_CUT, operator_power
+
+    got = operator_power(lambda w: w * np.ones(w.shape), 1.5 + 1j, 0, 1.0, Q_DERIV_CUT)
+    assert got == 1.5 + 1j
+
+
+def test_contour_oracles_on_the_cut_raise_cut_intersection():
+    # One radius rule for the plain derivative, the operator power and the
+    # ODE terms: a point on the declared cut raises CutIntersection.
+    from jacobifn.errors import CutIntersection
+    from jacobifn.identity_catalog import Q_DERIV_CUT, _ode_terms, operator_power, plain_derivative
+
+    f = lambda w: w * w
+    with pytest.raises(CutIntersection):
+        operator_power(f, 0.5, 1, 1.0, Q_DERIV_CUT)
+    with pytest.raises(CutIntersection):
+        plain_derivative(f, 0.5, 1, Q_DERIV_CUT)
+    with pytest.raises(CutIntersection):
+        _ode_terms("Q", JacobiParams(0.2, 0.3, 1.1), 0.5)

@@ -246,6 +246,29 @@ def test_tanh_sinh_segment_complex_exponent():
     assert abs(got - want) / abs(want) < 1e-12
 
 
+def test_tanh_sinh_level_in_chunks(monkeypatch):
+    # A deep level reaches the integrand in chunks of at most _TS_CHUNK
+    # nodes; the nodes, and so the level sums, are those of whole levels.
+    from jacobifn import quadrature
+
+    def run():
+        sizes = []
+
+        def g(x, omx, opx):
+            sizes.append(x.size)
+            return np.cos(300.0 * x)
+
+        return tanh_sinh_segment(g, rtol=1e-14), sizes
+
+    chunk = quadrature._TS_CHUNK
+    chunked, sizes = run()
+    monkeypatch.setattr(quadrature, "_TS_CHUNK", 1 << 30)
+    whole, level_sizes = run()
+    assert max(sizes) == chunk < max(level_sizes)
+    assert sum(sizes) == sum(level_sizes)
+    assert chunked == whole
+
+
 def test_contour_polynomial():
     assert contour_derivative(lambda w: w**3, 1.0, 2, 0.3) == pytest.approx(
         6.0, abs=1e-11
