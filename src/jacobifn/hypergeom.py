@@ -361,15 +361,25 @@ def _pick_argument(z: complex, terminating: bool) -> str:
 
 
 def _continued_2f1(a, b, c, z, regularized: bool) -> SeriesValue:
-    """2F1(a, b; c; z), plain or regularized, continued via the z/(z-1) map."""
+    """2F1(a, b; c; z), plain or regularized, continued via the z/(z-1) map.
+
+    The series summed terminates or has its argument within MAP_LIMIT, so the
+    only check of ``_checked_series`` that can fire is the lower-pole guard.
+    """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    terminating = termination_index((a, b)) is not None
-    if not terminating and _on_cut(z):
+    m = termination_index((a, b))
+    if m is None and _on_cut(z):
         raise CutError(f"z={z} on the cut [1, oo)")
-    series = ohyp if regularized else phyp
-    if _pick_argument(z, terminating) == "direct":
-        return series((a, b), (c,), z)
-    inner = series((a, c - b), (c,), z / (z - 1.0))
+
+    def series(upper, x, m_stop):
+        if not regularized:
+            _lower_pole_guard((c,), None if m_stop is None else m_stop + 1)
+        return _series(upper, (c,), x, m_stop, regularized)
+
+    if _pick_argument(z, m is not None) == "direct":
+        return series((a, b), z, m)
+    upper = (a, c - b)
+    inner = series(upper, z / (z - 1.0), termination_index(upper))
     fac = (1.0 - z) ** (-a)
     return SeriesValue(
         fac * inner.value,

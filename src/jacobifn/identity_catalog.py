@@ -2,9 +2,16 @@
 
 Each entry pairs a left-hand evaluator (contour derivative, iterated
 weighted-derivative operator, repeated integral, or integral representation)
-with the closed-form right-hand side, a constraint predicate naming any
-violated hypothesis, and a sampling recipe that stays inside the entry's own
-admissible region.
+with the closed-form right-hand side, the paper's hypotheses for it, and a
+sampling recipe that stays inside the entry's own admissible region.
+
+Hypotheses are rows: each entry gives a function of the complex (alpha,
+beta, gamma), z and n that returns (violated, message) pairs in the order
+they are checked, and ``_check`` reports the first violated message.  The
+first-kind and second-kind entries check their family's parameter guard
+(``_p_valid`` or ``_q_valid``) first; the Rodrigues forms and SN have none.
+Every integer-proximity row is one test, ``_near`` (within MARGIN of an
+integer in a range), and every half-plane row ``_above`` or ``_below``.
 
 Naming scheme: FD/FW/FR/FI/FJ/FK/FT drive the first-kind function (plain
 derivatives, weighted-operator derivatives, Rodrigues forms, finite
@@ -13,8 +20,8 @@ Taylor sections); SRL/SD/SW/SI/SQ/SN and the ODE entries drive the second
 kind.
 
 Entries that share an oracle share one factory: ``_contour_entry`` (FD, FW,
-SD, SW), ``_finite_entry`` (FI, FK) and ``_ray_entry`` (FJ, SI).  Every
-entry's constraints open with its family's parameter guard (``_guard``).
+SD, SW), ``_finite_entry`` (FI, FK) and ``_ray_entry`` (FJ, SI); each takes
+the entry's rows where it has any.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import cmath
 import math
 import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from random import Random
 from typing import Callable
 
@@ -60,6 +67,7 @@ from .scalar_kernel import gamma, pochhammer, reciprocal_gamma
 Sampler = Callable[[Random, int], tuple[JacobiParams, complex]]
 SideFn = Callable[[JacobiParams, complex, int], complex]
 ConstraintFn = Callable[[JacobiParams, complex, int], str | None]
+Rows = Callable[[complex, complex, complex, complex, int], tuple[tuple[bool, str], ...]]
 
 P_DERIV_CUT = Cut.union(Cut.left_ray(-1.0), Cut.right_ray(1.0))
 P_PLAIN_CUT = Cut.left_ray(-1.0)
@@ -113,58 +121,62 @@ class IdentityDescriptor:
     note: str | None = None
 
 
-# --- constraint helpers ------------------------------------------------------
+# --- hypotheses ----------------------------------------------------------------
 
 
-def _dist_nonpos_int(x: complex) -> float:
-    x = complex(x)
-    m = min(0, round(x.real))
-    return abs(x - m)
+def _near(x: complex, lo: float = -math.inf, hi: float = math.inf) -> bool:
+    """Whether x lies within MARGIN of an integer in [lo, hi]."""
+    return abs(x - min(hi, max(lo, round(x.real)))) < MARGIN
 
 
-def _dist_neg_int(x: complex) -> float:
-    x = complex(x)
-    m = min(-1, round(x.real))
-    return abs(x - m)
+def _poch_zero(x: complex, k: int) -> bool:
+    """Whether x lies within MARGIN of a zero 0, -1, ..., 1-k of (x)_k; never for k <= 0."""
+    return k > 0 and _near(x, 1 - k, 0)
 
 
-def _dist_int(x: complex) -> float:
-    return abs(complex(x) - round(complex(x).real))
+def _above(x: complex, bound: float, margin: float = MARGIN) -> bool:
+    """Whether the hypothesis Re(x) > bound fails: Re(x) <= bound + margin."""
+    return x.real <= bound + margin
 
 
-def _poch_zero_dist(x: complex, n: int) -> float:
-    """Distance from x to the zero set {0, -1, ..., -(n-1)} of (x)_n."""
-    if n <= 0:
-        return math.inf
-    x = complex(x)
-    m = -min(n - 1, max(0, round(-x.real)))
-    return abs(x - m)
+def _below(x: complex, bound: float, margin: float = MARGIN) -> bool:
+    """Whether the hypothesis Re(x) < bound fails: Re(x) >= bound - margin."""
+    return x.real >= bound - margin
 
 
-def _p_valid(a, b, g) -> str | None:
-    if _dist_neg_int(complex(a) + complex(g)) < MARGIN:
-        return "alpha+gamma near a negative integer"
-    return None
+def _p_valid(a, b, g, z, n):
+    return ((_near(a + g, hi=-1), "alpha+gamma near a negative integer"),)
 
 
-def _q_valid(a, b, g) -> str | None:
-    if _dist_neg_int(complex(a) + complex(g)) < MARGIN:
-        return "alpha+gamma near a negative integer"
-    if _dist_neg_int(complex(b) + complex(g)) < MARGIN:
-        return "beta+gamma near a negative integer"
-    return None
+def _q_valid(a, b, g, z, n):
+    return (
+        (_near(a + g, hi=-1), "alpha+gamma near a negative integer"),
+        (_near(b + g, hi=-1), "beta+gamma near a negative integer"),
+    )
 
 
-def _connection_safe(a, b, g) -> str | None:
+def _connection_safe(a, b, g, z, n):
     """Reject parameters whose large-z decomposition of P degenerates."""
-    if _dist_int(a + b + 2 * g) < MARGIN:
-        return "alpha+beta+2gamma near an integer (resonant connection)"
-    for label, s in (("alpha+gamma", a + g), ("beta+gamma", b + g)):
-        s = complex(s)
-        m = round(s.real)
-        if m >= 0 and abs(s - m) < MARGIN:
-            return f"{label} near a non-negative integer (degenerate connection)"
+    return (
+        (_near(a + b + 2 * g), "alpha+beta+2gamma near an integer (resonant connection)"),
+        (_near(a + g, 0), "alpha+gamma near a non-negative integer (degenerate connection)"),
+        (_near(b + g, 0), "beta+gamma near a non-negative integer (degenerate connection)"),
+    )
+
+
+def _check(hypotheses: tuple[Rows, ...], params: JacobiParams, z: complex, n: int) -> str | None:
+    """The message of the first violated row of the row functions, in order, or None."""
+    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
+    for rows in hypotheses:
+        for violated, message in rows(a, b, g, z, n):
+            if violated:
+                return message
     return None
+
+
+def _guarded(kind: str, *rows: Rows) -> ConstraintFn:
+    """The family guard of kind "P" or "Q", then the given row functions."""
+    return partial(_check, (_p_valid if kind == "P" else _q_valid, *rows))
 
 
 # --- samplers ----------------------------------------------------------------
@@ -174,8 +186,8 @@ def _u(rng: Random, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-def _cplx(rng: Random, lo: float, hi: float, im: float = 0.45) -> complex:
-    return complex(_u(rng, lo, hi), _u(rng, -im, im))
+def _cplx(rng: Random, lo: float, hi: float) -> complex:
+    return complex(_u(rng, lo, hi), _u(rng, -0.45, 0.45))
 
 
 def _z_deriv_p(rng: Random) -> complex:
@@ -203,17 +215,12 @@ def _box_sampler(
     a_box=(-0.65, 2.8),
     b_box=(-0.65, 2.8),
     g_box=(-0.6, 2.8),
-    im: float = 0.45,
 ) -> Sampler:
+    """Draw alpha, beta, gamma from their boxes, then z; a box is (lo, hi) or a function of n."""
+
     def draw(rng: Random, n: int) -> tuple[JacobiParams, complex]:
-        return (
-            JacobiParams(
-                _cplx(rng, *a_box, im=im),
-                _cplx(rng, *b_box, im=im),
-                _cplx(rng, *g_box, im=im),
-            ),
-            zdraw(rng),
-        )
+        boxes = [box(n) if callable(box) else box for box in (a_box, b_box, g_box)]
+        return JacobiParams(*(_cplx(rng, *box) for box in boxes)), zdraw(rng)
 
     return draw
 
@@ -239,13 +246,9 @@ def plain_derivative(f, z: complex, n: int, cut: Cut) -> complex:
     return contour_derivative(f, z, n, cut=cut)
 
 
-_OPERATOR_COEFFS: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
+@cache
 def _operator_coeffs(n: int) -> tuple[tuple[int, int], ...]:
     """Coefficients a_{n,k} of [(z-c)^2 D]^n = sum_k a_{n,k} (z-c)^(n+k) D^k."""
-    if n in _OPERATOR_COEFFS:
-        return _OPERATOR_COEFFS[n]
     coeffs = {1: 1}
     for m in range(1, n):
         nxt: dict[int, int] = {}
@@ -253,9 +256,7 @@ def _operator_coeffs(n: int) -> tuple[tuple[int, int], ...]:
             nxt[k] = nxt.get(k, 0) + c * (m + k)
             nxt[k + 1] = nxt.get(k + 1, 0) + c
         coeffs = nxt
-    out = tuple(sorted(coeffs.items()))
-    _OPERATOR_COEFFS[n] = out
-    return out
+    return tuple(sorted(coeffs.items()))
 
 
 def operator_power(f, z: complex, n: int, base_point: float, cut: Cut) -> complex:
@@ -282,21 +283,8 @@ def _register(entry: IdentityDescriptor) -> None:
     _CATALOG[entry.identity_id] = entry
 
 
-def _guard(kind: str, extra: ConstraintFn | None = None) -> ConstraintFn:
-    """The family's parameter guard (``_p_valid`` or ``_q_valid``), then extra."""
-    valid = _p_valid if kind == "P" else _q_valid
-
-    def cons(params: JacobiParams, z: complex, n: int) -> str | None:
-        bad = valid(params.alpha, params.beta, params.gamma)
-        if bad is None and extra is not None:
-            bad = extra(params, z, n)
-        return bad
-
-    return cons
-
-
 def _contour_entry(
-    ident, desc, kind, weight, rhs, base_point=None, cut=None, extra=None, note=None
+    ident, desc, kind, weight, rhs, base_point=None, cut=None, hypotheses=None, note=None
 ):
     """Contour oracle on the weighted P or Q (kind "P" or "Q").
 
@@ -316,15 +304,12 @@ def _contour_entry(
         return operator_power(f, z, n, base_point, cut)
 
     sample = _P_DERIV_SAMPLE if kind == "P" else _Q_SAMPLE
-    _register(
-        IdentityDescriptor(
-            ident, desc, (1, 2, 3), 1e-8, lhs, rhs, _guard(kind, extra), sample, note
-        )
-    )
+    cons = _guarded(kind) if hypotheses is None else _guarded(kind, hypotheses)
+    _register(IdentityDescriptor(ident, desc, (1, 2, 3), 1e-8, lhs, rhs, cons, sample, note))
 
 
 def _finite_entry(
-    ident, desc, pairs, anchor_exp, rhs, extra, measure=FLAT, sample=_P_INT_SAMPLE, note=None
+    ident, desc, pairs, anchor_exp, rhs, hypotheses, measure=FLAT, sample=_P_INT_SAMPLE, note=None
 ):
     """Endpoint-weighted n-fold integral of P between z and 1.
 
@@ -352,20 +337,20 @@ def _finite_entry(
             spec = RepeatedIntegralSpec(n, 1.0, z, measure, "upper")
         return repeated_integral(f, spec, anchor_exponent=anchor_exp(params), rtol=1e-12).value
 
-    _register(
-        IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, _guard("P", extra), sample, note)
-    )
+    cons = _guarded("P", hypotheses)
+    _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, cons, sample, note))
 
 
 _LOG_BASES = {"1-w": lambda w: 1.0 - w, "w-1": lambda w: w - 1.0, "1+w": lambda w: 1.0 + w}
 
 
-def _ray_entry(ident, desc, kind, pairs, rhs, extra, sample, note=None):
+def _ray_entry(ident, desc, kind, pairs, rhs, hypotheses, sample, note=None):
     """Improper n-fold integral of P or Q along the ray from z to infinity.
 
     P enters in scaled form and Q in log form, and the weights join in log
     space, so neither the dominant large-w branch nor a weight overflows
-    before their product decays.
+    before their product decays.  The scaled P runs through the large-z
+    connection, so P entries also check ``_connection_safe``.
     """
 
     def lhs(p: JacobiParams, z: complex, n: int) -> complex:
@@ -386,9 +371,9 @@ def _ray_entry(ident, desc, kind, pairs, rhs, extra, sample, note=None):
         spec = RepeatedIntegralSpec(n, z, None, FLAT, "lower")
         return repeated_integral(f, spec, rtol=1e-12).value
 
-    _register(
-        IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, _guard(kind, extra), sample, note)
-    )
+    rows = (hypotheses, _connection_safe) if kind == "P" else (hypotheses,)
+    cons = _guarded(kind, *rows)
+    _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, cons, sample, note))
 
 
 # --- FD: plain n-th derivatives of weighted P --------------------------------
@@ -566,10 +551,6 @@ def _rodrigues_rhs(params: JacobiParams, z: complex, n: int) -> complex:
     return jacobi_polynomial(n, params.alpha, params.beta, z)
 
 
-def _rodrigues_cons(params: JacobiParams, z: complex, n: int) -> str | None:
-    return None
-
-
 _register(
     IdentityDescriptor(
         "FR1",
@@ -578,7 +559,7 @@ _register(
         1e-8,
         _rodrigues_lhs_one,
         _rodrigues_rhs,
-        _rodrigues_cons,
+        partial(_check, ()),
         _P_DERIV_SAMPLE,
     )
 )
@@ -591,7 +572,7 @@ _register(
         1e-8,
         _rodrigues_lhs_two,
         _rodrigues_rhs,
-        _rodrigues_cons,
+        partial(_check, ()),
         _P_DERIV_SAMPLE,
         note="operand corrected to (z-1)^(alpha+1)(z+1)^(beta+n): the printed "
         "(z-1)^alpha(z+1)^(beta+n+1) fails already at n=1, alpha=beta=0.",
@@ -600,17 +581,6 @@ _register(
 
 
 # --- FI: finite multi-integrals toward 1 --------------------------------------
-
-
-def _fi1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    if complex(p.alpha).real <= -1.0 + MARGIN:
-        return "Re(alpha) too close to -1"
-    if complex(p.beta).real <= -1.0 + MARGIN:
-        return "Re(beta) too close to -1"
-    if _poch_zero_dist(-complex(p.gamma), n) < MARGIN:
-        return "(-gamma)_n vanishes"
-    return None
-
 
 _finite_entry(
     "FI1",
@@ -622,15 +592,12 @@ _finite_entry(
     * power(1.0 - z, p.alpha + n)
     * power(1.0 + z, p.beta + n)
     * pval(p.alpha + n, p.beta + n, p.gamma - n, z),
-    _fi1_cons,
+    lambda a, b, g, z, n: (
+        (_above(a, -1.0), "Re(alpha) too close to -1"),
+        (_above(b, -1.0), "Re(beta) too close to -1"),
+        (_poch_zero(-g, n), "(-gamma)_n vanishes"),
+    ),
 )
-
-
-def _fi2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    if complex(p.alpha).real <= -1.0 + MARGIN:
-        return "Re(alpha) too close to -1"
-    return None
-
 
 _finite_entry(
     "FI2",
@@ -640,22 +607,18 @@ _finite_entry(
     lambda p, z, n: power(1.0 - z, p.alpha + n)
     / pochhammer(p.alpha + p.gamma + 1.0, n)
     * pval(p.alpha + n, p.beta - n, p.gamma, z),
-    _fi2_cons,
+    lambda a, b, g, z, n: ((_above(a, -1.0), "Re(alpha) too close to -1"),),
 )
 
 
-def _fi3_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    s = complex(p.alpha) + complex(p.beta) + complex(p.gamma)
-    if _poch_zero_dist(-s, n) < MARGIN:
-        return "(-alpha-beta-gamma)_n vanishes"
-    if abs(s) < MARGIN:
-        return "alpha+beta+gamma near 0"
-    if n >= 2:
-        if _poch_zero_dist(complex(p.gamma) + 2.0, n - 1) < MARGIN:
-            return "(gamma+2)_k vanishes inside the boundary series"
-        if _poch_zero_dist(1.0 - s, n - 1) < MARGIN:
-            return "(1-alpha-beta-gamma)_k vanishes inside the boundary series"
-    return None
+def _fi3a_rows(a, b, g, z, n):
+    s = a + b + g
+    return (
+        (_poch_zero(-s, n), "(-alpha-beta-gamma)_n vanishes"),
+        (abs(s) < MARGIN, "alpha+beta+gamma near 0"),
+        (_poch_zero(g + 2.0, n - 1), "(gamma+2)_k vanishes inside the boundary series"),
+        (_poch_zero(1.0 - s, n - 1), "(1-alpha-beta-gamma)_k vanishes inside the boundary series"),
+    )
 
 
 def _fi3a_rhs(p: JacobiParams, z: complex, n: int) -> complex:
@@ -684,16 +647,8 @@ _finite_entry(
     (),
     lambda p: 0.0,
     _fi3a_rhs,
-    _fi3_cons,
+    _fi3a_rows,
 )
-
-
-def _fi3b_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    if _dist_nonpos_int(complex(p.alpha) + 1.0) < MARGIN:
-        return "alpha+1 near a non-positive integer"
-    if abs(1.0 - z) > 1.45:
-        return "|1-z| outside the convergence disk of the closed form"
-    return None
 
 
 def _fi3b_rhs(p: JacobiParams, z: complex, n: int) -> complex:
@@ -717,38 +672,14 @@ _finite_entry(
     (),
     lambda p: 0.0,
     _fi3b_rhs,
-    _fi3b_cons,
+    lambda a, b, g, z, n: (
+        (_near(a + 1.0, hi=0), "alpha+1 near a non-positive integer"),
+        (abs(1.0 - z) > 1.45, "|1-z| outside the convergence disk of the closed form"),
+    ),
 )
 
 
 # --- FJ: improper multi-integrals along the ray to infinity -------------------
-
-
-def _fj_sample(a_box, b_box, g_box) -> Sampler:
-    def draw(rng: Random, n: int) -> tuple[JacobiParams, complex]:
-        lo_a, hi_a = a_box(n)
-        lo_b, hi_b = b_box(n)
-        lo_g, hi_g = g_box(n)
-        return (
-            JacobiParams(
-                _cplx(rng, lo_a, hi_a),
-                _cplx(rng, lo_b, hi_b),
-                _cplx(rng, lo_g, hi_g),
-            ),
-            _z_ray_p(rng),
-        )
-
-    return draw
-
-
-def _fj1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if (a + b + g).real >= -n - RAY_MARGIN:
-        return "Re(alpha+beta+gamma) not below -n"
-    if g.real <= n - 1 + RAY_MARGIN:
-        return "Re(gamma) not above n-1"
-    return _connection_safe(a, b, g)
-
 
 _ray_entry(
     "FJ1",
@@ -760,8 +691,12 @@ _ray_entry(
     * power(1.0 - z, p.alpha + n)
     * power(1.0 + z, p.beta + n)
     * pval(p.alpha + n, p.beta + n, p.gamma - n, z),
-    _fj1_cons,
-    _fj_sample(
+    lambda a, b, g, z, n: (
+        (_below(a + b + g, -n, RAY_MARGIN), "Re(alpha+beta+gamma) not below -n"),
+        (_above(g, n - 1, RAY_MARGIN), "Re(gamma) not above n-1"),
+    ),
+    _box_sampler(
+        _z_ray_p,
         lambda n: (-n - 2.4, -0.9),
         lambda n: (-n - 2.4, -0.9),
         lambda n: (n - 0.55, n + 0.7),
@@ -769,16 +704,6 @@ _ray_entry(
     note="sign corrected to (-1)^n/(2^n(-gamma)_n): the printed positive "
     "constant contradicts the n=1 proof display factor 1/(2 gamma).",
 )
-
-
-def _fj2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if (a + g).real >= -n - RAY_MARGIN:
-        return "Re(alpha+gamma) not below -n"
-    if (b + g).real <= n - 1 + RAY_MARGIN:
-        return "Re(beta+gamma) not above n-1"
-    return _connection_safe(a, b, g)
-
 
 _ray_entry(
     "FJ2",
@@ -788,23 +713,17 @@ _ray_entry(
     lambda p, z, n: power(1.0 - z, p.alpha + n)
     / pochhammer(p.alpha + p.gamma + 1.0, n)
     * pval(p.alpha + n, p.beta - n, p.gamma, z),
-    _fj2_cons,
-    _fj_sample(
+    lambda a, b, g, z, n: (
+        (_below(a + g, -n, RAY_MARGIN), "Re(alpha+gamma) not below -n"),
+        (_above(b + g, n - 1, RAY_MARGIN), "Re(beta+gamma) not above n-1"),
+    ),
+    _box_sampler(
+        _z_ray_p,
         lambda n: (-n - 2.8, -n - 0.45),
         lambda n: (n + 0.5, n + 2.4),
         lambda n: (-0.55, 0.75),
     ),
 )
-
-
-def _fj3_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if (b + g).real >= -n - RAY_MARGIN:
-        return "Re(beta+gamma) not below -n"
-    if (a + g).real <= n - 1 + RAY_MARGIN:
-        return "Re(alpha+gamma) not above n-1"
-    return _connection_safe(a, b, g)
-
 
 _ray_entry(
     "FJ3",
@@ -815,23 +734,17 @@ _ray_entry(
     * power(1.0 + z, p.beta + n)
     / pochhammer(p.beta + p.gamma + 1.0, n)
     * pval(p.alpha - n, p.beta + n, p.gamma, z),
-    _fj3_cons,
-    _fj_sample(
+    lambda a, b, g, z, n: (
+        (_below(b + g, -n, RAY_MARGIN), "Re(beta+gamma) not below -n"),
+        (_above(a + g, n - 1, RAY_MARGIN), "Re(alpha+gamma) not above n-1"),
+    ),
+    _box_sampler(
+        _z_ray_p,
         lambda n: (n + 0.5, n + 2.4),
         lambda n: (-n - 2.8, -n - 0.45),
         lambda n: (-0.55, 0.75),
     ),
 )
-
-
-def _fj4_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if g.real >= -n - RAY_MARGIN:
-        return "Re(gamma) not below -n"
-    if (a + b + g).real <= n - 1 + RAY_MARGIN:
-        return "Re(alpha+beta+gamma) not above n-1"
-    return _connection_safe(a, b, g)
-
 
 _ray_entry(
     "FJ4",
@@ -841,8 +754,12 @@ _ray_entry(
     lambda p, z, n: 2.0**n
     / pochhammer(-p.alpha - p.beta - p.gamma, n)
     * pval(p.alpha - n, p.beta - n, p.gamma + n, z),
-    _fj4_cons,
-    _fj_sample(
+    lambda a, b, g, z, n: (
+        (_below(g, -n, RAY_MARGIN), "Re(gamma) not below -n"),
+        (_above(a + b + g, n - 1, RAY_MARGIN), "Re(alpha+beta+gamma) not above n-1"),
+    ),
+    _box_sampler(
+        _z_ray_p,
         lambda n: (n + 0.6, n + 2.2),
         lambda n: (n + 0.6, n + 2.2),
         lambda n: (-n - 2.2, -n - 0.45),
@@ -854,17 +771,6 @@ _ray_entry(
 
 # --- FK: measure-weighted multi-integrals from 1 ------------------------------
 
-
-def _fk1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    s = a + b + g
-    if (s + 1.0).real <= n + MARGIN:
-        return "Re(alpha+beta+gamma+1) not above n"
-    if _poch_zero_dist(s - n + 1.0, n) < MARGIN:
-        return "(alpha+beta+gamma-n+1)_n vanishes"
-    return None
-
-
 _finite_entry(
     "FK1",
     "n-fold (w-1)^-2-measure integral shifting the second exponent down",
@@ -873,19 +779,12 @@ _finite_entry(
     lambda p, z, n: power(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 - n)
     / pochhammer(p.alpha + p.beta + p.gamma - n + 1.0, n)
     * pval(p.alpha, p.beta - n, p.gamma, z),
-    _fk1_cons,
+    lambda a, b, g, z, n: (
+        (_above(a + b + g + 1.0, n), "Re(alpha+beta+gamma+1) not above n"),
+        (_poch_zero(a + b + g - n + 1.0, n), "(alpha+beta+gamma-n+1)_n vanishes"),
+    ),
     measure=INV_SQ_MINUS,
 )
-
-
-def _fk2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if (a + g + 1.0).real <= n + MARGIN:
-        return "Re(alpha+gamma+1) not above n"
-    if _poch_zero_dist(g - n + 1.0, n) < MARGIN:
-        return "(gamma-n+1)_n vanishes"
-    return None
-
 
 _finite_entry(
     "FK2",
@@ -896,21 +795,12 @@ _finite_entry(
     * power(z - 1.0, p.alpha + p.gamma - n + 1.0)
     / (2.0**n * pochhammer(p.gamma - n + 1.0, n))
     * pval(p.alpha, p.beta + n, p.gamma - n, z),
-    _fk2_cons,
+    lambda a, b, g, z, n: (
+        (_above(a + g + 1.0, n), "Re(alpha+gamma+1) not above n"),
+        (_poch_zero(g - n + 1.0, n), "(gamma-n+1)_n vanishes"),
+    ),
     measure=INV_SQ_MINUS,
 )
-
-
-def _fk3_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if (a + n).real <= MARGIN:
-        return "Re(alpha+n) not positive"
-    if a.real <= -1.0 + MARGIN:
-        return "Re(alpha) too close to -1 for the first iterate"
-    if _poch_zero_dist(g - n + 1.0, n) < MARGIN:
-        return "(gamma-n+1)_n vanishes"
-    return None
-
 
 _finite_entry(
     "FK3",
@@ -921,19 +811,13 @@ _finite_entry(
     * power(z + 1.0, p.beta + p.gamma - n + 1.0)
     / (2.0**n * pochhammer(p.gamma - n + 1.0, n))
     * pval(p.alpha + n, p.beta, p.gamma - n, z),
-    _fk3_cons,
+    lambda a, b, g, z, n: (
+        (_above(a + n, 0), "Re(alpha+n) not positive"),
+        (_above(a, -1.0), "Re(alpha) too close to -1 for the first iterate"),
+        (_poch_zero(g - n + 1.0, n), "(gamma-n+1)_n vanishes"),
+    ),
     measure=INV_SQ_PLUS,
 )
-
-
-def _fk4_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if (a + n).real <= MARGIN:
-        return "Re(alpha+n) not positive"
-    if a.real <= -1.0 + MARGIN:
-        return "Re(alpha) too close to -1 for the first iterate"
-    return None
-
 
 _finite_entry(
     "FK4",
@@ -944,19 +828,12 @@ _finite_entry(
     * power(z + 1.0, -(p.alpha + n + p.gamma))
     / (2.0**n * pochhammer(1.0 + p.alpha + p.gamma, n))
     * pval(p.alpha + n, p.beta, p.gamma, z),
-    _fk4_cons,
+    lambda a, b, g, z, n: (
+        (_above(a + n, 0), "Re(alpha+n) not positive"),
+        (_above(a, -1.0), "Re(alpha) too close to -1 for the first iterate"),
+    ),
     measure=INV_SQ_PLUS,
 )
-
-
-def _fk5_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if g.real >= -n - MARGIN:
-        return "Re(gamma) not below -n"
-    if _dist_neg_int(a + g + n) < MARGIN:
-        return "alpha+gamma+n near a negative integer (shifted validity)"
-    return None
-
 
 _finite_entry(
     "FK5",
@@ -967,18 +844,13 @@ _finite_entry(
     / pochhammer(p.alpha + p.gamma + 1.0, n)
     * power(z - 1.0, -(p.gamma + n))
     * pval(p.alpha, p.beta - n, p.gamma + n, z),
-    _fk5_cons,
+    lambda a, b, g, z, n: (
+        (_below(g, -n), "Re(gamma) not below -n"),
+        (_near(a + g + n, hi=-1), "alpha+gamma+n near a negative integer (shifted validity)"),
+    ),
     measure=INV_SQ_MINUS,
     sample=_box_sampler(_z_int_p, g_box=(-4.4, -1.35)),
 )
-
-
-def _fk6_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if (b + g).real >= -n - MARGIN:
-        return "Re(beta+gamma) not below -n"
-    return None
-
 
 _finite_entry(
     "FK6",
@@ -990,7 +862,7 @@ _finite_entry(
     * power(z + 1.0, p.beta + n)
     * power(z - 1.0, -(p.beta + p.gamma + n))
     * pval(p.alpha, p.beta + n, p.gamma, z),
-    _fk6_cons,
+    lambda a, b, g, z, n: ((_below(b + g, -n), "Re(beta+gamma) not below -n"),),
     measure=INV_SQ_MINUS,
     sample=_box_sampler(_z_int_p, b_box=(-2.3, 0.4), g_box=(-4.4, -1.35)),
     note="RHS resolved to (-1)^n/(2^n(beta+gamma+1)_n) (z+1)^(beta+n) "
@@ -999,23 +871,16 @@ _finite_entry(
 )
 
 
-def _fk7_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
+def _fk7_rows(a, b, g, z, n):
     s = a + b + g
-    if abs(s) < MARGIN:
-        return "alpha+beta+gamma near 0"
-    if _poch_zero_dist(s + 1.0 - n, n) < MARGIN:
-        return "(alpha+beta+gamma+1-n)_n vanishes"
-    if _dist_nonpos_int(a + g) < MARGIN:
-        return "alpha+gamma near a non-positive integer (boundary gamma factor)"
-    if _dist_neg_int(a - n + g) < MARGIN:
-        return "alpha-n+gamma near a negative integer (shifted validity)"
-    if n >= 2:
-        if _poch_zero_dist(1.0 - a - g, n - 1) < MARGIN:
-            return "(1-alpha-gamma)_k vanishes inside the boundary series"
-        if _poch_zero_dist(1.0 - s, n - 1) < MARGIN:
-            return "(1-alpha-beta-gamma)_k vanishes inside the boundary series"
-    return None
+    return (
+        (abs(s) < MARGIN, "alpha+beta+gamma near 0"),
+        (_poch_zero(s + 1.0 - n, n), "(alpha+beta+gamma+1-n)_n vanishes"),
+        (_near(a + g, hi=0), "alpha+gamma near a non-positive integer (boundary gamma factor)"),
+        (_near(a - n + g, hi=-1), "alpha-n+gamma near a negative integer (shifted validity)"),
+        (_poch_zero(1.0 - a - g, n - 1), "(1-alpha-gamma)_k vanishes inside the boundary series"),
+        (_poch_zero(1.0 - s, n - 1), "(1-alpha-beta-gamma)_k vanishes inside the boundary series"),
+    )
 
 
 def _fk7_rhs(p: JacobiParams, z: complex, n: int) -> complex:
@@ -1048,21 +913,9 @@ _finite_entry(
     (("1+w", lambda p: p.alpha + p.beta + p.gamma + 1.0),),
     lambda p: 0.0,
     _fk7_rhs,
-    _fk7_cons,
+    _fk7_rows,
     measure=INV_SQ_PLUS,
 )
-
-
-def _fk8_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if _poch_zero_dist(b + g + 1.0, n) < MARGIN:
-        return "(beta+gamma+1)_n vanishes"
-    if n >= 2:
-        if _poch_zero_dist(g + 2.0, n - 1) < MARGIN:
-            return "(gamma+2)_k vanishes inside the boundary series"
-        if _poch_zero_dist(b + g + 2.0, n - 1) < MARGIN:
-            return "(beta+gamma+2)_k vanishes inside the boundary series"
-    return None
 
 
 def _fk8_rhs(p: JacobiParams, z: complex, n: int) -> complex:
@@ -1092,7 +945,11 @@ _finite_entry(
     (("1+w", lambda p: -p.gamma),),
     lambda p: 0.0,
     _fk8_rhs,
-    _fk8_cons,
+    lambda a, b, g, z, n: (
+        (_poch_zero(b + g + 1.0, n), "(beta+gamma+1)_n vanishes"),
+        (_poch_zero(g + 2.0, n - 1), "(gamma+2)_k vanishes inside the boundary series"),
+        (_poch_zero(b + g + 2.0, n - 1), "(beta+gamma+2)_k vanishes inside the boundary series"),
+    ),
     measure=INV_SQ_PLUS,
 )
 
@@ -1108,11 +965,9 @@ def _ft1_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     return taylor_section(p, n, z)[1]
 
 
-def _ft1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if _dist_nonpos_int(-(a + b + g)) < MARGIN:
-        return "alpha+beta+gamma near a non-negative integer (prefactor pole)"
-    return None
+def _ft1_rows(a, b, g, z, n):
+    s = a + b + g
+    return ((_near(-s, hi=0), "alpha+beta+gamma near a non-negative integer (prefactor pole)"),)
 
 
 _register(
@@ -1123,7 +978,7 @@ _register(
         1e-6,
         _ft1_lhs,
         _ft1_rhs,
-        _guard("P", _ft1_cons),
+        _guarded("P", _ft1_rows),
         _P_INT_SAMPLE,
         note="prefactor power resolved to ((1-z)/2)^(n-1); the printed "
         "((z-1)/2)^(n-1) flips every even-n value.",
@@ -1151,13 +1006,6 @@ def raising_form(p: JacobiParams, z: complex) -> complex:
     ) / (z * z - 1.0) * qval(a - 1.0, b - 1.0, g + 1.0, z)
 
 
-def _srl_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if _dist_neg_int(a + g) < MARGIN or _dist_neg_int(b + g) < MARGIN:
-        return "shifted degree validity fails"
-    return None
-
-
 _register(
     IdentityDescriptor(
         "SRL",
@@ -1166,7 +1014,12 @@ _register(
         1e-8,
         _srl_lhs,
         _srl_rhs,
-        _guard("Q", _srl_cons),
+        _guarded(
+            "Q",
+            lambda a, b, g, z, n: (
+                (_near(a + g, hi=-1) or _near(b + g, hi=-1), "shifted degree validity fails"),
+            ),
+        ),
         _Q_SAMPLE,
     )
 )
@@ -1206,12 +1059,6 @@ def _sd2_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     )
 
 
-def _sd2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    if _poch_zero_dist(-complex(p.gamma), n) < MARGIN:
-        return "(-gamma)_n vanishes"
-    return None
-
-
 _register(
     IdentityDescriptor(
         "SD2",
@@ -1220,7 +1067,7 @@ _register(
         1e-8,
         lambda p, z, n: qval(p.alpha, p.beta, p.gamma, z),
         _sd2_rhs,
-        _guard("Q", _sd2_cons),
+        _guarded("Q", lambda a, b, g, z, n: ((_poch_zero(-g, n), "(-gamma)_n vanishes"),)),
         _Q_SAMPLE,
     )
 )
@@ -1248,18 +1095,6 @@ _contour_entry(
 
 # --- SI: improper multi-integrals of Q ----------------------------------------
 
-
-def _si1_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if a.real <= -1.0 + RAY_MARGIN:
-        return "Re(alpha) not above -1"
-    if b.real <= -1.0 + RAY_MARGIN:
-        return "Re(beta) not above -1"
-    if g.real <= n + RAY_MARGIN:
-        return "Re(gamma) not above n"
-    return None
-
-
 _ray_entry(
     "SI1",
     "n-fold weighted ray integral of Q lowering the degree",
@@ -1269,23 +1104,13 @@ _ray_entry(
     * power(1.0 + z, p.beta + n)
     / (2.0**n * pochhammer(p.gamma - n + 1.0, n))
     * qval(p.alpha + n, p.beta + n, p.gamma - n, z),
-    _si1_cons,
+    lambda a, b, g, z, n: (
+        (_above(a, -1.0, RAY_MARGIN), "Re(alpha) not above -1"),
+        (_above(b, -1.0, RAY_MARGIN), "Re(beta) not above -1"),
+        (_above(g, n, RAY_MARGIN), "Re(gamma) not above n"),
+    ),
     _box_sampler(_z_q, g_box=(1.3, 3.4)),
 )
-
-
-def _si2_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if a.real <= -1.0 + RAY_MARGIN:
-        return "Re(alpha) not above -1"
-    if b.real <= n - 1 + RAY_MARGIN:
-        return "Re(beta) not above n-1"
-    if (b + g + 1.0).real <= n + RAY_MARGIN:
-        return "Re(beta+gamma+1) not above n"
-    if _dist_neg_int(b - n + g) < MARGIN:
-        return "beta-n+gamma near a negative integer (shifted validity)"
-    return None
-
 
 _ray_entry(
     "SI2",
@@ -1295,23 +1120,14 @@ _ray_entry(
     lambda p, z, n: power(z - 1.0, p.alpha + n)
     / pochhammer(p.alpha + p.gamma + 1.0, n)
     * qval(p.alpha + n, p.beta - n, p.gamma, z),
-    _si2_cons,
+    lambda a, b, g, z, n: (
+        (_above(a, -1.0, RAY_MARGIN), "Re(alpha) not above -1"),
+        (_above(b, n - 1, RAY_MARGIN), "Re(beta) not above n-1"),
+        (_above(b + g + 1.0, n, RAY_MARGIN), "Re(beta+gamma+1) not above n"),
+        (_near(b - n + g, hi=-1), "beta-n+gamma near a negative integer (shifted validity)"),
+    ),
     _box_sampler(_z_q, b_box=(1.3, 3.2), g_box=(-0.4, 2.4)),
 )
-
-
-def _si3_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    if a.real <= n - 1 + RAY_MARGIN:
-        return "Re(alpha) not above n-1"
-    if b.real <= n - 1 + RAY_MARGIN:
-        return "Re(beta) not above n-1"
-    if (a + b + g + 1.0).real <= n + RAY_MARGIN:
-        return "Re(alpha+beta+gamma+1) not above n"
-    if _poch_zero_dist(a + b + g - n + 1.0, n) < MARGIN:
-        return "(alpha+beta+gamma-n+1)_n vanishes"
-    return None
-
 
 _ray_entry(
     "SI3",
@@ -1321,7 +1137,12 @@ _ray_entry(
     lambda p, z, n: 2.0**n
     / pochhammer(p.alpha + p.beta + p.gamma - n + 1.0, n)
     * qval(p.alpha - n, p.beta - n, p.gamma + n, z),
-    _si3_cons,
+    lambda a, b, g, z, n: (
+        (_above(a, n - 1, RAY_MARGIN), "Re(alpha) not above n-1"),
+        (_above(b, n - 1, RAY_MARGIN), "Re(beta) not above n-1"),
+        (_above(a + b + g + 1.0, n, RAY_MARGIN), "Re(alpha+beta+gamma+1) not above n"),
+        (_poch_zero(a + b + g - n + 1.0, n), "(alpha+beta+gamma-n+1)_n vanishes"),
+    ),
     _box_sampler(_z_q, a_box=(1.3, 3.2), b_box=(1.3, 3.2), g_box=(-0.4, 2.4)),
 )
 
@@ -1339,13 +1160,6 @@ _contour_entry(
     base_point=1.0,
 )
 
-
-def _sw2_extra(p: JacobiParams, z: complex, n: int) -> str | None:
-    if _dist_neg_int(complex(p.alpha) + complex(p.gamma) - n) < MARGIN:
-        return "alpha+gamma-n near a negative integer (shifted validity)"
-    return None
-
-
 _contour_entry(
     "SW2",
     "second-kind analog of the degree-lowering (z-1) operator power",
@@ -1355,7 +1169,9 @@ _contour_entry(
     * power(z - 1.0, n - p.gamma)
     * qval(p.alpha, p.beta + n, p.gamma - n, z),
     base_point=1.0,
-    extra=_sw2_extra,
+    hypotheses=lambda a, b, g, z, n: (
+        (_near(a + g - n, hi=-1), "alpha+gamma-n near a negative integer (shifted validity)"),
+    ),
 )
 
 _contour_entry(
@@ -1373,13 +1189,6 @@ _contour_entry(
     base_point=1.0,
 )
 
-
-def _sw4_extra(p: JacobiParams, z: complex, n: int) -> str | None:
-    if _dist_neg_int(complex(p.beta) - n + complex(p.gamma)) < MARGIN:
-        return "beta-n+gamma near a negative integer (shifted validity)"
-    return None
-
-
 _contour_entry(
     "SW4",
     "second-kind analog of the exponent-lowering (z-1) operator power",
@@ -1393,7 +1202,9 @@ _contour_entry(
     * power(z - 1.0, -(p.beta - n + p.gamma))
     * qval(p.alpha, p.beta - n, p.gamma, z),
     base_point=1.0,
-    extra=_sw4_extra,
+    hypotheses=lambda a, b, g, z, n: (
+        (_near(b - n + g, hi=-1), "beta-n+gamma near a negative integer (shifted validity)"),
+    ),
 )
 
 _SW_MIRROR_NOTE = (
@@ -1414,13 +1225,6 @@ _contour_entry(
     note=_SW_MIRROR_NOTE,
 )
 
-
-def _sw6_extra(p: JacobiParams, z: complex, n: int) -> str | None:
-    if _dist_neg_int(complex(p.beta) + complex(p.gamma) - n) < MARGIN:
-        return "beta+gamma-n near a negative integer (shifted validity)"
-    return None
-
-
 _contour_entry(
     "SW6",
     "second-kind analog of the mirrored degree-lowering operator power",
@@ -1431,7 +1235,9 @@ _contour_entry(
     * power(z + 1.0, n - p.gamma)
     * qval(p.alpha + n, p.beta, p.gamma - n, z),
     base_point=-1.0,
-    extra=_sw6_extra,
+    hypotheses=lambda a, b, g, z, n: (
+        (_near(b + g - n, hi=-1), "beta+gamma-n near a negative integer (shifted validity)"),
+    ),
     note=_SW_MIRROR_NOTE,
 )
 
@@ -1471,21 +1277,6 @@ _contour_entry(
 # --- SQ / SN: integral representations of Q -----------------------------------
 
 
-def _sq_cons(shift_from_n: bool):
-    def cons(p: JacobiParams, z: complex, n: int) -> str | None:
-        a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-        k = n if shift_from_n else 0
-        if (a + g - k).real <= -1.0 + MARGIN:
-            return "Re(alpha+gamma-k) not above -1"
-        if (b + g - k).real <= -1.0 + MARGIN:
-            return "Re(beta+gamma-k) not above -1"
-        if k and _poch_zero_dist(-g, k) < MARGIN:
-            return "(-gamma)_k vanishes"
-        return None
-
-    return cons
-
-
 def _sq_lhs(p: JacobiParams, z: complex, n: int) -> complex:
     _count()
     return jacobi_q_integral_shifted(QIntegralSpec(p, z, n)).value
@@ -1503,7 +1294,13 @@ _register(
         1e-6,
         _sq_lhs,
         _sq_rhs,
-        _guard("Q", _sq_cons(False)),
+        _guarded(
+            "Q",
+            lambda a, b, g, z, n: (
+                (_above(a + g, -1.0), "Re(alpha+gamma-k) not above -1"),
+                (_above(b + g, -1.0), "Re(beta+gamma-k) not above -1"),
+            ),
+        ),
         _box_sampler(_z_q, g_box=(0.0, 2.6)),
     )
 )
@@ -1516,7 +1313,14 @@ _register(
         1e-6,
         _sq_lhs,
         _sq_rhs,
-        _guard("Q", _sq_cons(True)),
+        _guarded(
+            "Q",
+            lambda a, b, g, z, n: (
+                (_above(a + g - n, -1.0), "Re(alpha+gamma-k) not above -1"),
+                (_above(b + g - n, -1.0), "Re(beta+gamma-k) not above -1"),
+                (_poch_zero(-g, n), "(-gamma)_k vanishes"),
+            ),
+        ),
         _box_sampler(_z_q, a_box=(0.3, 2.8), b_box=(0.3, 2.8), g_box=(1.2, 2.8)),
     )
 )
@@ -1531,13 +1335,11 @@ def _sn_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     return qval(p.alpha, p.beta, float(n), z)
 
 
-def _sn_cons(p: JacobiParams, z: complex, n: int) -> str | None:
-    a, b = complex(p.alpha), complex(p.beta)
-    if a.real <= -1.0 + MARGIN:
-        return "Re(alpha) not above -1"
-    if b.real <= -1.0 + MARGIN:
-        return "Re(beta) not above -1"
-    return None
+def _sn_rows(a, b, g, z, n):
+    return (
+        (_above(a, -1.0), "Re(alpha) not above -1"),
+        (_above(b, -1.0), "Re(beta) not above -1"),
+    )
 
 
 _register(
@@ -1548,7 +1350,7 @@ _register(
         1e-6,
         _sn_lhs,
         _sn_rhs,
-        _sn_cons,
+        partial(_check, (_sn_rows,)),
         _box_sampler(_z_q),
     )
 )
@@ -1608,7 +1410,7 @@ for _kind, _sample in (("P", _P_DERIV_SAMPLE), ("Q", _Q_SAMPLE)):
             1e-7,
             partial(_ode_lhs, _kind, _pending),
             partial(_ode_rhs, _kind, _pending),
-            _guard(_kind),
+            _guarded(_kind),
             _sample,
         )
     )

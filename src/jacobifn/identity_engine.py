@@ -101,12 +101,6 @@ def eval_identity_sides(
     )
 
 
-def _draw_sample(entry: IdentityDescriptor, rng: Random, index: int):
-    n = entry.n_values[index % len(entry.n_values)]
-    params, z = entry.sample(rng, n)
-    return params, z, n
-
-
 def verify_identity(
     identity_id: str,
     samples: int,

@@ -178,8 +178,8 @@ def _level_values(values, t: np.ndarray) -> np.ndarray:
     return np.concatenate([values(t[i : i + _TS_CHUNK]) for i in range(0, t.size, _TS_CHUNK)])
 
 
-def _tanh_sinh(values, tmax: float, max_level: int, rtol: float, label: str) -> EvalResult:
-    """Tanh-sinh doubling on t in [-tmax, tmax]: step 1, then 1/2, 1/4, ...
+def _tanh_sinh(values, tmax: float, rtol: float, label: str) -> EvalResult:
+    """Tanh-sinh doubling on t in [-tmax, tmax]: step 1, then 1/2, ..., 2^-_TS_MAX_LEVEL.
 
     ``values`` maps an ndarray of t to the weighted integrand there; it is
     called with only each level's new (odd) nodes, once per chunk of
@@ -192,7 +192,7 @@ def _tanh_sinh(values, tmax: float, max_level: int, rtol: float, label: str) -> 
     prev = None
     delta = math.inf
     h = 1.0
-    for level in range(1, max_level + 1):
+    for level in range(1, _TS_MAX_LEVEL + 1):
         h *= 0.5
         t = np.arange(1.0, math.floor(tmax / h) + 1.0, 2.0) * h
         v = _level_values(values, np.concatenate((t, -t)))
@@ -204,8 +204,8 @@ def _tanh_sinh(values, tmax: float, max_level: int, rtol: float, label: str) -> 
                 return EvalResult(complex(total), delta, f"{label}-{level}")
         prev = total
     if delta > 1e-8 * max(abs(total), 1e-300):
-        raise NonConvergence(f"{label} stalled at level {max_level} (abs change {delta:.2e})")
-    return EvalResult(complex(total), delta, f"{label}-{max_level}")
+        raise NonConvergence(f"{label} stalled at level {_TS_MAX_LEVEL} (abs change {delta:.2e})")
+    return EvalResult(complex(total), delta, f"{label}-{_TS_MAX_LEVEL}")
 
 
 def _decay_check(f, start: complex) -> None:
@@ -249,15 +249,10 @@ def integrate_to_infinity(
         dudt = 0.25 * math.pi * np.cosh(t) * sech * sech
         return f(start + u / omu) * dudt / (omu * omu)
 
-    return _tanh_sinh(values, _TS_TMAX, _TS_MAX_LEVEL, rtol, "tanh-sinh")
+    return _tanh_sinh(values, _TS_TMAX, rtol, "tanh-sinh")
 
 
-def tanh_sinh_segment(
-    g,
-    *,
-    rtol: float = 1e-11,
-    max_level: int = 11,
-) -> EvalResult:
+def tanh_sinh_segment(g, *, rtol: float = 1e-11) -> EvalResult:
     """Integral over x in (-1, 1) of g(x, 1-x, 1+x) by tanh-sinh doubling.
 
     The endpoint complements are passed explicitly (computed without
@@ -279,7 +274,7 @@ def tanh_sinh_segment(
         dxdt = 0.5 * math.pi * np.cosh(t) * sech * sech
         return g(x, omx, opx) * dxdt
 
-    return _tanh_sinh(values, _TS_SEG_TMAX, max_level, rtol, "tanh-sinh-seg")
+    return _tanh_sinh(values, _TS_SEG_TMAX, rtol, "tanh-sinh-seg")
 
 
 # --- repeated integrals ------------------------------------------------------

@@ -7,8 +7,17 @@ sampler stays inside its admissible region, so few of those draws are
 rejected; 40 more draws take the parameters from a wide box that crosses the
 integer lattice, where the family guards and the entry's own conditions both
 fire, so the order in which they are checked is pinned too.  The verdicts are
-stored as indices into the entry's list of distinct messages.  A rewrite of
-how entries are registered must leave every one of these unchanged.
+stored as indices into the entry's list of distinct messages.
+
+A third list, ``lattice_verdicts``, pins 500 draws whose parameters lie
+within 0.15 of the half-integer lattice in [-6, 6] with imaginary parts below
+0.06, and whose z comes from a wide box on every odd draw.  These reach every
+message an entry can return; a row that no parameters reach (one shadowed by
+an earlier row, or a Pochhammer of order 0) is listed in CHANGES.md.  It is
+stored as one character per draw: "." for None, else the message index.
+
+A rewrite of how entries are registered or how their hypotheses are checked
+must leave every one of these unchanged.
 
 Regenerate (only when an entry is meant to change) with
 ``PYTHONPATH=src python tests/test_identity_catalog.py``.
@@ -26,11 +35,22 @@ from jacobifn.jacobi_first import JacobiParams
 GUARD_FILE = pathlib.Path(__file__).with_name("identity_catalog_guard.json")
 DRAWS = 40
 SEED = 4040
+LATTICE_DRAWS = 500
+LATTICE_SEED = 5050
 
 
 def _wide(rng: Random) -> JacobiParams:
     return JacobiParams(
         *(complex(rng.uniform(-4.5, 4.5), rng.uniform(-0.12, 0.12)) for _ in range(3))
+    )
+
+
+def _lattice(rng: Random) -> JacobiParams:
+    return JacobiParams(
+        *(
+            complex(rng.randint(-12, 12) / 2 + rng.uniform(-0.15, 0.15), rng.uniform(-0.06, 0.06))
+            for _ in range(3)
+        )
     )
 
 
@@ -41,19 +61,26 @@ def guard_table() -> dict:
         entry = CATALOG[ident]
         messages: list[str] = []
 
-        def verdicts(wide: bool) -> list[int | None]:
-            rng = Random(SEED + wide)
+        def verdicts(seed: int, draws: int, params_draw) -> list[int | None]:
+            rng = Random(seed)
             out: list[int | None] = []
-            for i in range(DRAWS):
+            for i in range(draws):
                 n = entry.n_values[i % len(entry.n_values)]
                 params, z = entry.sample(rng, n)
-                bad = entry.constraints(_wide(rng) if wide else params, z, n)
+                if params_draw is not None:
+                    params = params_draw(rng)
+                if params_draw is _lattice and i % 2:
+                    z = complex(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
+                bad = entry.constraints(params, z, n)
                 if bad is not None and bad not in messages:
                     messages.append(bad)
                 out.append(None if bad is None else messages.index(bad))
             return out
 
-        own, wide = verdicts(False), verdicts(True)
+        own = verdicts(SEED, DRAWS, None)
+        wide = verdicts(SEED + 1, DRAWS, _wide)
+        lattice = verdicts(LATTICE_SEED, LATTICE_DRAWS, _lattice)
+        assert len(messages) <= 10
         table[ident] = {
             "n_values": list(entry.n_values),
             "tolerance": entry.tolerance,
@@ -62,6 +89,7 @@ def guard_table() -> dict:
             "messages": messages,
             "verdicts": own,
             "wide_verdicts": wide,
+            "lattice_verdicts": "".join("." if v is None else str(v) for v in lattice),
         }
     return table
 
