@@ -88,6 +88,11 @@ def _parse_grid(spec: str) -> tuple[complex, complex, int]:
     return start, stop, count
 
 
+def _n_values(text: str) -> tuple[int, ...]:
+    """The degrees n of a comma list, as ``--n-values`` and the config's n_values give them."""
+    return tuple(int(p) for p in text.split(","))
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
@@ -211,22 +216,13 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_eval(args) -> int:
-    try:
-        params = JacobiParams(
-            parse_complex(args.alpha), parse_complex(args.beta), parse_complex(args.gamma)
-        )
-        z = parse_complex(args.z)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(USAGE_HINT, file=sys.stderr)
-        return 2
+    params = JacobiParams(
+        parse_complex(args.alpha), parse_complex(args.beta), parse_complex(args.gamma)
+    )
+    z = parse_complex(args.z)
     rep = Representation.AUTO if args.rep == "auto" else Representation(int(args.rep))
     fn = jacobi_p if args.kind == "P" else jacobi_q
-    try:
-        result = fn(params, z, rep)
-    except JacobiFnError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    result = fn(params, z, rep)
     print(f"value = {result.value.real!r}{result.value.imag:+}j")
     print(f"abs_error_estimate = {result.abs_error_estimate!r}")
     print(f"representation = {result.provenance}")
@@ -278,15 +274,10 @@ def _table_csv(rows) -> str:
 
 
 def cmd_table(args) -> int:
-    try:
-        params = JacobiParams(
-            parse_complex(args.alpha), parse_complex(args.beta), parse_complex(args.gamma)
-        )
-        start, stop, count = _parse_grid(args.z_grid)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(USAGE_HINT, file=sys.stderr)
-        return 2
+    params = JacobiParams(
+        parse_complex(args.alpha), parse_complex(args.beta), parse_complex(args.gamma)
+    )
+    start, stop, count = _parse_grid(args.z_grid)
     if count == 1:
         grid = [start]
     else:
@@ -320,14 +311,10 @@ def _build_run_config(args) -> RunConfig:
                 raise CliError(f"config value for {key} unparseable: {file_vals[key]!r}")
         return default
 
-    n_values = None
-    if args.n_values is not None:
-        try:
-            n_values = tuple(int(p) for p in args.n_values.split(","))
-        except ValueError:
-            raise CliError(f"--n-values must be a comma list of integers")
-    elif "n_values" in file_vals:
-        n_values = tuple(int(p) for p in file_vals["n_values"].split(","))
+    try:
+        n_values = None if args.n_values is None else _n_values(args.n_values)
+    except ValueError:
+        raise CliError("--n-values must be a comma list of integers") from None
 
     fmt = "text"
     path = None
@@ -345,28 +332,21 @@ def _build_run_config(args) -> RunConfig:
         tolerance=pick(args.tol, "tolerance", float, None),
         seed=pick(args.seed, "seed", int, 0),
         samples=pick(args.samples, "samples", int, 50),
-        n_values=n_values,
+        n_values=pick(n_values, "n_values", _n_values, None),
         output_path=path,
         format=fmt,
     )
 
 
 def cmd_verify(args) -> int:
-    try:
-        config = _build_run_config(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(USAGE_HINT, file=sys.stderr)
-        return 2
+    config = _build_run_config(args)
     if args.all:
         idents = list(list_identities())
     else:
         if args.id is None:
-            print("error: give --id or --all", file=sys.stderr)
-            return 2
+            raise CliError("give --id or --all")
         if args.id not in list_identities():
-            print(f"error: unknown identity {args.id!r}", file=sys.stderr)
-            return 2
+            raise CliError(f"unknown identity {args.id!r}")
         idents = [args.id]
 
     reports = [
@@ -468,6 +448,7 @@ def main(argv=None) -> int:
         return handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        print(USAGE_HINT, file=sys.stderr)
         return 2
     except JacobiFnError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ Three evaluation layers:
   preferring the untransformed series on ties.
 * ``_ohyp2f1_batch`` -- the regularized 2F1 of one (a, b, c) over an ndarray
   of z, for the oracles that evaluate one parameter triple at every node of
-  a level.  It routes each point by the scalar routine's predicates
-  (``_on_cut``, ``_takes_direct``, ``_has_path``: direct series or the
-  z/(z-1) map, exact termination) and keeps its stopping rule and error
+  a level.  It routes each point by the scalar routine's predicates (the
+  cut's ``Cut.distance``, ``_takes_direct``, ``_has_path``: direct series or
+  the z/(z-1) map, exact termination) and keeps its stopping rule and error
   estimate, but sums with numpy: Taylor coefficients memoized per triple
   (extended by one ``cumprod`` of the term ratios), powers by ``cumprod``,
   in column blocks.  The first block is as wide as the series at the
@@ -61,6 +61,7 @@ from .errors import (
     TruncationWarning,
     ZeroArgument,
 )
+from .quadrature import CUT_GUARD, Cut
 from .scalar_kernel import exact_memo, pochhammer_product, reciprocal_gamma
 
 STOP_RATIO = 1e-15
@@ -71,7 +72,8 @@ _EPS = 2.220446049250313e-16
 # inside DIRECT_LIMIT, and no series runs beyond MAP_LIMIT.
 DIRECT_LIMIT = 0.75
 MAP_LIMIT = 0.99
-_CUT_GUARD = 1e-12
+# The branch cut of the 2F1.
+_CUT = Cut.right_ray(1.0)
 # Block shape of the batched series: points per call (the Jacobi layers
 # split longer arrays) and terms per column block, which bound the
 # temporaries to a few arrays of BATCH_POINTS * _BATCH_COLS entries.
@@ -101,16 +103,6 @@ def power(base, s):
     if s == 0:
         return 1.0 + 0.0j
     return cmath.exp(complex(s) * cmath.log(base))
-
-
-def where(cond, a, b):
-    """a where cond holds, else b: elementwise when cond is an ndarray.
-
-    Lets one routing predicate serve a scalar call and a batch.
-    """
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
 
 
 @dataclass(frozen=True)
@@ -319,11 +311,6 @@ def ohyp(upper, lower, argument) -> SeriesValue:
     return _checked_series(upper, lower, argument, regularized=True)
 
 
-def _on_cut(z):
-    """Whether z lies within _CUT_GUARD of the ray [1, oo); z a scalar or an ndarray."""
-    return where(z.real >= 1.0, abs(z.imag), abs(z - 1.0)) < _CUT_GUARD
-
-
 def _takes_direct(az, au):
     """Whether the direct series is preferred, from |z| and |z/(z-1)|.
 
@@ -345,7 +332,7 @@ def _raises(z: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         az, au = np.abs(z), np.abs(z / (z - 1.0))
-    return _on_cut(z) | ~_has_path(az, au)
+    return (_CUT.distance(z) < CUT_GUARD) | ~_has_path(az, au)
 
 
 def _pick_argument(z: complex, terminating: bool) -> str:
@@ -368,8 +355,8 @@ def _continued_2f1(a, b, c, z, regularized: bool) -> SeriesValue:
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     m = termination_index((a, b))
-    if m is None and _on_cut(z):
-        raise CutError(f"z={z} on the cut [1, oo)")
+    if m is None and _CUT.distance(z) < CUT_GUARD:
+        raise CutError(f"z={z} on the cut {_CUT}")
 
     def series(upper, x, m_stop):
         if not regularized:
@@ -581,7 +568,7 @@ def _ohyp2f1_batch(a, b, c, z: np.ndarray):
     else:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             az, au = np.abs(z), np.abs(z / (z - 1.0))
-        off_cut = ~_on_cut(z)
+        off_cut = ~(_CUT.distance(z) < CUT_GUARD)
         path = off_cut & _has_path(az, au)
         direct = path & _takes_direct(az, au)
         pfaff = path & ~direct

@@ -38,6 +38,7 @@ import numpy as np
 
 from .hypergeom import phyp, power
 from .jacobi_first import (
+    P_CUT,
     JacobiParams,
     jacobi_p,
     jacobi_p_scaled,
@@ -69,8 +70,9 @@ SideFn = Callable[[JacobiParams, complex, int], complex]
 ConstraintFn = Callable[[JacobiParams, complex, int], str | None]
 Rows = Callable[[complex, complex, complex, complex, int], tuple[tuple[bool, str], ...]]
 
-P_DERIV_CUT = Cut.union(Cut.left_ray(-1.0), Cut.right_ray(1.0))
-P_PLAIN_CUT = Cut.left_ray(-1.0)
+P_DERIV_CUT = Cut.union(P_CUT, Cut.right_ray(1.0))
+# Q's principal branch also jumps across (-oo, -1), so its contours keep off
+# (-oo, 1], not only off its cut [-1, 1].
 Q_DERIV_CUT = Cut.left_ray(1.0)
 
 # Margins: reject samples this close to a constraint boundary (finite /
@@ -419,7 +421,7 @@ _contour_entry(
     lambda p, z, n: 2.0**-n
     * pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
     * pval(p.alpha + n, p.beta + n, p.gamma - n, z),
-    cut=P_PLAIN_CUT,
+    cut=P_CUT,
 )
 
 
@@ -990,7 +992,7 @@ _register(
 
 
 def _srl_lhs(p: JacobiParams, z: complex, n: int) -> complex:
-    return plain_derivative(_weighted("Q", p, None), z, 1, Cut.segment(-1.0, 1.0))
+    return plain_derivative(_weighted("Q", p, None), z, 1, Q_DERIV_CUT)
 
 
 def _srl_rhs(p: JacobiParams, z: complex, n: int) -> complex:
@@ -1363,7 +1365,7 @@ def _ode_terms(kind: str, p: JacobiParams, z: complex) -> tuple[complex, complex
     """The three terms of the defining ODE for P (kind "P") or Q at z."""
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
     f = _weighted(kind, p, None)
-    cut = P_PLAIN_CUT if kind == "P" else Cut.segment(-1.0, 1.0)
+    cut = P_CUT if kind == "P" else Q_DERIV_CUT
     w0, w1, w2 = contour_derivatives(f, z, (0, 1, 2), contour_radius(z, cut))
     t1 = (1.0 - z * z) * w2
     t2 = (b - a - z * (a + b + 2.0)) * w1

@@ -39,8 +39,8 @@ from .hypergeom import (
     ohyp,
     ohyp2f1,
     power,
-    where,
 )
+from .quadrature import CUT_GUARD, Cut, where
 from .result import EvalResult
 from .scalar_kernel import (
     exact_memo,
@@ -51,8 +51,10 @@ from .scalar_kernel import (
     reciprocal_gamma,
 )
 
-CUT_GUARD = 1e-12
 AUTO_ARG_LIMIT = 0.75
+# The cuts of the first kind and of the second kind.
+P_CUT = Cut.left_ray(-1.0)
+Q_CUT = Cut.segment(-1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -84,15 +86,10 @@ class Representation(enum.Enum):
     AUTO = 0
 
 
-def _p_cut_distance(z):
-    """Distance from z to the first-kind cut (-oo, -1]; z a scalar or an ndarray."""
-    return where(z.real <= -1.0, abs(z.imag), abs(z + 1.0))
-
-
-def _q_cut_distance(z):
-    """Distance from z to the second-kind cut [-1, 1]; z a scalar or an ndarray."""
-    dm, dp = abs(z - 1.0), abs(z + 1.0)
-    return where(abs(z.real) <= 1.0, abs(z.imag), where(dm <= dp, dm, dp))
+def _require_off_cut(cut: Cut, z: complex) -> None:
+    """Raise DomainCutError where z lies within CUT_GUARD of the cut."""
+    if cut.distance(z) < CUT_GUARD:
+        raise DomainCutError(f"z={z} on or too near the cut {cut}")
 
 
 def _require_p_domain(params: JacobiParams, z: complex) -> None:
@@ -100,8 +97,7 @@ def _require_p_domain(params: JacobiParams, z: complex) -> None:
         raise ValidityError(
             f"alpha+gamma={complex(params.alpha) + complex(params.gamma)} is a negative integer"
         )
-    if _p_cut_distance(z) < CUT_GUARD:
-        raise DomainCutError(f"z={z} on or too near the cut (-oo, -1]")
+    _require_off_cut(P_CUT, z)
 
 
 @exact_memo
@@ -284,7 +280,7 @@ def _far_route(z, x1):
     sum the same series on the smaller of |x1| and |x2|.
     """
     best = _effective_modulus(x1)
-    return _q_cut_distance(z) >= CUT_GUARD, best <= MAP_LIMIT, best
+    return Q_CUT.distance(z) >= CUT_GUARD, best <= MAP_LIMIT, best
 
 
 def _auto(params: JacobiParams, z: complex, connection):
@@ -370,7 +366,7 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         x1, near, rep1 = _near_route(z)
         conn_ok, slow_ok, _ = _far_route(z, x1)
-    inside = _p_cut_distance(z) >= CUT_GUARD
+    inside = P_CUT.distance(z) >= CUT_GUARD
     stop = _first(~inside | ~(near | conn_ok | slow_ok))
     inside[stop:] = False
     near &= inside

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoefficientZeroError,
-    ConvergenceConstraintError,
-    DomainCutError,
-    ValidityError,
-)
+from .errors import CoefficientZeroError, ConvergenceConstraintError, ValidityError
 from .hypergeom import (
     BATCH_OK,
     BATCH_SCALAR,
@@ -41,13 +36,14 @@ from .hypergeom import (
 from .jacobi_first import (
     _PROVENANCE,
     CUT_GUARD,
+    Q_CUT,
     JacobiParams,
     Representation,
     _apply_factor,
     _first,
     _joined,
     _pointwise,
-    _q_cut_distance,
+    _require_off_cut,
     jacobi_polynomial,
 )
 from .quadrature import integrate_finite, tanh_sinh_segment
@@ -73,8 +69,7 @@ def _require_q_domain(params: JacobiParams, z: complex) -> None:
             f"({complex(params.alpha) + complex(params.gamma)}, "
             f"{complex(params.beta) + complex(params.gamma)})"
         )
-    if _q_cut_distance(z) < CUT_GUARD:
-        raise DomainCutError(f"z={z} on or too near the cut [-1, 1]")
+    _require_off_cut(Q_CUT, z)
 
 
 @exact_memo
@@ -145,7 +140,7 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool
     if not params.second_kind_valid():
         return out, err, status, rep1, 0 if until_failure else n
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    inside = _q_cut_distance(z) >= CUT_GUARD
+    inside = Q_CUT.distance(z) >= CUT_GUARD
     with np.errstate(divide="ignore", invalid="ignore"):
         y, x, rep1 = _q_route(z)
         log_zm, log_zp = np.log(z - 1.0), np.log(z + 1.0)
@@ -369,8 +364,7 @@ def neumann_q(n: int, alpha, beta, z) -> EvalResult:
     a, b, z = complex(alpha), complex(beta), complex(z)
     if a.real <= -1.0 or b.real <= -1.0:
         raise ConvergenceConstraintError("Neumann integral needs Re(alpha), Re(beta) > -1")
-    if _q_cut_distance(z) < CUT_GUARD:
-        raise DomainCutError(f"z={z} on or too near the cut [-1, 1]")
+    _require_off_cut(Q_CUT, z)
 
     quad = _kernel_quadrature(z, a, b, 1.0, n, a, b)
     prefactor = 0.5 * power(z - 1.0, -a) * power(z + 1.0, -b)

@@ -12,6 +12,9 @@
   convergence and multi-order reuse of the sampled values; the sums for all
   orders are one ``numpy.fft.fft`` of the samples (the trapezoid rule on a
   circle is a discrete Fourier transform, Trefethen & Weideman 2014).
+* Branch cuts as ``Cut``: unions of closed real intervals with one distance
+  rule for scalars and arrays.  The contour radii, the Jacobi functions'
+  domains and the 2F1's cut all measure with it, against one ``CUT_GUARD``.
 
 Every oracle calls its integrand once per doubling level (once per rule
 size for the Gauss sums, once per chunk of 2048 nodes on a deep tanh-sinh
@@ -314,16 +317,16 @@ def repeated_integral(
     spec: RepeatedIntegralSpec,
     *,
     anchor_exponent: float = 0.0,
-    variable_exponent: float = 0.0,
     rtol: float = 1e-11,
 ) -> EvalResult:
     """Reduce an n-fold iterated integral to one weighted integral.
 
     The kernel (U(v) - U(w))^(n-1) / (n-1)! (U the measure antiderivative,
-    v the variable endpoint) collapses the iteration.  The declared endpoint
-    exponents describe f's own algebraic behavior there and gate
-    integrability; the single integral runs on tanh-sinh nodes (complex
-    exponents included), or along the compactified ray for improper specs.
+    v the variable endpoint) collapses the iteration.  The declared anchor
+    exponent describes f's own algebraic behavior at the anchor end; with
+    the kernel's n - 1 at the variable end it gates integrability.  The
+    single integral runs on tanh-sinh nodes (complex exponents included), or
+    along the compactified ray for improper specs.
 
     f is called as f(w, hi_dist, lo_dist) with ndarrays: the nodes and
     their offsets hi - w and w - lo from the segment's ends, computed
@@ -360,12 +363,8 @@ def repeated_integral(
     fac = 1.0 / math.factorial(n - 1)
 
     # Integrability gate in t-space: t=+1 is the upper end, t=-1 the lower.
-    exp_upper = variable_exponent if spec.variable_end == "upper" else anchor_exponent
-    exp_lower = variable_exponent if spec.variable_end == "lower" else anchor_exponent
-    if spec.variable_end == "upper":
-        exp_upper += n - 1
-    else:
-        exp_lower += n - 1
+    exp_upper = n - 1 if spec.variable_end == "upper" else anchor_exponent
+    exp_lower = n - 1 if spec.variable_end == "lower" else anchor_exponent
 
     measure_at_anchor = False
     if sing_point is not None:
@@ -414,49 +413,68 @@ def repeated_integral(
 # --- contour derivatives -----------------------------------------------------
 
 
-class Cut:
-    """Distance oracle for a union of straight cuts on the real axis."""
+# Points within CUT_GUARD of a cut count as on it.
+CUT_GUARD = 1e-12
 
-    def __init__(self, pieces: tuple[tuple[str, float, float], ...]):
+
+def where(cond, a, b):
+    """a where cond holds, else b: elementwise when cond is an ndarray.
+
+    Lets one routing predicate serve a scalar call and a batch.
+    """
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+class Cut:
+    """A union of closed intervals (lo, hi) of the real axis; lo may be -inf, hi inf."""
+
+    def __init__(self, pieces: tuple[tuple[float, float], ...]):
         self.pieces = pieces
 
     @staticmethod
     def left_ray(x0: float) -> "Cut":
         """The ray (-oo, x0] on the real axis."""
-        return Cut((("left", x0, 0.0),))
+        return Cut(((-math.inf, x0),))
 
     @staticmethod
     def right_ray(x0: float) -> "Cut":
         """The ray [x0, oo) on the real axis."""
-        return Cut((("right", x0, 0.0),))
+        return Cut(((x0, math.inf),))
 
     @staticmethod
     def segment(a: float, b: float) -> "Cut":
         """The real segment [a, b]."""
-        return Cut((("segment", a, b),))
+        return Cut(((a, b),))
 
     @staticmethod
     def union(*cuts: "Cut") -> "Cut":
-        pieces: tuple = ()
-        for c in cuts:
-            pieces += c.pieces
-        return Cut(pieces)
+        """The pieces of all the cuts."""
+        return Cut(tuple(piece for c in cuts for piece in c.pieces))
 
-    def distance(self, z: complex) -> float:
-        z = complex(z)
-        best = math.inf
-        for kind, p, q in self.pieces:
-            if kind == "left":
-                d = abs(z.imag) if z.real <= p else abs(z - p)
-            elif kind == "right":
-                d = abs(z.imag) if z.real >= p else abs(z - p)
-            else:
-                if p <= z.real <= q:
-                    d = abs(z.imag)
-                else:
-                    d = min(abs(z - p), abs(z - q))
-            best = min(best, d)
+    def distance(self, z):
+        """Distance from z, a scalar or a 1-D ndarray, to the cut.
+
+        Over a piece (lo <= Re z <= hi) it is |Im z|, elsewhere |z - the
+        nearer end|; the least over the pieces, elementwise for an array.
+        """
+        x = z.real
+        best = None
+        for lo, hi in self.pieces:
+            # The end is lo left of the piece and hi otherwise, so a ray's
+            # infinite end is subtracted only where the piece covers x.
+            d = where((lo <= x) & (x <= hi), abs(z.imag), abs(z - where(x < lo, lo, hi)))
+            best = d if best is None else where(d < best, d, best)
         return best
+
+    def __str__(self) -> str:
+        """The pieces as intervals, as "(-oo, -1]" or "[-1, 1]", for messages."""
+        ends = (
+            ("(-oo" if lo == -math.inf else f"[{lo:g}", "oo)" if hi == math.inf else f"{hi:g}]")
+            for lo, hi in self.pieces
+        )
+        return " u ".join(f"{left}, {right}" for left, right in ends)
 
 
 def contour_derivatives(

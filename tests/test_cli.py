@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobifn.cli import _table_json, main, parse_complex
+from jacobifn.cli import USAGE_HINT, _table_json, main, parse_complex
 from jacobifn.errors import JacobiFnError
 from jacobifn.jacobi_first import JacobiParams, jacobi_p
 from jacobifn.jacobi_second import jacobi_q, jacobi_q_log
@@ -132,6 +132,32 @@ def test_verify_config_file(tmp_path, capsys):
     # Flags override the file.
     assert main(["verify", "--id", "FD4", "--config", str(cfg), "--seed", "12"]) == 0
     assert "seed=12" in capsys.readouterr().out
+
+
+def test_verify_config_n_values_unparseable(tmp_path, capsys):
+    # The flag and the config file share one n-values parser and one error path.
+    cfg = tmp_path / "cfg"
+    cfg.write_text("n_values=1,x\n")
+    assert main(["verify", "--id", "FD4", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config value for n_values unparseable: '1,x'\n" + USAGE_HINT + "\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--kind", "P", "--z", "banana"],
+         "cannot parse complex literal 'banana' (want 're' or 're,im')"),
+        (["table", "--kind", "Q", "--z-grid", "0,1"],
+         "grid spec '0,1' needs start:stop:count (or real a,b,n)"),
+        (["verify", "--id", "FD4", "--n-values", "1,x"],
+         "--n-values must be a comma list of integers"),
+    ],
+)
+def test_parse_errors_exit_2_with_usage_hint(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n{USAGE_HINT}\n"
 
 
 def test_table_real_grid(tmp_path):

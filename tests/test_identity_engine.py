@@ -103,6 +103,14 @@ def test_ode_residual_generic():
     assert ode_residual("SECOND", JacobiParams(0.5, 0.5, 1.2), 2.5) <= 1e-7
 
 
+def test_q_contours_keep_off_the_jump_left_of_minus_one():
+    # Q's principal branch jumps across (-oo, -1): a contour about -2+0.1i
+    # of radius half the distance to [-1, 1] would cross it and not converge.
+    params, z = JacobiParams(0.3, 0.2, 0.7), -2.0 + 0.1j
+    assert ode_residual("SECOND", params, z) <= 1e-7
+    assert eval_identity_sides("SRL", params, z, 1).residual <= 1e-8
+
+
 def test_rodrigues_degree_zero():
     assert rodrigues_jacobi(0, 0.3, 0.7, 1.4 + 0.2j, "ONE") == pytest.approx(1.0)
     assert rodrigues_jacobi(0, 0.3, 0.7, 1.4 + 0.2j, "TWO") == pytest.approx(1.0)

@@ -4,6 +4,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobifn.errors import (
     CutIntersection,
@@ -12,10 +14,11 @@ from jacobifn.errors import (
     NonConvergence,
     OrderCapExceeded,
 )
-from jacobifn.hypergeom import power
-from jacobifn.identity_catalog import pval, qval
-from jacobifn.jacobi_first import jacobi_polynomial
+from jacobifn.hypergeom import _CUT, power
+from jacobifn.identity_catalog import P_DERIV_CUT, Q_DERIV_CUT, pval, qval
+from jacobifn.jacobi_first import P_CUT, Q_CUT, jacobi_polynomial
 from jacobifn.quadrature import (
+    CUT_GUARD,
     FLAT,
     INV_SQ_MINUS,
     INV_SQ_PLUS,
@@ -325,6 +328,109 @@ def test_cut_distances():
     seg = Cut.segment(-1.0, 1.0)
     assert seg.distance(0.2 + 0.4j) == pytest.approx(0.4)
     assert seg.distance(2.0) == pytest.approx(1.0)
+
+
+# --- one cut model against the rules it replaced ------------------------------
+#
+# The Jacobi domains and the 2F1 used their own rules (scalars or arrays),
+# the contour oracles a Cut of tagged pieces (scalars; written here to take
+# arrays as well).  Copied here as the references: Cut.distance must give the
+# same bits wherever a reference is finite, and the same verdict against the
+# guard everywhere.
+
+
+def _where(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _p_rule(z):
+    return _where(z.real <= -1.0, abs(z.imag), abs(z + 1.0))
+
+
+def _q_rule(z):
+    dm, dp = abs(z - 1.0), abs(z + 1.0)
+    return _where(abs(z.real) <= 1.0, abs(z.imag), _where(dm <= dp, dm, dp))
+
+
+def _2f1_rule(z):
+    return _where(z.real >= 1.0, abs(z.imag), abs(z - 1.0))
+
+
+def _tagged_distance(pieces, z):
+    # The tagged Cut's scalar rule, with _where for its branches and min().
+    best = math.inf
+    for kind, p, q in pieces:
+        if kind == "left":
+            d = _where(z.real <= p, abs(z.imag), abs(z - p))
+        elif kind == "right":
+            d = _where(z.real >= p, abs(z.imag), abs(z - p))
+        else:
+            dp, dq = abs(z - p), abs(z - q)
+            d = _where((p <= z.real) & (z.real <= q), abs(z.imag), _where(dq < dp, dq, dp))
+        best = _where(d < best, d, best)
+    return best
+
+
+def _tagged(*pieces):
+    return lambda z: _tagged_distance(pieces, z)
+
+
+# (cut, reference, whether the reference is one of the array-capable rules)
+_CUT_CASES = (
+    (P_CUT, _p_rule, True),
+    (Q_CUT, _q_rule, True),
+    (_CUT, _2f1_rule, True),
+    (P_CUT, _tagged(("left", -1.0, 0.0)), False),
+    (Q_CUT, _tagged(("segment", -1.0, 1.0)), False),
+    (P_DERIV_CUT, _tagged(("left", -1.0, 0.0), ("right", 1.0, 0.0)), False),
+    (Q_DERIV_CUT, _tagged(("left", 1.0, 0.0)), False),
+)
+
+
+def _same_distance(got, want, rule: bool) -> None:
+    got, want = float(got), float(want)
+    if rule:
+        # The array-capable rules: the same bits, nan included.
+        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+        assert (got >= CUT_GUARD) == (want >= CUT_GUARD)
+    else:
+        assert math.isfinite(got) == math.isfinite(want)
+        if math.isfinite(want):
+            assert got.hex() == want.hex()
+    assert (got < CUT_GUARD) == (want < CUT_GUARD)
+
+
+def _check_cuts(zs) -> None:
+    z = np.array(zs, dtype=complex)
+    for cut, ref, rule in _CUT_CASES:
+        with np.errstate(all="ignore"):
+            got = cut.distance(z)
+            want = ref(z)
+        assert got.shape == z.shape
+        for w, g, r in zip(zs, got, want):
+            _same_distance(cut.distance(w), ref(w), rule)
+            _same_distance(g, r, rule)
+
+
+_ULP_EDGES = [
+    0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+    math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0), 1e-12, -1e-12,
+    math.nextafter(1e-12, 0.0), 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+]
+
+
+def test_cut_distance_matches_the_replaced_rules_at_edges():
+    _check_cuts([complex(x, y) for x in _ULP_EDGES for y in _ULP_EDGES])
+
+
+# Parts up to 1e300, so that Python's abs of a difference does not overflow.
+_cut_part = st.one_of(st.sampled_from(_ULP_EDGES), st.floats(-4.0, 4.0), st.floats(-1e300, 1e300))
+
+
+@given(st.lists(st.builds(complex, _cut_part, _cut_part), min_size=1, max_size=16))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_cut_distance_matches_the_replaced_rules(zs):
+    _check_cuts(zs)
 
 
 # --- per-node and array evaluation of one integrand ---------------------------
