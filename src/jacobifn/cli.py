@@ -285,10 +285,8 @@ def cmd_table(args) -> int:
         grid = [start + k * step for k in range(count)]
 
     # One batch for the grid, as the scalar calls point by point would give.
-    if args.kind == "P":
-        _, value, err, code, failure = _p_points(params, np.array(grid))
-    else:
-        value, err, code, failure = _q_points(params, np.array(grid))
+    points = _p_points if args.kind == "P" else _q_points
+    (*_, value, err, code), failure = points(params, np.array(grid))
     if failure is not None:
         i, exc = failure
         print(f"{type(exc).__name__} at z={grid[i]}: {exc}", file=sys.stderr)

@@ -34,7 +34,11 @@ class CutError(JacobiFnError):
 
 
 class NoConvergentPath(JacobiFnError):
-    """No transformation produces an argument inside the convergence disk."""
+    """No transformation produces an argument inside the convergence disk.
+
+    P also raises it beyond its preferred disk where its terminating series
+    (gamma in N0) overflows a double.
+    """
 
 
 class ZeroArgument(JacobiFnError):

@@ -617,9 +617,7 @@ def _fi3a_rows(a, b, g, z, n):
     s = a + b + g
     return (
         (_poch_zero(-s, n), "(-alpha-beta-gamma)_n vanishes"),
-        (abs(s) < MARGIN, "alpha+beta+gamma near 0"),
         (_poch_zero(g + 2.0, n - 1), "(gamma+2)_k vanishes inside the boundary series"),
-        (_poch_zero(1.0 - s, n - 1), "(1-alpha-beta-gamma)_k vanishes inside the boundary series"),
     )
 
 
@@ -783,7 +781,6 @@ _finite_entry(
     * pval(p.alpha, p.beta - n, p.gamma, z),
     lambda a, b, g, z, n: (
         (_above(a + b + g + 1.0, n), "Re(alpha+beta+gamma+1) not above n"),
-        (_poch_zero(a + b + g - n + 1.0, n), "(alpha+beta+gamma-n+1)_n vanishes"),
     ),
     measure=INV_SQ_MINUS,
 )
@@ -846,10 +843,7 @@ _finite_entry(
     / pochhammer(p.alpha + p.gamma + 1.0, n)
     * power(z - 1.0, -(p.gamma + n))
     * pval(p.alpha, p.beta - n, p.gamma + n, z),
-    lambda a, b, g, z, n: (
-        (_below(g, -n), "Re(gamma) not below -n"),
-        (_near(a + g + n, hi=-1), "alpha+gamma+n near a negative integer (shifted validity)"),
-    ),
+    lambda a, b, g, z, n: ((_below(g, -n), "Re(gamma) not below -n"),),
     measure=INV_SQ_MINUS,
     sample=_box_sampler(_z_int_p, g_box=(-4.4, -1.35)),
 )
@@ -880,8 +874,6 @@ def _fk7_rows(a, b, g, z, n):
         (_poch_zero(s + 1.0 - n, n), "(alpha+beta+gamma+1-n)_n vanishes"),
         (_near(a + g, hi=0), "alpha+gamma near a non-positive integer (boundary gamma factor)"),
         (_near(a - n + g, hi=-1), "alpha-n+gamma near a negative integer (shifted validity)"),
-        (_poch_zero(1.0 - a - g, n - 1), "(1-alpha-gamma)_k vanishes inside the boundary series"),
-        (_poch_zero(1.0 - s, n - 1), "(1-alpha-beta-gamma)_k vanishes inside the boundary series"),
     )
 
 
@@ -950,7 +942,6 @@ _finite_entry(
     lambda a, b, g, z, n: (
         (_poch_zero(b + g + 1.0, n), "(beta+gamma+1)_n vanishes"),
         (_poch_zero(g + 2.0, n - 1), "(gamma+2)_k vanishes inside the boundary series"),
-        (_poch_zero(b + g + 2.0, n - 1), "(beta+gamma+2)_k vanishes inside the boundary series"),
     ),
     measure=INV_SQ_PLUS,
 )
@@ -1016,12 +1007,7 @@ _register(
         1e-8,
         _srl_lhs,
         _srl_rhs,
-        _guarded(
-            "Q",
-            lambda a, b, g, z, n: (
-                (_near(a + g, hi=-1) or _near(b + g, hi=-1), "shifted degree validity fails"),
-            ),
-        ),
+        _guarded("Q"),
         _Q_SAMPLE,
     )
 )
@@ -1126,7 +1112,6 @@ _ray_entry(
         (_above(a, -1.0, RAY_MARGIN), "Re(alpha) not above -1"),
         (_above(b, n - 1, RAY_MARGIN), "Re(beta) not above n-1"),
         (_above(b + g + 1.0, n, RAY_MARGIN), "Re(beta+gamma+1) not above n"),
-        (_near(b - n + g, hi=-1), "beta-n+gamma near a negative integer (shifted validity)"),
     ),
     _box_sampler(_z_q, b_box=(1.3, 3.2), g_box=(-0.4, 2.4)),
 )
@@ -1143,7 +1128,6 @@ _ray_entry(
         (_above(a, n - 1, RAY_MARGIN), "Re(alpha) not above n-1"),
         (_above(b, n - 1, RAY_MARGIN), "Re(beta) not above n-1"),
         (_above(a + b + g + 1.0, n, RAY_MARGIN), "Re(alpha+beta+gamma+1) not above n"),
-        (_poch_zero(a + b + g - n + 1.0, n), "(alpha+beta+gamma-n+1)_n vanishes"),
     ),
     _box_sampler(_z_q, a_box=(1.3, 3.2), b_box=(1.3, 3.2), g_box=(-0.4, 2.4)),
 )

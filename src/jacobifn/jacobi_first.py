@@ -3,21 +3,22 @@
 P is regular near z = 1 and cut along (-oo, -1].  Four Gauss hypergeometric
 representations cover the plane: two in the variable (1-z)/2 and two in
 (z-1)/(z+1).  AUTO picks the smallest-modulus argument; when neither series
-argument is inside the safe disk (large |z|), evaluation falls back to the
-two-solution decomposition in terms of the second-kind functions, whose
-arguments shrink as |z| grows.  On [-1, 1], the second kind's cut, that
-decomposition is undefined and AUTO stays with the slower series.
+argument is inside the preferred disk (large |z|), evaluation falls back to
+the two-solution decomposition in terms of the second-kind functions, whose
+arguments shrink as |z| grows.  Where that decomposition is undefined (on
+[-1, 1], the second kind's cut) or has no path, AUTO sums REP1, and the 2F1
+decides whether it can: through its argument map, or exactly where REP1
+terminates (gamma in N0, the Jacobi polynomials), at every z.
 
 Under AUTO, ``jacobi_p`` and ``jacobi_p_scaled`` also take an ndarray of z
 for one parameter triple.  The points are grouped by the scalar dispatch's
-choice (REP1 or REP3, direct or through the argument map, the large-z
-connection through batched second-kind logarithms, the slow series) and
-each group is summed by the batched series; a point the batch does not
-cover takes the scalar call, which raises its documented error there.  A
-batch stops before the first point where the route predicates say the
-scalar call raises, and the scalar call there raises, so an array is
-evaluated only up to its first failing point (``_pointwise``); ``jacobifn
-table`` reads the rows of the same pass.
+choice (REP1 or REP3, the large-z connection through batched second-kind
+logarithms, REP1 beyond the preferred disk) and each group is summed by the
+batched series; a point the batch does not cover takes the scalar call,
+which raises its documented error there.  A batch stops before the first
+point where the route predicates say the scalar call raises, and the scalar
+call there raises, so an array is evaluated only up to its first failing
+point (``_pointwise``); ``jacobifn table`` reads the rows of the same pass.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from .hypergeom import (
     BATCH_NO_PATH,
     BATCH_OK,
     BATCH_POINTS,
-    MAP_LIMIT,
     _ohyp2f1_batch,
+    _raises,
     ohyp,
     ohyp2f1,
     power,
+    termination_index,
 )
 from .quadrature import CUT_GUARD, Cut, where
 from .result import EvalResult
@@ -244,20 +246,6 @@ def _unscale(log_scale, mantissa):
     return value, 1e-13 * abs(value)
 
 
-def _connection_value(params: JacobiParams, z: complex) -> EvalResult:
-    value, err = _unscale(*_connection_scaled(params, z))
-    return EvalResult(value, err, "connection")
-
-
-def _effective_modulus(x):
-    """Smallest series argument reachable through the internal argument map.
-
-    x is a scalar or an ndarray; x = 1 (z = -1, on P's cut) never reaches it.
-    """
-    ax, au = abs(x), abs(x / (x - 1.0))
-    return where(ax <= au, ax, au)
-
-
 def _near_route(z):
     """AUTO's first choice at z, a scalar or an ndarray.
 
@@ -270,44 +258,29 @@ def _near_route(z):
     return x1, (m1 <= AUTO_ARG_LIMIT) | (m2 <= AUTO_ARG_LIMIT), m1 <= m2
 
 
-def _far_route(z, x1):
-    """AUTO's choice beyond the preferred disk, from REP1's argument x1.
+def _auto(params: JacobiParams, z: complex):
+    """AUTO dispatch of jacobi_p and jacobi_p_scaled at a scalar z.
 
-    Returns whether the large-z connection is defined (z off Q's cut),
-    whether the slow series is reachable, and the best modulus its argument
-    map reaches.  The slow series is REP1: the map takes x1 to x1/(x1-1) =
-    x2, and REP3's map takes x2 back to x1, so both representations would
-    sum the same series on the smaller of |x1| and |x2|.
+    Returns (log_scale, mantissa, error estimate, provenance); the error
+    estimate of a connection value is left to ``_unscale``.  Takes the
+    smallest-modulus series argument when one is inside the preferred disk.
+    Beyond it, off [-1, 1], the large-z connection; where that is undefined
+    or has no path, REP1, whose 2F1 raises NoConvergentPath where no map
+    reaches its disk.  REP1 and REP3 would sum the same series there: the
+    map takes x1 to x1/(x1-1) = x2.  A terminating REP1 is summed at every
+    z, and raises NoConvergentPath only where its value overflows.
     """
-    best = _effective_modulus(x1)
-    return Q_CUT.distance(z) >= CUT_GUARD, best <= MAP_LIMIT, best
-
-
-def _auto(params: JacobiParams, z: complex, connection):
-    """AUTO dispatch of jacobi_p and jacobi_p_scaled.
-
-    Takes the smallest-modulus series argument when one is inside the
-    preferred disk.  Otherwise it returns connection(params, z) and falls back
-    to a slow series while an argument map keeps the modulus below the hard
-    limit.  On [-1, 1], Q's cut, the second-kind pair of the connection is
-    undefined, so there the series is the only route.
-    """
-    x1, near, rep1 = _near_route(z)
-    if near:
-        return _rep_value(params, z, Representation.REP1 if rep1 else Representation.REP3)
-    conn_ok, slow_ok, best = _far_route(z, x1)
-    if conn_ok:
+    _, near, rep1 = _near_route(z)
+    rep = Representation.REP1 if rep1 or not near else Representation.REP3
+    if not near and Q_CUT.distance(z) >= CUT_GUARD:
         try:
-            return connection(params, z)
+            return (*_connection_scaled(params, z), 0.0, "connection")
         except NoConvergentPath:
-            if not slow_ok:
-                raise
-    elif not slow_ok:
-        raise NoConvergentPath(
-            f"z={z} on [-1, 1]: no argument map reaches modulus {MAP_LIMIT} "
-            f"(best {best:.4f})"
-        )
-    return _rep_value(params, z, Representation.REP1)
+            pass
+    res = _rep_value(params, z, rep)
+    if not (near or cmath.isfinite(res.value)):
+        raise NoConvergentPath(f"z={z}: REP1 beyond the preferred disk overflows")
+    return 0.0 + 0.0j, res.value, res.abs_error_estimate, res.provenance
 
 
 # Provenance of an AUTO value, by code.
@@ -320,10 +293,14 @@ def _first(mask: np.ndarray) -> int:
 
 
 def _rep_batch(params: JacobiParams, z: np.ndarray, rep: Representation):
-    """(value, error estimate, covered) of a representation at every point of z."""
+    """(value, error estimate, covered) of a representation at every point of z.
+
+    A row whose terminating sum overflows is not covered, and warns nothing.
+    """
     a1, b1, c1, x, factor = _rep_terms(params, z, rep)
-    series, serr, status = _ohyp2f1_batch(a1, b1, c1, x)
-    return (*_apply_factor(factor, series, serr), status == BATCH_OK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series, serr, status = _ohyp2f1_batch(a1, b1, c1, x)
+        return (*_apply_factor(factor, series, serr), status == BATCH_OK)
 
 
 def _connection_batch(params: JacobiParams, z: np.ndarray, coeffs):
@@ -349,11 +326,11 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     Returns (log_scale, mantissa, error estimate, provenance code, covered,
     stop); the error estimate of a connection value is left to the caller.
     Only the points before ``stop`` are evaluated: it is the first point
-    where ``_auto``'s predicates say the scalar call raises (an invalid
-    triple, z on the cut, or neither the connection nor the slow series
-    beyond the preferred disk), or the size of z.  A point is not covered
-    where the scalar call raises or where a batched route could not decide;
-    the caller evaluates it with the scalar call.
+    where the scalar call raises by the route predicates (an invalid triple,
+    z on the cut, or z beyond the preferred disk on [-1, 1] where REP1's
+    2F1 raises), or the size of z.  A point is not covered where the scalar
+    call raises or where a batched route could not decide; the caller
+    evaluates it with the scalar call.
     """
     n = z.size
     log_scale = np.zeros(n, dtype=complex)
@@ -363,29 +340,32 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     covered = np.zeros(n, dtype=bool)
     if not params.first_kind_valid():
         return log_scale, mantissa, err, code, covered, 0
+    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     with np.errstate(divide="ignore", invalid="ignore"):
         x1, near, rep1 = _near_route(z)
-        conn_ok, slow_ok, _ = _far_route(z, x1)
     inside = P_CUT.distance(z) >= CUT_GUARD
-    stop = _first(~inside | ~(near | conn_ok | slow_ok))
+    conn = ~near & (Q_CUT.distance(z) >= CUT_GUARD)
+    fallback = inside & ~near & ~conn
+    fails = ~inside
+    if fallback.any() and termination_index((-g, a + b + g + 1.0)) is None:
+        fails |= fallback & _raises(x1)
+    stop = _first(fails)
     inside[stop:] = False
     near &= inside
-    far = inside & ~near
-    conn = far & conn_ok
-    slow = far & ~conn_ok & slow_ok
+    conn &= inside
+    fallback &= inside
     if conn.any():
-        a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
         try:
             coeffs = _connection_coeffs(a, b, g)
         except NoConvergentPath:
-            slow |= conn & slow_ok
+            fallback |= conn
         else:
             idx = np.flatnonzero(conn)
             ls, mt, status = _connection_batch(params, z[idx], coeffs)
             log_scale[idx], mantissa[idx], code[idx] = ls, mt, 2
             covered[idx] = status == BATCH_OK
-            slow[idx] = (status == BATCH_NO_PATH) & slow_ok[idx]
-    groups = ((near & rep1) | slow, Representation.REP1), (near & ~rep1, Representation.REP3)
+            fallback[idx] = status == BATCH_NO_PATH
+    groups = ((near & rep1) | fallback, Representation.REP1), (near & ~rep1, Representation.REP3)
     for mask, rep in groups:
         if mask.any():
             idx = np.flatnonzero(mask)
@@ -395,76 +375,73 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     return log_scale, mantissa, err, code, covered, stop
 
 
-def _pointwise(block, scalar, n: int):
-    """Evaluate points 0..n-1 in order, up to the first one that raises.
+def _pointwise(batch, scalar, z: np.ndarray, dtypes):
+    """Evaluate the points of a 1-D z in order, up to the first one that raises.
 
-    ``block(lo, hi)`` evaluates points lo..hi-1, at most BATCH_POINTS of
-    them, with the batch, which stops before the first point where the
-    route predicates say the scalar call raises; it returns the mask of the
-    points it covered before that point, and the point's index (hi if
-    none).  ``scalar(i)`` evaluates point i with the scalar call.  Both
-    write into the caller's arrays.  The scalar call at a predicted failure
-    raises, so nothing after the first failing point is evaluated; a point
-    marked wrongly just returns its value.  Returns None, or (index, error)
-    of the first point that raised a JacobiFnError.
+    Returns the columns, arrays of the given dtypes, and None or (index,
+    error) of the first point that raised a JacobiFnError.  ``batch(zs)``
+    evaluates at most BATCH_POINTS points and returns their rows of the
+    columns, the mask of the points it covered, and the index of the first
+    point where the route predicates say the scalar call raises (the size
+    of zs if none); it evaluates nothing from there on.  ``scalar(w)``
+    returns the leading entries of the columns at w from the scalar call.
+    It serves the points the batch did not cover and the predicted failure,
+    which raises, so nothing after the first failing point is evaluated; a
+    point marked wrongly just returns its value.
     """
+    n = z.size
+    columns = tuple(np.zeros(n, dtype=dtype) for dtype in dtypes)
     start = 0
     while start < n:
         hi = min(n, start + BATCH_POINTS)
-        covered, stop = block(start, hi)
-        todo = (start + np.flatnonzero(~covered)).tolist()
+        rows, covered, stop = batch(z[start:hi])
+        for column, row in zip(columns, rows):
+            column[start:hi] = row
+        todo = (start + np.flatnonzero(~covered[:stop])).tolist()
+        stop += start
         if stop < hi:
             todo.append(stop)
         for i in todo:
             try:
-                scalar(i)
+                entries = scalar(complex(z[i]))
             except JacobiFnError as exc:
-                return i, exc
+                return columns, (i, exc)
+            for column, entry in zip(columns, entries):
+                column[i] = entry
         start = stop + 1 if stop < hi else hi
-    return None
+    return columns, None
 
 
 def _p_points(params: JacobiParams, z: np.ndarray, scaled: bool = False):
     """``jacobi_p`` (or ``jacobi_p_scaled``) under AUTO at the points of a 1-D z.
 
-    Returns (log_scale, value, error estimate, provenance code, failure):
-    per point what the scalar call returns (the log scale only when scaled;
-    the code indexes ``_PROVENANCE``), up to the first point where it
-    raises, and ``_pointwise``'s failure.
+    Returns ``_pointwise``'s columns (log_scale, value, error estimate,
+    provenance code) and failure: per point what the scalar call returns
+    (the log scale only when scaled; the code indexes ``_PROVENANCE``), up
+    to the first point where it raises.
     """
-    n = z.size
-    log_scale = np.zeros(n, dtype=complex)
-    value = np.zeros(n, dtype=complex)
-    err = np.zeros(n)
-    code = np.zeros(n, dtype=np.int8)
 
-    def block(lo: int, hi: int):
-        ls, v, e, c, covered, stop = _auto_batch(params, z[lo:hi])
+    def batch(zs: np.ndarray):
+        ls, v, e, c, covered, stop = _auto_batch(params, zs)
         if not scaled:
             conn = c == 2
             with np.errstate(over="ignore", invalid="ignore"):
                 v[conn], e[conn] = _unscale(ls[conn], v[conn])
-            covered &= np.isfinite(v)
-        log_scale[lo:hi], value[lo:hi], err[lo:hi], code[lo:hi] = ls, v, e, c
-        return covered[:stop], lo + stop
+        return (ls, v, e, c), covered & np.isfinite(v), stop
 
-    def scalar(i: int) -> None:
-        w = complex(z[i])
+    def scalar(w: complex):
         if scaled:
-            log_scale[i], value[i] = jacobi_p_scaled(params, w)
-        else:
-            res = jacobi_p(params, w)
-            value[i], err[i] = res.value, res.abs_error_estimate
-            code[i] = _PROVENANCE.index(res.provenance)
+            return jacobi_p_scaled(params, w)
+        res = jacobi_p(params, w)
+        return 0.0, res.value, res.abs_error_estimate, _PROVENANCE.index(res.provenance)
 
-    failure = _pointwise(block, scalar, n)
-    return log_scale, value, err, code, failure
+    return _pointwise(batch, scalar, z, (complex, complex, float, np.int8))
 
 
 def _p_batch(params: JacobiParams, z: np.ndarray, scaled: bool):
     """Batched ``jacobi_p`` (an EvalResult) or ``jacobi_p_scaled`` (a pair)."""
     shape = z.shape
-    log_scale, value, err, code, failure = _p_points(
+    (log_scale, value, err, code), failure = _p_points(
         params, np.asarray(z, dtype=complex).ravel(), scaled
     )
     if failure is not None:
@@ -488,8 +465,9 @@ def jacobi_p(
 
     AUTO takes the smallest-modulus series argument when one is inside the
     preferred disk; for larger arguments it prefers the two-solution
-    decomposition and falls back to a slow series while any argument map
-    keeps the modulus below the hard limit.
+    decomposition and falls back to REP1, which raises NoConvergentPath
+    where its 2F1 has no path.  At gamma in N0 REP1 terminates, so P is the
+    Jacobi polynomial at every z where that sum stays finite.
 
     Under AUTO, z may be an ndarray: the result then holds arrays of values
     and error estimates, and its provenance joins the routes taken with "+".
@@ -502,7 +480,10 @@ def jacobi_p(
     _require_p_domain(params, z)
     if rep is not Representation.AUTO:
         return _rep_value(params, z, rep)
-    return _auto(params, z, _connection_value)
+    log_scale, value, err, provenance = _auto(params, z)
+    if provenance == "connection":
+        value, err = _unscale(log_scale, value)
+    return EvalResult(value, err, provenance)
 
 
 def jacobi_p_scaled(params: JacobiParams, z) -> tuple[complex, complex]:
@@ -516,10 +497,7 @@ def jacobi_p_scaled(params: JacobiParams, z) -> tuple[complex, complex]:
         return _p_batch(params, z, scaled=True)
     z = complex(z)
     _require_p_domain(params, z)
-    out = _auto(params, z, _connection_scaled)
-    if isinstance(out, EvalResult):
-        return 0.0 + 0.0j, out.value
-    return out
+    return _auto(params, z)[:2]
 
 
 def taylor_section(params: JacobiParams, n: int, z) -> tuple[complex, complex]:

@@ -114,8 +114,10 @@ def _q_parts(
         rep = Representation.REP1 if rep1 else Representation.REP3
     (p1, p2), on_y, e_m, e_p = _q_terms(a, b, g, rep)
     series = ohyp2f1(p1, p2, a + b + 2.0 * g + 2.0, y if on_y else x)
+    # z - -1.0, not z + 1.0, keeps an imaginary part of -0.0 on (-oo, -1),
+    # so that both logs take the limit from below; adding 1.0 makes it +0.0.
     logf = (
-        _q_log_prefactor(a, b, g) - e_m * cmath.log(z - 1.0) - e_p * cmath.log(z + 1.0)
+        _q_log_prefactor(a, b, g) - e_m * cmath.log(z - 1.0) - e_p * cmath.log(z - -1.0)
     )
     return logf, series, rep
 
@@ -143,7 +145,8 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool
     inside = Q_CUT.distance(z) >= CUT_GUARD
     with np.errstate(divide="ignore", invalid="ignore"):
         y, x, rep1 = _q_route(z)
-        log_zm, log_zp = np.log(z - 1.0), np.log(z + 1.0)
+        # z - -1.0 keeps a -0.0 imaginary part, as in ``_q_parts``.
+        log_zm, log_zp = np.log(z - 1.0), np.log(z - -1.0)
     stop = n
     if until_failure:
         grows1, grows3 = (
@@ -181,30 +184,22 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool
 def _q_points(params: JacobiParams, z: np.ndarray, log: bool = False):
     """``jacobi_q`` (or ``jacobi_q_log``) under AUTO at the points of a 1-D z.
 
-    Returns (value or log, error estimate, provenance code, failure) as
-    ``_p_points`` does; the code indexes ``_PROVENANCE`` (rep1 or rep3).
+    Returns ``_pointwise``'s columns (value or log, error estimate,
+    provenance code) and failure, as ``_p_points`` does; the code indexes
+    ``_PROVENANCE`` (rep1 or rep3).
     """
-    n = z.size
-    value = np.zeros(n, dtype=complex)
-    err = np.zeros(n)
-    code = np.zeros(n, dtype=np.int8)
 
-    def block(lo: int, hi: int):
-        v, e, status, rep1, stop = _q_batch(params, z[lo:hi], log, until_failure=True)
-        value[lo:hi], err[lo:hi], code[lo:hi] = v, e, ~rep1
-        return status[:stop] == BATCH_OK, lo + stop
+    def batch(zs: np.ndarray):
+        v, e, status, rep1, stop = _q_batch(params, zs, log, until_failure=True)
+        return (v, e, ~rep1), status == BATCH_OK, stop
 
-    def scalar(i: int) -> None:
-        w = complex(z[i])
+    def scalar(w: complex):
         if log:
-            value[i] = jacobi_q_log(params, w)
-        else:
-            res = jacobi_q(params, w)
-            value[i], err[i] = res.value, res.abs_error_estimate
-            code[i] = _PROVENANCE.index(res.provenance)
+            return (jacobi_q_log(params, w),)
+        res = jacobi_q(params, w)
+        return res.value, res.abs_error_estimate, _PROVENANCE.index(res.provenance)
 
-    failure = _pointwise(block, scalar, n)
-    return value, err, code, failure
+    return _pointwise(batch, scalar, z, (complex, float, np.int8))
 
 
 def jacobi_q(
@@ -225,7 +220,7 @@ def jacobi_q(
     if isinstance(z, np.ndarray):
         if rep is not Representation.AUTO:
             raise ValueError("an array of z needs Representation.AUTO")
-        value, err, code, failure = _q_points(params, np.asarray(z, dtype=complex).ravel())
+        (value, err, code), failure = _q_points(params, np.asarray(z, dtype=complex).ravel())
         if failure is not None:
             raise failure[1]
         return EvalResult(value.reshape(z.shape), err.reshape(z.shape), _joined(code))
@@ -242,7 +237,7 @@ def jacobi_q_log(params: JacobiParams, z) -> complex:
     z may be an ndarray; the result is then an array.
     """
     if isinstance(z, np.ndarray):
-        out, _, _, failure = _q_points(params, np.asarray(z, dtype=complex).ravel(), log=True)
+        (out, _, _), failure = _q_points(params, np.asarray(z, dtype=complex).ravel(), log=True)
         if failure is not None:
             raise failure[1]
         return out.reshape(z.shape)
@@ -327,19 +322,16 @@ def jacobi_q_integral_shifted(spec: QIntegralSpec) -> EvalResult:
 
     quad = _kernel_quadrature(z, ea, eb, g - k + 1.0, k, ea, eb)
     sign = -1.0 if k % 2 else 1.0
+    # z - -1.0 keeps a -0.0 imaginary part, as in ``_q_parts``.
     prefactor = (
         sign
         * math.factorial(k)
         / (shift_coef * power(2.0, g + 1.0 - k))
         * power(z - 1.0, -a)
-        * power(z + 1.0, -b)
+        * power(z - -1.0, -b)
     )
-    value = prefactor * quad.value
-    return EvalResult(
-        value,
-        abs(prefactor) * quad.abs_error_estimate + 1e-15 * abs(value),
-        f"integral-k{k}|{quad.provenance}",
-    )
+    value, err = _apply_factor(prefactor, quad.value, quad.abs_error_estimate)
+    return EvalResult(value, err, f"integral-k{k}|{quad.provenance}")
 
 
 def choose_shift_k(params: JacobiParams) -> int:
@@ -367,10 +359,7 @@ def neumann_q(n: int, alpha, beta, z) -> EvalResult:
     _require_off_cut(Q_CUT, z)
 
     quad = _kernel_quadrature(z, a, b, 1.0, n, a, b)
-    prefactor = 0.5 * power(z - 1.0, -a) * power(z + 1.0, -b)
-    value = prefactor * quad.value
-    return EvalResult(
-        value,
-        abs(prefactor) * quad.abs_error_estimate + 1e-15 * abs(value),
-        f"neumann-{n}|{quad.provenance}",
-    )
+    # z - -1.0 keeps a -0.0 imaginary part, as in ``_q_parts``.
+    prefactor = 0.5 * power(z - 1.0, -a) * power(z - -1.0, -b)
+    value, err = _apply_factor(prefactor, quad.value, quad.abs_error_estimate)
+    return EvalResult(value, err, f"neumann-{n}|{quad.provenance}")

@@ -380,6 +380,16 @@ def test_table_stops_where_the_scalar_loop_stops(tmp_path, capsys, kind, spec, f
     _assert_same_table(tmp_path, capsys, kind, params, spec, fmt)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_p_polynomial_degree_near_minus_one(tmp_path, capsys, fmt):
+    # REP1 terminates at gamma = 3, so P sums it beyond the preferred disk
+    # near -1 and the table, like the scalar loop, writes every row.
+    params = JacobiParams(0.3 + 0.1j, 0.7, 3.0)
+    spec = "-0.999,0:-0.9,0:16"
+    assert _scalar_loop("P", params, _grid(spec))[1] == ""
+    _assert_same_table(tmp_path, capsys, "P", params, spec, fmt)
+
+
 @pytest.mark.parametrize(
     "kind, spec, entries",
     [

@@ -2,6 +2,7 @@ import cmath
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from conftest import jacobi_poly_via_recurrence, legendre_via_recurrence
@@ -221,3 +222,45 @@ def test_real_interval_past_every_argument_map():
         jacobi_p(p, -0.985)
     with pytest.raises(NoConvergentPath):
         jacobi_p_scaled(p, -0.985)
+
+
+# At gamma = n REP1 is the terminating sum of the degree-n polynomial, valid
+# at every z; beyond the preferred disk, on and near [-1, 1], AUTO sums it
+# where the 2F1's argument map has no path.  The connection is degenerate at
+# alpha+gamma in N0, so the off-axis points of those triples take REP1 too.
+@pytest.mark.parametrize(
+    "params, zs",
+    [
+        (JacobiParams(0.3 + 0.1j, -0.2, 5), (-0.99, -0.985, -0.95, -0.9999)),
+        (JacobiParams(2.2 + 0.1j, 2.9 - 0.2j, 8), (-0.999, -0.9)),
+        (JacobiParams(0, 0, 5), (-0.99, -0.999 + 0.001j, -0.99 - 0.01j, -0.97 + 0.02j)),
+        (JacobiParams(1, 0.5, 3), (-0.995, -0.995 - 0.002j, -0.98 + 0.03j)),
+    ],
+)
+def test_polynomial_degree_beyond_the_disk(params, zs):
+    n = int(params.gamma.real)
+    want = [jacobi_polynomial(n, params.alpha, params.beta, z) for z in zs]
+    array = jacobi_p(params, np.array(zs))
+    log_scale, mantissa = jacobi_p_scaled(params, np.array(zs))
+    assert array.provenance == "rep1"
+    assert np.all(log_scale == 0) and np.all(mantissa == array.value)
+    for i, z in enumerate(zs):
+        got = jacobi_p(params, z)
+        assert got.provenance == "rep1"
+        assert abs(got.value - want[i]) <= got.abs_error_estimate
+        assert abs(array.value[i] - want[i]) <= array.abs_error_estimate[i]
+        assert jacobi_p_scaled(params, z) == (0.0, got.value)
+
+
+def test_legendre_far_out_sums_the_polynomial():
+    # The connection is degenerate at alpha+gamma = 5; REP1 terminates, so
+    # P_5(1000) = (63 z^5 - 70 z^3 + 15 z) / 8 = 7874991250001875 exactly.
+    p = JacobiParams(0, 0, 5)
+    for got in (jacobi_p(p, 1000.0), jacobi_p(p, np.array([1000.0]))):
+        assert abs(got.value - 7874991250001875) <= got.abs_error_estimate
+    # At 1e75 the sum's leading term, 1e375, is past double range.
+    for z in (1e75, np.array([0.5, 1e75])):
+        with pytest.raises(NoConvergentPath):
+            jacobi_p(p, z)
+        with pytest.raises(NoConvergentPath):
+            jacobi_p_scaled(p, z)

@@ -2,6 +2,7 @@ import cmath
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from conftest import legendre_q_via_recurrence
@@ -176,3 +177,22 @@ def test_neumann_stalled_gauss_doubling_raises():
     # 256 nodes; the last estimate changed by 4x its value, so no value.
     with pytest.raises(NonConvergence):
         neumann_q(2, 0.2, 0.3, 0.3 + 1e-3j)
+
+
+def test_negative_zero_imaginary_part_takes_the_limit_from_below():
+    # On (-oo, -1) Q jumps; an imaginary part of -0.0 must give the limit
+    # from below in the series, its batch, its log and the integral.  The
+    # literal -2-0j has a +0.0 imaginary part, hence complex(-2, -0.0).
+    p = JacobiParams(0.35, 0.2, 0.75)
+    z, below = complex(-2, -0.0), -2 - 1e-12j
+    want = jacobi_q(p, below).value
+    got = (
+        jacobi_q(p, z).value,
+        jacobi_q(p, np.array([z])).value[0],
+        cmath.exp(jacobi_q_log(p, z)),
+        cmath.exp(jacobi_q_log(p, np.array([z]))[0]),
+        jacobi_q_integral_shifted(QIntegralSpec(p, z, choose_shift_k(p))).value,
+    )
+    for value in got:
+        assert abs(value - want) <= 1e-10 * abs(want)
+    assert abs(want - jacobi_q(p, -2 + 1e-12j).value) > 0.1
