@@ -36,8 +36,10 @@ class CutError(JacobiFnError):
 class NoConvergentPath(JacobiFnError):
     """No transformation produces an argument inside the convergence disk.
 
-    P also raises it beyond its preferred disk where its terminating series
-    (gamma in N0) overflows a double.
+    ``jacobi_p`` under AUTO also raises it where P's value is past double
+    range: the terminating series (gamma in N0) beyond the preferred disk,
+    or a large-z connection value whose scaled form ``jacobi_p_scaled``
+    still returns.
     """
 
 

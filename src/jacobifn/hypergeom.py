@@ -72,6 +72,9 @@ _EPS = 2.220446049250313e-16
 # inside DIRECT_LIMIT, and no series runs beyond MAP_LIMIT.
 DIRECT_LIMIT = 0.75
 MAP_LIMIT = 0.99
+# numpy and Python may round |z| and |z/(z-1)| a few ulps apart, so within
+# this distance of MAP_LIMIT the batch leaves the verdict to the scalar call.
+_MAP_TIE = 8 * _EPS
 # The branch cut of the 2F1.
 _CUT = Cut.right_ray(1.0)
 # Block shape of the batched series: points per call (the Jacobi layers
@@ -556,7 +559,11 @@ def _ohyp2f1_batch(a, b, c, z: np.ndarray):
     BATCH_OK where the batch covered the point, BATCH_NO_PATH where the
     scalar call raises NoConvergentPath, and BATCH_SCALAR where it raises
     CutError, warns at the term cap or the batch's result is not finite;
-    callers evaluate the points not covered with the scalar call.
+    callers evaluate the points not covered with the scalar call.  Points
+    whose smaller modulus, |z| or |z/(z-1)|, lies within ``_MAP_TIE`` of
+    MAP_LIMIT are BATCH_SCALAR too: numpy may round the modulus to the other
+    side of MAP_LIMIT than Python does, so only the scalar call can tell
+    whether it has a path.
     """
     a, b, c = complex(a), complex(b), complex(c)
     value = np.zeros(z.size, dtype=complex)
@@ -568,11 +575,12 @@ def _ohyp2f1_batch(a, b, c, z: np.ndarray):
     else:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             az, au = np.abs(z), np.abs(z / (z - 1.0))
-        off_cut = ~(_CUT.distance(z) < CUT_GUARD)
-        path = off_cut & _has_path(az, au)
+        tie = np.abs(np.minimum(az, au) - MAP_LIMIT) <= _MAP_TIE
+        decided = ~(_CUT.distance(z) < CUT_GUARD) & ~tie
+        path = decided & _has_path(az, au)
         direct = path & _takes_direct(az, au)
         pfaff = path & ~direct
-        status[off_cut & ~path] = BATCH_NO_PATH
+        status[decided & ~path] = BATCH_NO_PATH
 
     def put(mask, v, e, ok):
         with np.errstate(invalid="ignore"):

@@ -22,6 +22,12 @@ kind.
 Entries that share an oracle share one factory: ``_contour_entry`` (FD, FW,
 SD, SW), ``_finite_entry`` (FI, FK) and ``_ray_entry`` (FJ, SI); each takes
 the entry's rows where it has any.
+
+Each weight and closed form is written once.  SW<k> is FW<k> for Q: the same
+weight, base point and closed form with Q in place of P, times (-1)^n about
+-1 (``_operator_power`` and ``_operator_analog``).  FJ1 and FJ2 integrate
+FI1's and FI2's weights along the ray to infinity and share their closed
+forms.
 """
 
 from __future__ import annotations
@@ -244,10 +250,6 @@ def _weighted(kind: str, params: JacobiParams, weight: Callable[[complex], compl
     return lambda w: weight(w) * val(a, b, g, w)
 
 
-def plain_derivative(f, z: complex, n: int, cut: Cut) -> complex:
-    return contour_derivative(f, z, n, cut=cut)
-
-
 @cache
 def _operator_coeffs(n: int) -> tuple[tuple[int, int], ...]:
     """Coefficients a_{n,k} of [(z-c)^2 D]^n = sum_k a_{n,k} (z-c)^(n+k) D^k."""
@@ -272,6 +274,33 @@ def operator_power(f, z: complex, n: int, base_point: float, cut: Cut) -> comple
     for k, c in _operator_coeffs(n):
         total += c * shift ** (n + k) * derivs[k]
     return total
+
+
+def rodrigues_jacobi(n: int, alpha, beta, z, variant: str = "ONE") -> complex:
+    """Polynomial value from the n-fold weighted-operator formula.
+
+    variant ONE uses the (z+1) operator on (w-1)^(alpha+n) (w+1)^(beta+1);
+    variant TWO uses the (z-1) operator on (w-1)^(alpha+1) (w+1)^(beta+n).
+    Both must reproduce the degree-n polynomial.
+    """
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    a, b, z = complex(alpha), complex(beta), complex(z)
+    if abs(z - 1.0) < 1e-9 or abs(z + 1.0) < 1e-9:
+        raise ValueError("Rodrigues prefactors are singular at z = +-1")
+
+    norm = 1.0 / (2.0**n * math.factorial(n))
+    if variant.upper() == "ONE":
+        operand = lambda w: power(w - 1.0, a + n) * power(w + 1.0, b + 1.0)
+        op = operator_power(operand, z, n, -1.0, Q_DERIV_CUT)
+        pre = cmath.exp(-a * cmath.log(z - 1.0) - (b + n + 1.0) * cmath.log(z + 1.0))
+    elif variant.upper() == "TWO":
+        operand = lambda w: power(w - 1.0, a + 1.0) * power(w + 1.0, b + n)
+        op = operator_power(operand, z, n, 1.0, Q_DERIV_CUT)
+        pre = cmath.exp(-(a + n + 1.0) * cmath.log(z - 1.0) - b * cmath.log(z + 1.0))
+    else:
+        raise ValueError("variant must be ONE or TWO")
+    return norm * pre * op
 
 
 # --- entry families ----------------------------------------------------------
@@ -302,7 +331,7 @@ def _contour_entry(
     def lhs(params: JacobiParams, z: complex, n: int) -> complex:
         f = _weighted(kind, params, weight(params) if weight else None)
         if base_point is None:
-            return plain_derivative(f, z, n, cut)
+            return contour_derivative(f, z, n, cut=cut)
         return operator_power(f, z, n, base_point, cut)
 
     sample = _P_DERIV_SAMPLE if kind == "P" else _Q_SAMPLE
@@ -427,126 +456,153 @@ _contour_entry(
 
 # --- FW: [(z -+ 1)^2 D]^n operator identities for P ---------------------------
 
-_contour_entry(
-    "FW1",
+_OPERATOR_POWERS: dict[int, tuple] = {}
+
+
+def _operator_power(k, desc, weight, base_point, rhs, note=None):
+    """Register FW<k>, the operator power [(z - base_point)^2 D]^n on weighted P.
+
+    ``rhs(val, p, z, n)`` is the closed form with the function on its right
+    evaluated by ``val``; SW<k> reuses it with Q, with the weight and the
+    base point.
+    """
+    _OPERATOR_POWERS[k] = (weight, base_point, rhs)
+    _contour_entry(
+        f"FW{k}", desc, "P", weight, partial(rhs, pval), base_point=base_point, note=note
+    )
+
+
+_SW_MIRROR_NOTE = (
+    "(-1)^n restored: the (z+1) operator corresponds to d/dx with "
+    "x = 2/(1+z), whose Jacobian is negative, unlike the first-kind case."
+)
+
+
+def _operator_analog(k, desc, hypotheses=None, note=None):
+    """Register SW<k>: FW<k>'s weight, base point and closed form, for Q.
+
+    About -1 the closed form gains (-1)^n, applied to the finished value so
+    the factors multiply in FW<k>'s order; the entry's note then starts with
+    the reason.
+    """
+    weight, base_point, rhs = _OPERATOR_POWERS[k]
+    if base_point == 1.0:
+        closed = partial(rhs, qval)
+    else:
+        note = " ".join(filter(None, (_SW_MIRROR_NOTE, note)))
+
+        def closed(p: JacobiParams, z: complex, n: int) -> complex:
+            return rhs(qval, p, z, n) * (-1.0) ** n
+
+    _contour_entry(
+        f"SW{k}", desc, "Q", weight, closed, base_point, hypotheses=hypotheses, note=note
+    )
+
+
+_operator_power(
+    1,
     "degree-preserving operator power shifting the second exponent up",
-    "P",
     lambda p: (lambda w: power(w - 1.0, p.alpha + p.beta + p.gamma + 1.0)),
-    lambda p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
+    1.0,
+    lambda val, p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
     * power(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
-    * pval(p.alpha, p.beta + n, p.gamma, z),
-    base_point=1.0,
+    * val(p.alpha, p.beta + n, p.gamma, z),
 )
 
-_contour_entry(
-    "FW2",
+_operator_power(
+    2,
     "operator power on the degree-scaled function lowering the degree",
-    "P",
     lambda p: (lambda w: power(w - 1.0, -p.gamma)),
-    lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
+    1.0,
+    lambda val, p, z, n: pochhammer(-p.alpha - p.gamma, n)
     * power(z - 1.0, n - p.gamma)
-    * pval(p.alpha, p.beta + n, p.gamma - n, z),
-    base_point=1.0,
+    * val(p.alpha, p.beta + n, p.gamma - n, z),
 )
 
-_contour_entry(
-    "FW3",
+_operator_power(
+    3,
     "operator power raising the degree against the mixed weight",
-    "P",
     lambda p: (
         lambda w: power(w + 1.0, p.beta) * power(w - 1.0, p.alpha + p.gamma + 1.0)
     ),
-    lambda p, z, n: 2.0**n
+    1.0,
+    lambda val, p, z, n: 2.0**n
     * pochhammer(p.gamma + 1.0, n)
     * power(z + 1.0, p.beta - n)
     * power(z - 1.0, p.alpha + p.gamma + 1.0 + n)
-    * pval(p.alpha, p.beta - n, p.gamma + n, z),
-    base_point=1.0,
+    * val(p.alpha, p.beta - n, p.gamma + n, z),
 )
 
-_contour_entry(
-    "FW4",
+_operator_power(
+    4,
     "degree-preserving operator power shifting the second exponent down",
-    "P",
     lambda p: (
         lambda w: power(w + 1.0, p.beta) * power(w - 1.0, -(p.beta + p.gamma))
     ),
-    lambda p, z, n: 2.0**n
+    1.0,
+    lambda val, p, z, n: 2.0**n
     * pochhammer(-p.beta - p.gamma, n)
     * power(z + 1.0, p.beta - n)
     * power(z - 1.0, -(p.beta - n + p.gamma))
-    * pval(p.alpha, p.beta - n, p.gamma, z),
-    base_point=1.0,
+    * val(p.alpha, p.beta - n, p.gamma, z),
 )
 
-_contour_entry(
-    "FW5",
+_operator_power(
+    5,
     "mirrored operator power shifting the first exponent up",
-    "P",
     lambda p: (lambda w: power(w + 1.0, p.alpha + p.beta + p.gamma + 1.0)),
-    lambda p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
+    -1.0,
+    lambda val, p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
     * power(z + 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
-    * pval(p.alpha + n, p.beta, p.gamma, z),
-    base_point=-1.0,
+    * val(p.alpha + n, p.beta, p.gamma, z),
 )
 
-_contour_entry(
-    "FW6",
+_operator_power(
+    6,
     "mirrored operator power lowering the degree",
-    "P",
     lambda p: (lambda w: power(w + 1.0, -p.gamma)),
-    lambda p, z, n: pochhammer(1.0 + p.beta + p.gamma - n, n)
+    -1.0,
+    lambda val, p, z, n: pochhammer(1.0 + p.beta + p.gamma - n, n)
     * power(z + 1.0, n - p.gamma)
-    * pval(p.alpha + n, p.beta, p.gamma - n, z),
-    base_point=-1.0,
+    * val(p.alpha + n, p.beta, p.gamma - n, z),
 )
 
-_contour_entry(
-    "FW7",
+_operator_power(
+    7,
     "mirrored operator power raising the degree against the mixed weight",
-    "P",
     lambda p: (
         lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, p.beta + p.gamma + 1.0)
     ),
-    lambda p, z, n: 2.0**n
+    -1.0,
+    lambda val, p, z, n: 2.0**n
     * pochhammer(p.gamma + 1.0, n)
     * power(z - 1.0, p.alpha - n)
     * power(z + 1.0, p.beta + p.gamma + n + 1.0)
-    * pval(p.alpha - n, p.beta, p.gamma + n, z),
-    base_point=-1.0,
+    * val(p.alpha - n, p.beta, p.gamma + n, z),
     note="(z+1) exponent corrected to beta+gamma+n+1; the printed beta+gamma+n "
     "fails its own Rodrigues specialization and the n=1 hand check.",
 )
 
-_contour_entry(
-    "FW8",
+_operator_power(
+    8,
     "mirrored degree-preserving operator power shifting the first exponent down",
-    "P",
     lambda p: (
         lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, -(p.alpha + p.gamma))
     ),
-    lambda p, z, n: (-2.0) ** n
+    -1.0,
+    lambda val, p, z, n: (-2.0) ** n
     * pochhammer(-p.alpha - p.gamma, n)
     * power(z - 1.0, p.alpha - n)
     * power(z + 1.0, -(p.alpha - n + p.gamma))
-    * pval(p.alpha - n, p.beta, p.gamma, z),
-    base_point=-1.0,
+    * val(p.alpha - n, p.beta, p.gamma, z),
 )
 
 
 # --- FR: Rodrigues forms ------------------------------------------------------
 
 
-def _rodrigues_lhs_one(params: JacobiParams, z: complex, n: int) -> complex:
-    from .identity_engine import rodrigues_jacobi
-
-    return rodrigues_jacobi(n, params.alpha, params.beta, z, "ONE")
-
-
-def _rodrigues_lhs_two(params: JacobiParams, z: complex, n: int) -> complex:
-    from .identity_engine import rodrigues_jacobi
-
-    return rodrigues_jacobi(n, params.alpha, params.beta, z, "TWO")
+def _rodrigues_lhs(variant: str, params: JacobiParams, z: complex, n: int) -> complex:
+    return rodrigues_jacobi(n, params.alpha, params.beta, z, variant)
 
 
 def _rodrigues_rhs(params: JacobiParams, z: complex, n: int) -> complex:
@@ -559,7 +615,7 @@ _register(
         "operator-power Rodrigues form built on the (z+1) operator",
         (1, 2, 3),
         1e-8,
-        _rodrigues_lhs_one,
+        partial(_rodrigues_lhs, "ONE"),
         _rodrigues_rhs,
         partial(_check, ()),
         _P_DERIV_SAMPLE,
@@ -572,7 +628,7 @@ _register(
         "operator-power Rodrigues form built on the (z-1) operator",
         (1, 2, 3),
         1e-8,
-        _rodrigues_lhs_two,
+        partial(_rodrigues_lhs, "TWO"),
         _rodrigues_rhs,
         partial(_check, ()),
         _P_DERIV_SAMPLE,
@@ -584,16 +640,36 @@ _register(
 
 # --- FI: finite multi-integrals toward 1 --------------------------------------
 
+# FI1 and FI2 share their weights and closed forms with FJ1 and FJ2, which
+# integrate along the ray to infinity instead; FJ1's note records the sign.
+_FI1_WEIGHTS = (("1-w", lambda p: p.alpha), ("1+w", lambda p: p.beta))
+_FI2_WEIGHTS = (("1-w", lambda p: p.alpha),)
+
+
+def _fi1_rhs(p: JacobiParams, z: complex, n: int) -> complex:
+    return (
+        (-1.0) ** n
+        / (2.0**n * pochhammer(-p.gamma, n))
+        * power(1.0 - z, p.alpha + n)
+        * power(1.0 + z, p.beta + n)
+        * pval(p.alpha + n, p.beta + n, p.gamma - n, z)
+    )
+
+
+def _fi2_rhs(p: JacobiParams, z: complex, n: int) -> complex:
+    return (
+        power(1.0 - z, p.alpha + n)
+        / pochhammer(p.alpha + p.gamma + 1.0, n)
+        * pval(p.alpha + n, p.beta - n, p.gamma, z)
+    )
+
+
 _finite_entry(
     "FI1",
     "n-fold weighted integral toward 1 lowering the degree",
-    (("1-w", lambda p: p.alpha), ("1+w", lambda p: p.beta)),
+    _FI1_WEIGHTS,
     lambda p: complex(p.alpha).real,
-    lambda p, z, n: (-1.0) ** n
-    / (2.0**n * pochhammer(-p.gamma, n))
-    * power(1.0 - z, p.alpha + n)
-    * power(1.0 + z, p.beta + n)
-    * pval(p.alpha + n, p.beta + n, p.gamma - n, z),
+    _fi1_rhs,
     lambda a, b, g, z, n: (
         (_above(a, -1.0), "Re(alpha) too close to -1"),
         (_above(b, -1.0), "Re(beta) too close to -1"),
@@ -604,11 +680,9 @@ _finite_entry(
 _finite_entry(
     "FI2",
     "n-fold (1-w)-weighted integral toward 1 trading the exponents",
-    (("1-w", lambda p: p.alpha),),
+    _FI2_WEIGHTS,
     lambda p: complex(p.alpha).real,
-    lambda p, z, n: power(1.0 - z, p.alpha + n)
-    / pochhammer(p.alpha + p.gamma + 1.0, n)
-    * pval(p.alpha + n, p.beta - n, p.gamma, z),
+    _fi2_rhs,
     lambda a, b, g, z, n: ((_above(a, -1.0), "Re(alpha) too close to -1"),),
 )
 
@@ -685,12 +759,8 @@ _ray_entry(
     "FJ1",
     "n-fold weighted ray integral lowering the degree",
     "P",
-    (("1-w", lambda p: p.alpha), ("1+w", lambda p: p.beta)),
-    lambda p, z, n: (-1.0) ** n
-    / (2.0**n * pochhammer(-p.gamma, n))
-    * power(1.0 - z, p.alpha + n)
-    * power(1.0 + z, p.beta + n)
-    * pval(p.alpha + n, p.beta + n, p.gamma - n, z),
+    _FI1_WEIGHTS,
+    _fi1_rhs,
     lambda a, b, g, z, n: (
         (_below(a + b + g, -n, RAY_MARGIN), "Re(alpha+beta+gamma) not below -n"),
         (_above(g, n - 1, RAY_MARGIN), "Re(gamma) not above n-1"),
@@ -709,10 +779,8 @@ _ray_entry(
     "FJ2",
     "n-fold (1-w)-weighted ray integral trading the exponents",
     "P",
-    (("1-w", lambda p: p.alpha),),
-    lambda p, z, n: power(1.0 - z, p.alpha + n)
-    / pochhammer(p.alpha + p.gamma + 1.0, n)
-    * pval(p.alpha + n, p.beta - n, p.gamma, z),
+    _FI2_WEIGHTS,
+    _fi2_rhs,
     lambda a, b, g, z, n: (
         (_below(a + g, -n, RAY_MARGIN), "Re(alpha+gamma) not below -n"),
         (_above(b + g, n - 1, RAY_MARGIN), "Re(beta+gamma) not above n-1"),
@@ -983,7 +1051,7 @@ _register(
 
 
 def _srl_lhs(p: JacobiParams, z: complex, n: int) -> complex:
-    return plain_derivative(_weighted("Q", p, None), z, 1, Q_DERIV_CUT)
+    return contour_derivative(_weighted("Q", p, None), z, 1, cut=Q_DERIV_CUT)
 
 
 def _srl_rhs(p: JacobiParams, z: complex, n: int) -> complex:
@@ -1038,7 +1106,7 @@ def _sd2_rhs(p: JacobiParams, z: complex, n: int) -> complex:
             power(w - 1.0, a + n) * power(w + 1.0, b + n) * qval(a + n, b + n, g - n, w)
         )
 
-    deriv = plain_derivative(inner, z, n, Q_DERIV_CUT)
+    deriv = contour_derivative(inner, z, n, cut=Q_DERIV_CUT)
     return (
         deriv
         / (2.0**n * pochhammer(-g, n))
@@ -1135,129 +1203,43 @@ _ray_entry(
 
 # --- SW: operator-power identities for Q --------------------------------------
 
-_contour_entry(
-    "SW1",
-    "second-kind analog of the degree-preserving (z-1) operator power",
-    "Q",
-    lambda p: (lambda w: power(w - 1.0, p.alpha + p.beta + p.gamma + 1.0)),
-    lambda p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
-    * power(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
-    * qval(p.alpha, p.beta + n, p.gamma, z),
-    base_point=1.0,
-)
+_operator_analog(1, "second-kind analog of the degree-preserving (z-1) operator power")
 
-_contour_entry(
-    "SW2",
+_operator_analog(
+    2,
     "second-kind analog of the degree-lowering (z-1) operator power",
-    "Q",
-    lambda p: (lambda w: power(w - 1.0, -p.gamma)),
-    lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
-    * power(z - 1.0, n - p.gamma)
-    * qval(p.alpha, p.beta + n, p.gamma - n, z),
-    base_point=1.0,
-    hypotheses=lambda a, b, g, z, n: (
+    lambda a, b, g, z, n: (
         (_near(a + g - n, hi=-1), "alpha+gamma-n near a negative integer (shifted validity)"),
     ),
 )
 
-_contour_entry(
-    "SW3",
-    "second-kind analog of the degree-raising (z-1) operator power",
-    "Q",
-    lambda p: (
-        lambda w: power(w + 1.0, p.beta) * power(w - 1.0, p.alpha + p.gamma + 1.0)
-    ),
-    lambda p, z, n: 2.0**n
-    * pochhammer(p.gamma + 1.0, n)
-    * power(z + 1.0, p.beta - n)
-    * power(z - 1.0, p.alpha + p.gamma + 1.0 + n)
-    * qval(p.alpha, p.beta - n, p.gamma + n, z),
-    base_point=1.0,
-)
+_operator_analog(3, "second-kind analog of the degree-raising (z-1) operator power")
 
-_contour_entry(
-    "SW4",
+_operator_analog(
+    4,
     "second-kind analog of the exponent-lowering (z-1) operator power",
-    "Q",
-    lambda p: (
-        lambda w: power(w + 1.0, p.beta) * power(w - 1.0, -(p.beta + p.gamma))
-    ),
-    lambda p, z, n: 2.0**n
-    * pochhammer(-p.beta - p.gamma, n)
-    * power(z + 1.0, p.beta - n)
-    * power(z - 1.0, -(p.beta - n + p.gamma))
-    * qval(p.alpha, p.beta - n, p.gamma, z),
-    base_point=1.0,
-    hypotheses=lambda a, b, g, z, n: (
+    lambda a, b, g, z, n: (
         (_near(b - n + g, hi=-1), "beta-n+gamma near a negative integer (shifted validity)"),
     ),
 )
 
-_SW_MIRROR_NOTE = (
-    "(-1)^n restored: the (z+1) operator corresponds to d/dx with "
-    "x = 2/(1+z), whose Jacobian is negative, unlike the first-kind case."
-)
+_operator_analog(5, "second-kind analog of the mirrored exponent-raising operator power")
 
-_contour_entry(
-    "SW5",
-    "second-kind analog of the mirrored exponent-raising operator power",
-    "Q",
-    lambda p: (lambda w: power(w + 1.0, p.alpha + p.beta + p.gamma + 1.0)),
-    lambda p, z, n: (-1.0) ** n
-    * pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
-    * power(z + 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
-    * qval(p.alpha + n, p.beta, p.gamma, z),
-    base_point=-1.0,
-    note=_SW_MIRROR_NOTE,
-)
-
-_contour_entry(
-    "SW6",
+_operator_analog(
+    6,
     "second-kind analog of the mirrored degree-lowering operator power",
-    "Q",
-    lambda p: (lambda w: power(w + 1.0, -p.gamma)),
-    lambda p, z, n: (-1.0) ** n
-    * pochhammer(1.0 + p.beta + p.gamma - n, n)
-    * power(z + 1.0, n - p.gamma)
-    * qval(p.alpha + n, p.beta, p.gamma - n, z),
-    base_point=-1.0,
-    hypotheses=lambda a, b, g, z, n: (
+    lambda a, b, g, z, n: (
         (_near(b + g - n, hi=-1), "beta+gamma-n near a negative integer (shifted validity)"),
     ),
-    note=_SW_MIRROR_NOTE,
 )
 
-_contour_entry(
-    "SW7",
+_operator_analog(
+    7,
     "second-kind analog of the mirrored degree-raising operator power",
-    "Q",
-    lambda p: (
-        lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, p.beta + p.gamma + 1.0)
-    ),
-    lambda p, z, n: (-2.0) ** n
-    * pochhammer(p.gamma + 1.0, n)
-    * power(z - 1.0, p.alpha - n)
-    * power(z + 1.0, p.beta + p.gamma + n + 1.0)
-    * qval(p.alpha - n, p.beta, p.gamma + n, z),
-    base_point=-1.0,
-    note=_SW_MIRROR_NOTE + " (z+1) exponent also corrected to beta+gamma+n+1.",
+    note="(z+1) exponent also corrected to beta+gamma+n+1.",
 )
 
-_contour_entry(
-    "SW8",
-    "second-kind analog of the mirrored exponent-lowering operator power",
-    "Q",
-    lambda p: (
-        lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, -(p.alpha + p.gamma))
-    ),
-    lambda p, z, n: 2.0**n
-    * pochhammer(-p.alpha - p.gamma, n)
-    * power(z - 1.0, p.alpha - n)
-    * power(z + 1.0, -(p.alpha - n + p.gamma))
-    * qval(p.alpha - n, p.beta, p.gamma, z),
-    base_point=-1.0,
-    note=_SW_MIRROR_NOTE,
-)
+_operator_analog(8, "second-kind analog of the mirrored exponent-lowering operator power")
 
 
 # --- SQ / SN: integral representations of Q -----------------------------------
@@ -1272,6 +1254,15 @@ def _sq_rhs(p: JacobiParams, z: complex, n: int) -> complex:
     return qval(p.alpha, p.beta, p.gamma, z)
 
 
+def _sq_rows(a, b, g, z, n):
+    """SQk's hypotheses for k = n; SQ0 is k = 0, where the Pochhammer row is empty."""
+    return (
+        (_above(a + g - n, -1.0), "Re(alpha+gamma-k) not above -1"),
+        (_above(b + g - n, -1.0), "Re(beta+gamma-k) not above -1"),
+        (_poch_zero(-g, n), "(-gamma)_k vanishes"),
+    )
+
+
 _register(
     IdentityDescriptor(
         "SQ0",
@@ -1280,13 +1271,7 @@ _register(
         1e-6,
         _sq_lhs,
         _sq_rhs,
-        _guarded(
-            "Q",
-            lambda a, b, g, z, n: (
-                (_above(a + g, -1.0), "Re(alpha+gamma-k) not above -1"),
-                (_above(b + g, -1.0), "Re(beta+gamma-k) not above -1"),
-            ),
-        ),
+        _guarded("Q", _sq_rows),
         _box_sampler(_z_q, g_box=(0.0, 2.6)),
     )
 )
@@ -1299,14 +1284,7 @@ _register(
         1e-6,
         _sq_lhs,
         _sq_rhs,
-        _guarded(
-            "Q",
-            lambda a, b, g, z, n: (
-                (_above(a + g - n, -1.0), "Re(alpha+gamma-k) not above -1"),
-                (_above(b + g - n, -1.0), "Re(beta+gamma-k) not above -1"),
-                (_poch_zero(-g, n), "(-gamma)_k vanishes"),
-            ),
-        ),
+        _guarded("Q", _sq_rows),
         _box_sampler(_z_q, a_box=(0.3, 2.8), b_box=(0.3, 2.8), g_box=(1.2, 2.8)),
     )
 )

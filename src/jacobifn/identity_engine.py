@@ -10,9 +10,7 @@ closed form is frozen into the fixtures.
 
 from __future__ import annotations
 
-import cmath
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from random import Random
@@ -23,14 +21,12 @@ from .errors import (
     FixtureFormatError,
     UnknownIdentity,
 )
-from .hypergeom import power
 from .identity_catalog import (
     CATALOG,
     CATALOG_ORDER,
     IdentityDescriptor,
-    Q_DERIV_CUT,
     _ode_terms,
-    operator_power,
+    rodrigues_jacobi,
     take_cost,
 )
 from .jacobi_first import JacobiParams
@@ -205,33 +201,6 @@ def ode_residual(kind: str, params: JacobiParams, z) -> float:
     t1, t2, t3 = _ode_terms(kind, params, complex(z))
     scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
     return abs(t1 + t2 + t3) / scale
-
-
-def rodrigues_jacobi(n: int, alpha, beta, z, variant: str = "ONE") -> complex:
-    """Polynomial value from the n-fold weighted-operator formula.
-
-    variant ONE uses the (z+1) operator on (w-1)^(alpha+n) (w+1)^(beta+1);
-    variant TWO uses the (z-1) operator on (w-1)^(alpha+1) (w+1)^(beta+n).
-    Both must reproduce the degree-n polynomial.
-    """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    a, b, z = complex(alpha), complex(beta), complex(z)
-    if abs(z - 1.0) < 1e-9 or abs(z + 1.0) < 1e-9:
-        raise ValueError("Rodrigues prefactors are singular at z = +-1")
-
-    norm = 1.0 / (2.0**n * math.factorial(n))
-    if variant.upper() == "ONE":
-        operand = lambda w: power(w - 1.0, a + n) * power(w + 1.0, b + 1.0)
-        op = operator_power(operand, z, n, -1.0, Q_DERIV_CUT)
-        pre = cmath.exp(-a * cmath.log(z - 1.0) - (b + n + 1.0) * cmath.log(z + 1.0))
-    elif variant.upper() == "TWO":
-        operand = lambda w: power(w - 1.0, a + 1.0) * power(w + 1.0, b + n)
-        op = operator_power(operand, z, n, 1.0, Q_DERIV_CUT)
-        pre = cmath.exp(-(a + n + 1.0) * cmath.log(z - 1.0) - b * cmath.log(z + 1.0))
-    else:
-        raise ValueError("variant must be ONE or TWO")
-    return norm * pre * op
 
 
 # --- fixtures ----------------------------------------------------------------

@@ -241,8 +241,15 @@ def _connection_scaled(params: JacobiParams, z: complex) -> tuple[complex, compl
 
 
 def _unscale(log_scale, mantissa):
-    """(value, flat error estimate) of a connection value; scalars or ndarrays."""
-    value = _exp(log_scale) * mantissa
+    """(value, flat error estimate) of a connection value; scalars or ndarrays.
+
+    A value past double range is not finite, also where exp(log_scale)
+    alone overflows.
+    """
+    try:
+        value = _exp(log_scale) * mantissa
+    except OverflowError:
+        value = complex(math.inf, 0.0)
     return value, 1e-13 * abs(value)
 
 
@@ -387,7 +394,9 @@ def _pointwise(batch, scalar, z: np.ndarray, dtypes):
     returns the leading entries of the columns at w from the scalar call.
     It serves the points the batch did not cover and the predicted failure,
     which raises, so nothing after the first failing point is evaluated; a
-    point marked wrongly just returns its value.
+    point marked wrongly just returns its value.  The batch predicts the
+    failure because a failing table stops there: the points after it would
+    be evaluated for nothing.
     """
     n = z.size
     columns = tuple(np.zeros(n, dtype=dtype) for dtype in dtypes)
@@ -467,7 +476,9 @@ def jacobi_p(
     preferred disk; for larger arguments it prefers the two-solution
     decomposition and falls back to REP1, which raises NoConvergentPath
     where its 2F1 has no path.  At gamma in N0 REP1 terminates, so P is the
-    Jacobi polynomial at every z where that sum stays finite.
+    Jacobi polynomial at every z where that sum stays finite.  Under AUTO a
+    value past double range raises NoConvergentPath; ``jacobi_p_scaled``
+    returns it as a (log_scale, mantissa) pair.
 
     Under AUTO, z may be an ndarray: the result then holds arrays of values
     and error estimates, and its provenance joins the routes taken with "+".
@@ -483,6 +494,8 @@ def jacobi_p(
     log_scale, value, err, provenance = _auto(params, z)
     if provenance == "connection":
         value, err = _unscale(log_scale, value)
+    if not cmath.isfinite(value):
+        raise NoConvergentPath(f"z={z}: P's value ({provenance}) is past double range")
     return EvalResult(value, err, provenance)
 
 

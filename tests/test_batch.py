@@ -36,7 +36,14 @@ from hypothesis import strategies as st
 
 from jacobifn import hypergeom
 from jacobifn.errors import JacobiFnError, NoConvergentPath, TruncationWarning
-from jacobifn.hypergeom import BATCH_NO_PATH, BATCH_OK, DIRECT_LIMIT, _ohyp2f1_batch, ohyp2f1
+from jacobifn.hypergeom import (
+    BATCH_NO_PATH,
+    BATCH_OK,
+    DIRECT_LIMIT,
+    MAP_LIMIT,
+    _ohyp2f1_batch,
+    ohyp2f1,
+)
 from jacobifn.jacobi_first import (
     AUTO_ARG_LIMIT,
     JacobiParams,
@@ -84,8 +91,13 @@ def _zs(near):
     return st.lists(st.one_of(_z, near), min_size=1, max_size=12)
 
 
-# The 2F1's direct series or its z/(z-1) map: |z| = DIRECT_LIMIT.
-_near_direct = _near(lambda t: cmath.rect(DIRECT_LIMIT, t))
+# The 2F1's direct series or its z/(z-1) map: |z| = DIRECT_LIMIT; a series
+# or NoConvergentPath: |z| = MAP_LIMIT and |z/(z-1)| = MAP_LIMIT.
+_near_2f1 = _near(
+    lambda t: cmath.rect(DIRECT_LIMIT, t),
+    lambda t: cmath.rect(MAP_LIMIT, t),
+    lambda t: cmath.rect(MAP_LIMIT, t) / (cmath.rect(MAP_LIMIT, t) - 1.0),
+)
 # P's REP1, REP3 or beyond: |1-z|/2 = AUTO_ARG_LIMIT, |z-1|/|z+1| = AUTO_ARG_LIMIT.
 _near_auto = _near(
     lambda t: 1.0 - 2.0 * cmath.rect(AUTO_ARG_LIMIT, t),
@@ -161,7 +173,7 @@ def _split(fn, params, zs):
     return outs, ok, errors[0] if errors else None, growth
 
 
-@given(_param_2f1, _param_2f1, _param_2f1, _zs(_near_direct))
+@given(_param_2f1, _param_2f1, _param_2f1, _zs(_near_2f1))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_batched_2f1_matches_scalar(a, b, c, zs):
     value, err, status = _ohyp2f1_batch(a, b, c, np.array(zs))

@@ -372,6 +372,9 @@ def test_table_batch_matches_scalar_loop(tmp_path, capsys, fmt):
         ("P", "-3,0.3:-0.5,-0.3:7"),  # a point on P's cut: DomainCutError
         ("P", "-2,0:-2,0:1"),  # one point, on P's cut
         ("Q", "2,1:2,1:1"),  # one point that evaluates
+        # The first failure past the first chunk of BATCH_POINTS points.
+        ("Q", "8,0.5:-3,0.5:600"),  # at index 384
+        ("P", "6,0.25:-3,-0.25:600"),  # at index 465
     ],
 )
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -446,3 +449,16 @@ def test_table_json_writer_matches_json_dumps(rows):
         for z, v, e, rep in rows
     ]
     assert _table_json(rows) == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def test_table_p_past_double_range_stops_with_no_convergent_path(tmp_path, capsys):
+    # P's connection value at the first point overflows a double: the table
+    # stops there with one line, as the scalar loop does, not a traceback.
+    out = tmp_path / "t.csv"
+    argv = ["table", "--kind=P", "--alpha=0.3", "--beta=0.2", "--gamma=7.1",
+            "--z-grid=1e80,1e79:2e80,1e79:3", f"--out={out}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NoConvergentPath at z=(1e+80+1e+79j): ")
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -295,12 +295,12 @@ def test_contour_oracles_on_the_cut_raise_cut_intersection():
     # One radius rule for the plain derivative, the operator power and the
     # ODE terms: a point on the declared cut raises CutIntersection.
     from jacobifn.errors import CutIntersection
-    from jacobifn.identity_catalog import Q_DERIV_CUT, _ode_terms, operator_power, plain_derivative
+    from jacobifn.identity_catalog import Q_DERIV_CUT, _ode_terms, operator_power
 
     f = lambda w: w * w
     with pytest.raises(CutIntersection):
         operator_power(f, 0.5, 1, 1.0, Q_DERIV_CUT)
     with pytest.raises(CutIntersection):
-        plain_derivative(f, 0.5, 1, Q_DERIV_CUT)
+        contour_derivative(f, 0.5, 1, cut=Q_DERIV_CUT)
     with pytest.raises(CutIntersection):
         _ode_terms("Q", JacobiParams(0.2, 0.3, 1.1), 0.5)

@@ -264,3 +264,21 @@ def test_legendre_far_out_sums_the_polynomial():
             jacobi_p(p, z)
         with pytest.raises(NoConvergentPath):
             jacobi_p_scaled(p, z)
+
+
+@pytest.mark.parametrize(
+    "params, z",
+    [
+        # exp(log_scale) itself is past double range.
+        (JacobiParams(0.3, 0.2, 7.1), 1e80 + 1e79j),
+        # exp(log_scale) is finite, its product with the mantissa is not.
+        (JacobiParams(1.5, 0.2, 7.1), 1.4774106938166847e43 + 1.4774106938166848e42j),
+    ],
+)
+def test_connection_past_double_range_raises_no_convergent_path(params, z):
+    log_scale, mantissa = jacobi_p_scaled(params, z)
+    assert math.isfinite(log_scale.real) and math.isfinite(abs(mantissa))
+    for arg in (z, np.array([2.0, z])):
+        with pytest.raises(NoConvergentPath):
+            jacobi_p(params, arg)
+    assert all(np.isfinite(col).all() for col in jacobi_p_scaled(params, np.array([z])))
