@@ -37,9 +37,10 @@ class NoConvergentPath(JacobiFnError):
     """No transformation produces an argument inside the convergence disk.
 
     ``jacobi_p`` under AUTO also raises it where P's value is past double
-    range: the terminating series (gamma in N0) beyond the preferred disk,
-    or a large-z connection value whose scaled form ``jacobi_p_scaled``
-    still returns.
+    range.  Beyond the preferred disk a terminating series (gamma in N0)
+    comes first; where its sum is not finite, the large-z connection is
+    tried, and its value past double range raises too, though its scaled
+    form ``jacobi_p_scaled`` still returns.
     """
 
 

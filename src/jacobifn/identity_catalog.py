@@ -20,14 +20,17 @@ Taylor sections); SRL/SD/SW/SI/SQ/SN and the ODE entries drive the second
 kind.
 
 Entries that share an oracle share one factory: ``_contour_entry`` (FD, FW,
-SD, SW), ``_finite_entry`` (FI, FK) and ``_ray_entry`` (FJ, SI); each takes
-the entry's rows where it has any.
+SD, SW), ``_finite_entry`` (FI, FK) and ``_ray_entry`` (FJ, SI).  Each takes
+its weight as (base, exponent) rows over the bases of ``_BASES`` and the
+entry's hypothesis rows where it has any.
 
-Each weight and closed form is written once.  SW<k> is FW<k> for Q: the same
-weight, base point and closed form with Q in place of P, times (-1)^n about
--1 (``_operator_power`` and ``_operator_analog``).  FJ1 and FJ2 integrate
-FI1's and FI2's weights along the ray to infinity and share their closed
-forms.
+Each weight and closed form is written once.  The second kind restates the
+first: ``_mirror`` registers SD1, SD3, SD4, SRL, SI1-3 and SW1-8 from FD1,
+FD2, FD4, FD4 at n = 1, FJ1, FJ2, FJ4 and FW1-8.  A mirror takes the first
+kind's weight rows and closed form with Q for P, w-1 for 1-w and z-1 for
+1-z; the unweighted forms and the operators about -1 gain (-1)^n.  FJ1 and
+FJ2 integrate FI1's and FI2's weights along the ray to infinity and share
+their closed forms, and SD2's contour side is SD1's left side.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import cmath
 import math
 import struct
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, reduce
+from operator import mul
 from random import Random
 from typing import Callable
 
@@ -241,13 +245,28 @@ _Q_SAMPLE = _box_sampler(_z_q, g_box=(-0.5, 2.5))
 # --- LHS machinery -----------------------------------------------------------
 
 
-def _weighted(kind: str, params: JacobiParams, weight: Callable[[complex], complex] | None):
-    """P (kind "P") or Q (kind "Q") at w, times weight(w) when a weight is given."""
+_BASES = {"1-w": lambda w: 1.0 - w, "w-1": lambda w: w - 1.0, "1+w": lambda w: 1.0 + w}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What a closed form takes of its kind: the function, and 1-z (P) or z-1 (Q)."""
+
+    val: Callable
+    one: Callable[[complex], complex]
+
+
+_KINDS = {"P": _Kind(pval, lambda z: 1.0 - z), "Q": _Kind(qval, lambda z: z - 1.0)}
+
+
+def _weighted(kind: str, params: JacobiParams, rows=()):
+    """P (kind "P") or Q (kind "Q") at w, times the powers of the weight rows."""
     a, b, g = params.alpha, params.beta, params.gamma
-    val = pval if kind == "P" else qval
-    if weight is None:
+    val = _KINDS[kind].val
+    exps = tuple((_BASES[sym], e(params)) for sym, e in rows)
+    if not exps:
         return lambda w: val(a, b, g, w)
-    return lambda w: weight(w) * val(a, b, g, w)
+    return lambda w: reduce(mul, [power(base(w), e) for base, e in exps]) * val(a, b, g, w)
 
 
 @cache
@@ -314,12 +333,19 @@ def _register(entry: IdentityDescriptor) -> None:
     _CATALOG[entry.identity_id] = entry
 
 
+# Each contour and ray entry by id: its factory (with the base point of an
+# operator power), weight rows, closed form rhs(k, p, z, n) and base point.
+_SOURCES: dict[str, tuple] = {}
+
+
 def _contour_entry(
-    ident, desc, kind, weight, rhs, base_point=None, cut=None, hypotheses=None, note=None
+    ident, desc, kind, weight, rhs, base_point=None, cut=None, hypotheses=None, note=None,
+    n_values=(1, 2, 3),
 ):
     """Contour oracle on the weighted P or Q (kind "P" or "Q").
 
-    Without a base point the lhs is the plain n-th derivative; the contour
+    ``weight`` is (base, exponent) rows, and ``rhs(k, p, z, n)`` the closed
+    form, given the ``_Kind`` k of the entry.  Without a base point the lhs is the plain n-th derivative; the contour
     keeps off ``cut``, by default both real rays outside [-1, 1] for P and
     (-oo, 1] for Q.  With one it is the operator power
     [(z - base_point)^2 D]^n, whose (w-1)^s weights carry a principal-branch
@@ -329,14 +355,16 @@ def _contour_entry(
         cut = P_DERIV_CUT if kind == "P" and base_point is None else Q_DERIV_CUT
 
     def lhs(params: JacobiParams, z: complex, n: int) -> complex:
-        f = _weighted(kind, params, weight(params) if weight else None)
+        f = _weighted(kind, params, weight)
         if base_point is None:
             return contour_derivative(f, z, n, cut=cut)
         return operator_power(f, z, n, base_point, cut)
 
+    _SOURCES[ident] = (partial(_contour_entry, base_point=base_point), weight, rhs, base_point)
     sample = _P_DERIV_SAMPLE if kind == "P" else _Q_SAMPLE
     cons = _guarded(kind) if hypotheses is None else _guarded(kind, hypotheses)
-    _register(IdentityDescriptor(ident, desc, (1, 2, 3), 1e-8, lhs, rhs, cons, sample, note))
+    closed = partial(rhs, _KINDS[kind])
+    _register(IdentityDescriptor(ident, desc, n_values, 1e-8, lhs, closed, cons, sample, note))
 
 
 def _finite_entry(
@@ -359,7 +387,7 @@ def _finite_entry(
             val = pval(a, b, g, w)
             one_dist = hi_dist if toward_one else lo_dist
             for sym, e in exps:
-                val *= power(1.0 + w if sym == "1+w" else one_dist, e)
+                val *= power(_BASES[sym](w) if sym == "1+w" else one_dist, e)
             return val
 
         if toward_one:
@@ -372,9 +400,6 @@ def _finite_entry(
     _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, cons, sample, note))
 
 
-_LOG_BASES = {"1-w": lambda w: 1.0 - w, "w-1": lambda w: w - 1.0, "1+w": lambda w: 1.0 + w}
-
-
 def _ray_entry(ident, desc, kind, pairs, rhs, hypotheses, sample, note=None):
     """Improper n-fold integral of P or Q along the ray from z to infinity.
 
@@ -385,7 +410,7 @@ def _ray_entry(ident, desc, kind, pairs, rhs, hypotheses, sample, note=None):
     """
 
     def lhs(p: JacobiParams, z: complex, n: int) -> complex:
-        exps = tuple((_LOG_BASES[sym], complex(e(p))) for sym, e in pairs)
+        exps = tuple((_BASES[sym], complex(e(p))) for sym, e in pairs)
 
         def add_log_weights(log, w: np.ndarray):
             for base, e in exps:
@@ -402,9 +427,31 @@ def _ray_entry(ident, desc, kind, pairs, rhs, hypotheses, sample, note=None):
         spec = RepeatedIntegralSpec(n, z, None, FLAT, "lower")
         return repeated_integral(f, spec, rtol=1e-12).value
 
+    _SOURCES[ident] = (_ray_entry, pairs, rhs, None)
     rows = (hypotheses, _connection_safe) if kind == "P" else (hypotheses,)
     cons = _guarded(kind, *rows)
-    _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, cons, sample, note))
+    closed = partial(rhs, _KINDS[kind])
+    _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, closed, cons, sample, note))
+
+
+def _flipped(rhs, k: _Kind, p: JacobiParams, z: complex, n: int) -> complex:
+    return rhs(k, p, z, n) * (-1.0) ** n
+
+
+def _mirror(ident, desc, source, **own):
+    """Register the second-kind entry ``ident`` as the mirror of ``source``.
+
+    The mirror takes the source's oracle, weight rows and closed form with Q
+    for P, w-1 for 1-w and z-1 for 1-z (``_Kind.one``); ``own`` holds the
+    mirror's own hypotheses, sampler, note and n values.  Where the source
+    has no weight or is an operator power about -1, the closed form gains
+    (-1)^n, applied to the finished value so the other factors multiply in
+    the source's order.
+    """
+    factory, weight, rhs, base_point = _SOURCES[source]
+    rows = tuple(("w-1" if sym == "1-w" else sym, e) for sym, e in weight)
+    closed = rhs if weight and base_point != -1.0 else partial(_flipped, rhs)
+    factory(ident, desc, "Q", rows, closed, **own)
 
 
 # --- FD: plain n-th derivatives of weighted P --------------------------------
@@ -413,188 +460,145 @@ _contour_entry(
     "FD1",
     "n-th derivative of the fully weighted function raises degree, lowers both exponents",
     "P",
-    lambda p: (lambda w: power(1.0 - w, p.alpha) * power(1.0 + w, p.beta)),
-    lambda p, z, n: (-2.0) ** n
+    (("1-w", lambda p: p.alpha), ("1+w", lambda p: p.beta)),
+    lambda k, p, z, n: (-2.0) ** n
     * pochhammer(p.gamma + 1.0, n)
-    * power(1.0 - z, p.alpha - n)
+    * power(k.one(z), p.alpha - n)
     * power(1.0 + z, p.beta - n)
-    * pval(p.alpha - n, p.beta - n, p.gamma + n, z),
+    * k.val(p.alpha - n, p.beta - n, p.gamma + n, z),
 )
 
 _contour_entry(
     "FD2",
     "n-th derivative of the (1-z)-weighted function trades the exponents",
     "P",
-    lambda p: (lambda w: power(1.0 - w, p.alpha)),
-    lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
-    * power(1.0 - z, p.alpha - n)
-    * pval(p.alpha - n, p.beta + n, p.gamma, z),
+    (("1-w", lambda p: p.alpha),),
+    lambda k, p, z, n: pochhammer(-p.alpha - p.gamma, n)
+    * power(k.one(z), p.alpha - n)
+    * k.val(p.alpha - n, p.beta + n, p.gamma, z),
 )
 
 _contour_entry(
     "FD3",
     "n-th derivative of the (1+z)-weighted function trades the exponents",
     "P",
-    lambda p: (lambda w: power(1.0 + w, p.beta)),
-    lambda p, z, n: (-1.0) ** n
+    (("1+w", lambda p: p.beta),),
+    lambda k, p, z, n: (-1.0) ** n
     * pochhammer(-p.beta - p.gamma, n)
     * power(1.0 + z, p.beta - n)
-    * pval(p.alpha + n, p.beta - n, p.gamma, z),
+    * k.val(p.alpha + n, p.beta - n, p.gamma, z),
 )
 
 _contour_entry(
     "FD4",
     "plain n-th derivative lowers degree, raises both exponents",
     "P",
-    None,
-    lambda p, z, n: 2.0**-n
+    (),
+    lambda k, p, z, n: 2.0**-n
     * pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
-    * pval(p.alpha + n, p.beta + n, p.gamma - n, z),
+    * k.val(p.alpha + n, p.beta + n, p.gamma - n, z),
     cut=P_CUT,
 )
 
 
 # --- FW: [(z -+ 1)^2 D]^n operator identities for P ---------------------------
 
-_OPERATOR_POWERS: dict[int, tuple] = {}
-
-
-def _operator_power(k, desc, weight, base_point, rhs, note=None):
-    """Register FW<k>, the operator power [(z - base_point)^2 D]^n on weighted P.
-
-    ``rhs(val, p, z, n)`` is the closed form with the function on its right
-    evaluated by ``val``; SW<k> reuses it with Q, with the weight and the
-    base point.
-    """
-    _OPERATOR_POWERS[k] = (weight, base_point, rhs)
-    _contour_entry(
-        f"FW{k}", desc, "P", weight, partial(rhs, pval), base_point=base_point, note=note
-    )
-
-
-_SW_MIRROR_NOTE = (
-    "(-1)^n restored: the (z+1) operator corresponds to d/dx with "
-    "x = 2/(1+z), whose Jacobian is negative, unlike the first-kind case."
-)
-
-
-def _operator_analog(k, desc, hypotheses=None, note=None):
-    """Register SW<k>: FW<k>'s weight, base point and closed form, for Q.
-
-    About -1 the closed form gains (-1)^n, applied to the finished value so
-    the factors multiply in FW<k>'s order; the entry's note then starts with
-    the reason.
-    """
-    weight, base_point, rhs = _OPERATOR_POWERS[k]
-    if base_point == 1.0:
-        closed = partial(rhs, qval)
-    else:
-        note = " ".join(filter(None, (_SW_MIRROR_NOTE, note)))
-
-        def closed(p: JacobiParams, z: complex, n: int) -> complex:
-            return rhs(qval, p, z, n) * (-1.0) ** n
-
-    _contour_entry(
-        f"SW{k}", desc, "Q", weight, closed, base_point, hypotheses=hypotheses, note=note
-    )
-
-
-_operator_power(
-    1,
+_contour_entry(
+    "FW1",
     "degree-preserving operator power shifting the second exponent up",
-    lambda p: (lambda w: power(w - 1.0, p.alpha + p.beta + p.gamma + 1.0)),
-    1.0,
-    lambda val, p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
+    "P",
+    (("w-1", lambda p: p.alpha + p.beta + p.gamma + 1.0),),
+    lambda k, p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
     * power(z - 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
-    * val(p.alpha, p.beta + n, p.gamma, z),
+    * k.val(p.alpha, p.beta + n, p.gamma, z),
+    base_point=1.0,
 )
 
-_operator_power(
-    2,
+_contour_entry(
+    "FW2",
     "operator power on the degree-scaled function lowering the degree",
-    lambda p: (lambda w: power(w - 1.0, -p.gamma)),
-    1.0,
-    lambda val, p, z, n: pochhammer(-p.alpha - p.gamma, n)
+    "P",
+    (("w-1", lambda p: -p.gamma),),
+    lambda k, p, z, n: pochhammer(-p.alpha - p.gamma, n)
     * power(z - 1.0, n - p.gamma)
-    * val(p.alpha, p.beta + n, p.gamma - n, z),
+    * k.val(p.alpha, p.beta + n, p.gamma - n, z),
+    base_point=1.0,
 )
 
-_operator_power(
-    3,
+_contour_entry(
+    "FW3",
     "operator power raising the degree against the mixed weight",
-    lambda p: (
-        lambda w: power(w + 1.0, p.beta) * power(w - 1.0, p.alpha + p.gamma + 1.0)
-    ),
-    1.0,
-    lambda val, p, z, n: 2.0**n
+    "P",
+    (("1+w", lambda p: p.beta), ("w-1", lambda p: p.alpha + p.gamma + 1.0)),
+    lambda k, p, z, n: 2.0**n
     * pochhammer(p.gamma + 1.0, n)
     * power(z + 1.0, p.beta - n)
     * power(z - 1.0, p.alpha + p.gamma + 1.0 + n)
-    * val(p.alpha, p.beta - n, p.gamma + n, z),
+    * k.val(p.alpha, p.beta - n, p.gamma + n, z),
+    base_point=1.0,
 )
 
-_operator_power(
-    4,
+_contour_entry(
+    "FW4",
     "degree-preserving operator power shifting the second exponent down",
-    lambda p: (
-        lambda w: power(w + 1.0, p.beta) * power(w - 1.0, -(p.beta + p.gamma))
-    ),
-    1.0,
-    lambda val, p, z, n: 2.0**n
+    "P",
+    (("1+w", lambda p: p.beta), ("w-1", lambda p: -(p.beta + p.gamma))),
+    lambda k, p, z, n: 2.0**n
     * pochhammer(-p.beta - p.gamma, n)
     * power(z + 1.0, p.beta - n)
     * power(z - 1.0, -(p.beta - n + p.gamma))
-    * val(p.alpha, p.beta - n, p.gamma, z),
+    * k.val(p.alpha, p.beta - n, p.gamma, z),
+    base_point=1.0,
 )
 
-_operator_power(
-    5,
+_contour_entry(
+    "FW5",
     "mirrored operator power shifting the first exponent up",
-    lambda p: (lambda w: power(w + 1.0, p.alpha + p.beta + p.gamma + 1.0)),
-    -1.0,
-    lambda val, p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
+    "P",
+    (("1+w", lambda p: p.alpha + p.beta + p.gamma + 1.0),),
+    lambda k, p, z, n: pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
     * power(z + 1.0, p.alpha + p.beta + p.gamma + 1.0 + n)
-    * val(p.alpha + n, p.beta, p.gamma, z),
+    * k.val(p.alpha + n, p.beta, p.gamma, z),
+    base_point=-1.0,
 )
 
-_operator_power(
-    6,
+_contour_entry(
+    "FW6",
     "mirrored operator power lowering the degree",
-    lambda p: (lambda w: power(w + 1.0, -p.gamma)),
-    -1.0,
-    lambda val, p, z, n: pochhammer(1.0 + p.beta + p.gamma - n, n)
+    "P",
+    (("1+w", lambda p: -p.gamma),),
+    lambda k, p, z, n: pochhammer(1.0 + p.beta + p.gamma - n, n)
     * power(z + 1.0, n - p.gamma)
-    * val(p.alpha + n, p.beta, p.gamma - n, z),
+    * k.val(p.alpha + n, p.beta, p.gamma - n, z),
+    base_point=-1.0,
 )
 
-_operator_power(
-    7,
+_contour_entry(
+    "FW7",
     "mirrored operator power raising the degree against the mixed weight",
-    lambda p: (
-        lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, p.beta + p.gamma + 1.0)
-    ),
-    -1.0,
-    lambda val, p, z, n: 2.0**n
+    "P",
+    (("w-1", lambda p: p.alpha), ("1+w", lambda p: p.beta + p.gamma + 1.0)),
+    lambda k, p, z, n: 2.0**n
     * pochhammer(p.gamma + 1.0, n)
     * power(z - 1.0, p.alpha - n)
     * power(z + 1.0, p.beta + p.gamma + n + 1.0)
-    * val(p.alpha - n, p.beta, p.gamma + n, z),
+    * k.val(p.alpha - n, p.beta, p.gamma + n, z),
+    base_point=-1.0,
     note="(z+1) exponent corrected to beta+gamma+n+1; the printed beta+gamma+n "
     "fails its own Rodrigues specialization and the n=1 hand check.",
 )
 
-_operator_power(
-    8,
+_contour_entry(
+    "FW8",
     "mirrored degree-preserving operator power shifting the first exponent down",
-    lambda p: (
-        lambda w: power(w - 1.0, p.alpha) * power(w + 1.0, -(p.alpha + p.gamma))
-    ),
-    -1.0,
-    lambda val, p, z, n: (-2.0) ** n
+    "P",
+    (("w-1", lambda p: p.alpha), ("1+w", lambda p: -(p.alpha + p.gamma))),
+    lambda k, p, z, n: (-2.0) ** n
     * pochhammer(-p.alpha - p.gamma, n)
     * power(z - 1.0, p.alpha - n)
     * power(z + 1.0, -(p.alpha - n + p.gamma))
-    * val(p.alpha - n, p.beta, p.gamma, z),
+    * k.val(p.alpha - n, p.beta, p.gamma, z),
+    base_point=-1.0,
 )
 
 
@@ -646,21 +650,21 @@ _FI1_WEIGHTS = (("1-w", lambda p: p.alpha), ("1+w", lambda p: p.beta))
 _FI2_WEIGHTS = (("1-w", lambda p: p.alpha),)
 
 
-def _fi1_rhs(p: JacobiParams, z: complex, n: int) -> complex:
+def _fi1_rhs(k: _Kind, p: JacobiParams, z: complex, n: int) -> complex:
     return (
         (-1.0) ** n
         / (2.0**n * pochhammer(-p.gamma, n))
-        * power(1.0 - z, p.alpha + n)
+        * power(k.one(z), p.alpha + n)
         * power(1.0 + z, p.beta + n)
-        * pval(p.alpha + n, p.beta + n, p.gamma - n, z)
+        * k.val(p.alpha + n, p.beta + n, p.gamma - n, z)
     )
 
 
-def _fi2_rhs(p: JacobiParams, z: complex, n: int) -> complex:
+def _fi2_rhs(k: _Kind, p: JacobiParams, z: complex, n: int) -> complex:
     return (
-        power(1.0 - z, p.alpha + n)
+        power(k.one(z), p.alpha + n)
         / pochhammer(p.alpha + p.gamma + 1.0, n)
-        * pval(p.alpha + n, p.beta - n, p.gamma, z)
+        * k.val(p.alpha + n, p.beta - n, p.gamma, z)
     )
 
 
@@ -669,7 +673,7 @@ _finite_entry(
     "n-fold weighted integral toward 1 lowering the degree",
     _FI1_WEIGHTS,
     lambda p: complex(p.alpha).real,
-    _fi1_rhs,
+    partial(_fi1_rhs, _KINDS["P"]),
     lambda a, b, g, z, n: (
         (_above(a, -1.0), "Re(alpha) too close to -1"),
         (_above(b, -1.0), "Re(beta) too close to -1"),
@@ -682,7 +686,7 @@ _finite_entry(
     "n-fold (1-w)-weighted integral toward 1 trading the exponents",
     _FI2_WEIGHTS,
     lambda p: complex(p.alpha).real,
-    _fi2_rhs,
+    partial(_fi2_rhs, _KINDS["P"]),
     lambda a, b, g, z, n: ((_above(a, -1.0), "Re(alpha) too close to -1"),),
 )
 
@@ -798,10 +802,10 @@ _ray_entry(
     "n-fold (1+w)-weighted ray integral trading the exponents",
     "P",
     (("1+w", lambda p: p.beta),),
-    lambda p, z, n: (-1.0) ** n
+    lambda k, p, z, n: (-1.0) ** n
     * power(1.0 + z, p.beta + n)
     / pochhammer(p.beta + p.gamma + 1.0, n)
-    * pval(p.alpha - n, p.beta + n, p.gamma, z),
+    * k.val(p.alpha - n, p.beta + n, p.gamma, z),
     lambda a, b, g, z, n: (
         (_below(b + g, -n, RAY_MARGIN), "Re(beta+gamma) not below -n"),
         (_above(a + g, n - 1, RAY_MARGIN), "Re(alpha+gamma) not above n-1"),
@@ -819,9 +823,9 @@ _ray_entry(
     "n-fold plain ray integral raising the degree",
     "P",
     (),
-    lambda p, z, n: 2.0**n
+    lambda k, p, z, n: 2.0**n
     / pochhammer(-p.alpha - p.beta - p.gamma, n)
-    * pval(p.alpha - n, p.beta - n, p.gamma + n, z),
+    * k.val(p.alpha - n, p.beta - n, p.gamma + n, z),
     lambda a, b, g, z, n: (
         (_below(g, -n, RAY_MARGIN), "Re(gamma) not below -n"),
         (_above(a + b + g, n - 1, RAY_MARGIN), "Re(alpha+beta+gamma) not above n-1"),
@@ -1050,15 +1054,6 @@ _register(
 # --- SRL: first derivative via the raising/lowering pair ----------------------
 
 
-def _srl_lhs(p: JacobiParams, z: complex, n: int) -> complex:
-    return contour_derivative(_weighted("Q", p, None), z, 1, cut=Q_DERIV_CUT)
-
-
-def _srl_rhs(p: JacobiParams, z: complex, n: int) -> complex:
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    return -(a + b + g + 1.0) / 2.0 * qval(a + 1.0, b + 1.0, g - 1.0, z)
-
-
 def raising_form(p: JacobiParams, z: complex) -> complex:
     """First derivative of Q written with the degree-raising companion."""
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
@@ -1067,52 +1062,31 @@ def raising_form(p: JacobiParams, z: complex) -> complex:
     ) / (z * z - 1.0) * qval(a - 1.0, b - 1.0, g + 1.0, z)
 
 
-_register(
-    IdentityDescriptor(
-        "SRL",
-        "first derivative of the second-kind function via its lowering form",
-        (1,),
-        1e-8,
-        _srl_lhs,
-        _srl_rhs,
-        _guarded("Q"),
-        _Q_SAMPLE,
-    )
+# The lowering form is SD4 at n = 1.
+_mirror(
+    "SRL",
+    "first derivative of the second-kind function via its lowering form",
+    "FD4",
+    n_values=(1,),
 )
 
 
 # --- SD: plain n-th derivatives of weighted Q ---------------------------------
 
-_contour_entry(
+_mirror(
     "SD1",
     "n-th derivative of the fully weighted second-kind function",
-    "Q",
-    lambda p: (lambda w: power(w - 1.0, p.alpha) * power(1.0 + w, p.beta)),
-    lambda p, z, n: (-2.0) ** n
-    * pochhammer(p.gamma + 1.0, n)
-    * power(z - 1.0, p.alpha - n)
-    * power(1.0 + z, p.beta - n)
-    * qval(p.alpha - n, p.beta - n, p.gamma + n, z),
+    "FD1",
     note="theorem constant (-2)^n(gamma+1)_n confirmed; the proof display's "
     "+2(gamma+1) belongs to the (1-z)-weighted operand.",
 )
 
 
 def _sd2_rhs(p: JacobiParams, z: complex, n: int) -> complex:
+    """Q from SD1's left side at (alpha+n, beta+n, gamma-n)."""
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-
-    def inner(w: np.ndarray) -> np.ndarray:
-        return (
-            power(w - 1.0, a + n) * power(w + 1.0, b + n) * qval(a + n, b + n, g - n, w)
-        )
-
-    deriv = contour_derivative(inner, z, n, cut=Q_DERIV_CUT)
-    return (
-        deriv
-        / (2.0**n * pochhammer(-g, n))
-        * power(z - 1.0, -a)
-        * power(z + 1.0, -b)
-    )
+    deriv = _CATALOG["SD1"].lhs(JacobiParams(a + n, b + n, g - n), z, n)
+    return deriv / (2.0**n * pochhammer(-g, n)) * power(z - 1.0, -a) * power(z + 1.0, -b)
 
 
 _register(
@@ -1128,118 +1102,110 @@ _register(
     )
 )
 
-_contour_entry(
-    "SD3",
-    "n-th derivative of the (z-1)-weighted second-kind function",
-    "Q",
-    lambda p: (lambda w: power(w - 1.0, p.alpha)),
-    lambda p, z, n: pochhammer(-p.alpha - p.gamma, n)
-    * power(z - 1.0, p.alpha - n)
-    * qval(p.alpha - n, p.beta + n, p.gamma, z),
-)
+_mirror("SD3", "n-th derivative of the (z-1)-weighted second-kind function", "FD2")
 
-_contour_entry(
-    "SD4",
-    "plain n-th derivative of the second-kind function",
-    "Q",
-    None,
-    lambda p, z, n: (-2.0) ** -n
-    * pochhammer(p.alpha + p.beta + p.gamma + 1.0, n)
-    * qval(p.alpha + n, p.beta + n, p.gamma - n, z),
-)
+_mirror("SD4", "plain n-th derivative of the second-kind function", "FD4")
 
 
 # --- SI: improper multi-integrals of Q ----------------------------------------
 
-_ray_entry(
+_mirror(
     "SI1",
     "n-fold weighted ray integral of Q lowering the degree",
-    "Q",
-    (("w-1", lambda p: p.alpha), ("1+w", lambda p: p.beta)),
-    lambda p, z, n: power(z - 1.0, p.alpha + n)
-    * power(1.0 + z, p.beta + n)
-    / (2.0**n * pochhammer(p.gamma - n + 1.0, n))
-    * qval(p.alpha + n, p.beta + n, p.gamma - n, z),
-    lambda a, b, g, z, n: (
+    "FJ1",
+    hypotheses=lambda a, b, g, z, n: (
         (_above(a, -1.0, RAY_MARGIN), "Re(alpha) not above -1"),
         (_above(b, -1.0, RAY_MARGIN), "Re(beta) not above -1"),
         (_above(g, n, RAY_MARGIN), "Re(gamma) not above n"),
     ),
-    _box_sampler(_z_q, g_box=(1.3, 3.4)),
+    sample=_box_sampler(_z_q, g_box=(1.3, 3.4)),
 )
 
-_ray_entry(
+_mirror(
     "SI2",
     "n-fold (w-1)-weighted ray integral of Q trading the exponents",
-    "Q",
-    (("w-1", lambda p: p.alpha),),
-    lambda p, z, n: power(z - 1.0, p.alpha + n)
-    / pochhammer(p.alpha + p.gamma + 1.0, n)
-    * qval(p.alpha + n, p.beta - n, p.gamma, z),
-    lambda a, b, g, z, n: (
+    "FJ2",
+    hypotheses=lambda a, b, g, z, n: (
         (_above(a, -1.0, RAY_MARGIN), "Re(alpha) not above -1"),
         (_above(b, n - 1, RAY_MARGIN), "Re(beta) not above n-1"),
         (_above(b + g + 1.0, n, RAY_MARGIN), "Re(beta+gamma+1) not above n"),
     ),
-    _box_sampler(_z_q, b_box=(1.3, 3.2), g_box=(-0.4, 2.4)),
+    sample=_box_sampler(_z_q, b_box=(1.3, 3.2), g_box=(-0.4, 2.4)),
 )
 
-_ray_entry(
+_mirror(
     "SI3",
     "n-fold plain ray integral of Q raising the degree",
-    "Q",
-    (),
-    lambda p, z, n: 2.0**n
-    / pochhammer(p.alpha + p.beta + p.gamma - n + 1.0, n)
-    * qval(p.alpha - n, p.beta - n, p.gamma + n, z),
-    lambda a, b, g, z, n: (
+    "FJ4",
+    hypotheses=lambda a, b, g, z, n: (
         (_above(a, n - 1, RAY_MARGIN), "Re(alpha) not above n-1"),
         (_above(b, n - 1, RAY_MARGIN), "Re(beta) not above n-1"),
         (_above(a + b + g + 1.0, n, RAY_MARGIN), "Re(alpha+beta+gamma+1) not above n"),
     ),
-    _box_sampler(_z_q, a_box=(1.3, 3.2), b_box=(1.3, 3.2), g_box=(-0.4, 2.4)),
+    sample=_box_sampler(_z_q, a_box=(1.3, 3.2), b_box=(1.3, 3.2), g_box=(-0.4, 2.4)),
 )
 
 
 # --- SW: operator-power identities for Q --------------------------------------
 
-_operator_analog(1, "second-kind analog of the degree-preserving (z-1) operator power")
+# The note of each mirror of an operator power about -1.
+_SW_MIRROR_NOTE = (
+    "(-1)^n restored: the (z+1) operator corresponds to d/dx with "
+    "x = 2/(1+z), whose Jacobian is negative, unlike the first-kind case."
+)
 
-_operator_analog(
-    2,
+_mirror("SW1", "second-kind analog of the degree-preserving (z-1) operator power", "FW1")
+
+_mirror(
+    "SW2",
     "second-kind analog of the degree-lowering (z-1) operator power",
-    lambda a, b, g, z, n: (
+    "FW2",
+    hypotheses=lambda a, b, g, z, n: (
         (_near(a + g - n, hi=-1), "alpha+gamma-n near a negative integer (shifted validity)"),
     ),
 )
 
-_operator_analog(3, "second-kind analog of the degree-raising (z-1) operator power")
+_mirror("SW3", "second-kind analog of the degree-raising (z-1) operator power", "FW3")
 
-_operator_analog(
-    4,
+_mirror(
+    "SW4",
     "second-kind analog of the exponent-lowering (z-1) operator power",
-    lambda a, b, g, z, n: (
+    "FW4",
+    hypotheses=lambda a, b, g, z, n: (
         (_near(b - n + g, hi=-1), "beta-n+gamma near a negative integer (shifted validity)"),
     ),
 )
 
-_operator_analog(5, "second-kind analog of the mirrored exponent-raising operator power")
+_mirror(
+    "SW5",
+    "second-kind analog of the mirrored exponent-raising operator power",
+    "FW5",
+    note=_SW_MIRROR_NOTE,
+)
 
-_operator_analog(
-    6,
+_mirror(
+    "SW6",
     "second-kind analog of the mirrored degree-lowering operator power",
-    lambda a, b, g, z, n: (
+    "FW6",
+    hypotheses=lambda a, b, g, z, n: (
         (_near(b + g - n, hi=-1), "beta+gamma-n near a negative integer (shifted validity)"),
     ),
+    note=_SW_MIRROR_NOTE,
 )
 
-_operator_analog(
-    7,
+_mirror(
+    "SW7",
     "second-kind analog of the mirrored degree-raising operator power",
-    note="(z+1) exponent also corrected to beta+gamma+n+1.",
+    "FW7",
+    note=f"{_SW_MIRROR_NOTE} (z+1) exponent also corrected to beta+gamma+n+1.",
 )
 
-_operator_analog(8, "second-kind analog of the mirrored exponent-lowering operator power")
+_mirror(
+    "SW8",
+    "second-kind analog of the mirrored exponent-lowering operator power",
+    "FW8",
+    note=_SW_MIRROR_NOTE,
+)
 
 
 # --- SQ / SN: integral representations of Q -----------------------------------
@@ -1326,7 +1292,7 @@ _register(
 def _ode_terms(kind: str, p: JacobiParams, z: complex) -> tuple[complex, complex, complex]:
     """The three terms of the defining ODE for P (kind "P") or Q at z."""
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    f = _weighted(kind, p, None)
+    f = _weighted(kind, p)
     cut = P_CUT if kind == "P" else Q_DERIV_CUT
     w0, w1, w2 = contour_derivatives(f, z, (0, 1, 2), contour_radius(z, cut))
     t1 = (1.0 - z * z) * w2

@@ -2,13 +2,14 @@
 
 P is regular near z = 1 and cut along (-oo, -1].  Four Gauss hypergeometric
 representations cover the plane: two in the variable (1-z)/2 and two in
-(z-1)/(z+1).  AUTO picks the smallest-modulus argument; when neither series
-argument is inside the preferred disk (large |z|), evaluation falls back to
-the two-solution decomposition in terms of the second-kind functions, whose
-arguments shrink as |z| grows.  Where that decomposition is undefined (on
-[-1, 1], the second kind's cut) or has no path, AUTO sums REP1, and the 2F1
-decides whether it can: through its argument map, or exactly where REP1
-terminates (gamma in N0, the Jacobi polynomials), at every z.
+(z-1)/(z+1).  AUTO picks the smallest-modulus argument.  When neither series
+argument is inside the preferred disk, a terminating REP1 (gamma in N0, the
+Jacobi polynomials, or alpha+beta+gamma+1 in -N0) comes first: its exact
+finite sum serves at every z where it is finite.  Otherwise evaluation
+falls back to the two-solution decomposition in terms of the second-kind
+functions, whose arguments shrink as |z| grows.  Where that decomposition
+is undefined (on [-1, 1], the second kind's cut) or has no path, AUTO sums
+REP1, and the 2F1 decides through its argument map whether it can.
 
 Under AUTO, ``jacobi_p`` and ``jacobi_p_scaled`` also take an ndarray of z
 for one parameter triple.  The points are grouped by the scalar dispatch's
@@ -265,27 +266,39 @@ def _near_route(z):
     return x1, (m1 <= AUTO_ARG_LIMIT) | (m2 <= AUTO_ARG_LIMIT), m1 <= m2
 
 
+def _terminates(a: complex, b: complex, g: complex) -> bool:
+    """Whether REP1's 2F1 terminates: gamma in N0, or alpha+beta+gamma+1 in -N0."""
+    return termination_index((-g, a + b + g + 1.0)) is not None
+
+
 def _auto(params: JacobiParams, z: complex):
     """AUTO dispatch of jacobi_p and jacobi_p_scaled at a scalar z.
 
     Returns (log_scale, mantissa, error estimate, provenance); the error
     estimate of a connection value is left to ``_unscale``.  Takes the
     smallest-modulus series argument when one is inside the preferred disk.
-    Beyond it, off [-1, 1], the large-z connection; where that is undefined
-    or has no path, REP1, whose 2F1 raises NoConvergentPath where no map
-    reaches its disk.  REP1 and REP3 would sum the same series there: the
-    map takes x1 to x1/(x1-1) = x2.  A terminating REP1 is summed at every
-    z, and raises NoConvergentPath only where its value overflows.
+    Beyond it, a terminating REP1 first: its exact finite sum, at every z.
+    Where REP1 does not terminate or its sum is not finite, off [-1, 1], the
+    large-z connection; where that is undefined or has no path, REP1, whose
+    2F1 raises NoConvergentPath where no map reaches its disk.  REP1 and
+    REP3 would sum the same series there: the map takes x1 to x1/(x1-1) =
+    x2.  A REP1 value beyond the disk that is not finite raises
+    NoConvergentPath.
     """
     _, near, rep1 = _near_route(z)
-    rep = Representation.REP1 if rep1 or not near else Representation.REP3
-    if not near and Q_CUT.distance(z) >= CUT_GUARD:
+    if near:
+        res = _rep_value(params, z, Representation.REP1 if rep1 else Representation.REP3)
+        return 0.0 + 0.0j, res.value, res.abs_error_estimate, res.provenance
+    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
+    res = _rep_value(params, z, Representation.REP1) if _terminates(a, b, g) else None
+    if (res is None or not cmath.isfinite(res.value)) and Q_CUT.distance(z) >= CUT_GUARD:
         try:
             return (*_connection_scaled(params, z), 0.0, "connection")
         except NoConvergentPath:
             pass
-    res = _rep_value(params, z, rep)
-    if not (near or cmath.isfinite(res.value)):
+    if res is None:
+        res = _rep_value(params, z, Representation.REP1)
+    if not cmath.isfinite(res.value):
         raise NoConvergentPath(f"z={z}: REP1 beyond the preferred disk overflows")
     return 0.0 + 0.0j, res.value, res.abs_error_estimate, res.provenance
 
@@ -351,10 +364,13 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         x1, near, rep1 = _near_route(z)
     inside = P_CUT.distance(z) >= CUT_GUARD
-    conn = ~near & (Q_CUT.distance(z) >= CUT_GUARD)
+    terminating = _terminates(a, b, g)
+    # A terminating REP1 is summed beyond the disk too; where its sum is not
+    # finite, the point is not covered and the scalar call takes the connection.
+    conn = ~near & (Q_CUT.distance(z) >= CUT_GUARD) & (not terminating)
     fallback = inside & ~near & ~conn
     fails = ~inside
-    if fallback.any() and termination_index((-g, a + b + g + 1.0)) is None:
+    if fallback.any() and not terminating:
         fails |= fallback & _raises(x1)
     stop = _first(fails)
     inside[stop:] = False
@@ -473,12 +489,13 @@ def jacobi_p(
     """First-kind Jacobi function on the cut plane C \\ (-oo, -1].
 
     AUTO takes the smallest-modulus series argument when one is inside the
-    preferred disk; for larger arguments it prefers the two-solution
+    preferred disk.  For larger arguments a terminating REP1 comes first: at
+    gamma in N0, P is the Jacobi polynomial's finite sum at every z where
+    that sum stays finite.  Otherwise AUTO prefers the two-solution
     decomposition and falls back to REP1, which raises NoConvergentPath
-    where its 2F1 has no path.  At gamma in N0 REP1 terminates, so P is the
-    Jacobi polynomial at every z where that sum stays finite.  Under AUTO a
-    value past double range raises NoConvergentPath; ``jacobi_p_scaled``
-    returns it as a (log_scale, mantissa) pair.
+    where its 2F1 has no path.  Under AUTO a value past double range raises
+    NoConvergentPath; ``jacobi_p_scaled`` returns it as a (log_scale,
+    mantissa) pair where the decomposition does.
 
     Under AUTO, z may be an ndarray: the result then holds arrays of values
     and error estimates, and its provenance joins the routes taken with "+".

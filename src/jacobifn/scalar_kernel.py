@@ -77,7 +77,8 @@ def gamma(z: Complex) -> complex:
     """Principal gamma function for complex argument.
 
     Raises PoleError when z is within the pole tolerance of a non-positive
-    integer.
+    integer, and OverflowError where the Lanczos product is not finite (from
+    Re z of about 142.58 on, though gamma itself overflows only near 171.6).
     """
     z = complex(z)
     if is_gamma_pole(z):
@@ -86,12 +87,10 @@ def gamma(z: Complex) -> complex:
         # Reflection: gamma(z) = pi / (sin(pi z) * gamma(1 - z)).
         return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
     t = z + (_LANCZOS_G - 0.5)
-    return (
-        math.sqrt(2.0 * math.pi)
-        * t ** (z - 0.5)
-        * cmath.exp(-t)
-        * _lanczos_series(z)
-    )
+    value = math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * _lanczos_series(z)
+    if not cmath.isfinite(value):
+        raise OverflowError(f"gamma({z}): the Lanczos product is not finite")
+    return value
 
 
 def log_gamma(z: Complex) -> complex:

@@ -1,8 +1,12 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and settings for the test suite.
 
 The recurrence evaluators here are deliberately independent of the library's
 hypergeometric machinery: they are the reference values the series code is
 checked against.
+
+Every Hypothesis property runs under one profile: its examples are fixed
+(``derandomize``), so a run repeats, and no example has a deadline.  A
+property's own ``@settings`` gives only its number of examples.
 """
 
 from __future__ import annotations
@@ -11,6 +15,10 @@ import cmath
 from random import Random
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def legendre_via_recurrence(n: int, x: complex) -> complex:

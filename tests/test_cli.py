@@ -442,7 +442,7 @@ _table_row = st.tuples(
 
 
 @given(st.lists(_table_row, max_size=6))
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 def test_table_json_writer_matches_json_dumps(rows):
     payload = [
         {"z": [z.real, z.imag], "value": [v.real, v.imag], "err_estimate": e, "representation": rep}

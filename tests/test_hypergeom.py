@@ -265,7 +265,7 @@ def _outcome(fn, *args):
 
 
 @given(_box_param, _box_param, _lower_param, _disk_point)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_2f1_loop_matches_generic_loop(a, b, c, z):
     calls = [
         (ohyp2f1, a, b, c, z),

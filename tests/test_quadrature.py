@@ -428,7 +428,7 @@ _cut_part = st.one_of(st.sampled_from(_ULP_EDGES), st.floats(-4.0, 4.0), st.floa
 
 
 @given(st.lists(st.builds(complex, _cut_part, _cut_part), min_size=1, max_size=16))
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 def test_cut_distance_matches_the_replaced_rules(zs):
     _check_cuts(zs)
 

@@ -94,13 +94,27 @@ def test_reciprocal_gamma_continuous_through_poles():
 @given(
     z=st.builds(complex, st.floats(-30, 30), st.floats(-10, 10)),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_gamma_times_reciprocal_is_one(z):
     from jacobifn.scalar_kernel import distance_to_nonpositive_integers
 
     if distance_to_nonpositive_integers(z) < 0.05 or abs(z) > 50:
         return
     assert abs(gamma(z) * reciprocal_gamma(z) - 1.0) < 1e-12
+
+
+def test_gamma_is_finite_or_raises_overflow():
+    # From Re z of about 142.58 the Lanczos factor t^(z-1/2) overflows before
+    # exp(-t) brings the product back into range; inf * 0 must not come back
+    # as nan.
+    for k in range(3991):
+        for y in (0.0, 0.7, -3.0):
+            z = complex(0.5 + 0.05 * k, y)
+            try:
+                value = gamma(z)
+            except OverflowError:
+                continue
+            assert cmath.isfinite(value), z
 
 
 def test_pochhammer_examples():
@@ -131,7 +145,7 @@ def test_pochhammer_integer_reflection_exact():
     m=st.integers(0, 8),
     n=st.integers(0, 8),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_pochhammer_addition_rule(a, m, n):
     lhs = pochhammer(a, m + n)
     rhs = pochhammer(a, m) * pochhammer(a + m, n)
@@ -142,7 +156,7 @@ def test_pochhammer_addition_rule(a, m, n):
     a=st.builds(complex, st.floats(-8, 8), st.floats(0.2, 4.0)),
     n=st.integers(0, 8),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_gamma_shift_reflection_rule(a, n):
     # Gamma(a-n) (1-a)_n = (-1)^n Gamma(a) off the poles.
     lhs = gamma(a - n) * pochhammer(1.0 - a, n)
