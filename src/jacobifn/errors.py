@@ -15,6 +15,16 @@ class UndefinedError(JacobiFnError):
     """Pochhammer/gamma-ratio extension hits an unresolvable pole."""
 
 
+class FactorOverflow(JacobiFnError, OverflowError):
+    """A gamma value, a gamma ratio or Q's prefactor lies past double range.
+
+    The value it multiplies may well be representable.  The Lanczos product
+    of ``gamma`` is not finite from Re z of about 142.58 on, so P and Q
+    raise it at large degree or parameters (Re alpha or Re gamma of about
+    150, and lower for Q).  It is also an OverflowError.
+    """
+
+
 # --- hypergeometric series -------------------------------------------------
 
 class DivergentError(JacobiFnError):

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoefficientZeroError, ConvergenceConstraintError, ValidityError
+from .errors import (
+    CoefficientZeroError,
+    ConvergenceConstraintError,
+    FactorOverflow,
+    ValidityError,
+)
 from .hypergeom import (
     BATCH_OK,
     BATCH_SCALAR,
@@ -42,6 +47,7 @@ from .jacobi_first import (
     _apply_factor,
     _first,
     _joined,
+    _memo_key,
     _pointwise,
     _require_off_cut,
     jacobi_polynomial,
@@ -199,7 +205,7 @@ def _q_points(params: JacobiParams, z: np.ndarray, log: bool = False):
         res = jacobi_q(params, w)
         return res.value, res.abs_error_estimate, _PROVENANCE.index(res.provenance)
 
-    return _pointwise(batch, scalar, z, (complex, float, np.int8))
+    return _pointwise(batch, scalar, z, (complex, float, np.int8), _memo_key("Q", log, params))
 
 
 def jacobi_q(
@@ -227,7 +233,11 @@ def jacobi_q(
     z = complex(z)
     _require_q_domain(params, z)
     logf, series, rep = _q_parts(params, z, rep)
-    value, err = _apply_factor(cmath.exp(logf), series.value, series.abs_error_estimate)
+    try:
+        factor = cmath.exp(logf)
+    except OverflowError:
+        raise FactorOverflow(f"z={z}: Q's prefactor exp({logf}) is past double range") from None
+    value, err = _apply_factor(factor, series.value, series.abs_error_estimate)
     return EvalResult(value, err, f"rep{rep.value}")
 
 

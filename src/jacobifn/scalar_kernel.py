@@ -14,7 +14,7 @@ import math
 import struct
 from functools import lru_cache, wraps
 
-from .errors import PoleError, UndefinedError
+from .errors import FactorOverflow, PoleError, UndefinedError
 
 # Lanczos rational approximation, 15-term coefficient table (g = 607/128).
 # Relative error below 1e-14 on the right half-plane; the reflection formula
@@ -77,7 +77,7 @@ def gamma(z: Complex) -> complex:
     """Principal gamma function for complex argument.
 
     Raises PoleError when z is within the pole tolerance of a non-positive
-    integer, and OverflowError where the Lanczos product is not finite (from
+    integer, and FactorOverflow where the Lanczos product is not finite (from
     Re z of about 142.58 on, though gamma itself overflows only near 171.6).
     """
     z = complex(z)
@@ -87,9 +87,12 @@ def gamma(z: Complex) -> complex:
         # Reflection: gamma(z) = pi / (sin(pi z) * gamma(1 - z)).
         return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
     t = z + (_LANCZOS_G - 0.5)
-    value = math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * _lanczos_series(z)
+    try:
+        value = math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * _lanczos_series(z)
+    except OverflowError:
+        value = complex(math.inf, 0.0)
     if not cmath.isfinite(value):
-        raise OverflowError(f"gamma({z}): the Lanczos product is not finite")
+        raise FactorOverflow(f"gamma({z}): the Lanczos product is not finite")
     return value
 
 

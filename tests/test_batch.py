@@ -39,7 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobifn import hypergeom
-from jacobifn.errors import JacobiFnError, NoConvergentPath, TruncationWarning
+from jacobifn.errors import FactorOverflow, JacobiFnError, NoConvergentPath, TruncationWarning
 from jacobifn.hypergeom import (
     BATCH_NO_PATH,
     BATCH_OK,
@@ -50,6 +50,7 @@ from jacobifn.hypergeom import (
 )
 from jacobifn.jacobi_first import (
     AUTO_ARG_LIMIT,
+    POINTS_MEMO,
     JacobiParams,
     Representation,
     _connection_coeffs,
@@ -58,6 +59,7 @@ from jacobifn.jacobi_first import (
 )
 from jacobifn.jacobi_second import jacobi_q, jacobi_q_log
 from jacobifn.quadrature import CUT_GUARD
+from jacobifn.result import EvalResult
 
 ULPS = 16 * 2.220446049250313e-16
 # The ulps of a subnormal value.
@@ -317,3 +319,129 @@ def test_first_block_width_changes_no_result(a, b, c, zs):
         doubled = hypergeom._series_batch(a, b, c, z, m)
     for got, want in zip(sized, doubled):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+def test_large_degree_or_parameter_returns_or_raises_a_library_error(kind):
+    # From Re alpha or Re gamma of about 150 (lower for Q) a gamma factor
+    # passes the Lanczos range: the call raises FactorOverflow, a
+    # JacobiFnError, never a bare OverflowError.  Arrays raise as the scalar
+    # call does.
+    fn = jacobi_p if kind == "P" else jacobi_q
+    for big in (100, 150, 200, 400):
+        for params in (JacobiParams(big, 0.2, 0.3), JacobiParams(0.3, 0.2, big)):
+            for w in (0.5, 1.5, 3.0):
+                outcomes = []
+                for z in (w, np.array([w])):
+                    try:
+                        outcomes.append(fn(params, z).provenance)
+                    except JacobiFnError as exc:
+                        outcomes.append(type(exc))
+                assert outcomes[0] == outcomes[1], (params, w)
+    params = JacobiParams(150, 0.2, 0.3)
+    # Near 1, Q's prefactor exp(log) passes double range before gamma does.
+    near_one = JacobiParams(126.97807920583742 + 0.6202348942459648j, 0.2, 0.3)
+    calls = (
+        lambda z: jacobi_q(params, z + 2.5),
+        lambda z: jacobi_p(params, z),
+        lambda z: jacobi_q(near_one, z + (0.570992834283849 + 0.16939151628011753j)),
+    )
+    for call in calls:
+        for z in (0.5, np.array([0.5])):
+            with pytest.raises(FactorOverflow):
+                call(z)
+    assert issubclass(FactorOverflow, OverflowError)
+
+
+# --- the memo of the array calls -----------------------------------------------
+
+_MEMO_PARAMS = JacobiParams(0.3 + 0.2j, -0.4, 1.1 - 0.1j)
+
+
+def _bits(out):
+    """The bytes of an array result: an EvalResult, a pair of arrays or an array."""
+    if isinstance(out, EvalResult):
+        return out.value.tobytes(), out.abs_error_estimate.tobytes(), out.provenance
+    return tuple(part.tobytes() for part in (out if isinstance(out, tuple) else (out,)))
+
+
+def test_memo_repeats_a_call_bit_for_bit():
+    # P by its three routes and Q by its two; at the points they share, P,
+    # its scaled form, Q and its log are four keys.
+    p_zs = np.array([0.5 + 0.1j, 3.0 + 1.0j, 40.0 - 25.0j, -2.5 + 0.5j])
+    q_zs = np.array([1.5, 3.0 + 1.0j, 40.0 - 25.0j, -2.5 + 0.5j])
+    calls = ((jacobi_p, p_zs), (jacobi_p_scaled, p_zs), (jacobi_q, q_zs), (jacobi_q_log, q_zs),
+             (jacobi_p, q_zs), (jacobi_p_scaled, q_zs))
+    POINTS_MEMO.cache_clear()
+    first = [_bits(call(_MEMO_PARAMS, zs)) for call, zs in calls]
+    assert POINTS_MEMO.cache_info()[:2] == (0, 6)
+    assert [_bits(call(_MEMO_PARAMS, zs.copy())) for call, zs in calls] == first
+    assert POINTS_MEMO.cache_info()[:2] == (6, 6)
+    assert (first[0][2], first[2][2]) == ("connection+rep1+rep3", "rep1+rep3")
+
+
+def test_memo_keys_a_signed_zero_apart():
+    # On (-oo, -1) Q takes the limit from below at an imaginary part of -0.0,
+    # so arrays that differ only there are two keys, and give Q's two limits.
+    above, below = complex(-2.0, 0.0), complex(-2.0, -0.0)
+    POINTS_MEMO.cache_clear()
+    got = [jacobi_q(_MEMO_PARAMS, np.array([w])) for w in (above, below, above, below)]
+    assert POINTS_MEMO.cache_info()[:2] == (2, 2)
+    assert [_bits(r) for r in got[2:]] == [_bits(r) for r in got[:2]]
+    for r, w in zip(got, (above, below)):
+        ref = jacobi_q(_MEMO_PARAMS, w)
+        tol = r.abs_error_estimate[0] + ref.abs_error_estimate + ULPS * abs(ref.value)
+        assert abs(r.value[0] - ref.value) <= tol
+    assert abs(got[0].value[0] - got[1].value[0]) > 0.1 * abs(got[0].value[0])
+
+
+def test_memo_survives_a_caller_writing_into_a_result():
+    zs = np.array([0.5 + 0.1j, 3.0 + 1.0j])
+    POINTS_MEMO.cache_clear()
+    first = jacobi_p(_MEMO_PARAMS, zs)
+    want = _bits(first)
+    first.value[:] = 0.0
+    first.abs_error_estimate[:] = 0.0
+    again = jacobi_p(_MEMO_PARAMS, zs)
+    assert _bits(again) == want
+    again.value[:] = 1.0
+    assert _bits(jacobi_p(_MEMO_PARAMS, zs)) == want
+    assert POINTS_MEMO.cache_info().hits == 2
+
+
+def test_memo_keeps_no_call_that_raised_or_took_the_scalar_call():
+    # 0.3+0.3i lies in Q's lens, where Q raises NoConvergentPath: every
+    # repeat raises again.  At (100, 0.2, 0.3) P's scalar call at 10 warns at
+    # the term cap, then raises: every repeat warns and raises again.  At a
+    # polynomial degree far out, REP1's sum is not finite, and the scalar
+    # call returns P's scaled connection, which is not kept either.
+    zs = np.array([3.0 + 1.0j, 0.3 + 0.3j])
+    POINTS_MEMO.cache_clear()
+    for _ in range(3):
+        with pytest.raises(NoConvergentPath):
+            jacobi_q(_MEMO_PARAMS, zs)
+    for _ in range(2):
+        with pytest.warns(TruncationWarning), pytest.raises(NoConvergentPath):
+            jacobi_p(JacobiParams(100, 0.2, 0.3), np.array([10.0 + 0.0j]))
+    far = np.array([2.0, 1e80 + 1e79j])
+    first = _bits(jacobi_p_scaled(JacobiParams(0.3, 0.2, 7), far))
+    assert _bits(jacobi_p_scaled(JacobiParams(0.3, 0.2, 7), far)) == first
+    assert POINTS_MEMO.cache_info() == (0, 7, POINTS_MEMO.budget, 0)
+
+
+def test_memo_holds_no_more_than_its_budget():
+    # Calls of a third of the budget and one point: three do not fit, so
+    # the least recently used goes; a call larger than the budget is not kept.
+    budget = POINTS_MEMO.budget
+    size = budget // 3 + 1
+    rng = np.random.default_rng(12)
+    arrays = [0.5 + 0.2 * (rng.random(size) + 1j * rng.random(size)) for _ in range(4)]
+    params = JacobiParams(0.2, 0.1, 1.3)
+    POINTS_MEMO.cache_clear()
+    for zs in arrays[:2] + arrays[:1] + arrays[2:3] + arrays[:2]:
+        jacobi_p(params, zs)
+        assert POINTS_MEMO.cache_info().points <= budget
+    # 0 and 1 missed, 0 hit, 2 dropped 1, 0 hit, 1 missed and dropped 2.
+    assert POINTS_MEMO.cache_info() == (2, 4, budget, 2 * size)
+    jacobi_p(params, np.concatenate(arrays)[: budget + 1])
+    assert POINTS_MEMO.cache_info() == (2, 5, budget, 2 * size)

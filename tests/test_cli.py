@@ -462,3 +462,16 @@ def test_table_p_past_double_range_stops_with_no_convergent_path(tmp_path, capsy
     assert err.startswith("NoConvergentPath at z=(1e+80+1e+79j): ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_table_past_the_gamma_range_stops_with_factor_overflow(tmp_path, capsys):
+    # At Re alpha = 150 the 2F1's 1/Gamma(c) passes the Lanczos range: the
+    # table stops with one line, not a traceback.
+    out = tmp_path / "t.csv"
+    argv = ["table", "--kind=Q", "--alpha=150", "--beta=0.2", "--gamma=0.3",
+            "--z-grid=2,4,5", f"--out={out}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FactorOverflow: ")
+    assert err.count("\n") == 1
+    assert not out.exists()

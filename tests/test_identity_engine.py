@@ -5,6 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from jacobifn.cli import main
 from jacobifn.errors import (
     ConstraintViolation,
     EmptyAdmissibleSet,
@@ -20,7 +21,7 @@ from jacobifn.identity_engine import (
     rodrigues_jacobi,
     verify_identity,
 )
-from jacobifn.jacobi_first import JacobiParams, jacobi_polynomial
+from jacobifn.jacobi_first import POINTS_MEMO, JacobiParams, jacobi_polynomial
 from jacobifn.jacobi_second import jacobi_q
 from jacobifn.quadrature import Cut, contour_derivative
 
@@ -257,6 +258,17 @@ def test_oracle_cost_pinned():
         "FD": 260, "FW": 488, "FR": 0, "FI": 647, "FJ": 1544, "FK": 1296, "FT": 0,
         "SRL": 65, "SD": 196, "SI": 483, "SW": 520, "SQ": 4, "SN": 2, "ODE": 128,
     }
+
+
+def test_verify_memo_work_pinned(tmp_path):
+    # The hits and misses of the P and Q array memo over one verify run,
+    # from a cold memo: the batched P and Q calls that the identities
+    # sharing a sampler repeat.  The oracle cost above counts requested
+    # points, hits included.
+    POINTS_MEMO.cache_clear()
+    argv = ["verify", "--all", "--samples", "2", "--seed", "7", "--json", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert POINTS_MEMO.cache_info()[:2] == (211, 148)
 
 
 def test_ode_entry_runs_one_contour(monkeypatch):
