@@ -285,8 +285,10 @@ def cmd_table(args) -> int:
         grid = [start + k * step for k in range(count)]
 
     # One batch for the grid, as the scalar calls point by point would give.
+    # Every table is a new triple, so the memo of the array calls would
+    # never hit; the table skips it.
     points = _p_points if args.kind == "P" else _q_points
-    (*_, value, err, code), failure = points(params, np.array(grid))
+    (*_, value, err, code), failure = points(params, np.array(grid), memo=False)
     if failure is not None:
         i, exc = failure
         print(f"{type(exc).__name__} at z={grid[i]}: {exc}", file=sys.stderr)

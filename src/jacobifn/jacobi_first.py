@@ -67,9 +67,8 @@ AUTO_ARG_LIMIT = 0.75
 # Points held by the memo of ``_pointwise``.  The identities of one
 # verify run that share a sampler ask for P or Q of one triple at the same
 # contour or quadrature nodes; calls hold a few to a few thousand points, so
-# the bound counts points, not calls.  8,192 points serve 1,777 of the 3,414
-# calls of a 20-sample verify run; 16,384 serve 1,938, for no measured gain
-# in speed and about 1 MB more resident memory.
+# the bound counts points, not calls.  On ``verify --all --seed 7``, 8,192
+# points serve 2,155 of the 3,730 calls, as 16,384 do, and 4,096 serve 1,437.
 MEMO_POINTS = 8_192
 # The cuts of the first kind and of the second kind.
 P_CUT = Cut.left_ray(-1.0)
@@ -483,7 +482,7 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     return log_scale, mantissa, err, code, covered, stop
 
 
-def _pointwise(batch, scalar, z: np.ndarray, dtypes, key: tuple):
+def _pointwise(batch, scalar, z: np.ndarray, dtypes, key: tuple | None):
     """Evaluate the points of a 1-D z in order, up to the first one that raises.
 
     Returns the columns, arrays of the given dtypes, and None or (index,
@@ -500,14 +499,15 @@ def _pointwise(batch, scalar, z: np.ndarray, dtypes, key: tuple):
     be evaluated for nothing.
 
     ``POINTS_MEMO`` keeps the columns under key (from ``_memo_key``) and the
-    bytes of z.  A call where a point raised or took the scalar call, which
-    may warn, is not kept, so a repeated call raises or warns as the first
-    did.
+    bytes of z; a key of None skips it.  A call where a point raised or
+    took the scalar call, which may warn, is not kept, so a repeated call
+    raises or warns as the first did.
     """
-    key = (key, z.dtype.str, z.tobytes())
-    columns = POINTS_MEMO.get(key)
-    if columns is not None:
-        return columns, None
+    if key is not None:
+        key = (key, z.dtype.str, z.tobytes())
+        columns = POINTS_MEMO.get(key)
+        if columns is not None:
+            return columns, None
     n = z.size
     columns = tuple(np.zeros(n, dtype=dtype) for dtype in dtypes)
     scalar_calls = 0
@@ -530,18 +530,19 @@ def _pointwise(batch, scalar, z: np.ndarray, dtypes, key: tuple):
             for column, entry in zip(columns, entries):
                 column[i] = entry
         start = stop + 1 if stop < hi else hi
-    if not scalar_calls:
+    if key is not None and not scalar_calls:
         POINTS_MEMO.put(key, columns)
     return columns, None
 
 
-def _p_points(params: JacobiParams, z: np.ndarray, scaled: bool = False):
+def _p_points(params: JacobiParams, z: np.ndarray, scaled: bool = False, memo: bool = True):
     """``jacobi_p`` (or ``jacobi_p_scaled``) under AUTO at the points of a 1-D z.
 
     Returns ``_pointwise``'s columns (log_scale, value, error estimate,
     provenance code) and failure: per point what the scalar call returns
     (the log scale only when scaled; the code indexes ``_PROVENANCE``), up
-    to the first point where it raises.
+    to the first point where it raises.  Without memo, ``POINTS_MEMO`` is
+    neither read nor filled.
     """
 
     def batch(zs: np.ndarray):
@@ -558,9 +559,8 @@ def _p_points(params: JacobiParams, z: np.ndarray, scaled: bool = False):
         res = jacobi_p(params, w)
         return 0.0, res.value, res.abs_error_estimate, _PROVENANCE.index(res.provenance)
 
-    return _pointwise(
-        batch, scalar, z, (complex, complex, float, np.int8), _memo_key("P", scaled, params)
-    )
+    key = _memo_key("P", scaled, params) if memo else None
+    return _pointwise(batch, scalar, z, (complex, complex, float, np.int8), key)
 
 
 def _p_batch(params: JacobiParams, z: np.ndarray, scaled: bool):

@@ -187,12 +187,13 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool
     return out, err, status, rep1, stop
 
 
-def _q_points(params: JacobiParams, z: np.ndarray, log: bool = False):
+def _q_points(params: JacobiParams, z: np.ndarray, log: bool = False, memo: bool = True):
     """``jacobi_q`` (or ``jacobi_q_log``) under AUTO at the points of a 1-D z.
 
     Returns ``_pointwise``'s columns (value or log, error estimate,
     provenance code) and failure, as ``_p_points`` does; the code indexes
-    ``_PROVENANCE`` (rep1 or rep3).
+    ``_PROVENANCE`` (rep1 or rep3).  Without memo, ``POINTS_MEMO`` is
+    neither read nor filled.
     """
 
     def batch(zs: np.ndarray):
@@ -205,7 +206,8 @@ def _q_points(params: JacobiParams, z: np.ndarray, log: bool = False):
         res = jacobi_q(params, w)
         return res.value, res.abs_error_estimate, _PROVENANCE.index(res.provenance)
 
-    return _pointwise(batch, scalar, z, (complex, float, np.int8), _memo_key("Q", log, params))
+    key = _memo_key("Q", log, params) if memo else None
+    return _pointwise(batch, scalar, z, (complex, float, np.int8), key)
 
 
 def jacobi_q(

@@ -16,10 +16,13 @@
   rule for scalars and arrays.  The contour radii, the Jacobi functions'
   domains and the 2F1's cut all measure with it, against one ``CUT_GUARD``.
 
-Every oracle calls its integrand once per doubling level (once per rule
-size for the Gauss sums, once per chunk of 2048 nodes on a deep tanh-sinh
-level) with ndarrays of that level's new nodes, and the integrand returns
-an array of values.  A scalar callable runs there as
+Every oracle calls its integrand with ndarrays of nodes, and the integrand
+returns an array of values.  The Gauss sums call it once per rule size.  A
+tanh-sinh rule's first call takes its levels 0-4 together, and a contour's
+first call its first two levels; each later level is one call (on a deep
+tanh-sinh level, one per chunk of 2048 nodes) with that level's new nodes.  The first call is
+speculative: an integrand that raises at a node of a level the rule would
+not have reached raises.  A scalar callable runs there as
 ``numpy.vectorize(f, otypes=[complex])``.  A level whose samples or sum are
 not finite (an integrand that overflows) raises NonConvergence rather than
 return inf or nan.
@@ -174,8 +177,30 @@ _TS_SEG_TMAX = 5.0
 _TS_CHUNK = 2048
 
 
+# Levels 0 to _TS_FIRST_LEVEL go to the integrand in one call: 151 ray or
+# 161 segment nodes, within one Jacobi batch of BATCH_POINTS, where most
+# integrals stop.  A call costs far more than its points, so the nodes of a
+# level the rule may not reach are cheaper than a call per level.
+_TS_FIRST_LEVEL = 4
+
+
+def _level_nodes(tmax: float, level: int) -> np.ndarray:
+    """The new nodes of a level: 0, +-1, +-2, ... at level 0, then the odd
+    multiples of 2^-level, the positive ones first."""
+    if level == 0:
+        t = np.arange(1.0, math.floor(tmax) + 1.0)
+        return np.concatenate(([0.0], t, -t))
+    h = 0.5**level
+    t = np.arange(1.0, math.floor(tmax / h) + 1.0, 2.0) * h
+    return np.concatenate((t, -t))
+
+
 def _level_values(values, t: np.ndarray) -> np.ndarray:
-    """values at the nodes t, in chunks of at most _TS_CHUNK nodes, joined."""
+    """values at the nodes t, in chunks of at most _TS_CHUNK nodes, joined.
+
+    A rule's first call, the nodes of levels 0 to _TS_FIRST_LEVEL, is one
+    chunk; a deep level is several.
+    """
     if t.size <= _TS_CHUNK:
         return values(t)
     return np.concatenate([values(t[i : i + _TS_CHUNK]) for i in range(0, t.size, _TS_CHUNK)])
@@ -184,22 +209,30 @@ def _level_values(values, t: np.ndarray) -> np.ndarray:
 def _tanh_sinh(values, tmax: float, rtol: float, label: str) -> EvalResult:
     """Tanh-sinh doubling on t in [-tmax, tmax]: step 1, then 1/2, ..., 2^-_TS_MAX_LEVEL.
 
-    ``values`` maps an ndarray of t to the weighted integrand there; it is
-    called with only each level's new (odd) nodes, once per chunk of
-    _TS_CHUNK nodes.
+    ``values`` maps an ndarray of t to the weighted integrand there.  Its
+    first call takes the nodes of levels 0 to _TS_FIRST_LEVEL together;
+    each later level's new (odd) nodes follow in calls of at most _TS_CHUNK
+    nodes.  The sums, tests and result are those of one call per level,
+    but the first call is speculative: an integrand that raises at a node
+    of a level the rule would not have reached raises here too.
     """
-    t = np.arange(1.0, math.floor(tmax) + 1.0)
-    v = _level_values(values, np.concatenate(([0.0], t, -t)))
-    total = v[0] + np.sum(v[1 : t.size + 1] + v[t.size + 1 :])
+    first = [_level_nodes(tmax, level) for level in range(_TS_FIRST_LEVEL + 1)]
+    ends = np.cumsum([t.size for t in first[:-1]])
+    first_values = np.split(_level_values(values, np.concatenate(first)), ends)
+    v = first_values[0]
+    half = v.size // 2
+    total = v[0] + np.sum(v[1 : half + 1] + v[half + 1 :])
     _require_finite(total, f"{label}-0")
     prev = None
     delta = math.inf
-    h = 1.0
     for level in range(1, _TS_MAX_LEVEL + 1):
-        h *= 0.5
-        t = np.arange(1.0, math.floor(tmax / h) + 1.0, 2.0) * h
-        v = _level_values(values, np.concatenate((t, -t)))
-        total = 0.5 * total + h * np.sum(v[: t.size] + v[t.size :])
+        h = 0.5**level
+        if level <= _TS_FIRST_LEVEL:
+            v = first_values[level]
+        else:
+            v = _level_values(values, _level_nodes(tmax, level))
+        half = v.size // 2
+        total = 0.5 * total + h * np.sum(v[:half] + v[half:])
         _require_finite(total, f"{label}-{level}")
         if prev is not None:
             delta = float(abs(total - prev))
@@ -489,8 +522,10 @@ def contour_derivatives(
 
     Trapezoid sums of f(w)/(w-z0)^(n+1) on |w - z0| = radius, doubling the
     point count (and reusing previous samples) until every order is stable.
-    The sums for all orders are one FFT of the samples.  f takes the ndarray
-    of each level's new points.
+    The sums for all orders are one FFT of the samples.  f's first call
+    takes the m points of the first level and the m odd points of the
+    second, the fewest with which the test can pass; each later call takes
+    one level's new points.
     """
     z0 = complex(z0)
     if radius <= 0.0:
@@ -501,7 +536,13 @@ def contour_derivatives(
         m *= 2
     index = np.array(orders)
     scale = np.array([math.factorial(n) / radius**n for n in orders])
-    vals = np.asarray(f(z0 + radius * np.exp(2j * np.pi * np.arange(m) / m)), dtype=complex)
+
+    def odd(m: int) -> np.ndarray:
+        """The m points of the next level, halfway between those of this one."""
+        return z0 + radius * np.exp(2j * np.pi * (2 * np.arange(m) + 1) / (2 * m))
+
+    circle = z0 + radius * np.exp(2j * np.pi * np.arange(m) / m)
+    vals, odd_vals = np.split(np.asarray(f(np.concatenate((circle, odd(m)))), dtype=complex), 2)
     prev = None
     while True:
         _require_finite(vals, f"contour-{m}")
@@ -513,11 +554,13 @@ def contour_derivatives(
         if m >= 4096:
             raise NonConvergence(f"contour trapezoid stalled at {m} points")
         prev = est
-        odd = z0 + radius * np.exp(2j * np.pi * (2 * np.arange(m) + 1) / (2 * m))
+        if odd_vals is None:
+            odd_vals = f(odd(m))
         merged = np.empty(2 * m, dtype=complex)
         merged[0::2] = vals
-        merged[1::2] = f(odd)
+        merged[1::2] = odd_vals
         vals = merged
+        odd_vals = None
         m *= 2
 
 

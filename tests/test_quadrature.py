@@ -274,6 +274,81 @@ def test_tanh_sinh_level_in_chunks(monkeypatch):
     assert chunked == whole
 
 
+def _recording(f):
+    """f, and the list of the node counts of the calls made to it."""
+    sizes = []
+
+    def g(*args):
+        sizes.append(args[0].size)
+        return f(*args)
+
+    return g, sizes
+
+
+def _hex(value) -> tuple[str, str]:
+    return complex(value).real.hex(), complex(value).imag.hex()
+
+
+def test_tanh_sinh_segment_first_levels_in_one_call():
+    # Levels 0-4, 161 nodes, reach the integrand in one call.  The value and
+    # the estimate keep the bits of one call per level.
+    g, sizes = _recording(lambda x, omx, opx: 1.0 / (3.0 + x))
+    got = tanh_sinh_segment(g)
+    assert (got.provenance, sizes) == ("tanh-sinh-seg-3", [161])
+    assert _hex(got.value) == ("0x1.62e42fefa39efp-1", "0x0.0p+0")
+    assert got.abs_error_estimate.hex() == "0x1.643a000000000p-38"
+
+
+@pytest.mark.parametrize(
+    "f, start, level, sizes, value, estimate",
+    [
+        (
+            lambda w: qval(0.3, 0.2, 1.1, w), 2.0 + 0.5j, 4, [9, 151],
+            ("0x1.c79c3bf21802dp-5", "-0x1.b1d02a1c6276ep-6"), "0x1.6a09e667f3bcdp-57",
+        ),
+        (
+            lambda w: np.exp(-w), 1.0, 5, [9, 151, 150],
+            ("0x1.78b56362cef37p-2", "0x0.0p+0"), "0x1.4800000000000p-49",
+        ),
+    ],
+    ids=["Q-level-4", "exp-level-5"],
+)
+def test_integrate_to_infinity_first_levels_in_one_call(f, start, level, sizes, value, estimate):
+    # The decay check's 9 tail points, levels 0-4 (151 nodes) in one call,
+    # then one call per level.
+    g, seen = _recording(f)
+    got = integrate_to_infinity(g, start)
+    assert (got.provenance, seen) == (f"tanh-sinh-{level}", sizes)
+    assert _hex(got.value) == value
+    assert got.abs_error_estimate.hex() == estimate
+
+
+def test_contour_first_two_levels_in_one_call():
+    # The m points and the m odd points in one call, then one per level.
+    g, sizes = _recording(lambda w: 1.0 / (w - 1.5))
+    got = contour_derivatives(g, 0.3, (0, 1, 2), 0.8)
+    assert sizes == [32, 32, 64]
+    assert [_hex(v) for v in got] == [
+        ("-0x1.aaaaaaaaaaaaap-1", "-0x1.5387a13d6a78dp-56"),
+        ("-0x1.638e38e38e38dp-1", "0x1.9d9a62633145cp-54"),
+        ("-0x1.284bda12f684bp+0", "0x1.2aba7a022801cp-52"),
+    ]
+
+
+def test_tanh_sinh_raises_at_a_level_four_node():
+    # The first call is speculative: this rule stops at level 3, but an
+    # integrand that raises at a level-4 node raises.
+    x4 = math.tanh(0.5 * math.pi * math.sinh(1.0 / 16.0))
+
+    def g(x, omx, opx):
+        if np.any(np.abs(x - x4) < 1e-12):
+            raise ValueError("level-4 node")
+        return 1.0 / (3.0 + x)
+
+    with pytest.raises(ValueError, match="level-4 node"):
+        tanh_sinh_segment(g)
+
+
 def test_contour_polynomial():
     assert contour_derivative(lambda w: w**3, 1.0, 2, 0.3) == pytest.approx(
         6.0, abs=1e-11
