@@ -28,13 +28,15 @@ Three evaluation layers:
   & Porter 2017) corrected for the growth of the coefficients, clipped to
   [``_BATCH_COLS``, ``BATCH_POINTS * _BATCH_COLS`` / points]; later blocks
   double while they stay within that budget.  Sums run left to right across
-  blocks, so the widths change no result.
-  Callers pass at most ``BATCH_POINTS`` points at a time.  A status
-  per point marks those it does not cover (on the cut, no map inside the
-  disk, the term cap); the Jacobi layers evaluate them with the scalar call,
-  which raises or warns as documented.  The scalar routines stay the
-  reference and serve single calls, where numpy's per-call overhead would
-  lose.
+  blocks, so the widths change no result.  A batch whose series
+  terminates or whose largest |z| is at most ``DIRECT_LIMIT`` takes the
+  direct series at every point, so it is summed in one pass without
+  routing.  Callers pass at most ``BATCH_POINTS`` points at a time.  A
+  status per point marks those it does not cover (on the cut, no map
+  inside the disk, the term cap); the Jacobi layers evaluate them with the
+  scalar call, which raises or warns as documented.  The scalar routines
+  stay the reference and serve single calls, where numpy's per-call
+  overhead would lose.
 * ``reverse_finite_series`` -- a finite sum evaluated both directly and in
   reversed order as a new hypergeometric sum in 1/z; the two routes must
   agree and are used as mutual checks.
@@ -563,24 +565,29 @@ def _ohyp2f1_batch(a, b, c, z: np.ndarray):
     whose smaller modulus, |z| or |z/(z-1)|, lies within ``_MAP_TIE`` of
     MAP_LIMIT are BATCH_SCALAR too: numpy may round the modulus to the other
     side of MAP_LIMIT than Python does, so only the scalar call can tell
-    whether it has a path.
+    whether it has a path.  A batch whose series terminates, or whose
+    largest |z| is at most DIRECT_LIMIT, is summed directly at every point
+    without routing: such points lie at least 1 - DIRECT_LIMIT from the cut
+    and far from MAP_LIMIT.
     """
     a, b, c = complex(a), complex(b), complex(c)
+    m = termination_index((a, b))
+    if m is not None or (z.size and np.max(np.abs(z)) <= DIRECT_LIMIT):
+        value, err, ok = _series_batch(a, b, c, z, m)
+        with np.errstate(invalid="ignore"):
+            ok &= np.isfinite(value) & np.isfinite(err)
+        return value, err, np.where(ok, BATCH_OK, BATCH_SCALAR).astype(np.int8)
     value = np.zeros(z.size, dtype=complex)
     err = np.zeros(z.size)
     status = np.full(z.size, BATCH_SCALAR, dtype=np.int8)
-    m = termination_index((a, b))
-    if m is not None:
-        direct, pfaff = np.ones(z.size, dtype=bool), np.zeros(z.size, dtype=bool)
-    else:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            az, au = np.abs(z), np.abs(z / (z - 1.0))
-        tie = np.abs(np.minimum(az, au) - MAP_LIMIT) <= _MAP_TIE
-        decided = ~(_CUT.distance(z) < CUT_GUARD) & ~tie
-        path = decided & _has_path(az, au)
-        direct = path & _takes_direct(az, au)
-        pfaff = path & ~direct
-        status[decided & ~path] = BATCH_NO_PATH
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        az, au = np.abs(z), np.abs(z / (z - 1.0))
+    tie = np.abs(np.minimum(az, au) - MAP_LIMIT) <= _MAP_TIE
+    decided = ~(_CUT.distance(z) < CUT_GUARD) & ~tie
+    path = decided & _has_path(az, au)
+    direct = path & _takes_direct(az, au)
+    pfaff = path & ~direct
+    status[decided & ~path] = BATCH_NO_PATH
 
     def put(mask, v, e, ok):
         with np.errstate(invalid="ignore"):
@@ -589,7 +596,7 @@ def _ohyp2f1_batch(a, b, c, z: np.ndarray):
         status[mask] = np.where(ok, BATCH_OK, BATCH_SCALAR)
 
     if direct.any():
-        put(direct, *_series_batch(a, b, c, z[direct], m))
+        put(direct, *_series_batch(a, b, c, z[direct], None))
     if pfaff.any():
         zp = z[pfaff]
         v, e, ok = _series_batch(a, c - b, c, zp / (zp - 1.0), termination_index((a, c - b)))

@@ -20,21 +20,26 @@ Every oracle calls its integrand with ndarrays of nodes, and the integrand
 returns an array of values.  The Gauss sums call it once per rule size.  A
 tanh-sinh rule's first call takes its levels 0-4 together, and a contour's
 first call its first two levels; each later level is one call (on a deep
-tanh-sinh level, one per chunk of 2048 nodes) with that level's new nodes.  The first call is
-speculative: an integrand that raises at a node of a level the rule would
-not have reached raises.  A scalar callable runs there as
-``numpy.vectorize(f, otypes=[complex])``.  A level whose samples or sum are
-not finite (an integrand that overflows) raises NonConvergence rather than
-return inf or nan.
+tanh-sinh level, one per chunk of 2048 nodes) with that level's new nodes.
+The first call is speculative: an integrand that raises at a node of a
+level the rule would not have reached raises.  A ray's first call also
+holds the 9 tail samples of its decay check, so where the tail fails, its
+levels 0-4 were evaluated for nothing, and they may have warned.  A scalar
+callable runs there as ``numpy.vectorize(f, otypes=[complex])``.  A level
+whose samples or sum are not finite (an integrand that overflows) raises
+NonConvergence rather than return inf or nan.
 
-All routines are pure; Gauss rules are memoized in a table that is only
+All routines are pure.  Gauss rules and the tanh-sinh node maps (per rule
+and level, read-only) are built once and kept in tables that are only
 appended to, so concurrent readers are safe.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -160,7 +165,11 @@ def _require_finite(value, label: str) -> None:
     would otherwise pass the doubling tests, which compare with NaN as
     false, and come back as a result.
     """
-    if not np.all(np.isfinite(value)):
+    if isinstance(value, np.ndarray):
+        finite = np.all(np.isfinite(value))
+    else:
+        finite = cmath.isfinite(value)
+    if not finite:
         raise NonConvergence(f"{label}: integrand values not finite")
 
 
@@ -177,10 +186,11 @@ _TS_SEG_TMAX = 5.0
 _TS_CHUNK = 2048
 
 
-# Levels 0 to _TS_FIRST_LEVEL go to the integrand in one call: 151 ray or
-# 161 segment nodes, within one Jacobi batch of BATCH_POINTS, where most
-# integrals stop.  A call costs far more than its points, so the nodes of a
-# level the rule may not reach are cheaper than a call per level.
+# Levels 0 to _TS_FIRST_LEVEL go to the integrand in one call: 151 ray
+# nodes with the decay check's 9 tail points, or 161 segment nodes, within
+# one Jacobi batch of BATCH_POINTS, where most integrals stop.  A call costs
+# far more than its points, so the nodes of a level the rule may not reach
+# are cheaper than a call per level.
 _TS_FIRST_LEVEL = 4
 
 
@@ -195,31 +205,91 @@ def _level_nodes(tmax: float, level: int) -> np.ndarray:
     return np.concatenate((t, -t))
 
 
-def _level_values(values, t: np.ndarray) -> np.ndarray:
-    """values at the nodes t, in chunks of at most _TS_CHUNK nodes, joined.
+def _ray_map(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """u/(1-u), du/dt and (1-u)^2 at the nodes t of the ray's rule."""
+    s = 0.5 * math.pi * np.sinh(t)
+    # u = (1 + tanh(s)) / 2 computed without cancellation at either end.
+    e2s = np.exp(2.0 * s)
+    u = np.where(s < 0, e2s / (1.0 + e2s), 1.0 / (1.0 + np.exp(-2.0 * s)))
+    omu = 1.0 / (1.0 + e2s)
+    sech = 2.0 / (np.exp(s) + np.exp(-s))
+    dudt = 0.25 * math.pi * np.cosh(t) * sech * sech
+    return u / omu, dudt, omu * omu
 
-    A rule's first call, the nodes of levels 0 to _TS_FIRST_LEVEL, is one
-    chunk; a deep level is several.
+
+def _segment_map(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """x, 1-x, 1+x and dx/dt at the nodes t of the segment's rule."""
+    s = 0.5 * math.pi * np.sinh(t)
+    sa = np.abs(s)
+    e2 = np.exp(-2.0 * sa)
+    comp = 2.0 * e2 / (1.0 + e2)  # 1 - |x|
+    right = s >= 0
+    x = np.where(right, 1.0 - comp, comp - 1.0)
+    omx = np.where(right, comp, 2.0 - comp)
+    opx = np.where(right, 2.0 - comp, comp)
+    sech = 2.0 / (np.exp(sa) + np.exp(-sa))
+    dxdt = 0.5 * math.pi * np.cosh(t) * sech * sech
+    return x, omx, opx, dxdt
+
+
+class _TanhSinhRule:
+    """A tanh-sinh rule on t in [-tmax, tmax] and its node maps, built once.
+
+    ``node_map`` takes an ndarray of t to the columns from which the
+    integrand's values are formed.  ``columns(level)`` builds the map of a
+    call's nodes on first use and keeps it, read-only: at _TS_FIRST_LEVEL
+    the nodes of levels 0 to _TS_FIRST_LEVEL, which the first call takes
+    together, at a deeper level that level's new nodes.  ``ends`` holds the
+    offsets of levels 0 to _TS_FIRST_LEVEL in the first call's nodes.
     """
-    if t.size <= _TS_CHUNK:
-        return values(t)
-    return np.concatenate([values(t[i : i + _TS_CHUNK]) for i in range(0, t.size, _TS_CHUNK)])
+
+    def __init__(self, tmax: float, label: str, node_map):
+        self.tmax, self.label, self.node_map = tmax, label, node_map
+        sizes = (_level_nodes(tmax, level).size for level in range(_TS_FIRST_LEVEL + 1))
+        self.ends = list(accumulate(sizes, initial=0))
+        self._maps: dict[int, tuple[np.ndarray, ...]] = {}
+
+    def columns(self, level: int) -> tuple[np.ndarray, ...]:
+        cols = self._maps.get(level)
+        if cols is None:
+            if level == _TS_FIRST_LEVEL:
+                t = np.concatenate([_level_nodes(self.tmax, k) for k in range(level + 1)])
+            else:
+                t = _level_nodes(self.tmax, level)
+            cols = self.node_map(t)
+            for col in cols:
+                col.flags.writeable = False
+            self._maps[level] = cols
+        return cols
 
 
-def _tanh_sinh(values, tmax: float, rtol: float, label: str) -> EvalResult:
-    """Tanh-sinh doubling on t in [-tmax, tmax]: step 1, then 1/2, ..., 2^-_TS_MAX_LEVEL.
+_RAY = _TanhSinhRule(_TS_TMAX, "tanh-sinh", _ray_map)
+_SEGMENT = _TanhSinhRule(_TS_SEG_TMAX, "tanh-sinh-seg", _segment_map)
 
-    ``values`` maps an ndarray of t to the weighted integrand there.  Its
-    first call takes the nodes of levels 0 to _TS_FIRST_LEVEL together;
-    each later level's new (odd) nodes follow in calls of at most _TS_CHUNK
-    nodes.  The sums, tests and result are those of one call per level,
-    but the first call is speculative: an integrand that raises at a node
-    of a level the rule would not have reached raises here too.
+
+def _level_values(values, columns: tuple[np.ndarray, ...]) -> np.ndarray:
+    """values at the mapped nodes of a level, in chunks of at most _TS_CHUNK nodes, joined."""
+    n = columns[0].size
+    if n <= _TS_CHUNK:
+        return values(*columns)
+    return np.concatenate(
+        [values(*(col[i : i + _TS_CHUNK] for col in columns)) for i in range(0, n, _TS_CHUNK)]
+    )
+
+
+def _tanh_sinh(rule: _TanhSinhRule, values, first: np.ndarray, rtol: float) -> EvalResult:
+    """Tanh-sinh doubling of a rule: step 1, then 1/2, ..., 2^-_TS_MAX_LEVEL.
+
+    ``values`` maps the columns of the rule's node map to the weighted
+    integrand there.  ``first`` holds its values at the nodes of levels 0
+    to _TS_FIRST_LEVEL, the rule's first call.  Each later level's new
+    (odd) nodes follow in calls of at most _TS_CHUNK nodes.  The sums,
+    tests and result are those of one call per level, but the first call
+    is speculative: an integrand that raises at a node of a level the rule
+    would not have reached raises here too.
     """
-    first = [_level_nodes(tmax, level) for level in range(_TS_FIRST_LEVEL + 1)]
-    ends = np.cumsum([t.size for t in first[:-1]])
-    first_values = np.split(_level_values(values, np.concatenate(first)), ends)
-    v = first_values[0]
+    ends, label = rule.ends, rule.label
+    v = first[: ends[1]]
     half = v.size // 2
     total = v[0] + np.sum(v[1 : half + 1] + v[half + 1 :])
     _require_finite(total, f"{label}-0")
@@ -228,9 +298,9 @@ def _tanh_sinh(values, tmax: float, rtol: float, label: str) -> EvalResult:
     for level in range(1, _TS_MAX_LEVEL + 1):
         h = 0.5**level
         if level <= _TS_FIRST_LEVEL:
-            v = first_values[level]
+            v = first[ends[level] : ends[level + 1]]
         else:
-            v = _level_values(values, _level_nodes(tmax, level))
+            v = _level_values(values, rule.columns(level))
         half = v.size // 2
         total = 0.5 * total + h * np.sum(v[:half] + v[half:])
         _require_finite(total, f"{label}-{level}")
@@ -244,10 +314,14 @@ def _tanh_sinh(values, tmax: float, rtol: float, label: str) -> EvalResult:
     return EvalResult(complex(total), delta, f"{label}-{_TS_MAX_LEVEL}")
 
 
-def _decay_check(f, start: complex) -> None:
-    """Reject integrands whose sampled tail fails |f| * t^1.01 decay."""
-    ts = 2.0 ** np.arange(4, 21, 2)
-    gs = np.abs(f(start + ts)) * ts**1.01
+# The decay check's sample offsets t = 16, 64, ..., 2^20 along the ray, and t^1.01.
+_TAIL = 2.0 ** np.arange(4, 21, 2)
+_TAIL_WEIGHT = _TAIL**1.01
+
+
+def _decay_check(values: np.ndarray) -> None:
+    """Reject integrands whose values at the ray's _TAIL fail |f| * t^1.01 decay."""
+    gs = np.abs(values) * _TAIL_WEIGHT
     floor = 1e-280
     tail = gs[-4:]
     if not np.all(np.isfinite(tail)):
@@ -271,21 +345,29 @@ def integrate_to_infinity(
 
     Substitutes t = u/(1-u) and runs tanh-sinh on u in (0, 1), doubling the
     node density until two levels agree.  f takes an ndarray of points.
+
+    f's first call takes the decay check's 9 tail points with the 151 nodes
+    of levels 0 to _TS_FIRST_LEVEL, and the tail's verdict comes before any
+    level sum.  Where that call raises, the tail alone decides as a call of
+    its own would have: its error, else DecayCheckFailed, else the first
+    call's error.
     """
     start = complex(start)
-    _decay_check(f, start)
+    ratio, dudt, om2 = _RAY.columns(_TS_FIRST_LEVEL)
+    error = None
+    try:
+        joint = f(np.concatenate((start + _TAIL, start + ratio)))
+    except Exception as exc:
+        error = exc
+    if error is not None:
+        _decay_check(f(start + _TAIL))
+        raise error
+    _decay_check(joint[: _TAIL.size])
 
-    def values(t: np.ndarray) -> np.ndarray:
-        s = 0.5 * math.pi * np.sinh(t)
-        # u = (1 + tanh(s)) / 2 computed without cancellation at either end.
-        e2s = np.exp(2.0 * s)
-        u = np.where(s < 0, e2s / (1.0 + e2s), 1.0 / (1.0 + np.exp(-2.0 * s)))
-        omu = 1.0 / (1.0 + e2s)
-        sech = 2.0 / (np.exp(s) + np.exp(-s))
-        dudt = 0.25 * math.pi * np.cosh(t) * sech * sech
-        return f(start + u / omu) * dudt / (omu * omu)
+    def values(ratio, dudt, om2):
+        return f(start + ratio) * dudt / om2
 
-    return _tanh_sinh(values, _TS_TMAX, rtol, "tanh-sinh")
+    return _tanh_sinh(_RAY, values, joint[_TAIL.size :] * dudt / om2, rtol)
 
 
 def tanh_sinh_segment(g, *, rtol: float = 1e-11) -> EvalResult:
@@ -294,23 +376,13 @@ def tanh_sinh_segment(g, *, rtol: float = 1e-11) -> EvalResult:
     The endpoint complements are passed explicitly (computed without
     cancellation), so integrands with algebraic or oscillatory endpoint
     factors of complex exponent can be formed stably at nodes exponentially
-    close to +-1.  g takes three ndarrays.
+    close to +-1.  g takes three ndarrays, which are read-only.
     """
 
-    def values(t: np.ndarray) -> np.ndarray:
-        s = 0.5 * math.pi * np.sinh(t)
-        sa = np.abs(s)
-        e2 = np.exp(-2.0 * sa)
-        comp = 2.0 * e2 / (1.0 + e2)  # 1 - |x|
-        right = s >= 0
-        x = np.where(right, 1.0 - comp, comp - 1.0)
-        omx = np.where(right, comp, 2.0 - comp)
-        opx = np.where(right, 2.0 - comp, comp)
-        sech = 2.0 / (np.exp(sa) + np.exp(-sa))
-        dxdt = 0.5 * math.pi * np.cosh(t) * sech * sech
+    def values(x, omx, opx, dxdt):
         return g(x, omx, opx) * dxdt
 
-    return _tanh_sinh(values, _TS_SEG_TMAX, rtol, "tanh-sinh-seg")
+    return _tanh_sinh(_SEGMENT, values, values(*_SEGMENT.columns(_TS_FIRST_LEVEL)), rtol)
 
 
 # --- repeated integrals ------------------------------------------------------
@@ -542,7 +614,8 @@ def contour_derivatives(
         return z0 + radius * np.exp(2j * np.pi * (2 * np.arange(m) + 1) / (2 * m))
 
     circle = z0 + radius * np.exp(2j * np.pi * np.arange(m) / m)
-    vals, odd_vals = np.split(np.asarray(f(np.concatenate((circle, odd(m)))), dtype=complex), 2)
+    first = np.asarray(f(np.concatenate((circle, odd(m)))), dtype=complex)
+    vals, odd_vals = first[:m], first[m:]
     prev = None
     while True:
         _require_finite(vals, f"contour-{m}")

@@ -54,11 +54,12 @@ from jacobifn.jacobi_first import (
     JacobiParams,
     Representation,
     _connection_coeffs,
+    _p_points,
     jacobi_p,
     jacobi_p_scaled,
 )
-from jacobifn.jacobi_second import jacobi_q, jacobi_q_log
-from jacobifn.quadrature import CUT_GUARD
+from jacobifn.jacobi_second import _q_points, jacobi_q, jacobi_q_log
+from jacobifn.quadrature import CUT_GUARD, Cut
 from jacobifn.result import EvalResult
 
 ULPS = 16 * 2.220446049250313e-16
@@ -319,6 +320,98 @@ def test_first_block_width_changes_no_result(a, b, c, zs):
         doubled = hypergeom._series_batch(a, b, c, z, m)
     for got, want in zip(sized, doubled):
         assert got.tobytes() == want.tobytes()
+
+
+# --- a point's bits do not depend on its batch ---------------------------------
+#
+# A batch whose points all take one route skips the routing; the same points
+# in a batch with one more point, which takes another route, go through it.
+# Each point must come out with the same bits either way.  The points lie
+# inside the single-route regions or within 4 ulps of their edges, so some
+# batches of the first kind take the general path too.
+
+_unit = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+_away = st.builds(cmath.rect, st.floats(0.05, 1.0), st.floats(-math.pi, math.pi))
+# The 2F1 at |z| <= DIRECT_LIMIT, where every point takes the direct series.
+_2f1_disk = st.one_of(
+    _unit.map(lambda u: DIRECT_LIMIT * u), _near(lambda t: cmath.rect(DIRECT_LIMIT, t))
+)
+# P inside the preferred disk of REP1's or REP3's argument, where every
+# point takes one of the two.
+_p_disk = st.one_of(
+    _unit.map(lambda u: 1.0 - 2.0 * AUTO_ARG_LIMIT * u),
+    _unit.map(lambda u: (1.0 + AUTO_ARG_LIMIT * u) / (1.0 - AUTO_ARG_LIMIT * u)),
+    _near(
+        lambda t: 1.0 - 2.0 * cmath.rect(AUTO_ARG_LIMIT, t),
+        lambda t: (1.0 + cmath.rect(AUTO_ARG_LIMIT, t)) / (1.0 - cmath.rect(AUTO_ARG_LIMIT, t)),
+    ),
+)
+# Q where 2/(1-z) or 2/(1+z) is at most DIRECT_LIMIT, far from its cut.
+_q_far = st.one_of(
+    _away.map(lambda u: 1.0 - 2.0 / (DIRECT_LIMIT * u)),
+    _away.map(lambda u: 2.0 / (DIRECT_LIMIT * u) - 1.0),
+    _near(
+        lambda t: 1.0 - 2.0 / cmath.rect(DIRECT_LIMIT, t),
+        lambda t: 2.0 / cmath.rect(DIRECT_LIMIT, t) - 1.0,
+    ),
+)
+# One point of another route: the z/(z-1) map, P's connection, Q's lens.
+_2F1_MIXER, _P_MIXER, _Q_MIXER = 0.9 + 0.3j, 40.0 - 25.0j, 0.5 + 0.5j
+
+
+def _same_leading_bits(alone, mixed, n: int) -> None:
+    """The columns of ``_pointwise`` at the first n points agree bit for bit,
+    up to the first point that raised, which is the same."""
+    (columns, failure), (mixed_columns, mixed_failure) = alone, mixed
+    stop = n if failure is None else failure[0]
+    if failure is not None:
+        assert (mixed_failure[0], type(mixed_failure[1])) == (stop, type(failure[1]))
+    for column, mixed_column in zip(columns, mixed_columns):
+        assert column[:stop].tobytes() == mixed_column[:stop].tobytes()
+
+
+@given(_param_2f1, _param_2f1, _param_2f1, st.lists(_2f1_disk, min_size=1, max_size=12))
+@settings(max_examples=100)
+def test_2f1_bits_do_not_depend_on_the_batch(a, b, c, zs):
+    alone = _ohyp2f1_batch(a, b, c, np.array(zs))
+    mixed = _ohyp2f1_batch(a, b, c, np.array(zs + [_2F1_MIXER]))
+    for column, mixed_column in zip(alone, mixed):
+        assert column.tobytes() == mixed_column[: len(zs)].tobytes()
+
+
+@given(_box, _box, _p_degree, st.lists(_p_disk, min_size=1, max_size=12))
+@settings(max_examples=60)
+def test_p_bits_do_not_depend_on_the_batch(a, b, g, zs):
+    params = JacobiParams(a, b, g)
+    for scaled in (False, True):
+        alone = _p_points(params, np.array(zs), scaled, memo=False)
+        mixed = _p_points(params, np.array(zs + [_P_MIXER]), scaled, memo=False)
+        _same_leading_bits(alone, mixed, len(zs))
+
+
+@given(_box, _box, _box, st.lists(_q_far, min_size=1, max_size=12))
+@settings(max_examples=60)
+def test_q_bits_do_not_depend_on_the_batch(a, b, g, zs):
+    params = JacobiParams(a, b, g)
+    for log in (False, True):
+        alone = _q_points(params, np.array(zs), log, memo=False)
+        mixed = _q_points(params, np.array(zs + [_Q_MIXER]), log, memo=False)
+        _same_leading_bits(alone, mixed, len(zs))
+
+
+def test_single_route_batches_skip_routing():
+    # No cut distance is measured for a batch whose points all take one route.
+    params = JacobiParams(0.3 + 0.2j, -0.4, 1.1 - 0.1j)
+    circle = np.exp(2j * np.pi * np.arange(32) / 32)
+    with mock.patch.object(Cut, "distance", side_effect=AssertionError("routed")):
+        _ohyp2f1_batch(0.3, 1.2, 1.7, 0.7 * circle)
+        _p_points(params, 1.0 + 0.5 * circle, memo=False)
+        _p_points(params, 3.0 + 0.5 * circle, scaled=True, memo=False)
+        _q_points(params, 5.0 + 0.5 * circle, memo=False)
+        _q_points(params, -5.0 + 0.5 * circle, log=True, memo=False)
+    with pytest.raises(AssertionError, match="routed"):
+        with mock.patch.object(Cut, "distance", side_effect=AssertionError("routed")):
+            _p_points(params, np.append(1.0 + 0.5 * circle, _P_MIXER), memo=False)
 
 
 @pytest.mark.parametrize("kind", ["P", "Q"])

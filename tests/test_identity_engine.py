@@ -265,12 +265,12 @@ def test_verify_memo_work_pinned(tmp_path):
     # from a cold memo: the batched P and Q calls that the identities
     # sharing a sampler repeat.  The oracle cost above counts requested
     # points, hits included.  A tanh-sinh integral asks for its levels 0-4
-    # in one call and a contour for its first two levels in one call, so
-    # these count calls, not levels.
+    # in one call (a ray's with its decay check's tail) and a contour for
+    # its first two levels in one call, so these count calls, not levels.
     POINTS_MEMO.cache_clear()
     argv = ["verify", "--all", "--samples", "2", "--seed", "7", "--json", str(tmp_path / "r.json")]
     assert main(argv) == 0
-    assert POINTS_MEMO.cache_info()[:2] == (104, 59)
+    assert POINTS_MEMO.cache_info()[:2] == (104, 46)
 
 
 def test_ode_entry_runs_one_contour(monkeypatch):

@@ -303,19 +303,19 @@ def test_tanh_sinh_segment_first_levels_in_one_call():
     "f, start, level, sizes, value, estimate",
     [
         (
-            lambda w: qval(0.3, 0.2, 1.1, w), 2.0 + 0.5j, 4, [9, 151],
+            lambda w: qval(0.3, 0.2, 1.1, w), 2.0 + 0.5j, 4, [160],
             ("0x1.c79c3bf21802dp-5", "-0x1.b1d02a1c6276ep-6"), "0x1.6a09e667f3bcdp-57",
         ),
         (
-            lambda w: np.exp(-w), 1.0, 5, [9, 151, 150],
+            lambda w: np.exp(-w), 1.0, 5, [160, 150],
             ("0x1.78b56362cef37p-2", "0x0.0p+0"), "0x1.4800000000000p-49",
         ),
     ],
     ids=["Q-level-4", "exp-level-5"],
 )
 def test_integrate_to_infinity_first_levels_in_one_call(f, start, level, sizes, value, estimate):
-    # The decay check's 9 tail points, levels 0-4 (151 nodes) in one call,
-    # then one call per level.
+    # The decay check's 9 tail points and levels 0-4 (151 nodes) in one
+    # call, then one call per level.
     g, seen = _recording(f)
     got = integrate_to_infinity(g, start)
     assert (got.provenance, seen) == (f"tanh-sinh-{level}", sizes)
@@ -347,6 +347,77 @@ def test_tanh_sinh_raises_at_a_level_four_node():
 
     with pytest.raises(ValueError, match="level-4 node"):
         tanh_sinh_segment(g)
+
+
+# The decay check's tail points on a ray from 1, and the outcome of a ray
+# integral by what its integrand does at the tail and at the nodes: the
+# tail decays, grows, raises or is not finite; the nodes are fine, raise or
+# are not finite.  These are the outcomes of a decay check made as a call of
+# its own before the nodes: the tail's error, then its verdict, then the
+# nodes' error.
+_TAIL = 1.0 + 2.0 ** np.arange(4, 21, 2)
+_GROWS = "DecayCheckFailed: sampled tail grows: |f|*t^1.01 went 1.805e+04 -> 7.322e+04"
+_NOT_FINITE = "DecayCheckFailed: sampled tail not finite: |f|*t^1.01 = [nan nan nan nan]"
+_PRECEDENCE = {
+    ("ok", "ok"): "tanh-sinh-5 0x1.78b56362cef37p-2",
+    ("ok", "raise"): "ValueError: nodes raise",
+    ("ok", "non-finite"): "NonConvergence: tanh-sinh-0: integrand values not finite",
+    ("grows", "ok"): _GROWS,
+    ("grows", "raise"): _GROWS,
+    ("grows", "non-finite"): _GROWS,
+    ("raises", "ok"): "ValueError: tail raises",
+    ("raises", "raise"): "ValueError: tail raises",
+    ("raises", "non-finite"): "ValueError: tail raises",
+    ("non-finite", "ok"): _NOT_FINITE,
+    ("non-finite", "raise"): _NOT_FINITE,
+    ("non-finite", "non-finite"): _NOT_FINITE,
+}
+
+
+@pytest.mark.parametrize("tail, nodes", list(_PRECEDENCE), ids=[f"{t}-{n}" for t, n in _PRECEDENCE])
+def test_integrate_to_infinity_decay_precedence(tail, nodes):
+    def f(w):
+        at_tail = np.isin(w, _TAIL)
+        if tail == "raises" and at_tail.any():
+            raise ValueError("tail raises")
+        if nodes == "raise" and not at_tail.all():
+            raise ValueError("nodes raise")
+        v = np.exp(-w)
+        if tail == "grows":
+            v = np.where(at_tail, 1.0, v)
+        elif tail == "non-finite":
+            v = np.where(at_tail, np.nan, v)
+        if nodes == "non-finite":
+            v = np.where(at_tail, v, np.nan)
+        return v
+
+    try:
+        got = integrate_to_infinity(f, 1.0)
+        outcome = f"{got.provenance} {got.value.real.hex()}"
+    except (ValueError, DecayCheckFailed, NonConvergence) as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    assert outcome == _PRECEDENCE[tail, nodes]
+
+
+def test_tanh_sinh_node_tables_are_read_only():
+    # The node maps are built once per rule and level and shared by every
+    # integral, so an integrand cannot write into them.
+    from jacobifn.quadrature import _RAY, _TS_FIRST_LEVEL
+
+    seen = []
+
+    def g(x, omx, opx):
+        seen.append((x, omx, opx))
+        return np.cos(40.0 * x)
+
+    tanh_sinh_segment(g)
+    tanh_sinh_segment(g)
+    half = len(seen) // 2
+    for first, again in zip(seen[:half], seen[half:]):
+        assert all(a is b for a, b in zip(first, again))
+    for table in [a for nodes in seen for a in nodes] + list(_RAY.columns(_TS_FIRST_LEVEL)):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 def test_contour_polynomial():

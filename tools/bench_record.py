@@ -7,8 +7,12 @@ each seed.  The checkouts take turns, in reverse order at every other seed,
 so that a drift of the machine's speed falls on all of them alike.  Writes,
 per checkout, its source (the commit of a git work tree, else a hash of its
 ``src/``), and per workload the median and the runs of each end-to-end
-metric, the number of runs and whether every run was correct.  Prints one
-line per run while it goes.
+metric, the number of runs and whether every run was correct.  Given two
+checkouts, the first taken as the parent and the second as the change, it
+also writes a ``comparison`` block: per workload and end-to-end metric, the
+median over the seeds of the change's value over the parent's, and the
+number of seeds where the change is better, in the direction that
+``BENCHMARK.json`` gives the metric.  Prints one line per run while it goes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import subprocess
 import sys
 
 WORKLOADS = ("scatter-eval", "grid-table", "verify-sweep")
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCHMARK.json")
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[str, dict]:
@@ -30,6 +35,31 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[s
            f"--workload={workload}", f"--seed={seed}", f"--seconds={seconds}", "--trace=0"]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
     return re.search(r"source=(\S+)", out).group(1), json.loads(out.strip().splitlines()[-1])
+
+
+def comparison(parent: dict, change: dict, better: dict[str, str]) -> dict:
+    """Per workload and metric, the change's runs against the parent's, seed by seed.
+
+    ``parent`` and ``change`` are checkout entries of a record, whose runs
+    follow the same seeds; ``better`` maps each metric to "higher" or
+    "lower".  Gives the median of the ratios change / parent (over the
+    seeds where the parent's value is not 0), the number of seeds where the
+    change is better and the number of seeds.
+    """
+    block = {}
+    for workload, entry in change["workloads"].items():
+        block[workload] = {}
+        for metric, direction in better.items():
+            pairs = list(zip(parent["workloads"][workload]["metrics"][metric]["runs"],
+                             entry["metrics"][metric]["runs"]))
+            ratios = [new / old for old, new in pairs if old]
+            sign = 1 if direction == "higher" else -1
+            block[workload][metric] = {
+                "median_ratio": statistics.median(ratios) if ratios else None,
+                "better": sum(sign * (new - old) > 0 for old, new in pairs),
+                "seeds": len(pairs),
+            }
+    return block
 
 
 def main(argv=None) -> int:
@@ -67,6 +97,10 @@ def main(argv=None) -> int:
                 "metrics": metrics,
             }
         record["checkouts"].append(entry)
+    if len(args.checkouts) == 2:
+        with open(BENCHMARK, encoding="utf-8") as fh:
+            better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        record["comparison"] = comparison(*record["checkouts"], better)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
