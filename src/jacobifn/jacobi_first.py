@@ -434,11 +434,7 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     z on the cut, or z beyond the preferred disk on [-1, 1] where REP1's
     2F1 raises), or the size of z.  A point is not covered where the scalar
     call raises or where a batched route could not decide; the caller
-    evaluates it with the scalar call.  A batch inside the preferred disk
-    takes REP1 or REP3 at every point, and the disk keeps clear of both
-    cuts, so it skips the cut distances, the connection and fallback masks
-    and the failure prediction.  A representation taken at every point
-    gets z whole.
+    evaluates it with the scalar call.
     """
     n = z.size
     log_scale = np.zeros(n, dtype=complex)
@@ -448,41 +444,38 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     covered = np.zeros(n, dtype=bool)
     if not params.first_kind_valid():
         return log_scale, mantissa, err, code, covered, 0
+    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     with np.errstate(divide="ignore", invalid="ignore"):
         x1, near, rep1 = _near_route(z)
-    stop = n
-    groups = rep1, ~rep1
-    if not near.all():
-        a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-        inside = P_CUT.distance(z) >= CUT_GUARD
-        terminating = _terminates(a, b, g)
-        # A terminating REP1 is summed beyond the disk too; where its sum is not
-        # finite, the point is not covered and the scalar call takes the connection.
-        conn = ~near & (Q_CUT.distance(z) >= CUT_GUARD) & (not terminating)
-        fallback = inside & ~near & ~conn
-        fails = ~inside
-        if fallback.any() and not terminating:
-            fails |= fallback & _raises(x1)
-        stop = _first(fails)
-        inside[stop:] = False
-        near &= inside
-        conn &= inside
-        fallback &= inside
-        if conn.any():
-            try:
-                coeffs = _connection_coeffs(a, b, g)
-            except NoConvergentPath:
-                fallback |= conn
-            else:
-                idx = np.flatnonzero(conn)
-                ls, mt, status = _connection_batch(params, z[idx], coeffs)
-                log_scale[idx], mantissa[idx], code[idx] = ls, mt, 2
-                covered[idx] = status == BATCH_OK
-                fallback[idx] = status == BATCH_NO_PATH
-        groups = (near & rep1) | fallback, near & ~rep1
-    for mask, rep in zip(groups, (Representation.REP1, Representation.REP3)):
+    inside = P_CUT.distance(z) >= CUT_GUARD
+    terminating = _terminates(a, b, g)
+    # A terminating REP1 is summed beyond the disk too; where its sum is not
+    # finite, the point is not covered and the scalar call takes the connection.
+    conn = ~near & (Q_CUT.distance(z) >= CUT_GUARD) & (not terminating)
+    fallback = inside & ~near & ~conn
+    fails = ~inside
+    if fallback.any() and not terminating:
+        fails |= fallback & _raises(x1)
+    stop = _first(fails)
+    inside[stop:] = False
+    near &= inside
+    conn &= inside
+    fallback &= inside
+    if conn.any():
+        try:
+            coeffs = _connection_coeffs(a, b, g)
+        except NoConvergentPath:
+            fallback |= conn
+        else:
+            idx = np.flatnonzero(conn)
+            ls, mt, status = _connection_batch(params, z[idx], coeffs)
+            log_scale[idx], mantissa[idx], code[idx] = ls, mt, 2
+            covered[idx] = status == BATCH_OK
+            fallback[idx] = status == BATCH_NO_PATH
+    groups = ((near & rep1) | fallback, Representation.REP1), (near & ~rep1, Representation.REP3)
+    for mask, rep in groups:
         if mask.any():
-            idx = slice(None) if mask.all() else np.flatnonzero(mask)
+            idx = np.flatnonzero(mask)
             log_scale[idx] = 0.0
             mantissa[idx], err[idx], covered[idx] = _rep_batch(params, z[idx], rep)
             code[idx] = 0 if rep is Representation.REP1 else 1

@@ -32,7 +32,6 @@ from .errors import (
 from .hypergeom import (
     BATCH_OK,
     BATCH_SCALAR,
-    DIRECT_LIMIT,
     _ohyp2f1_batch,
     _raises,
     ohyp2f1,
@@ -140,10 +139,6 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool
     size of z.  Without it, as for the connection of P, which falls back
     per point where its second-kind logs have no path, stop is the size of
     z.  The caller evaluates the points not covered with the scalar call.
-    A batch whose every chosen argument is at most DIRECT_LIMIT skips the
-    cut distance and the failure prediction: its points lie at least
-    2/DIRECT_LIMIT - 2 from [-1, 1], and its series have a path.  A
-    representation taken at every point gets the arguments whole.
     """
     n = z.size
     out = np.zeros(n, dtype=complex)
@@ -153,33 +148,28 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool
     if not params.second_kind_valid():
         return out, err, status, rep1, 0 if until_failure else n
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
+    inside = Q_CUT.distance(z) >= CUT_GUARD
     with np.errstate(divide="ignore", invalid="ignore"):
         y, x, rep1 = _q_route(z)
         # z - -1.0 keeps a -0.0 imaginary part, as in ``_q_parts``.
         log_zm, log_zp = np.log(z - 1.0), np.log(z - -1.0)
-        direct = n > 0 and np.max(np.minimum(np.abs(y), np.abs(x))) <= DIRECT_LIMIT
     stop = n
-    groups = rep1, ~rep1
-    if not direct:
-        inside = Q_CUT.distance(z) >= CUT_GUARD
-        if until_failure:
-            grows1, grows3 = (
-                termination_index(_q_terms(a, b, g, rep)[0]) is None
-                for rep in (Representation.REP1, Representation.REP3)
-            )
-            raises = np.where(rep1, grows1, grows3) & _raises(np.where(rep1, y, x))
-            stop = _first(~inside | raises)
-            inside[stop:] = False
-        rep1 &= inside
-        groups = rep1, inside & ~rep1
+    if until_failure:
+        grows1, grows3 = (
+            termination_index(_q_terms(a, b, g, rep)[0]) is None
+            for rep in (Representation.REP1, Representation.REP3)
+        )
+        stop = _first(~inside | (np.where(rep1, grows1, grows3) & _raises(np.where(rep1, y, x))))
+        inside[stop:] = False
+    rep1 &= inside
     c = a + b + 2.0 * g + 2.0
     base_log = _q_log_prefactor(a, b, g)
     series = np.zeros(n, dtype=complex)
     serr = np.zeros(n)
     logf = np.zeros(n, dtype=complex)
-    for mask, rep in zip(groups, (Representation.REP1, Representation.REP3)):
+    for mask, rep in ((rep1, Representation.REP1), (inside & ~rep1, Representation.REP3)):
         if mask.any():
-            idx = slice(None) if mask.all() else np.flatnonzero(mask)
+            idx = np.flatnonzero(mask)
             (p1, p2), on_y, e_m, e_p = _q_terms(a, b, g, rep)
             arg = (y if on_y else x)[idx]
             series[idx], serr[idx], status[idx] = _ohyp2f1_batch(p1, p2, c, arg)

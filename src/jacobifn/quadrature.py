@@ -30,13 +30,13 @@ whose samples or sum are not finite (an integrand that overflows) raises
 NonConvergence rather than return inf or nan.
 
 All routines are pure.  Gauss rules and the tanh-sinh node maps (per rule
-and level, read-only) are built once and kept in tables that are only
-appended to, so concurrent readers are safe.
+and levels of a call) are built once and kept, read-only, in tables that
+are only appended to, so concurrent readers are safe.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -165,11 +165,7 @@ def _require_finite(value, label: str) -> None:
     would otherwise pass the doubling tests, which compare with NaN as
     false, and come back as a result.
     """
-    if isinstance(value, np.ndarray):
-        finite = np.all(np.isfinite(value))
-    else:
-        finite = cmath.isfinite(value)
-    if not finite:
+    if not np.all(np.isfinite(value)):
         raise NonConvergence(f"{label}: integrand values not finite")
 
 
@@ -232,39 +228,29 @@ def _segment_map(t: np.ndarray) -> tuple[np.ndarray, ...]:
     return x, omx, opx, dxdt
 
 
-class _TanhSinhRule:
-    """A tanh-sinh rule on t in [-tmax, tmax] and its node maps, built once.
+@functools.cache
+def _columns(node_map, tmax: float, levels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """node_map at the new nodes of ``levels``, joined, built once and kept read-only.
 
-    ``node_map`` takes an ndarray of t to the columns from which the
-    integrand's values are formed.  ``columns(level)`` builds the map of a
-    call's nodes on first use and keeps it, read-only: at _TS_FIRST_LEVEL
-    the nodes of levels 0 to _TS_FIRST_LEVEL, which the first call takes
-    together, at a deeper level that level's new nodes.  ``ends`` holds the
-    offsets of levels 0 to _TS_FIRST_LEVEL in the first call's nodes.
+    A rule's first call takes levels 0 to _TS_FIRST_LEVEL, a deeper call one
+    level.  ``node_map`` takes an ndarray of t to the columns from which the
+    integrand's values are formed.
     """
-
-    def __init__(self, tmax: float, label: str, node_map):
-        self.tmax, self.label, self.node_map = tmax, label, node_map
-        sizes = (_level_nodes(tmax, level).size for level in range(_TS_FIRST_LEVEL + 1))
-        self.ends = list(accumulate(sizes, initial=0))
-        self._maps: dict[int, tuple[np.ndarray, ...]] = {}
-
-    def columns(self, level: int) -> tuple[np.ndarray, ...]:
-        cols = self._maps.get(level)
-        if cols is None:
-            if level == _TS_FIRST_LEVEL:
-                t = np.concatenate([_level_nodes(self.tmax, k) for k in range(level + 1)])
-            else:
-                t = _level_nodes(self.tmax, level)
-            cols = self.node_map(t)
-            for col in cols:
-                col.flags.writeable = False
-            self._maps[level] = cols
-        return cols
+    cols = node_map(np.concatenate([_level_nodes(tmax, level) for level in levels]))
+    for col in cols:
+        col.flags.writeable = False
+    return cols
 
 
-_RAY = _TanhSinhRule(_TS_TMAX, "tanh-sinh", _ray_map)
-_SEGMENT = _TanhSinhRule(_TS_SEG_TMAX, "tanh-sinh-seg", _segment_map)
+@functools.cache
+def _offsets(tmax: float, levels: tuple[int, ...]) -> tuple[int, ...]:
+    """Where each of ``levels`` starts in ``_columns``, and where the last ends."""
+    return tuple(accumulate((_level_nodes(tmax, level).size for level in levels), initial=0))
+
+
+def _first_levels() -> tuple[int, ...]:
+    """The levels of a rule's first call: 0 to _TS_FIRST_LEVEL."""
+    return tuple(range(_TS_FIRST_LEVEL + 1))
 
 
 def _level_values(values, columns: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -277,18 +263,18 @@ def _level_values(values, columns: tuple[np.ndarray, ...]) -> np.ndarray:
     )
 
 
-def _tanh_sinh(rule: _TanhSinhRule, values, first: np.ndarray, rtol: float) -> EvalResult:
-    """Tanh-sinh doubling of a rule: step 1, then 1/2, ..., 2^-_TS_MAX_LEVEL.
+def _tanh_sinh(values, node_map, tmax: float, first: np.ndarray, rtol: float, label: str) -> EvalResult:
+    """Tanh-sinh doubling on t in [-tmax, tmax]: step 1, then 1/2, ..., 2^-_TS_MAX_LEVEL.
 
-    ``values`` maps the columns of the rule's node map to the weighted
-    integrand there.  ``first`` holds its values at the nodes of levels 0
-    to _TS_FIRST_LEVEL, the rule's first call.  Each later level's new
-    (odd) nodes follow in calls of at most _TS_CHUNK nodes.  The sums,
-    tests and result are those of one call per level, but the first call
-    is speculative: an integrand that raises at a node of a level the rule
+    ``values`` maps the columns of ``node_map`` at an ndarray of t to the
+    weighted integrand there.  ``first`` holds its values at the nodes of
+    the rule's first call, levels 0 to _TS_FIRST_LEVEL.  Each later level's
+    new (odd) nodes follow in calls of at most _TS_CHUNK nodes.  The sums,
+    tests and result are those of one call per level, but the first call is
+    speculative: an integrand that raises at a node of a level the rule
     would not have reached raises here too.
     """
-    ends, label = rule.ends, rule.label
+    ends = _offsets(tmax, _first_levels())
     v = first[: ends[1]]
     half = v.size // 2
     total = v[0] + np.sum(v[1 : half + 1] + v[half + 1 :])
@@ -300,7 +286,7 @@ def _tanh_sinh(rule: _TanhSinhRule, values, first: np.ndarray, rtol: float) -> E
         if level <= _TS_FIRST_LEVEL:
             v = first[ends[level] : ends[level + 1]]
         else:
-            v = _level_values(values, rule.columns(level))
+            v = _level_values(values, _columns(node_map, tmax, (level,)))
         half = v.size // 2
         total = 0.5 * total + h * np.sum(v[:half] + v[half:])
         _require_finite(total, f"{label}-{level}")
@@ -353,7 +339,7 @@ def integrate_to_infinity(
     call's error.
     """
     start = complex(start)
-    ratio, dudt, om2 = _RAY.columns(_TS_FIRST_LEVEL)
+    ratio, dudt, om2 = _columns(_ray_map, _TS_TMAX, _first_levels())
     error = None
     try:
         joint = f(np.concatenate((start + _TAIL, start + ratio)))
@@ -367,7 +353,8 @@ def integrate_to_infinity(
     def values(ratio, dudt, om2):
         return f(start + ratio) * dudt / om2
 
-    return _tanh_sinh(_RAY, values, joint[_TAIL.size :] * dudt / om2, rtol)
+    first = joint[_TAIL.size :] * dudt / om2
+    return _tanh_sinh(values, _ray_map, _TS_TMAX, first, rtol, "tanh-sinh")
 
 
 def tanh_sinh_segment(g, *, rtol: float = 1e-11) -> EvalResult:
@@ -376,13 +363,15 @@ def tanh_sinh_segment(g, *, rtol: float = 1e-11) -> EvalResult:
     The endpoint complements are passed explicitly (computed without
     cancellation), so integrands with algebraic or oscillatory endpoint
     factors of complex exponent can be formed stably at nodes exponentially
-    close to +-1.  g takes three ndarrays, which are read-only.
+    close to +-1.  g takes three ndarrays.
     """
 
     def values(x, omx, opx, dxdt):
-        return g(x, omx, opx) * dxdt
+        # Copies: the node maps are shared, and g may write into its arguments.
+        return g(x.copy(), omx.copy(), opx.copy()) * dxdt
 
-    return _tanh_sinh(_SEGMENT, values, values(*_SEGMENT.columns(_TS_FIRST_LEVEL)), rtol)
+    first = values(*_columns(_segment_map, _TS_SEG_TMAX, _first_levels()))
+    return _tanh_sinh(values, _segment_map, _TS_SEG_TMAX, first, rtol, "tanh-sinh-seg")
 
 
 # --- repeated integrals ------------------------------------------------------

@@ -324,11 +324,13 @@ def test_first_block_width_changes_no_result(a, b, c, zs):
 
 # --- a point's bits do not depend on its batch ---------------------------------
 #
-# A batch whose points all take one route skips the routing; the same points
-# in a batch with one more point, which takes another route, go through it.
-# Each point must come out with the same bits either way.  The points lie
-# inside the single-route regions or within 4 ulps of their edges, so some
-# batches of the first kind take the general path too.
+# A 2F1 batch whose points all take the direct series skips the routing; the
+# same points in a batch with one more point, which takes another route, go
+# through it.  Each point must come out with the same bits either way, in the
+# 2F1 and in P and Q, whose batches reach it with their points split by
+# representation.  The points lie inside the regions where every point takes
+# one route or within 4 ulps of their edges, so some batches of the first kind
+# take the general path too.
 
 _unit = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
 _away = st.builds(cmath.rect, st.floats(0.05, 1.0), st.floats(-math.pi, math.pi))
@@ -399,19 +401,15 @@ def test_q_bits_do_not_depend_on_the_batch(a, b, g, zs):
         _same_leading_bits(alone, mixed, len(zs))
 
 
-def test_single_route_batches_skip_routing():
-    # No cut distance is measured for a batch whose points all take one route.
-    params = JacobiParams(0.3 + 0.2j, -0.4, 1.1 - 0.1j)
+def test_direct_2f1_batch_skips_routing():
+    # No cut distance is measured for a 2F1 batch whose points all take the
+    # direct series; one point beyond DIRECT_LIMIT brings the routing back.
     circle = np.exp(2j * np.pi * np.arange(32) / 32)
     with mock.patch.object(Cut, "distance", side_effect=AssertionError("routed")):
         _ohyp2f1_batch(0.3, 1.2, 1.7, 0.7 * circle)
-        _p_points(params, 1.0 + 0.5 * circle, memo=False)
-        _p_points(params, 3.0 + 0.5 * circle, scaled=True, memo=False)
-        _q_points(params, 5.0 + 0.5 * circle, memo=False)
-        _q_points(params, -5.0 + 0.5 * circle, log=True, memo=False)
-    with pytest.raises(AssertionError, match="routed"):
-        with mock.patch.object(Cut, "distance", side_effect=AssertionError("routed")):
-            _p_points(params, np.append(1.0 + 0.5 * circle, _P_MIXER), memo=False)
+        _ohyp2f1_batch(-3.0, 1.2, 1.7, 5.0 * circle)
+        with pytest.raises(AssertionError, match="routed"):
+            _ohyp2f1_batch(0.3, 1.2, 1.7, np.append(0.7 * circle, _2F1_MIXER))
 
 
 @pytest.mark.parametrize("kind", ["P", "Q"])

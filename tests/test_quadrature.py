@@ -400,24 +400,29 @@ def test_integrate_to_infinity_decay_precedence(tail, nodes):
 
 
 def test_tanh_sinh_node_tables_are_read_only():
-    # The node maps are built once per rule and level and shared by every
-    # integral, so an integrand cannot write into them.
-    from jacobifn.quadrature import _RAY, _TS_FIRST_LEVEL
+    # The node maps are built once per rule and call and shared by every
+    # integral, so nothing may write into them.
+    from jacobifn.quadrature import _TS_SEG_TMAX, _TS_TMAX, _columns, _first_levels, _ray_map, _segment_map
 
-    seen = []
-
-    def g(x, omx, opx):
-        seen.append((x, omx, opx))
-        return np.cos(40.0 * x)
-
-    tanh_sinh_segment(g)
-    tanh_sinh_segment(g)
-    half = len(seen) // 2
-    for first, again in zip(seen[:half], seen[half:]):
-        assert all(a is b for a, b in zip(first, again))
-    for table in [a for nodes in seen for a in nodes] + list(_RAY.columns(_TS_FIRST_LEVEL)):
+    for table in _columns(_ray_map, _TS_TMAX, _first_levels()) + _columns(_segment_map, _TS_SEG_TMAX, (6,)):
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+def test_tanh_sinh_segment_integrand_may_write_into_its_nodes():
+    # The integrand gets copies of the shared node maps, so one that scales
+    # its arguments in place gets the same integral, call after call.
+    def g(x, omx, opx):
+        return np.cos(40.0 * x)
+
+    def g_in_place(x, omx, opx):
+        x *= 40.0
+        return np.cos(x)
+
+    expected = tanh_sinh_segment(g)
+    assert tanh_sinh_segment(g_in_place) == expected
+    assert tanh_sinh_segment(g_in_place) == expected
+    assert tanh_sinh_segment(g) == expected
 
 
 def test_contour_polynomial():
