@@ -9,8 +9,11 @@ Three evaluation layers:
   ``regularized`` flag decides only the leading terms.  Its term-ratio phase
   has a tight loop for two upper parameters and one lower (every call from
   the 2F1 routines); other arities take the generic loop, which is also the
-  tight loop's reference.  The reciprocal gammas of the lower parameters
-  are memoized, since every point of a parameter triple repeats them.
+  tight loop's reference.  The tight loop measures |total| only for a term
+  small enough to pass the stopping rule, and the leading terms carry their
+  Pochhammer products from term to term; neither changes a bit.  The
+  reciprocal gammas of the lower parameters are memoized, since every
+  point of a parameter triple repeats them.
 * ``gauss2f1`` / ``ohyp2f1`` -- the 2F1 specializations, both served by one
   continuation routine with automatic argument transformation.  The
   reachable arguments under the classical maps are {z, z/(z-1)} (Euler's map
@@ -64,11 +67,15 @@ from .errors import (
     ZeroArgument,
 )
 from .quadrature import CUT_GUARD, Cut
-from .scalar_kernel import exact_memo, pochhammer_product, reciprocal_gamma
+from .scalar_kernel import exact_memo, pochhammer_product, pochhammer_products, reciprocal_gamma
 
 STOP_RATIO = 1e-15
 STOP_RUN = 3
 MAX_TERMS = 10_000
+# A term above _STOP_SLOPE * (sum of |terms|) + _STOP_FLOOR cannot pass the
+# stopping rule (see ``_ratio_loop_2f1``).
+_STOP_SLOPE = 2.0 * STOP_RATIO
+_STOP_FLOOR = STOP_RATIO * 1e-300
 _EPS = 2.220446049250313e-16
 # Argument routing of the 2F1 continuation: the direct series is taken
 # inside DIRECT_LIMIT, and no series runs beyond MAP_LIMIT.
@@ -168,23 +175,29 @@ def _leading_terms(upper, lower, z: complex, limit: int, regularized: bool):
     series carries 1/Gamma(b_j + k) on every term, so terms up to the last
     lower-parameter pole are formed from Pochhammer products and reciprocal
     gammas; beyond it every b_j + k stays off the poles and ratio updates
-    apply.
+    apply.  Term 0 is 1 times those reciprocal gammas, at b_j + 0 (the sum
+    turns an imaginary -0.0 into 0.0, as b_j + k does at k = 0).
     """
     k0 = 0
     if regularized:
         for b in lower:
             k0 = max(k0, int(math.ceil(0.5 - b.real)))
         k0 = min(k0, limit)
-    total = 0.0 + 0.0j
-    abs_acc = 0.0
     term = 1.0 + 0.0j
+    if regularized:
+        for b in lower:
+            term *= _lower_rgamma(b + 0)
+    total = 0j + term
+    abs_acc = abs(term)
+    if k0 == 0:
+        return k0, term, total, abs_acc
+    products = pochhammer_products(upper, k0)
     zk = 1.0 + 0.0j
     kfac = 1.0
-    for k in range(k0 + 1):
-        if k > 0:
-            zk *= z
-            kfac *= k
-            term = pochhammer_product(upper, k) * zk / kfac
+    for k in range(1, k0 + 1):
+        zk *= z
+        kfac *= k
+        term = products[k] * zk / kfac
         if regularized:
             for b in lower:
                 term *= _lower_rgamma(b + k)
@@ -229,7 +242,10 @@ def _ratio_loop_2f1(upper, lower, z, k, limit, adaptive, term, total, abs_acc):
     The same floating-point operations in the same order: for finite
     parameters the generic loop's leading ``(1+0j) *`` factors are exact
     (a + k never has a -0.0 part), and the inline floor picks what ``max``
-    picks, so results agree bit for bit.
+    picks, so results agree bit for bit.  The adaptive stop measures
+    |total| only for a term of size at most 2 STOP_RATIO abs_acc +
+    STOP_RATIO 1e-300: since |total| <= abs_acc (1 + 3k eps), a larger term
+    fails the rule whatever |total| is, and resets the run as the rule does.
     """
     (a, b), (c,) = upper, lower
     if not adaptive:
@@ -246,6 +262,9 @@ def _ratio_loop_2f1(upper, lower, z, k, limit, adaptive, term, total, abs_acc):
         size = abs(term)
         abs_acc += size
         k += 1
+        if size > _STOP_SLOPE * abs_acc + _STOP_FLOOR:
+            small_run = 0
+            continue
         scale = abs(total)
         if size <= STOP_RATIO * (1e-300 if scale < 1e-300 else scale):
             small_run += 1
@@ -405,10 +424,10 @@ class _Taylor:
         self.k0 = max(0, int(math.ceil(0.5 - c.real)))
         coef = []
         kfac = 1.0
-        for k in range(self.k0 + 1):
+        for k, product in enumerate(pochhammer_products((a, b), self.k0)):
             if k > 0:
                 kfac *= k
-            coef.append(pochhammer_product((a, b), k) / kfac * _lower_rgamma(c + k))
+            coef.append(product / kfac * _lower_rgamma(c + k))
         self.coef = np.array(coef, dtype=complex)
 
     def upto(self, n: int, known: np.ndarray | None = None) -> np.ndarray:

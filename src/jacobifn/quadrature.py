@@ -26,12 +26,14 @@ level the rule would not have reached raises.  A ray's first call also
 holds the 9 tail samples of its decay check, so where the tail fails, its
 levels 0-4 were evaluated for nothing, and they may have warned.  A scalar
 callable runs there as ``numpy.vectorize(f, otypes=[complex])``.  A level
-whose samples or sum are not finite (an integrand that overflows) raises
-NonConvergence rather than return inf or nan.
+whose samples or sum are not finite (an integrand that overflows, or
+returns inf or nan at a node) raises NonConvergence rather than return inf
+or nan, and its weights and sums do not warn first.
 
-All routines are pure.  Gauss rules and the tanh-sinh node maps (per rule
-and levels of a call) are built once and kept, read-only, in tables that
-are only appended to, so concurrent readers are safe.
+All routines are pure.  Gauss rules, the tanh-sinh node maps (per rule and
+levels of a call) and the contours' roots of unity (per point count) are
+built once and kept in tables that are only appended to, the last two
+read-only, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -144,7 +146,9 @@ def integrate_finite(
     delta = math.inf
     for m in _RULE_SIZES:
         rule = gauss_jacobi_rule(m, a_endpoint_exp, b_endpoint_exp)
-        total = np.sum(rule.weights * f(rule.nodes))
+        samples = f(rule.nodes)
+        with np.errstate(**_QUIET):
+            total = np.sum(rule.weights * samples)
         _require_finite(total, f"gauss-jacobi-{m}")
         if prev is not None:
             delta = abs(total - prev)
@@ -156,6 +160,14 @@ def integrate_finite(
             f"doubling stalled at {_RULE_SIZES[-1]} nodes (rel change {delta / max(abs(prev), 1e-300):.2e})"
         )
     return EvalResult(prev, delta, f"gauss-jacobi-{_RULE_SIZES[-1]}")
+
+
+# numpy error handling for the weights and sums of a level: a sample that
+# is not finite makes its weighted value and the level's sum non-finite (a
+# complex inf times a real weight forms inf * 0; opposite infs cancel to
+# nan), and ``_require_finite`` raises NonConvergence for the level, so the
+# arithmetic on the way must not warn first.
+_QUIET = {"invalid": "ignore", "over": "ignore"}
 
 
 def _require_finite(value, label: str) -> None:
@@ -277,7 +289,8 @@ def _tanh_sinh(values, node_map, tmax: float, first: np.ndarray, rtol: float, la
     ends = _offsets(tmax, _first_levels())
     v = first[: ends[1]]
     half = v.size // 2
-    total = v[0] + np.sum(v[1 : half + 1] + v[half + 1 :])
+    with np.errstate(**_QUIET):
+        total = v[0] + np.sum(v[1 : half + 1] + v[half + 1 :])
     _require_finite(total, f"{label}-0")
     prev = None
     delta = math.inf
@@ -288,7 +301,8 @@ def _tanh_sinh(values, node_map, tmax: float, first: np.ndarray, rtol: float, la
         else:
             v = _level_values(values, _columns(node_map, tmax, (level,)))
         half = v.size // 2
-        total = 0.5 * total + h * np.sum(v[:half] + v[half:])
+        with np.errstate(**_QUIET):
+            total = 0.5 * total + h * np.sum(v[:half] + v[half:])
         _require_finite(total, f"{label}-{level}")
         if prev is not None:
             delta = float(abs(total - prev))
@@ -351,9 +365,12 @@ def integrate_to_infinity(
     _decay_check(joint[: _TAIL.size])
 
     def values(ratio, dudt, om2):
-        return f(start + ratio) * dudt / om2
+        samples = f(start + ratio)
+        with np.errstate(**_QUIET):
+            return samples * dudt / om2
 
-    first = joint[_TAIL.size :] * dudt / om2
+    with np.errstate(**_QUIET):
+        first = joint[_TAIL.size :] * dudt / om2
     return _tanh_sinh(values, _ray_map, _TS_TMAX, first, rtol, "tanh-sinh")
 
 
@@ -368,7 +385,9 @@ def tanh_sinh_segment(g, *, rtol: float = 1e-11) -> EvalResult:
 
     def values(x, omx, opx, dxdt):
         # Copies: the node maps are shared, and g may write into its arguments.
-        return g(x.copy(), omx.copy(), opx.copy()) * dxdt
+        samples = g(x.copy(), omx.copy(), opx.copy())
+        with np.errstate(**_QUIET):
+            return samples * dxdt
 
     first = values(*_columns(_segment_map, _TS_SEG_TMAX, _first_levels()))
     return _tanh_sinh(values, _segment_map, _TS_SEG_TMAX, first, rtol, "tanh-sinh-seg")
@@ -571,6 +590,21 @@ class Cut:
         return " u ".join(f"{left}, {right}" for left, right in ends)
 
 
+@functools.cache
+def _unit_points(m: int, odd: bool) -> np.ndarray:
+    """The m roots of unity exp(2 pi i k / m), or with ``odd`` the m points
+    halfway between them, exp(2 pi i (2k + 1) / (2m)); built once, read-only.
+
+    The points of a contour level of m points are z0 + radius times these.
+    """
+    if odd:
+        points = np.exp(2j * np.pi * (2 * np.arange(m) + 1) / (2 * m))
+    else:
+        points = np.exp(2j * np.pi * np.arange(m) / m)
+    points.flags.writeable = False
+    return points
+
+
 def contour_derivatives(
     f: Callable[[np.ndarray], np.ndarray],
     z0: complex,
@@ -597,13 +631,8 @@ def contour_derivatives(
         m *= 2
     index = np.array(orders)
     scale = np.array([math.factorial(n) / radius**n for n in orders])
-
-    def odd(m: int) -> np.ndarray:
-        """The m points of the next level, halfway between those of this one."""
-        return z0 + radius * np.exp(2j * np.pi * (2 * np.arange(m) + 1) / (2 * m))
-
-    circle = z0 + radius * np.exp(2j * np.pi * np.arange(m) / m)
-    first = np.asarray(f(np.concatenate((circle, odd(m)))), dtype=complex)
+    circle = z0 + radius * _unit_points(m, False)
+    first = np.asarray(f(np.concatenate((circle, z0 + radius * _unit_points(m, True)))), dtype=complex)
     vals, odd_vals = first[:m], first[m:]
     prev = None
     while True:
@@ -617,7 +646,7 @@ def contour_derivatives(
             raise NonConvergence(f"contour trapezoid stalled at {m} points")
         prev = est
         if odd_vals is None:
-            odd_vals = f(odd(m))
+            odd_vals = f(z0 + radius * _unit_points(m, True))
         merged = np.empty(2 * m, dtype=complex)
         merged[0::2] = vals
         merged[1::2] = odd_vals

@@ -4,7 +4,10 @@ Everything downstream (hypergeometric series, Jacobi-function prefactors,
 identity right-hand sides) is built on these few scalar operations, so they
 are kept dependency-free and exact where exactness matters: rising factorials
 with a non-negative count are always computed as literal products so that
-terminating series see exact zeros.
+terminating series see exact zeros.  The pole test ``is_gamma_pole``
+measures the distance to {0, -1, -2, ...} only where it can fall below the
+tolerance: a finite Re z at or above the tolerance passes at once, which is
+every gamma call on the right half-plane.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+# The series' terms c_k / (z + (k - 1)), k >= 1, as (c_k, float offset) pairs:
+# z + float(k - 1) rounds as z + (k - 1) does.
+_LANCZOS_TERMS = tuple(zip(_LANCZOS_C[1:], map(float, range(len(_LANCZOS_C) - 1))))
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.91893853320467274178
 POLE_TOL = 1e-12
 # Entries per exact_memo cache.  Enough for the keys of one parameter triple
@@ -62,14 +69,22 @@ def distance_to_nonpositive_integers(z: Complex) -> float:
 
 
 def is_gamma_pole(z: Complex, tol: float = POLE_TOL) -> bool:
-    """True when z is within tol of a non-positive integer."""
+    """True when z is within tol of a non-positive integer.
+
+    The distance to the non-positive integers is at least Re z, so a finite
+    Re z >= tol returns False without measuring it.  Any other z (Re z NaN or
+    +-inf included, which raise from ``round``) is measured.
+    """
+    z = complex(z)
+    if tol <= z.real < math.inf:
+        return False
     return distance_to_nonpositive_integers(z) < tol
 
 
 def _lanczos_series(z: complex) -> complex:
     s = complex(_LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[k] / (z + (k - 1))
+    for c, offset in _LANCZOS_TERMS:
+        s += c / (z + offset)
     return s
 
 
@@ -88,7 +103,7 @@ def gamma(z: Complex) -> complex:
         return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
     t = z + (_LANCZOS_G - 0.5)
     try:
-        value = math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * _lanczos_series(z)
+        value = _SQRT_2PI * t ** (z - 0.5) * cmath.exp(-t) * _lanczos_series(z)
     except OverflowError:
         value = complex(math.inf, 0.0)
     if not cmath.isfinite(value):
@@ -173,6 +188,25 @@ def pochhammer_product(a_list: list[Complex] | tuple[Complex, ...], k: int) -> c
     for a in a_list:
         p *= pochhammer(a, k)
     return p
+
+
+def pochhammer_products(a_list: list[Complex] | tuple[Complex, ...], n: int) -> list[complex]:
+    """``pochhammer_product(a_list, k)`` for k = 0..n, with the same bits.
+
+    Each (a)_k is carried from (a)_(k-1) by ``pochhammer``'s own last
+    factor a + (k-1), and the list product is formed in the same order, so
+    the n + 1 products cost O(n) factors rather than O(n^2).
+    """
+    a_list = [complex(a) for a in a_list]
+    runs = [1.0 + 0.0j] * len(a_list)
+    out = [1.0 + 0.0j]
+    for k in range(n):
+        p = 1.0 + 0.0j
+        for i, a in enumerate(a_list):
+            runs[i] *= a + k
+            p *= runs[i]
+        out.append(p)
+    return out
 
 
 def exact_memo(fn):

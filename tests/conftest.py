@@ -12,6 +12,7 @@ property's own ``@settings`` gives only its number of examples.
 from __future__ import annotations
 
 import cmath
+import struct
 from random import Random
 
 import pytest
@@ -57,6 +58,12 @@ def legendre_q_via_recurrence(n: int, z: complex) -> complex:
     for k in range(1, n):
         qm, qc = qc, ((2 * k + 1) * z * qc - k * qm) / (k + 1)
     return qc
+
+
+def bits(z) -> bytes:
+    """The bits of a complex or real value, signed zeros and NaN payloads included."""
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
 
 
 @pytest.fixture

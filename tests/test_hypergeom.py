@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bits
 from jacobifn import hypergeom
 from jacobifn.errors import (
     ContinuationRequired,
@@ -27,7 +28,7 @@ from jacobifn.hypergeom import (
     reverse_finite_series,
 )
 from jacobifn.quadrature import contour_derivative
-from jacobifn.scalar_kernel import gamma, pochhammer, reciprocal_gamma
+from jacobifn.scalar_kernel import gamma, pochhammer, pochhammer_product, reciprocal_gamma
 
 
 def vec(f):
@@ -292,3 +293,131 @@ def test_ohyp2f1_work_count_pinned():
         except JacobiFnError:
             raised += 1
     assert (terms, raised) == (17358, 48)
+
+
+
+def _leading_terms_reference(upper, lower, z, limit, regularized, rgamma=reciprocal_gamma):
+    """The leading terms with every Pochhammer product formed from scratch."""
+    k0 = 0
+    if regularized:
+        for b in lower:
+            k0 = max(k0, int(math.ceil(0.5 - b.real)))
+        k0 = min(k0, limit)
+    total = 0.0 + 0.0j
+    abs_acc = 0.0
+    term = 1.0 + 0.0j
+    zk = 1.0 + 0.0j
+    kfac = 1.0
+    for k in range(k0 + 1):
+        if k > 0:
+            zk *= z
+            kfac *= k
+            term = pochhammer_product(upper, k) * zk / kfac
+        if regularized:
+            for b in lower:
+                term *= rgamma(b + k)
+        total += term
+        abs_acc += abs(term)
+    return k0, term, total, abs_acc
+
+
+def _state_bits(state):
+    return tuple(x if isinstance(x, int) else bits(x) for x in state)
+
+
+_signed = st.sampled_from([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-2.0, -0.0), complex(1.5, -0.0)])
+
+
+@given(
+    upper=st.lists(st.one_of(st.builds(complex, st.floats(-6.0, 6.0), st.floats(-1.5, 1.5)), _signed), min_size=1, max_size=3),
+    k0=st.integers(0, 12),
+    shift=st.one_of(st.floats(0.0, 0.99), st.sampled_from([0.0, 0.5])),
+    im=st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0])),
+    z=st.one_of(_disk_point, _signed),
+    regularized=st.booleans(),
+)
+@settings(max_examples=300)
+def test_leading_terms_match_pochhammer_product_form(upper, k0, shift, im, z, regularized):
+    # k0 = ceil(0.5 - Re c); shift 0.5 puts c on an integer, a pole of gamma.
+    c = complex(0.5 - k0 + shift, im)
+    args = (tuple(upper), (c,), z, hypergeom.MAX_TERMS, regularized)
+    got = hypergeom._leading_terms(*args)
+    assert got[0] == (k0 if regularized else 0)
+    assert _state_bits(got) == _state_bits(_leading_terms_reference(*args))
+
+
+# Stand-ins for 1/Gamma whose values have -0.0 parts: one shows the sign of
+# its argument's imaginary zero, one is a constant.
+_SIGNED_RGAMMA = (
+    lambda w: complex(math.copysign(0.0, w.imag), 1.0),
+    lambda w: complex(-0.0, 1.0),
+)
+
+
+@pytest.mark.parametrize("rgamma", range(len(_SIGNED_RGAMMA)))
+@pytest.mark.parametrize("k0", [0, 1, 4])
+@pytest.mark.parametrize("im", [0.0, -0.0])
+def test_leading_terms_keep_the_signed_zeros_of_the_loop(monkeypatch, rgamma, k0, im):
+    # The same operations on every bit, signed zeros included.
+    rgamma = _SIGNED_RGAMMA[rgamma]
+    monkeypatch.setattr(hypergeom, "_lower_rgamma", rgamma)
+    c = complex(0.7 - k0, im)
+    for z in (complex(-0.0, -0.0), 0.3 - 0.2j):
+        args = ((complex(-0.0, -0.0), 1.5 + 0.0j), (c,), z, hypergeom.MAX_TERMS, True)
+        want = _leading_terms_reference(*args, rgamma=rgamma)
+        assert _state_bits(hypergeom._leading_terms(*args)) == _state_bits(want)
+
+
+def _loops_agree(upper, lower, z, k, limit, term, total, abs_acc):
+    args = (upper, lower, z, k, limit, True, term, total, abs_acc)
+    fast = hypergeom._ratio_loop_2f1(*args)
+    assert _state_bits(fast) == _state_bits(hypergeom._ratio_loop(*args))
+    return fast
+
+
+def test_stop_prefilter_matches_the_unfiltered_rule_on_edge_sums():
+    upper, lower, z = (1.0 + 0.0j, 1.0 + 0.0j), (1.0 + 0.0j,), 0.5 + 0.0j
+    # The next term is term * z; a start total of minus it leaves exactly 0,
+    # or a subnormal total, against a sum of |terms| of 1.
+    for term in (1e-3 + 0.0j, 1e-300 + 1e-301j):
+        nxt = term * ((upper[0] + 1) * (upper[1] + 1)) * z / ((lower[0] + 1) * 2)
+        for extra in (0.0, 5e-324, 1e-310, -4e-320):
+            _loops_agree(upper, lower, z, 1, hypergeom.MAX_TERMS, term, complex(-nxt.real + extra, -nxt.imag), 1.0)
+    # A cancelling series: 2F1(-30.5, 31; 1; 0.97) has terms of 1e17 and a
+    # sum of order 1, so |total| is far below the sum of |terms|.
+    k, term, total, acc = _loops_agree(
+        (-30.5 + 0.0j, 31.0 + 0.0j), (1.0 + 0.0j,), 0.97 + 0.0j, 0, hypergeom.MAX_TERMS, 1.0 + 0.0j, 1.0 + 0.0j, 1.0
+    )
+    assert abs(total) < 1e-12 * acc
+    # Subnormal terms, all below STOP_RATIO * 1e-300, against as small a sum
+    # of |terms|: the rule counts them from the floor.
+    for tiny in (1e-318, 5e-324, 1e-310):
+        _loops_agree(upper, lower, z, 1, hypergeom.MAX_TERMS, complex(tiny, 0.0), complex(tiny, 0.0), tiny)
+    # A series cut at the term cap, and one that starts a few terms below it.
+    for k in (0, hypergeom.MAX_TERMS - 4):
+        k_end, *_ = _loops_agree(
+            (0.5 + 0.0j, 0.5 + 0.0j), (1.5 + 0.0j,), 0.9995 + 0.0j, k, hypergeom.MAX_TERMS, 1e-4 + 0.0j, 2.0 + 0.0j, 3.0
+        )
+        assert k_end == hypergeom.MAX_TERMS
+
+
+@given(
+    a=_box_param,
+    b=_box_param,
+    c=_lower_param.filter(lambda c: c.real > 0.5),
+    z=_disk_point,
+    k=st.one_of(st.integers(0, 40), st.integers(hypergeom.MAX_TERMS - 40, hypergeom.MAX_TERMS)),
+    term=st.one_of(
+        st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        st.builds(complex, st.floats(-1e-305, 1e-305), st.floats(-1e-305, 1e-305)),
+    ),
+    total=st.one_of(
+        st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        st.builds(complex, st.floats(-1e-305, 1e-305), st.floats(-1e-305, 1e-305)),
+    ),
+    scale=st.one_of(st.just(0.0), st.floats(1e-300, 1e20)),
+)
+@settings(max_examples=300)
+def test_stop_prefilter_matches_the_unfiltered_rule(a, b, c, z, k, term, total, scale):
+    # Any state of the loop: the sum of |terms| so far need not bound |total|.
+    _loops_agree((complex(a), complex(b)), (complex(c),), z, k, hypergeom.MAX_TERMS, term, total, abs(total) + scale)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from random import Random
 
 import numpy as np
@@ -407,6 +408,58 @@ def test_tanh_sinh_node_tables_are_read_only():
     for table in _columns(_ray_map, _TS_TMAX, _first_levels()) + _columns(_segment_map, _TS_SEG_TMAX, (6,)):
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+def test_contour_unit_points_are_read_only_roots_of_unity():
+    # Built once per point count and shared by every contour: the bits of
+    # the formula each level used to evaluate, and read-only.
+    from jacobifn.quadrature import _unit_points
+
+    for m in (16, 32, 4096):
+        k = np.arange(m)
+        assert _unit_points(m, False).tobytes() == np.exp(2j * np.pi * k / m).tobytes()
+        assert _unit_points(m, True).tobytes() == np.exp(2j * np.pi * (2 * k + 1) / (2 * m)).tobytes()
+        for table in (_unit_points(m, False), _unit_points(m, True)):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+
+def test_complex_inf_at_a_node_raises_nonconvergence_without_a_warning():
+    # A complex inf times a real weight forms inf * 0 (nan) in the imaginary
+    # part; the level is not finite, and no numpy warning comes first.
+    start = 1.0 + 0.5j
+    tail = start + 2.0 ** np.arange(4, 21, 2)
+
+    def f(w):
+        v = np.exp(-w)
+        return np.where(np.isin(w, tail), v, np.inf)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="tanh-sinh-0: integrand values not finite"):
+            integrate_to_infinity(f, start)
+        with pytest.raises(NonConvergence, match="tanh-sinh-seg-0"):
+            tanh_sinh_segment(lambda x, omx, opx: np.where(x > 0.5, np.inf, np.exp(1j * x)))
+        with pytest.raises(NonConvergence, match="gauss-jacobi-8"):
+            integrate_finite(lambda t: np.where(t > 0.5, np.inf, np.exp(1j * t)), 0.0, 0.0)
+
+
+def test_complex_inf_at_a_node_of_a_level_not_reached_is_ignored():
+    # This rule stops at level 3; an inf at a level-4 node of its first call
+    # changes nothing, as a call per level would not have sampled it.
+    x4 = math.tanh(0.5 * math.pi * math.sinh(1.0 / 16.0))
+
+    def g(x, omx, opx):
+        return 1.0 / (3.0 + x) + 0.0j
+
+    def g_inf(x, omx, opx):
+        return np.where(np.abs(x - x4) < 1e-12, np.inf, g(x, omx, opx))
+
+    expected = tanh_sinh_segment(g)
+    assert expected.provenance == "tanh-sinh-seg-3"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tanh_sinh_segment(g_inf) == expected
 
 
 def test_tanh_sinh_segment_integrand_may_write_into_its_nodes():

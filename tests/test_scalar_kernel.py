@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bits
 from jacobifn.errors import FactorOverflow, PoleError, UndefinedError
 from jacobifn.scalar_kernel import (
     binomial,
@@ -13,6 +14,7 @@ from jacobifn.scalar_kernel import (
     log_gamma,
     pochhammer,
     pochhammer_product,
+    pochhammer_products,
     reciprocal_gamma,
 )
 
@@ -184,3 +186,82 @@ def test_exact_memo_tells_signed_zeros_apart():
     assert log(complex(-1.0, 0.0)).imag == math.pi
     info = log.cache_info()
     assert (info.hits, info.misses) == (1, 2)
+
+
+
+def _lanczos_series_reference(z: complex) -> complex:
+    """The Lanczos sum as a loop over the coefficient table and integer offsets."""
+    from jacobifn.scalar_kernel import _LANCZOS_C
+
+    s = complex(_LANCZOS_C[0])
+    for k in range(1, len(_LANCZOS_C)):
+        s += _LANCZOS_C[k] / (z + (k - 1))
+    return s
+
+
+# gamma and log_gamma sum the series at Re z >= 0.5 only.
+@given(z=st.builds(complex, st.floats(0.5, 200), st.floats(-60, 60)))
+@settings(max_examples=300)
+def test_lanczos_series_matches_coefficient_loop(z):
+    from jacobifn.scalar_kernel import _lanczos_series
+
+    assert bits(_lanczos_series(z)) == bits(_lanczos_series_reference(z))
+
+
+def test_lanczos_series_matches_coefficient_loop_at_signed_zeros():
+    from jacobifn.scalar_kernel import _lanczos_series
+
+    for z in (complex(0.5, -0.0), complex(0.5, 0.0), complex(1.0, -0.0), complex(3.0, -0.0), complex(math.inf, -0.0)):
+        assert bits(_lanczos_series(z)) == bits(_lanczos_series_reference(z))
+
+
+def _pole_outcome(fn, z, tol):
+    try:
+        return fn(z, tol)
+    except Exception as exc:  # the reference raises from round() at NaN and inf
+        return type(exc)
+
+
+def _is_gamma_pole_reference(z, tol):
+    from jacobifn.scalar_kernel import distance_to_nonpositive_integers
+
+    return distance_to_nonpositive_integers(z) < tol
+
+
+def test_pole_test_exit_matches_the_distance():
+    from jacobifn.scalar_kernel import POLE_TOL, is_gamma_pole
+
+    inf, nan = math.inf, math.nan
+    reals = [
+        math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+        math.nextafter(POLE_TOL, 0.0), POLE_TOL, math.nextafter(POLE_TOL, 1.0),
+        0.0, -0.0, -3.0, -3.0 + 0.9 * POLE_TOL, -3.0 - 0.9 * POLE_TOL, -3.0 + POLE_TOL,
+        7.25, 1e308, inf, -inf, nan,
+    ]
+    imags = [0.0, -0.0, 0.5 * POLE_TOL, -0.9 * POLE_TOL, 2.0 * POLE_TOL, 1.0, inf, -inf, nan]
+    for x in reals:
+        for y in imags:
+            for tol in (POLE_TOL, 0.0, 0.5, 0.75, -1.0):
+                z = complex(x, y)
+                got = _pole_outcome(is_gamma_pole, z, tol)
+                assert got == _pole_outcome(_is_gamma_pole_reference, z, tol), (z, tol)
+    # The distance is measured, and raises, where Re z is NaN or +-inf.
+    for x in (nan, inf, -inf):
+        assert _pole_outcome(is_gamma_pole, complex(x, 0.0), POLE_TOL) in (ValueError, OverflowError)
+    assert is_gamma_pole(complex(-3.0 + 0.9 * POLE_TOL, 0.0))
+    assert not is_gamma_pole(complex(0.5, 0.0))
+
+
+@given(
+    a_list=st.lists(
+        st.one_of(
+            st.builds(complex, st.floats(-12, 12), st.floats(-3, 3)),
+            st.sampled_from([complex(-0.0, -0.0), complex(-3.0, -0.0), complex(0.0, -0.0), -2.0, 1, complex(math.inf, 0.0)]),
+        ),
+        max_size=3,
+    ),
+)
+@settings(max_examples=200)
+def test_pochhammer_products_match_pochhammer_product(a_list):
+    products = pochhammer_products(a_list, 12)
+    assert [bits(p) for p in products] == [bits(pochhammer_product(a_list, k)) for k in range(13)]
