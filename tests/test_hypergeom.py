@@ -297,7 +297,7 @@ def test_ohyp2f1_work_count_pinned():
 
 
 def _leading_terms_reference(upper, lower, z, limit, regularized, rgamma=reciprocal_gamma):
-    """The leading terms with every Pochhammer product formed from scratch."""
+    """The leading terms with each Pochhammer product formed anew by ``pochhammer_product``."""
     k0 = 0
     if regularized:
         for b in lower:
