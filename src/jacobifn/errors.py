@@ -83,7 +83,7 @@ class NonConvergence(JacobiFnError):
 
 
 class DecayCheckFailed(JacobiFnError):
-    """Sampled tail of an improper integrand does not decay fast enough."""
+    """Declared decay exponent of an improper integrand is not below -1 by the ray's margin."""
 
 
 class OrderCapExceeded(JacobiFnError):

@@ -66,6 +66,7 @@ from .quadrature import (
     FLAT,
     INV_SQ_MINUS,
     INV_SQ_PLUS,
+    RAY_MARGIN,
     Cut,
     RepeatedIntegralSpec,
     contour_derivative,
@@ -85,10 +86,8 @@ P_DERIV_CUT = Cut.union(P_CUT, Cut.right_ray(1.0))
 # (-oo, 1], not only off its cut [-1, 1].
 Q_DERIV_CUT = Cut.left_ray(1.0)
 
-# Margins: reject samples this close to a constraint boundary (finite /
-# improper entries respectively).
+# Reject samples within MARGIN of a constraint boundary; ray entries use RAY_MARGIN.
 MARGIN = 0.1
-RAY_MARGIN = 0.25
 
 _eval_cost = 0
 
@@ -400,13 +399,21 @@ def _finite_entry(
     _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, cons, sample, note))
 
 
+def _ray_exponent(kind: str, pairs, p: JacobiParams) -> float:
+    """The e with |f| = O(|w|^e) on the ray: P ~ A w^g + B w^(-g-a-b-1), Q ~ w^(-g-a-b-1), times the weights."""
+    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
+    lead = -(a + b + g + 1.0).real
+    return (max(g.real, lead) if kind == "P" else lead) + sum(complex(e(p)).real for _, e in pairs)
+
+
 def _ray_entry(ident, desc, kind, pairs, rhs, hypotheses, sample, note=None):
     """Improper n-fold integral of P or Q along the ray from z to infinity.
 
     P enters in scaled form and Q in log form, and the weights join in log
     space, so neither the dominant large-w branch nor a weight overflows
     before their product decays.  The scaled P runs through the large-z
-    connection, so P entries also check ``_connection_safe``.
+    connection, so P entries also check ``_connection_safe``.  The ray's
+    decay exponent, ``_ray_exponent``, is the one the hypothesis rows bound.
     """
 
     def lhs(p: JacobiParams, z: complex, n: int) -> complex:
@@ -425,7 +432,7 @@ def _ray_entry(ident, desc, kind, pairs, rhs, hypotheses, sample, note=None):
             return np.exp(add_log_weights(0.0 + 0.0j, w) + log_scale) * mant
 
         spec = RepeatedIntegralSpec(n, z, None, FLAT, "lower")
-        return repeated_integral(f, spec, rtol=1e-12).value
+        return repeated_integral(f, spec, anchor_exponent=_ray_exponent(kind, pairs, p), rtol=1e-12).value
 
     _SOURCES[ident] = (_ray_entry, pairs, rhs, None)
     rows = (hypotheses, _connection_safe) if kind == "P" else (hypotheses,)

@@ -2,9 +2,9 @@
 
 * Gauss-Jacobi rules (Golub-Welsch) for weighted integrals on [-1, 1] with
   endpoint singularities absorbed into the weight.
-* Improper integrals along a ray via the u/(1-u) compactification followed
-  by tanh-sinh quadrature, which tolerates the algebraic endpoint behavior
-  the substitution creates at u = 1.
+* Improper integrals of a declared decay exponent along a ray via the
+  u/(1-u) compactification and tanh-sinh quadrature, which tolerates the
+  algebraic endpoint behavior the substitution creates at u = 1.
 * Reduction of n-fold iterated integrals to a single weighted integral via
   the repeated-integration kernel, in the measure's own antiderivative
   variable.
@@ -22,13 +22,11 @@ tanh-sinh rule's first call takes its levels 0-4 together, and a contour's
 first call its first two levels; each later level is one call (on a deep
 tanh-sinh level, one per chunk of 2048 nodes) with that level's new nodes.
 The first call is speculative: an integrand that raises at a node of a
-level the rule would not have reached raises.  A ray's first call also
-holds the 9 tail samples of its decay check, so where the tail fails, its
-levels 0-4 were evaluated for nothing, and they may have warned.  A scalar
-callable runs there as ``numpy.vectorize(f, otypes=[complex])``.  A level
-whose samples or sum are not finite (an integrand that overflows, or
-returns inf or nan at a node) raises NonConvergence rather than return inf
-or nan, and its weights and sums do not warn first.
+level the rule would not have reached raises.  A scalar callable runs
+there as ``numpy.vectorize(f, otypes=[complex])``.  A level whose samples
+or sum are not finite (an integrand that overflows, or returns inf or nan
+at a node) raises NonConvergence rather than return inf or nan, and its
+weights and sums do not warn first.
 
 All routines are pure.  Gauss rules, the tanh-sinh node maps (per rule and
 levels of a call) and the contours' roots of unity (per point count) are
@@ -195,10 +193,9 @@ _TS_CHUNK = 2048
 
 
 # Levels 0 to _TS_FIRST_LEVEL go to the integrand in one call: 151 ray
-# nodes with the decay check's 9 tail points, or 161 segment nodes, within
-# one Jacobi batch of BATCH_POINTS, where most integrals stop.  A call costs
-# far more than its points, so the nodes of a level the rule may not reach
-# are cheaper than a call per level.
+# nodes or 161 segment nodes, within one Jacobi batch of BATCH_POINTS, where
+# most integrals stop.  A call costs far more than its points, so the nodes
+# of a level the rule may not reach are cheaper than a call per level.
 _TS_FIRST_LEVEL = 4
 
 
@@ -275,17 +272,18 @@ def _level_values(values, columns: tuple[np.ndarray, ...]) -> np.ndarray:
     )
 
 
-def _tanh_sinh(values, node_map, tmax: float, first: np.ndarray, rtol: float, label: str) -> EvalResult:
+def _tanh_sinh(values, node_map, tmax: float, rtol: float, label: str) -> EvalResult:
     """Tanh-sinh doubling on t in [-tmax, tmax]: step 1, then 1/2, ..., 2^-_TS_MAX_LEVEL.
 
     ``values`` maps the columns of ``node_map`` at an ndarray of t to the
-    weighted integrand there.  ``first`` holds its values at the nodes of
-    the rule's first call, levels 0 to _TS_FIRST_LEVEL.  Each later level's
-    new (odd) nodes follow in calls of at most _TS_CHUNK nodes.  The sums,
-    tests and result are those of one call per level, but the first call is
-    speculative: an integrand that raises at a node of a level the rule
-    would not have reached raises here too.
+    weighted integrand there.  Its first call takes the nodes of levels 0 to
+    _TS_FIRST_LEVEL, and each later level's new (odd) nodes follow in calls
+    of at most _TS_CHUNK nodes.  The sums, tests and result are those of one
+    call per level, but the first call is speculative: an integrand that
+    raises at a node of a level the rule would not have reached raises here
+    too.
     """
+    first = values(*_columns(node_map, tmax, _first_levels()))
     ends = _offsets(tmax, _first_levels())
     v = first[: ends[1]]
     half = v.size // 2
@@ -314,64 +312,33 @@ def _tanh_sinh(values, node_map, tmax: float, first: np.ndarray, rtol: float, la
     return EvalResult(complex(total), delta, f"{label}-{_TS_MAX_LEVEL}")
 
 
-# The decay check's sample offsets t = 16, 64, ..., 2^20 along the ray, and t^1.01.
-_TAIL = 2.0 ** np.arange(4, 21, 2)
-_TAIL_WEIGHT = _TAIL**1.01
-
-
-def _decay_check(values: np.ndarray) -> None:
-    """Reject integrands whose values at the ray's _TAIL fail |f| * t^1.01 decay."""
-    gs = np.abs(values) * _TAIL_WEIGHT
-    floor = 1e-280
-    tail = gs[-4:]
-    if not np.all(np.isfinite(tail)):
-        raise DecayCheckFailed(f"sampled tail not finite: |f|*t^1.01 = {tail}")
-    if np.all(tail < floor):
-        return
-    for older, newer in zip(tail, tail[1:]):
-        if newer > 1.01 * older + floor:
-            raise DecayCheckFailed(
-                f"sampled tail grows: |f|*t^1.01 went {older:.3e} -> {newer:.3e}"
-            )
+# How far below -1 a ray integrand's decay exponent must lie.
+RAY_MARGIN = 0.25
 
 
 def integrate_to_infinity(
     f: Callable[[np.ndarray], np.ndarray],
     start: complex,
+    decay_exponent: float,
     *,
     rtol: float = 1e-11,
 ) -> EvalResult:
-    """Integral of f along the ray start + t, t in [0, oo).
+    """Integral of f along the ray start + t, t in [0, oo), where |f| = O(t^decay_exponent).
 
     Substitutes t = u/(1-u) and runs tanh-sinh on u in (0, 1), doubling the
-    node density until two levels agree.  f takes an ndarray of points.
-
-    f's first call takes the decay check's 9 tail points with the 151 nodes
-    of levels 0 to _TS_FIRST_LEVEL, and the tail's verdict comes before any
-    level sum.  Where that call raises, the tail alone decides as a call of
-    its own would have: its error, else DecayCheckFailed, else the first
-    call's error.
+    node density until two levels agree.  f takes an ndarray of points.  An
+    exponent above -1 - RAY_MARGIN raises DecayCheckFailed before f is called.
     """
+    if not decay_exponent <= -1.0 - RAY_MARGIN:
+        raise DecayCheckFailed(f"declared decay exponent {decay_exponent} is above {-1.0 - RAY_MARGIN}")
     start = complex(start)
-    ratio, dudt, om2 = _columns(_ray_map, _TS_TMAX, _first_levels())
-    error = None
-    try:
-        joint = f(np.concatenate((start + _TAIL, start + ratio)))
-    except Exception as exc:
-        error = exc
-    if error is not None:
-        _decay_check(f(start + _TAIL))
-        raise error
-    _decay_check(joint[: _TAIL.size])
 
     def values(ratio, dudt, om2):
         samples = f(start + ratio)
         with np.errstate(**_QUIET):
             return samples * dudt / om2
 
-    with np.errstate(**_QUIET):
-        first = joint[_TAIL.size :] * dudt / om2
-    return _tanh_sinh(values, _ray_map, _TS_TMAX, first, rtol, "tanh-sinh")
+    return _tanh_sinh(values, _ray_map, _TS_TMAX, rtol, "tanh-sinh")
 
 
 def tanh_sinh_segment(g, *, rtol: float = 1e-11) -> EvalResult:
@@ -389,8 +356,7 @@ def tanh_sinh_segment(g, *, rtol: float = 1e-11) -> EvalResult:
         with np.errstate(**_QUIET):
             return samples * dxdt
 
-    first = values(*_columns(_segment_map, _TS_SEG_TMAX, _first_levels()))
-    return _tanh_sinh(values, _segment_map, _TS_SEG_TMAX, first, rtol, "tanh-sinh-seg")
+    return _tanh_sinh(values, _segment_map, _TS_SEG_TMAX, rtol, "tanh-sinh-seg")
 
 
 # --- repeated integrals ------------------------------------------------------
@@ -437,9 +403,11 @@ def repeated_integral(
     The kernel (U(v) - U(w))^(n-1) / (n-1)! (U the measure antiderivative,
     v the variable endpoint) collapses the iteration.  The declared anchor
     exponent describes f's own algebraic behavior at the anchor end; with
-    the kernel's n - 1 at the variable end it gates integrability.  The
-    single integral runs on tanh-sinh nodes (complex exponents included), or
-    along the compactified ray for improper specs.
+    the kernel's n - 1 at the variable end it gates integrability; on a ray,
+    where the anchor end is infinity, the ray takes anchor_exponent + n - 1
+    as its decay exponent.  The single integral runs on tanh-sinh nodes
+    (complex exponents included), or along the compactified ray for improper
+    specs.
 
     f is called as f(w, hi_dist, lo_dist) with ndarrays: the nodes and
     their offsets hi - w and w - lo from the segment's ends, computed
@@ -466,7 +434,7 @@ def repeated_integral(
             lo_dist = w - z
             return f(w, np.full(w.shape, math.inf), lo_dist) * lo_dist ** (n - 1) * fac
 
-        res = integrate_to_infinity(ray_integrand, z, rtol=rtol)
+        res = integrate_to_infinity(ray_integrand, z, anchor_exponent + n - 1, rtol=rtol)
         return EvalResult(res.value, res.abs_error_estimate, f"repeated-{n}|{res.provenance}")
 
     lo = complex(spec.lower)
