@@ -11,9 +11,14 @@ Three evaluation layers:
   the 2F1 routines); other arities take the generic loop, which is also the
   tight loop's reference.  The tight loop measures |total| only for a term
   small enough to pass the stopping rule, and the leading terms carry their
-  Pochhammer products from term to term; neither changes a bit.  The
-  reciprocal gammas of the lower parameters are memoized, since every
-  point of a parameter triple repeats them.
+  Pochhammer products from term to term; neither changes a bit.  An
+  adaptive 2F1 series predicted to be long (``_predicted_terms`` above
+  ``_TAIL_TERMS``) is summed instead in numpy column blocks,
+  ``_block_tail_2f1``, with the loop's stopping rule, estimate and term
+  cap; one block replaces hundreds of Python iterations, and its values
+  differ from the loop's by rounding.  The reciprocal gammas of the lower
+  parameters are memoized, since every point of a parameter triple
+  repeats them.
 * ``gauss2f1`` / ``ohyp2f1`` -- the 2F1 specializations, both served by one
   continuation routine with automatic argument transformation.  The
   reachable arguments under the classical maps are {z, z/(z-1)} (Euler's map
@@ -38,8 +43,8 @@ Three evaluation layers:
   status per point marks those it does not cover (on the cut, no map
   inside the disk, the term cap); the Jacobi layers evaluate them with the
   scalar call, which raises or warns as documented.  The scalar routines
-  stay the reference and serve single calls, where numpy's per-call
-  overhead would lose.
+  stay the reference and serve single calls, whose short series run in
+  Python, where numpy's per-call overhead would lose.
 * ``reverse_finite_series`` -- a finite sum evaluated both directly and in
   reversed order as a new hypergeometric sum in 1/z; the two routes must
   agree and are used as mutual checks.
@@ -77,6 +82,7 @@ MAX_TERMS = 10_000
 _STOP_SLOPE = 2.0 * STOP_RATIO
 _STOP_FLOOR = STOP_RATIO * 1e-300
 _EPS = 2.220446049250313e-16
+_LOG_EPS = math.log(_EPS)
 # Argument routing of the 2F1 continuation: the direct series is taken
 # inside DIRECT_LIMIT, and no series runs beyond MAP_LIMIT.
 DIRECT_LIMIT = 0.75
@@ -93,6 +99,15 @@ BATCH_POINTS = 256
 _BATCH_COLS = 32
 # Terms added to the first column block's estimate, for the STOP_RUN run.
 _FIRST_MARGIN = 8
+# A scalar adaptive 2F1 series predicted to need more than _TAIL_TERMS terms
+# past the leading ones is summed in numpy blocks of at most _TAIL_COLS terms
+# (``_block_tail_2f1``).  A block costs about as much as 65 loop iterations;
+# a switch at 65 terms ran no faster end to end than one at 140, which
+# changes the bits of fewer scalar calls.
+_TAIL_TERMS = 140
+_TAIL_COLS = 1024
+# The term indices 0..MAX_TERMS as complex numbers, sliced by the blocks.
+_INDEX = np.arange(MAX_TERMS + 1.0).astype(complex)
 # Taylor coefficients kept per memoized triple.  A longer series extends a
 # copy for the call: one row of work against the batch's rows of terms,
 # while the memo's 64 tables stay small.
@@ -275,18 +290,113 @@ def _ratio_loop_2f1(upper, lower, z, k, limit, adaptive, term, total, abs_acc):
     return k, term, total, abs_acc
 
 
+def _predicted_terms(modulus: float, growth: float) -> float:
+    """About how many terms past the leading ones a 2F1 series at |x| = modulus needs.
+
+    Past the leading ones the terms fall like k^s |x|^k, where s = growth =
+    Re(a + b - c - 1) is the growth of the coefficients, so a series at
+    |x| < 1 needs about the k with k log|x| + s log k = log eps, found by
+    two fixed-point steps from log(eps)/log|x| (Pearson, Olver & Porter
+    2017).  It decides only how the work is cut: the first block of a
+    batch, and whether a scalar series takes the loop or the blocks.
+    """
+    rate = -math.log(modulus if modulus > 1e-300 else 1e-300)
+    k = -_LOG_EPS / rate
+    k = (growth * math.log(k if k > 1.0 else 1.0) - _LOG_EPS) / rate
+    return (growth * math.log(k if k > 1.0 else 1.0) - _LOG_EPS) / rate
+
+
+def _stop_run(flags, sizes, sums, first: int = 0):
+    """The adaptive stopping rule over a column block: (run, hit).
+
+    ``run`` holds the last two flags of the previous block (``flags``), then
+    one flag per column: whether the term, of size ``sizes``, is at most
+    STOP_RATIO of the running sum ``sums`` (floored at 1e-300).  The first
+    ``first`` columns hold leading terms, which never count.  ``hit`` marks
+    the columns that end STOP_RUN (= 3) flags in a row.  Works along the
+    last axis, so it serves one series or a block of rows.
+    """
+    run = np.empty(sizes.shape[:-1] + (sizes.shape[-1] + 2,), dtype=bool)
+    run[..., :2] = flags
+    scale = np.abs(sums)
+    np.maximum(scale, 1e-300, out=scale)
+    scale *= STOP_RATIO
+    np.less_equal(sizes, scale, out=run[..., 2:])
+    if first:
+        run[..., 2 : 2 + first] = False
+    hit = run[..., 2:] & run[..., 1:-1]
+    hit &= run[..., :-2]
+    return run, hit
+
+
+def _block_tail_2f1(upper, lower, z, k, term, total, abs_acc, width):
+    """The adaptive ``_ratio_loop_2f1`` summed in numpy column blocks.
+
+    Continues from term k as the loop does, ``width`` terms per block (the
+    later blocks twice as wide, up to _TAIL_COLS): the term ratios
+    (a+k)(b+k) x / ((c+k)(k+1)) of a block, one ``cumprod`` for its terms,
+    running sums left to right with ``total`` and ``abs_acc`` carried in,
+    and ``_stop_run`` with the last two flags carried across blocks.  The
+    stopping rule and the term cap are the loop's.  A term is a product of
+    ratios, not the loop's ((term (a+k)(b+k)) x) / ((c+k)(k+1)), so values
+    differ from the loop's by rounding; no value depends on the widths.
+    Returns (k, last term, total, sum of |terms|) as the loop does.
+    """
+    (a, b), (c,) = upper, lower
+    flags = np.zeros(2, dtype=bool)
+    # An overflow gives inf or nan terms, as in the loop, and no warning.
+    with np.errstate(all="ignore"):
+        while k < MAX_TERMS:
+            width = min(width, MAX_TERMS - k)
+            n = _INDEX[k : k + width]
+            # The carried term, the block's term ratios, then its terms
+            # from one product chain.
+            terms = np.empty(width + 1, dtype=complex)
+            terms[0] = term
+            ratio = terms[1:]
+            np.multiply(n + a, n + b, out=ratio)
+            ratio *= z
+            ratio /= (n + c) * _INDEX[k + 1 : k + width + 1]
+            np.cumprod(terms, out=terms)
+            accs = np.empty(width + 1)
+            accs[0] = abs_acc
+            sizes = np.abs(terms[1:], out=accs[1:])
+            # The running sums start from the carried total.
+            terms[0] = total
+            sums = np.cumsum(terms)
+            run, hit = _stop_run(flags, sizes, sums[1:])
+            np.cumsum(accs, out=accs)
+            j = int(hit.argmax()) + 1
+            if hit[j - 1]:
+                return k + j, complex(terms[j]), complex(sums[j]), float(accs[j])
+            k += width
+            term, total, abs_acc = terms[-1], sums[-1], accs[-1]
+            flags = run[-2:]
+            width = min(2 * width, _TAIL_COLS)
+    return k, complex(term), complex(total), float(abs_acc)
+
+
 def _series(upper, lower, z: complex, m_stop: int | None, regularized: bool) -> SeriesValue:
     """The series core: the plain or Olver-regularized pFq partial sum.
 
     m_stop is the exact termination order (inclusive) or None for the
     adaptive stopping rule.  ``regularized`` decides only the leading terms.
+    Past them, two upper parameters and one lower take ``_ratio_loop_2f1``,
+    or ``_block_tail_2f1`` for an adaptive sum of more than _TAIL_TERMS
+    predicted terms; other arities take ``_ratio_loop``.
     """
     limit = m_stop if m_stop is not None else MAX_TERMS
     k0, term, total, abs_acc = _leading_terms(upper, lower, z, limit, regularized)
-    loop = _ratio_loop_2f1 if len(upper) == 2 and len(lower) == 1 else _ratio_loop
-    k, term, total, abs_acc = loop(
-        upper, lower, z, k0, limit, m_stop is None, term, total, abs_acc
-    )
+    args = (upper, lower, z, k0, limit, m_stop is None, term, total, abs_acc)
+    if len(upper) != 2 or len(lower) != 1:
+        k, term, total, abs_acc = _ratio_loop(*args)
+    elif m_stop is None and (
+        need := _predicted_terms(abs(z), (upper[0] + upper[1] - lower[0]).real - 1.0)
+    ) > _TAIL_TERMS:
+        width = min(int(need) + _FIRST_MARGIN, _TAIL_COLS)
+        k, term, total, abs_acc = _block_tail_2f1(upper, lower, z, k0, term, total, abs_acc, width)
+    else:
+        k, term, total, abs_acc = _ratio_loop_2f1(*args)
     terms_used = k + 1
     rounding = _EPS * abs_acc
     if m_stop is not None:
@@ -462,24 +572,18 @@ def _taylor(a: complex, b: complex, c: complex) -> _Taylor:
 def _first_width(z: np.ndarray, last: int, taylor: _Taylor) -> int:
     """Terms in the first column block of ``_series_batch`` for the points z.
 
-    Past the leading ones the terms fall like k^s |z|^k, where s =
-    Re(a + b - c - 1) is the growth of the coefficients, so a series at
-    |z| < 1 needs about the k with k log|z| + s log k = log eps, found by
-    two fixed-point steps from log(eps)/log|z| (Pearson, Olver & Porter
-    2017).  A block that wide for the largest |z| usually covers every
-    point at once; a margin covers the STOP_RUN run.  An exact sum needs no
-    more than its last + 1 terms.  The width is clipped to [_BATCH_COLS,
-    BATCH_POINTS * _BATCH_COLS / points], the budget of the later blocks.
-    It decides only how the work is cut, never a value or a stop.
+    A block of ``_predicted_terms`` for the largest |z| past the leading
+    ones usually covers every point at once; a margin covers the STOP_RUN
+    run.  An exact sum needs no more than its last + 1 terms.  The width is
+    clipped to [_BATCH_COLS, BATCH_POINTS * _BATCH_COLS / points], the
+    budget of the later blocks.  It decides only how the work is cut, never
+    a value or a stop.
     """
     top = float(np.max(np.abs(z)))
     need = last + 1
     if top < 1.0:
-        rate = -math.log(max(top, 1e-300))
         growth = (taylor.a + taylor.b - taylor.c).real - 1.0
-        k = -math.log(_EPS) / rate
-        for _ in range(2):
-            k = (growth * math.log(max(k, 1.0)) - math.log(_EPS)) / rate
+        k = _predicted_terms(top, growth)
         need = min(need, taylor.k0 + _FIRST_MARGIN + int(k))
     budget = BATCH_POINTS * _BATCH_COLS // z.size
     return max(_BATCH_COLS, min(need, budget))
@@ -537,15 +641,7 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
         accs[:, 1:] = sizes
         np.cumsum(accs, axis=1, out=accs)
         if adaptive:
-            run = np.empty((rows.size, width + 2), dtype=bool)
-            run[:, :2] = flags
-            scale = np.abs(sums)
-            np.maximum(scale, 1e-300, out=scale)
-            scale *= STOP_RATIO
-            np.less_equal(sizes, scale, out=run[:, 2:])
-            run[:, 2 : max(2, taylor.k0 + 3 - k)] = False
-            hit = run[:, 2:] & run[:, 1:-1]
-            hit &= run[:, :-2]
+            run, hit = _stop_run(flags, sizes, sums, max(0, taylor.k0 + 1 - k))
             stop = hit.any(axis=1)
             col = hit.argmax(axis=1)
         else:

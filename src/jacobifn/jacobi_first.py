@@ -83,15 +83,23 @@ class JacobiParams:
     beta: complex
     gamma: complex
 
+    def finite(self) -> bool:
+        """alpha, beta and gamma all finite."""
+        return (
+            cmath.isfinite(complex(self.alpha))
+            and cmath.isfinite(complex(self.beta))
+            and cmath.isfinite(complex(self.gamma))
+        )
+
     def first_kind_valid(self) -> bool:
-        """alpha + gamma not a negative integer."""
-        return not is_gamma_pole(complex(self.alpha) + complex(self.gamma) + 1.0)
+        """Finite, with alpha + gamma not a negative integer."""
+        return self.finite() and not is_gamma_pole(complex(self.alpha) + complex(self.gamma) + 1.0)
 
     def second_kind_valid(self) -> bool:
-        """alpha + gamma and beta + gamma both off the negative integers."""
-        return not is_gamma_pole(
+        """Finite, with alpha + gamma and beta + gamma both off the negative integers."""
+        return self.first_kind_valid() and not is_gamma_pole(
             complex(self.beta) + complex(self.gamma) + 1.0
-        ) and self.first_kind_valid()
+        )
 
 
 class Representation(enum.Enum):
@@ -110,8 +118,15 @@ def _require_off_cut(cut: Cut, z: complex) -> None:
         raise DomainCutError(f"z={z} on or too near the cut {cut}")
 
 
+def _require_finite(params: JacobiParams) -> None:
+    """Raise ValidityError where alpha, beta or gamma is not finite."""
+    if not params.finite():
+        raise ValidityError(f"alpha, beta and gamma must be finite, not {params}")
+
+
 def _require_p_domain(params: JacobiParams, z: complex) -> None:
     if not params.first_kind_valid():
+        _require_finite(params)
         raise ValidityError(
             f"alpha+gamma={complex(params.alpha) + complex(params.gamma)} is a negative integer"
         )
@@ -401,8 +416,8 @@ def _rep_batch(params: JacobiParams, z: np.ndarray, rep: Representation):
 
     A row whose terminating sum overflows is not covered, and warns nothing.
     """
-    a1, b1, c1, x, factor = _rep_terms(params, z, rep)
     with np.errstate(over="ignore", invalid="ignore"):
+        a1, b1, c1, x, factor = _rep_terms(params, z, rep)
         series, serr, status = _ohyp2f1_batch(a1, b1, c1, x)
         return (*_apply_factor(factor, series, serr), status == BATCH_OK)
 

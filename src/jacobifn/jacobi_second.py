@@ -49,6 +49,7 @@ from .jacobi_first import (
     _joined,
     _memo_key,
     _pointwise,
+    _require_finite,
     _require_off_cut,
     jacobi_polynomial,
 )
@@ -70,6 +71,7 @@ class QIntegralSpec:
 
 def _require_q_domain(params: JacobiParams, z: complex) -> None:
     if not params.second_kind_valid():
+        _require_finite(params)
         raise ValidityError(
             "alpha+gamma or beta+gamma is a negative integer "
             f"({complex(params.alpha) + complex(params.gamma)}, "
@@ -173,7 +175,10 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool
             (p1, p2), on_y, e_m, e_p = _q_terms(a, b, g, rep)
             arg = (y if on_y else x)[idx]
             series[idx], serr[idx], status[idx] = _ohyp2f1_batch(p1, p2, c, arg)
-            logf[idx] = base_log - e_m * log_zm[idx] - e_p * log_zp[idx]
+            # An infinite z has infinite logs, whose products form inf * 0;
+            # its value is not finite, so the scalar call takes it.
+            with np.errstate(invalid="ignore"):
+                logf[idx] = base_log - e_m * log_zm[idx] - e_p * log_zp[idx]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if log:
             out = logf + np.log(series)

@@ -39,7 +39,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobifn import hypergeom
-from jacobifn.errors import FactorOverflow, JacobiFnError, NoConvergentPath, TruncationWarning
+from jacobifn.cli import main
+from jacobifn.errors import FactorOverflow, JacobiFnError, NoConvergentPath, TruncationWarning, ValidityError
 from jacobifn.hypergeom import (
     BATCH_NO_PATH,
     BATCH_OK,
@@ -442,6 +443,51 @@ def test_large_degree_or_parameter_returns_or_raises_a_library_error(kind):
             with pytest.raises(FactorOverflow):
                 call(z)
     assert issubclass(FactorOverflow, OverflowError)
+
+
+_NON_FINITE = (math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 1.0))
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+def test_non_finite_parameters_raise_validity_error(kind, capsys):
+    # At every entry point: the scalar and the array call, the scaled form
+    # or the log, and the table, which stops at its first point.
+    fns = (jacobi_p, jacobi_p_scaled) if kind == "P" else (jacobi_q, jacobi_q_log)
+    for bad in _NON_FINITE:
+        for i in range(3):
+            triple = [0.3 + 0.1j, 0.2, 0.5]
+            triple[i] = complex(bad)
+            for fn in fns:
+                for z in (2.0, np.array([2.0, 3.0])):
+                    with pytest.raises(ValidityError, match="must be finite"):
+                        fn(JacobiParams(*triple), z)
+            flags = (f"--{name}={w.real!r},{w.imag!r}" for name, w in zip(("alpha", "beta", "gamma"), triple))
+            assert main(["table", f"--kind={kind}", *flags, "--z-grid=2,4,3"]) == 1
+            assert capsys.readouterr().err.startswith("ValidityError at z=(2+0j): alpha, beta and gamma must be finite")
+
+
+@pytest.mark.parametrize("fn", [jacobi_p, jacobi_p_scaled, jacobi_q, jacobi_q_log])
+def test_an_infinite_z_in_an_array_gives_the_scalar_outcome(fn):
+    # The array holds a finite point and an infinite one; each gives what
+    # the scalar call gives there, a value (Q is 0 at infinity) or an error,
+    # and no numpy warning escapes.
+    params = JacobiParams(0.3, 0.2, 0.5)
+    for w in (complex(math.inf, 0.0), complex(0.0, math.inf), complex(0.0, -math.inf),
+              complex(math.inf, math.inf), complex(-math.inf, -1.0), complex(-math.inf, 1.0)):
+        try:
+            want = fn(params, w)
+        except JacobiFnError as exc:
+            with pytest.raises(type(exc)):
+                fn(params, np.array([2.0, w]))
+            continue
+        got = fn(params, np.array([2.0, w]))
+        if fn is jacobi_p_scaled:
+            assert [repr(complex(part[1])) for part in got] == [repr(part) for part in want]
+        elif fn is jacobi_q_log:
+            assert repr(complex(got[1])) == repr(want)
+        else:
+            assert (complex(got.value[1]), float(got.abs_error_estimate[1])) == (want.value, want.abs_error_estimate)
+            assert want.provenance in got.provenance.split("+")
 
 
 # --- the memo of the array calls -----------------------------------------------

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bits
@@ -17,6 +17,7 @@ from jacobifn.errors import (
     JacobiFnError,
     LowerPoleError,
     NoConvergentPath,
+    TruncationWarning,
     ZeroArgument,
 )
 from jacobifn.hypergeom import (
@@ -280,9 +281,25 @@ def test_2f1_loop_matches_generic_loop(a, b, c, z):
     assert fast == generic
 
 
-def test_ohyp2f1_work_count_pinned():
+def _recording(monkeypatch, name):
+    """Replace the hypergeom function ``name`` by one that records what it returns."""
+    seen = []
+    real = getattr(hypergeom, name)
+
+    def record(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(hypergeom, name, record)
+    return seen
+
+
+def test_ohyp2f1_work_count_pinned(monkeypatch):
     # A fixed sweep's total series work; a change to the stopping rule, the
-    # argument map or the continuation shows up here as a different count.
+    # argument map or the continuation shows up here as a different count,
+    # and a change to the switch between the loop and the block tail as a
+    # different number of tail sums.
+    tails = _recording(monkeypatch, "_block_tail_2f1")
     rng = Random(20261018)
     terms = raised = 0
     for _ in range(200):
@@ -292,7 +309,92 @@ def test_ohyp2f1_work_count_pinned():
             terms += ohyp2f1(a, b, c, z).terms_used
         except JacobiFnError:
             raised += 1
-    assert (terms, raised) == (17358, 48)
+    assert (terms, raised, len(tails)) == (17358, 48, 20)
+
+
+# The 2F1 parameters that the Jacobi representations take from a triple of
+# the catalog box: P's REP1 and REP3 at gamma, Q's REP1 and REP3 at gamma
+# and at the connection's companion degree -alpha-beta-gamma-1 (there
+# c = -alpha-beta-2 gamma, so Re c < 0 and k0 > 0 for most triples), each
+# also with the z/(z-1) map's uppers (a, c-b).
+_catalog = st.builds(complex, st.floats(-0.65, 2.8), st.floats(-0.45, 0.45))
+
+
+@st.composite
+def _jacobi_2f1(draw):
+    al, be, ga = draw(_catalog), draw(_catalog), draw(_catalog)
+    rep = draw(st.sampled_from(["P1", "P3", "Q1", "Q3", "Q1 companion", "Q3 companion"]))
+    g = -al - be - ga - 1.0 if rep.endswith("companion") else ga
+    if rep.startswith("P"):
+        a, b, c = -g, (al + be + g + 1.0 if rep == "P1" else -be - g), al + 1.0
+    else:
+        a, b, c = g + 1.0, (al if rep.startswith("Q1") else be) + g + 1.0, al + be + 2.0 * g + 2.0
+    if draw(st.booleans()):
+        b = c - b
+    return (a, b), (c,)
+
+
+def _estimate(state):
+    """The error estimate ``_series`` reports for a (k, last term, total, sum of |terms|) state."""
+    k, term, _, abs_acc = state
+    return (10.0 if k >= hypergeom.MAX_TERMS else 1.0) * abs(term) + hypergeom._EPS * abs_acc
+
+
+@given(_jacobi_2f1(), st.floats(0.7, 0.99), st.floats(-math.pi, math.pi), st.booleans())
+@settings(max_examples=300)
+def test_block_tail_agrees_with_the_loop(params, modulus, angle, regularized):
+    # Both continue from the leading terms; the tail's terms are products of
+    # ratios, so its sum differs from the loop's by rounding, and a stop may
+    # move by a term.
+    upper, lower = params
+    assume(hypergeom.termination_index(upper) is None)
+    assume(regularized or hypergeom.termination_index(lower) is None)
+    x = cmath.rect(modulus, angle)
+    k0, *start = hypergeom._leading_terms(upper, lower, x, hypergeom.MAX_TERMS, regularized)
+    loop = hypergeom._ratio_loop_2f1(upper, lower, x, k0, hypergeom.MAX_TERMS, True, *start)
+    tail = hypergeom._block_tail_2f1(upper, lower, x, k0, *start, 64)
+    assert abs(tail[0] - loop[0]) <= 1
+    assert abs(tail[2] - loop[2]) <= _estimate(tail) + _estimate(loop)
+
+
+def _series_bits(r):
+    return bits(r.value), bits(r.abs_error_estimate), r.terms_used, r.terminated
+
+
+def test_block_tail_bits_do_not_depend_on_the_block_width(monkeypatch):
+    # Terms, running sums and the stop flags carry from block to block, so
+    # blocks of 8 terms give the bits of the default blocks.
+    rng = Random(20261019)
+    calls = []
+    for _ in range(40):
+        a, b = (complex(rng.uniform(-1.0, 3.0), rng.uniform(-0.5, 0.5)) for _ in range(2))
+        c = complex(rng.uniform(-2.5, 3.0), rng.uniform(-0.5, 0.5))
+        x = cmath.rect(rng.uniform(0.9, 0.99), rng.uniform(-math.pi, math.pi))
+        calls.append(((a, b), (c,), x, None, rng.random() < 0.5 or c.real < 0.5))
+    tails = _recording(monkeypatch, "_block_tail_2f1")
+    want = [_series_bits(hypergeom._series(*call)) for call in calls]
+    assert len(tails) == len(calls)
+    monkeypatch.setattr(hypergeom, "_TAIL_COLS", 8)
+    assert [_series_bits(hypergeom._series(*call)) for call in calls] == want
+
+
+def test_tail_and_loop_warn_at_the_term_cap(monkeypatch):
+    # At |x| = 0.9999 the series needs far more than MAX_TERMS terms; both
+    # paths stop at the cap, warn, and report 10 |last term| + eps sum |terms|.
+    tails = _recording(monkeypatch, "_block_tail_2f1")
+    loops = _recording(monkeypatch, "_ratio_loop_2f1")
+    args = ((0.5, 0.5), (1.5,), 0.9999)
+    with pytest.warns(TruncationWarning):
+        tail = ohyp(*args)
+    monkeypatch.setattr(hypergeom, "_TAIL_TERMS", math.inf)
+    with pytest.warns(TruncationWarning):
+        loop = ohyp(*args)
+    assert len(tails) == len(loops) == 1
+    for r, state in ((tail, tails[0]), (loop, loops[0])):
+        assert state[0] == hypergeom.MAX_TERMS
+        assert r.terms_used == hypergeom.MAX_TERMS + 1 and not r.terminated
+        assert r.abs_error_estimate == _estimate(state)
+    assert abs(tail.value - loop.value) <= tail.abs_error_estimate + loop.abs_error_estimate
 
 
 
