@@ -370,6 +370,7 @@ def test_block_tail_bits_do_not_depend_on_the_block_width(monkeypatch):
         a, b = (complex(rng.uniform(-1.0, 3.0), rng.uniform(-0.5, 0.5)) for _ in range(2))
         c = complex(rng.uniform(-2.5, 3.0), rng.uniform(-0.5, 0.5))
         x = cmath.rect(rng.uniform(0.9, 0.99), rng.uniform(-math.pi, math.pi))
+        # Plain series only where c keeps off the lower-parameter poles.
         calls.append(((a, b), (c,), x, None, rng.random() < 0.5 or c.real < 0.5))
     tails = _recording(monkeypatch, "_block_tail_2f1")
     want = [_series_bits(hypergeom._series(*call)) for call in calls]
