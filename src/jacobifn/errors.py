@@ -72,6 +72,16 @@ class ValidityError(JacobiFnError):
     """Parameter triple violates the validity predicate of the function."""
 
 
+class VanishingValue(JacobiFnError):
+    """The log of a function value that is 0 was asked for.
+
+    ``jacobi_q_log`` raises it where Q vanishes: where its 2F1 sum is 0
+    (at (alpha, beta, gamma) = (0.5, -0.5, -1), for one, ``jacobi_q``
+    returns 0) and at an infinite z, where ``jacobi_q`` returns 0.  Scalar
+    and array calls raise it alike.
+    """
+
+
 # --- quadrature ------------------------------------------------------------
 
 class ExponentError(JacobiFnError):

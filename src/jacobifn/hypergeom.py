@@ -16,9 +16,9 @@ Three evaluation layers:
   ``_TAIL_TERMS``) is summed instead in numpy column blocks,
   ``_block_tail_2f1``, with the loop's stopping rule, estimate and term
   cap; one block replaces hundreds of Python iterations, and its values
-  differ from the loop's by rounding.  The reciprocal gammas of the lower
-  parameters are memoized, since every point of a parameter triple
-  repeats them.
+  differ from the loop's by rounding.  Its blocks are those of the batch
+  below, on one row.  The reciprocal gammas of the lower parameters are
+  memoized, since every point of a parameter triple repeats them.
 * ``gauss2f1`` / ``ohyp2f1`` -- the 2F1 specializations, both served by one
   continuation routine with automatic argument transformation.  The
   reachable arguments under the classical maps are {z, z/(z-1)} (Euler's map
@@ -29,22 +29,25 @@ Three evaluation layers:
   a level.  It routes each point by the scalar routine's predicates (the
   cut's ``Cut.distance``, ``_takes_direct``, ``_has_path``: direct series or
   the z/(z-1) map, exact termination) and keeps its stopping rule and error
-  estimate, but sums with numpy: Taylor coefficients memoized per triple
-  (extended by one ``cumprod`` of the term ratios), powers by ``cumprod``,
-  in column blocks.  The first block is as wide as the series at the
-  largest argument needs, about log(eps)/log(max |z|) terms (Pearson, Olver
-  & Porter 2017) corrected for the growth of the coefficients, clipped to
-  [``_BATCH_COLS``, ``BATCH_POINTS * _BATCH_COLS`` / points]; later blocks
-  double while they stay within that budget.  Sums run left to right across
-  blocks, so the widths change no result.  A batch whose series
-  terminates or whose largest |z| is at most ``DIRECT_LIMIT`` takes the
-  direct series at every point, so it is summed in one pass without
-  routing.  Callers pass at most ``BATCH_POINTS`` points at a time.  A
-  status per point marks those it does not cover (on the cut, no map
-  inside the disk, the term cap); the Jacobi layers evaluate them with the
-  scalar call, which raises or warns as documented.  The scalar routines
-  stay the reference and serve single calls, whose short series run in
-  Python, where numpy's per-call overhead would lose.
+  estimate, but sums with numpy: the leading terms of ``_leading_terms`` at
+  the array of arguments, then column blocks of ``_sum_block``, whose terms
+  are one ``cumprod`` per point of the term ratios times the point's
+  argument, the rule of ``_block_tail_2f1``, so a point whose scalar series
+  takes the blocks from its first term (Re c > 1/2) gets the scalar bits.
+  The first block is as wide as the series at the largest argument needs,
+  about log(eps)/log(max |z|) terms (Pearson, Olver & Porter 2017) corrected
+  for the growth of the coefficients, clipped to [``_BATCH_COLS``,
+  ``BATCH_POINTS * _BATCH_COLS`` / points]; later blocks double while they
+  stay within that budget.  Sums run left to right across blocks, so the
+  widths change no result.  A batch whose series terminates or whose largest
+  |z| is at most ``DIRECT_LIMIT`` takes the direct series at every point, so
+  it is summed in one pass without routing.  Callers pass at most
+  ``BATCH_POINTS`` points at a time.  A status per point marks those it does
+  not cover (on the cut, no map inside the disk, the term cap); the Jacobi
+  layers evaluate them with the scalar call, which raises or warns as
+  documented.  The scalar routines stay the reference and serve single
+  calls, whose short series run in Python, where numpy's per-call overhead
+  would lose.
 * ``reverse_finite_series`` -- a finite sum evaluated both directly and in
   reversed order as a new hypergeometric sum in 1/z; the two routes must
   agree and are used as mutual checks.
@@ -100,18 +103,13 @@ _BATCH_COLS = 32
 # Terms added to the first column block's estimate, for the STOP_RUN run.
 _FIRST_MARGIN = 8
 # A scalar adaptive 2F1 series predicted to need more than _TAIL_TERMS terms
-# past the leading ones is summed in numpy blocks of at most _TAIL_COLS terms
+# past the leading ones is summed in numpy column blocks
 # (``_block_tail_2f1``).  A block costs about as much as 65 loop iterations;
 # a switch at 65 terms ran no faster end to end than one at 140, which
 # changes the bits of fewer scalar calls.
 _TAIL_TERMS = 140
-_TAIL_COLS = 1024
 # The term indices 0..MAX_TERMS as complex numbers, sliced by the blocks.
 _INDEX = np.arange(MAX_TERMS + 1.0).astype(complex)
-# Taylor coefficients kept per memoized triple.  A longer series extends a
-# copy for the call: one row of work against the batch's rows of terms,
-# while the memo's 64 tables stay small.
-_TAYLOR_KEEP = 256
 # Status of a point in a batched evaluation: covered; not covered because
 # the scalar call raises NoConvergentPath; not covered for another reason.
 BATCH_OK, BATCH_NO_PATH, BATCH_SCALAR = 0, 1, 2
@@ -297,8 +295,8 @@ def _predicted_terms(modulus: float, growth: float) -> float:
     Re(a + b - c - 1) is the growth of the coefficients, so a series at
     |x| < 1 needs about the k with k log|x| + s log k = log eps, found by
     two fixed-point steps from log(eps)/log|x| (Pearson, Olver & Porter
-    2017).  It decides only how the work is cut: the first block of a
-    batch, and whether a scalar series takes the loop or the blocks.
+    2017).  It decides only how the work is cut: the first column block,
+    and whether a scalar series takes the loop or the blocks.
     """
     rate = -math.log(modulus if modulus > 1e-300 else 1e-300)
     k = -_LOG_EPS / rate
@@ -306,15 +304,28 @@ def _predicted_terms(modulus: float, growth: float) -> float:
     return (growth * math.log(k if k > 1.0 else 1.0) - _LOG_EPS) / rate
 
 
-def _stop_run(flags, sizes, sums, first: int = 0):
+def _first_width(need: float, rows: int) -> int:
+    """Terms in the first column block of a 2F1 series summed at ``rows`` points.
+
+    ``need`` is the ``_predicted_terms`` at the largest |x| (or the exact
+    sum's length), so one block usually covers every point; _FIRST_MARGIN
+    more terms cover the STOP_RUN run.  The width is clipped to
+    [_BATCH_COLS, BATCH_POINTS * _BATCH_COLS / rows], the budget within
+    which later blocks double.  It decides only how the work is cut, never
+    a value or a stop.
+    """
+    budget = BATCH_POINTS * _BATCH_COLS // rows
+    return max(_BATCH_COLS, min(int(min(need, budget)) + _FIRST_MARGIN, budget))
+
+
+def _stop_run(flags, sizes, sums):
     """The adaptive stopping rule over a column block: (run, hit).
 
     ``run`` holds the last two flags of the previous block (``flags``), then
     one flag per column: whether the term, of size ``sizes``, is at most
-    STOP_RATIO of the running sum ``sums`` (floored at 1e-300).  The first
-    ``first`` columns hold leading terms, which never count.  ``hit`` marks
-    the columns that end STOP_RUN (= 3) flags in a row.  Works along the
-    last axis, so it serves one series or a block of rows.
+    STOP_RATIO of the running sum ``sums`` (floored at 1e-300).  ``hit``
+    marks the columns that end STOP_RUN (= 3) flags in a row.  Works along
+    the last axis, one row per series.
     """
     run = np.empty(sizes.shape[:-1] + (sizes.shape[-1] + 2,), dtype=bool)
     run[..., :2] = flags
@@ -322,57 +333,75 @@ def _stop_run(flags, sizes, sums, first: int = 0):
     np.maximum(scale, 1e-300, out=scale)
     scale *= STOP_RATIO
     np.less_equal(sizes, scale, out=run[..., 2:])
-    if first:
-        run[..., 2 : 2 + first] = False
     hit = run[..., 2:] & run[..., 1:-1]
     hit &= run[..., :-2]
     return run, hit
 
 
-def _block_tail_2f1(upper, lower, z, k, term, total, abs_acc, width):
-    """The adaptive ``_ratio_loop_2f1`` summed in numpy column blocks.
+def _sum_block(abc, x: np.ndarray, k: int, width: int, term, total, acc, flags):
+    """Terms k+1..k+width of a 2F1 series at each point of x, and their sums.
 
-    Continues from term k as the loop does, ``width`` terms per block (the
-    later blocks twice as wide, up to _TAIL_COLS): the term ratios
-    (a+k)(b+k) x / ((c+k)(k+1)) of a block, one ``cumprod`` for its terms,
-    running sums left to right with ``total`` and ``abs_acc`` carried in,
-    and ``_stop_run`` with the last two flags carried across blocks.  The
-    stopping rule and the term cap are the loop's.  A term is a product of
-    ratios, not the loop's ((term (a+k)(b+k)) x) / ((c+k)(k+1)), so values
-    differ from the loop's by rounding; no value depends on the widths.
-    Returns (k, last term, total, sum of |terms|) as the loop does.
+    The block's term ratios (k+a)(k+b)/((k+c)(k+1)), which the plain and the
+    regularized series share past the leading terms, times each row's x,
+    give its terms by one ``cumprod`` per row from the carried ``term``;
+    the running sums and the sums of |terms| run left to right from the
+    carried ``total`` and ``acc``; and ``_stop_run`` gets each row's last
+    two flags, ``flags``, which are None for an exact sum.  Every carry is
+    a term or a sum, so no value depends on where the blocks are cut.
+    Returns (terms, sums, accs, run, hit), one row per point: column 0 of
+    terms, sums and accs holds what was carried in and column j the term
+    k+j; run and hit are ``_stop_run``'s, or None for an exact sum.
     """
-    (a, b), (c,) = upper, lower
-    flags = np.zeros(2, dtype=bool)
+    a, b, c = abc
+    n = _INDEX[k : k + width]
+    ratio = np.ones(width + 1, dtype=complex)
+    np.multiply(n + a, n + b, out=ratio[1:])
+    ratio[1:] /= (n + c) * _INDEX[k + 1 : k + width + 1]
+    # One outer product fills a fresh contiguous block, which numpy writes
+    # several times faster than a strided one.  Column 0 takes the carries
+    # by assignment: numpy's complex product can round a strided column
+    # apart from a single element, which would tie the bits to the rows.
+    terms = np.multiply.outer(x, ratio)
+    terms[:, 0] = term
+    # The ufuncs' accumulate is cumprod and cumsum without their wrappers.
+    np.multiply.accumulate(terms, axis=1, out=terms)
+    sums = terms.copy()
+    sums[:, 0] = total
+    np.add.accumulate(sums, axis=1, out=sums)
+    accs = np.abs(terms)
+    run = hit = None
+    if flags is not None:
+        run, hit = _stop_run(flags, accs[:, 1:], sums[:, 1:])
+    accs[:, 0] = acc
+    np.add.accumulate(accs, axis=1, out=accs)
+    return terms, sums, accs, run, hit
+
+
+def _block_tail_2f1(upper, lower, z, k, term, total, abs_acc, width):
+    """The adaptive ``_ratio_loop_2f1`` summed in numpy column blocks: ``_sum_block`` on one row.
+
+    Continues from term k as the loop does, with a first block ``width``
+    terms wide and later ones doubling as in ``_series_batch``.  The
+    stopping rule and the term cap are the loop's.  A term is a product of
+    ratios, (k+a)(k+b)/((k+c)(k+1)) times x, not the loop's
+    ((term (a+k)(b+k)) x) / ((c+k)(k+1)), so values differ from the loop's
+    by rounding and equal the batch's at the same x; no value depends on
+    the widths.  Returns (k, last term, total, sum of |terms|) as the loop
+    does.
+    """
+    x = np.array([z])
+    flags = np.zeros((1, 2), dtype=bool)
     # An overflow gives inf or nan terms, as in the loop, and no warning.
     with np.errstate(all="ignore"):
         while k < MAX_TERMS:
             width = min(width, MAX_TERMS - k)
-            n = _INDEX[k : k + width]
-            # The carried term, the block's term ratios, then its terms
-            # from one product chain.
-            terms = np.empty(width + 1, dtype=complex)
-            terms[0] = term
-            ratio = terms[1:]
-            np.multiply(n + a, n + b, out=ratio)
-            ratio *= z
-            ratio /= (n + c) * _INDEX[k + 1 : k + width + 1]
-            np.cumprod(terms, out=terms)
-            accs = np.empty(width + 1)
-            accs[0] = abs_acc
-            sizes = np.abs(terms[1:], out=accs[1:])
-            # The running sums start from the carried total.
-            terms[0] = total
-            sums = np.cumsum(terms)
-            run, hit = _stop_run(flags, sizes, sums[1:])
-            np.cumsum(accs, out=accs)
-            j = int(hit.argmax()) + 1
-            if hit[j - 1]:
-                return k + j, complex(terms[j]), complex(sums[j]), float(accs[j])
+            terms, sums, accs, run, hit = _sum_block(upper + lower, x, k, width, term, total, abs_acc, flags)
+            j = int(hit[0].argmax()) + 1
+            if hit[0, j - 1]:
+                return k + j, complex(terms[0, j]), complex(sums[0, j]), float(accs[0, j])
             k += width
-            term, total, abs_acc = terms[-1], sums[-1], accs[-1]
-            flags = run[-2:]
-            width = min(2 * width, _TAIL_COLS)
+            term, total, abs_acc, flags = terms[0, -1], sums[0, -1], accs[0, -1], run[:, -2:]
+            width = min(2 * width, BATCH_POINTS * _BATCH_COLS)
     return k, complex(term), complex(total), float(abs_acc)
 
 
@@ -393,7 +422,7 @@ def _series(upper, lower, z: complex, m_stop: int | None, regularized: bool) -> 
     elif m_stop is None and (
         need := _predicted_terms(abs(z), (upper[0] + upper[1] - lower[0]).real - 1.0)
     ) > _TAIL_TERMS:
-        width = min(int(need) + _FIRST_MARGIN, _TAIL_COLS)
+        width = _first_width(need, 1)
         k, term, total, abs_acc = _block_tail_2f1(upper, lower, z, k0, term, total, abs_acc, width)
     else:
         k, term, total, abs_acc = _ratio_loop_2f1(*args)
@@ -520,90 +549,22 @@ def ohyp2f1(a, b, c, z) -> SeriesValue:
     return _continued_2f1(a, b, c, z, regularized=True)
 
 
-class _Taylor:
-    """Regularized 2F1 Taylor coefficients of one (a, b; c), extended on demand.
-
-    Coefficients up to the last lower-parameter pole come from Pochhammer
-    products and reciprocal gammas, as in ``_leading_terms``; later ones from
-    the term ratio.  Each coefficient depends only on its predecessors, so no
-    value depends on how far an earlier call extended the table.
-    """
-
-    def __init__(self, a: complex, b: complex, c: complex):
-        self.a, self.b, self.c = a, b, c
-        self.k0 = max(0, int(math.ceil(0.5 - c.real)))
-        coef = []
-        kfac = 1.0
-        for k, product in enumerate(pochhammer_products((a, b), self.k0)):
-            if k > 0:
-                kfac *= k
-            coef.append(product / kfac * _lower_rgamma(c + k))
-        self.coef = np.array(coef, dtype=complex)
-
-    def upto(self, n: int, known: np.ndarray | None = None) -> np.ndarray:
-        """The coefficients of the terms 0..n-1, or more.
-
-        The table keeps at most _TAYLOR_KEEP coefficients (or its leading
-        ones, if more).  A longer request extends ``known``, an earlier
-        result of this table, or else the table, by one ``cumprod`` of the
-        term ratios; each coefficient is its predecessor times a ratio, so
-        it has the same bits however it was reached.
-        """
-        base = self.coef if known is None or known.size < self.coef.size else known
-        have = base.size
-        if have >= n:
-            return base
-        a, b, c = self.a, self.b, self.c
-        k = np.arange(have - 1.0, n - 1.0)
-        ratio = np.empty(n - have + 1, dtype=complex)
-        ratio[0] = base[-1]
-        ratio[1:] = (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        coef = np.concatenate((base, np.cumprod(ratio)[1:]))
-        if self.coef.size < _TAYLOR_KEEP:
-            self.coef = coef[:_TAYLOR_KEEP].copy() if n > _TAYLOR_KEEP else coef
-        return coef
-
-
-@exact_memo
-def _taylor(a: complex, b: complex, c: complex) -> _Taylor:
-    return _Taylor(a, b, c)
-
-
-def _first_width(z: np.ndarray, last: int, taylor: _Taylor) -> int:
-    """Terms in the first column block of ``_series_batch`` for the points z.
-
-    A block of ``_predicted_terms`` for the largest |z| past the leading
-    ones usually covers every point at once; a margin covers the STOP_RUN
-    run.  An exact sum needs no more than its last + 1 terms.  The width is
-    clipped to [_BATCH_COLS, BATCH_POINTS * _BATCH_COLS / points], the
-    budget of the later blocks.  It decides only how the work is cut, never
-    a value or a stop.
-    """
-    top = float(np.max(np.abs(z)))
-    need = last + 1
-    if top < 1.0:
-        growth = (taylor.a + taylor.b - taylor.c).real - 1.0
-        k = _predicted_terms(top, growth)
-        need = min(need, taylor.k0 + _FIRST_MARGIN + int(k))
-    budget = BATCH_POINTS * _BATCH_COLS // z.size
-    return max(_BATCH_COLS, min(need, budget))
-
-
 def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
-    """The regularized 2F1 series at every point of a 1-D array z.
+    """The regularized 2F1 series at every point of a 1-D array z: ``_sum_block`` on many rows.
 
     Sums terms 0..m_stop exactly or, when m_stop is None, stops each point
     by the scalar rule: STOP_RUN consecutive terms past the leading ones
-    below STOP_RATIO of the running sum.  The running sum and the sum of
-    |terms| add the terms left to right as the scalar loop does, so neither
-    depends on the column blocks.  The first block is ``_first_width``
-    terms wide; later ones double while the block stays within
-    BATCH_POINTS * _BATCH_COLS terms.  The running sums, z^k and the last
-    two stop flags carry from one column block to the next.  Returns
-    (value, error estimate, covered); a point that reaches the term cap is
-    not covered.
+    below STOP_RATIO of the running sum.  The leading terms are
+    ``_leading_terms``' at the array z; later terms come in column blocks,
+    the first ``_first_width`` terms wide and later ones doubling while a
+    block stays within BATCH_POINTS * _BATCH_COLS terms.  Each block
+    carries its rows' last terms, sums and stop flags to the next, and a
+    row leaves the blocks where it stops.  Terms and sums are formed as in
+    ``_block_tail_2f1`` and the estimate takes |last term| as the scalar
+    ``abs`` does, so a point whose scalar series takes the blocks from its
+    first term (Re c > 1/2) gets its bits.  Returns (value, error estimate,
+    covered); a point that reaches the term cap is not covered.
     """
-    taylor = _taylor(a, b, c)
     value = np.zeros(z.size, dtype=complex)
     err = np.zeros(z.size)
     covered = np.zeros(z.size, dtype=bool)
@@ -611,61 +572,36 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
         return value, err, covered
     adaptive = m_stop is None
     last = MAX_TERMS - 1 if adaptive else m_stop
-    budget = BATCH_POINTS * _BATCH_COLS
-    rows = np.arange(z.size)
-    zr = z
-    total = np.zeros(z.size, dtype=complex)
-    acc = np.zeros(z.size)
-    zk = np.ones(z.size, dtype=complex)
-    flags = np.zeros((z.size, 2), dtype=bool)
-    k = 0
-    coef = None
-    width = _first_width(z, last, taylor)
-    while rows.size and k <= last:
-        width = min(last + 1 - k, width)
-        # z^k .. z^(k+width), all from one product chain, so that a power
-        # has the same bits whatever the blocks.
-        powers = np.empty((rows.size, width + 1), dtype=complex)
-        powers[:, 0] = zk
-        powers[:, 1:] = zr[:, None]
-        np.cumprod(powers, axis=1, out=powers)
-        zk = powers[:, -1]
-        terms = powers[:, :-1]
-        coef = taylor.upto(k + width, coef)
-        terms *= coef[k : k + width]
-        sizes = np.abs(terms)
-        terms[:, 0] += total
-        sums = np.cumsum(terms, axis=1, out=terms)
-        accs = np.empty((rows.size, width + 1))
-        accs[:, 0] = acc
-        accs[:, 1:] = sizes
-        np.cumsum(accs, axis=1, out=accs)
-        if adaptive:
-            run, hit = _stop_run(flags, sizes, sums, max(0, taylor.k0 + 1 - k))
-            stop = hit.any(axis=1)
-            col = hit.argmax(axis=1)
-        else:
-            stop = np.full(rows.size, k + width > last)
-            col = np.full(rows.size, width - 1)
-        if stop.any():
-            out, at = rows[stop], col[stop]
-            value[out] = sums[stop, at]
-            tail = sizes[stop, at] if adaptive else 0.0
-            err[out] = tail + _EPS * accs[stop, at + 1]
-            covered[out] = True
-            if out.size == rows.size:
-                break
-            keep = ~stop
-            rows, zr, zk = rows[keep], zr[keep], zk[keep]
-            sums, accs = sums[keep], accs[keep]
+    top = float(np.max(np.abs(z)))
+    width = _first_width(_predicted_terms(top, (a + b - c).real - 1.0) if top < 1.0 else last, z.size)
+    rows, x = np.arange(z.size), z
+    flags = np.zeros((z.size, 2), dtype=bool) if adaptive else None
+    # An overflow gives inf or nan values, which the callers send to the
+    # scalar call, and no warning.
+    with np.errstate(all="ignore"):
+        k, term, total, acc = _leading_terms((a, b), (c,), z, last, True)
+        while rows.size and k < last:
+            width = min(width, last - k)
+            terms, sums, accs, run, hit = _sum_block((a, b, c), x, k, width, term, total, acc, flags)
+            term, total, acc = terms[:, -1], sums[:, -1], accs[:, -1]
+            k += width
             if adaptive:
-                run = run[keep]
-        total = sums[:, -1]
-        acc = accs[:, -1]
-        if adaptive:
-            flags = run[:, -2:]
-        k += width
-        width = max(width, min(2 * width, budget // max(rows.size, 1)))
+                flags = run[:, -2:]
+                stop = hit.any(axis=1)
+                if stop.any():
+                    out, col = rows[stop], hit[stop].argmax(axis=1) + 1
+                    end = terms[stop, col]
+                    value[out] = sums[stop, col]
+                    # np.hypot rounds as the scalar abs(complex) does.
+                    err[out] = np.hypot(end.real, end.imag) + _EPS * accs[stop, col]
+                    covered[out] = True
+                    keep = ~stop
+                    rows, x, term, total, acc, flags = (
+                        v[keep] for v in (rows, x, term, total, acc, flags)
+                    )
+            width = min(2 * width, BATCH_POINTS * _BATCH_COLS // max(rows.size, 1))
+    if not adaptive:
+        value[:], err[:], covered[:] = total, _EPS * acc, True
     return value, err, covered
 
 

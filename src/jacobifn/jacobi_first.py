@@ -40,6 +40,7 @@ from .errors import (
     JacobiFnError,
     NoConvergentPath,
     ValidityError,
+    VanishingValue,
 )
 from .hypergeom import (
     BATCH_NO_PATH,
@@ -315,7 +316,8 @@ def _auto(params: JacobiParams, z: complex):
     smallest-modulus series argument when one is inside the preferred disk.
     Beyond it, a terminating REP1 first: its exact finite sum, at every z.
     Where REP1 does not terminate or its sum is not finite, off [-1, 1], the
-    large-z connection; where that is undefined or has no path, REP1, whose
+    large-z connection; where that is undefined, has no path or takes the
+    log of a vanishing second-kind value (as at an infinite z), REP1, whose
     2F1 raises NoConvergentPath where no map reaches its disk.  REP1 and
     REP3 would sum the same series there: the map takes x1 to x1/(x1-1) =
     x2.  A REP1 value beyond the disk that is not finite raises
@@ -330,7 +332,7 @@ def _auto(params: JacobiParams, z: complex):
     if (res is None or not cmath.isfinite(res.value)) and Q_CUT.distance(z) >= CUT_GUARD:
         try:
             return (*_connection_scaled(params, z), 0.0, "connection")
-        except NoConvergentPath:
+        except (NoConvergentPath, VanishingValue):
             pass
     if res is None:
         res = _rep_value(params, z, Representation.REP1)
@@ -635,14 +637,18 @@ def jacobi_p_scaled(params: JacobiParams, z) -> tuple[complex, complex]:
     """P as (log_scale, mantissa) with value = exp(log_scale) * mantissa.
 
     The scaled form stays representable along rays to infinity where the
-    dominant solution branch overflows a double.  z may be an ndarray; the
-    pair then holds arrays.
+    dominant solution branch overflows a double.  Where the pair is not
+    finite, as at an infinite z, it raises NoConvergentPath as ``jacobi_p``
+    does.  z may be an ndarray; the pair then holds arrays.
     """
     if isinstance(z, np.ndarray):
         return _p_batch(params, z, scaled=True)
     z = complex(z)
     _require_p_domain(params, z)
-    return _auto(params, z)[:2]
+    log_scale, mantissa, _, provenance = _auto(params, z)
+    if not (cmath.isfinite(log_scale) and cmath.isfinite(mantissa)):
+        raise NoConvergentPath(f"z={z}: P's scaled value ({provenance}) is not finite")
+    return log_scale, mantissa
 
 
 def taylor_section(params: JacobiParams, n: int, z) -> tuple[complex, complex]:

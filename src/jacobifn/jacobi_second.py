@@ -28,6 +28,7 @@ from .errors import (
     ConvergenceConstraintError,
     FactorOverflow,
     ValidityError,
+    VanishingValue,
 )
 from .hypergeom import (
     BATCH_OK,
@@ -251,7 +252,8 @@ def jacobi_q(
 def jacobi_q_log(params: JacobiParams, z) -> complex:
     """log of the second-kind value; usable where the value itself overflows.
 
-    z may be an ndarray; the result is then an array.
+    z may be an ndarray; the result is then an array.  Where Q vanishes (a
+    2F1 sum of 0, or an infinite z) it raises VanishingValue.
     """
     if isinstance(z, np.ndarray):
         (out, _, _), failure = _q_points(params, np.asarray(z, dtype=complex).ravel(), log=True)
@@ -261,8 +263,9 @@ def jacobi_q_log(params: JacobiParams, z) -> complex:
     z = complex(z)
     _require_q_domain(params, z)
     logf, series, _ = _q_parts(params, z, Representation.AUTO)
-    if series.value == 0:
-        raise ValueError("log of a vanishing second-kind value")
+    # At an infinite z the prefactor's log has real part -inf: Q is 0 there.
+    if series.value == 0 or logf.real == -math.inf:
+        raise VanishingValue(f"z={z}: log of a vanishing second-kind value")
     return logf + cmath.log(series.value)
 
 

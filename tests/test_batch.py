@@ -221,6 +221,26 @@ def test_batched_2f1_matches_scalar(a, b, c, zs):
             assert isinstance(ref, NoConvergentPath)
 
 
+def test_long_direct_series_has_the_scalar_bits():
+    # Past the 140-term switch the scalar series takes the blocks from its
+    # one leading term (Re c > 0.5, so k0 = 0), as every row of the batch
+    # does: value and estimate agree bit for bit, in batches of mixed length.
+    rng = np.random.default_rng(20261019)
+    for _ in range(12):
+        a, b = (complex(rng.uniform(-0.65, 2.8), rng.uniform(-0.45, 0.45)) for _ in range(2))
+        c = complex(rng.uniform(0.6, 3.0), rng.uniform(-0.45, 0.45))
+        r = rng.uniform(0.86, 0.98, 6)
+        # Angles within |x - 1| < 1, where the direct series is taken.
+        zs = r * np.exp(1j * rng.uniform(-0.9, 0.9, 6) * np.arccos(r / 2.0))
+        value, err, status = _ohyp2f1_batch(a, b, c, zs)
+        assert (status == BATCH_OK).all()
+        for w, v, e in zip(zs.tolist(), value, err):
+            need = hypergeom._predicted_terms(abs(w), (a + b - c).real - 1.0)
+            assert need > hypergeom._TAIL_TERMS and abs(w - 1.0) < 1.0
+            ref = ohyp2f1(a, b, c, w)
+            assert (complex(v), float(e)) == (ref.value, ref.abs_error_estimate)
+
+
 @given(_box, _box, _p_degree, _zs(_near_auto))
 @settings(max_examples=60)
 def test_batched_p_matches_scalar(a, b, g, zs):
@@ -466,11 +486,19 @@ def test_non_finite_parameters_raise_validity_error(kind, capsys):
             assert capsys.readouterr().err.startswith("ValidityError at z=(2+0j): alpha, beta and gamma must be finite")
 
 
+def _parts(out):
+    """The numbers of a result, scalar or array: an EvalResult's value and estimate, a pair, or one."""
+    if isinstance(out, EvalResult):
+        return out.value, out.abs_error_estimate
+    return out if isinstance(out, tuple) else (out,)
+
+
 @pytest.mark.parametrize("fn", [jacobi_p, jacobi_p_scaled, jacobi_q, jacobi_q_log])
 def test_an_infinite_z_in_an_array_gives_the_scalar_outcome(fn):
     # The array holds a finite point and an infinite one; each gives what
-    # the scalar call gives there, a value (Q is 0 at infinity) or an error,
-    # and no numpy warning escapes.
+    # the scalar call gives there, a finite value (Q is 0 at infinity) or an
+    # error (P has no path there, and Q's log is that of 0), and no numpy
+    # warning escapes.
     params = JacobiParams(0.3, 0.2, 0.5)
     for w in (complex(math.inf, 0.0), complex(0.0, math.inf), complex(0.0, -math.inf),
               complex(math.inf, math.inf), complex(-math.inf, -1.0), complex(-math.inf, 1.0)):
@@ -481,6 +509,7 @@ def test_an_infinite_z_in_an_array_gives_the_scalar_outcome(fn):
                 fn(params, np.array([2.0, w]))
             continue
         got = fn(params, np.array([2.0, w]))
+        assert all(np.isfinite(part).all() for out in (got, want) for part in _parts(out))
         if fn is jacobi_p_scaled:
             assert [repr(complex(part[1])) for part in got] == [repr(part) for part in want]
         elif fn is jacobi_q_log:

@@ -363,7 +363,9 @@ def _series_bits(r):
 
 def test_block_tail_bits_do_not_depend_on_the_block_width(monkeypatch):
     # Terms, running sums and the stop flags carry from block to block, so
-    # blocks of 8 terms give the bits of the default blocks.
+    # blocks of 8 terms give the bits of the default blocks.  The width rule
+    # is the one ``_series_batch`` uses: a budget of 1 point by 8 columns
+    # keeps every block of the tail at 8 terms.
     rng = Random(20261019)
     calls = []
     for _ in range(40):
@@ -375,7 +377,9 @@ def test_block_tail_bits_do_not_depend_on_the_block_width(monkeypatch):
     tails = _recording(monkeypatch, "_block_tail_2f1")
     want = [_series_bits(hypergeom._series(*call)) for call in calls]
     assert len(tails) == len(calls)
-    monkeypatch.setattr(hypergeom, "_TAIL_COLS", 8)
+    monkeypatch.setattr(hypergeom, "BATCH_POINTS", 1)
+    monkeypatch.setattr(hypergeom, "_BATCH_COLS", 8)
+    assert hypergeom._first_width(500.0, 1) == 8
     assert [_series_bits(hypergeom._series(*call)) for call in calls] == want
 
 

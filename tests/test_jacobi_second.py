@@ -12,6 +12,7 @@ from jacobifn.errors import (
     DomainCutError,
     NonConvergence,
     ValidityError,
+    VanishingValue,
 )
 from jacobifn.jacobi_first import JacobiParams, Representation
 from jacobifn.jacobi_second import (
@@ -105,6 +106,15 @@ def test_q_log_matches_value():
     assert cmath.exp(jacobi_q_log(p, z)) == pytest.approx(
         jacobi_q(p, z).value, rel=1e-12
     )
+
+
+def test_q_log_of_a_vanishing_value_raises_a_library_error():
+    # At gamma = -1 this triple's 2F1 sum is 0, so Q is 0: its log is not a value.
+    p = JacobiParams(0.5, -0.5, -1.0)
+    assert jacobi_q(p, 2.0).value == 0
+    for z in (2.0, np.array([2.0, 3.0 + 1.0j])):
+        with pytest.raises(VanishingValue, match="vanishing"):
+            jacobi_q_log(p, z)
 
 
 def test_integral_representation_log_case():

@@ -14,10 +14,11 @@ _spec.loader.exec_module(same_bits)
 
 def test_repository_matches_itself():
     proc = subprocess.run(
-        [sys.executable, _PATH, "--calls", "300", _ROOT, _ROOT], capture_output=True, text=True
+        [sys.executable, _PATH, "--calls", "300", "--arrays", "40", _ROOT, _ROOT], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "scalar calls: 300 (seed 5), differing outputs: 0" in proc.stdout
+    assert "array calls: 40 (seed 5), differing outputs: 0" in proc.stdout
     assert "reports: identical" in proc.stdout
 
 
