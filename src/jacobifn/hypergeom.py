@@ -22,32 +22,24 @@ Three evaluation layers:
 * ``gauss2f1`` / ``ohyp2f1`` -- the 2F1 specializations, both served by one
   continuation routine with automatic argument transformation.  The
   reachable arguments under the classical maps are {z, z/(z-1)} (Euler's map
-  keeps the argument), so the selector simply picks the smaller modulus,
-  preferring the untransformed series on ties.
+  keeps the argument).  One router, ``_route``, serves a scalar z and an
+  array from |z| and |z-1| alone, formed by ``quadrature.modulus``, so a
+  point takes one route in a scalar call and in a batch.
 * ``_ohyp2f1_batch`` -- the regularized 2F1 of one (a, b, c) over an ndarray
   of z, for the oracles that evaluate one parameter triple at every node of
-  a level.  It routes each point by the scalar routine's predicates (the
-  cut's ``Cut.distance``, ``_takes_direct``, ``_has_path``: direct series or
-  the z/(z-1) map, exact termination) and keeps its stopping rule and error
-  estimate, but sums with numpy: the leading terms of ``_leading_terms`` at
-  the array of arguments, then column blocks of ``_sum_block``, whose terms
-  are one ``cumprod`` per point of the term ratios times the point's
-  argument, the rule of ``_block_tail_2f1``, so a point whose scalar series
-  takes the blocks from its first term (Re c > 1/2) gets the scalar bits.
-  The first block is as wide as the series at the largest argument needs,
-  about log(eps)/log(max |z|) terms (Pearson, Olver & Porter 2017) corrected
-  for the growth of the coefficients, clipped to [``_BATCH_COLS``,
-  ``BATCH_POINTS * _BATCH_COLS`` / points]; later blocks double while they
-  stay within that budget.  Sums run left to right across blocks, so the
-  widths change no result.  A batch whose series terminates or whose largest
-  |z| is at most ``DIRECT_LIMIT`` takes the direct series at every point, so
-  it is summed in one pass without routing.  Callers pass at most
-  ``BATCH_POINTS`` points at a time.  A status per point marks those it does
-  not cover (on the cut, no map inside the disk, the term cap); the Jacobi
-  layers evaluate them with the scalar call, which raises or warns as
-  documented.  The scalar routines stay the reference and serve single
-  calls, whose short series run in Python, where numpy's per-call overhead
-  would lose.
+  a level.  It routes each point by ``_route`` and keeps the scalar stopping
+  rule and error estimate, but sums with numpy (``_series_batch``): the
+  leading terms of ``_leading_terms`` at the array of arguments, then column
+  blocks of ``_sum_block``, the rule of ``_block_tail_2f1``, so a point whose
+  scalar series takes the blocks from its first term (Re c > 1/2) gets the
+  scalar bits; the block widths change no result.  A batch whose series
+  terminates or whose largest |z| is at most ``DIRECT_LIMIT`` is summed in
+  one pass without routing.  Callers pass at most ``BATCH_POINTS`` points.
+  A status per point marks those it does not cover (on the cut, no map
+  inside the disk, the term cap); the Jacobi layers evaluate them with the
+  scalar call, which raises or warns as documented.  The scalar routines
+  stay the reference and serve single calls, whose short series run in
+  Python, where numpy's per-call overhead would lose.
 * ``reverse_finite_series`` -- a finite sum evaluated both directly and in
   reversed order as a new hypergeometric sum in 1/z; the two routes must
   agree and are used as mutual checks.
@@ -74,7 +66,7 @@ from .errors import (
     TruncationWarning,
     ZeroArgument,
 )
-from .quadrature import CUT_GUARD, Cut
+from .quadrature import CUT_GUARD, Cut, modulus, where
 from .scalar_kernel import exact_memo, pochhammer_product, pochhammer_products, reciprocal_gamma
 
 STOP_RATIO = 1e-15
@@ -90,9 +82,8 @@ _LOG_EPS = math.log(_EPS)
 # inside DIRECT_LIMIT, and no series runs beyond MAP_LIMIT.
 DIRECT_LIMIT = 0.75
 MAP_LIMIT = 0.99
-# numpy and Python may round |z| and |z/(z-1)| a few ulps apart, so within
-# this distance of MAP_LIMIT the batch leaves the verdict to the scalar call.
-_MAP_TIE = 8 * _EPS
+# Routes of the 2F1 continuation (``_route``); the last two raise.
+DIRECT, MAP, NO_PATH, ON_CUT = 0, 1, 2, 3
 # The branch cut of the 2F1.
 _CUT = Cut.right_ray(1.0)
 # Block shape of the batched series: points per call (the Jacobi layers
@@ -474,40 +465,21 @@ def ohyp(upper, lower, argument) -> SeriesValue:
     return _checked_series(upper, lower, argument, regularized=True)
 
 
-def _takes_direct(az, au):
-    """Whether the direct series is preferred, from |z| and |z/(z-1)|.
+def _route(z, terminating):
+    """The 2F1 continuation's route at z, a scalar or an ndarray: DIRECT, MAP, NO_PATH or ON_CUT.
 
-    Inside DIRECT_LIMIT always, else on a modulus no larger than the map's.
-    Elementwise on ndarrays.
+    DIRECT where the series terminates (``terminating``, a bool or a mask);
+    else ON_CUT within CUT_GUARD of the cut, NO_PATH where neither |z| nor
+    |z/(z-1)| (|z| <= MAP_LIMIT |z-1| at a finite |z|) is within MAP_LIMIT,
+    DIRECT within DIRECT_LIMIT or where |z| <= |z/(z-1)|, i.e. |z-1| <= 1,
+    and MAP otherwise.  Only moduli enter: the scalar's route at every point.
     """
-    return (az <= DIRECT_LIMIT) | (az <= au)
-
-
-def _has_path(az, au):
-    """Whether z or z/(z-1) lies within MAP_LIMIT; elementwise on ndarrays."""
-    return (az <= MAP_LIMIT) | (au <= MAP_LIMIT)
-
-
-def _raises(z: np.ndarray) -> np.ndarray:
-    """Where a non-terminating 2F1 continuation raises at z, elementwise.
-
-    CutError on the cut, NoConvergentPath where no map reaches the disk.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        az, au = np.abs(z), np.abs(z / (z - 1.0))
-    return (_CUT.distance(z) < CUT_GUARD) | ~_has_path(az, au)
-
-
-def _pick_argument(z: complex, terminating: bool) -> str:
-    """Choose between the direct series and the z/(z-1) map."""
-    if terminating:
-        return "direct"
-    az, au = abs(z), abs(z / (z - 1.0))
-    if not _has_path(az, au):
-        raise NoConvergentPath(
-            f"no transformed argument inside the disk (best modulus {min(az, au):.3f})"
-        )
-    return "direct" if _takes_direct(az, au) else "pfaff"
+    az, az1 = modulus(z), modulus(z - 1.0)
+    route = where((az <= DIRECT_LIMIT) | (az1 <= 1.0), DIRECT, MAP)
+    path = (az <= MAP_LIMIT) | (az <= MAP_LIMIT * az1) & (az < math.inf)
+    route = where(path, route, NO_PATH)
+    route = where(_CUT.distance(z) < CUT_GUARD, ON_CUT, route)
+    return where(terminating, DIRECT, route)
 
 
 def _continued_2f1(a, b, c, z, regularized: bool) -> SeriesValue:
@@ -518,15 +490,19 @@ def _continued_2f1(a, b, c, z, regularized: bool) -> SeriesValue:
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     m = termination_index((a, b))
-    if m is None and _CUT.distance(z) < CUT_GUARD:
+    route = _route(z, m is not None)
+    if route == ON_CUT:
         raise CutError(f"z={z} on the cut {_CUT}")
+    if route == NO_PATH:
+        best = min(abs(z), abs(z / (z - 1.0)))
+        raise NoConvergentPath(f"no transformed argument inside the disk (best modulus {best:.3f})")
 
     def series(upper, x, m_stop):
         if not regularized:
             _lower_pole_guard((c,), None if m_stop is None else m_stop + 1)
         return _series(upper, (c,), x, m_stop, regularized)
 
-    if _pick_argument(z, m is not None) == "direct":
+    if route == DIRECT:
         return series((a, b), z, m)
     upper = (a, c - b)
     inner = series(upper, z / (z - 1.0), termination_index(upper))
@@ -608,52 +584,41 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
 def _ohyp2f1_batch(a, b, c, z: np.ndarray):
     """``ohyp2f1`` at every point of a 1-D array z: (value, error estimate, status).
 
-    Routes each point by the scalar routine's predicates.  ``status`` is
-    BATCH_OK where the batch covered the point, BATCH_NO_PATH where the
-    scalar call raises NoConvergentPath, and BATCH_SCALAR where it raises
-    CutError, warns at the term cap or the batch's result is not finite;
-    callers evaluate the points not covered with the scalar call.  Points
-    whose smaller modulus, |z| or |z/(z-1)|, lies within ``_MAP_TIE`` of
-    MAP_LIMIT are BATCH_SCALAR too: numpy may round the modulus to the other
-    side of MAP_LIMIT than Python does, so only the scalar call can tell
-    whether it has a path.  A batch whose series terminates, or whose
-    largest |z| is at most DIRECT_LIMIT, is summed directly at every point
-    without routing: such points lie at least 1 - DIRECT_LIMIT from the cut
-    and far from MAP_LIMIT.
+    Routes each point by the scalar routine's ``_route``.  ``status`` is
+    BATCH_OK where the batch covered the point, BATCH_NO_PATH exactly where
+    the scalar call raises NoConvergentPath, and BATCH_SCALAR where it
+    raises CutError, warns at the term cap or the batch's result is not
+    finite; callers evaluate the points not covered with the scalar call.
+    A batch whose series terminates, or whose largest |z| is at most
+    DIRECT_LIMIT, is summed directly without routing, as ``_route`` would.
     """
     a, b, c = complex(a), complex(b), complex(c)
     m = termination_index((a, b))
-    if m is not None or (z.size and np.max(np.abs(z)) <= DIRECT_LIMIT):
+    if m is not None or (z.size and np.max(modulus(z)) <= DIRECT_LIMIT):
         value, err, ok = _series_batch(a, b, c, z, m)
-        with np.errstate(invalid="ignore"):
-            ok &= np.isfinite(value) & np.isfinite(err)
-        return value, err, np.where(ok, BATCH_OK, BATCH_SCALAR).astype(np.int8)
+        return value, err, _status(value, err, ok)
     value = np.zeros(z.size, dtype=complex)
     err = np.zeros(z.size)
-    status = np.full(z.size, BATCH_SCALAR, dtype=np.int8)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        az, au = np.abs(z), np.abs(z / (z - 1.0))
-    tie = np.abs(np.minimum(az, au) - MAP_LIMIT) <= _MAP_TIE
-    decided = ~(_CUT.distance(z) < CUT_GUARD) & ~tie
-    path = decided & _has_path(az, au)
-    direct = path & _takes_direct(az, au)
-    pfaff = path & ~direct
-    status[decided & ~path] = BATCH_NO_PATH
-
-    def put(mask, v, e, ok):
-        with np.errstate(invalid="ignore"):
-            ok &= np.isfinite(v) & np.isfinite(e)
-        value[mask], err[mask] = v, e
-        status[mask] = np.where(ok, BATCH_OK, BATCH_SCALAR)
-
+    route = _route(z, False)
+    status = np.where(route == NO_PATH, BATCH_NO_PATH, BATCH_SCALAR).astype(np.int8)
+    direct, pfaff = route == DIRECT, route == MAP
     if direct.any():
-        put(direct, *_series_batch(a, b, c, z[direct], None))
+        v, e, ok = _series_batch(a, b, c, z[direct], None)
+        value[direct], err[direct], status[direct] = v, e, _status(v, e, ok)
     if pfaff.any():
         zp = z[pfaff]
         v, e, ok = _series_batch(a, c - b, c, zp / (zp - 1.0), termination_index((a, c - b)))
         fac = power(1.0 - zp, -a)
-        put(pfaff, fac * v, np.abs(fac) * e, ok)
+        v, e = fac * v, np.abs(fac) * e
+        value[pfaff], err[pfaff], status[pfaff] = v, e, _status(v, e, ok)
     return value, err, status
+
+
+def _status(value, err, ok):
+    """BATCH_OK where a batch covered a point (``ok``) with a finite value and estimate, else BATCH_SCALAR."""
+    with np.errstate(invalid="ignore"):
+        ok &= np.isfinite(value) & np.isfinite(err)
+    return np.where(ok, BATCH_OK, BATCH_SCALAR).astype(np.int8)
 
 
 def reverse_finite_series(upper, lower, m: int, z) -> tuple[SeriesValue, SeriesValue]:

@@ -46,14 +46,15 @@ from .hypergeom import (
     BATCH_NO_PATH,
     BATCH_OK,
     BATCH_POINTS,
+    NO_PATH,
     _ohyp2f1_batch,
-    _raises,
+    _route,
     ohyp,
     ohyp2f1,
     power,
     termination_index,
 )
-from .quadrature import CUT_GUARD, Cut, where
+from .quadrature import CUT_GUARD, Cut, modulus, where
 from .result import EvalResult
 from .scalar_kernel import (
     exact_memo,
@@ -296,11 +297,13 @@ def _near_route(z):
 
     Returns REP1's argument x1 = (1-z)/2, whether it or REP3's argument
     x2 = (z-1)/(z+1) lies in the preferred disk, and whether REP1 is taken
-    there.
+    there.  As |x1| = |z-1|/2 and |x2| = |z-1|/|z+1|, REP1 is taken where
+    |z+1| <= 2, and the smaller is |z-1| / max(2, |z+1|): only moduli enter,
+    so an array has the scalar's choice at every point.
     """
-    x1 = 0.5 * (1.0 - z)
-    m1, m2 = abs(x1), abs((z - 1.0) / (z + 1.0))
-    return x1, (m1 <= AUTO_ARG_LIMIT) | (m2 <= AUTO_ARG_LIMIT), m1 <= m2
+    dp = modulus(z + 1.0)
+    rep1 = dp <= 2.0
+    return 0.5 * (1.0 - z), modulus(z - 1.0) / where(rep1, 2.0, dp) <= AUTO_ARG_LIMIT, rep1
 
 
 def _terminates(a: complex, b: complex, g: complex) -> bool:
@@ -447,11 +450,11 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     Returns (log_scale, mantissa, error estimate, provenance code, covered,
     stop); the error estimate of a connection value is left to the caller.
     Only the points before ``stop`` are evaluated: it is the first point
-    where the scalar call raises by the route predicates (an invalid triple,
-    z on the cut, or z beyond the preferred disk on [-1, 1] where REP1's
-    2F1 raises), or the size of z.  A point is not covered where the scalar
-    call raises or where a batched route could not decide; the caller
-    evaluates it with the scalar call.
+    where the scalar call raises by its own route predicates (an invalid
+    triple, z on the cut, or z beyond the preferred disk on [-1, 1] where
+    ``_route`` finds no path for REP1's 2F1), or the size of z.  A point is
+    not covered where the scalar call raises or warns or the batch's value
+    is not finite; the caller evaluates it with the scalar call.
     """
     n = z.size
     log_scale = np.zeros(n, dtype=complex)
@@ -462,7 +465,7 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     if not params.first_kind_valid():
         return log_scale, mantissa, err, code, covered, 0
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         x1, near, rep1 = _near_route(z)
     inside = P_CUT.distance(z) >= CUT_GUARD
     terminating = _terminates(a, b, g)
@@ -472,7 +475,7 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     fallback = inside & ~near & ~conn
     fails = ~inside
     if fallback.any() and not terminating:
-        fails |= fallback & _raises(x1)
+        fails |= fallback & (_route(x1, False) >= NO_PATH)
     stop = _first(fails)
     inside[stop:] = False
     near &= inside
@@ -506,14 +509,14 @@ def _pointwise(batch, scalar, z: np.ndarray, dtypes, key: tuple | None):
     error) of the first point that raised a JacobiFnError.  ``batch(zs)``
     evaluates at most BATCH_POINTS points and returns their rows of the
     columns, the mask of the points it covered, and the index of the first
-    point where the route predicates say the scalar call raises (the size
-    of zs if none); it evaluates nothing from there on.  ``scalar(w)``
+    point where the scalar call's own route predicates say it raises (the
+    size of zs if none); it evaluates nothing from there on.  ``scalar(w)``
     returns the leading entries of the columns at w from the scalar call.
     It serves the points the batch did not cover and the predicted failure,
     which raises, so nothing after the first failing point is evaluated; a
-    point marked wrongly just returns its value.  The batch predicts the
-    failure because a failing table stops there: the points after it would
-    be evaluated for nothing.
+    point marked wrongly (Q's 2F1 argument is a numpy quotient) just returns
+    its value.  The batch predicts the failure because a failing table
+    stops there: the points after it would be evaluated for nothing.
 
     ``POINTS_MEMO`` keeps the columns under key (from ``_memo_key``) and the
     bytes of z; a key of None skips it.  A call where a point raised or

@@ -33,8 +33,9 @@ from .errors import (
 from .hypergeom import (
     BATCH_OK,
     BATCH_SCALAR,
+    NO_PATH,
     _ohyp2f1_batch,
-    _raises,
+    _route,
     ohyp2f1,
     power,
     termination_index,
@@ -92,10 +93,15 @@ def _q_log_prefactor(a: complex, b: complex, g: complex) -> complex:
 
 def _q_route(z):
     """Q's AUTO arguments y = 2/(1-z), x = 2/(1+z) and whether REP1 (on y)
-    is taken rather than REP3 (on x); z a scalar or an ndarray."""
-    y = 2.0 / (1.0 - z)
-    x = 2.0 / (1.0 + z)
-    return y, x, abs(y) <= abs(x)
+    is taken rather than REP3 (on x); z a scalar or an ndarray.
+
+    |y| <= |x| is Re z <= 0 at a finite z, a test of its parts with one
+    verdict alone or in an array (Im z - Im z is 0, or NaN at a non-finite
+    Im z).  At an infinite z with one finite part y = x = 0 and REP1 is
+    taken; at the other non-finite z neither is a number, and REP3 is.
+    """
+    y, x = 2.0 / (1.0 - z), 2.0 / (1.0 + z)
+    return y, x, (z.real <= z.imag - z.imag) | (y == x)
 
 
 def _q_terms(a: complex, b: complex, g: complex, rep: Representation):
@@ -137,9 +143,9 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool
     Returns (value or log, error estimate of the value, status, REP1 mask,
     stop), with the status codes of ``_ohyp2f1_batch``.  With
     ``until_failure`` only the points before ``stop`` are evaluated: the
-    first point where the scalar call raises by the route predicates (an
-    invalid triple, z on the cut, or a chosen series with no path), or the
-    size of z.  Without it, as for the connection of P, which falls back
+    first point where the scalar call raises by its route predicates (an
+    invalid triple, z on the cut, or ``_route`` of the chosen series), or
+    the size of z.  Without it, as for the connection of P, which falls back
     per point where its second-kind logs have no path, stop is the size of
     z.  The caller evaluates the points not covered with the scalar call.
     """
@@ -158,11 +164,9 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool
         log_zm, log_zp = np.log(z - 1.0), np.log(z - -1.0)
     stop = n
     if until_failure:
-        grows1, grows3 = (
-            termination_index(_q_terms(a, b, g, rep)[0]) is None
-            for rep in (Representation.REP1, Representation.REP3)
-        )
-        stop = _first(~inside | (np.where(rep1, grows1, grows3) & _raises(np.where(rep1, y, x))))
+        reps = (Representation.REP1, Representation.REP3)
+        ends1, ends3 = (termination_index(_q_terms(a, b, g, rep)[0]) is not None for rep in reps)
+        stop = _first(~inside | (_route(np.where(rep1, y, x), np.where(rep1, ends1, ends3)) >= NO_PATH))
         inside[stop:] = False
     rep1 &= inside
     c = a + b + 2.0 * g + 2.0

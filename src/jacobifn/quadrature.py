@@ -15,6 +15,8 @@
 * Branch cuts as ``Cut``: unions of closed real intervals with one distance
   rule for scalars and arrays.  The contour radii, the Jacobi functions'
   domains and the 2F1's cut all measure with it, against one ``CUT_GUARD``.
+  Its ``modulus`` gives an array the scalar call's bits at every point, as
+  it does the routing predicates of the 2F1, P and Q.
 
 Every oracle calls its integrand with ndarrays of nodes, and the integrand
 returns an array of values.  The Gauss sums call it once per rule size.  A
@@ -508,6 +510,16 @@ def where(cond, a, b):
     return a if cond else b
 
 
+def modulus(w):
+    """|w| of a scalar or, elementwise, an ndarray, with the same bits either way.
+
+    numpy's complex ``abs`` can differ from Python's in the last bit, ``np.hypot``
+    of the parts cannot.  Route predicates compare only such moduli."""
+    if isinstance(w, np.ndarray):
+        return np.hypot(w.real, w.imag)
+    return abs(w)
+
+
 class Cut:
     """A union of closed intervals (lo, hi) of the real axis; lo may be -inf, hi inf."""
 
@@ -538,14 +550,20 @@ class Cut:
         """Distance from z, a scalar or a 1-D ndarray, to the cut.
 
         Over a piece (lo <= Re z <= hi) it is |Im z|, elsewhere |z - the
-        nearer end|; the least over the pieces, elementwise for an array.
+        nearer end| by ``modulus``; the least over the pieces, elementwise
+        for an array.
         """
-        x = z.real
+        x, im = z.real, abs(z.imag)
         best = None
         for lo, hi in self.pieces:
-            # The end is lo left of the piece and hi otherwise, so a ray's
-            # infinite end is subtracted only where the piece covers x.
-            d = where((lo <= x) & (x <= hi), abs(z.imag), abs(z - where(x < lo, lo, hi)))
+            # A ray's nearer end is its finite one; a NaN x gives NaN or inf with any end.
+            if lo == -math.inf:
+                d = where(x <= hi, im, modulus(z - hi))
+            elif hi == math.inf:
+                d = where(lo <= x, im, modulus(z - lo))
+            else:
+                right = lo <= x
+                d = where(right & (x <= hi), im, modulus(z - where(right, hi, lo)))
             best = d if best is None else where(d < best, d, best)
         return best
 

@@ -17,7 +17,7 @@ import math
 import struct
 from functools import lru_cache, wraps
 
-from .errors import FactorOverflow, PoleError, UndefinedError
+from .errors import FactorOverflow, PoleError, UndefinedError, ValidityError
 
 # Lanczos rational approximation, 15-term coefficient table (g = 607/128).
 # Relative error below 1e-14 on the right half-plane; the reflection formula
@@ -56,24 +56,26 @@ Complex = complex | float | int
 
 
 def nearest_nonpositive_integer(z: Complex) -> int:
-    """Closest element of {0, -1, -2, ...} to z (by real part)."""
+    """Closest element of {0, -1, -2, ...} to z (by real part); ValidityError at a non-finite z."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValidityError(f"nearest_nonpositive_integer({z}): the argument is not finite")
     return min(0, round(z.real))
 
 
 def distance_to_nonpositive_integers(z: Complex) -> float:
-    """Euclidean distance from z to the set of non-positive integers."""
+    """Euclidean distance from z to the non-positive integers; |z| (inf or NaN) at a non-finite z."""
     z = complex(z)
-    m = nearest_nonpositive_integer(z)
-    return math.hypot(z.real - m, z.imag)
+    if not cmath.isfinite(z):
+        return abs(z)
+    return math.hypot(z.real - nearest_nonpositive_integer(z), z.imag)
 
 
 def is_gamma_pole(z: Complex, tol: float = POLE_TOL) -> bool:
     """True when z is within tol of a non-positive integer.
 
     The distance to the non-positive integers is at least Re z, so a finite
-    Re z >= tol returns False without measuring it.  Any other z (Re z NaN or
-    +-inf included, which raise from ``round``) is measured.
+    Re z >= tol returns False without measuring it; a non-finite z is near no pole.
     """
     z = complex(z)
     if tol <= z.real < math.inf:
@@ -92,12 +94,15 @@ def gamma(z: Complex) -> complex:
     """Principal gamma function for complex argument.
 
     Raises PoleError when z is within the pole tolerance of a non-positive
-    integer, and FactorOverflow where the Lanczos product is not finite (from
-    Re z of about 142.58 on, though gamma itself overflows only near 171.6).
+    integer, FactorOverflow where the Lanczos product is not finite (from
+    Re z of about 142.58 on, though gamma itself overflows only near 171.6),
+    and ValidityError at a non-finite z.
     """
     z = complex(z)
     if is_gamma_pole(z):
         raise PoleError(f"gamma pole at z={z}")
+    if not cmath.isfinite(z):
+        raise ValidityError(f"gamma({z}): the argument is not finite")
     if z.real < 0.5:
         # Reflection: gamma(z) = pi / (sin(pi z) * gamma(1 - z)).
         return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
@@ -117,10 +122,13 @@ def log_gamma(z: Complex) -> complex:
     Intended for forming products/ratios of gammas in log space; individual
     imaginary parts may differ from the principal log-gamma branch by
     multiples of 2*pi, which cancels once the combined sum is exponentiated.
+    Raises ValidityError at a non-finite z.
     """
     z = complex(z)
     if is_gamma_pole(z):
         raise PoleError(f"log_gamma pole at z={z}")
+    if not cmath.isfinite(z):
+        raise ValidityError(f"log_gamma({z}): the argument is not finite")
     if z.real < 0.5:
         return (
             math.log(math.pi)
@@ -137,13 +145,13 @@ def log_gamma(z: Complex) -> complex:
 
 
 def reciprocal_gamma(z: Complex) -> complex:
-    """1/gamma(z) as an entire function; exactly 0 on the non-positive integers."""
+    """1/gamma(z), entire: exactly 0 on the non-positive integers, ValidityError (from gamma) at inf or NaN."""
     z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
+    if z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer():
         return 0.0 + 0.0j
     if z.real < 0.5:
         # Entire continuation through the poles of gamma.
-        return cmath.sin(math.pi * z) * gamma(1.0 - z) / math.pi
+        return gamma(1.0 - z) * cmath.sin(math.pi * z) / math.pi
     return 1.0 / gamma(z)
 
 

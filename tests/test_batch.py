@@ -17,14 +17,15 @@ that ignores its parts, so its values are compared within the parts'
 estimates: the two second-kind values and their series errors.
 
 The z of the properties mix points of the plane with points within 4 ulps
-of the routing thresholds, where the batch and the scalar call may take
-different routes and must still agree.  The thresholds include the circles
-of radius CUT_GUARD about the ends of the cuts, where numpy and Python must
-agree on which points are on a cut: there a rounding difference would turn
-a value into an error.  The examples are fixed (the suite's Hypothesis
-profile derandomizes them) so that a run repeats; the properties also held
-over 8 000 / 4 000 random examples, and with the threshold points over
-1 500.
+of the routing thresholds, where numpy and Python round a modulus or a
+quotient apart; the route predicates use neither, so the batch and the
+scalar call take the same route there too.  The thresholds include the
+circles of radius CUT_GUARD about the ends of the cuts, where numpy and
+Python must agree on which points are on a cut: there a rounding
+difference would turn a value into an error.  The examples are fixed (the
+suite's Hypothesis profile derandomizes them) so that a run repeats; the
+properties also held over 8 000 / 4 000 random examples, and with the
+threshold points over 1 500.
 """
 
 import cmath
@@ -44,12 +45,15 @@ from jacobifn.errors import FactorOverflow, JacobiFnError, NoConvergentPath, Tru
 from jacobifn.hypergeom import (
     BATCH_NO_PATH,
     BATCH_OK,
+    BATCH_POINTS,
+    BATCH_SCALAR,
     DIRECT_LIMIT,
     MAP_LIMIT,
     _ohyp2f1_batch,
     ohyp2f1,
 )
 from jacobifn.jacobi_first import (
+    _PROVENANCE,
     AUTO_ARG_LIMIT,
     POINTS_MEMO,
     JacobiParams,
@@ -217,8 +221,8 @@ def test_batched_2f1_matches_scalar(a, b, c, zs):
             growth = math.sqrt(ref.terms_used)
             tol = growth * (e + ref.abs_error_estimate) + cond * ULPS * abs(ref.value) + TINY
             assert abs(v - ref.value) <= tol
-        elif s == BATCH_NO_PATH:
-            assert isinstance(ref, NoConvergentPath)
+        # The batch routes as the scalar call does: no path exactly where it raises.
+        assert (s == BATCH_NO_PATH) == isinstance(ref, NoConvergentPath)
 
 
 def test_long_direct_series_has_the_scalar_bits():
@@ -611,3 +615,83 @@ def test_memo_holds_no_more_than_its_budget():
     assert POINTS_MEMO.cache_info() == (2, 4, budget, 2 * size)
     jacobi_p(params, np.concatenate(arrays)[: budget + 1])
     assert POINTS_MEMO.cache_info() == (2, 5, budget, 2 * size)
+
+
+# --- one route for a point, alone or in an array --------------------------------
+#
+# Within a few ulps of a routing threshold numpy's abs and complex division
+# round apart from Python's.  The route predicates read only moduli formed
+# by quadrature.modulus and the parts of z, so a batch routes every point as
+# the scalar call does: the same series, status and provenance.
+
+
+def _ulp_ring(curve, n: int, seed: int) -> list[complex]:
+    """n points of a curve (a function of an angle), each part moved by up to 6 ulps."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-math.pi, math.pi, n).tolist()
+    moves = rng.integers(-6, 7, (n, 2)).tolist()
+    return [_moved(curve(t), i, j) for t, (i, j) in zip(angles, moves)]
+
+
+def test_2f1_batch_routes_each_point_as_the_scalar_call():
+    # |z| = MAP_LIMIT and |z/(z-1)| = MAP_LIMIT (a series or NoConvergentPath),
+    # |z| = DIRECT_LIMIT and |z-1| = 1 (the direct series or the map).
+    curves = (
+        lambda t: cmath.rect(MAP_LIMIT, t),
+        lambda t: cmath.rect(MAP_LIMIT, t) / (cmath.rect(MAP_LIMIT, t) - 1.0),
+        lambda t: cmath.rect(DIRECT_LIMIT, t),
+        lambda t: 1.0 + cmath.rect(1.0, t),
+    )
+    zs = [w for k, curve in enumerate(curves) for w in _ulp_ring(curve, 300, k)]
+    a, b, c = 0.3 + 0.1j, 1.2 - 0.2j, 1.7 + 0.05j
+    for start in range(0, len(zs), BATCH_POINTS):
+        chunk = zs[start : start + BATCH_POINTS]
+        _, _, status = _ohyp2f1_batch(a, b, c, np.array(chunk))
+        for w, s in zip(chunk, status):
+            try:
+                ohyp2f1(a, b, c, w)
+                raised = False
+            except NoConvergentPath:
+                raised = True
+            # No point is left to the scalar call for want of a verdict.
+            assert s != BATCH_SCALAR, w
+            assert (s == BATCH_NO_PATH) == raised, w
+    routes = hypergeom._route(np.array(zs), False)
+    assert routes.tolist() == [hypergeom._route(w, False) for w in zs]
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+def test_array_point_has_the_scalar_provenance_at_auto_boundaries(kind):
+    # P's preferred disk, |z-1| = 2 AUTO_ARG_LIMIT and |z-1| = AUTO_ARG_LIMIT
+    # |z+1|, its REP1-or-REP3 choice, |z+1| = 2, and Q's, Re z = 0, where
+    # |Re z| up to about 3e-16 leaves |1-z| and |1+z| a rounding apart.
+    curves = (
+        lambda t: 1.0 + cmath.rect(2.0 * AUTO_ARG_LIMIT, t),
+        lambda t: (1.0 + cmath.rect(AUTO_ARG_LIMIT, t)) / (1.0 - cmath.rect(AUTO_ARG_LIMIT, t)),
+        lambda t: -1.0 + cmath.rect(2.0, t),
+        lambda t: complex(1e-16 * t, 2.0 * math.sin(5.0 * t)),
+    )
+    fn, points = (jacobi_p, _p_points) if kind == "P" else (jacobi_q, _q_points)
+    params = JacobiParams(0.3 + 0.2j, -0.4, 1.1 - 0.1j)
+    zs, want = [], []
+    for k, curve in enumerate(curves):
+        for w in _ulp_ring(curve, 300, 10 + k):
+            try:
+                want.append(fn(params, w).provenance)
+            except JacobiFnError:
+                continue
+            zs.append(w)
+    columns, failure = points(params, np.array(zs), memo=False)
+    assert failure is None
+    got = [_PROVENANCE[c] for c in columns[-1].tolist()]
+    assert [(w, p) for w, p, q in zip(zs, got, want) if p != q] == []
+
+
+def test_q_takes_rep1_at_an_infinite_z_with_one_finite_part():
+    # Both arguments, 2/(1-z) and 2/(1+z), are 0 there, and Q is 0 by REP1;
+    # a test of Re z <= 0 alone would take REP3 at +inf and at 2 + inf i.
+    params = JacobiParams(0.3, 0.2, 0.5)
+    for w in (complex(math.inf, 0.0), complex(math.inf, -1.0), complex(2.0, math.inf), complex(-math.inf, 1.0)):
+        for z in (w, np.array([w])):
+            got = jacobi_q(params, z)
+            assert got.provenance == "rep1" and not np.any(got.value), w
