@@ -295,15 +295,14 @@ def _unscale(log_scale, mantissa):
 def _near_route(z):
     """AUTO's first choice at z, a scalar or an ndarray.
 
-    Returns REP1's argument x1 = (1-z)/2, whether it or REP3's argument
-    x2 = (z-1)/(z+1) lies in the preferred disk, and whether REP1 is taken
-    there.  As |x1| = |z-1|/2 and |x2| = |z-1|/|z+1|, REP1 is taken where
-    |z+1| <= 2, and the smaller is |z-1| / max(2, |z+1|): only moduli enter,
-    so an array has the scalar's choice at every point.
+    Returns whether REP1's argument x1 = (1-z)/2 or REP3's x2 = (z-1)/(z+1)
+    lies in the preferred disk, and whether REP1 is taken there: |z+1| <= 2,
+    as |x1| = |z-1|/2 and |x2| = |z-1|/|z+1|, whose smaller is |z-1| /
+    max(2, |z+1|).  Only moduli enter: an array has the scalar's choice.
     """
     dp = modulus(z + 1.0)
     rep1 = dp <= 2.0
-    return 0.5 * (1.0 - z), modulus(z - 1.0) / where(rep1, 2.0, dp) <= AUTO_ARG_LIMIT, rep1
+    return modulus(z - 1.0) / where(rep1, 2.0, dp) <= AUTO_ARG_LIMIT, rep1
 
 
 def _terminates(a: complex, b: complex, g: complex) -> bool:
@@ -326,7 +325,7 @@ def _auto(params: JacobiParams, z: complex):
     x2.  A REP1 value beyond the disk that is not finite raises
     NoConvergentPath.
     """
-    _, near, rep1 = _near_route(z)
+    near, rep1 = _near_route(z)
     if near:
         res = _rep_value(params, z, Representation.REP1 if rep1 else Representation.REP3)
         return 0.0 + 0.0j, res.value, res.abs_error_estimate, res.provenance
@@ -466,7 +465,7 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
         return log_scale, mantissa, err, code, covered, 0
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     with np.errstate(invalid="ignore"):
-        x1, near, rep1 = _near_route(z)
+        near, rep1 = _near_route(z)
     inside = P_CUT.distance(z) >= CUT_GUARD
     terminating = _terminates(a, b, g)
     # A terminating REP1 is summed beyond the disk too; where its sum is not
@@ -475,7 +474,8 @@ def _auto_batch(params: JacobiParams, z: np.ndarray):
     fallback = inside & ~near & ~conn
     fails = ~inside
     if fallback.any() and not terminating:
-        fails |= fallback & (_route(x1, False) >= NO_PATH)
+        # REP1's argument (1-z)/2, as ``_rep_terms`` forms it, at the fallback points.
+        fails[fallback] = _route(0.5 * (1.0 - z[fallback]), False) >= NO_PATH
     stop = _first(fails)
     inside[stop:] = False
     near &= inside
