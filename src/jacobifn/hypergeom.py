@@ -27,14 +27,14 @@ Three evaluation layers:
   point takes one route in a scalar call and in a batch.
 * ``_ohyp2f1_batch`` -- the regularized 2F1 of one (a, b, c) over an ndarray
   of z, for the oracles that evaluate one parameter triple at every node of
-  a level.  It routes each point by ``_route`` and keeps the scalar stopping
-  rule and error estimate, but sums with numpy (``_series_batch``): the
-  leading terms of ``_leading_terms`` at the array of arguments, then column
-  blocks of ``_sum_block``, the rule of ``_block_tail_2f1``, so a point whose
-  scalar series takes the blocks from its first term (Re c > 1/2) gets the
-  scalar bits; the block widths change no result.  A batch whose series
-  terminates or whose largest |z| is at most ``DIRECT_LIMIT`` is summed in
-  one pass without routing.  Callers pass at most ``BATCH_POINTS`` points.
+  a level.  It routes each point by ``_route`` (Q's batch passes the route
+  of the scalar call's argument) and keeps the scalar stopping rule and
+  error estimate, but sums with numpy (``_series_batch``): the leading terms
+  of ``_leading_terms`` at the array of arguments, then column blocks of
+  ``_sum_block``, the rule of ``_block_tail_2f1``, so a point whose scalar
+  series takes the blocks from its first term (Re c > 1/2) gets the scalar
+  bits; the block widths change no result.  Callers pass at most
+  ``BATCH_POINTS`` points.
   A status per point marks those it does not cover (on the cut, no map
   inside the disk, the term cap); the Jacobi layers evaluate them with the
   scalar call, which raises or warns as documented.  The scalar routines
@@ -472,14 +472,14 @@ def _route(z, terminating):
     else ON_CUT within CUT_GUARD of the cut, NO_PATH where neither |z| nor
     |z/(z-1)| (|z| <= MAP_LIMIT |z-1| at a finite |z|) is within MAP_LIMIT,
     DIRECT within DIRECT_LIMIT or where |z| <= |z/(z-1)|, i.e. |z-1| <= 1,
-    and MAP otherwise.  Only moduli enter: the scalar's route at every point.
+    and MAP otherwise.  Only moduli enter: an array's route at each point is
+    the scalar call's at that point's bits.
     """
     az, az1 = modulus(z), modulus(z - 1.0)
-    route = where((az <= DIRECT_LIMIT) | (az1 <= 1.0), DIRECT, MAP)
     path = (az <= MAP_LIMIT) | (az <= MAP_LIMIT * az1) & (az < math.inf)
-    route = where(path, route, NO_PATH)
+    route = where(path, MAP * ((az > DIRECT_LIMIT) & (az1 > 1.0)), NO_PATH)
     route = where(_CUT.distance(z) < CUT_GUARD, ON_CUT, route)
-    return where(terminating, DIRECT, route)
+    return route if terminating is False else where(terminating, DIRECT, route)
 
 
 def _continued_2f1(a, b, c, z, regularized: bool) -> SeriesValue:
@@ -490,7 +490,7 @@ def _continued_2f1(a, b, c, z, regularized: bool) -> SeriesValue:
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     m = termination_index((a, b))
-    route = _route(z, m is not None)
+    route = DIRECT if m is not None else _route(z, False)
     if route == ON_CUT:
         raise CutError(f"z={z} on the cut {_CUT}")
     if route == NO_PATH:
@@ -581,10 +581,10 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
     return value, err, covered
 
 
-def _ohyp2f1_batch(a, b, c, z: np.ndarray):
+def _ohyp2f1_batch(a, b, c, z: np.ndarray, route=None):
     """``ohyp2f1`` at every point of a 1-D array z: (value, error estimate, status).
 
-    Routes each point by the scalar routine's ``_route``.  ``status`` is
+    Routes each point by ``route``, else by ``_route`` of z.  ``status`` is
     BATCH_OK where the batch covered the point, BATCH_NO_PATH exactly where
     the scalar call raises NoConvergentPath, and BATCH_SCALAR where it
     raises CutError, warns at the term cap or the batch's result is not
@@ -594,12 +594,13 @@ def _ohyp2f1_batch(a, b, c, z: np.ndarray):
     """
     a, b, c = complex(a), complex(b), complex(c)
     m = termination_index((a, b))
-    if m is not None or (z.size and np.max(modulus(z)) <= DIRECT_LIMIT):
+    if route is None and m is None and z.size and np.max(modulus(z)) > DIRECT_LIMIT:
+        route = _route(z, False)
+    if route is None or m is not None or (route == DIRECT).all():
         value, err, ok = _series_batch(a, b, c, z, m)
         return value, err, _status(value, err, ok)
     value = np.zeros(z.size, dtype=complex)
     err = np.zeros(z.size)
-    route = _route(z, False)
     status = np.where(route == NO_PATH, BATCH_NO_PATH, BATCH_SCALAR).astype(np.int8)
     direct, pfaff = route == DIRECT, route == MAP
     if direct.any():

@@ -514,9 +514,9 @@ def _pointwise(batch, scalar, z: np.ndarray, dtypes, key: tuple | None):
     returns the leading entries of the columns at w from the scalar call.
     It serves the points the batch did not cover and the predicted failure,
     which raises, so nothing after the first failing point is evaluated; a
-    point marked wrongly (Q's 2F1 argument is a numpy quotient) just returns
-    its value.  The batch predicts the failure because a failing table
-    stops there: the points after it would be evaluated for nothing.
+    point marked wrongly just returns its value.  The batch predicts the
+    failure because a failing table stops there: the points after it would
+    be evaluated for nothing.
 
     ``POINTS_MEMO`` keeps the columns under key (from ``_memo_key``) and the
     bytes of z; a key of None skips it.  A call where a point raised or

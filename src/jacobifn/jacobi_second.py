@@ -148,26 +148,26 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool
     the size of z.  Without it, as for the connection of P, which falls back
     per point where its second-kind logs have no path, stop is the size of
     z.  The caller evaluates the points not covered with the scalar call.
+    Each point takes the route of the scalar call's 2F1 argument, Python's
+    quotient; the series run on numpy's, which can differ in the last bit.
     """
     n = z.size
-    out = np.zeros(n, dtype=complex)
     err = np.zeros(n)
     status = np.full(n, BATCH_SCALAR, dtype=np.int8)
-    rep1 = np.zeros(n, dtype=bool)
     if not params.second_kind_valid():
-        return out, err, status, rep1, 0 if until_failure else n
+        return np.zeros(n, dtype=complex), err, status, np.zeros(n, dtype=bool), 0 if until_failure else n
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     inside = Q_CUT.distance(z) >= CUT_GUARD
     with np.errstate(divide="ignore", invalid="ignore"):
         y, x, rep1 = _q_route(z)
         # z - -1.0 keeps a -0.0 imaginary part, as in ``_q_parts``.
         log_zm, log_zp = np.log(z - 1.0), np.log(z - -1.0)
-    stop = n
-    if until_failure:
-        reps = (Representation.REP1, Representation.REP3)
-        ends1, ends3 = (termination_index(_q_terms(a, b, g, rep)[0]) is not None for rep in reps)
-        stop = _first(~inside | (_route(np.where(rep1, y, x), np.where(rep1, ends1, ends3)) >= NO_PATH))
-        inside[stop:] = False
+    reps = (Representation.REP1, Representation.REP3)
+    ends1, ends3 = (termination_index(_q_terms(a, b, g, rep)[0]) is not None for rep in reps)
+    scalar_w = np.array([2.0 / v for v in np.where(rep1, 1.0 - z, 1.0 + z).tolist()])
+    route = _route(scalar_w, np.where(rep1, ends1, ends3))
+    stop = _first(~inside | (route >= NO_PATH)) if until_failure else n
+    inside[stop:] = False
     rep1 &= inside
     c = a + b + 2.0 * g + 2.0
     base_log = _q_log_prefactor(a, b, g)
@@ -179,7 +179,7 @@ def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool
             idx = np.flatnonzero(mask)
             (p1, p2), on_y, e_m, e_p = _q_terms(a, b, g, rep)
             arg = (y if on_y else x)[idx]
-            series[idx], serr[idx], status[idx] = _ohyp2f1_batch(p1, p2, c, arg)
+            series[idx], serr[idx], status[idx] = _ohyp2f1_batch(p1, p2, c, arg, route[idx])
             # An infinite z has infinite logs, whose products form inf * 0;
             # its value is not finite, so the scalar call takes it.
             with np.errstate(invalid="ignore"):

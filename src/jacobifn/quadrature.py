@@ -500,22 +500,22 @@ def repeated_integral(
 CUT_GUARD = 1e-12
 
 
-def where(cond, a, b):
+def where(cond, a, b, _array=np.ndarray):
     """a where cond holds, else b: elementwise when cond is an ndarray.
 
     Lets one routing predicate serve a scalar call and a batch.
     """
-    if isinstance(cond, np.ndarray):
+    if isinstance(cond, _array):
         return np.where(cond, a, b)
     return a if cond else b
 
 
-def modulus(w):
+def modulus(w, _array=np.ndarray):
     """|w| of a scalar or, elementwise, an ndarray, with the same bits either way.
 
     numpy's complex ``abs`` can differ from Python's in the last bit, ``np.hypot``
     of the parts cannot.  Route predicates compare only such moduli."""
-    if isinstance(w, np.ndarray):
+    if isinstance(w, _array):
         return np.hypot(w.real, w.imag)
     return abs(w)
 

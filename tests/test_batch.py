@@ -18,8 +18,9 @@ estimates: the two second-kind values and their series errors.
 
 The z of the properties mix points of the plane with points within 4 ulps
 of the routing thresholds, where numpy and Python round a modulus or a
-quotient apart; the route predicates use neither, so the batch and the
-scalar call take the same route there too.  The thresholds include the
+quotient apart; the route predicates use neither, and Q's batch routes its
+2F1 argument, a quotient, at Python's bits, so the batch and the scalar
+call take the same route there too.  The thresholds include the
 circles of radius CUT_GUARD about the ends of the cuts, where numpy and
 Python must agree on which points are on a cut: there a rounding
 difference would turn a value into an error.  The examples are fixed (the
@@ -127,9 +128,18 @@ _near_auto = _near(
     _guard_circle(-1.0),
     _guard_circle(1.0),
 )
+# Q's 2F1 argument 2/(1-z) or 2/(1+z), a quotient, at MAP_LIMIT on the arc
+# where AUTO takes it (a series or NoConvergentPath) and CUT_GUARD above the
+# 2F1's cut [1, oo) off Q's own guard (a series or CutError).
+_Q_EDGES = (
+    lambda t: 1.0 - 2.0 / cmath.rect(MAP_LIMIT, t / 3.0),
+    lambda t: 2.0 / cmath.rect(MAP_LIMIT, t / 3.0) - 1.0,
+    lambda t: 1.0 - 2.0 / complex(1.2 + 0.1 * math.sin(t), CUT_GUARD),
+    lambda t: 2.0 / complex(1.2 + 0.1 * math.sin(t), CUT_GUARD) - 1.0,
+)
 # Q's REP1 or REP3, |2/(1-z)| = |2/(1+z)| on Re z = 0 (signed zeros and
-# subnormals), and each of those arguments at DIRECT_LIMIT; a value or
-# DomainCutError: the guard circles about -1 and 1.
+# subnormals), each of those arguments at DIRECT_LIMIT and at the edges
+# above; a value or DomainCutError: the guard circles about -1 and 1.
 _near_tie = st.one_of(
     st.builds(
         complex,
@@ -139,6 +149,7 @@ _near_tie = st.one_of(
     _near(
         lambda t: 1.0 - 2.0 / cmath.rect(DIRECT_LIMIT, t),
         lambda t: 2.0 / cmath.rect(DIRECT_LIMIT, t) - 1.0,
+        *_Q_EDGES,
         _guard_circle(-1.0),
         _guard_circle(1.0),
     ),
@@ -664,12 +675,14 @@ def test_2f1_batch_routes_each_point_as_the_scalar_call():
 def test_array_point_has_the_scalar_provenance_at_auto_boundaries(kind):
     # P's preferred disk, |z-1| = 2 AUTO_ARG_LIMIT and |z-1| = AUTO_ARG_LIMIT
     # |z+1|, its REP1-or-REP3 choice, |z+1| = 2, and Q's, Re z = 0, where
-    # |Re z| up to about 3e-16 leaves |1-z| and |1+z| a rounding apart.
+    # |Re z| up to about 3e-16 leaves |1-z| and |1+z| a rounding apart; and
+    # the edges of Q's 2F1 argument, which decide P's connection or REP1.
     curves = (
         lambda t: 1.0 + cmath.rect(2.0 * AUTO_ARG_LIMIT, t),
         lambda t: (1.0 + cmath.rect(AUTO_ARG_LIMIT, t)) / (1.0 - cmath.rect(AUTO_ARG_LIMIT, t)),
         lambda t: -1.0 + cmath.rect(2.0, t),
         lambda t: complex(1e-16 * t, 2.0 * math.sin(5.0 * t)),
+        *_Q_EDGES,
     )
     fn, points = (jacobi_p, _p_points) if kind == "P" else (jacobi_q, _q_points)
     params = JacobiParams(0.3 + 0.2j, -0.4, 1.1 - 0.1j)
@@ -685,6 +698,29 @@ def test_array_point_has_the_scalar_provenance_at_auto_boundaries(kind):
     assert failure is None
     got = [_PROVENANCE[c] for c in columns[-1].tolist()]
     assert [(w, p) for w, p, q in zip(zs, got, want) if p != q] == []
+
+
+def _outcome(fn, params, z):
+    try:
+        return fn(params, z).provenance
+    except JacobiFnError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("fn", [jacobi_p, jacobi_q])
+def test_an_array_raises_where_the_scalar_call_raises_at_q_argument_edges(fn):
+    # Q's batch divides with numpy, which rounds 2/(1-z) apart from Python,
+    # but routes each point at the scalar call's quotient, so one point in
+    # an array raises or returns as it does alone (P's connection falls back
+    # to REP1 where Q has no path).
+    params = JacobiParams(0.3, 0.2, 0.45)
+    moved = []
+    for k, curve in enumerate(_Q_EDGES):
+        for w in _ulp_ring(curve, 400, 20 + k):
+            alone, in_array = _outcome(fn, params, w), _outcome(fn, params, np.array([w]))
+            if alone != in_array:
+                moved.append((w, alone, in_array))
+    assert moved == []
 
 
 def test_q_takes_rep1_at_an_infinite_z_with_one_finite_part():
