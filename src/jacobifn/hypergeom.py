@@ -27,19 +27,19 @@ Three evaluation layers:
   point takes one route in a scalar call and in a batch.
 * ``_ohyp2f1_batch`` -- the regularized 2F1 of one (a, b, c) over an ndarray
   of z, for the oracles that evaluate one parameter triple at every node of
-  a level.  It routes each point by ``_route`` (Q's batch passes the route
-  of the scalar call's argument) and keeps the scalar stopping rule and
+  a level.  It routes each point by ``_route`` (the AUTO plans of the Jacobi
+  layers pass the routes they formed) and keeps the scalar stopping rule and
   error estimate, but sums with numpy (``_series_batch``): the leading terms
   of ``_leading_terms`` at the array of arguments, then column blocks of
   ``_sum_block``, the rule of ``_block_tail_2f1``, so a point whose scalar
   series takes the blocks from its first term (Re c > 1/2) gets the scalar
   bits; the block widths change no result.  Callers pass at most
   ``BATCH_POINTS`` points.
-  A status per point marks those it does not cover (on the cut, no map
-  inside the disk, the term cap); the Jacobi layers evaluate them with the
-  scalar call, which raises or warns as documented.  The scalar routines
-  stay the reference and serve single calls, whose short series run in
-  Python, where numpy's per-call overhead would lose.
+  A mask marks the points it covers; the Jacobi layers evaluate the others
+  (on the cut, no map inside the disk, the term cap) with the scalar call,
+  which raises or warns as documented.  The scalar routines stay the
+  reference and serve single calls, whose short series run in Python, where
+  numpy's per-call overhead would lose.
 * ``reverse_finite_series`` -- a finite sum evaluated both directly and in
   reversed order as a new hypergeometric sum in 1/z; the two routes must
   agree and are used as mutual checks.
@@ -101,9 +101,6 @@ _FIRST_MARGIN = 8
 _TAIL_TERMS = 140
 # The term indices 0..MAX_TERMS as complex numbers, sliced by the blocks.
 _INDEX = np.arange(MAX_TERMS + 1.0).astype(complex)
-# Status of a point in a batched evaluation: covered; not covered because
-# the scalar call raises NoConvergentPath; not covered for another reason.
-BATCH_OK, BATCH_NO_PATH, BATCH_SCALAR = 0, 1, 2
 
 
 def power(base, s):
@@ -465,11 +462,10 @@ def ohyp(upper, lower, argument) -> SeriesValue:
     return _checked_series(upper, lower, argument, regularized=True)
 
 
-def _route(z, terminating):
-    """The 2F1 continuation's route at z, a scalar or an ndarray: DIRECT, MAP, NO_PATH or ON_CUT.
+def _route(z):
+    """The route at z, a scalar or an ndarray, of a 2F1 series that does not terminate.
 
-    DIRECT where the series terminates (``terminating``, a bool or a mask);
-    else ON_CUT within CUT_GUARD of the cut, NO_PATH where neither |z| nor
+    ON_CUT within CUT_GUARD of the cut, NO_PATH where neither |z| nor
     |z/(z-1)| (|z| <= MAP_LIMIT |z-1| at a finite |z|) is within MAP_LIMIT,
     DIRECT within DIRECT_LIMIT or where |z| <= |z/(z-1)|, i.e. |z-1| <= 1,
     and MAP otherwise.  Only moduli enter: an array's route at each point is
@@ -478,24 +474,32 @@ def _route(z, terminating):
     az, az1 = modulus(z), modulus(z - 1.0)
     path = (az <= MAP_LIMIT) | (az <= MAP_LIMIT * az1) & (az < math.inf)
     route = where(path, MAP * ((az > DIRECT_LIMIT) & (az1 > 1.0)), NO_PATH)
-    route = where(_CUT.distance(z) < CUT_GUARD, ON_CUT, route)
-    return route if terminating is False else where(terminating, DIRECT, route)
+    return where(_CUT.distance(z) < CUT_GUARD, ON_CUT, route)
 
 
-def _continued_2f1(a, b, c, z, regularized: bool) -> SeriesValue:
+def _refuse(z: complex, route: int):
+    """Raise the error of a route that sums nothing at z: CutError on the cut, else NoConvergentPath."""
+    if route == ON_CUT:
+        raise CutError(f"z={z} on the cut {_CUT}")
+    best = min(modulus(z), modulus(z / (z - 1.0)))
+    raise NoConvergentPath(f"no transformed argument inside the disk (best modulus {best:.3f})")
+
+
+def _continued_2f1(a, b, c, z, regularized: bool, route=None) -> SeriesValue:
     """2F1(a, b; c; z), plain or regularized, continued via the z/(z-1) map.
 
-    The series summed terminates or has its argument within MAP_LIMIT, so the
-    only check of ``_checked_series`` that can fire is the lower-pole guard.
+    Takes the ``_route`` of z a caller formed, or forms it.  The series
+    summed terminates or has its argument within MAP_LIMIT, so the only
+    check of ``_checked_series`` that can fire is the lower-pole guard.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     m = termination_index((a, b))
-    route = DIRECT if m is not None else _route(z, False)
-    if route == ON_CUT:
-        raise CutError(f"z={z} on the cut {_CUT}")
-    if route == NO_PATH:
-        best = min(abs(z), abs(z / (z - 1.0)))
-        raise NoConvergentPath(f"no transformed argument inside the disk (best modulus {best:.3f})")
+    if m is not None:
+        route = DIRECT
+    elif route is None:
+        route = _route(z)
+    if route >= NO_PATH:
+        _refuse(z, route)
 
     def series(upper, x, m_stop):
         if not regularized:
@@ -582,44 +586,42 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
 
 
 def _ohyp2f1_batch(a, b, c, z: np.ndarray, route=None):
-    """``ohyp2f1`` at every point of a 1-D array z: (value, error estimate, status).
+    """``ohyp2f1`` at every point of a 1-D array z: (value, error estimate, covered).
 
-    Routes each point by ``route``, else by ``_route`` of z.  ``status`` is
-    BATCH_OK where the batch covered the point, BATCH_NO_PATH exactly where
-    the scalar call raises NoConvergentPath, and BATCH_SCALAR where it
-    raises CutError, warns at the term cap or the batch's result is not
-    finite; callers evaluate the points not covered with the scalar call.
-    A batch whose series terminates, or whose largest |z| is at most
-    DIRECT_LIMIT, is summed directly without routing, as ``_route`` would.
+    Routes each point by ``route``, else by ``_route`` of z.  A point is not
+    covered where the scalar call raises NoConvergentPath or CutError, warns
+    at the term cap, or the batch's result is not finite; callers evaluate
+    it with the scalar call.  A batch whose series terminates, or whose
+    largest |z| is at most DIRECT_LIMIT, is summed directly without routing,
+    as ``_route`` would.
     """
     a, b, c = complex(a), complex(b), complex(c)
     m = termination_index((a, b))
     if route is None and m is None and z.size and np.max(modulus(z)) > DIRECT_LIMIT:
-        route = _route(z, False)
+        route = _route(z)
     if route is None or m is not None or (route == DIRECT).all():
         value, err, ok = _series_batch(a, b, c, z, m)
-        return value, err, _status(value, err, ok)
+        return value, err, _covered(value, err, ok)
     value = np.zeros(z.size, dtype=complex)
     err = np.zeros(z.size)
-    status = np.where(route == NO_PATH, BATCH_NO_PATH, BATCH_SCALAR).astype(np.int8)
+    covered = np.zeros(z.size, dtype=bool)
     direct, pfaff = route == DIRECT, route == MAP
     if direct.any():
         v, e, ok = _series_batch(a, b, c, z[direct], None)
-        value[direct], err[direct], status[direct] = v, e, _status(v, e, ok)
+        value[direct], err[direct], covered[direct] = v, e, _covered(v, e, ok)
     if pfaff.any():
         zp = z[pfaff]
         v, e, ok = _series_batch(a, c - b, c, zp / (zp - 1.0), termination_index((a, c - b)))
         fac = power(1.0 - zp, -a)
         v, e = fac * v, np.abs(fac) * e
-        value[pfaff], err[pfaff], status[pfaff] = v, e, _status(v, e, ok)
-    return value, err, status
+        value[pfaff], err[pfaff], covered[pfaff] = v, e, _covered(v, e, ok)
+    return value, err, covered
 
 
-def _status(value, err, ok):
-    """BATCH_OK where a batch covered a point (``ok``) with a finite value and estimate, else BATCH_SCALAR."""
+def _covered(value, err, ok):
+    """The points a batch covered (``ok``) with a finite value and estimate."""
     with np.errstate(invalid="ignore"):
-        ok &= np.isfinite(value) & np.isfinite(err)
-    return np.where(ok, BATCH_OK, BATCH_SCALAR).astype(np.int8)
+        return ok & np.isfinite(value) & np.isfinite(err)
 
 
 def reverse_finite_series(upper, lower, m: int, z) -> tuple[SeriesValue, SeriesValue]:

@@ -2,24 +2,22 @@
 
 P is regular near z = 1 and cut along (-oo, -1].  Four Gauss hypergeometric
 representations cover the plane: two in the variable (1-z)/2 and two in
-(z-1)/(z+1).  AUTO picks the smallest-modulus argument.  When neither series
-argument is inside the preferred disk, a terminating REP1 (gamma in N0, the
-Jacobi polynomials, or alpha+beta+gamma+1 in -N0) comes first: its exact
-finite sum serves at every z where it is finite.  Otherwise evaluation
-falls back to the two-solution decomposition in terms of the second-kind
-functions, whose arguments shrink as |z| grows.  Where that decomposition
-is undefined (on [-1, 1], the second kind's cut) or has no path, AUTO sums
-REP1, and the 2F1 decides through its argument map whether it can.
+(z-1)/(z+1).  Under AUTO one plan (``_p_plan``), shared by scalar and array
+calls, gives each point a code: REP1 or REP3, the smaller argument, where
+one is inside the preferred disk.  Beyond it, REP1_BEYOND for a terminating
+REP1 (gamma in N0, the Jacobi polynomials, or alpha+beta+gamma+1 in -N0),
+whose exact finite sum serves at every z where it is finite; else
+CONNECTION, the two-solution decomposition in terms of the second-kind
+functions, whose arguments shrink as |z| grows; where that is undefined (on
+[-1, 1], the second kind's cut) or has no path, REP1_BEYOND again, or
+NO_PATH where REP1's 2F1 has no route.  ON_CUT on P's cut.
 
-Under AUTO, ``jacobi_p`` and ``jacobi_p_scaled`` also take an ndarray of z
-for one parameter triple.  The points are grouped by the scalar dispatch's
-choice (REP1 or REP3, the large-z connection through batched second-kind
-logarithms, REP1 beyond the preferred disk) and each group is summed by the
-batched series; a point the batch does not cover takes the scalar call,
-which raises its documented error there.  A batch stops before the first
-point where the route predicates say the scalar call raises, and the scalar
-call there raises, so an array is evaluated only up to its first failing
-point (``_pointwise``); ``jacobifn table`` reads the rows of the same pass.
+A scalar call evaluates its point's code.  ``jacobi_p`` and
+``jacobi_p_scaled`` also take an ndarray of z for one triple: its points are
+grouped by code and each group is summed by the batched series, up to the
+first point coded NO_PATH or ON_CUT; that point and any the batch does not
+cover take the scalar call, which raises its documented error there
+(``_pointwise``).  ``jacobifn table`` reads the rows of the same pass.
 """
 
 from __future__ import annotations
@@ -43,14 +41,14 @@ from .errors import (
     VanishingValue,
 )
 from .hypergeom import (
-    BATCH_NO_PATH,
-    BATCH_OK,
     BATCH_POINTS,
+    DIRECT,
     NO_PATH,
+    ON_CUT,
+    _continued_2f1,
     _ohyp2f1_batch,
     _route,
     ohyp,
-    ohyp2f1,
     power,
     termination_index,
 )
@@ -114,9 +112,9 @@ class Representation(enum.Enum):
     AUTO = 0
 
 
-def _require_off_cut(cut: Cut, z: complex) -> None:
-    """Raise DomainCutError where z lies within CUT_GUARD of the cut."""
-    if cut.distance(z) < CUT_GUARD:
+def _require_off_cut(cut: Cut, z: complex, on_cut: bool | None = None) -> None:
+    """Raise DomainCutError where z lies within CUT_GUARD of the cut (``on_cut``, if a plan measured it)."""
+    if cut.distance(z) < CUT_GUARD if on_cut is None else on_cut:
         raise DomainCutError(f"z={z} on or too near the cut {cut}")
 
 
@@ -126,13 +124,15 @@ def _require_finite(params: JacobiParams) -> None:
         raise ValidityError(f"alpha, beta and gamma must be finite, not {params}")
 
 
-def _require_p_domain(params: JacobiParams, z: complex) -> None:
+def _require_p_domain(params: JacobiParams, z: complex | None = None) -> None:
+    """Raise ValidityError for a triple off P's domain, then DomainCutError where a given z is on its cut."""
     if not params.first_kind_valid():
         _require_finite(params)
         raise ValidityError(
             f"alpha+gamma={complex(params.alpha) + complex(params.gamma)} is a negative integer"
         )
-    _require_off_cut(P_CUT, z)
+    if z is not None:
+        _require_off_cut(P_CUT, z)
 
 
 @exact_memo
@@ -214,9 +214,10 @@ def _apply_factor(factor, series, series_err):
     return value, abs(factor) * series_err + 1e-15 * abs(value)
 
 
-def _rep_value(params: JacobiParams, z: complex, rep: Representation) -> EvalResult:
+def _rep_value(params: JacobiParams, z: complex, rep: Representation, route=None) -> EvalResult:
+    """A representation at a scalar z; its 2F1 takes ``route`` (from P's plan) or routes itself."""
     a1, b1, c1, x, factor = _rep_terms(params, z, rep)
-    series = ohyp2f1(a1, b1, c1, x)
+    series = _continued_2f1(a1, b1, c1, x, True, route)
     value, err = _apply_factor(factor, series.value, series.abs_error_estimate)
     return EvalResult(value, err, f"rep{rep.value}")
 
@@ -227,7 +228,8 @@ def _connection_coeffs(a: complex, b: complex, g: complex) -> tuple[complex, com
 
     P_g^(a,b) = A Q_g^(a,b) + B Q_{-a-b-g-1}^(a,b), built from the 1 <-> oo
     connection of the hypergeometric series.  Degenerate on the resonant set
-    where the two large-z exponents merge or a companion becomes invalid.
+    where the two large-z exponents merge or a second-kind solution becomes
+    invalid: the companion's, or the triple's own at beta+gamma in -N.
     Memoized per triple.
     """
     denom = cmath.sin(math.pi * (a + b + 2.0 * g))
@@ -235,9 +237,9 @@ def _connection_coeffs(a: complex, b: complex, g: complex) -> tuple[complex, com
         raise NoConvergentPath("degenerate large-z connection (resonant exponents)")
     for s in (a + g, b + g):
         m = round(s.real)
-        if m >= 0 and abs(s - m) < 0.02:
+        if m >= 0 and abs(s - m) < 0.02 or is_gamma_pole(s + 1.0):
             raise NoConvergentPath(
-                "degenerate large-z connection (companion solution invalid)"
+                "degenerate large-z connection (second-kind solution invalid)"
             )
     coef_a = 2.0 * cmath.sin(math.pi * g) * cmath.sin(math.pi * (b + g)) / (math.pi * denom)
     coef_b = (
@@ -268,17 +270,6 @@ def _connection_mix(coeffs, log1: complex, log2: complex):
     return where(first, log1, log2), where(first, coef_a + coef_b * ratio, coef_a * ratio + coef_b)
 
 
-def _connection_scaled(params: JacobiParams, z: complex) -> tuple[complex, complex]:
-    """(log_scale, mantissa) of P via the second-kind pair; never overflows."""
-    from .jacobi_second import jacobi_q_log
-
-    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    coeffs = _connection_coeffs(a, b, g)
-    log1 = jacobi_q_log(params, z)
-    log2 = jacobi_q_log(JacobiParams(a, b, coeffs[2]), z)
-    return _connection_mix(coeffs, log1, log2)
-
-
 def _unscale(log_scale, mantissa):
     """(value, flat error estimate) of a connection value; scalars or ndarrays.
 
@@ -292,53 +283,92 @@ def _unscale(log_scale, mantissa):
     return value, 1e-13 * abs(value)
 
 
-def _near_route(z):
-    """AUTO's first choice at z, a scalar or an ndarray.
-
-    Returns whether REP1's argument x1 = (1-z)/2 or REP3's x2 = (z-1)/(z+1)
-    lies in the preferred disk, and whether REP1 is taken there: |z+1| <= 2,
-    as |x1| = |z-1|/2 and |x2| = |z-1|/|z+1|, whose smaller is |z-1| /
-    max(2, |z+1|).  Only moduli enter: an array has the scalar's choice.
-    """
-    dp = modulus(z + 1.0)
-    rep1 = dp <= 2.0
-    return modulus(z - 1.0) / where(rep1, 2.0, dp) <= AUTO_ARG_LIMIT, rep1
-
-
-def _terminates(a: complex, b: complex, g: complex) -> bool:
+def _terminates(params: JacobiParams) -> bool:
     """Whether REP1's 2F1 terminates: gamma in N0, or alpha+beta+gamma+1 in -N0."""
+    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     return termination_index((-g, a + b + g + 1.0)) is not None
 
 
+# Codes of P's AUTO plan; the first three index _PROVENANCE.
+P_REP1, P_REP3, P_CONNECTION, P_REP1_BEYOND, P_NO_PATH, P_ON_CUT = range(6)
+
+
+def _connection_plan(params: JacobiParams, z):
+    """(taken, (coefficients, triples, codes, argument, route)) of P's large-z connection at z.
+
+    z is a scalar or a 1-D ndarray.  Taken where the coefficients exist and
+    both second-kind logs sum: Q's plan at z, for the triple and its
+    companion, which differ only where one's series terminates.  Also taken
+    where a log's argument lies on the 2F1's cut: the log raises CutError.
+    """
+    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
+    try:
+        coeffs = _connection_coeffs(a, b, g)
+    except NoConvergentPath:
+        return False, None
+    triples = params, JacobiParams(a, b, coeffs[2])
+    codes, argument, route = _second._q_plan(params, z, triples[1])
+    worst = where(codes[0] >= codes[1], codes[0], codes[1])
+    taken = (worst < _second.Q_NO_PATH) | (worst == _second.Q_NO_PATH) & (route == ON_CUT)
+    return taken, (coeffs, triples, codes, argument, route)
+
+
+def _p_plan(params: JacobiParams, z):
+    """P's AUTO plan at z, a scalar or a 1-D ndarray, for a valid triple: (code, route, connection).
+
+    The codes are the module's.  In the disk |z+1| <= 2 takes REP1, as |x1|
+    = |z-1|/2 and |x2| = |z-1|/|z+1|; beyond it REP3 would sum REP1's series
+    (the map takes x1 to x1/(x1-1) = x2).  ``route`` is REP1's 2F1 route
+    (DIRECT in the disk and for a terminating sum), ``connection`` that of
+    ``_connection_plan``; in an array both hold every point.  A point has one
+    plan alone or in an array: only moduli and the parts of z enter.
+    """
+    dp = modulus(z + 1.0)
+    rep1 = dp <= 2.0
+    near = modulus(z - 1.0) / where(rep1, 2.0, dp) <= AUTO_ARG_LIMIT
+    code = where(near, where(rep1, P_REP1, P_REP3), P_REP1_BEYOND)
+    # P_CUT.distance(z), from the same |z+1|.
+    code = where(where(z.real <= -1.0, abs(z.imag), dp) < CUT_GUARD, P_ON_CUT, code)
+    array = isinstance(z, np.ndarray)
+    beyond = code == P_REP1_BEYOND
+    if not (beyond.any() if array else beyond) or _terminates(params):
+        return code, DIRECT, None
+    taken, connection = _connection_plan(params, z)
+    # REP1's argument as ``_rep_terms`` forms it.
+    route = _route(0.5 * (1.0 - z)) if array or not taken else DIRECT
+    far = where(taken, P_CONNECTION, where(route >= NO_PATH, P_NO_PATH, P_REP1_BEYOND))
+    return where(beyond, far, code), route, connection
+
+
 def _auto(params: JacobiParams, z: complex):
-    """AUTO dispatch of jacobi_p and jacobi_p_scaled at a scalar z.
+    """AUTO dispatch of jacobi_p and jacobi_p_scaled at a scalar z: its code of ``_p_plan``.
 
     Returns (log_scale, mantissa, error estimate, provenance); the error
-    estimate of a connection value is left to ``_unscale``.  Takes the
-    smallest-modulus series argument when one is inside the preferred disk.
-    Beyond it, a terminating REP1 first: its exact finite sum, at every z.
-    Where REP1 does not terminate or its sum is not finite, off [-1, 1], the
-    large-z connection; where that is undefined, has no path or takes the
-    log of a vanishing second-kind value (as at an infinite z), REP1, whose
-    2F1 raises NoConvergentPath where no map reaches its disk.  REP1 and
-    REP3 would sum the same series there: the map takes x1 to x1/(x1-1) =
-    x2.  A REP1 value beyond the disk that is not finite raises
-    NoConvergentPath.
+    estimate of a connection value is left to ``_unscale``.  Two fallbacks
+    follow values: where a terminating REP1's sum is not finite, the
+    connection if ``_connection_plan`` takes it; where the connection takes
+    the log of a vanishing second-kind value (as at an infinite z), REP1.
+    A REP1 value beyond the disk that is not finite raises NoConvergentPath.
     """
-    near, rep1 = _near_route(z)
-    if near:
-        res = _rep_value(params, z, Representation.REP1 if rep1 else Representation.REP3)
-        return 0.0 + 0.0j, res.value, res.abs_error_estimate, res.provenance
-    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    res = _rep_value(params, z, Representation.REP1) if _terminates(a, b, g) else None
-    if (res is None or not cmath.isfinite(res.value)) and Q_CUT.distance(z) >= CUT_GUARD:
+    _require_p_domain(params)
+    code, route, connection = _p_plan(params, z)
+    _require_off_cut(P_CUT, z, code == P_ON_CUT)
+    res = None
+    if code != P_CONNECTION:
+        rep = Representation.REP3 if code == P_REP3 else Representation.REP1
+        res = _rep_value(params, z, rep, None if code == P_REP3 else route)
+    if code == P_REP1_BEYOND and not cmath.isfinite(res.value) and _terminates(params):
+        taken, connection = _connection_plan(params, z)
+        code = P_CONNECTION if taken else code
+    if code == P_CONNECTION:
+        # The second-kind logs of the triple and its companion, in turn, by Q's plan.
+        coeffs, triples, codes, argument, q_route = connection
         try:
-            return (*_connection_scaled(params, z), 0.0, "connection")
-        except (NoConvergentPath, VanishingValue):
-            pass
-    if res is None:
-        res = _rep_value(params, z, Representation.REP1)
-    if not cmath.isfinite(res.value):
+            logs = [_second._q_log(t, z, ((c,), argument, q_route)) for t, c in zip(triples, codes)]
+            return (*_connection_mix(coeffs, *logs), 0.0, "connection")
+        except VanishingValue:
+            res = res or _rep_value(params, z, Representation.REP1)
+    if code > P_REP3 and not cmath.isfinite(res.value):
         raise NoConvergentPath(f"z={z}: REP1 beyond the preferred disk overflows")
     return 0.0 + 0.0j, res.value, res.abs_error_estimate, res.provenance
 
@@ -415,91 +445,30 @@ def _memo_key(name: str, flag: bool, params: JacobiParams) -> tuple:
     return name, flag, _TRIPLE.pack(a.real, a.imag, b.real, b.imag, g.real, g.imag)
 
 
-def _rep_batch(params: JacobiParams, z: np.ndarray, rep: Representation):
+def _rep_batch(params: JacobiParams, z: np.ndarray, rep: Representation, route=None):
     """(value, error estimate, covered) of a representation at every point of z.
 
-    A row whose terminating sum overflows is not covered, and warns nothing.
+    Its 2F1 takes ``route`` (from P's plan) or routes itself.  A row whose
+    terminating sum overflows is not covered, and warns nothing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a1, b1, c1, x, factor = _rep_terms(params, z, rep)
-        series, serr, status = _ohyp2f1_batch(a1, b1, c1, x)
-        return (*_apply_factor(factor, series, serr), status == BATCH_OK)
+        series, serr, covered = _ohyp2f1_batch(a1, b1, c1, x, route)
+        return (*_apply_factor(factor, series, serr), covered)
 
 
-def _connection_batch(params: JacobiParams, z: np.ndarray, coeffs):
-    """(log_scale, mantissa, status) of the large-z connection at every point.
+def _connection_batch(z: np.ndarray, coeffs, triples, codes, argument, route):
+    """(log_scale, mantissa, covered) of the large-z connection at every point of z.
 
-    The status is BATCH_NO_PATH where the scalar connection raises
-    NoConvergentPath: the first second-kind log has no path, or the first
-    is covered and the second has none.
+    The second-kind logs of its triples follow Q's plan at z; a point is
+    covered where both are.
     """
-    from .jacobi_second import _q_batch
-
-    a, b = complex(params.alpha), complex(params.beta)
-    log1, _, status1, _, _ = _q_batch(params, z, log=True)
-    log2, _, status2, _, _ = _q_batch(JacobiParams(a, b, coeffs[2]), z, log=True)
+    (log1, _, ok1), (log2, _, ok2) = (
+        _second._q_sum(t, z, code, argument, route, log=True) for t, code in zip(triples, codes)
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         log_scale, mantissa = _connection_mix(coeffs, log1, log2)
-    return log_scale, mantissa, np.where(status1 == BATCH_OK, status2, status1)
-
-
-def _auto_batch(params: JacobiParams, z: np.ndarray):
-    """The AUTO dispatch of ``_auto`` at every point of a 1-D array z.
-
-    Returns (log_scale, mantissa, error estimate, provenance code, covered,
-    stop); the error estimate of a connection value is left to the caller.
-    Only the points before ``stop`` are evaluated: it is the first point
-    where the scalar call raises by its own route predicates (an invalid
-    triple, z on the cut, or z beyond the preferred disk on [-1, 1] where
-    ``_route`` finds no path for REP1's 2F1), or the size of z.  A point is
-    not covered where the scalar call raises or warns or the batch's value
-    is not finite; the caller evaluates it with the scalar call.
-    """
-    n = z.size
-    log_scale = np.zeros(n, dtype=complex)
-    mantissa = np.zeros(n, dtype=complex)
-    err = np.zeros(n)
-    code = np.zeros(n, dtype=np.int8)
-    covered = np.zeros(n, dtype=bool)
-    if not params.first_kind_valid():
-        return log_scale, mantissa, err, code, covered, 0
-    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    with np.errstate(invalid="ignore"):
-        near, rep1 = _near_route(z)
-    inside = P_CUT.distance(z) >= CUT_GUARD
-    terminating = _terminates(a, b, g)
-    # A terminating REP1 is summed beyond the disk too; where its sum is not
-    # finite, the point is not covered and the scalar call takes the connection.
-    conn = ~near & (Q_CUT.distance(z) >= CUT_GUARD) & (not terminating)
-    fallback = inside & ~near & ~conn
-    fails = ~inside
-    if fallback.any() and not terminating:
-        # REP1's argument (1-z)/2, as ``_rep_terms`` forms it, at the fallback points.
-        fails[fallback] = _route(0.5 * (1.0 - z[fallback]), False) >= NO_PATH
-    stop = _first(fails)
-    inside[stop:] = False
-    near &= inside
-    conn &= inside
-    fallback &= inside
-    if conn.any():
-        try:
-            coeffs = _connection_coeffs(a, b, g)
-        except NoConvergentPath:
-            fallback |= conn
-        else:
-            idx = np.flatnonzero(conn)
-            ls, mt, status = _connection_batch(params, z[idx], coeffs)
-            log_scale[idx], mantissa[idx], code[idx] = ls, mt, 2
-            covered[idx] = status == BATCH_OK
-            fallback[idx] = status == BATCH_NO_PATH
-    groups = ((near & rep1) | fallback, Representation.REP1), (near & ~rep1, Representation.REP3)
-    for mask, rep in groups:
-        if mask.any():
-            idx = np.flatnonzero(mask)
-            log_scale[idx] = 0.0
-            mantissa[idx], err[idx], covered[idx] = _rep_batch(params, z[idx], rep)
-            code[idx] = 0 if rep is Representation.REP1 else 1
-    return log_scale, mantissa, err, code, covered, stop
+    return log_scale, mantissa, ok1 & ok2
 
 
 def _pointwise(batch, scalar, z: np.ndarray, dtypes, key: tuple | None):
@@ -508,15 +477,15 @@ def _pointwise(batch, scalar, z: np.ndarray, dtypes, key: tuple | None):
     Returns the columns, arrays of the given dtypes, and None or (index,
     error) of the first point that raised a JacobiFnError.  ``batch(zs)``
     evaluates at most BATCH_POINTS points and returns their rows of the
-    columns, the mask of the points it covered, and the index of the first
-    point where the scalar call's own route predicates say it raises (the
-    size of zs if none); it evaluates nothing from there on.  ``scalar(w)``
-    returns the leading entries of the columns at w from the scalar call.
-    It serves the points the batch did not cover and the predicted failure,
-    which raises, so nothing after the first failing point is evaluated; a
-    point marked wrongly just returns its value.  The batch predicts the
-    failure because a failing table stops there: the points after it would
-    be evaluated for nothing.
+    columns (or fewer columns), the mask of the points it covered, and the
+    index of the first point whose plan code says the scalar call raises
+    (the size of zs if none); it evaluates nothing from there on.
+    ``scalar(w)`` returns the leading entries of the columns at w from the
+    scalar call.  It serves the points the batch did not cover and the
+    predicted failure, which raises, so nothing after the first failing
+    point is evaluated; a point marked wrongly would just return its value.
+    The batch predicts the failure because a failing table stops there: the
+    points after it would be evaluated for nothing.
 
     ``POINTS_MEMO`` keeps the columns under key (from ``_memo_key``) and the
     bytes of z; a key of None skips it.  A call where a point raised or
@@ -561,17 +530,36 @@ def _p_points(params: JacobiParams, z: np.ndarray, scaled: bool = False, memo: b
     Returns ``_pointwise``'s columns (log_scale, value, error estimate,
     provenance code) and failure: per point what the scalar call returns
     (the log scale only when scaled; the code indexes ``_PROVENANCE``), up
-    to the first point where it raises.  Without memo, ``POINTS_MEMO`` is
-    neither read nor filled.
+    to the first point where it raises (at once for an invalid triple).
+    Without memo, ``POINTS_MEMO`` is neither read nor filled.
     """
 
     def batch(zs: np.ndarray):
-        ls, v, e, c, covered, stop = _auto_batch(params, zs)
-        if not scaled:
-            conn = c == 2
-            with np.errstate(over="ignore", invalid="ignore"):
-                v[conn], e[conn] = _unscale(ls[conn], v[conn])
-        return (ls, v, e, c), covered & np.isfinite(v), stop
+        n = zs.size
+        if not params.first_kind_valid():
+            return (), np.zeros(n, dtype=bool), 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            code, route, connection = _p_plan(params, zs)
+        stop = _first(code >= P_NO_PATH)
+        code[stop:] = P_ON_CUT
+        log_scale, value, err = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex), np.zeros(n)
+        covered = np.zeros(n, dtype=bool)
+        rep1, route = (code == P_REP1) | (code == P_REP1_BEYOND), np.broadcast_to(route, zs.shape)
+        for mask, rep, r in (rep1, Representation.REP1, route), (code == P_REP3, Representation.REP3, None):
+            idx = np.flatnonzero(mask)
+            if idx.size:
+                r = None if r is None else r[idx]
+                value[idx], err[idx], covered[idx] = _rep_batch(params, zs[idx], rep, r)
+        idx = np.flatnonzero(code == P_CONNECTION)
+        if idx.size:
+            coeffs, triples, codes, argument, q_route = connection
+            parts = [c[idx] for c in codes], argument[idx], q_route[idx]
+            log_scale[idx], value[idx], covered[idx] = _connection_batch(zs[idx], coeffs, triples, *parts)
+            if not scaled:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value[idx], err[idx] = _unscale(log_scale[idx], value[idx])
+        code = np.where(code == P_REP1_BEYOND, P_REP1, code)
+        return (log_scale, value, err, code), covered & np.isfinite(value), stop
 
     def scalar(w: complex):
         if scaled:
@@ -583,22 +571,20 @@ def _p_points(params: JacobiParams, z: np.ndarray, scaled: bool = False, memo: b
     return _pointwise(batch, scalar, z, (complex, complex, float, np.int8), key)
 
 
-def _p_batch(params: JacobiParams, z: np.ndarray, scaled: bool):
-    """Batched ``jacobi_p`` (an EvalResult) or ``jacobi_p_scaled`` (a pair)."""
-    shape = z.shape
-    (log_scale, value, err, code), failure = _p_points(
-        params, np.asarray(z, dtype=complex).ravel(), scaled
-    )
+def _array_call(points, params: JacobiParams, z: np.ndarray, flag: bool) -> list:
+    """The columns of ``_p_points`` or ``_q_points`` at an ndarray z, shaped as z.
+
+    Raises the error of the first point where the scalar call raises.
+    """
+    columns, failure = points(params, np.asarray(z, dtype=complex).ravel(), flag)
     if failure is not None:
         raise failure[1]
-    if scaled:
-        return log_scale.reshape(shape), value.reshape(shape)
-    return EvalResult(value.reshape(shape), err.reshape(shape), _joined(code))
+    return [column.reshape(z.shape) for column in columns]
 
 
-def _joined(code: np.ndarray) -> str:
-    """The provenance of an array result: the routes taken, joined with "+"."""
-    return "+".join(sorted(_PROVENANCE[c] for c in set(code.tolist())))
+def _array_result(value, err, code) -> EvalResult:
+    """An array call's EvalResult; its provenance joins the routes taken with "+"."""
+    return EvalResult(value, err, "+".join(sorted(_PROVENANCE[c] for c in set(code.ravel().tolist()))))
 
 
 def jacobi_p(
@@ -623,10 +609,10 @@ def jacobi_p(
     if isinstance(z, np.ndarray):
         if rep is not Representation.AUTO:
             raise ValueError("an array of z needs Representation.AUTO")
-        return _p_batch(params, z, scaled=False)
+        return _array_result(*_array_call(_p_points, params, z, False)[1:])
     z = complex(z)
-    _require_p_domain(params, z)
     if rep is not Representation.AUTO:
+        _require_p_domain(params, z)
         return _rep_value(params, z, rep)
     log_scale, value, err, provenance = _auto(params, z)
     if provenance == "connection":
@@ -645,9 +631,8 @@ def jacobi_p_scaled(params: JacobiParams, z) -> tuple[complex, complex]:
     does.  z may be an ndarray; the pair then holds arrays.
     """
     if isinstance(z, np.ndarray):
-        return _p_batch(params, z, scaled=True)
+        return tuple(_array_call(_p_points, params, z, True)[:2])
     z = complex(z)
-    _require_p_domain(params, z)
     log_scale, mantissa, _, provenance = _auto(params, z)
     if not (cmath.isfinite(log_scale) and cmath.isfinite(mantissa)):
         raise NoConvergentPath(f"z={z}: P's scaled value ({provenance}) is not finite")
@@ -695,3 +680,7 @@ def taylor_section(params: JacobiParams, n: int, z) -> tuple[complex, complex]:
         * series.value
     )
     return lhs, rhs
+
+
+# Bound last, as the second kind's module imports this one.
+from . import jacobi_second as _second  # noqa: E402

@@ -4,11 +4,11 @@ Four Gauss hypergeometric representations (arguments 2/(1-z) and 2/(1+z)),
 the weighted-kernel integral representation, its shifted variant with an
 interior Jacobi polynomial, and the integer-degree Neumann-type integral.
 
-Under AUTO, ``jacobi_q`` and ``jacobi_q_log`` also take an ndarray of z for
-one parameter triple: REP1 and REP3 points are summed by the batched series,
-and a point the batch does not cover takes the scalar call, which raises its
-documented error there.  As for P, evaluation stops at the first point
-where the scalar call raises.
+Under AUTO one plan (``_q_plan``), shared by scalar and array calls, gives
+each point a code: REP1 on 2/(1-z) or REP3 on 2/(1+z), the smaller; NO_PATH
+where no map takes it into its 2F1's disk (the lens about [-1, 1]) or it
+lies on that 2F1's cut; ON_CUT on Q's cut.  ``jacobi_q`` and ``jacobi_q_log``
+also take an ndarray of z for one triple, summed by code as for P.
 
 Quadrature note: the kernel weights carry complex exponents; the rules use
 their real parts and the unit-modulus oscillatory remainder (1 -+ t)^(i Im)
@@ -31,12 +31,12 @@ from .errors import (
     VanishingValue,
 )
 from .hypergeom import (
-    BATCH_OK,
-    BATCH_SCALAR,
     NO_PATH,
+    ON_CUT,
+    _continued_2f1,
     _ohyp2f1_batch,
+    _refuse,
     _route,
-    ohyp2f1,
     power,
     termination_index,
 )
@@ -47,15 +47,16 @@ from .jacobi_first import (
     JacobiParams,
     Representation,
     _apply_factor,
+    _array_call,
+    _array_result,
     _first,
-    _joined,
     _memo_key,
     _pointwise,
     _require_finite,
     _require_off_cut,
     jacobi_polynomial,
 )
-from .quadrature import integrate_finite, tanh_sinh_segment
+from .quadrature import integrate_finite, tanh_sinh_segment, where
 from .result import EvalResult
 from .scalar_kernel import exact_memo, log_gamma, pochhammer
 
@@ -71,7 +72,8 @@ class QIntegralSpec:
     shift_k: int = 0
 
 
-def _require_q_domain(params: JacobiParams, z: complex) -> None:
+def _require_q_domain(params: JacobiParams, z: complex | None = None) -> None:
+    """ValidityError for a triple off Q's domain, then DomainCutError where a given z is on the cut."""
     if not params.second_kind_valid():
         _require_finite(params)
         raise ValidityError(
@@ -79,7 +81,8 @@ def _require_q_domain(params: JacobiParams, z: complex) -> None:
             f"({complex(params.alpha) + complex(params.gamma)}, "
             f"{complex(params.beta) + complex(params.gamma)})"
         )
-    _require_off_cut(Q_CUT, z)
+    if z is not None:
+        _require_off_cut(Q_CUT, z)
 
 
 @exact_memo
@@ -89,19 +92,6 @@ def _q_log_prefactor(a: complex, b: complex, g: complex) -> complex:
     Shared by all four representations; each adds its own powers of z -+ 1.
     """
     return (a + b + g) * math.log(2.0) + log_gamma(a + g + 1.0) + log_gamma(b + g + 1.0)
-
-
-def _q_route(z):
-    """Q's AUTO arguments y = 2/(1-z), x = 2/(1+z) and whether REP1 (on y)
-    is taken rather than REP3 (on x); z a scalar or an ndarray.
-
-    |y| <= |x| is Re z <= 0 at a finite z, a test of its parts with one
-    verdict alone or in an array (Im z - Im z is 0, or NaN at a non-finite
-    Im z).  At an infinite z with one finite part y = x = 0 and REP1 is
-    taken; at the other non-finite z neither is a number, and REP3 is.
-    """
-    y, x = 2.0 / (1.0 - z), 2.0 / (1.0 + z)
-    return y, x, (z.real <= z.imag - z.imag) | (y == x)
 
 
 def _q_terms(a: complex, b: complex, g: complex, rep: Representation):
@@ -119,16 +109,68 @@ def _q_terms(a: complex, b: complex, g: complex, rep: Representation):
     return (a + g + 1.0, a + b + g + 1.0), False, 0.0, a + b + g + 1.0
 
 
-def _q_parts(
-    params: JacobiParams, z: complex, rep: Representation
-) -> tuple[complex, "object", Representation]:
-    """(log prefactor, hypergeometric SeriesValue, chosen representation)."""
+# Codes of Q's AUTO plan; the first two index _PROVENANCE.
+Q_REP1, Q_REP3, Q_NO_PATH, Q_ON_CUT = 0, 1, 2, 3
+_SIDES = ((Q_REP1, Representation.REP1), (Q_REP3, Representation.REP3))
+
+
+def _q_plan(params: JacobiParams, z, *others: JacobiParams):
+    """Q's AUTO plan at z, a scalar or a 1-D ndarray: (codes, argument, route).
+
+    REP1's y = 2/(1-z) is taken where |y| <= |x|, i.e. Re z <= 0, or where
+    y = x = 0 (an infinite z with one finite part), else REP3's x = 2/(1+z),
+    also at a z where neither is a number: numpy's quotient in an array,
+    where the series run.  The route is
+    ``_route`` of Python's quotient, per point, for a series that does not
+    terminate, so that a point has one plan alone or in an array.  One code
+    per triple, params and then others: a triple whose series terminates
+    sums at any route.
+    """
+    on_cut = Q_CUT.distance(z) < CUT_GUARD
+    if on_cut is True:
+        # A scalar on the cut, where a quotient may divide by 0.
+        return (Q_ON_CUT,) * (1 + len(others)), z, ON_CUT
+    array = isinstance(z, np.ndarray)
+    y, x = 2.0 / (1.0 - z), 2.0 / (1.0 + z)
+    # Im z - Im z is 0, or NaN at a non-finite Im z.
+    rep1 = (z.real <= z.imag - z.imag) | (y == x)
+    argument = where(rep1, y, x)
+    quotient = np.array([2.0 / v for v in np.where(rep1, 1.0 - z, 1.0 + z).tolist()]) if array else argument
+    route = _route(quotient)
+    side, refused = where(rep1, Q_REP1, Q_REP3), route >= NO_PATH
+    if not (refused.any() if array else refused):
+        return (where(on_cut, Q_ON_CUT, side),) * (1 + len(others)), argument, route
+    codes = []
+    for t in (params, *others):
+        a, b, g = complex(t.alpha), complex(t.beta), complex(t.gamma)
+        ends = [termination_index(_q_terms(a, b, g, rep)[0]) is not None for _, rep in _SIDES]
+        code = where(where(rep1, *ends), side, where(refused, Q_NO_PATH, side))
+        codes.append(where(on_cut, Q_ON_CUT, code))
+    return tuple(codes), argument, route
+
+
+def _q_parts(params: JacobiParams, z: complex, rep: Representation, plan=None):
+    """(log prefactor, hypergeometric SeriesValue, representation) at a scalar z.
+
+    AUTO follows ``plan``, Q's plan of this triple at z (formed here if not
+    given): DomainCutError on the cut, the 2F1's error where no route sums,
+    else the side's series at the plan's argument and route.  An explicit
+    representation's 2F1 routes its own argument.
+    """
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    y, x, rep1 = _q_route(z)
+    argument = route = None
     if rep is Representation.AUTO:
-        rep = Representation.REP1 if rep1 else Representation.REP3
+        (code,), argument, route = plan or _q_plan(params, z)
+        _require_off_cut(Q_CUT, z, code == Q_ON_CUT)
+        if code == Q_NO_PATH:
+            _refuse(argument, route)
+        rep = Representation.REP1 if code == Q_REP1 else Representation.REP3
+    else:
+        _require_off_cut(Q_CUT, z)
     (p1, p2), on_y, e_m, e_p = _q_terms(a, b, g, rep)
-    series = ohyp2f1(p1, p2, a + b + 2.0 * g + 2.0, y if on_y else x)
+    if argument is None:
+        argument = 2.0 / (1.0 - z) if on_y else 2.0 / (1.0 + z)
+    series = _continued_2f1(p1, p2, a + b + 2.0 * g + 2.0, argument, True, route)
     # z - -1.0, not z + 1.0, keeps an imaginary part of -0.0 on (-oo, -1),
     # so that both logs take the limit from below; adding 1.0 makes it +0.0.
     logf = (
@@ -137,64 +179,46 @@ def _q_parts(
     return logf, series, rep
 
 
-def _q_batch(params: JacobiParams, z: np.ndarray, log: bool, until_failure: bool = False):
-    """Q (or its log) under AUTO at every point of a 1-D array z.
+def _q_log(params: JacobiParams, z: complex, plan=None) -> complex:
+    """``jacobi_q_log`` of a valid triple at a scalar z, by ``_q_parts`` under AUTO."""
+    logf, series, _ = _q_parts(params, z, Representation.AUTO, plan)
+    # At an infinite z the prefactor's log has real part -inf: Q is 0 there.
+    if series.value == 0 or logf.real == -math.inf:
+        raise VanishingValue(f"z={z}: log of a vanishing second-kind value")
+    return logf + cmath.log(series.value)
 
-    Returns (value or log, error estimate of the value, status, REP1 mask,
-    stop), with the status codes of ``_ohyp2f1_batch``.  With
-    ``until_failure`` only the points before ``stop`` are evaluated: the
-    first point where the scalar call raises by its route predicates (an
-    invalid triple, z on the cut, or ``_route`` of the chosen series), or
-    the size of z.  Without it, as for the connection of P, which falls back
-    per point where its second-kind logs have no path, stop is the size of
-    z.  The caller evaluates the points not covered with the scalar call.
-    Each point takes the route of the scalar call's 2F1 argument, Python's
-    quotient; the series run on numpy's, which can differ in the last bit.
+
+def _q_sum(params: JacobiParams, z: np.ndarray, code: np.ndarray, argument, route, log: bool):
+    """Q (or its log) of a valid triple at the points of a 1-D z coded Q_REP1 or Q_REP3.
+
+    ``code``, ``argument`` and ``route`` are the triple's plan at z.  Returns
+    (value or log, error estimate of the value, covered); a point is not
+    covered where the 2F1 batch does not cover it, the value or log is not
+    finite, or the log is taken of 0: the scalar call raises or warns there.
     """
-    n = z.size
-    err = np.zeros(n)
-    status = np.full(n, BATCH_SCALAR, dtype=np.int8)
-    if not params.second_kind_valid():
-        return np.zeros(n, dtype=complex), err, status, np.zeros(n, dtype=bool), 0 if until_failure else n
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    inside = Q_CUT.distance(z) >= CUT_GUARD
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y, x, rep1 = _q_route(z)
-        # z - -1.0 keeps a -0.0 imaginary part, as in ``_q_parts``.
-        log_zm, log_zp = np.log(z - 1.0), np.log(z - -1.0)
-    reps = (Representation.REP1, Representation.REP3)
-    ends1, ends3 = (termination_index(_q_terms(a, b, g, rep)[0]) is not None for rep in reps)
-    scalar_w = np.array([2.0 / v for v in np.where(rep1, 1.0 - z, 1.0 + z).tolist()])
-    route = _route(scalar_w, np.where(rep1, ends1, ends3))
-    stop = _first(~inside | (route >= NO_PATH)) if until_failure else n
-    inside[stop:] = False
-    rep1 &= inside
     c = a + b + 2.0 * g + 2.0
     base_log = _q_log_prefactor(a, b, g)
-    series = np.zeros(n, dtype=complex)
-    serr = np.zeros(n)
-    logf = np.zeros(n, dtype=complex)
-    for mask, rep in ((rep1, Representation.REP1), (inside & ~rep1, Representation.REP3)):
-        if mask.any():
-            idx = np.flatnonzero(mask)
-            (p1, p2), on_y, e_m, e_p = _q_terms(a, b, g, rep)
-            arg = (y if on_y else x)[idx]
-            series[idx], serr[idx], status[idx] = _ohyp2f1_batch(p1, p2, c, arg, route[idx])
-            # An infinite z has infinite logs, whose products form inf * 0;
-            # its value is not finite, so the scalar call takes it.
-            with np.errstate(invalid="ignore"):
-                logf[idx] = base_log - e_m * log_zm[idx] - e_p * log_zp[idx]
+    series = np.zeros(z.size, dtype=complex)
+    logf = np.zeros(z.size, dtype=complex)
+    err = np.zeros(z.size)
+    covered = np.zeros(z.size, dtype=bool)
+    # z - -1.0 keeps a -0.0 imaginary part, as in ``_q_parts``.  At an
+    # infinite z, inf * 0 leaves the value not finite: the scalar call takes it.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_zm, log_zp = np.log(z - 1.0), np.log(z - -1.0)
+        for side, rep in _SIDES:
+            idx = np.flatnonzero(code == side)
+            if idx.size:
+                (p1, p2), _, e_m, e_p = _q_terms(a, b, g, rep)
+                series[idx], err[idx], covered[idx] = _ohyp2f1_batch(p1, p2, c, argument[idx], route[idx])
+                logf[idx] = base_log - e_m * log_zm[idx] - e_p * log_zp[idx]
         if log:
             out = logf + np.log(series)
+            covered &= series != 0
         else:
-            out, err = _apply_factor(np.exp(logf), series, serr)
-    # The scalar call raises where the value overflows or its log is taken of 0.
-    bad = ~np.isfinite(out)
-    if log:
-        bad |= series == 0
-    status[(status == BATCH_OK) & bad] = BATCH_SCALAR
-    return out, err, status, rep1, stop
+            out, err = _apply_factor(np.exp(logf), series, err)
+    return out, err, covered & np.isfinite(out)
 
 
 def _q_points(params: JacobiParams, z: np.ndarray, log: bool = False, memo: bool = True):
@@ -207,8 +231,14 @@ def _q_points(params: JacobiParams, z: np.ndarray, log: bool = False, memo: bool
     """
 
     def batch(zs: np.ndarray):
-        v, e, status, rep1, stop = _q_batch(params, zs, log, until_failure=True)
-        return (v, e, ~rep1), status == BATCH_OK, stop
+        if not params.second_kind_valid():
+            return (), np.zeros(zs.size, dtype=bool), 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            (code,), argument, route = _q_plan(params, zs)
+        stop = _first(code >= Q_NO_PATH)
+        code[stop:] = Q_ON_CUT
+        out, err, covered = _q_sum(params, zs, code, argument, route, log)
+        return (out, err, code), covered, stop
 
     def scalar(w: complex):
         if log:
@@ -238,12 +268,9 @@ def jacobi_q(
     if isinstance(z, np.ndarray):
         if rep is not Representation.AUTO:
             raise ValueError("an array of z needs Representation.AUTO")
-        (value, err, code), failure = _q_points(params, np.asarray(z, dtype=complex).ravel())
-        if failure is not None:
-            raise failure[1]
-        return EvalResult(value.reshape(z.shape), err.reshape(z.shape), _joined(code))
+        return _array_result(*_array_call(_q_points, params, z, False))
     z = complex(z)
-    _require_q_domain(params, z)
+    _require_q_domain(params)
     logf, series, rep = _q_parts(params, z, rep)
     try:
         factor = cmath.exp(logf)
@@ -260,17 +287,9 @@ def jacobi_q_log(params: JacobiParams, z) -> complex:
     2F1 sum of 0, or an infinite z) it raises VanishingValue.
     """
     if isinstance(z, np.ndarray):
-        (out, _, _), failure = _q_points(params, np.asarray(z, dtype=complex).ravel(), log=True)
-        if failure is not None:
-            raise failure[1]
-        return out.reshape(z.shape)
-    z = complex(z)
-    _require_q_domain(params, z)
-    logf, series, _ = _q_parts(params, z, Representation.AUTO)
-    # At an infinite z the prefactor's log has real part -inf: Q is 0 there.
-    if series.value == 0 or logf.real == -math.inf:
-        raise VanishingValue(f"z={z}: log of a vanishing second-kind value")
-    return logf + cmath.log(series.value)
+        return _array_call(_q_points, params, z, True)[0]
+    _require_q_domain(params)
+    return _q_log(params, complex(z))
 
 
 def _kernel_quadrature(

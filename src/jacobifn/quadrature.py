@@ -514,10 +514,15 @@ def modulus(w, _array=np.ndarray):
     """|w| of a scalar or, elementwise, an ndarray, with the same bits either way.
 
     numpy's complex ``abs`` can differ from Python's in the last bit, ``np.hypot``
-    of the parts cannot.  Route predicates compare only such moduli."""
+    of the parts cannot.  Route predicates compare only such moduli.  A
+    modulus past double range is inf either way, with no error or warning."""
     if isinstance(w, _array):
-        return np.hypot(w.real, w.imag)
-    return abs(w)
+        with np.errstate(over="ignore"):
+            return np.hypot(w.real, w.imag)
+    try:
+        return abs(w)
+    except OverflowError:
+        return math.inf
 
 
 class Cut:

@@ -145,14 +145,22 @@ def log_gamma(z: Complex) -> complex:
 
 
 def reciprocal_gamma(z: Complex) -> complex:
-    """1/gamma(z), entire: exactly 0 on the non-positive integers, ValidityError (from gamma) at inf or NaN."""
+    """1/gamma(z), entire: exactly 0 on the non-positive integers, ValidityError (from gamma) at inf or NaN.
+
+    FactorOverflow where 1/gamma(z) is past double range: gamma underflows to 0 or below 1/DBL_MAX.
+    """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer():
         return 0.0 + 0.0j
     if z.real < 0.5:
         # Entire continuation through the poles of gamma.
         return gamma(1.0 - z) * cmath.sin(math.pi * z) / math.pi
-    return 1.0 / gamma(z)
+    value = gamma(z)
+    if value:
+        value = 1.0 / value
+    if not (value and cmath.isfinite(value)):
+        raise FactorOverflow(f"1/gamma({z}) is past double range")
+    return value
 
 
 def pochhammer(a: Complex, n: int) -> complex:

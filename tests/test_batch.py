@@ -44,27 +44,28 @@ from jacobifn import hypergeom
 from jacobifn.cli import main
 from jacobifn.errors import FactorOverflow, JacobiFnError, NoConvergentPath, TruncationWarning, ValidityError
 from jacobifn.hypergeom import (
-    BATCH_NO_PATH,
-    BATCH_OK,
     BATCH_POINTS,
-    BATCH_SCALAR,
     DIRECT_LIMIT,
     MAP_LIMIT,
+    NO_PATH,
     _ohyp2f1_batch,
     ohyp2f1,
 )
 from jacobifn.jacobi_first import (
     _PROVENANCE,
     AUTO_ARG_LIMIT,
+    P_REP1_BEYOND,
     POINTS_MEMO,
     JacobiParams,
     Representation,
     _connection_coeffs,
+    _connection_plan,
+    _p_plan,
     _p_points,
     jacobi_p,
     jacobi_p_scaled,
 )
-from jacobifn.jacobi_second import _q_points, jacobi_q, jacobi_q_log
+from jacobifn.jacobi_second import Q_NO_PATH, Q_REP1, _q_plan, _q_points, jacobi_q, jacobi_q_log
 from jacobifn.quadrature import CUT_GUARD, Cut
 from jacobifn.result import EvalResult
 
@@ -214,8 +215,11 @@ def _split(fn, params, zs):
 @given(_param_2f1, _param_2f1, _param_2f1, _zs(_near_2f1))
 @settings(max_examples=150)
 def test_batched_2f1_matches_scalar(a, b, c, zs):
-    value, err, status = _ohyp2f1_batch(a, b, c, np.array(zs))
-    for w, v, e, s in zip(zs, value, err, status):
+    value, err, covered = _ohyp2f1_batch(a, b, c, np.array(zs))
+    # Routes as the batch forms them; a terminating series has no route to fail.
+    routes = hypergeom._route(np.array(zs))
+    ends = hypergeom.termination_index((a, b)) is not None
+    for w, v, e, ok, route in zip(zs, value, err, covered, routes):
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             try:
@@ -224,7 +228,7 @@ def test_batched_2f1_matches_scalar(a, b, c, zs):
                 ref = capped
         if isinstance(ref, Exception) and not isinstance(ref, (JacobiFnError, TruncationWarning)):
             raise ref
-        if s == BATCH_OK:
+        if ok:
             assert not isinstance(ref, Exception)
             # Past |z| = 0.75 the value may carry the factor (1-z)^(-a).
             mapped = abs(w) > 0.75 and w != 1.0
@@ -233,7 +237,7 @@ def test_batched_2f1_matches_scalar(a, b, c, zs):
             tol = growth * (e + ref.abs_error_estimate) + cond * ULPS * abs(ref.value) + TINY
             assert abs(v - ref.value) <= tol
         # The batch routes as the scalar call does: no path exactly where it raises.
-        assert (s == BATCH_NO_PATH) == isinstance(ref, NoConvergentPath)
+        assert (route == NO_PATH and not ends) == isinstance(ref, NoConvergentPath)
 
 
 def test_long_direct_series_has_the_scalar_bits():
@@ -247,8 +251,8 @@ def test_long_direct_series_has_the_scalar_bits():
         r = rng.uniform(0.86, 0.98, 6)
         # Angles within |x - 1| < 1, where the direct series is taken.
         zs = r * np.exp(1j * rng.uniform(-0.9, 0.9, 6) * np.arccos(r / 2.0))
-        value, err, status = _ohyp2f1_batch(a, b, c, zs)
-        assert (status == BATCH_OK).all()
+        value, err, covered = _ohyp2f1_batch(a, b, c, zs)
+        assert covered.all()
         for w, v, e in zip(zs.tolist(), value, err):
             need = hypergeom._predicted_terms(abs(w), (a + b - c).real - 1.0)
             assert need > hypergeom._TAIL_TERMS and abs(w - 1.0) < 1.0
@@ -510,13 +514,18 @@ def _parts(out):
 
 @pytest.mark.parametrize("fn", [jacobi_p, jacobi_p_scaled, jacobi_q, jacobi_q_log])
 def test_an_infinite_z_in_an_array_gives_the_scalar_outcome(fn):
-    # The array holds a finite point and an infinite one; each gives what
-    # the scalar call gives there, a finite value (Q is 0 at infinity) or an
-    # error (P has no path there, and Q's log is that of 0), and no numpy
-    # warning escapes.
+    # The array holds a finite point and an infinite one, or one whose parts
+    # are near the largest double, so that |z| overflows, on and off P's
+    # cut; each gives what the scalar call gives there, a finite value (Q is
+    # 0 at infinity) or an error (P has no path there, and Q's log is that of
+    # 0), and no numpy warning escapes.
     params = JacobiParams(0.3, 0.2, 0.5)
+    big = 1.7e308
     for w in (complex(math.inf, 0.0), complex(0.0, math.inf), complex(0.0, -math.inf),
-              complex(math.inf, math.inf), complex(-math.inf, -1.0), complex(-math.inf, 1.0)):
+              complex(math.inf, math.inf), complex(-math.inf, -1.0), complex(-math.inf, 1.0),
+              complex(big, big), complex(-big, big), complex(big, -big), complex(-big, -big),
+              complex(big, 0.0), complex(-big, 0.0), complex(-big, -1e-300), complex(-big, 1.0),
+              complex(1.0, -big), complex(1.7976931348623157e308, 1.7976931348623157e308)):
         try:
             want = fn(params, w)
         except JacobiFnError as exc:
@@ -657,18 +666,45 @@ def test_2f1_batch_routes_each_point_as_the_scalar_call():
     a, b, c = 0.3 + 0.1j, 1.2 - 0.2j, 1.7 + 0.05j
     for start in range(0, len(zs), BATCH_POINTS):
         chunk = zs[start : start + BATCH_POINTS]
-        _, _, status = _ohyp2f1_batch(a, b, c, np.array(chunk))
-        for w, s in zip(chunk, status):
+        _, _, covered = _ohyp2f1_batch(a, b, c, np.array(chunk))
+        for w, ok in zip(chunk, covered):
             try:
                 ohyp2f1(a, b, c, w)
                 raised = False
             except NoConvergentPath:
                 raised = True
-            # No point is left to the scalar call for want of a verdict.
-            assert s != BATCH_SCALAR, w
-            assert (s == BATCH_NO_PATH) == raised, w
-    routes = hypergeom._route(np.array(zs), False)
-    assert routes.tolist() == [hypergeom._route(w, False) for w in zs]
+            # Covered exactly where the scalar call returns: no point is left
+            # to it for want of a verdict.
+            assert ok != raised, w
+    routes = hypergeom._route(np.array(zs))
+    assert routes.tolist() == [hypergeom._route(w) for w in zs]
+
+
+# Besides a generic triple: a resonant one, (0.3, 0.2, 0.75), whose
+# connection has no coefficients (alpha+beta+2 gamma = 2), so that P takes
+# REP1 beyond the disk; and (0.3, 0.2, 0.5), where alpha+beta+gamma = 1 and
+# the REP1 series of the companion of P's connection, of degree -2,
+# terminates: in Q's lens only one of the connection's two Q plans has a path.
+_RESONANT, _COMPANION_ENDS = JacobiParams(0.3, 0.2, 0.75), JacobiParams(0.3, 0.2, 0.5)
+
+
+def _code(fn, params, z):
+    """The code of the AUTO plan of jacobi_p's or jacobi_q's kind at z, a scalar or an array."""
+    return _p_plan(params, z)[0] if fn is jacobi_p else _q_plan(params, z)[0][0]
+
+
+def _plan_moves(fn, params, zs) -> list:
+    """The points whose plan code alone differs from its code in a one-point array."""
+    return [w for w in zs if _code(fn, params, w) != _code(fn, params, np.array([w]))[0]]
+
+
+def test_one_q_plan_of_the_connection_has_a_path_in_the_lens():
+    # At -0.5+i, beyond P's preferred disk, neither 2/(1-z) nor its map is
+    # within MAP_LIMIT, but the companion's REP1 series terminates.
+    taken, (_, _, codes, _, _) = _connection_plan(_COMPANION_ENDS, -0.5 + 1.0j)
+    assert (taken, codes) == (False, (Q_NO_PATH, Q_REP1))
+    assert _p_plan(_COMPANION_ENDS, -0.5 + 1.0j)[0] == P_REP1_BEYOND
+    assert jacobi_p(_COMPANION_ENDS, -0.5 + 1.0j).provenance == "rep1"
 
 
 @pytest.mark.parametrize("kind", ["P", "Q"])
@@ -677,6 +713,7 @@ def test_array_point_has_the_scalar_provenance_at_auto_boundaries(kind):
     # |z+1|, its REP1-or-REP3 choice, |z+1| = 2, and Q's, Re z = 0, where
     # |Re z| up to about 3e-16 leaves |1-z| and |1+z| a rounding apart; and
     # the edges of Q's 2F1 argument, which decide P's connection or REP1.
+    # Each point has one plan code alone and in an array.
     curves = (
         lambda t: 1.0 + cmath.rect(2.0 * AUTO_ARG_LIMIT, t),
         lambda t: (1.0 + cmath.rect(AUTO_ARG_LIMIT, t)) / (1.0 - cmath.rect(AUTO_ARG_LIMIT, t)),
@@ -685,19 +722,20 @@ def test_array_point_has_the_scalar_provenance_at_auto_boundaries(kind):
         *_Q_EDGES,
     )
     fn, points = (jacobi_p, _p_points) if kind == "P" else (jacobi_q, _q_points)
-    params = JacobiParams(0.3 + 0.2j, -0.4, 1.1 - 0.1j)
-    zs, want = [], []
-    for k, curve in enumerate(curves):
-        for w in _ulp_ring(curve, 300, 10 + k):
+    rings = [w for k, curve in enumerate(curves) for w in _ulp_ring(curve, 300, 10 + k)]
+    for params in (JacobiParams(0.3 + 0.2j, -0.4, 1.1 - 0.1j), _RESONANT, _COMPANION_ENDS):
+        zs, want = [], []
+        for w in rings:
             try:
                 want.append(fn(params, w).provenance)
             except JacobiFnError:
                 continue
             zs.append(w)
-    columns, failure = points(params, np.array(zs), memo=False)
-    assert failure is None
-    got = [_PROVENANCE[c] for c in columns[-1].tolist()]
-    assert [(w, p) for w, p, q in zip(zs, got, want) if p != q] == []
+        columns, failure = points(params, np.array(zs), memo=False)
+        assert failure is None
+        got = [_PROVENANCE[c] for c in columns[-1].tolist()]
+        assert [(w, p) for w, p, q in zip(zs, got, want) if p != q] == []
+        assert _plan_moves(fn, params, rings) == []
 
 
 def _outcome(fn, params, z):
@@ -710,17 +748,18 @@ def _outcome(fn, params, z):
 @pytest.mark.parametrize("fn", [jacobi_p, jacobi_q])
 def test_an_array_raises_where_the_scalar_call_raises_at_q_argument_edges(fn):
     # Q's batch divides with numpy, which rounds 2/(1-z) apart from Python,
-    # but routes each point at the scalar call's quotient, so one point in
-    # an array raises or returns as it does alone (P's connection falls back
-    # to REP1 where Q has no path).
-    params = JacobiParams(0.3, 0.2, 0.45)
-    moved = []
-    for k, curve in enumerate(_Q_EDGES):
-        for w in _ulp_ring(curve, 400, 20 + k):
+    # but Q's plan routes each point at the scalar call's quotient, so one
+    # point has one plan code alone and in an array, and raises or returns
+    # as it does alone (P's connection falls back to REP1 where Q has no path).
+    rings = [w for k, curve in enumerate(_Q_EDGES) for w in _ulp_ring(curve, 400, 20 + k)]
+    for params in (JacobiParams(0.3, 0.2, 0.45), _RESONANT, _COMPANION_ENDS):
+        moved = []
+        for w in rings:
             alone, in_array = _outcome(fn, params, w), _outcome(fn, params, np.array([w]))
             if alone != in_array:
                 moved.append((w, alone, in_array))
-    assert moved == []
+        assert moved == []
+        assert _plan_moves(fn, params, rings) == []
 
 
 def test_q_takes_rep1_at_an_infinite_z_with_one_finite_part():

@@ -85,6 +85,16 @@ def test_reciprocal_gamma_values():
     assert reciprocal_gamma(-2) == 0.0
 
 
+def test_reciprocal_gamma_past_double_range_raises_factor_overflow():
+    # There gamma underflows to 0, or to a subnormal at 0.7+455i, and 1/gamma
+    # is past double range; at 0.7+452i it is not.
+    for z in (0.7 + 500j, 3.0 + 480j, 0.7 + 455j):
+        assert abs(gamma(z)) < 1e-308
+        with pytest.raises(FactorOverflow, match="past double range"):
+            reciprocal_gamma(z)
+    assert cmath.isfinite(reciprocal_gamma(0.7 + 452j))
+
+
 def test_reciprocal_gamma_continuous_through_poles():
     # Small circles about the poles: values stay O(radius).
     for m in (0, -1, -4):
