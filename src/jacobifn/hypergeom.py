@@ -11,14 +11,15 @@ Three evaluation layers:
   the 2F1 routines); other arities take the generic loop, which is also the
   tight loop's reference.  The tight loop measures |total| only for a term
   small enough to pass the stopping rule, and the leading terms carry their
-  Pochhammer products from term to term; neither changes a bit.  An
+  Pochhammer products from term to term; neither changes a bit.  The
+  leading terms' reciprocal gammas of a lower parameter come from one
+  Lanczos sum and the recurrence 1/Gamma(w) = w / Gamma(w + 1).  An
   adaptive 2F1 series predicted to be long (``_predicted_terms`` above
   ``_TAIL_TERMS``) is summed instead in numpy column blocks,
   ``_block_tail_2f1``, with the loop's stopping rule, estimate and term
   cap; one block replaces hundreds of Python iterations, and its values
   differ from the loop's by rounding.  Its blocks are those of the batch
-  below, on one row.  The reciprocal gammas of the lower parameters are
-  memoized, since every point of a parameter triple repeats them.
+  below, on one row.
 * ``gauss2f1`` / ``ohyp2f1`` -- the 2F1 specializations, both served by one
   continuation routine with automatic argument transformation.  The
   reachable arguments under the classical maps are {z, z/(z-1)} (Euler's map
@@ -61,13 +62,14 @@ from .errors import (
     ContinuationRequired,
     CutError,
     DivergentError,
+    FactorOverflow,
     LowerPoleError,
     NoConvergentPath,
     TruncationWarning,
     ZeroArgument,
 )
 from .quadrature import CUT_GUARD, Cut, modulus, where
-from .scalar_kernel import exact_memo, pochhammer_product, pochhammer_products, reciprocal_gamma
+from .scalar_kernel import pochhammer_product, pochhammer_products, reciprocal_gamma
 
 STOP_RATIO = 1e-15
 STOP_RUN = 3
@@ -106,8 +108,9 @@ _INDEX = np.arange(MAX_TERMS + 1.0).astype(complex)
 def power(base, s):
     """Principal power exp(s Log w) of a scalar or an ndarray base.
 
-    A scalar base goes through cmath; s = 0 gives exactly 1 (an array of
-    ones for an array base).
+    A scalar base goes through cmath, and a scalar power past double range
+    raises FactorOverflow; s = 0 gives exactly 1 (an array of ones for an
+    array base).
     """
     if isinstance(base, np.ndarray):
         if s == 0:
@@ -115,7 +118,10 @@ def power(base, s):
         return np.exp(complex(s) * np.log(base.astype(complex, copy=False)))
     if s == 0:
         return 1.0 + 0.0j
-    return cmath.exp(complex(s) * cmath.log(base))
+    try:
+        return cmath.exp(complex(s) * cmath.log(base))
+    except OverflowError:
+        raise FactorOverflow(f"{base}^{s} is past double range") from None
 
 
 @dataclass(frozen=True)
@@ -163,10 +169,19 @@ def _lower_pole_guard(lower, n_terms: int | None, tol: float = 1e-12) -> None:
                 raise LowerPoleError(f"lower parameter {b} pole not shielded")
 
 
-@exact_memo
-def _lower_rgamma(w: complex) -> complex:
-    """1/Gamma at a lower parameter plus k; a triple's series repeat these."""
-    return reciprocal_gamma(w)
+def _rgamma_run(b: complex, k0: int) -> list[complex]:
+    """1/Gamma(b + k) for k = 0..k0, from one Lanczos sum.
+
+    One ``reciprocal_gamma`` at b + k0, then 1/Gamma(w) = w / Gamma(w + 1)
+    (DLMF 5.5.1) downward, which is exactly 0 at the poles.  A run that
+    leaves double range raises FactorOverflow, as ``reciprocal_gamma`` does.
+    """
+    run = [reciprocal_gamma(b + k0)]
+    for k in range(k0 - 1, -1, -1):
+        run.append((b + k) * run[-1])
+    if not cmath.isfinite(run[-1]):
+        raise FactorOverflow(f"1/gamma({b}) is past double range")
+    return run[::-1]
 
 
 def _leading_terms(upper, lower, z: complex, limit: int, regularized: bool):
@@ -176,18 +191,21 @@ def _leading_terms(upper, lower, z: complex, limit: int, regularized: bool):
     series carries 1/Gamma(b_j + k) on every term, so terms up to the last
     lower-parameter pole are formed from Pochhammer products and reciprocal
     gammas; beyond it every b_j + k stays off the poles and ratio updates
-    apply.  Term 0 is 1 times those reciprocal gammas, at b_j + 0 (the sum
-    turns an imaginary -0.0 into 0.0, as b_j + k does at k = 0).
+    apply.  Each lower parameter's reciprocal gammas are a ``_rgamma_run``,
+    whose one Lanczos sum is at Re(b_j + k0) >= 1/2 unless the sum ends
+    first, so it needs no reflection.  Term 0 is 1 times those reciprocal
+    gammas, at b_j + 0 (the sum turns an imaginary -0.0 into 0.0, as b_j + k
+    does at k = 0).
     """
     k0 = 0
     if regularized:
         for b in lower:
             k0 = max(k0, int(math.ceil(0.5 - b.real)))
         k0 = min(k0, limit)
+    rgammas = [_rgamma_run(b, k0) for b in lower] if regularized else []
     term = 1.0 + 0.0j
-    if regularized:
-        for b in lower:
-            term *= _lower_rgamma(b + 0)
+    for run in rgammas:
+        term *= run[0]
     total = 0j + term
     abs_acc = abs(term)
     if k0 == 0:
@@ -199,9 +217,8 @@ def _leading_terms(upper, lower, z: complex, limit: int, regularized: bool):
         zk *= z
         kfac *= k
         term = products[k] * zk / kfac
-        if regularized:
-            for b in lower:
-                term *= _lower_rgamma(b + k)
+        for run in rgammas:
+            term *= run[k]
         total += term
         abs_acc += abs(term)
     return k0, term, total, abs_acc
@@ -510,7 +527,10 @@ def _continued_2f1(a, b, c, z, regularized: bool, route=None) -> SeriesValue:
         return series((a, b), z, m)
     upper = (a, c - b)
     inner = series(upper, z / (z - 1.0), termination_index(upper))
-    fac = (1.0 - z) ** (-a)
+    try:
+        fac = (1.0 - z) ** (-a)
+    except OverflowError:
+        raise FactorOverflow(f"(1-z)^(-a) at z={z}, a={a} is past double range") from None
     return SeriesValue(
         fac * inner.value,
         abs(fac) * inner.abs_error_estimate,

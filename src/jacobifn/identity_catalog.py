@@ -1312,7 +1312,7 @@ _pack_sample = struct.Struct("8d").pack
 
 
 def _sample_bits(p: JacobiParams, z: complex) -> bytes:
-    """The exact bits of (triple, z): 0.0 and -0.0 differ, as in exact_memo."""
+    """The exact bits of (triple, z): 0.0 and -0.0 differ, as they do across a branch cut."""
     a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
     return _pack_sample(a.real, a.imag, b.real, b.imag, g.real, g.imag, z.real, z.imag)
 

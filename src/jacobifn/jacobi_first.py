@@ -55,7 +55,6 @@ from .hypergeom import (
 from .quadrature import CUT_GUARD, Cut, modulus, where
 from .result import EvalResult
 from .scalar_kernel import (
-    exact_memo,
     gamma,
     is_gamma_pole,
     log_gamma,
@@ -135,18 +134,18 @@ def _require_p_domain(params: JacobiParams, z: complex | None = None) -> None:
         _require_off_cut(P_CUT, z)
 
 
-@exact_memo
 def _degree_prefactor(alpha: complex, gam: complex) -> complex:
-    """Gamma(alpha+gamma+1) / Gamma(gamma+1), in log space; memoized per pair.
+    """Gamma(alpha+gamma+1) / Gamma(gamma+1), in log space.
 
-    The reciprocal-gamma zero at gamma in -N makes the whole function vanish
-    there (admissible once alpha+gamma stays off -N).  A ratio past double
-    range raises FactorOverflow.
+    The zero of 1/Gamma(gamma+1) at gamma in -N, tested exactly, makes the
+    whole function vanish there (admissible once alpha+gamma stays off -N).
+    A ratio past double range raises FactorOverflow.
     """
-    if reciprocal_gamma(gam + 1.0) == 0:
+    g1 = gam + 1.0
+    if g1.imag == 0.0 and g1.real <= 0.0 and g1.real.is_integer():
         return 0.0 + 0.0j
     try:
-        return cmath.exp(log_gamma(alpha + gam + 1.0) - log_gamma(gam + 1.0))
+        return cmath.exp(log_gamma(alpha + gam + 1.0) - log_gamma(g1))
     except OverflowError:
         raise FactorOverflow(
             f"Gamma({alpha + gam + 1.0}) / Gamma({gam + 1.0}) is past double range"
@@ -222,17 +221,30 @@ def _rep_value(params: JacobiParams, z: complex, rep: Representation, route=None
     return EvalResult(value, err, f"rep{rep.value}")
 
 
-@exact_memo
+def _sine_overflow(a: complex, b: complex, g: complex) -> FactorOverflow:
+    """The error of a connection coefficient whose sine passes double range."""
+    return FactorOverflow(f"a sine of the large-z connection of ({a}, {b}, {g}) is past double range")
+
+
 def _connection_coeffs(a: complex, b: complex, g: complex) -> tuple[complex, complex, complex]:
     """Connection coefficients (A, B, companion degree) of the two-solution split.
 
-    P_g^(a,b) = A Q_g^(a,b) + B Q_{-a-b-g-1}^(a,b), built from the 1 <-> oo
-    connection of the hypergeometric series.  Degenerate on the resonant set
+    P_g^(a,b) = A Q_g^(a,b) + B Gamma(-b-g) Gamma(-a-g) Q_{-a-b-g-1}^(a,b),
+    built from the 1 <-> oo connection of the hypergeometric series.  B
+    leaves out 1/(Gamma(-b-g) Gamma(-a-g)), which cancels the two gammas of
+    the companion's prefactor, so the companion's second-kind log is taken
+    without them (``_q_log_prefactor``).  Degenerate on the resonant set
     where the two large-z exponents merge or a second-kind solution becomes
     invalid: the companion's, or the triple's own at beta+gamma in -N.
-    Memoized per triple.
+    Where one of its sines passes double range (sin(pi w) from |Im w| of
+    about 226, so from |Im gamma| of about 113 for the catalog's alpha and
+    beta) it raises FactorOverflow: the values the connection returned just
+    short of that were already far outside their flat estimate.
     """
-    denom = cmath.sin(math.pi * (a + b + 2.0 * g))
+    try:
+        denom = cmath.sin(math.pi * (a + b + 2.0 * g))
+    except OverflowError:
+        raise _sine_overflow(a, b, g) from None
     if abs(denom) < 1e-8:
         raise NoConvergentPath("degenerate large-z connection (resonant exponents)")
     for s in (a + g, b + g):
@@ -241,16 +253,11 @@ def _connection_coeffs(a: complex, b: complex, g: complex) -> tuple[complex, com
             raise NoConvergentPath(
                 "degenerate large-z connection (second-kind solution invalid)"
             )
-    coef_a = 2.0 * cmath.sin(math.pi * g) * cmath.sin(math.pi * (b + g)) / (math.pi * denom)
-    coef_b = (
-        -2.0
-        * math.pi
-        * reciprocal_gamma(g + 1.0)
-        * reciprocal_gamma(a + b + g + 1.0)
-        * reciprocal_gamma(-b - g)
-        * reciprocal_gamma(-a - g)
-        / denom
-    )
+    try:
+        coef_a = 2.0 * cmath.sin(math.pi * g) * cmath.sin(math.pi * (b + g)) / (math.pi * denom)
+    except OverflowError:
+        raise _sine_overflow(a, b, g) from None
+    coef_b = -2.0 * math.pi * reciprocal_gamma(g + 1.0) * reciprocal_gamma(a + b + g + 1.0) / denom
     return coef_a, coef_b, -a - b - g - 1.0
 
 
@@ -274,13 +281,14 @@ def _unscale(log_scale, mantissa):
     """(value, flat error estimate) of a connection value; scalars or ndarrays.
 
     A value past double range is not finite, also where exp(log_scale)
-    alone overflows.
+    alone overflows.  |value| is ``modulus``'s, so a point's estimate has
+    one set of bits alone and in an array.
     """
     try:
         value = _exp(log_scale) * mantissa
     except OverflowError:
         value = complex(math.inf, 0.0)
-    return value, 1e-13 * abs(value)
+    return value, 1e-13 * modulus(value)
 
 
 def _terminates(params: JacobiParams) -> bool:
@@ -318,10 +326,13 @@ def _p_plan(params: JacobiParams, z):
 
     The codes are the module's.  In the disk |z+1| <= 2 takes REP1, as |x1|
     = |z-1|/2 and |x2| = |z-1|/|z+1|; beyond it REP3 would sum REP1's series
-    (the map takes x1 to x1/(x1-1) = x2).  ``route`` is REP1's 2F1 route
-    (DIRECT in the disk and for a terminating sum), ``connection`` that of
-    ``_connection_plan``; in an array both hold every point.  A point has one
-    plan alone or in an array: only moduli and the parts of z enter.
+    (the map takes x1 to x1/(x1-1) = x2).  ``route`` is the 2F1 route of the
+    point's representation: DIRECT for REP3, whose |x2| <= AUTO_ARG_LIMIT
+    and |x2 - 1| = 2/|z+1| < 1 make ``_route`` take DIRECT, with no quotient
+    formed; REP1's otherwise (DIRECT in the disk and for a terminating sum).
+    ``connection`` is that of ``_connection_plan``.  In an array both hold
+    every point.  A point has one plan alone or in an array: only moduli and
+    the parts of z enter.
     """
     dp = modulus(z + 1.0)
     rep1 = dp <= 2.0
@@ -337,7 +348,7 @@ def _p_plan(params: JacobiParams, z):
     # REP1's argument as ``_rep_terms`` forms it.
     route = _route(0.5 * (1.0 - z)) if array or not taken else DIRECT
     far = where(taken, P_CONNECTION, where(route >= NO_PATH, P_NO_PATH, P_REP1_BEYOND))
-    return where(beyond, far, code), route, connection
+    return where(beyond, far, code), where(code == P_REP3, DIRECT, route), connection
 
 
 def _auto(params: JacobiParams, z: complex):
@@ -356,15 +367,19 @@ def _auto(params: JacobiParams, z: complex):
     res = None
     if code != P_CONNECTION:
         rep = Representation.REP3 if code == P_REP3 else Representation.REP1
-        res = _rep_value(params, z, rep, None if code == P_REP3 else route)
+        res = _rep_value(params, z, rep, route)
     if code == P_REP1_BEYOND and not cmath.isfinite(res.value) and _terminates(params):
         taken, connection = _connection_plan(params, z)
         code = P_CONNECTION if taken else code
     if code == P_CONNECTION:
-        # The second-kind logs of the triple and its companion, in turn, by Q's plan.
+        # The second-kind logs of the triple and its companion (without its
+        # gammas), in turn, by Q's plan.
         coeffs, triples, codes, argument, q_route = connection
         try:
-            logs = [_second._q_log(t, z, ((c,), argument, q_route)) for t, c in zip(triples, codes)]
+            logs = [
+                _second._q_log(t, z, ((c,), argument, q_route), gammas)
+                for t, c, gammas in zip(triples, codes, (True, False))
+            ]
             return (*_connection_mix(coeffs, *logs), 0.0, "connection")
         except VanishingValue:
             res = res or _rep_value(params, z, Representation.REP1)
@@ -395,10 +410,10 @@ class PointsMemo:
     """LRU memo of ``_pointwise``'s columns, bounded by the points it holds.
 
     The key is exact: the caller's key (the function, its flag and the bits
-    of its triple) with the dtype and bytes of z, so that 0.0 and -0.0 are
-    two keys, as in ``exact_memo``.  It keeps copies and a hit returns
-    copies, so a caller that writes into a result changes no later one.  An
-    empty call, or one larger than the budget, is not kept.
+    of its triple) with the dtype and bytes of z, so that 0.0 and -0.0, whose
+    values differ across a branch cut, are two keys.  It keeps copies and a
+    hit returns copies, so a caller that writes into a result changes no
+    later one.  An empty call, or one larger than the budget, is not kept.
     """
 
     def __init__(self, budget: int):
@@ -460,11 +475,12 @@ def _rep_batch(params: JacobiParams, z: np.ndarray, rep: Representation, route=N
 def _connection_batch(z: np.ndarray, coeffs, triples, codes, argument, route):
     """(log_scale, mantissa, covered) of the large-z connection at every point of z.
 
-    The second-kind logs of its triples follow Q's plan at z; a point is
-    covered where both are.
+    The second-kind logs of its triples follow Q's plan at z, the
+    companion's without its gammas; a point is covered where both are.
     """
     (log1, _, ok1), (log2, _, ok2) = (
-        _second._q_sum(t, z, code, argument, route, log=True) for t, code in zip(triples, codes)
+        _second._q_sum(t, z, code, argument, route, True, gammas)
+        for t, code, gammas in zip(triples, codes, (True, False))
     )
     with np.errstate(over="ignore", invalid="ignore"):
         log_scale, mantissa = _connection_mix(coeffs, log1, log2)
@@ -545,11 +561,10 @@ def _p_points(params: JacobiParams, z: np.ndarray, scaled: bool = False, memo: b
         log_scale, value, err = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex), np.zeros(n)
         covered = np.zeros(n, dtype=bool)
         rep1, route = (code == P_REP1) | (code == P_REP1_BEYOND), np.broadcast_to(route, zs.shape)
-        for mask, rep, r in (rep1, Representation.REP1, route), (code == P_REP3, Representation.REP3, None):
+        for mask, rep in (rep1, Representation.REP1), (code == P_REP3, Representation.REP3):
             idx = np.flatnonzero(mask)
             if idx.size:
-                r = None if r is None else r[idx]
-                value[idx], err[idx], covered[idx] = _rep_batch(params, zs[idx], rep, r)
+                value[idx], err[idx], covered[idx] = _rep_batch(params, zs[idx], rep, route[idx])
         idx = np.flatnonzero(code == P_CONNECTION)
         if idx.size:
             coeffs, triples, codes, argument, q_route = connection

@@ -27,6 +27,7 @@ from .errors import (
     CoefficientZeroError,
     ConvergenceConstraintError,
     FactorOverflow,
+    NoConvergentPath,
     ValidityError,
     VanishingValue,
 )
@@ -58,7 +59,7 @@ from .jacobi_first import (
 )
 from .quadrature import integrate_finite, tanh_sinh_segment, where
 from .result import EvalResult
-from .scalar_kernel import exact_memo, log_gamma, pochhammer
+from .scalar_kernel import log_gamma, pochhammer
 
 _MAX_AUTO_SHIFT = 8
 
@@ -85,13 +86,17 @@ def _require_q_domain(params: JacobiParams, z: complex | None = None) -> None:
         _require_off_cut(Q_CUT, z)
 
 
-@exact_memo
-def _q_log_prefactor(a: complex, b: complex, g: complex) -> complex:
-    """log of 2^(a+b+g) Gamma(a+g+1) Gamma(b+g+1); memoized per triple.
+def _q_log_prefactor(a: complex, b: complex, g: complex, gammas: bool = True) -> complex:
+    """log of 2^(a+b+g) Gamma(a+g+1) Gamma(b+g+1), or of 2^(a+b+g) alone without gammas.
 
     Shared by all four representations; each adds its own powers of z -+ 1.
+    P's large-z connection takes its companion's without gammas: its
+    coefficient B leaves out their reciprocals (``_connection_coeffs``).
     """
-    return (a + b + g) * math.log(2.0) + log_gamma(a + g + 1.0) + log_gamma(b + g + 1.0)
+    log_power = (a + b + g) * math.log(2.0)
+    if not gammas:
+        return log_power
+    return log_power + log_gamma(a + g + 1.0) + log_gamma(b + g + 1.0)
 
 
 def _q_terms(a: complex, b: complex, g: complex, rep: Representation):
@@ -143,19 +148,24 @@ def _q_plan(params: JacobiParams, z, *others: JacobiParams):
     codes = []
     for t in (params, *others):
         a, b, g = complex(t.alpha), complex(t.beta), complex(t.gamma)
-        ends = [termination_index(_q_terms(a, b, g, rep)[0]) is not None for _, rep in _SIDES]
-        code = where(where(rep1, *ends), side, where(refused, Q_NO_PATH, side))
+        code = side
+        # Termination is tested only on a side that refused points take.
+        for s, rep in _SIDES:
+            here = refused & (side == s)
+            if (here.any() if array else here) and termination_index(_q_terms(a, b, g, rep)[0]) is None:
+                code = where(here, Q_NO_PATH, code)
         codes.append(where(on_cut, Q_ON_CUT, code))
     return tuple(codes), argument, route
 
 
-def _q_parts(params: JacobiParams, z: complex, rep: Representation, plan=None):
+def _q_parts(params: JacobiParams, z: complex, rep: Representation, plan=None, gammas: bool = True):
     """(log prefactor, hypergeometric SeriesValue, representation) at a scalar z.
 
     AUTO follows ``plan``, Q's plan of this triple at z (formed here if not
     given): DomainCutError on the cut, the 2F1's error where no route sums,
     else the side's series at the plan's argument and route.  An explicit
-    representation's 2F1 routes its own argument.
+    representation's 2F1 routes its own argument.  Without gammas the log
+    prefactor leaves out the triple's two gammas (``_q_log_prefactor``).
     """
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     argument = route = None
@@ -174,31 +184,36 @@ def _q_parts(params: JacobiParams, z: complex, rep: Representation, plan=None):
     # z - -1.0, not z + 1.0, keeps an imaginary part of -0.0 on (-oo, -1),
     # so that both logs take the limit from below; adding 1.0 makes it +0.0.
     logf = (
-        _q_log_prefactor(a, b, g) - e_m * cmath.log(z - 1.0) - e_p * cmath.log(z - -1.0)
+        _q_log_prefactor(a, b, g, gammas) - e_m * cmath.log(z - 1.0) - e_p * cmath.log(z - -1.0)
     )
     return logf, series, rep
 
 
-def _q_log(params: JacobiParams, z: complex, plan=None) -> complex:
-    """``jacobi_q_log`` of a valid triple at a scalar z, by ``_q_parts`` under AUTO."""
-    logf, series, _ = _q_parts(params, z, Representation.AUTO, plan)
+def _q_log(params: JacobiParams, z: complex, plan=None, gammas: bool = True) -> complex:
+    """``jacobi_q_log`` of a valid triple at a scalar z, by ``_q_parts`` under AUTO (without gammas, as there)."""
+    logf, series, _ = _q_parts(params, z, Representation.AUTO, plan, gammas)
     # At an infinite z the prefactor's log has real part -inf: Q is 0 there.
     if series.value == 0 or logf.real == -math.inf:
         raise VanishingValue(f"z={z}: log of a vanishing second-kind value")
+    if not cmath.isfinite(series.value):
+        raise NoConvergentPath(f"z={z}: Q's series is not finite")
     return logf + cmath.log(series.value)
 
 
-def _q_sum(params: JacobiParams, z: np.ndarray, code: np.ndarray, argument, route, log: bool):
+def _q_sum(
+    params: JacobiParams, z: np.ndarray, code: np.ndarray, argument, route, log: bool, gammas: bool = True
+):
     """Q (or its log) of a valid triple at the points of a 1-D z coded Q_REP1 or Q_REP3.
 
-    ``code``, ``argument`` and ``route`` are the triple's plan at z.  Returns
+    ``code``, ``argument`` and ``route`` are the triple's plan at z; without
+    gammas the log prefactor leaves out the triple's two gammas.  Returns
     (value or log, error estimate of the value, covered); a point is not
     covered where the 2F1 batch does not cover it, the value or log is not
     finite, or the log is taken of 0: the scalar call raises or warns there.
     """
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     c = a + b + 2.0 * g + 2.0
-    base_log = _q_log_prefactor(a, b, g)
+    base_log = _q_log_prefactor(a, b, g, gammas)
     series = np.zeros(z.size, dtype=complex)
     logf = np.zeros(z.size, dtype=complex)
     err = np.zeros(z.size)
@@ -261,9 +276,10 @@ def jacobi_q(
     representations are evaluated as requested (the series layer applies its
     own argument map when the raw argument leaves the disk).
 
-    Under AUTO, z may be an ndarray: the result then holds arrays of values
-    and error estimates, and its provenance joins the representations taken
-    with "+".
+    A value that is not finite (a 2F1 sum past double range) raises
+    NoConvergentPath.  Under AUTO, z may be an ndarray: the result then
+    holds arrays of values and error estimates, and its provenance joins the
+    representations taken with "+".
     """
     if isinstance(z, np.ndarray):
         if rep is not Representation.AUTO:
@@ -277,6 +293,8 @@ def jacobi_q(
     except OverflowError:
         raise FactorOverflow(f"z={z}: Q's prefactor exp({logf}) is past double range") from None
     value, err = _apply_factor(factor, series.value, series.abs_error_estimate)
+    if not cmath.isfinite(value):
+        raise NoConvergentPath(f"z={z}: Q's value (rep{rep.value}) is not finite")
     return EvalResult(value, err, f"rep{rep.value}")
 
 
@@ -284,7 +302,8 @@ def jacobi_q_log(params: JacobiParams, z) -> complex:
     """log of the second-kind value; usable where the value itself overflows.
 
     z may be an ndarray; the result is then an array.  Where Q vanishes (a
-    2F1 sum of 0, or an infinite z) it raises VanishingValue.
+    2F1 sum of 0, or an infinite z) it raises VanishingValue, and where its
+    2F1 sum is not finite NoConvergentPath.
     """
     if isinstance(z, np.ndarray):
         return _array_call(_q_points, params, z, True)[0]

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
-from functools import lru_cache, wraps
 
 from .errors import FactorOverflow, PoleError, UndefinedError, ValidityError
 
@@ -46,11 +44,8 @@ _LANCZOS_TERMS = tuple(zip(_LANCZOS_C[1:], map(float, range(len(_LANCZOS_C) - 1)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.91893853320467274178
+_LOG_2 = math.log(2.0)
 POLE_TOL = 1e-12
-# Entries per exact_memo cache.  Enough for the keys of one parameter triple
-# and its shifted companions; 256 raised the hit rate of a verify sweep by
-# 0.2 % and added about 0.5 MB of resident memory.
-MEMO_SIZE = 64
 
 Complex = complex | float | int
 
@@ -90,6 +85,31 @@ def _lanczos_series(z: complex) -> complex:
     return s
 
 
+def log_sin_pi(z: Complex) -> complex:
+    """A logarithm of sin(pi z), consistent under exp but not principal; -inf at its zeros.
+
+    Where sin(pi z) is a double, the principal log of ``cmath.sin``'s value.
+    From |Im z| of about 226, where it overflows, sin(pi z) is (+-i/2)
+    e^(-+i pi z) to double precision, whose log is pi |Im z| - log 2 plus a
+    phase.
+    """
+    z = complex(z)
+    try:
+        s = cmath.sin(math.pi * z)
+    except OverflowError:
+        sign = 1.0 if z.imag > 0.0 else -1.0
+        return sign * complex(math.pi * z.imag, 0.5 * math.pi - math.pi * z.real) - _LOG_2
+    return cmath.log(s) if s else complex(-math.inf, 0.0)
+
+
+def _exp_in_range(w: complex, what: str) -> complex:
+    """exp(w), or FactorOverflow naming ``what`` where it is past double range."""
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        raise FactorOverflow(f"{what} is past double range") from None
+
+
 def gamma(z: Complex) -> complex:
     """Principal gamma function for complex argument.
 
@@ -104,8 +124,13 @@ def gamma(z: Complex) -> complex:
     if not cmath.isfinite(z):
         raise ValidityError(f"gamma({z}): the argument is not finite")
     if z.real < 0.5:
-        # Reflection: gamma(z) = pi / (sin(pi z) * gamma(1 - z)).
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        # Reflection: gamma(z) = pi / (sin(pi z) * gamma(1 - z)), from
+        # ``log_gamma`` where sin(pi z) overflows.
+        try:
+            sin = cmath.sin(math.pi * z)
+        except OverflowError:
+            return _exp_in_range(log_gamma(z), f"gamma({z})")
+        return math.pi / (sin * gamma(1.0 - z))
     t = z + (_LANCZOS_G - 0.5)
     try:
         value = _SQRT_2PI * t ** (z - 0.5) * cmath.exp(-t) * _lanczos_series(z)
@@ -130,11 +155,7 @@ def log_gamma(z: Complex) -> complex:
     if not cmath.isfinite(z):
         raise ValidityError(f"log_gamma({z}): the argument is not finite")
     if z.real < 0.5:
-        return (
-            math.log(math.pi)
-            - cmath.log(cmath.sin(math.pi * z))
-            - log_gamma(1.0 - z)
-        )
+        return math.log(math.pi) - log_sin_pi(z) - log_gamma(1.0 - z)
     t = z + (_LANCZOS_G - 0.5)
     return (
         _LOG_SQRT_2PI
@@ -153,8 +174,13 @@ def reciprocal_gamma(z: Complex) -> complex:
     if z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer():
         return 0.0 + 0.0j
     if z.real < 0.5:
-        # Entire continuation through the poles of gamma.
-        return gamma(1.0 - z) * cmath.sin(math.pi * z) / math.pi
+        # Entire continuation through the poles of gamma, from ``log_gamma``
+        # where sin(pi z) overflows.
+        factor = gamma(1.0 - z)
+        try:
+            return factor * cmath.sin(math.pi * z) / math.pi
+        except OverflowError:
+            return _exp_in_range(-log_gamma(z), f"1/gamma({z})")
     value = gamma(z)
     if value:
         value = 1.0 / value
@@ -223,43 +249,3 @@ def pochhammer_products(a_list: list[Complex] | tuple[Complex, ...], n: int) -> 
             p *= runs[i]
         out.append(p)
     return out
-
-
-def exact_memo(fn):
-    """Memoize fn, a function of one to three complex arguments, on their bits.
-
-    The cache is a functools.lru_cache of MEMO_SIZE entries whose key leads
-    with the arguments packed as doubles.  Keying on the complex values alone
-    would not do: 0.0 == -0.0, yet across a branch cut the two give results
-    that differ in the last bits, and a value must not depend on what was
-    evaluated before.
-    """
-
-    @lru_cache(maxsize=MEMO_SIZE)
-    def cached(bits: bytes, *args):
-        return fn(*args)
-
-    n = fn.__code__.co_argcount
-    pack = struct.Struct(f"{2 * n}d").pack
-    # The doubles are spelt out per arity: flattening the arguments in a
-    # loop costs as much as the cache lookup itself.
-    if n == 1:
-
-        def memo(a):
-            return cached(pack(a.real, a.imag), a)
-
-    elif n == 2:
-
-        def memo(a, b):
-            return cached(pack(a.real, a.imag, b.real, b.imag), a, b)
-
-    elif n == 3:
-
-        def memo(a, b, c):
-            return cached(pack(a.real, a.imag, b.real, b.imag, c.real, c.imag), a, b, c)
-
-    else:
-        raise TypeError("exact_memo takes a function of one to three arguments")
-    memo = wraps(fn)(memo)
-    memo.cache_info = cached.cache_info
-    return memo

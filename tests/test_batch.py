@@ -54,7 +54,9 @@ from jacobifn.hypergeom import (
 from jacobifn.jacobi_first import (
     _PROVENANCE,
     AUTO_ARG_LIMIT,
+    P_REP1,
     P_REP1_BEYOND,
+    P_REP3,
     POINTS_MEMO,
     JacobiParams,
     Representation,
@@ -65,9 +67,10 @@ from jacobifn.jacobi_first import (
     jacobi_p,
     jacobi_p_scaled,
 )
-from jacobifn.jacobi_second import Q_NO_PATH, Q_REP1, _q_plan, _q_points, jacobi_q, jacobi_q_log
+from jacobifn.jacobi_second import Q_NO_PATH, Q_REP1, Q_REP3, _q_plan, _q_points, jacobi_q, jacobi_q_log
 from jacobifn.quadrature import CUT_GUARD, Cut
 from jacobifn.result import EvalResult
+from jacobifn.scalar_kernel import reciprocal_gamma
 
 ULPS = 16 * 2.220446049250313e-16
 # The ulps of a subnormal value.
@@ -191,6 +194,8 @@ def _p_slack(params, w, ref, growth: float) -> float:
         return ULPS * abs(ref.value)
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     coef_a, coef_b, g2 = _connection_coeffs(a, b, g)
+    # B multiplies the companion's Q without its gammas, Gamma(-b-g) Gamma(-a-g).
+    coef_b *= reciprocal_gamma(-b - g) * reciprocal_gamma(-a - g)
     slack = 0.0
     for coef, part in ((coef_a, params), (coef_b, JacobiParams(a, b, g2))):
         q = jacobi_q(part, w)
@@ -688,14 +693,26 @@ def test_2f1_batch_routes_each_point_as_the_scalar_call():
 _RESONANT, _COMPANION_ENDS = JacobiParams(0.3, 0.2, 0.75), JacobiParams(0.3, 0.2, 0.5)
 
 
-def _code(fn, params, z):
-    """The code of the AUTO plan of jacobi_p's or jacobi_q's kind at z, a scalar or an array."""
-    return _p_plan(params, z)[0] if fn is jacobi_p else _q_plan(params, z)[0][0]
+def _plan(fn, params, z):
+    """(code, route) of the AUTO plan of jacobi_p's or jacobi_q's kind at z, a scalar or a one-point array.
+
+    The route is the 2F1 route of the code's representation, or None where
+    the code sums none (the connection, no path, on the cut).
+    """
+    if fn is jacobi_p:
+        code, route, _ = _p_plan(params, z)
+        sums = (P_REP1, P_REP3, P_REP1_BEYOND)
+    else:
+        (code,), _, route = _q_plan(params, z)
+        sums = (Q_REP1, Q_REP3)
+    if isinstance(z, np.ndarray):
+        code, route = code[0], np.broadcast_to(route, z.shape)[0]
+    return int(code), (int(route) if code in sums else None)
 
 
 def _plan_moves(fn, params, zs) -> list:
-    """The points whose plan code alone differs from its code in a one-point array."""
-    return [w for w in zs if _code(fn, params, w) != _code(fn, params, np.array([w]))[0]]
+    """The points whose plan alone (code and route) differs from its plan in a one-point array."""
+    return [w for w in zs if _plan(fn, params, w) != _plan(fn, params, np.array([w]))]
 
 
 def test_one_q_plan_of_the_connection_has_a_path_in_the_lens():
@@ -713,7 +730,9 @@ def test_array_point_has_the_scalar_provenance_at_auto_boundaries(kind):
     # |z+1|, its REP1-or-REP3 choice, |z+1| = 2, and Q's, Re z = 0, where
     # |Re z| up to about 3e-16 leaves |1-z| and |1+z| a rounding apart; and
     # the edges of Q's 2F1 argument, which decide P's connection or REP1.
-    # Each point has one plan code alone and in an array.
+    # Each point has one plan code alone and in an array, and one 2F1 route
+    # where the code sums a representation (P's REP3 is summed directly in
+    # both, also on the ring where |x2| = DIRECT_LIMIT).
     curves = (
         lambda t: 1.0 + cmath.rect(2.0 * AUTO_ARG_LIMIT, t),
         lambda t: (1.0 + cmath.rect(AUTO_ARG_LIMIT, t)) / (1.0 - cmath.rect(AUTO_ARG_LIMIT, t)),

@@ -312,6 +312,42 @@ def test_ohyp2f1_work_count_pinned(monkeypatch):
     assert (terms, raised, len(tails)) == (17358, 48, 20)
 
 
+def test_scalar_call_work_count_pinned(monkeypatch):
+    # 2,000 scalar calls from the box of the benchmark's scatter-eval
+    # workload, jacobi_p and jacobi_q in turn, each with a fresh triple (Re in
+    # [-0.65, 2.8], |Im| <= 0.45) and z (|Re z| < 4, |Im z| < 2).  Per kind:
+    # the Lanczos sums of the gamma kernel, the 2F1 series terms and the calls
+    # that raised.  A change to the gamma prefactors shows up in the first
+    # count, one to the series or the routes in the second.
+    from jacobifn import JacobiParams, jacobi_p, jacobi_q, scalar_kernel
+
+    counts = {kind: [0, 0, 0] for kind in "PQ"}
+    kind = "P"
+    lanczos, series = scalar_kernel._lanczos_series, hypergeom._series
+
+    def counted_lanczos(z):
+        counts[kind][0] += 1
+        return lanczos(z)
+
+    def counted_series(*args):
+        out = series(*args)
+        counts[kind][1] += out.terms_used
+        return out
+
+    monkeypatch.setattr(scalar_kernel, "_lanczos_series", counted_lanczos)
+    monkeypatch.setattr(hypergeom, "_series", counted_series)
+    rng = Random(20261020)
+    for i in range(2000):
+        kind = "PQ"[i % 2]
+        params = JacobiParams(*(complex(rng.uniform(-0.65, 2.8), rng.uniform(-0.45, 0.45)) for _ in range(3)))
+        z = complex(rng.uniform(-4.0, 4.0), rng.uniform(-2.0, 2.0))
+        try:
+            (jacobi_p if kind == "P" else jacobi_q)(params, z)
+        except JacobiFnError:
+            counts[kind][2] += 1
+    assert counts == {"P": [4469, 147862, 9], "Q": [2526, 87584, 158]}
+
+
 # The 2F1 parameters that the Jacobi representations take from a triple of
 # the catalog box: P's REP1 and REP3 at gamma, Q's REP1 and REP3 at gamma
 # and at the connection's companion degree -alpha-beta-gamma-1 (there
@@ -403,8 +439,17 @@ def test_tail_and_loop_warn_at_the_term_cap(monkeypatch):
 
 
 
+def _recurrence_rgamma(b, k0, k, rgamma=reciprocal_gamma):
+    """1/Gamma(b + k) by the recurrence 1/Gamma(w) = w / Gamma(w + 1), down from rgamma(b + k0)."""
+    r = rgamma(b + k0)
+    for j in range(k0 - 1, k - 1, -1):
+        r = (b + j) * r
+    return r
+
+
 def _leading_terms_reference(upper, lower, z, limit, regularized, rgamma=reciprocal_gamma):
-    """The leading terms with each Pochhammer product formed anew by ``pochhammer_product``."""
+    """The leading terms with each Pochhammer product formed anew by
+    ``pochhammer_product`` and each 1/Gamma(b + k) anew by the recurrence."""
     k0 = 0
     if regularized:
         for b in lower:
@@ -422,7 +467,7 @@ def _leading_terms_reference(upper, lower, z, limit, regularized, rgamma=recipro
             term = pochhammer_product(upper, k) * zk / kfac
         if regularized:
             for b in lower:
-                term *= rgamma(b + k)
+                term *= _recurrence_rgamma(b, k0, k, rgamma)
         total += term
         abs_acc += abs(term)
     return k0, term, total, abs_acc
@@ -465,14 +510,37 @@ _SIGNED_RGAMMA = (
 @pytest.mark.parametrize("k0", [0, 1, 4])
 @pytest.mark.parametrize("im", [0.0, -0.0])
 def test_leading_terms_keep_the_signed_zeros_of_the_loop(monkeypatch, rgamma, k0, im):
-    # The same operations on every bit, signed zeros included.
+    # The same operations on every bit, signed zeros included; the stand-in
+    # replaces the one Lanczos sum per lower parameter.
     rgamma = _SIGNED_RGAMMA[rgamma]
-    monkeypatch.setattr(hypergeom, "_lower_rgamma", rgamma)
+    monkeypatch.setattr(hypergeom, "reciprocal_gamma", rgamma)
     c = complex(0.7 - k0, im)
     for z in (complex(-0.0, -0.0), 0.3 - 0.2j):
         args = ((complex(-0.0, -0.0), 1.5 + 0.0j), (c,), z, hypergeom.MAX_TERMS, True)
         want = _leading_terms_reference(*args, rgamma=rgamma)
         assert _state_bits(hypergeom._leading_terms(*args)) == _state_bits(want)
+
+
+def test_reciprocal_gamma_run_matches_the_kernel_per_term():
+    # The lower parameters the Jacobi layers form from catalog triples: P's
+    # alpha+1, Q's alpha+beta+2 gamma+2 and its companion's -alpha-beta-2 gamma
+    # (Re down to about -11, so up to a dozen leading terms).  The run from
+    # one Lanczos sum agrees with ``reciprocal_gamma`` at every b + k within
+    # 16 k0 ulps (8 at most over 9,000 such b), and is exactly 0 at a pole.
+    rng = Random(20261020)
+    for _ in range(300):
+        a, b, g = (complex(rng.uniform(-0.65, 2.8), rng.uniform(-0.45, 0.45)) for _ in range(3))
+        for c in (a + 1.0, a + b + 2.0 * g + 2.0, -a - b - 2.0 * g):
+            k0 = max(0, math.ceil(0.5 - c.real))
+            run = hypergeom._rgamma_run(c, k0)
+            assert len(run) == k0 + 1
+            for k, r in enumerate(run):
+                want = reciprocal_gamma(c + k)
+                assert abs(r - want) <= 16 * max(k0, 1) * hypergeom._EPS * abs(want)
+    for c in (0.0, -1.0, -4.0, complex(-7.0, -0.0)):
+        k0 = math.ceil(0.5 - c.real)
+        run = hypergeom._rgamma_run(c, k0)
+        assert [k for k, r in enumerate(run) if r == 0] == list(range(int(-c.real) + 1))
 
 
 def _loops_agree(upper, lower, z, k, limit, term, total, abs_acc):

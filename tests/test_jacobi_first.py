@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import jacobi_poly_via_recurrence, legendre_via_recurrence
-from jacobifn.errors import DomainCutError, NoConvergentPath, ValidityError
+from jacobifn.errors import DomainCutError, FactorOverflow, NoConvergentPath, ValidityError
 from jacobifn.jacobi_first import (
     JacobiParams,
     Representation,
@@ -16,6 +16,7 @@ from jacobifn.jacobi_first import (
     jacobi_polynomial,
     taylor_section,
 )
+from jacobifn.jacobi_second import jacobi_q
 
 
 def test_legendre_p2_value():
@@ -295,3 +296,27 @@ def test_connection_past_double_range_raises_no_convergent_path(params, z):
         with pytest.raises(NoConvergentPath):
             jacobi_p(params, arg)
     assert all(np.isfinite(col).all() for col in jacobi_p_scaled(params, np.array([z])))
+
+
+@pytest.mark.parametrize(
+    "kind, triple, z, error",
+    [
+        # A sine of the connection's coefficients passes double range.
+        ("P", (0.3, 0.2, 0.5 + 260j), -3.0 + 1.0j, FactorOverflow),
+        # REP3's factor ((z+1)/2)^gamma passes double range.
+        ("P", (0.001294095727238868 - 4j, 547.7737175382143, 995.8884863476044),
+         3.656531313752575 - 0.0031066710670387535j, FactorOverflow),
+        # The leading reciprocal gammas are representable, the series is not.
+        ("Q", (2.296294969151056 - 2j, 2.0, -79.82424377145446 - 1.401253209460554j),
+         2.275286943752081 + 0.05228554631345714j, NoConvergentPath),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::jacobifn.errors.TruncationWarning")
+def test_overflow_at_large_parameters_raises_a_library_error(kind, triple, z, error):
+    # Each raised a bare OverflowError or returned NaN before the reflection
+    # and the prefactors were formed in log space; arrays raise as the
+    # scalar call does.  Q's series reaches the term cap, which warns.
+    fn = jacobi_p if kind == "P" else jacobi_q
+    for w in (z, np.array([z])):
+        with pytest.raises(error):
+            fn(JacobiParams(*triple), w)

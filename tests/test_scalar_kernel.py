@@ -10,10 +10,10 @@ from jacobifn.errors import FactorOverflow, JacobiFnError, PoleError, UndefinedE
 from jacobifn.scalar_kernel import (
     binomial,
     distance_to_nonpositive_integers,
-    exact_memo,
     gamma,
     is_gamma_pole,
     log_gamma,
+    log_sin_pi,
     nearest_nonpositive_integer,
     pochhammer,
     pochhammer_product,
@@ -93,6 +93,36 @@ def test_reciprocal_gamma_past_double_range_raises_factor_overflow():
         with pytest.raises(FactorOverflow, match="past double range"):
             reciprocal_gamma(z)
     assert cmath.isfinite(reciprocal_gamma(0.7 + 452j))
+
+
+@pytest.mark.parametrize("y", [300.0, -300.0])
+def test_reflection_past_the_sine_overflow(y):
+    # From |Im z| of about 226 sin(pi z) overflows a double; the reflection
+    # then goes through log_sin_pi.  |Gamma(-1/2 + iy)|^2 = pi / ((1/4 + y^2)
+    # cosh(pi y)) (DLMF 5.4.4), about 1e-414 at y = 300, so compare logs.
+    z = complex(-0.5, y)
+    want = math.log(math.pi) - math.log(0.25 + y * y) - (math.pi * abs(y) - math.log(2.0))
+    tol = 1e-15 * math.pi * abs(y)
+    assert abs(2.0 * log_gamma(z).real - want) <= tol
+    assert abs(2.0 * math.log(abs(gamma(z))) - want) <= tol
+    assert abs(-2.0 * math.log(abs(reciprocal_gamma(z))) - want) <= tol
+    # Gamma(z) Gamma(-z) = -pi / (z sin(pi z)) (DLMF 5.5.3), so the phases agree too.
+    both = log_gamma(z) + log_gamma(-z) - (math.log(math.pi) + cmath.log(-1.0 / z) - log_sin_pi(z))
+    assert abs(cmath.exp(complex(0.0, both.imag)) - 1.0) <= 1e-12 and abs(both.real) <= tol
+    # Where sin(pi z) is a double, log_sin_pi is its principal log.
+    assert log_sin_pi(0.3 + 2.0j) == cmath.log(cmath.sin(math.pi * (0.3 + 2.0j)))
+    assert log_sin_pi(0.0) == complex(-math.inf, 0.0)
+
+
+def test_reflection_gives_a_value_or_factor_overflow():
+    # gamma(0.2+300i) raised a bare OverflowError from cmath.sin; it is about
+    # 1e-205.  1/gamma at 0.2+500i is past double range, and gamma there
+    # underflows to 0.
+    assert 1e-206 < abs(gamma(0.2 + 300j)) < 1e-204
+    assert 1e204 < abs(reciprocal_gamma(0.2 + 300j)) < 1e206
+    assert gamma(0.2 + 500j) == 0
+    with pytest.raises(FactorOverflow, match="past double range"):
+        reciprocal_gamma(0.2 + 500j)
 
 
 def test_reciprocal_gamma_continuous_through_poles():
@@ -225,17 +255,6 @@ def test_pochhammer_product():
     assert pochhammer_product([], 3) == 1.0
     assert pochhammer_product([1, 2], 2) == pytest.approx(12.0, rel=1e-14)
     assert pochhammer_product([-1], 3) == 0.0
-
-
-def test_exact_memo_tells_signed_zeros_apart():
-    # -1+0j and -1-0j are equal but lie on either side of log's cut.
-    log = exact_memo(lambda z: cmath.log(z))
-    assert log(complex(-1.0, 0.0)).imag == math.pi
-    assert log(complex(-1.0, -0.0)).imag == -math.pi
-    assert log(complex(-1.0, 0.0)).imag == math.pi
-    info = log.cache_info()
-    assert (info.hits, info.misses) == (1, 2)
-
 
 
 def _lanczos_series_reference(z: complex) -> complex:
