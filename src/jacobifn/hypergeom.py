@@ -6,36 +6,43 @@ Three evaluation layers:
   companion (lower-parameter Pochhammers replaced by reciprocal gammas, so
   the regularized form is entire in every lower parameter).  Both classify
   convergence and then call one series core, ``_series``, whose
-  ``regularized`` flag decides only the leading terms.  Its term-ratio phase
-  has a tight loop for two upper parameters and one lower (every call from
-  the 2F1 routines); other arities take the generic loop, which is also the
-  tight loop's reference.  The tight loop measures |total| only for a term
-  small enough to pass the stopping rule, and the leading terms carry their
-  Pochhammer products from term to term; neither changes a bit.  The
-  leading terms' reciprocal gammas of a lower parameter come from one
-  Lanczos sum and the recurrence 1/Gamma(w) = w / Gamma(w + 1).  An
+  ``regularized`` flag decides only the leading terms: a plain series
+  starts from the term 1; a regularized one where every Re b_j >= 1/2
+  (k0 = 0) from the product of the 1/Gamma(b_j), one Lanczos sum each and
+  no other work, else from its terms up to the last lower-parameter pole.
+  Its term-ratio phase has a tight loop for two upper parameters and one
+  lower (every call from the 2F1 routines); other arities take the generic
+  loop, which is also the tight loop's reference.  The tight loop measures
+  |total| only for a term small enough to pass the stopping rule, and the
+  leading terms carry their Pochhammer products from term to term; neither
+  changes a bit.  The leading terms' reciprocal gammas of a lower parameter
+  come from one Lanczos sum and the recurrence 1/Gamma(w) = w / Gamma(w +
+  1).  A term whose modulus passes double range raises FactorOverflow.  An
   adaptive 2F1 series predicted to be long (``_predicted_terms`` above
   ``_TAIL_TERMS``) is summed instead in numpy column blocks,
   ``_block_tail_2f1``, with the loop's stopping rule, estimate and term
   cap; one block replaces hundreds of Python iterations, and its values
   differ from the loop's by rounding.  Its blocks are those of the batch
   below, on one row.
-* ``gauss2f1`` / ``ohyp2f1`` -- the 2F1 specializations, both served by one
-  continuation routine with automatic argument transformation.  The
+* ``gauss2f1`` / ``ohyp2f1`` -- the 2F1 specializations, plain and
+  regularized, both served by one continuation routine with automatic
+  argument transformation; the Jacobi layers call that routine with
+  complex arguments and the route their plans formed.  The
   reachable arguments under the classical maps are {z, z/(z-1)} (Euler's map
   keeps the argument).  One router, ``_route``, serves a scalar z and an
   array from |z| and |z-1| alone, formed by ``quadrature.modulus``, so a
   point takes one route in a scalar call and in a batch.
-* ``_ohyp2f1_batch`` -- the regularized 2F1 of one (a, b, c) over an ndarray
-  of z, for the oracles that evaluate one parameter triple at every node of
-  a level.  It routes each point by ``_route`` (the AUTO plans of the Jacobi
-  layers pass the routes they formed) and keeps the scalar stopping rule and
-  error estimate, but sums with numpy (``_series_batch``): the leading terms
-  of ``_leading_terms`` at the array of arguments, then column blocks of
-  ``_sum_block``, the rule of ``_block_tail_2f1``, so a point whose scalar
-  series takes the blocks from its first term (Re c > 1/2) gets the scalar
-  bits; the block widths change no result.  Callers pass at most
-  ``BATCH_POINTS`` points.
+* ``_ohyp2f1_batch`` -- the regularized (or plain) 2F1 of one (a, b, c)
+  over an ndarray of z, for the oracles that evaluate one parameter triple
+  at every node of a level.  It routes each point by ``_route`` (the AUTO
+  plans of the Jacobi layers pass the routes they formed) and keeps the
+  scalar stopping rule and error estimate, but sums with numpy
+  (``_series_batch``): the leading terms of ``_leading_terms`` at the array
+  of arguments, then column blocks of ``_sum_block``, the rule of
+  ``_block_tail_2f1``, so a point whose scalar series takes the blocks from
+  its first term (a plain series, or Re c > 1/2) gets the scalar bits; the
+  block widths change no result.  Callers pass at most ``BATCH_POINTS``
+  points.
   A mask marks the points it covers; the Jacobi layers evaluate the others
   (on the cut, no map inside the disk, the term cap) with the scalar call,
   which raises or warns as documented.  The scalar routines stay the
@@ -193,23 +200,28 @@ def _leading_terms(upper, lower, z: complex, limit: int, regularized: bool):
     gammas; beyond it every b_j + k stays off the poles and ratio updates
     apply.  Each lower parameter's reciprocal gammas are a ``_rgamma_run``,
     whose one Lanczos sum is at Re(b_j + k0) >= 1/2 unless the sum ends
-    first, so it needs no reflection.  Term 0 is 1 times those reciprocal
-    gammas, at b_j + 0 (the sum turns an imaginary -0.0 into 0.0, as b_j + k
-    does at k = 0).
+    first, so it needs no reflection.  Where k0 = 0, term 0 is 1 times each
+    1/Gamma(b_j + 0), the run's one entry, formed without the run (the sum
+    turns an imaginary -0.0 into 0.0, as b_j + k does at k = 0).
     """
-    k0 = 0
-    if regularized:
-        for b in lower:
-            k0 = max(k0, int(math.ceil(0.5 - b.real)))
-        k0 = min(k0, limit)
-    rgammas = [_rgamma_run(b, k0) for b in lower] if regularized else []
     term = 1.0 + 0.0j
+    if not regularized:
+        return 0, term, 0j + term, abs(term)
+    k0 = 0
+    for b in lower:
+        k0 = max(k0, int(math.ceil(0.5 - b.real)))
+    k0 = min(k0, limit)
+    if k0 == 0:
+        for b in lower:
+            term *= reciprocal_gamma(b + 0)
+        if not cmath.isfinite(term):
+            raise FactorOverflow(f"1/gamma of {lower} is past double range")
+        return 0, term, 0j + term, abs(term)
+    rgammas = [_rgamma_run(b, k0) for b in lower]
     for run in rgammas:
         term *= run[0]
     total = 0j + term
     abs_acc = abs(term)
-    if k0 == 0:
-        return k0, term, total, abs_acc
     products = pochhammer_products(upper, k0)
     zk = 1.0 + 0.0j
     kfac = 1.0
@@ -420,17 +432,22 @@ def _series(upper, lower, z: complex, m_stop: int | None, regularized: bool) -> 
     predicted terms; other arities take ``_ratio_loop``.
     """
     limit = m_stop if m_stop is not None else MAX_TERMS
-    k0, term, total, abs_acc = _leading_terms(upper, lower, z, limit, regularized)
-    args = (upper, lower, z, k0, limit, m_stop is None, term, total, abs_acc)
-    if len(upper) != 2 or len(lower) != 1:
-        k, term, total, abs_acc = _ratio_loop(*args)
-    elif m_stop is None and (
-        need := _predicted_terms(abs(z), (upper[0] + upper[1] - lower[0]).real - 1.0)
-    ) > _TAIL_TERMS:
-        width = _first_width(need, 1)
-        k, term, total, abs_acc = _block_tail_2f1(upper, lower, z, k0, term, total, abs_acc, width)
-    else:
-        k, term, total, abs_acc = _ratio_loop_2f1(*args)
+    try:
+        k0, term, total, abs_acc = _leading_terms(upper, lower, z, limit, regularized)
+        args = (upper, lower, z, k0, limit, m_stop is None, term, total, abs_acc)
+        if len(upper) != 2 or len(lower) != 1:
+            k, term, total, abs_acc = _ratio_loop(*args)
+        elif m_stop is None and (
+            need := _predicted_terms(abs(z), (upper[0] + upper[1] - lower[0]).real - 1.0)
+        ) > _TAIL_TERMS:
+            width = _first_width(need, 1)
+            k, term, total, abs_acc = _block_tail_2f1(upper, lower, z, k0, term, total, abs_acc, width)
+        else:
+            k, term, total, abs_acc = _ratio_loop_2f1(*args)
+        size = abs(term)
+    except OverflowError:
+        # Python's abs of a complex with finite parts raises where the modulus overflows.
+        raise FactorOverflow(f"the modulus of a series term at z={z} is past double range") from None
     terms_used = k + 1
     rounding = _EPS * abs_acc
     if m_stop is not None:
@@ -439,8 +456,8 @@ def _series(upper, lower, z: complex, m_stop: int | None, regularized: bool) -> 
         warnings.warn(
             f"series stopped at the {MAX_TERMS}-term cap", TruncationWarning
         )
-        return SeriesValue(total, 10.0 * abs(term) + rounding, terms_used, False)
-    return SeriesValue(total, abs(term) + rounding, terms_used, False)
+        return SeriesValue(total, 10.0 * size + rounding, terms_used, False)
+    return SeriesValue(total, size + rounding, terms_used, False)
 
 
 def _checked_series(upper, lower, argument, regularized: bool) -> SeriesValue:
@@ -502,14 +519,15 @@ def _refuse(z: complex, route: int):
     raise NoConvergentPath(f"no transformed argument inside the disk (best modulus {best:.3f})")
 
 
-def _continued_2f1(a, b, c, z, regularized: bool, route=None) -> SeriesValue:
+def _continued_2f1(a: complex, b: complex, c: complex, z: complex, regularized: bool, route=None) -> SeriesValue:
     """2F1(a, b; c; z), plain or regularized, continued via the z/(z-1) map.
 
-    Takes the ``_route`` of z a caller formed, or forms it.  The series
-    summed terminates or has its argument within MAP_LIMIT, so the only
-    check of ``_checked_series`` that can fire is the lower-pole guard.
+    Takes complex parameters and argument, and the ``_route`` of z a caller
+    formed, or forms it.  The series summed terminates or has its argument
+    within MAP_LIMIT, so the only check of ``_checked_series`` that can fire
+    is the lower-pole guard.  The map's series (a, c-b) terminates only by
+    c-b, since a series of (a, b) that terminates takes the direct route.
     """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     m = termination_index((a, b))
     if m is not None:
         route = DIRECT
@@ -517,40 +535,35 @@ def _continued_2f1(a, b, c, z, regularized: bool, route=None) -> SeriesValue:
         route = _route(z)
     if route >= NO_PATH:
         _refuse(z, route)
-
-    def series(upper, x, m_stop):
-        if not regularized:
-            _lower_pole_guard((c,), None if m_stop is None else m_stop + 1)
-        return _series(upper, (c,), x, m_stop, regularized)
-
+    x = z
+    if route != DIRECT:
+        b, x = c - b, z / (z - 1.0)
+        m = termination_index((b,))
+    if not regularized:
+        _lower_pole_guard((c,), None if m is None else m + 1)
+    series = _series((a, b), (c,), x, m, regularized)
     if route == DIRECT:
-        return series((a, b), z, m)
-    upper = (a, c - b)
-    inner = series(upper, z / (z - 1.0), termination_index(upper))
+        return series
     try:
         fac = (1.0 - z) ** (-a)
+        size = abs(fac)
     except OverflowError:
         raise FactorOverflow(f"(1-z)^(-a) at z={z}, a={a} is past double range") from None
-    return SeriesValue(
-        fac * inner.value,
-        abs(fac) * inner.abs_error_estimate,
-        inner.terms_used,
-        inner.terminated,
-    )
+    return SeriesValue(fac * series.value, size * series.abs_error_estimate, series.terms_used, series.terminated)
 
 
 def gauss2f1(a, b, c, z) -> SeriesValue:
     """Gauss 2F1(a, b; c; z), continued off the disk via the z/(z-1) map."""
-    return _continued_2f1(a, b, c, z, regularized=False)
+    return _continued_2f1(complex(a), complex(b), complex(c), complex(z), False)
 
 
 def ohyp2f1(a, b, c, z) -> SeriesValue:
     """Olver-regularized 2F1; valid for every c, including c in -N0."""
-    return _continued_2f1(a, b, c, z, regularized=True)
+    return _continued_2f1(complex(a), complex(b), complex(c), complex(z), True)
 
 
-def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
-    """The regularized 2F1 series at every point of a 1-D array z: ``_sum_block`` on many rows.
+def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None, regularized: bool = True):
+    """The 2F1 series, regularized or plain, at every point of a 1-D array z: ``_sum_block`` on many rows.
 
     Sums terms 0..m_stop exactly or, when m_stop is None, stops each point
     by the scalar rule: STOP_RUN consecutive terms past the leading ones
@@ -562,8 +575,9 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
     row leaves the blocks where it stops.  Terms and sums are formed as in
     ``_block_tail_2f1`` and the estimate takes |last term| as the scalar
     ``abs`` does, so a point whose scalar series takes the blocks from its
-    first term (Re c > 1/2) gets its bits.  Returns (value, error estimate,
-    covered); a point that reaches the term cap is not covered.
+    first term (a plain series, or Re c > 1/2) gets its bits.  Returns
+    (value, error estimate, covered); a point that reaches the term cap is
+    not covered.
     """
     value = np.zeros(z.size, dtype=complex)
     err = np.zeros(z.size)
@@ -579,7 +593,7 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
     # An overflow gives inf or nan values, which the callers send to the
     # scalar call, and no warning.
     with np.errstate(all="ignore"):
-        k, term, total, acc = _leading_terms((a, b), (c,), z, last, True)
+        k, term, total, acc = _leading_terms((a, b), (c,), z, last, regularized)
         while rows.size and k < last:
             width = min(width, last - k)
             terms, sums, accs, run, hit = _sum_block((a, b, c), x, k, width, term, total, acc, flags)
@@ -605,33 +619,34 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None):
     return value, err, covered
 
 
-def _ohyp2f1_batch(a, b, c, z: np.ndarray, route=None):
-    """``ohyp2f1`` at every point of a 1-D array z: (value, error estimate, covered).
+def _ohyp2f1_batch(a, b, c, z: np.ndarray, route=None, regularized: bool = True):
+    """``ohyp2f1`` (``gauss2f1`` when not regularized) at every point of a 1-D array z: (value, error estimate, covered).
 
     Routes each point by ``route``, else by ``_route`` of z.  A point is not
     covered where the scalar call raises NoConvergentPath or CutError, warns
     at the term cap, or the batch's result is not finite; callers evaluate
     it with the scalar call.  A batch whose series terminates, or whose
     largest |z| is at most DIRECT_LIMIT, is summed directly without routing,
-    as ``_route`` would.
+    as ``_route`` would.  The plain series runs no lower-pole guard: its
+    callers keep c off -N0.
     """
     a, b, c = complex(a), complex(b), complex(c)
     m = termination_index((a, b))
     if route is None and m is None and z.size and np.max(modulus(z)) > DIRECT_LIMIT:
         route = _route(z)
     if route is None or m is not None or (route == DIRECT).all():
-        value, err, ok = _series_batch(a, b, c, z, m)
+        value, err, ok = _series_batch(a, b, c, z, m, regularized)
         return value, err, _covered(value, err, ok)
     value = np.zeros(z.size, dtype=complex)
     err = np.zeros(z.size)
     covered = np.zeros(z.size, dtype=bool)
     direct, pfaff = route == DIRECT, route == MAP
     if direct.any():
-        v, e, ok = _series_batch(a, b, c, z[direct], None)
+        v, e, ok = _series_batch(a, b, c, z[direct], None, regularized)
         value[direct], err[direct], covered[direct] = v, e, _covered(v, e, ok)
     if pfaff.any():
         zp = z[pfaff]
-        v, e, ok = _series_batch(a, c - b, c, zp / (zp - 1.0), termination_index((a, c - b)))
+        v, e, ok = _series_batch(a, c - b, c, zp / (zp - 1.0), termination_index((a, c - b)), regularized)
         fac = power(1.0 - zp, -a)
         v, e = fac * v, np.abs(fac) * e
         value[pfaff], err[pfaff], covered[pfaff] = v, e, _covered(v, e, ok)

@@ -227,38 +227,58 @@ def _sine_overflow(a: complex, b: complex, g: complex) -> FactorOverflow:
 
 
 def _connection_coeffs(a: complex, b: complex, g: complex) -> tuple[complex, complex, complex]:
-    """Connection coefficients (A, B, companion degree) of the two-solution split.
+    """Coefficients (A', B', companion degree) of the two-solution split, for plain series.
 
     P_g^(a,b) = A Q_g^(a,b) + B Gamma(-b-g) Gamma(-a-g) Q_{-a-b-g-1}^(a,b),
-    built from the 1 <-> oo connection of the hypergeometric series.  B
-    leaves out 1/(Gamma(-b-g) Gamma(-a-g)), which cancels the two gammas of
-    the companion's prefactor, so the companion's second-kind log is taken
-    without them (``_q_log_prefactor``).  Degenerate on the resonant set
-    where the two large-z exponents merge or a second-kind solution becomes
-    invalid: the companion's, or the triple's own at beta+gamma in -N.
-    Where one of its sines passes double range (sin(pi w) from |Im w| of
-    about 226, so from |Im gamma| of about 113 for the catalog's alpha and
-    beta) it raises FactorOverflow: the values the connection returned just
-    short of that were already far outside their flat estimate.
+    built from the 1 <-> oo connection of the hypergeometric series, with
+    s = a+b+2g, A = 2 sin(pi g) sin(pi(b+g)) / (pi sin(pi s)) and
+    B = -2 pi / (Gamma(g+1) Gamma(a+b+g+1) sin(pi s)).  Each Q is a
+    prefactor times a regularized 2F1 whose lower parameter is s+2 for the
+    triple and -s for its companion.  The connection sums both 2F1 plain
+    and folds their 1/Gamma(c) into the coefficients: 1/Gamma(s+2) =
+    1/((1+s) Gamma(1+s)), and 1/Gamma(-s) = -Gamma(1+s) sin(pi s)/pi
+    (DLMF 5.5.3), which cancels B's 1/sin(pi s); B's Gamma(-b-g) Gamma(-a-g)
+    cancel the companion prefactor's gammas.  So A' = A/(1+s) and B' =
+    2/(Gamma(g+1) Gamma(a+b+g+1)), and the shared Gamma(1+s) is carried in
+    the second-kind logs, not here, so that it cannot overflow
+    (``_connection_bases``).  Degenerate on the resonant set where the two
+    large-z exponents merge or a second-kind solution becomes invalid: the
+    companion's, or the triple's own at beta+gamma in -N.  Where one of its
+    sines passes double range (sin(pi w) from |Im w| of about 226, so from
+    |Im gamma| of about 113 for the catalog's alpha and beta) it raises
+    FactorOverflow: the values the connection returned just short of that
+    were already far outside their flat estimate.
     """
+    s = a + b + 2.0 * g
     try:
-        denom = cmath.sin(math.pi * (a + b + 2.0 * g))
+        denom = cmath.sin(math.pi * s)
     except OverflowError:
         raise _sine_overflow(a, b, g) from None
     if abs(denom) < 1e-8:
         raise NoConvergentPath("degenerate large-z connection (resonant exponents)")
-    for s in (a + g, b + g):
-        m = round(s.real)
-        if m >= 0 and abs(s - m) < 0.02 or is_gamma_pole(s + 1.0):
+    for w in (a + g, b + g):
+        m = round(w.real)
+        if m >= 0 and abs(w - m) < 0.02 or is_gamma_pole(w + 1.0):
             raise NoConvergentPath(
                 "degenerate large-z connection (second-kind solution invalid)"
             )
     try:
-        coef_a = 2.0 * cmath.sin(math.pi * g) * cmath.sin(math.pi * (b + g)) / (math.pi * denom)
+        coef_a = 2.0 * cmath.sin(math.pi * g) * cmath.sin(math.pi * (b + g)) / (math.pi * denom * (1.0 + s))
     except OverflowError:
         raise _sine_overflow(a, b, g) from None
-    coef_b = -2.0 * math.pi * reciprocal_gamma(g + 1.0) * reciprocal_gamma(a + b + g + 1.0) / denom
+    coef_b = 2.0 * reciprocal_gamma(g + 1.0) * reciprocal_gamma(a + b + g + 1.0)
     return coef_a, coef_b, -a - b - g - 1.0
+
+
+def _connection_bases(params: JacobiParams, g2: complex) -> tuple[complex, complex]:
+    """Log prefactors of the connection's plain second-kind series, the triple's and the companion's (degree g2).
+
+    Q's own log prefactor less log Gamma(1+s), and the companion's power of
+    2 alone plus log Gamma(1+s), s = a+b+2g (``_connection_coeffs``).
+    """
+    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
+    shared = log_gamma(a + b + 2.0 * g + 1.0)
+    return _second._q_log_prefactor(a, b, g) - shared, _second._q_log_prefactor(a, b, g2, False) + shared
 
 
 def _exp(w):
@@ -372,14 +392,10 @@ def _auto(params: JacobiParams, z: complex):
         taken, connection = _connection_plan(params, z)
         code = P_CONNECTION if taken else code
     if code == P_CONNECTION:
-        # The second-kind logs of the triple and its companion (without its
-        # gammas), in turn, by Q's plan.
         coeffs, triples, codes, argument, q_route = connection
         try:
-            logs = [
-                _second._q_log(t, z, ((c,), argument, q_route), gammas)
-                for t, c, gammas in zip(triples, codes, (True, False))
-            ]
+            bases = _connection_bases(params, coeffs[2])
+            logs = _second._connection_logs(triples, z, (codes, argument, q_route), bases)
             return (*_connection_mix(coeffs, *logs), 0.0, "connection")
         except VanishingValue:
             res = res or _rep_value(params, z, Representation.REP1)
@@ -475,12 +491,14 @@ def _rep_batch(params: JacobiParams, z: np.ndarray, rep: Representation, route=N
 def _connection_batch(z: np.ndarray, coeffs, triples, codes, argument, route):
     """(log_scale, mantissa, covered) of the large-z connection at every point of z.
 
-    The second-kind logs of its triples follow Q's plan at z, the
-    companion's without its gammas; a point is covered where both are.
+    The second-kind logs of its triples follow Q's plan at z, with plain
+    series and the prefactors of ``_connection_bases``; a point is covered
+    where both are.
     """
+    bases = _connection_bases(triples[0], coeffs[2])
     (log1, _, ok1), (log2, _, ok2) = (
-        _second._q_sum(t, z, code, argument, route, True, gammas)
-        for t, code, gammas in zip(triples, codes, (True, False))
+        _second._q_sum(t, z, code, argument, route, True, base)
+        for t, code, base in zip(triples, codes, bases)
     )
     with np.errstate(over="ignore", invalid="ignore"):
         log_scale, mantissa = _connection_mix(coeffs, log1, log2)

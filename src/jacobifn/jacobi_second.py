@@ -57,7 +57,7 @@ from .jacobi_first import (
     _require_off_cut,
     jacobi_polynomial,
 )
-from .quadrature import integrate_finite, tanh_sinh_segment, where
+from .quadrature import integrate_finite, modulus, tanh_sinh_segment, where
 from .result import EvalResult
 from .scalar_kernel import log_gamma, pochhammer
 
@@ -89,9 +89,12 @@ def _require_q_domain(params: JacobiParams, z: complex | None = None) -> None:
 def _q_log_prefactor(a: complex, b: complex, g: complex, gammas: bool = True) -> complex:
     """log of 2^(a+b+g) Gamma(a+g+1) Gamma(b+g+1), or of 2^(a+b+g) alone without gammas.
 
-    Shared by all four representations; each adds its own powers of z -+ 1.
-    P's large-z connection takes its companion's without gammas: its
-    coefficient B leaves out their reciprocals (``_connection_coeffs``).
+    Shared by all four representations; each adds its own powers of z -+ 1
+    and multiplies the regularized 2F1 with lower parameter a+b+2g+2.  P's
+    large-z connection sums its two 2F1 plain and moves their reciprocal
+    gammas: it takes the triple's prefactor less log Gamma(1+s) and its
+    companion's without gammas plus log Gamma(1+s), s = a+b+2g of the triple
+    (``_connection_coeffs``, ``_connection_bases``).
     """
     log_power = (a + b + g) * math.log(2.0)
     if not gammas:
@@ -158,19 +161,18 @@ def _q_plan(params: JacobiParams, z, *others: JacobiParams):
     return tuple(codes), argument, route
 
 
-def _q_parts(params: JacobiParams, z: complex, rep: Representation, plan=None, gammas: bool = True):
+def _q_parts(params: JacobiParams, z: complex, rep: Representation):
     """(log prefactor, hypergeometric SeriesValue, representation) at a scalar z.
 
-    AUTO follows ``plan``, Q's plan of this triple at z (formed here if not
-    given): DomainCutError on the cut, the 2F1's error where no route sums,
-    else the side's series at the plan's argument and route.  An explicit
-    representation's 2F1 routes its own argument.  Without gammas the log
-    prefactor leaves out the triple's two gammas (``_q_log_prefactor``).
+    AUTO follows Q's plan of this triple at z: DomainCutError on the cut,
+    the 2F1's error where no route sums, else the side's series at the
+    plan's argument and route.  An explicit representation's 2F1 routes its
+    own argument.
     """
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     argument = route = None
     if rep is Representation.AUTO:
-        (code,), argument, route = plan or _q_plan(params, z)
+        (code,), argument, route = _q_plan(params, z)
         _require_off_cut(Q_CUT, z, code == Q_ON_CUT)
         if code == Q_NO_PATH:
             _refuse(argument, route)
@@ -183,37 +185,65 @@ def _q_parts(params: JacobiParams, z: complex, rep: Representation, plan=None, g
     series = _continued_2f1(p1, p2, a + b + 2.0 * g + 2.0, argument, True, route)
     # z - -1.0, not z + 1.0, keeps an imaginary part of -0.0 on (-oo, -1),
     # so that both logs take the limit from below; adding 1.0 makes it +0.0.
-    logf = (
-        _q_log_prefactor(a, b, g, gammas) - e_m * cmath.log(z - 1.0) - e_p * cmath.log(z - -1.0)
-    )
+    logf = _q_log_prefactor(a, b, g) - e_m * cmath.log(z - 1.0) - e_p * cmath.log(z - -1.0)
     return logf, series, rep
 
 
-def _q_log(params: JacobiParams, z: complex, plan=None, gammas: bool = True) -> complex:
-    """``jacobi_q_log`` of a valid triple at a scalar z, by ``_q_parts`` under AUTO (without gammas, as there)."""
-    logf, series, _ = _q_parts(params, z, Representation.AUTO, plan, gammas)
-    # At an infinite z the prefactor's log has real part -inf: Q is 0 there.
-    if series.value == 0 or logf.real == -math.inf:
+def _log_value(logf: complex, value: complex, z: complex) -> complex:
+    """logf + log(value): the log of a second-kind value from its log prefactor and 2F1 sum.
+
+    VanishingValue where the sum is 0 or, as at an infinite z, the
+    prefactor's log has real part -inf; NoConvergentPath where the sum is
+    not finite.
+    """
+    if value == 0 or logf.real == -math.inf:
         raise VanishingValue(f"z={z}: log of a vanishing second-kind value")
-    if not cmath.isfinite(series.value):
+    if not cmath.isfinite(value):
         raise NoConvergentPath(f"z={z}: Q's series is not finite")
-    return logf + cmath.log(series.value)
+    return logf + cmath.log(value)
 
 
-def _q_sum(
-    params: JacobiParams, z: np.ndarray, code: np.ndarray, argument, route, log: bool, gammas: bool = True
-):
+def _connection_logs(triples, z: complex, plan, bases) -> list[complex]:
+    """The two second-kind logs of P's large-z connection at a scalar z, from plain 2F1 series.
+
+    ``plan`` is Q's plan at z for the triple and its companion, one that
+    the connection takes (so no point on Q's cut), and ``bases`` their log
+    prefactors.  The two share log(z -+ 1), the argument and the route; each
+    raises the 2F1's error where its code has no route, and as
+    ``_log_value`` does.  A sum that is 0 within its error estimate, one
+    whose terms cancelled every digit, also raises VanishingValue.
+    """
+    codes, argument, route = plan
+    # z - -1.0 keeps a -0.0 imaginary part, as in ``_q_parts``.
+    log_zm, log_zp = cmath.log(z - 1.0), cmath.log(z - -1.0)
+    logs = []
+    for t, code, base in zip(triples, codes, bases):
+        if code == Q_NO_PATH:
+            _refuse(argument, route)
+        a, b, g = complex(t.alpha), complex(t.beta), complex(t.gamma)
+        (p1, p2), _, e_m, e_p = _q_terms(a, b, g, Representation.REP1 if code == Q_REP1 else Representation.REP3)
+        series = _continued_2f1(p1, p2, a + b + 2.0 * g + 2.0, argument, False, route)
+        logs.append(_log_value(base - e_m * log_zm - e_p * log_zp, series.value, z))
+        if modulus(series.value) <= series.abs_error_estimate:
+            raise VanishingValue(f"z={z}: a second-kind sum of the connection is 0 within its estimate")
+    return logs
+
+
+def _q_sum(params: JacobiParams, z: np.ndarray, code: np.ndarray, argument, route, log: bool, base=None):
     """Q (or its log) of a valid triple at the points of a 1-D z coded Q_REP1 or Q_REP3.
 
-    ``code``, ``argument`` and ``route`` are the triple's plan at z; without
-    gammas the log prefactor leaves out the triple's two gammas.  Returns
-    (value or log, error estimate of the value, covered); a point is not
-    covered where the 2F1 batch does not cover it, the value or log is not
-    finite, or the log is taken of 0: the scalar call raises or warns there.
+    ``code``, ``argument`` and ``route`` are the triple's plan at z.  With
+    a log prefactor ``base`` the 2F1 is summed plain (P's connection),
+    else regularized, with Q's own.  Returns (value or log, error estimate
+    of the value, covered); a point is not covered where the 2F1 batch does
+    not cover it, the value or log is not finite, or the log is taken of 0,
+    or for P's connection of a sum 0 within its estimate: the scalar call
+    raises or warns there.
     """
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     c = a + b + 2.0 * g + 2.0
-    base_log = _q_log_prefactor(a, b, g, gammas)
+    regularized = base is None
+    base_log = _q_log_prefactor(a, b, g) if regularized else base
     series = np.zeros(z.size, dtype=complex)
     logf = np.zeros(z.size, dtype=complex)
     err = np.zeros(z.size)
@@ -226,11 +256,13 @@ def _q_sum(
             idx = np.flatnonzero(code == side)
             if idx.size:
                 (p1, p2), _, e_m, e_p = _q_terms(a, b, g, rep)
-                series[idx], err[idx], covered[idx] = _ohyp2f1_batch(p1, p2, c, argument[idx], route[idx])
+                series[idx], err[idx], covered[idx] = _ohyp2f1_batch(
+                    p1, p2, c, argument[idx], route[idx], regularized
+                )
                 logf[idx] = base_log - e_m * log_zm[idx] - e_p * log_zp[idx]
         if log:
             out = logf + np.log(series)
-            covered &= series != 0
+            covered &= series != 0 if regularized else modulus(series) > err
         else:
             out, err = _apply_factor(np.exp(logf), series, err)
     return out, err, covered & np.isfinite(out)
@@ -308,7 +340,9 @@ def jacobi_q_log(params: JacobiParams, z) -> complex:
     if isinstance(z, np.ndarray):
         return _array_call(_q_points, params, z, True)[0]
     _require_q_domain(params)
-    return _q_log(params, complex(z))
+    z = complex(z)
+    logf, series, _ = _q_parts(params, z, Representation.AUTO)
+    return _log_value(logf, series.value, z)
 
 
 def _kernel_quadrature(

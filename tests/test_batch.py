@@ -194,8 +194,13 @@ def _p_slack(params, w, ref, growth: float) -> float:
         return ULPS * abs(ref.value)
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     coef_a, coef_b, g2 = _connection_coeffs(a, b, g)
-    # B multiplies the companion's Q without its gammas, Gamma(-b-g) Gamma(-a-g).
-    coef_b *= reciprocal_gamma(-b - g) * reciprocal_gamma(-a - g)
+    # A' and B' multiply plain series whose logs carry -+ log Gamma(1+s): as
+    # factors of the two second-kind values they are A' (1+s) and
+    # B' Gamma(1+s) Gamma(-s) / (Gamma(-b-g) Gamma(-a-g)), where
+    # Gamma(1+s) Gamma(-s) = -pi / sin(pi s).
+    s = a + b + 2.0 * g
+    coef_a *= 1.0 + s
+    coef_b *= -math.pi / cmath.sin(math.pi * s) * reciprocal_gamma(-b - g) * reciprocal_gamma(-a - g)
     slack = 0.0
     for coef, part in ((coef_a, params), (coef_b, JacobiParams(a, b, g2))):
         q = jacobi_q(part, w)
@@ -606,8 +611,9 @@ def test_memo_survives_a_caller_writing_into_a_result():
 
 def test_memo_keeps_no_call_that_raised_or_took_the_scalar_call():
     # 0.3+0.3i lies in Q's lens, where Q raises NoConvergentPath: every
-    # repeat raises again.  At (100, 0.2, 0.3) P's scalar call at 10 warns at
-    # the term cap, then raises: every repeat warns and raises again.  At a
+    # repeat raises again.  At (-100.3, 0.2, 0.2+0.5i) P's scalar call at 0.5
+    # warns at the term cap (REP1's leading terms overflow), then raises:
+    # every repeat warns and raises again.  At a
     # polynomial degree far out, REP1's sum is not finite, and the scalar
     # call returns P's scaled connection, which is not kept either.
     zs = np.array([3.0 + 1.0j, 0.3 + 0.3j])
@@ -617,7 +623,7 @@ def test_memo_keeps_no_call_that_raised_or_took_the_scalar_call():
             jacobi_q(_MEMO_PARAMS, zs)
     for _ in range(2):
         with pytest.warns(TruncationWarning), pytest.raises(NoConvergentPath):
-            jacobi_p(JacobiParams(100, 0.2, 0.3), np.array([10.0 + 0.0j]))
+            jacobi_p(JacobiParams(-100.3, 0.2, 0.2 + 0.5j), np.array([0.5 + 0.0j]))
     far = np.array([2.0, 1e80 + 1e79j])
     first = _bits(jacobi_p_scaled(JacobiParams(0.3, 0.2, 7), far))
     assert _bits(jacobi_p_scaled(JacobiParams(0.3, 0.2, 7), far)) == first

@@ -28,6 +28,7 @@ def _fake_run(checkout, workload, seed, seconds):
 
 def test_comparison_block(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench_record, "run_once", _fake_run)
+    monkeypatch.setattr(bench_record, "layer_record", lambda parent, change: {"layers": {"pair": [parent, change]}})
     out = tmp_path / "bench.json"
     argv = ["--seeds", "2,5,9", "--seconds", "1", "--out", str(out), "parent", "change"]
     assert bench_record.main(argv) == 0
@@ -43,10 +44,11 @@ def test_comparison_block(tmp_path, monkeypatch, capsys):
     # A parent value of 0 gives no ratio, but its seed still counts.
     assert block["peak_rss_mb"] == {"median_ratio": pytest.approx(1.0), "better": 1, "seeds": 3}
     assert "verify-sweep seed=9" in capsys.readouterr().out
+    assert record["layers"] == {"layers": {"pair": ["parent", "change"]}}
 
 
 def test_no_comparison_for_one_checkout(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record, "run_once", _fake_run)
     out = tmp_path / "bench.json"
     assert bench_record.main(["--seeds", "2", "--out", str(out), "change"]) == 0
-    assert "comparison" not in json.loads(out.read_text())
+    assert not {"comparison", "layers"} & set(json.loads(out.read_text()))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import jacobi_poly_via_recurrence, legendre_via_recurrence
-from jacobifn.errors import DomainCutError, FactorOverflow, NoConvergentPath, ValidityError
+from jacobifn.errors import DomainCutError, FactorOverflow, JacobiFnError, NoConvergentPath, ValidityError
 from jacobifn.jacobi_first import (
     JacobiParams,
     Representation,
+    _connection_coeffs,
     jacobi_p,
     jacobi_p_at_one,
     jacobi_p_scaled,
@@ -17,6 +18,9 @@ from jacobifn.jacobi_first import (
     taylor_section,
 )
 from jacobifn.jacobi_second import jacobi_q
+from jacobifn.scalar_kernel import log_gamma, reciprocal_gamma
+
+_EPS = 2.220446049250313e-16
 
 
 def test_legendre_p2_value():
@@ -309,14 +313,97 @@ def test_connection_past_double_range_raises_no_convergent_path(params, z):
         # The leading reciprocal gammas are representable, the series is not.
         ("Q", (2.296294969151056 - 2j, 2.0, -79.82424377145446 - 1.401253209460554j),
          2.275286943752081 + 0.05228554631345714j, NoConvergentPath),
+        # A leading term's modulus passes double range, its parts do not.
+        ("Q", (-95.36 - 0.48j, 0, -0.004 - 73.08j), 2 + 0.063j, FactorOverflow),
+        # The last term's modulus passes double range, its parts do not.
+        ("P", (-3, -652.18j, -64.38 + 1j), 5 + 0.54j, FactorOverflow),
     ],
 )
 @pytest.mark.filterwarnings("ignore::jacobifn.errors.TruncationWarning")
 def test_overflow_at_large_parameters_raises_a_library_error(kind, triple, z, error):
     # Each raised a bare OverflowError or returned NaN before the reflection
-    # and the prefactors were formed in log space; arrays raise as the
-    # scalar call does.  Q's series reaches the term cap, which warns.
+    # and the prefactors were formed in log space, or before the series
+    # took a term's modulus past double range as FactorOverflow; arrays
+    # raise as the scalar call does.  Q's series reaches the term cap, which
+    # warns.
     fn = jacobi_p if kind == "P" else jacobi_q
     for w in (z, np.array([z])):
         with pytest.raises(error):
             fn(JacobiParams(*triple), w)
+
+
+def _box_triple(rng: Random):
+    return tuple(complex(rng.uniform(-0.65, 2.8), rng.uniform(-0.45, 0.45)) for _ in range(3))
+
+
+def _regularized_coeffs(a: complex, b: complex, g: complex):
+    """The connection's factors of the two second-kind values: A, and B / (Gamma(-b-g) Gamma(-a-g))."""
+    s = a + b + 2.0 * g
+    denom = cmath.sin(math.pi * s)
+    coef_a = 2.0 * cmath.sin(math.pi * g) * cmath.sin(math.pi * (b + g)) / (math.pi * denom)
+    coef_b = -2.0 * math.pi * reciprocal_gamma(g + 1.0) * reciprocal_gamma(a + b + g + 1.0) / denom
+    return coef_a, coef_b
+
+
+def test_connection_coefficients_fold_the_reciprocal_gammas():
+    # With their log Gamma(1+s) parts, A' and B' are A / Gamma(s+2) and
+    # B / Gamma(-s), the 1/Gamma(c) of the regularized series they replace,
+    # within a few ulps times the condition of sin(pi s) and of the log.
+    rng = Random(20261021)
+    folded = 0
+    for _ in range(600):
+        a, b, g = _box_triple(rng)
+        try:
+            coef_a, coef_b, _ = _connection_coeffs(a, b, g)
+        except NoConvergentPath:
+            continue
+        s = a + b + 2.0 * g
+        shared = log_gamma(1.0 + s)
+        want_a, want_b = _regularized_coeffs(a, b, g)
+        want_a *= reciprocal_gamma(s + 2.0)
+        want_b *= reciprocal_gamma(-s)
+        cond = 1.0 + math.pi * abs(s / cmath.tan(math.pi * s)) + abs(shared)
+        assert abs(coef_a * cmath.exp(-shared) - want_a) <= 8.0 * cond * _EPS * abs(want_a)
+        assert abs(coef_b * cmath.exp(shared) - want_b) <= 8.0 * cond * _EPS * abs(want_b)
+        folded += 1
+    assert folded >= 500
+
+
+def test_connection_values_lie_within_the_regularized_formula_estimate():
+    # The plain series' value against A Q + B Q' / (Gamma(-b-g) Gamma(-a-g))
+    # from ``jacobi_q``, whose 2F1 are regularized: within the connection's
+    # flat estimate plus the two Q's own.
+    rng = Random(20261022)
+    compared = 0
+    for _ in range(1200):
+        a, b, g = _box_triple(rng)
+        z = complex(rng.uniform(-4.0, 4.0), rng.uniform(-2.0, 2.0))
+        params = JacobiParams(a, b, g)
+        try:
+            res = jacobi_p(params, z)
+        except JacobiFnError:
+            continue
+        if res.provenance != "connection":
+            continue
+        coef_a, coef_b = _regularized_coeffs(a, b, g)
+        coef_b *= reciprocal_gamma(-b - g) * reciprocal_gamma(-a - g)
+        q1, q2 = jacobi_q(params, z), jacobi_q(JacobiParams(a, b, -a - b - g - 1.0), z)
+        ref = coef_a * q1.value + coef_b * q2.value
+        tol = 1e-13 * abs(ref) + abs(coef_a) * q1.abs_error_estimate + abs(coef_b) * q2.abs_error_estimate
+        assert abs(res.value - ref) <= tol
+        compared += 1
+    assert compared >= 500
+
+
+def test_connection_sum_that_cancels_every_digit_falls_back_to_rep1():
+    # At (100, 0.2, 0.3) and z = 10 the companion's plain 2F1 sums to
+    # 1.5e-9 against an estimate of 4.0e-9 (mpmath: 1.93e-9), so the
+    # connection gives way to REP1, alone and in an array; the connection's
+    # value was 22 % off.  mpmath's P here is 7.42098060011702957.  REP1 is
+    # 9e-14 off, beyond its estimate of 1.2e-15 relative: its prefactor's
+    # log gammas at Re of about 100 are not counted in it.
+    params = JacobiParams(100, 0.2, 0.3)
+    for arg in (10.0, np.array([10.0 + 0.0j])):
+        res = jacobi_p(params, arg)
+        assert res.provenance == "rep1"
+        assert abs(complex(np.ravel(res.value)[0]) - 7.42098060011702957) <= 1e-12 * 7.42

@@ -12,7 +12,9 @@ checkouts, the first taken as the parent and the second as the change, it
 also writes a ``comparison`` block: per workload and end-to-end metric, the
 median over the seeds of the change's value over the parent's, and the
 number of seeds where the change is better, in the direction that
-``BENCHMARK.json`` gives the metric.  Prints one line per run while it goes.
+``BENCHMARK.json`` gives the metric, and a ``layers`` block: the record of
+``tools/layer_bench.py PARENT CHANGE``, run once after the benchmark runs.
+Prints one line per run while it goes.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 
 WORKLOADS = ("scatter-eval", "grid-table", "verify-sweep")
 BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCHMARK.json")
+LAYER_BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "layer_bench.py")
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[str, dict]:
@@ -35,6 +39,15 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[s
            f"--workload={workload}", f"--seed={seed}", f"--seconds={seconds}", "--trace=0"]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
     return re.search(r"source=(\S+)", out).group(1), json.loads(out.strip().splitlines()[-1])
+
+
+def layer_record(parent: str, change: str) -> dict:
+    """The record of ``tools/layer_bench.py`` on the two checkouts, in a fresh process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "layers.json")
+        subprocess.run([sys.executable, LAYER_BENCH, parent, change, "--out", out], capture_output=True, check=True)
+        with open(out, encoding="utf-8") as fh:
+            return json.load(fh)
 
 
 def comparison(parent: dict, change: dict, better: dict[str, str]) -> dict:
@@ -101,6 +114,7 @@ def main(argv=None) -> int:
         with open(BENCHMARK, encoding="utf-8") as fh:
             better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
         record["comparison"] = comparison(*record["checkouts"], better)
+        record["layers"] = layer_record(*args.checkouts)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
