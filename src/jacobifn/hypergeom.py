@@ -151,10 +151,15 @@ class HypParams:
 
 
 def termination_index(upper, tol: float = 1e-12) -> int | None:
-    """Smallest m >= 0 with an upper parameter within tol of -m, else None."""
+    """Smallest m >= 0 with an upper parameter within tol of -m, else None.
+
+    A finite Re a above tol is within tol of no -m, so it is not measured.
+    """
     best = None
     for a in upper:
         a = complex(a)
+        if tol < a.real < math.inf:
+            continue
         m = round(a.real)
         if m <= 0 and abs(a - m) <= tol:
             if best is None or -m < best:

@@ -229,7 +229,7 @@ def _sine_overflow(a: complex, b: complex, g: complex) -> FactorOverflow:
 def _connection_coeffs(a: complex, b: complex, g: complex) -> tuple[complex, complex, complex]:
     """Coefficients (A', B', companion degree) of the two-solution split, for plain series.
 
-    P_g^(a,b) = A Q_g^(a,b) + B Gamma(-b-g) Gamma(-a-g) Q_{-a-b-g-1}^(a,b),
+    P_g^(a,b) = A Q_g^(a,b) + B Q_{-a-b-g-1}^(a,b) / (Gamma(-b-g) Gamma(-a-g)),
     built from the 1 <-> oo connection of the hypergeometric series, with
     s = a+b+2g, A = 2 sin(pi g) sin(pi(b+g)) / (pi sin(pi s)) and
     B = -2 pi / (Gamma(g+1) Gamma(a+b+g+1) sin(pi s)).  Each Q is a
@@ -237,8 +237,8 @@ def _connection_coeffs(a: complex, b: complex, g: complex) -> tuple[complex, com
     triple and -s for its companion.  The connection sums both 2F1 plain
     and folds their 1/Gamma(c) into the coefficients: 1/Gamma(s+2) =
     1/((1+s) Gamma(1+s)), and 1/Gamma(-s) = -Gamma(1+s) sin(pi s)/pi
-    (DLMF 5.5.3), which cancels B's 1/sin(pi s); B's Gamma(-b-g) Gamma(-a-g)
-    cancel the companion prefactor's gammas.  So A' = A/(1+s) and B' =
+    (DLMF 5.5.3), which cancels B's 1/sin(pi s); the companion prefactor's
+    gammas cancel 1/(Gamma(-b-g) Gamma(-a-g)).  So A' = A/(1+s) and B' =
     2/(Gamma(g+1) Gamma(a+b+g+1)), and the shared Gamma(1+s) is carried in
     the second-kind logs, not here, so that it cannot overflow
     (``_connection_bases``).  Degenerate on the resonant set where the two

@@ -337,7 +337,7 @@ def _box_triple(rng: Random):
 
 
 def _regularized_coeffs(a: complex, b: complex, g: complex):
-    """The connection's factors of the two second-kind values: A, and B / (Gamma(-b-g) Gamma(-a-g))."""
+    """A and B of the connection P = A Q + B Q' / (Gamma(-b-g) Gamma(-a-g)), whose Q sum regularized 2F1."""
     s = a + b + 2.0 * g
     denom = cmath.sin(math.pi * s)
     coef_a = 2.0 * cmath.sin(math.pi * g) * cmath.sin(math.pi * (b + g)) / (math.pi * denom)

@@ -29,7 +29,7 @@ def test_repository_against_itself(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
-    assert {"parent", "change", "rounds", "calls", "seed", "layers"} <= set(record)
+    assert set(record) == {"rounds", "calls", "seed", "layers"}
     assert set(record["layers"]) == _LAYERS
     for layer, row in record["layers"].items():
         assert row["calls"] > 0
