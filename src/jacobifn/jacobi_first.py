@@ -300,14 +300,21 @@ def _connection_mix(coeffs, log1: complex, log2: complex):
 def _unscale(log_scale, mantissa):
     """(value, flat error estimate) of a connection value; scalars or ndarrays.
 
-    A value past double range is not finite, also where exp(log_scale)
-    alone overflows.  |value| is ``modulus``'s, so a point's estimate has
-    one set of bits alone and in an array.
+    A value past double range is not finite.  Where exp(log_scale) alone
+    overflows, as where log_scale carries the connection's log Gamma(1+s)
+    and the mantissa a small B', a scalar's value is exp(log_scale + log
+    mantissa); an array's is not finite there, so its point takes the
+    scalar call.  |value| is ``modulus``'s, so a point's estimate has one
+    set of bits alone and in an array.
     """
     try:
         value = _exp(log_scale) * mantissa
     except OverflowError:
-        value = complex(math.inf, 0.0)
+        try:
+            value = cmath.exp(log_scale + cmath.log(mantissa))
+        except (OverflowError, ValueError):
+            # ValueError: the log of a zero mantissa.
+            value = complex(math.inf, 0.0)
     return value, 1e-13 * modulus(value)
 
 

@@ -407,3 +407,20 @@ def test_connection_sum_that_cancels_every_digit_falls_back_to_rep1():
         res = jacobi_p(params, arg)
         assert res.provenance == "rep1"
         assert abs(complex(np.ravel(res.value)[0]) - 7.42098060011702957) <= 1e-12 * 7.42
+
+
+def test_connection_value_in_range_where_its_log_scale_alone_overflows():
+    # log Gamma(1+s) rides in the second-kind logs, so at a large degree the
+    # log scale passes 709 while B' makes the mantissa small: exp(log_scale)
+    # alone overflows, the value does not.  mpmath: -2.481947907830264e190
+    # + 2.2453921885638367e189 i; the value is 1.8e-13 off, beyond its flat
+    # 1e-13 estimate (the connection's estimate ignores its parts).
+    params = JacobiParams(-2j, -2 - 1.1856129527096395j, 91.76723728034081 + 5j)
+    z = 67.73178365924008j
+    want = -2.481947907830264e190 + 2.2453921885638367e189j
+    log_scale, _ = jacobi_p_scaled(params, z)
+    assert log_scale.real > 709.8
+    for arg in (z, np.array([z])):
+        res = jacobi_p(params, arg)
+        assert res.provenance == "connection"
+        assert abs(complex(np.ravel(res.value)[0]) - want) <= 1e-12 * abs(want)
