@@ -613,9 +613,9 @@ def test_memo_keeps_no_call_that_raised_or_took_the_scalar_call():
     # 0.3+0.3i lies in Q's lens, where Q raises NoConvergentPath: every
     # repeat raises again.  At (-100.3, 0.2, 0.2+0.5i) P's scalar call at 0.5
     # warns at the term cap (REP1's leading terms overflow), then raises:
-    # every repeat warns and raises again.  At a
-    # polynomial degree far out, REP1's sum is not finite, and the scalar
-    # call returns P's scaled connection, which is not kept either.
+    # every repeat warns and raises again.  At a polynomial degree far out,
+    # REP1's sum is not finite, and the scalar call returns P's scaled
+    # connection, which is not kept either.
     zs = np.array([3.0 + 1.0j, 0.3 + 0.3j])
     POINTS_MEMO.cache_clear()
     for _ in range(3):
