@@ -25,29 +25,25 @@ Three evaluation layers:
   differ from the loop's by rounding.  Its blocks are those of the batch
   below, on one row.
 * ``gauss2f1`` / ``ohyp2f1`` -- the 2F1 specializations, plain and
-  regularized, both served by one continuation routine with automatic
-  argument transformation; the Jacobi layers call that routine with
-  complex arguments and the route their plans formed.  The
-  reachable arguments under the classical maps are {z, z/(z-1)} (Euler's map
-  keeps the argument).  One router, ``_route``, serves a scalar z and an
-  array from |z| and |z-1| alone, formed by ``quadrature.modulus``, so a
-  point takes one route in a scalar call and in a batch.
-* ``_ohyp2f1_batch`` -- the regularized (or plain) 2F1 of one (a, b, c)
-  over an ndarray of z, for the oracles that evaluate one parameter triple
-  at every node of a level.  It routes each point by ``_route`` (the AUTO
-  plans of the Jacobi layers pass the routes they formed) and keeps the
-  scalar stopping rule and error estimate, but sums with numpy
-  (``_series_batch``): the leading terms of ``_leading_terms`` at the array
-  of arguments, then column blocks of ``_sum_block``, the rule of
-  ``_block_tail_2f1``, so a point whose scalar series takes the blocks from
-  its first term (a plain series, or Re c > 1/2) gets the scalar bits; the
-  block widths change no result.  Callers pass at most ``BATCH_POINTS``
-  points.
-  A mask marks the points it covers; the Jacobi layers evaluate the others
-  (on the cut, no map inside the disk, the term cap) with the scalar call,
-  which raises or warns as documented.  The scalar routines stay the
-  reference and serve single calls, whose short series run in Python, where
-  numpy's per-call overhead would lose.
+  regularized, both served by one continuation routine, which the Jacobi
+  layers' explicit representations call too.  The reachable arguments
+  under the classical maps are {z, z/(z-1)} (Euler's map keeps the
+  argument); one router, ``_route``, picks from |z| and |z-1| alone.  The
+  AUTO plans never map: each code names a series within MAP_LIMIT or one
+  that terminates, which they sum with ``_direct_2f1``.
+* ``_ohyp2f1_batch`` -- that direct series of one (a, b, c) over an
+  ndarray of z, for the AUTO plans' groups of points.  It keeps the scalar
+  stopping rule and error estimate, but sums with numpy
+  (``_series_batch``): the leading terms of ``_leading_terms`` at the
+  array of arguments, then column blocks of ``_sum_block``, the rule of
+  ``_block_tail_2f1``, so a point whose scalar series takes the blocks
+  from its first term (a plain series, or Re c > 1/2) gets the scalar
+  bits; the block widths change no result.  Callers pass at most
+  ``BATCH_POINTS`` points.  A mask marks the points it covers; the Jacobi
+  layers evaluate the others (the term cap, a sum that is not finite) with
+  the scalar call, which raises or warns as documented.  The scalar
+  routines stay the reference and serve single calls, whose short series
+  run in Python, where numpy's per-call overhead would lose.
 * ``reverse_finite_series`` -- a finite sum evaluated both directly and in
   reversed order as a new hypergeometric sum in 1/z; the two routes must
   agree and are used as mutual checks.
@@ -516,45 +512,41 @@ def _route(z):
     return where(_CUT.distance(z) < CUT_GUARD, ON_CUT, route)
 
 
-def _refuse(z: complex, route: int):
-    """Raise the error of a route that sums nothing at z: CutError on the cut, else NoConvergentPath."""
-    if route == ON_CUT:
-        raise CutError(f"z={z} on the cut {_CUT}")
-    best = min(modulus(z), modulus(z / (z - 1.0)))
-    raise NoConvergentPath(f"no transformed argument inside the disk (best modulus {best:.3f})")
+def _direct_2f1(a: complex, b: complex, c: complex, x: complex, regularized: bool) -> SeriesValue:
+    """2F1(a, b; c; x), plain or regularized, by its series at x, exact where it terminates.
 
-
-def _continued_2f1(a: complex, b: complex, c: complex, z: complex, regularized: bool, route=None) -> SeriesValue:
-    """2F1(a, b; c; z), plain or regularized, continued via the z/(z-1) map.
-
-    Takes complex parameters and argument, and the ``_route`` of z a caller
-    formed, or forms it.  The series summed terminates or has its argument
-    within MAP_LIMIT, so the only check of ``_checked_series`` that can fire
-    is the lower-pole guard.  The map's series (a, c-b) terminates only by
-    c-b, since a series of (a, b) that terminates takes the direct route.
+    Takes complex parameters and argument.  Callers keep the argument of a
+    series that does not terminate within MAP_LIMIT, so the only check of
+    ``_checked_series`` that can fire is the lower-pole guard.
     """
     m = termination_index((a, b))
-    if m is not None:
-        route = DIRECT
-    elif route is None:
-        route = _route(z)
-    if route >= NO_PATH:
-        _refuse(z, route)
-    x = z
-    if route != DIRECT:
-        b, x = c - b, z / (z - 1.0)
-        m = termination_index((b,))
     if not regularized:
         _lower_pole_guard((c,), None if m is None else m + 1)
-    series = _series((a, b), (c,), x, m, regularized)
-    if route == DIRECT:
-        return series
-    try:
-        fac = (1.0 - z) ** (-a)
-        size = abs(fac)
-    except OverflowError:
-        raise FactorOverflow(f"(1-z)^(-a) at z={z}, a={a} is past double range") from None
-    return SeriesValue(fac * series.value, size * series.abs_error_estimate, series.terms_used, series.terminated)
+    return _series((a, b), (c,), x, m, regularized)
+
+
+def _continued_2f1(a: complex, b: complex, c: complex, z: complex, regularized: bool) -> SeriesValue:
+    """2F1(a, b; c; z), plain or regularized, continued via the z/(z-1) map.
+
+    Takes complex parameters and argument.  A series that terminates is
+    summed at z; else the ``_route`` of z decides: CutError on the cut,
+    NoConvergentPath where neither argument is within MAP_LIMIT, the direct
+    series or the map's, whose series (a, c-b) terminates only by c-b.
+    """
+    if termination_index((a, b)) is None and (route := _route(z)) != DIRECT:
+        if route == ON_CUT:
+            raise CutError(f"z={z} on the cut {_CUT}")
+        if route == NO_PATH:
+            best = min(modulus(z), modulus(z / (z - 1.0)))
+            raise NoConvergentPath(f"no transformed argument inside the disk (best modulus {best:.3f})")
+        series = _direct_2f1(a, c - b, c, z / (z - 1.0), regularized)
+        try:
+            fac = (1.0 - z) ** (-a)
+            size = abs(fac)
+        except OverflowError:
+            raise FactorOverflow(f"(1-z)^(-a) at z={z}, a={a} is past double range") from None
+        return SeriesValue(fac * series.value, size * series.abs_error_estimate, series.terms_used, series.terminated)
+    return _direct_2f1(a, b, c, z, regularized)
 
 
 def gauss2f1(a, b, c, z) -> SeriesValue:
@@ -624,44 +616,19 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None, regularized: bool 
     return value, err, covered
 
 
-def _ohyp2f1_batch(a, b, c, z: np.ndarray, route=None, regularized: bool = True):
-    """``ohyp2f1`` (``gauss2f1`` when not regularized) at every point of a 1-D array z: (value, error estimate, covered).
+def _ohyp2f1_batch(a, b, c, z: np.ndarray, regularized: bool = True):
+    """``ohyp2f1`` (``gauss2f1`` when not regularized) by its direct series at every point of a 1-D array z: (value, error estimate, covered).
 
-    Routes each point by ``route``, else by ``_route`` of z.  A point is not
-    covered where the scalar call raises NoConvergentPath or CutError, warns
-    at the term cap, or the batch's result is not finite; callers evaluate
-    it with the scalar call.  A batch whose series terminates, or whose
-    largest |z| is at most DIRECT_LIMIT, is summed directly without routing,
-    as ``_route`` would.  The plain series runs no lower-pole guard: its
-    callers keep c off -N0.
+    Exact where the series terminates; else callers keep every |z| within
+    MAP_LIMIT, and no point is mapped.  A point is not covered where the
+    scalar series warns at the term cap or the batch's result is not
+    finite; callers evaluate it with the scalar call.  The plain series
+    runs no lower-pole guard: its callers keep c off -N0.
     """
     a, b, c = complex(a), complex(b), complex(c)
-    m = termination_index((a, b))
-    if route is None and m is None and z.size and np.max(modulus(z)) > DIRECT_LIMIT:
-        route = _route(z)
-    if route is None or m is not None or (route == DIRECT).all():
-        value, err, ok = _series_batch(a, b, c, z, m, regularized)
-        return value, err, _covered(value, err, ok)
-    value = np.zeros(z.size, dtype=complex)
-    err = np.zeros(z.size)
-    covered = np.zeros(z.size, dtype=bool)
-    direct, pfaff = route == DIRECT, route == MAP
-    if direct.any():
-        v, e, ok = _series_batch(a, b, c, z[direct], None, regularized)
-        value[direct], err[direct], covered[direct] = v, e, _covered(v, e, ok)
-    if pfaff.any():
-        zp = z[pfaff]
-        v, e, ok = _series_batch(a, c - b, c, zp / (zp - 1.0), termination_index((a, c - b)), regularized)
-        fac = power(1.0 - zp, -a)
-        v, e = fac * v, np.abs(fac) * e
-        value[pfaff], err[pfaff], covered[pfaff] = v, e, _covered(v, e, ok)
-    return value, err, covered
-
-
-def _covered(value, err, ok):
-    """The points a batch covered (``ok``) with a finite value and estimate."""
+    value, err, ok = _series_batch(a, b, c, z, termination_index((a, b)), regularized)
     with np.errstate(invalid="ignore"):
-        return ok & np.isfinite(value) & np.isfinite(err)
+        return value, err, ok & np.isfinite(value) & np.isfinite(err)
 
 
 def reverse_finite_series(upper, lower, m: int, z) -> tuple[SeriesValue, SeriesValue]:

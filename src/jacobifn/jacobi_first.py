@@ -9,8 +9,11 @@ REP1 (gamma in N0, the Jacobi polynomials, or alpha+beta+gamma+1 in -N0),
 whose exact finite sum serves at every z where it is finite; else
 CONNECTION, the two-solution decomposition in terms of the second-kind
 functions, whose arguments shrink as |z| grows; where that is undefined (on
-[-1, 1], the second kind's cut) or has no path, REP1_BEYOND again, or
-NO_PATH where REP1's 2F1 has no route.  ON_CUT on P's cut.
+[-1, 1], the second kind's cut) or has no path, the smaller argument's
+series within MAP_LIMIT (REP1_BEYOND or REP3), else NO_PATH.  ON_CUT on P's
+cut.  No code takes the 2F1's z/(z-1) map, so under AUTO P raises
+DomainCutError within CUT_GUARD of its cut, NoConvergentPath where no
+series converges, and never CutError.
 
 A scalar call evaluates its point's code.  ``jacobi_p`` and
 ``jacobi_p_scaled`` also take an ndarray of z for one triple: its points are
@@ -42,12 +45,10 @@ from .errors import (
 )
 from .hypergeom import (
     BATCH_POINTS,
-    DIRECT,
-    NO_PATH,
-    ON_CUT,
+    MAP_LIMIT,
     _continued_2f1,
+    _direct_2f1,
     _ohyp2f1_batch,
-    _route,
     ohyp,
     power,
     termination_index,
@@ -213,10 +214,10 @@ def _apply_factor(factor, series, series_err):
     return value, abs(factor) * series_err + 1e-15 * abs(value)
 
 
-def _rep_value(params: JacobiParams, z: complex, rep: Representation, route=None) -> EvalResult:
-    """A representation at a scalar z; its 2F1 takes ``route`` (from P's plan) or routes itself."""
+def _rep_value(params: JacobiParams, z: complex, rep: Representation, direct: bool = False) -> EvalResult:
+    """A representation at a scalar z: its 2F1 by the direct series (P's plan), or routed by the continuation."""
     a1, b1, c1, x, factor = _rep_terms(params, z, rep)
-    series = _continued_2f1(a1, b1, c1, x, True, route)
+    series = (_direct_2f1 if direct else _continued_2f1)(a1, b1, c1, x, True)
     value, err = _apply_factor(factor, series.value, series.abs_error_estimate)
     return EvalResult(value, err, f"rep{rep.value}")
 
@@ -329,12 +330,11 @@ P_REP1, P_REP3, P_CONNECTION, P_REP1_BEYOND, P_NO_PATH, P_ON_CUT = range(6)
 
 
 def _connection_plan(params: JacobiParams, z):
-    """(taken, (coefficients, triples, codes, argument, route)) of P's large-z connection at z.
+    """(taken, (coefficients, triples, codes, argument)) of P's large-z connection at z.
 
     z is a scalar or a 1-D ndarray.  Taken where the coefficients exist and
     both second-kind logs sum: Q's plan at z, for the triple and its
-    companion, which differ only where one's series terminates.  Also taken
-    where a log's argument lies on the 2F1's cut: the log raises CutError.
+    companion, which differ only where one's series terminates.
     """
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     try:
@@ -342,40 +342,43 @@ def _connection_plan(params: JacobiParams, z):
     except NoConvergentPath:
         return False, None
     triples = params, JacobiParams(a, b, coeffs[2])
-    codes, argument, route = _second._q_plan(params, z, triples[1])
-    worst = where(codes[0] >= codes[1], codes[0], codes[1])
-    taken = (worst < _second.Q_NO_PATH) | (worst == _second.Q_NO_PATH) & (route == ON_CUT)
-    return taken, (coeffs, triples, codes, argument, route)
+    codes, argument = _second._q_plan(params, z, triples[1])
+    taken = where(codes[0] >= codes[1], codes[0], codes[1]) < _second.Q_NO_PATH
+    return taken, (coeffs, triples, codes, argument)
 
 
-def _p_plan(params: JacobiParams, z):
-    """P's AUTO plan at z, a scalar or a 1-D ndarray, for a valid triple: (code, route, connection).
+def _p_plan(params: JacobiParams, z, connect: bool = True):
+    """P's AUTO plan at z, a scalar or a 1-D ndarray, for a valid triple: (code, connection).
 
-    The codes are the module's.  In the disk |z+1| <= 2 takes REP1, as |x1|
-    = |z-1|/2 and |x2| = |z-1|/|z+1|; beyond it REP3 would sum REP1's series
-    (the map takes x1 to x1/(x1-1) = x2).  ``route`` is the 2F1 route of the
-    point's representation: DIRECT for REP3, whose |x2| <= AUTO_ARG_LIMIT
-    and |x2 - 1| = 2/|z+1| < 1 make ``_route`` take DIRECT, with no quotient
-    formed; REP1's otherwise (DIRECT in the disk and for a terminating sum).
-    ``connection`` is that of ``_connection_plan``.  In an array both hold
-    every point.  A point has one plan alone or in an array: only moduli and
-    the parts of z enter.
+    Each code names one representation summed by its direct series, or its
+    exact finite sum.  The disk |z+1| <= 2 takes REP1's x1 = (1-z)/2, the
+    rest REP3's x2 = (z-1)/(z+1), the smaller.  Beyond AUTO_ARG_LIMIT a
+    terminating REP1 is REP1_BEYOND; else the connection where
+    ``_connection_plan`` takes it (if ``connect``), whose plan is
+    ``connection``; else the same series within MAP_LIMIT (REP1_BEYOND or
+    REP3: Pfaff's map of REP1's series is REP3's, DLMF 15.8.1), and NO_PATH
+    beyond.  A point has one plan alone or in an array: only moduli and the
+    parts of z enter.
     """
     dp = modulus(z + 1.0)
     rep1 = dp <= 2.0
-    near = modulus(z - 1.0) / where(rep1, 2.0, dp) <= AUTO_ARG_LIMIT
-    code = where(near, where(rep1, P_REP1, P_REP3), P_REP1_BEYOND)
+    arg = modulus(z - 1.0) / where(rep1, 2.0, dp)
+    code = where(arg <= AUTO_ARG_LIMIT, where(rep1, P_REP1, P_REP3), P_REP1_BEYOND)
     # P_CUT.distance(z), from the same |z+1|.
     code = where(where(z.real <= -1.0, abs(z.imag), dp) < CUT_GUARD, P_ON_CUT, code)
-    array = isinstance(z, np.ndarray)
     beyond = code == P_REP1_BEYOND
-    if not (beyond.any() if array else beyond) or _terminates(params):
-        return code, DIRECT, None
-    taken, connection = _connection_plan(params, z)
-    # REP1's argument as ``_rep_terms`` forms it.
-    route = _route(0.5 * (1.0 - z)) if array or not taken else DIRECT
-    far = where(taken, P_CONNECTION, where(route >= NO_PATH, P_NO_PATH, P_REP1_BEYOND))
-    return where(beyond, far, code), where(code == P_REP3, DIRECT, route), connection
+    if not (beyond.any() if isinstance(z, np.ndarray) else beyond) or _terminates(params):
+        return code, None
+    taken, connection = _connection_plan(params, z) if connect else (False, None)
+    far = where(taken, P_CONNECTION, where(arg <= MAP_LIMIT, where(rep1, P_REP1_BEYOND, P_REP3), P_NO_PATH))
+    return where(beyond, far, code), connection
+
+
+def _plan_value(params: JacobiParams, z: complex, code: int) -> EvalResult:
+    """The representation of a code of P's plan at a scalar z, by its direct series; NoConvergentPath for NO_PATH."""
+    if code == P_NO_PATH:
+        raise NoConvergentPath(f"z={z}: no argument of P's series is within {MAP_LIMIT}")
+    return _rep_value(params, z, Representation.REP3 if code == P_REP3 else Representation.REP1, True)
 
 
 def _auto(params: JacobiParams, z: complex):
@@ -385,29 +388,26 @@ def _auto(params: JacobiParams, z: complex):
     estimate of a connection value is left to ``_unscale``.  Two fallbacks
     follow values: where a terminating REP1's sum is not finite, the
     connection if ``_connection_plan`` takes it; where the connection takes
-    the log of a vanishing second-kind value (as at an infinite z), REP1.
-    A REP1 value beyond the disk that is not finite raises NoConvergentPath.
+    the log of a vanishing second-kind value (as at an infinite z), the
+    plan's code without the connection.
     """
     _require_p_domain(params)
-    code, route, connection = _p_plan(params, z)
+    code, connection = _p_plan(params, z)
     _require_off_cut(P_CUT, z, code == P_ON_CUT)
     res = None
     if code != P_CONNECTION:
-        rep = Representation.REP3 if code == P_REP3 else Representation.REP1
-        res = _rep_value(params, z, rep, route)
+        res = _plan_value(params, z, code)
     if code == P_REP1_BEYOND and not cmath.isfinite(res.value) and _terminates(params):
         taken, connection = _connection_plan(params, z)
         code = P_CONNECTION if taken else code
     if code == P_CONNECTION:
-        coeffs, triples, codes, argument, q_route = connection
+        coeffs, triples, codes, argument = connection
         try:
             bases = _connection_bases(params, coeffs[2])
-            logs = _second._connection_logs(triples, z, (codes, argument, q_route), bases)
+            logs = _second._connection_logs(triples, z, (codes, argument), bases)
             return (*_connection_mix(coeffs, *logs), 0.0, "connection")
         except VanishingValue:
-            res = res or _rep_value(params, z, Representation.REP1)
-    if code > P_REP3 and not cmath.isfinite(res.value):
-        raise NoConvergentPath(f"z={z}: REP1 beyond the preferred disk overflows")
+            res = res or _plan_value(params, z, _p_plan(params, z, False)[0])
     return 0.0 + 0.0j, res.value, res.abs_error_estimate, res.provenance
 
 
@@ -483,19 +483,18 @@ def _memo_key(name: str, flag: bool, params: JacobiParams) -> tuple:
     return name, flag, _TRIPLE.pack(a.real, a.imag, b.real, b.imag, g.real, g.imag)
 
 
-def _rep_batch(params: JacobiParams, z: np.ndarray, rep: Representation, route=None):
-    """(value, error estimate, covered) of a representation at every point of z.
+def _rep_batch(params: JacobiParams, z: np.ndarray, rep: Representation):
+    """(value, error estimate, covered) of a representation at every point of z, by its direct series.
 
-    Its 2F1 takes ``route`` (from P's plan) or routes itself.  A row whose
-    terminating sum overflows is not covered, and warns nothing.
+    A row whose terminating sum overflows is not covered, and warns nothing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a1, b1, c1, x, factor = _rep_terms(params, z, rep)
-        series, serr, covered = _ohyp2f1_batch(a1, b1, c1, x, route)
+        series, serr, covered = _ohyp2f1_batch(a1, b1, c1, x)
         return (*_apply_factor(factor, series, serr), covered)
 
 
-def _connection_batch(z: np.ndarray, coeffs, triples, codes, argument, route):
+def _connection_batch(z: np.ndarray, coeffs, triples, codes, argument):
     """(log_scale, mantissa, covered) of the large-z connection at every point of z.
 
     The second-kind logs of its triples follow Q's plan at z, with plain
@@ -504,7 +503,7 @@ def _connection_batch(z: np.ndarray, coeffs, triples, codes, argument, route):
     """
     bases = _connection_bases(triples[0], coeffs[2])
     (log1, _, ok1), (log2, _, ok2) = (
-        _second._q_sum(t, z, code, argument, route, True, base)
+        _second._q_sum(t, z, code, argument, True, base)
         for t, code, base in zip(triples, codes, bases)
     )
     with np.errstate(over="ignore", invalid="ignore"):
@@ -580,20 +579,20 @@ def _p_points(params: JacobiParams, z: np.ndarray, scaled: bool = False, memo: b
         if not params.first_kind_valid():
             return (), np.zeros(n, dtype=bool), 0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            code, route, connection = _p_plan(params, zs)
+            code, connection = _p_plan(params, zs)
         stop = _first(code >= P_NO_PATH)
         code[stop:] = P_ON_CUT
         log_scale, value, err = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex), np.zeros(n)
         covered = np.zeros(n, dtype=bool)
-        rep1, route = (code == P_REP1) | (code == P_REP1_BEYOND), np.broadcast_to(route, zs.shape)
+        rep1 = (code == P_REP1) | (code == P_REP1_BEYOND)
         for mask, rep in (rep1, Representation.REP1), (code == P_REP3, Representation.REP3):
             idx = np.flatnonzero(mask)
             if idx.size:
-                value[idx], err[idx], covered[idx] = _rep_batch(params, zs[idx], rep, route[idx])
+                value[idx], err[idx], covered[idx] = _rep_batch(params, zs[idx], rep)
         idx = np.flatnonzero(code == P_CONNECTION)
         if idx.size:
-            coeffs, triples, codes, argument, q_route = connection
-            parts = [c[idx] for c in codes], argument[idx], q_route[idx]
+            coeffs, triples, codes, argument = connection
+            parts = [c[idx] for c in codes], argument[idx]
             log_scale[idx], value[idx], covered[idx] = _connection_batch(zs[idx], coeffs, triples, *parts)
             if not scaled:
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -638,8 +637,10 @@ def jacobi_p(
     preferred disk.  For larger arguments a terminating REP1 comes first: at
     gamma in N0, P is the Jacobi polynomial's finite sum at every z where
     that sum stays finite.  Otherwise AUTO prefers the two-solution
-    decomposition and falls back to REP1, which raises NoConvergentPath
-    where its 2F1 has no path.  Under AUTO a value past double range raises
+    decomposition and falls back to the smaller argument's series, REP1 or
+    REP3, summed directly, which raises NoConvergentPath where that argument
+    is beyond MAP_LIMIT.  AUTO raises DomainCutError within CUT_GUARD of the
+    cut and never CutError.  Under AUTO a value past double range raises
     NoConvergentPath; ``jacobi_p_scaled`` returns it as a (log_scale,
     mantissa) pair where the decomposition does.
 

@@ -5,10 +5,13 @@ the weighted-kernel integral representation, its shifted variant with an
 interior Jacobi polynomial, and the integer-degree Neumann-type integral.
 
 Under AUTO one plan (``_q_plan``), shared by scalar and array calls, gives
-each point a code: REP1 on 2/(1-z) or REP3 on 2/(1+z), the smaller; NO_PATH
-where no map takes it into its 2F1's disk (the lens about [-1, 1]) or it
-lies on that 2F1's cut; ON_CUT on Q's cut.  ``jacobi_q`` and ``jacobi_q_log``
-also take an ndarray of z for one triple, summed by code as for P.
+each point a code: REP1 on 2/(1-z) or REP3 on 2/(1+z), the smaller, summed
+directly; NO_PATH where that argument is beyond MAP_LIMIT (the lens about
+[-1, 1]) and its series does not terminate; ON_CUT on Q's cut.  So under
+AUTO, Q raises DomainCutError within CUT_GUARD of its cut, NoConvergentPath
+where no series converges, and never CutError.  ``jacobi_q`` and
+``jacobi_q_log`` also take an ndarray of z for one triple, summed by code as
+for P.
 
 Quadrature note: the kernel weights carry complex exponents; the rules use
 their real parts and the unit-modulus oscillatory remainder (1 -+ t)^(i Im)
@@ -32,12 +35,10 @@ from .errors import (
     VanishingValue,
 )
 from .hypergeom import (
-    NO_PATH,
-    ON_CUT,
+    MAP_LIMIT,
     _continued_2f1,
+    _direct_2f1,
     _ohyp2f1_batch,
-    _refuse,
-    _route,
     power,
     termination_index,
 )
@@ -123,31 +124,33 @@ _SIDES = ((Q_REP1, Representation.REP1), (Q_REP3, Representation.REP3))
 
 
 def _q_plan(params: JacobiParams, z, *others: JacobiParams):
-    """Q's AUTO plan at z, a scalar or a 1-D ndarray: (codes, argument, route).
+    """Q's AUTO plan at z, a scalar or a 1-D ndarray: (codes, argument).
 
     REP1's y = 2/(1-z) is taken where |y| <= |x|, i.e. Re z <= 0, or where
     y = x = 0 (an infinite z with one finite part), else REP3's x = 2/(1+z),
-    also at a z where neither is a number: numpy's quotient in an array,
-    where the series run.  The route is
-    ``_route`` of Python's quotient, per point, for a series that does not
-    terminate, so that a point has one plan alone or in an array.  One code
-    per triple, params and then others: a triple whose series terminates
-    sums at any route.
+    also at a z where neither is a number.  On the side taken |y - 1| <= 1
+    (or |x - 1| <= 1), so the z/(z-1) map never shrinks the argument, and
+    the side's series is summed directly: one that does not terminate has a
+    path where MAP_LIMIT |1 -+ z| >= 2 and its argument is a number.  Those
+    moduli have one set of bits in Python and numpy, so a point has one plan
+    alone or in an array, though an array sums at numpy's quotient.  One
+    code per triple, params and then others: a triple whose series
+    terminates sums at any argument.
     """
     on_cut = Q_CUT.distance(z) < CUT_GUARD
     if on_cut is True:
         # A scalar on the cut, where a quotient may divide by 0.
-        return (Q_ON_CUT,) * (1 + len(others)), z, ON_CUT
+        return (Q_ON_CUT,) * (1 + len(others)), z
     array = isinstance(z, np.ndarray)
     y, x = 2.0 / (1.0 - z), 2.0 / (1.0 + z)
     # Im z - Im z is 0, or NaN at a non-finite Im z.
     rep1 = (z.real <= z.imag - z.imag) | (y == x)
     argument = where(rep1, y, x)
-    quotient = np.array([2.0 / v for v in np.where(rep1, 1.0 - z, 1.0 + z).tolist()]) if array else argument
-    route = _route(quotient)
-    side, refused = where(rep1, Q_REP1, Q_REP3), route >= NO_PATH
+    side = where(rep1, Q_REP1, Q_REP3)
+    # A NaN argument (z with a NaN part or two infinite parts) has no path.
+    refused = (MAP_LIMIT * modulus(where(rep1, 1.0 - z, 1.0 + z)) < 2.0) | (argument != argument)
     if not (refused.any() if array else refused):
-        return (where(on_cut, Q_ON_CUT, side),) * (1 + len(others)), argument, route
+        return (where(on_cut, Q_ON_CUT, side),) * (1 + len(others)), argument
     codes = []
     for t in (params, *others):
         a, b, g = complex(t.alpha), complex(t.beta), complex(t.gamma)
@@ -158,31 +161,31 @@ def _q_plan(params: JacobiParams, z, *others: JacobiParams):
             if (here.any() if array else here) and termination_index(_q_terms(a, b, g, rep)[0]) is None:
                 code = where(here, Q_NO_PATH, code)
         codes.append(where(on_cut, Q_ON_CUT, code))
-    return tuple(codes), argument, route
+    return tuple(codes), argument
 
 
 def _q_parts(params: JacobiParams, z: complex, rep: Representation):
     """(log prefactor, hypergeometric SeriesValue, representation) at a scalar z.
 
     AUTO follows Q's plan of this triple at z: DomainCutError on the cut,
-    the 2F1's error where no route sums, else the side's series at the
-    plan's argument and route.  An explicit representation's 2F1 routes its
-    own argument.
+    NoConvergentPath where its series has no path, else the side's direct
+    series at the plan's argument.  An explicit representation's 2F1 routes
+    its own argument.
     """
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    argument = route = None
+    argument, sum_2f1 = None, _continued_2f1
     if rep is Representation.AUTO:
-        (code,), argument, route = _q_plan(params, z)
+        (code,), argument = _q_plan(params, z)
         _require_off_cut(Q_CUT, z, code == Q_ON_CUT)
         if code == Q_NO_PATH:
-            _refuse(argument, route)
-        rep = Representation.REP1 if code == Q_REP1 else Representation.REP3
+            raise NoConvergentPath(f"z={z}: Q's 2F1 argument is beyond {MAP_LIMIT}, and its series does not terminate")
+        rep, sum_2f1 = Representation.REP1 if code == Q_REP1 else Representation.REP3, _direct_2f1
     else:
         _require_off_cut(Q_CUT, z)
     (p1, p2), on_y, e_m, e_p = _q_terms(a, b, g, rep)
     if argument is None:
         argument = 2.0 / (1.0 - z) if on_y else 2.0 / (1.0 + z)
-    series = _continued_2f1(p1, p2, a + b + 2.0 * g + 2.0, argument, True, route)
+    series = sum_2f1(p1, p2, a + b + 2.0 * g + 2.0, argument, True)
     # z - -1.0, not z + 1.0, keeps an imaginary part of -0.0 on (-oo, -1),
     # so that both logs take the limit from below; adding 1.0 makes it +0.0.
     logf = _q_log_prefactor(a, b, g) - e_m * cmath.log(z - 1.0) - e_p * cmath.log(z - -1.0)
@@ -207,32 +210,30 @@ def _connection_logs(triples, z: complex, plan, bases) -> list[complex]:
     """The two second-kind logs of P's large-z connection at a scalar z, from plain 2F1 series.
 
     ``plan`` is Q's plan at z for the triple and its companion, one that
-    the connection takes (so no point on Q's cut), and ``bases`` their log
-    prefactors.  The two share log(z -+ 1), the argument and the route; each
-    raises the 2F1's error where its code has no route, and as
-    ``_log_value`` does.  A sum that is 0 within its error estimate, one
-    whose terms cancelled every digit, also raises VanishingValue.
+    the connection takes (so each code sums its direct series), and
+    ``bases`` their log prefactors.  The two share log(z -+ 1) and the
+    argument; each raises as ``_log_value`` does.  A sum that is 0 within
+    its error estimate, one whose terms cancelled every digit, also raises
+    VanishingValue.
     """
-    codes, argument, route = plan
+    codes, argument = plan
     # z - -1.0 keeps a -0.0 imaginary part, as in ``_q_parts``.
     log_zm, log_zp = cmath.log(z - 1.0), cmath.log(z - -1.0)
     logs = []
     for t, code, base in zip(triples, codes, bases):
-        if code == Q_NO_PATH:
-            _refuse(argument, route)
         a, b, g = complex(t.alpha), complex(t.beta), complex(t.gamma)
         (p1, p2), _, e_m, e_p = _q_terms(a, b, g, Representation.REP1 if code == Q_REP1 else Representation.REP3)
-        series = _continued_2f1(p1, p2, a + b + 2.0 * g + 2.0, argument, False, route)
+        series = _direct_2f1(p1, p2, a + b + 2.0 * g + 2.0, argument, False)
         logs.append(_log_value(base - e_m * log_zm - e_p * log_zp, series.value, z))
         if modulus(series.value) <= series.abs_error_estimate:
             raise VanishingValue(f"z={z}: a second-kind sum of the connection is 0 within its estimate")
     return logs
 
 
-def _q_sum(params: JacobiParams, z: np.ndarray, code: np.ndarray, argument, route, log: bool, base=None):
-    """Q (or its log) of a valid triple at the points of a 1-D z coded Q_REP1 or Q_REP3.
+def _q_sum(params: JacobiParams, z: np.ndarray, code: np.ndarray, argument, log: bool, base=None):
+    """Q (or its log) of a valid triple at the points of a 1-D z coded Q_REP1 or Q_REP3, by direct series.
 
-    ``code``, ``argument`` and ``route`` are the triple's plan at z.  With
+    ``code`` and ``argument`` are the triple's plan at z.  With
     a log prefactor ``base`` the 2F1 is summed plain (P's connection),
     else regularized, with Q's own.  Returns (value or log, error estimate
     of the value, covered); a point is not covered where the 2F1 batch does
@@ -256,9 +257,7 @@ def _q_sum(params: JacobiParams, z: np.ndarray, code: np.ndarray, argument, rout
             idx = np.flatnonzero(code == side)
             if idx.size:
                 (p1, p2), _, e_m, e_p = _q_terms(a, b, g, rep)
-                series[idx], err[idx], covered[idx] = _ohyp2f1_batch(
-                    p1, p2, c, argument[idx], route[idx], regularized
-                )
+                series[idx], err[idx], covered[idx] = _ohyp2f1_batch(p1, p2, c, argument[idx], regularized)
                 logf[idx] = base_log - e_m * log_zm[idx] - e_p * log_zp[idx]
         if log:
             out = logf + np.log(series)
@@ -281,10 +280,10 @@ def _q_points(params: JacobiParams, z: np.ndarray, log: bool = False, memo: bool
         if not params.second_kind_valid():
             return (), np.zeros(zs.size, dtype=bool), 0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            (code,), argument, route = _q_plan(params, zs)
+            (code,), argument = _q_plan(params, zs)
         stop = _first(code >= Q_NO_PATH)
         code[stop:] = Q_ON_CUT
-        out, err, covered = _q_sum(params, zs, code, argument, route, log)
+        out, err, covered = _q_sum(params, zs, code, argument, log)
         return (out, err, code), covered, stop
 
     def scalar(w: complex):
@@ -304,9 +303,11 @@ def jacobi_q(
 ) -> EvalResult:
     """Second-kind Jacobi function via its hypergeometric representations.
 
-    AUTO picks the smaller of the arguments 2/(1-z) and 2/(1+z); explicit
-    representations are evaluated as requested (the series layer applies its
-    own argument map when the raw argument leaves the disk).
+    AUTO sums the series of the smaller argument, 2/(1-z) or 2/(1+z),
+    directly: NoConvergentPath where it has no path, DomainCutError within
+    CUT_GUARD of the cut, never CutError.  Explicit representations are
+    evaluated as requested (the series layer maps a raw argument off the
+    disk).
 
     A value that is not finite (a 2F1 sum past double range) raises
     NoConvergentPath.  Under AUTO, z may be an ndarray: the result then

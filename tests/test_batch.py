@@ -6,8 +6,7 @@ scalar's exception.  The ulps allow for the batch forming z^k by repeated
 products and powers as exp(s Log w), where the scalar series carries the
 term ratio and uses Python's complex power.  Neither error estimate covers
 the rounding of a power or an exponential, which is about |s Log w| ulps,
-so where one enters (the z/(z-1) map's factor, a logarithm) the ulps scale
-with it.  Nor does the series estimate, |last term| + eps sum |terms|, count
+so where one enters (a logarithm) the ulps scale with it.  Nor does the series estimate, |last term| + eps sum |terms|, count
 the rounding that builds up in a term formed by k products; the two
 evaluations' difference from it grows like sqrt(K) for K terms, so the
 estimates are scaled by that.  (At z = -0.952 a 1419-term series is 9e-12
@@ -17,10 +16,10 @@ that ignores its parts, so its values are compared within the parts'
 estimates: the two second-kind values and their series errors.
 
 The z of the properties mix points of the plane with points within 4 ulps
-of the routing thresholds, where numpy and Python round a modulus or a
-quotient apart; the route predicates use neither, and Q's batch routes its
-2F1 argument, a quotient, at Python's bits, so the batch and the scalar
-call take the same route there too.  The thresholds include the
+of the plans' thresholds, where numpy and Python round a modulus or a
+quotient apart; the plans use neither, only moduli formed as Python forms
+them (Q's the moduli of 1 -+ z, not its quotient 2/(1 -+ z)), so the batch
+and the scalar call take the same plan there too.  The thresholds include the
 circles of radius CUT_GUARD about the ends of the cuts, where numpy and
 Python must agree on which points are on a cut: there a rounding
 difference would turn a value into an error.  The examples are fixed (the
@@ -37,26 +36,31 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacobifn import hypergeom
 from jacobifn.cli import main
-from jacobifn.errors import FactorOverflow, JacobiFnError, NoConvergentPath, TruncationWarning, ValidityError
+from jacobifn.errors import (
+    DomainCutError,
+    FactorOverflow,
+    JacobiFnError,
+    NoConvergentPath,
+    TruncationWarning,
+    ValidityError,
+)
 from jacobifn.hypergeom import (
     BATCH_POINTS,
     DIRECT_LIMIT,
     MAP_LIMIT,
-    NO_PATH,
+    _direct_2f1,
     _ohyp2f1_batch,
     ohyp2f1,
 )
 from jacobifn.jacobi_first import (
     _PROVENANCE,
     AUTO_ARG_LIMIT,
-    P_REP1,
     P_REP1_BEYOND,
-    P_REP3,
     POINTS_MEMO,
     JacobiParams,
     Representation,
@@ -67,7 +71,7 @@ from jacobifn.jacobi_first import (
     jacobi_p,
     jacobi_p_scaled,
 )
-from jacobifn.jacobi_second import Q_NO_PATH, Q_REP1, Q_REP3, _q_plan, _q_points, jacobi_q, jacobi_q_log
+from jacobifn.jacobi_second import Q_NO_PATH, Q_REP1, _q_plan, _q_points, jacobi_q, jacobi_q_log
 from jacobifn.quadrature import CUT_GUARD, Cut
 from jacobifn.result import EvalResult
 from jacobifn.scalar_kernel import reciprocal_gamma
@@ -114,15 +118,11 @@ def _guard_circle(end: float):
     return lambda t: end + cmath.rect(CUT_GUARD, t)
 
 
-# The 2F1's direct series or its z/(z-1) map: |z| = DIRECT_LIMIT; a series
-# or NoConvergentPath: |z| = MAP_LIMIT and |z/(z-1)| = MAP_LIMIT; a series
-# or CutError: the guard circle about 1.
-_near_2f1 = _near(
-    lambda t: cmath.rect(DIRECT_LIMIT, t),
-    lambda t: cmath.rect(MAP_LIMIT, t),
-    lambda t: cmath.rect(MAP_LIMIT, t) / (cmath.rect(MAP_LIMIT, t) - 1.0),
-    _guard_circle(1.0),
-)
+# The batch's direct series: |z| = DIRECT_LIMIT, and |z| = MAP_LIMIT, the
+# edge of the disk in which the AUTO plans sum a series that does not
+# terminate.
+_near_2f1 = _near(lambda t: cmath.rect(DIRECT_LIMIT, t), lambda t: cmath.rect(MAP_LIMIT, t))
+_in_map_limit = st.builds(cmath.rect, st.floats(0.0, MAP_LIMIT), st.floats(-math.pi, math.pi))
 # P's REP1, REP3 or beyond: |1-z|/2 = AUTO_ARG_LIMIT, |z-1|/|z+1| = AUTO_ARG_LIMIT;
 # a value or DomainCutError: the guard circle about -1 (P's cut); the
 # connection or not: the guard circles about -1 and 1 (Q's cut).
@@ -222,32 +222,30 @@ def _split(fn, params, zs):
     return outs, ok, errors[0] if errors else None, growth
 
 
-@given(_param_2f1, _param_2f1, _param_2f1, _zs(_near_2f1))
+@given(_param_2f1, _param_2f1, _param_2f1, _zs(st.one_of(_in_map_limit, _near_2f1)))
 @settings(max_examples=150)
 def test_batched_2f1_matches_scalar(a, b, c, zs):
+    # The batch sums the direct series, as the AUTO plans call it: at any z
+    # where the series terminates, else within |z| <= MAP_LIMIT.
+    a, b, c = complex(a), complex(b), complex(c)
+    if hypergeom.termination_index((a, b)) is None:
+        zs = [w for w in zs if abs(w) <= MAP_LIMIT]
+        assume(zs)
     value, err, covered = _ohyp2f1_batch(a, b, c, np.array(zs))
-    # Routes as the batch forms them; a terminating series has no route to fail.
-    routes = hypergeom._route(np.array(zs))
-    ends = hypergeom.termination_index((a, b)) is not None
-    for w, v, e, ok, route in zip(zs, value, err, covered, routes):
+    for w, v, e, ok in zip(zs, value, err, covered):
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             try:
-                ref = _scalar(ohyp2f1, a, b, c, w)
+                ref = _scalar(_direct_2f1, a, b, c, w, True)
             except TruncationWarning as capped:
                 ref = capped
         if isinstance(ref, Exception) and not isinstance(ref, (JacobiFnError, TruncationWarning)):
             raise ref
         if ok:
             assert not isinstance(ref, Exception)
-            # Past |z| = 0.75 the value may carry the factor (1-z)^(-a).
-            mapped = abs(w) > 0.75 and w != 1.0
-            cond = 1.0 + abs(a * cmath.log(1.0 - w)) if mapped else 1.0
             growth = math.sqrt(ref.terms_used)
-            tol = growth * (e + ref.abs_error_estimate) + cond * ULPS * abs(ref.value) + TINY
+            tol = growth * (e + ref.abs_error_estimate) + ULPS * abs(ref.value) + TINY
             assert abs(v - ref.value) <= tol
-        # The batch routes as the scalar call does: no path exactly where it raises.
-        assert (route == NO_PATH and not ends) == isinstance(ref, NoConvergentPath)
 
 
 def test_long_direct_series_has_the_scalar_bits():
@@ -374,17 +372,16 @@ def test_first_block_width_changes_no_result(a, b, c, zs):
 
 # --- a point's bits do not depend on its batch ---------------------------------
 #
-# A 2F1 batch whose points all take the direct series skips the routing; the
-# same points in a batch with one more point, which takes another route, go
-# through it.  Each point must come out with the same bits either way, in the
-# 2F1 and in P and Q, whose batches reach it with their points split by
-# representation.  The points lie inside the regions where every point takes
-# one route or within 4 ulps of their edges, so some batches of the first kind
-# take the general path too.
+# The same points alone and in a batch with one more point: in the 2F1 one
+# farther out, which widens the first column block; in P and Q one of
+# another plan code, so that their batches reach the points split by
+# representation.  Each point must come out with the same bits either way.
+# The points lie inside the regions where every point takes one code or
+# within 4 ulps of their edges.
 
 _unit = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
 _away = st.builds(cmath.rect, st.floats(0.05, 1.0), st.floats(-math.pi, math.pi))
-# The 2F1 at |z| <= DIRECT_LIMIT, where every point takes the direct series.
+# The 2F1 at |z| <= DIRECT_LIMIT.
 _2f1_disk = st.one_of(
     _unit.map(lambda u: DIRECT_LIMIT * u), _near(lambda t: cmath.rect(DIRECT_LIMIT, t))
 )
@@ -407,7 +404,7 @@ _q_far = st.one_of(
         lambda t: 2.0 / cmath.rect(DIRECT_LIMIT, t) - 1.0,
     ),
 )
-# One point of another route: the z/(z-1) map, P's connection, Q's lens.
+# One point farther out (the 2F1), or of another plan code: P's connection, Q's lens.
 _2F1_MIXER, _P_MIXER, _Q_MIXER = 0.9 + 0.3j, 40.0 - 25.0j, 0.5 + 0.5j
 
 
@@ -449,17 +446,6 @@ def test_q_bits_do_not_depend_on_the_batch(a, b, g, zs):
         alone = _q_points(params, np.array(zs), log, memo=False)
         mixed = _q_points(params, np.array(zs + [_Q_MIXER]), log, memo=False)
         _same_leading_bits(alone, mixed, len(zs))
-
-
-def test_direct_2f1_batch_skips_routing():
-    # No cut distance is measured for a 2F1 batch whose points all take the
-    # direct series; one point beyond DIRECT_LIMIT brings the routing back.
-    circle = np.exp(2j * np.pi * np.arange(32) / 32)
-    with mock.patch.object(Cut, "distance", side_effect=AssertionError("routed")):
-        _ohyp2f1_batch(0.3, 1.2, 1.7, 0.7 * circle)
-        _ohyp2f1_batch(-3.0, 1.2, 1.7, 5.0 * circle)
-        with pytest.raises(AssertionError, match="routed"):
-            _ohyp2f1_batch(0.3, 1.2, 1.7, np.append(0.7 * circle, _2F1_MIXER))
 
 
 @pytest.mark.parametrize("kind", ["P", "Q"])
@@ -648,11 +634,11 @@ def test_memo_holds_no_more_than_its_budget():
     assert POINTS_MEMO.cache_info() == (2, 5, budget, 2 * size)
 
 
-# --- one route for a point, alone or in an array --------------------------------
+# --- one plan for a point, alone or in an array ---------------------------------
 #
-# Within a few ulps of a routing threshold numpy's abs and complex division
-# round apart from Python's.  The route predicates read only moduli formed
-# by quadrature.modulus and the parts of z, so a batch routes every point as
+# Within a few ulps of a plan's threshold numpy's abs and complex division
+# round apart from Python's.  The plans read only moduli formed by
+# quadrature.modulus and the parts of z, so a batch codes every point as
 # the scalar call does: the same series, status and provenance.
 
 
@@ -664,67 +650,29 @@ def _ulp_ring(curve, n: int, seed: int) -> list[complex]:
     return [_moved(curve(t), i, j) for t, (i, j) in zip(angles, moves)]
 
 
-def test_2f1_batch_routes_each_point_as_the_scalar_call():
-    # |z| = MAP_LIMIT and |z/(z-1)| = MAP_LIMIT (a series or NoConvergentPath),
-    # |z| = DIRECT_LIMIT and |z-1| = 1 (the direct series or the map).
-    curves = (
-        lambda t: cmath.rect(MAP_LIMIT, t),
-        lambda t: cmath.rect(MAP_LIMIT, t) / (cmath.rect(MAP_LIMIT, t) - 1.0),
-        lambda t: cmath.rect(DIRECT_LIMIT, t),
-        lambda t: 1.0 + cmath.rect(1.0, t),
-    )
-    zs = [w for k, curve in enumerate(curves) for w in _ulp_ring(curve, 300, k)]
-    a, b, c = 0.3 + 0.1j, 1.2 - 0.2j, 1.7 + 0.05j
-    for start in range(0, len(zs), BATCH_POINTS):
-        chunk = zs[start : start + BATCH_POINTS]
-        _, _, covered = _ohyp2f1_batch(a, b, c, np.array(chunk))
-        for w, ok in zip(chunk, covered):
-            try:
-                ohyp2f1(a, b, c, w)
-                raised = False
-            except NoConvergentPath:
-                raised = True
-            # Covered exactly where the scalar call returns: no point is left
-            # to it for want of a verdict.
-            assert ok != raised, w
-    routes = hypergeom._route(np.array(zs))
-    assert routes.tolist() == [hypergeom._route(w) for w in zs]
-
-
 # Besides a generic triple: a resonant one, (0.3, 0.2, 0.75), whose
 # connection has no coefficients (alpha+beta+2 gamma = 2), so that P takes
-# REP1 beyond the disk; and (0.3, 0.2, 0.5), where alpha+beta+gamma = 1 and
+# REP1 or REP3 beyond the preferred disk; and (0.3, 0.2, 0.5), where alpha+beta+gamma = 1 and
 # the REP1 series of the companion of P's connection, of degree -2,
 # terminates: in Q's lens only one of the connection's two Q plans has a path.
 _RESONANT, _COMPANION_ENDS = JacobiParams(0.3, 0.2, 0.75), JacobiParams(0.3, 0.2, 0.5)
 
 
-def _plan(fn, params, z):
-    """(code, route) of the AUTO plan of jacobi_p's or jacobi_q's kind at z, a scalar or a one-point array.
-
-    The route is the 2F1 route of the code's representation, or None where
-    the code sums none (the connection, no path, on the cut).
-    """
-    if fn is jacobi_p:
-        code, route, _ = _p_plan(params, z)
-        sums = (P_REP1, P_REP3, P_REP1_BEYOND)
-    else:
-        (code,), _, route = _q_plan(params, z)
-        sums = (Q_REP1, Q_REP3)
-    if isinstance(z, np.ndarray):
-        code, route = code[0], np.broadcast_to(route, z.shape)[0]
-    return int(code), (int(route) if code in sums else None)
+def _plan(fn, params, z) -> int:
+    """The code of the AUTO plan of jacobi_p's or jacobi_q's kind at z, a scalar or a one-point array."""
+    code = _p_plan(params, z)[0] if fn is jacobi_p else _q_plan(params, z)[0][0]
+    return int(np.ravel(code)[0])
 
 
 def _plan_moves(fn, params, zs) -> list:
-    """The points whose plan alone (code and route) differs from its plan in a one-point array."""
+    """The points whose plan code alone differs from its code in a one-point array."""
     return [w for w in zs if _plan(fn, params, w) != _plan(fn, params, np.array([w]))]
 
 
 def test_one_q_plan_of_the_connection_has_a_path_in_the_lens():
-    # At -0.5+i, beyond P's preferred disk, neither 2/(1-z) nor its map is
-    # within MAP_LIMIT, but the companion's REP1 series terminates.
-    taken, (_, _, codes, _, _) = _connection_plan(_COMPANION_ENDS, -0.5 + 1.0j)
+    # At -0.5+i, beyond P's preferred disk, 2/(1-z) is beyond MAP_LIMIT,
+    # but the companion's REP1 series terminates.
+    taken, (_, _, codes, _) = _connection_plan(_COMPANION_ENDS, -0.5 + 1.0j)
     assert (taken, codes) == (False, (Q_NO_PATH, Q_REP1))
     assert _p_plan(_COMPANION_ENDS, -0.5 + 1.0j)[0] == P_REP1_BEYOND
     assert jacobi_p(_COMPANION_ENDS, -0.5 + 1.0j).provenance == "rep1"
@@ -734,14 +682,16 @@ def test_one_q_plan_of_the_connection_has_a_path_in_the_lens():
 def test_array_point_has_the_scalar_provenance_at_auto_boundaries(kind):
     # P's preferred disk, |z-1| = 2 AUTO_ARG_LIMIT and |z-1| = AUTO_ARG_LIMIT
     # |z+1|, its REP1-or-REP3 choice, |z+1| = 2, and Q's, Re z = 0, where
-    # |Re z| up to about 3e-16 leaves |1-z| and |1+z| a rounding apart; and
-    # the edges of Q's 2F1 argument, which decide P's connection or REP1.
-    # Each point has one plan code alone and in an array, and one 2F1 route
-    # where the code sums a representation (P's REP3 is summed directly in
-    # both, also on the ring where |x2| = DIRECT_LIMIT).
+    # |Re z| up to about 3e-16 leaves |1-z| and |1+z| a rounding apart; the
+    # edges of Q's 2F1 argument, which decide P's connection; and where the
+    # connection is not taken, |x1| = MAP_LIMIT and |x2| = MAP_LIMIT, which
+    # decide P's REP1 or REP3 against no path.  Each point has one plan code
+    # alone and in an array.
     curves = (
         lambda t: 1.0 + cmath.rect(2.0 * AUTO_ARG_LIMIT, t),
         lambda t: (1.0 + cmath.rect(AUTO_ARG_LIMIT, t)) / (1.0 - cmath.rect(AUTO_ARG_LIMIT, t)),
+        lambda t: 1.0 + cmath.rect(2.0 * MAP_LIMIT, t),
+        lambda t: (1.0 + cmath.rect(MAP_LIMIT, t)) / (1.0 - cmath.rect(MAP_LIMIT, t)),
         lambda t: -1.0 + cmath.rect(2.0, t),
         lambda t: complex(1e-16 * t, 2.0 * math.sin(5.0 * t)),
         *_Q_EDGES,
@@ -773,9 +723,9 @@ def _outcome(fn, params, z):
 @pytest.mark.parametrize("fn", [jacobi_p, jacobi_q])
 def test_an_array_raises_where_the_scalar_call_raises_at_q_argument_edges(fn):
     # Q's batch divides with numpy, which rounds 2/(1-z) apart from Python,
-    # but Q's plan routes each point at the scalar call's quotient, so one
-    # point has one plan code alone and in an array, and raises or returns
-    # as it does alone (P's connection falls back to REP1 where Q has no path).
+    # but Q's plan reads only |1 -+ z|, so one point has one plan code alone
+    # and in an array, and raises or returns as it does alone (P takes REP1
+    # or REP3 where Q has no path and its connection is not taken).
     rings = [w for k, curve in enumerate(_Q_EDGES) for w in _ulp_ring(curve, 400, 20 + k)]
     for params in (JacobiParams(0.3, 0.2, 0.45), _RESONANT, _COMPANION_ENDS):
         moved = []
@@ -795,3 +745,78 @@ def test_q_takes_rep1_at_an_infinite_z_with_one_finite_part():
         for z in (w, np.array([w])):
             got = jacobi_q(params, z)
             assert got.provenance == "rep1" and not np.any(got.value), w
+
+
+# --- AUTO sums only direct series -----------------------------------------------
+
+
+def _beyond_the_disk(n: int, seed: int) -> list[complex]:
+    """n seeded z outside |z+1| <= 2 whose REP3 argument x2 = (z-1)/(z+1) has 0.76 <= |x2| <= 0.985."""
+    rng = np.random.default_rng(seed)
+    zs = []
+    while len(zs) < n:
+        x2 = cmath.rect(rng.uniform(0.76, 0.985), rng.uniform(-math.pi, math.pi))
+        z = (1.0 + x2) / (1.0 - x2)
+        if abs(z + 1.0) > 2.0:
+            zs.append(z)
+    return zs
+
+
+def test_p_sums_rep3_beyond_the_disk_where_the_connection_is_refused():
+    # The resonant triple has no connection.  Outside |z+1| <= 2, beyond
+    # AUTO_ARG_LIMIT, P sums REP3's series at x2, alone and in a one-point
+    # array.  It is Pfaff's map of REP1's series at x1 = (1-z)/2 (DLMF
+    # 15.8.1), which the explicit REP1 sums, so the two agree within their
+    # estimates.
+    for z in _beyond_the_disk(300, 27):
+        alone, in_array = jacobi_p(_RESONANT, z), jacobi_p(_RESONANT, np.array([z]))
+        assert (alone.provenance, in_array.provenance) == ("rep3", "rep3"), z
+        ref = jacobi_p(_RESONANT, z, Representation.REP1)
+        for v, e in ((alone.value, alone.abs_error_estimate), (in_array.value[0], in_array.abs_error_estimate[0])):
+            assert abs(v - ref.value) <= e + ref.abs_error_estimate, z
+
+
+def test_no_auto_call_goes_through_the_continuation():
+    # Every AUTO plan code names a direct series or an exact finite sum, so
+    # no scalar or array call of P or Q under AUTO calls the 2F1
+    # continuation, the one place where the z/(z-1) map is taken.  Seeded z
+    # of the scatter-eval box and beyond P's preferred disk; a generic
+    # triple, the resonant one, the one whose companion terminates and a
+    # polynomial degree.
+    rng = np.random.default_rng(2027)
+    zs = (rng.uniform(-4.0, 4.0, 200) + 1j * rng.uniform(-2.0, 2.0, 200)).tolist() + _beyond_the_disk(60, 28)
+    triples = (JacobiParams(0.3 + 0.2j, -0.4, 1.1 - 0.1j), _RESONANT, _COMPANION_ENDS, JacobiParams(0.3, 0.2, 4))
+    routed = AssertionError("an AUTO call went through the continuation")
+    with mock.patch("jacobifn.jacobi_first._continued_2f1", side_effect=routed), mock.patch(
+        "jacobifn.jacobi_second._continued_2f1", side_effect=routed
+    ):
+        for params in triples:
+            for fn in (jacobi_p, jacobi_p_scaled, jacobi_q, jacobi_q_log):
+                returned = [w for w in zs if not isinstance(_scalar(fn, params, w), JacobiFnError)]
+                assert returned
+                fn(params, np.array(returned))
+    # An explicit representation still takes it.
+    with mock.patch("jacobifn.jacobi_first._continued_2f1", side_effect=routed), pytest.raises(AssertionError):
+        jacobi_p(_RESONANT, 3.0, Representation.REP1)
+
+
+@pytest.mark.parametrize("fn", [jacobi_p, jacobi_p_scaled, jacobi_q, jacobi_q_log])
+def test_thin_bands_beside_the_cuts_raise_no_convergent_path(fn):
+    # Between CUT_GUARD and 2 CUT_GUARD from Q's cut [-1, 1], and from P's
+    # cut (-oo, -1] where P's connection is refused, the 2F1's argument lies
+    # within CUT_GUARD of the 2F1's cut [1, oo), and no series converges:
+    # NoConvergentPath, alone and in a one-point array.  Within CUT_GUARD of
+    # their cut P and Q raise DomainCutError.  Neither raises CutError, which
+    # is neither error's subclass.
+    rng = np.random.default_rng(31)
+    n = 100
+    if fn in (jacobi_p, jacobi_p_scaled):
+        params, xs = _RESONANT, rng.uniform(-5.0, -1.0, n)
+    else:
+        params, xs = JacobiParams(0.3, 0.2, 0.45), rng.uniform(-1.0, 1.0, n)
+    sign = rng.choice([-1.0, 1.0], n)
+    for scale, want in ((rng.uniform(1.01, 1.99, n), NoConvergentPath), (rng.uniform(0.0, 0.99, n), DomainCutError)):
+        for x, y in zip(xs.tolist(), (sign * scale * CUT_GUARD).tolist()):
+            for z in (complex(x, y), np.array([complex(x, y)])):
+                with pytest.raises(want):
+                    fn(params, z)

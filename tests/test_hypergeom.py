@@ -345,7 +345,7 @@ def test_scalar_call_work_count_pinned(monkeypatch):
             (jacobi_p if kind == "P" else jacobi_q)(params, z)
         except JacobiFnError:
             counts[kind][2] += 1
-    assert counts == {"P": [4023, 147862, 9], "Q": [2526, 87584, 158]}
+    assert counts == {"P": [4005, 147862, 9], "Q": [2526, 87584, 158]}
 
 
 # The 2F1 parameters that the Jacobi representations take from a triple of

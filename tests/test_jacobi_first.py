@@ -395,17 +395,19 @@ def test_connection_values_lie_within_the_regularized_formula_estimate():
     assert compared >= 500
 
 
-def test_connection_sum_that_cancels_every_digit_falls_back_to_rep1():
+def test_connection_sum_that_cancels_every_digit_falls_back_to_rep3():
     # At (100, 0.2, 0.3) and z = 10 the companion's plain 2F1 sums to
     # 1.5e-9 against an estimate of 4.0e-9 (mpmath: 1.93e-9), so the
-    # connection gives way to REP1, alone and in an array; the connection's
-    # value was 22 % off.  mpmath's P here is 7.42098060011702957.  REP1 is
-    # 9e-14 off, beyond its estimate of 1.2e-15 relative: its prefactor's
-    # log gammas at Re of about 100 are not counted in it.
+    # connection gives way to the plan without it, alone and in an array:
+    # REP3, whose |x2| = 9/11 is the smaller argument outside |z+1| <= 2; the
+    # connection's value was 22 % off.  mpmath's P here is
+    # 7.42098060011702957.  REP3 is 9e-14 off relative, beyond its estimate
+    # of 1.2e-15 relative: its prefactor's log gammas at Re of about 100 are
+    # not counted in it.
     params = JacobiParams(100, 0.2, 0.3)
     for arg in (10.0, np.array([10.0 + 0.0j])):
         res = jacobi_p(params, arg)
-        assert res.provenance == "rep1"
+        assert res.provenance == "rep3"
         assert abs(complex(np.ravel(res.value)[0]) - 7.42098060011702957) <= 1e-12 * 7.42
 
 

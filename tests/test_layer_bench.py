@@ -16,7 +16,8 @@ _PATH = os.path.join(_ROOT, "tools", "layer_bench.py")
 _LAYERS = {
     "gamma.gamma", "gamma.log_gamma", "gamma.reciprocal_gamma",
     "2f1.modulus 0.00-0.25", "2f1.modulus 0.25-0.50", "2f1.modulus 0.50-0.75", "2f1.modulus 0.75-0.95",
-    "P.rep1", "P.rep3", "P.connection", "Q", "connection_batch.16", "connection_batch.151",
+    "P.rep1", "P.rep3", "P.connection", "Q", "plan.p.16", "plan.p.151", "plan.q.16", "plan.q.151",
+    "series_batch.16", "series_batch.151", "series_batch.256", "connection_batch.16", "connection_batch.151",
 }
 _COUNTS = {"lanczos", "terms", "leading_us", "instrumented_us"}
 

@@ -26,3 +26,11 @@ def test_differences_by_kind():
     first = ["0x1p+0 0x0p+0|0x1p-52|rep1", "0x1p+0 0x0p+0|0x1p-52|rep1", "! NoConvergentPath", "0x1p+0 0x0p+0|0x1p-52|rep1"]
     second = ["0x1p+0 -0x0p+0|0x1p-52|rep1", "0x1p+0 0x0p+0|0x1p-51|rep3", "! CutError", "0x1p+0 0x0p+0|0x1p-52|rep1"]
     assert same_bits.differences(first, second) == {"value": 1, "estimate": 1, "provenance": 1, "error": 1}
+
+
+def test_transitions_by_outcome():
+    first = ["1|2|rep1", "1|2|rep1", "3|4|rep1", "! CutError", "! CutError", "5|6|rep3"]
+    second = ["1|2|rep3", "1|2|rep3", "3|4|rep1", "! NoConvergentPath", "0|0|rep1", "5|7|rep3"]
+    assert same_bits.transitions(first, second) == {
+        "rep1 -> rep3": 2, "CutError -> NoConvergentPath": 1, "CutError -> rep1": 1
+    }

@@ -13,8 +13,13 @@ the same fixed seeded inputs:
   calls on the box of the benchmark's scatter-eval workload (Re of alpha,
   beta and gamma in [-0.65, 2.8], |Im| <= 0.45; |Re z| < 4, |Im z| < 2),
   grouped by the parent's provenance;
+* the AUTO plans, ``jacobi_first._p_plan`` and ``jacobi_second._q_plan``
+  (``plan.p``, ``plan.q``), at 16 and 151 points of the same box;
+* the batched regularized 2F1 series, ``hypergeom._series_batch``, at 16,
+  151 and 256 points with |x| <= 0.75, at the parameters of Q's REP1;
 * ``jacobi_first._connection_batch`` at 16 and 151 points, its plan formed
-  outside the timing.
+  outside the timing and read by position (the connection is the plan's
+  last entry).
 
 Inputs where either checkout raises are dropped.  In each round the
 checkouts take turns on each layer, the parent first in even rounds; a
@@ -116,6 +121,21 @@ def build(pkgs: dict, calls: int, seed: int) -> dict:
     add("Q", lambda p, x: (lambda: p["jacobi_first"]._second.jacobi_q(p["jacobi_first"].JacobiParams(*x[0]), x[1])),
         points[calls:])
 
+    # The plans: per size, a few triples, each at points of the box.
+    for size in (16, 151):
+        inputs = [(t, np.array(_z(rng, size))) for t in _triples(rng, max(2, calls // 200))]
+        add(f"plan.p.{size}", lambda p, x: _plan_call(p["jacobi_first"]._p_plan, p, x), inputs)
+        add(f"plan.q.{size}", lambda p, x: _plan_call(p["jacobi_first"]._second._q_plan, p, x), inputs)
+
+    # The batched series: per size, a few triples, each at points of the disk |x| <= 0.75.
+    for size in (16, 151, 256):
+        inputs = []
+        for a, b, g in _triples(rng, max(2, calls // 200)):
+            u = rng.random((size, 2))
+            x = 0.75 * np.sqrt(u[:, 0]) * np.exp(6.283j * u[:, 1])
+            inputs.append(((g + 1.0, a + g + 1.0, a + b + 2.0 * g + 2.0), x))
+        add(f"series_batch.{size}", lambda p, x: (lambda: p["hypergeom"]._series_batch(*x[0], x[1], None)), inputs)
+
     # The batched connection: per size, a few triples, each at points its plan sends to the connection.
     for size in (16, 151):
         inputs = []
@@ -134,16 +154,27 @@ def build(pkgs: dict, calls: int, seed: int) -> dict:
     return layers
 
 
+def _plan_call(plan, p: dict, x):
+    """A call of an AUTO plan at the points x[1] for the triple x[0], as the array calls form it."""
+    params, zs = p["jacobi_first"].JacobiParams(*x[0]), x[1]
+
+    def call():
+        with np.errstate(all="ignore"):
+            return plan(params, zs)
+
+    return call
+
+
 def _connection_batch_call(p: dict, x):
     """A call of ``_connection_batch`` on its plan at the points x[1], the plan formed here."""
     first = p["jacobi_first"]
     params, zs = first.JacobiParams(*x[0]), x[1]
     with np.errstate(all="ignore"):
-        _, _, (coeffs, triples, codes, argument, route) = first._p_plan(params, zs)
+        connection = first._p_plan(params, zs)[-1]
 
     def call():
         with np.errstate(all="ignore"):
-            return first._connection_batch(zs, coeffs, triples, codes, argument, route)
+            return first._connection_batch(zs, *connection)
 
     return call
 

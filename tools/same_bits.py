@@ -13,14 +13,16 @@ right of -1: Re in [-0.9, 4], |Im| <= 2; Q off [-1, 1]: |Re| <= 4, Im of
 one sign with 0.1 <= |Im| <= 2); and writes the report of ``jacobifn
 verify --all --seed 7 --samples 5``.  Prints how many scalar calls and how
 many array calls differ in the bits of their values, of their error
-estimates, in their provenance or in the name of the error they raise, and
-whether the two reports and their exit codes match.  Exits 1 on any
-difference.
+estimates, in their provenance or in the name of the error they raise,
+then each transition of the outcome (provenance or error name) with its
+count, as ``rep1 -> rep3: 7``, and whether the two reports and their exit
+codes match.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import os
 import subprocess
 import sys
@@ -113,6 +115,18 @@ def differences(first: list[str], second: list[str]) -> dict[str, int]:
     return counts
 
 
+def _outcome(line: str) -> str:
+    """The provenance of a dumped line, or the name of the error it raised."""
+    return line[2:] if line.startswith("!") else line.rsplit("|", 1)[-1]
+
+
+def transitions(first: list[str], second: list[str]) -> collections.Counter:
+    """Number of calls per change of outcome, keyed "parent -> change"."""
+    return collections.Counter(
+        f"{_outcome(a)} -> {_outcome(b)}" for a, b in zip(first, second) if _outcome(a) != _outcome(b)
+    )
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkouts", nargs="*", metavar="CHECKOUT", help="the parent and the change")
@@ -140,6 +154,8 @@ def main(argv=None) -> int:
         total += differing
         print(f"{name}: {len(b)} (seed {args.seed}), differing outputs: {differing}")
         print("  " + ", ".join(f"{key} {n}" for key, n in differences(a, b).items()))
+        for move, n in sorted(transitions(a, b).items()):
+            print(f"  {move}: {n}")
     print(f"verify --all --seed 7 --samples 5 reports: {'identical' if same_report else 'DIFFER'}"
           f" (exit codes {code0}, {code1})")
     return 0 if total == 0 and same_report else 1
