@@ -6,10 +6,11 @@ scalar's exception.  The ulps allow for the batch forming z^k by repeated
 products and powers as exp(s Log w), where the scalar series carries the
 term ratio and uses Python's complex power.  Neither error estimate covers
 the rounding of a power or an exponential, which is about |s Log w| ulps,
-so where one enters (a logarithm) the ulps scale with it.  Nor does the series estimate, |last term| + eps sum |terms|, count
-the rounding that builds up in a term formed by k products; the two
-evaluations' difference from it grows like sqrt(K) for K terms, so the
-estimates are scaled by that.  (At z = -0.952 a 1419-term series is 9e-12
+so where one enters (a logarithm) the ulps scale with it.  Nor does the
+series estimate, |last term| + eps sum |terms|, count the rounding that
+builds up in a term formed by k products; the two evaluations' difference
+from it grows like sqrt(K) for K terms, so the estimates are scaled by
+that.  (At z = -0.952 a 1419-term series is 9e-12
 from the exact value against an estimate of 3e-13, in both evaluations.)
 The large-z connection of P reports a flat 1e-13 |value| estimate
 that ignores its parts, so its values are compared within the parts'
@@ -19,8 +20,8 @@ The z of the properties mix points of the plane with points within 4 ulps
 of the plans' thresholds, where numpy and Python round a modulus or a
 quotient apart; the plans use neither, only moduli formed as Python forms
 them (Q's the moduli of 1 -+ z, not its quotient 2/(1 -+ z)), so the batch
-and the scalar call take the same plan there too.  The thresholds include the
-circles of radius CUT_GUARD about the ends of the cuts, where numpy and
+and the scalar call take the same plan there too.  The thresholds include
+the circles of radius CUT_GUARD about the ends of the cuts, where numpy and
 Python must agree on which points are on a cut: there a rounding
 difference would turn a value into an error.  The examples are fixed (the
 suite's Hypothesis profile derandomizes them) so that a run repeats; the
