@@ -617,13 +617,13 @@ def _series_batch(a, b, c, z: np.ndarray, m_stop: int | None, regularized: bool 
 
 
 def _ohyp2f1_batch(a, b, c, z: np.ndarray, regularized: bool = True):
-    """``ohyp2f1`` (``gauss2f1`` when not regularized) by its direct series at every point of a 1-D array z: (value, error estimate, covered).
+    """``ohyp2f1`` (``gauss2f1`` when not regularized) at every point of a 1-D array z: (value, error estimate, covered).
 
-    Exact where the series terminates; else callers keep every |z| within
-    MAP_LIMIT, and no point is mapped.  A point is not covered where the
-    scalar series warns at the term cap or the batch's result is not
-    finite; callers evaluate it with the scalar call.  The plain series
-    runs no lower-pole guard: its callers keep c off -N0.
+    Sums the direct series, exact where it terminates; else callers keep
+    every |z| within MAP_LIMIT, and no point is mapped.  A point is not
+    covered where the scalar series warns at the term cap or the batch's
+    result is not finite; callers evaluate it with the scalar call.  The
+    plain series runs no lower-pole guard: its callers keep c off -N0.
     """
     a, b, c = complex(a), complex(b), complex(c)
     value, err, ok = _series_batch(a, b, c, z, termination_index((a, b)), regularized)

@@ -10,8 +10,8 @@ so where one enters (a logarithm) the ulps scale with it.  Nor does the
 series estimate, |last term| + eps sum |terms|, count the rounding that
 builds up in a term formed by k products; the two evaluations' difference
 from it grows like sqrt(K) for K terms, so the estimates are scaled by
-that.  (At z = -0.952 a 1419-term series is 9e-12
-from the exact value against an estimate of 3e-13, in both evaluations.)
+that.  (At z = -0.952 a 1419-term series is 9e-12 from the exact value
+against an estimate of 3e-13, in both evaluations.)
 The large-z connection of P reports a flat 1e-13 |value| estimate
 that ignores its parts, so its values are compared within the parts'
 estimates: the two second-kind values and their series errors.
@@ -51,7 +51,6 @@ from jacobifn.errors import (
     ValidityError,
 )
 from jacobifn.hypergeom import (
-    BATCH_POINTS,
     DIRECT_LIMIT,
     MAP_LIMIT,
     _direct_2f1,
@@ -73,7 +72,7 @@ from jacobifn.jacobi_first import (
     jacobi_p_scaled,
 )
 from jacobifn.jacobi_second import Q_NO_PATH, Q_REP1, _q_plan, _q_points, jacobi_q, jacobi_q_log
-from jacobifn.quadrature import CUT_GUARD, Cut
+from jacobifn.quadrature import CUT_GUARD
 from jacobifn.result import EvalResult
 from jacobifn.scalar_kernel import reciprocal_gamma
 
@@ -653,9 +652,10 @@ def _ulp_ring(curve, n: int, seed: int) -> list[complex]:
 
 # Besides a generic triple: a resonant one, (0.3, 0.2, 0.75), whose
 # connection has no coefficients (alpha+beta+2 gamma = 2), so that P takes
-# REP1 or REP3 beyond the preferred disk; and (0.3, 0.2, 0.5), where alpha+beta+gamma = 1 and
-# the REP1 series of the companion of P's connection, of degree -2,
-# terminates: in Q's lens only one of the connection's two Q plans has a path.
+# REP1 or REP3 beyond the preferred disk; and (0.3, 0.2, 0.5), where
+# alpha+beta+gamma = 1 and the REP1 series of the companion of P's
+# connection, of degree -2, terminates: in Q's lens only one of the
+# connection's two Q plans has a path.
 _RESONANT, _COMPANION_ENDS = JacobiParams(0.3, 0.2, 0.75), JacobiParams(0.3, 0.2, 0.5)
 
 
