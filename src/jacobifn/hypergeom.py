@@ -28,9 +28,9 @@ Three evaluation layers:
   regularized, both served by one continuation routine, which the Jacobi
   layers' explicit representations call too.  The reachable arguments
   under the classical maps are {z, z/(z-1)} (Euler's map keeps the
-  argument); one router, ``_route``, picks from |z| and |z-1| alone.  The
-  AUTO plans never map: each code names a series within MAP_LIMIT or one
-  that terminates, which they sum with ``_direct_2f1``.
+  argument); ``_continued_2f1`` picks from |z| and |z-1| alone.  The AUTO
+  plans never map: each code names a series within MAP_LIMIT or one that
+  terminates, which they sum with ``_direct_2f1``.
 * ``_ohyp2f1_batch`` -- that direct series of one (a, b, c) over an
   ndarray of z, for the AUTO plans' groups of points.  It keeps the scalar
   stopping rule and error estimate, but sums with numpy
@@ -71,7 +71,7 @@ from .errors import (
     TruncationWarning,
     ZeroArgument,
 )
-from .quadrature import CUT_GUARD, Cut, modulus, where
+from .quadrature import CUT_GUARD, Cut, modulus
 from .scalar_kernel import pochhammer_product, pochhammer_products, reciprocal_gamma
 
 STOP_RATIO = 1e-15
@@ -83,12 +83,10 @@ _STOP_SLOPE = 2.0 * STOP_RATIO
 _STOP_FLOOR = STOP_RATIO * 1e-300
 _EPS = 2.220446049250313e-16
 _LOG_EPS = math.log(_EPS)
-# Argument routing of the 2F1 continuation: the direct series is taken
-# inside DIRECT_LIMIT, and no series runs beyond MAP_LIMIT.
+# The 2F1 continuation takes the direct series inside DIRECT_LIMIT, and no
+# series runs beyond MAP_LIMIT.
 DIRECT_LIMIT = 0.75
 MAP_LIMIT = 0.99
-# Routes of the 2F1 continuation (``_route``); the last two raise.
-DIRECT, MAP, NO_PATH, ON_CUT = 0, 1, 2, 3
 # The branch cut of the 2F1.
 _CUT = Cut.right_ray(1.0)
 # Block shape of the batched series: points per call (the Jacobi layers
@@ -497,21 +495,6 @@ def ohyp(upper, lower, argument) -> SeriesValue:
     return _checked_series(upper, lower, argument, regularized=True)
 
 
-def _route(z):
-    """The route at z, a scalar or an ndarray, of a 2F1 series that does not terminate.
-
-    ON_CUT within CUT_GUARD of the cut, NO_PATH where neither |z| nor
-    |z/(z-1)| (|z| <= MAP_LIMIT |z-1| at a finite |z|) is within MAP_LIMIT,
-    DIRECT within DIRECT_LIMIT or where |z| <= |z/(z-1)|, i.e. |z-1| <= 1,
-    and MAP otherwise.  Only moduli enter: an array's route at each point is
-    the scalar call's at that point's bits.
-    """
-    az, az1 = modulus(z), modulus(z - 1.0)
-    path = (az <= MAP_LIMIT) | (az <= MAP_LIMIT * az1) & (az < math.inf)
-    route = where(path, MAP * ((az > DIRECT_LIMIT) & (az1 > 1.0)), NO_PATH)
-    return where(_CUT.distance(z) < CUT_GUARD, ON_CUT, route)
-
-
 def _direct_2f1(a: complex, b: complex, c: complex, x: complex, regularized: bool) -> SeriesValue:
     """2F1(a, b; c; x), plain or regularized, by its series at x, exact where it terminates.
 
@@ -529,24 +512,29 @@ def _continued_2f1(a: complex, b: complex, c: complex, z: complex, regularized: 
     """2F1(a, b; c; z), plain or regularized, continued via the z/(z-1) map.
 
     Takes complex parameters and argument.  A series that terminates is
-    summed at z; else the ``_route`` of z decides: CutError on the cut,
-    NoConvergentPath where neither argument is within MAP_LIMIT, the direct
-    series or the map's, whose series (a, c-b) terminates only by c-b.
+    summed at z.  Else, from |z| and |z-1| alone: CutError within CUT_GUARD
+    of the cut; NoConvergentPath where neither |z| nor |z/(z-1)| (|z| <=
+    MAP_LIMIT |z-1| at a finite |z|) is within MAP_LIMIT, as at a NaN part;
+    the direct series within DIRECT_LIMIT or where |z| <= |z/(z-1)|, i.e.
+    |z-1| <= 1; else the map's, whose series (a, c-b) terminates only by c-b.
     """
-    if termination_index((a, b)) is None and (route := _route(z)) != DIRECT:
-        if route == ON_CUT:
-            raise CutError(f"z={z} on the cut {_CUT}")
-        if route == NO_PATH:
-            best = min(modulus(z), modulus(z / (z - 1.0)))
-            raise NoConvergentPath(f"no transformed argument inside the disk (best modulus {best:.3f})")
-        series = _direct_2f1(a, c - b, c, z / (z - 1.0), regularized)
-        try:
-            fac = (1.0 - z) ** (-a)
-            size = abs(fac)
-        except OverflowError:
-            raise FactorOverflow(f"(1-z)^(-a) at z={z}, a={a} is past double range") from None
-        return SeriesValue(fac * series.value, size * series.abs_error_estimate, series.terms_used, series.terminated)
-    return _direct_2f1(a, b, c, z, regularized)
+    if termination_index((a, b)) is not None:
+        return _direct_2f1(a, b, c, z, regularized)
+    if _CUT.distance(z) < CUT_GUARD:
+        raise CutError(f"z={z} on the cut {_CUT}")
+    az, az1 = modulus(z), modulus(z - 1.0)
+    if not (az <= MAP_LIMIT or az <= MAP_LIMIT * az1 and az < math.inf):
+        best = min(az, modulus(z / (z - 1.0)))
+        raise NoConvergentPath(f"no transformed argument inside the disk (best modulus {best:.3f})")
+    if az <= DIRECT_LIMIT or az1 <= 1.0:
+        return _direct_2f1(a, b, c, z, regularized)
+    series = _direct_2f1(a, c - b, c, z / (z - 1.0), regularized)
+    try:
+        fac = (1.0 - z) ** (-a)
+        size = abs(fac)
+    except OverflowError:
+        raise FactorOverflow(f"(1-z)^(-a) at z={z}, a={a} is past double range") from None
+    return SeriesValue(fac * series.value, size * series.abs_error_estimate, series.terms_used, series.terminated)
 
 
 def gauss2f1(a, b, c, z) -> SeriesValue:

@@ -240,13 +240,13 @@ def _connection_coeffs(a: complex, b: complex, g: complex) -> tuple[complex, com
     1/((1+s) Gamma(1+s)), and 1/Gamma(-s) = -Gamma(1+s) sin(pi s)/pi
     (DLMF 5.5.3), which cancels B's 1/sin(pi s); the companion prefactor's
     gammas cancel 1/(Gamma(-b-g) Gamma(-a-g)).  So A' = A/(1+s) and B' =
-    2/(Gamma(g+1) Gamma(a+b+g+1)), and the shared Gamma(1+s) is carried in
-    the second-kind logs, not here, so that it cannot overflow
-    (``_connection_bases``).  Degenerate on the resonant set where the two
-    large-z exponents merge or a second-kind solution becomes invalid: the
-    companion's, or the triple's own at beta+gamma in -N.  Where one of its
-    sines passes double range (sin(pi w) from |Im w| of about 226, so from
-    |Im gamma| of about 113 for the catalog's alpha and beta) it raises
+    2/(Gamma(g+1) Gamma(a+b+g+1)); the shared Gamma(1+s) is carried in the
+    log prefactors of ``_connection_plan``, so that it cannot overflow.
+    Degenerate on the resonant set where the two large-z exponents merge
+    or a second-kind solution becomes invalid: the companion's, or the
+    triple's own at beta+gamma in -N.  Where one of its sines passes double
+    range (sin(pi w) from |Im w| of about 226, so from |Im gamma| of about
+    113 for the catalog's alpha and beta) it raises
     FactorOverflow: the values the connection returned just short of that
     were already far outside their flat estimate.
     """
@@ -269,17 +269,6 @@ def _connection_coeffs(a: complex, b: complex, g: complex) -> tuple[complex, com
         raise _sine_overflow(a, b, g) from None
     coef_b = 2.0 * reciprocal_gamma(g + 1.0) * reciprocal_gamma(a + b + g + 1.0)
     return coef_a, coef_b, -a - b - g - 1.0
-
-
-def _connection_bases(params: JacobiParams, g2: complex) -> tuple[complex, complex]:
-    """Log prefactors of the connection's plain second-kind series, the triple's and the companion's (degree g2).
-
-    Q's own log prefactor less log Gamma(1+s), and the companion's power of
-    2 alone plus log Gamma(1+s), s = a+b+2g (``_connection_coeffs``).
-    """
-    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    shared = log_gamma(a + b + 2.0 * g + 1.0)
-    return _second._q_log_prefactor(a, b, g) - shared, _second._q_log_prefactor(a, b, g2, False) + shared
 
 
 def _exp(w):
@@ -329,22 +318,31 @@ def _terminates(params: JacobiParams) -> bool:
 P_REP1, P_REP3, P_CONNECTION, P_REP1_BEYOND, P_NO_PATH, P_ON_CUT = range(6)
 
 
-def _connection_plan(params: JacobiParams, z):
-    """(taken, (coefficients, triples, codes, argument)) of P's large-z connection at z.
+def _connection_plan(params: JacobiParams, z, beyond):
+    """(taken, (coefficients, triples, codes, argument, bases)) of P's large-z connection at z.
 
-    z is a scalar or a 1-D ndarray.  Taken where the coefficients exist and
-    both second-kind logs sum: Q's plan at z, for the triple and its
-    companion, which differ only where one's series terminates.
+    z is a scalar or a 1-D ndarray, ``beyond`` (a mask) its points that ask
+    for it.  Taken where both second-kind logs sum: Q's plan at z, for the
+    triple and its companion of degree -a-b-g-1.  Only where a point of
+    ``beyond`` takes it are the coefficients formed (``_connection_coeffs``)
+    and the plain series' log prefactors ``bases``: Q's own less log
+    Gamma(1+s), and the companion's power of 2 plus log Gamma(1+s), s =
+    a+b+2g.  Else, as on the resonant set, (False, None).
     """
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
+    g2 = -a - b - g - 1.0
+    triples = params, JacobiParams(a, b, g2)
+    codes, argument = _second._q_plan(params, z, triples[1])
+    taken = where(codes[0] >= codes[1], codes[0], codes[1]) < _second.Q_NO_PATH
+    if not ((taken & beyond).any() if isinstance(z, np.ndarray) else taken and beyond):
+        return False, None
     try:
         coeffs = _connection_coeffs(a, b, g)
     except NoConvergentPath:
         return False, None
-    triples = params, JacobiParams(a, b, coeffs[2])
-    codes, argument = _second._q_plan(params, z, triples[1])
-    taken = where(codes[0] >= codes[1], codes[0], codes[1]) < _second.Q_NO_PATH
-    return taken, (coeffs, triples, codes, argument)
+    shared = log_gamma(a + b + 2.0 * g + 1.0)
+    bases = _second._q_log_prefactor(a, b, g) - shared, (a + b + g2) * math.log(2.0) + shared
+    return taken, (coeffs, triples, codes, argument, bases)
 
 
 def _p_plan(params: JacobiParams, z, connect: bool = True):
@@ -369,7 +367,7 @@ def _p_plan(params: JacobiParams, z, connect: bool = True):
     beyond = code == P_REP1_BEYOND
     if not (beyond.any() if isinstance(z, np.ndarray) else beyond) or _terminates(params):
         return code, None
-    taken, connection = _connection_plan(params, z) if connect else (False, None)
+    taken, connection = _connection_plan(params, z, beyond) if connect else (False, None)
     far = where(taken, P_CONNECTION, where(arg <= MAP_LIMIT, where(rep1, P_REP1_BEYOND, P_REP3), P_NO_PATH))
     return where(beyond, far, code), connection
 
@@ -398,14 +396,12 @@ def _auto(params: JacobiParams, z: complex):
     if code != P_CONNECTION:
         res = _plan_value(params, z, code)
     if code == P_REP1_BEYOND and not cmath.isfinite(res.value) and _terminates(params):
-        taken, connection = _connection_plan(params, z)
+        taken, connection = _connection_plan(params, z, True)
         code = P_CONNECTION if taken else code
     if code == P_CONNECTION:
-        coeffs, triples, codes, argument = connection
         try:
-            bases = _connection_bases(params, coeffs[2])
-            logs = _second._connection_logs(triples, z, (codes, argument), bases)
-            return (*_connection_mix(coeffs, *logs), 0.0, "connection")
+            logs = _second._connection_logs(z, connection)
+            return (*_connection_mix(connection[0], *logs), 0.0, "connection")
         except VanishingValue:
             res = res or _plan_value(params, z, _p_plan(params, z, False)[0])
     return 0.0 + 0.0j, res.value, res.abs_error_estimate, res.provenance
@@ -494,14 +490,13 @@ def _rep_batch(params: JacobiParams, z: np.ndarray, rep: Representation):
         return (*_apply_factor(factor, series, serr), covered)
 
 
-def _connection_batch(z: np.ndarray, coeffs, triples, codes, argument):
+def _connection_batch(z: np.ndarray, coeffs, triples, codes, argument, bases):
     """(log_scale, mantissa, covered) of the large-z connection at every point of z.
 
     The second-kind logs of its triples follow Q's plan at z, with plain
-    series and the prefactors of ``_connection_bases``; a point is covered
+    series and the plan's log prefactors ``bases``; a point is covered
     where both are.
     """
-    bases = _connection_bases(triples[0], coeffs[2])
     (log1, _, ok1), (log2, _, ok2) = (
         _second._q_sum(t, z, code, argument, True, base)
         for t, code, base in zip(triples, codes, bases)
@@ -576,10 +571,15 @@ def _p_points(params: JacobiParams, z: np.ndarray, scaled: bool = False, memo: b
 
     def batch(zs: np.ndarray):
         n = zs.size
-        if not params.first_kind_valid():
-            return (), np.zeros(n, dtype=bool), 0
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            code, connection = _p_plan(params, zs)
+        try:
+            _require_p_domain(params)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                code, connection = _p_plan(params, zs)
+        except JacobiFnError:
+            # An invalid triple, or connection coefficients past double
+            # range: no plan, so the scalar calls find the first point that
+            # raises, with no plan formed again for the points after it.
+            return (), np.zeros(n, dtype=bool), n
         stop = _first(code >= P_NO_PATH)
         code[stop:] = P_ON_CUT
         log_scale, value, err = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex), np.zeros(n)
@@ -591,8 +591,8 @@ def _p_points(params: JacobiParams, z: np.ndarray, scaled: bool = False, memo: b
                 value[idx], err[idx], covered[idx] = _rep_batch(params, zs[idx], rep)
         idx = np.flatnonzero(code == P_CONNECTION)
         if idx.size:
-            coeffs, triples, codes, argument = connection
-            parts = [c[idx] for c in codes], argument[idx]
+            coeffs, triples, codes, argument, bases = connection
+            parts = [c[idx] for c in codes], argument[idx], bases
             log_scale[idx], value[idx], covered[idx] = _connection_batch(zs[idx], coeffs, triples, *parts)
             if not scaled:
                 with np.errstate(over="ignore", invalid="ignore"):

@@ -87,20 +87,15 @@ def _require_q_domain(params: JacobiParams, z: complex | None = None) -> None:
         _require_off_cut(Q_CUT, z)
 
 
-def _q_log_prefactor(a: complex, b: complex, g: complex, gammas: bool = True) -> complex:
-    """log of 2^(a+b+g) Gamma(a+g+1) Gamma(b+g+1), or of 2^(a+b+g) alone without gammas.
+def _q_log_prefactor(a: complex, b: complex, g: complex) -> complex:
+    """log of 2^(a+b+g) Gamma(a+g+1) Gamma(b+g+1).
 
     Shared by all four representations; each adds its own powers of z -+ 1
     and multiplies the regularized 2F1 with lower parameter a+b+2g+2.  P's
     large-z connection sums its two 2F1 plain and moves their reciprocal
-    gammas: it takes the triple's prefactor less log Gamma(1+s) and its
-    companion's without gammas plus log Gamma(1+s), s = a+b+2g of the triple
-    (``_connection_coeffs``, ``_connection_bases``).
+    gammas into its own log prefactors (``_connection_plan``).
     """
-    log_power = (a + b + g) * math.log(2.0)
-    if not gammas:
-        return log_power
-    return log_power + log_gamma(a + g + 1.0) + log_gamma(b + g + 1.0)
+    return (a + b + g) * math.log(2.0) + log_gamma(a + g + 1.0) + log_gamma(b + g + 1.0)
 
 
 def _q_terms(a: complex, b: complex, g: complex, rep: Representation):
@@ -206,17 +201,17 @@ def _log_value(logf: complex, value: complex, z: complex) -> complex:
     return logf + cmath.log(value)
 
 
-def _connection_logs(triples, z: complex, plan, bases) -> list[complex]:
+def _connection_logs(z: complex, connection) -> list[complex]:
     """The two second-kind logs of P's large-z connection at a scalar z, from plain 2F1 series.
 
-    ``plan`` is Q's plan at z for the triple and its companion, one that
-    the connection takes (so each code sums its direct series), and
-    ``bases`` their log prefactors.  The two share log(z -+ 1) and the
-    argument; each raises as ``_log_value`` does.  A sum that is 0 within
-    its error estimate, one whose terms cancelled every digit, also raises
-    VanishingValue.
+    ``connection`` is P's plan of it at z (``_connection_plan``), one that
+    takes it: the triple and its companion, Q's plan of each (so each code
+    sums its direct series) and their log prefactors.  The two share log(z
+    -+ 1) and the argument; each raises as ``_log_value`` does.  A sum that
+    is 0 within its error estimate, one whose terms cancelled every digit,
+    also raises VanishingValue.
     """
-    codes, argument = plan
+    _, triples, codes, argument, bases = connection
     # z - -1.0 keeps a -0.0 imaginary part, as in ``_q_parts``.
     log_zm, log_zp = cmath.log(z - 1.0), cmath.log(z - -1.0)
     logs = []

@@ -16,7 +16,7 @@
   rule for scalars and arrays.  The contour radii, the Jacobi functions'
   domains and the 2F1's cut all measure with it, against one ``CUT_GUARD``.
   Its ``modulus`` gives an array the scalar call's bits at every point, as
-  it does the routing predicates of the 2F1, P and Q.
+  it does the AUTO plans of P and Q.
 
 Every oracle calls its integrand with ndarrays of nodes, and the integrand
 returns an array of values.  The Gauss sums call it once per rule size.  A

@@ -40,7 +40,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jacobifn import hypergeom
+from jacobifn import hypergeom, scalar_kernel
 from jacobifn.cli import main
 from jacobifn.errors import (
     DomainCutError,
@@ -60,6 +60,7 @@ from jacobifn.hypergeom import (
 from jacobifn.jacobi_first import (
     _PROVENANCE,
     AUTO_ARG_LIMIT,
+    P_CONNECTION,
     P_REP1_BEYOND,
     POINTS_MEMO,
     JacobiParams,
@@ -672,11 +673,55 @@ def _plan_moves(fn, params, zs) -> list:
 
 def test_one_q_plan_of_the_connection_has_a_path_in_the_lens():
     # At -0.5+i, beyond P's preferred disk, 2/(1-z) is beyond MAP_LIMIT,
-    # but the companion's REP1 series terminates.
-    taken, (_, _, codes, _) = _connection_plan(_COMPANION_ENDS, -0.5 + 1.0j)
-    assert (taken, codes) == (False, (Q_NO_PATH, Q_REP1))
+    # but the companion's REP1 series terminates; so the connection is not
+    # taken, and its plan forms nothing.
+    a, b, g = 0.3, 0.2, 0.5
+    codes, _ = _q_plan(_COMPANION_ENDS, -0.5 + 1.0j, JacobiParams(a, b, -a - b - g - 1.0))
+    assert codes == (Q_NO_PATH, Q_REP1)
+    assert _connection_plan(_COMPANION_ENDS, -0.5 + 1.0j, True) == (False, None)
     assert _p_plan(_COMPANION_ENDS, -0.5 + 1.0j)[0] == P_REP1_BEYOND
     assert jacobi_p(_COMPANION_ENDS, -0.5 + 1.0j).provenance == "rep1"
+
+
+def _plan_sums(params, z) -> int:
+    """The Lanczos sums of the gamma kernel that P's plan forms at z."""
+    with mock.patch.object(scalar_kernel, "_lanczos_series", wraps=scalar_kernel._lanczos_series) as lanczos:
+        _p_plan(params, z)
+    return lanczos.call_count
+
+
+def test_p_plan_forms_the_connection_only_where_it_is_taken():
+    # At -0.5+i, beyond P's preferred disk and in Q's lens, Q's plan refuses
+    # the connection of this triple, so P's plan forms no coefficient and no
+    # log prefactor there, alone or in a one-point array.  At -3+i it takes
+    # the connection: two reciprocal gammas of B' and three log gammas of
+    # the log prefactors.
+    params = JacobiParams(0.3 + 0.2j, -0.4, 1.1 - 0.1j)
+    for z, code, sums in ((-0.5 + 1.0j, P_REP1_BEYOND, 0), (-3.0 + 1.0j, P_CONNECTION, 5)):
+        assert _p_plan(params, z)[0] == code
+        assert _plan_sums(params, z) == sums
+        assert _plan_sums(params, np.array([z])) == sums
+
+
+def test_array_whose_plan_overflows_fails_where_the_scalar_call_does():
+    # At |Im gamma| = 120 the connection's sines pass double range, so the
+    # plan of the whole grid raises.  The array call then takes the scalar
+    # call point by point: the earlier points get its bits, and the failure
+    # is the first point where it raises (the connection is taken there).
+    params = JacobiParams(0.3, 0.2, 0.5 + 120j)
+    grid = [0.5 + 0.1j + k * (-3.5 + 0.9j) / 3 for k in range(4)]
+    with pytest.raises(FactorOverflow):
+        _p_plan(params, np.array(grid))
+    outcomes = [_outcome(jacobi_p, params, w) for w in grid]
+    assert outcomes == ["rep1", "rep1", "FactorOverflow", "FactorOverflow"]
+    columns, (i, exc) = _p_points(params, np.array(grid), memo=False)
+    assert (i, type(exc)) == (2, FactorOverflow)
+    for k in range(i):
+        want = jacobi_p(params, grid[k])
+        got = columns[1][k], columns[2][k], _PROVENANCE[columns[3][k]]
+        assert got == (want.value, want.abs_error_estimate, want.provenance)
+    with pytest.raises(FactorOverflow):
+        jacobi_p(params, np.array(grid))
 
 
 @pytest.mark.parametrize("kind", ["P", "Q"])

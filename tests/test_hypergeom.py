@@ -21,6 +21,8 @@ from jacobifn.errors import (
     ZeroArgument,
 )
 from jacobifn.hypergeom import (
+    DIRECT_LIMIT,
+    MAP_LIMIT,
     HypParams,
     gauss2f1,
     ohyp,
@@ -28,7 +30,7 @@ from jacobifn.hypergeom import (
     phyp,
     reverse_finite_series,
 )
-from jacobifn.quadrature import contour_derivative
+from jacobifn.quadrature import CUT_GUARD, contour_derivative
 from jacobifn.scalar_kernel import gamma, pochhammer, pochhammer_product, reciprocal_gamma
 
 
@@ -102,6 +104,59 @@ def test_gauss2f1_no_convergent_path():
     # |z| and |z/(z-1)| both > 0.99 near z = 1/2 + i sqrt(3)/2-ish scaled out.
     with pytest.raises(NoConvergentPath):
         gauss2f1(0.5, 0.7, 1.9, 0.5 + 0.9j)
+
+
+def _continuation_outcome(z: complex, a: complex = 0.5) -> str:
+    """What the 2F1 continuation does at z: "direct", "map" (the series at z/(z-1)), or the error it raises."""
+    with mock.patch.object(hypergeom, "_direct_2f1", wraps=hypergeom._direct_2f1) as direct:
+        try:
+            hypergeom._continued_2f1(a, 0.7 + 0.1j, 1.9, z, True)
+        except JacobiFnError as exc:
+            return type(exc).__name__
+    return "direct" if direct.call_args.args[3] == z else "map"
+
+
+def _sides(on, measure, limit: float, step: float = 1e-12) -> tuple[complex, complex]:
+    """Points just inside and just outside a boundary measure(z) = limit: on(r) at r = 1 -+ step."""
+    inside, outside = on(1.0 - step), on(1.0 + step)
+    assert measure(inside) <= limit < measure(outside)
+    return inside, outside
+
+
+def test_continuation_outcome_on_each_side_of_every_boundary():
+    # Where neither 2F1 upper parameter terminates, |z| and |z-1| decide, in
+    # this order: CutError within CUT_GUARD of [1, oo); NoConvergentPath
+    # where neither |z| nor |z/(z-1)| is within MAP_LIMIT; the direct series
+    # within DIRECT_LIMIT or where |z-1| <= 1; else the z/(z-1) map.
+    def zw(w):
+        return w / (w - 1.0)
+
+    boundaries = [
+        # |z| = DIRECT_LIMIT, with |z-1| > 1.
+        (lambda r: -DIRECT_LIMIT * r + 0.0j, abs, DIRECT_LIMIT, ("direct", "map")),
+        # |z-1| = 1, with DIRECT_LIMIT < |z| = |z/(z-1)| < MAP_LIMIT.
+        (lambda r: 1.0 + cmath.rect(r, 2.21), lambda z: abs(z - 1.0), 1.0, ("direct", "map")),
+        # |z| = MAP_LIMIT, with |z-1| < 1 and |z/(z-1)| > MAP_LIMIT.
+        (lambda r: cmath.rect(MAP_LIMIT * r, 0.5), abs, MAP_LIMIT, ("direct", "NoConvergentPath")),
+        # |z/(z-1)| = MAP_LIMIT, with |z| > MAP_LIMIT and |z-1| > 1.
+        (lambda r: zw(cmath.rect(MAP_LIMIT * r, 0.5)), lambda z: abs(z / (z - 1.0)), MAP_LIMIT,
+         ("map", "NoConvergentPath")),
+        # CUT_GUARD above the cut, at 1.5 and at its end 1.
+        # (1 - CUT_GUARD is 1e-4 of CUT_GUARD apart from its neighbours.)
+        (lambda r: complex(1.5, CUT_GUARD * r), lambda z: z.imag, CUT_GUARD, ("CutError", "NoConvergentPath")),
+        (lambda r: 1.0 - CUT_GUARD * r, lambda z: 1.0 - z.real, CUT_GUARD, ("CutError", "NoConvergentPath"), 1e-2),
+    ]
+    for on, measure, limit, want, *step in boundaries:
+        assert tuple(map(_continuation_outcome, _sides(on, measure, limit, *step))) == want, want
+    # An infinite z off the cut and a NaN z have no path; on the cut an
+    # infinite z is on it.  A terminating series is summed at any z.
+    assert _continuation_outcome(complex(math.inf, 1.0)) == "NoConvergentPath"
+    assert _continuation_outcome(complex(math.inf, 0.0)) == "CutError"
+    assert _continuation_outcome(complex(math.nan, 0.0)) == "NoConvergentPath"
+    with pytest.raises(NoConvergentPath, match=r"best modulus nan"):
+        gauss2f1(0.5, 0.7, 1.9, complex(0.0, math.nan))
+    for z in (3.0 + 1.0j, 1.5, complex(math.inf, 1.0)):
+        assert _continuation_outcome(z, -2.0) == "direct"
 
 
 def test_pfaff_consistency_band(rng: Random):
@@ -345,7 +400,7 @@ def test_scalar_call_work_count_pinned(monkeypatch):
             (jacobi_p if kind == "P" else jacobi_q)(params, z)
         except JacobiFnError:
             counts[kind][2] += 1
-    assert counts == {"P": [4005, 147862, 9], "Q": [2526, 87584, 158]}
+    assert counts == {"P": [3865, 147862, 9], "Q": [2526, 87584, 158]}
 
 
 # The 2F1 parameters that the Jacobi representations take from a triple of

@@ -2,7 +2,7 @@
 
 Checks the record's schema and that every time, ratio and count is finite;
 no timing is gated.  The two loads of one checkout do the same work, so
-their counts agree.
+their counts agree, and the batched layers count their block terms.
 """
 
 import json
@@ -19,7 +19,7 @@ _LAYERS = {
     "P.rep1", "P.rep3", "P.connection", "Q", "plan.p.16", "plan.p.151", "plan.q.16", "plan.q.151",
     "series_batch.16", "series_batch.151", "series_batch.256", "connection_batch.16", "connection_batch.151",
 }
-_COUNTS = {"lanczos", "terms", "leading_us", "instrumented_us"}
+_COUNTS = {"lanczos", "terms", "block_terms", "leading_us", "instrumented_us"}
 
 
 def test_repository_against_itself(tmp_path):
@@ -39,5 +39,9 @@ def test_repository_against_itself(tmp_path):
         parent, change = row["parent_counts"], row["change_counts"]
         assert set(parent) == set(change) == _COUNTS
         assert all(math.isfinite(v) for v in (*parent.values(), *change.values()))
-        assert (parent["lanczos"], parent["terms"]) == (change["lanczos"], change["terms"])
+        work = ("lanczos", "terms", "block_terms")
+        assert [parent[key] for key in work] == [change[key] for key in work]
+        if layer.startswith(("series_batch.", "connection_batch.")):
+            # The batched layers' work is in the column blocks.
+            assert parent["block_terms"] > 0, layer
         assert f"| {layer} |" in proc.stdout

@@ -18,6 +18,7 @@ def test_repository_matches_itself():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "scalar calls: 300 (seed 5), differing outputs: 0" in proc.stdout
+    assert "explicit calls: 300 (seed 5), differing outputs: 0" in proc.stdout
     assert "array calls: 40 (seed 5), differing outputs: 0" in proc.stdout
     assert "reports: identical" in proc.stdout
 
@@ -34,3 +35,14 @@ def test_transitions_by_outcome():
     assert same_bits.transitions(first, second) == {
         "rep1 -> rep3": 2, "CutError -> NoConvergentPath": 1, "CutError -> rep1": 1
     }
+
+
+def test_explicit_calls_take_each_representation_in_turn(capsys):
+    # Call i is P at even i and Q at odd i; its explicit call takes REP1 to
+    # REP4 in turn for each kind, at the scalar call's triple and point.
+    same_bits.dump(80, 0, 5)
+    explicit = capsys.readouterr().out.splitlines()[80:]
+    assert len(explicit) == 80
+    returned = [(i, line.rsplit("|", 1)[-1]) for i, line in enumerate(explicit) if not line.startswith("!")]
+    assert all(rep == f"rep{i // 2 % 4 + 1}" for i, rep in returned)
+    assert {(i % 2, rep) for i, rep in returned} == {(kind, f"rep{k}") for kind in (0, 1) for k in range(1, 5)}

@@ -26,9 +26,11 @@ checkouts take turns on each layer, the parent first in even rounds; a
 layer's time is the minimum over the rounds of its time per call, and its
 ratio the median over the rounds of change / parent.  A separate counting
 pass, not timed with the rounds, records per call the Lanczos sums of the
-gamma kernel, the 2F1 series terms, the microseconds spent in the series'
-leading terms and the microseconds of the whole call under that
-instrumentation (the fastest of three passes).  Prints a markdown table
+gamma kernel, the terms of the scalar 2F1 series, the terms formed in the
+numpy column blocks of ``hypergeom._sum_block`` (rows times columns, the
+work of the batched series), the microseconds spent in the series' leading
+terms and the microseconds of the whole call under that instrumentation
+(the fastest of three passes).  Prints a markdown table
 and writes the JSON record to ``--out`` if given.
 """
 
@@ -188,13 +190,13 @@ def _run(fns: list) -> float:
 
 
 def counts(p: dict, fns: list, passes: int = 3) -> dict:
-    """Per call: Lanczos sums, 2F1 terms, microseconds in the leading terms, and instrumented microseconds.
+    """Per call: Lanczos sums, 2F1 terms, block terms, microseconds in the leading terms, and instrumented microseconds.
 
     Over ``passes`` passes; the instrumented time is the fastest pass's.
     """
     kernel, hyp = p["scalar_kernel"], p["hypergeom"]
-    tally = {"lanczos": 0, "terms": 0, "leading_s": 0.0}
-    lanczos, series, leading = kernel._lanczos_series, hyp._series, hyp._leading_terms
+    tally = {"lanczos": 0, "terms": 0, "block_terms": 0, "leading_s": 0.0}
+    lanczos, series, block, leading = kernel._lanczos_series, hyp._series, hyp._sum_block, hyp._leading_terms
 
     def counted_lanczos(z):
         tally["lanczos"] += 1
@@ -205,6 +207,10 @@ def counts(p: dict, fns: list, passes: int = 3) -> dict:
         tally["terms"] += out.terms_used
         return out
 
+    def counted_block(abc, x, k, width, *carries):
+        tally["block_terms"] += x.size * width
+        return block(abc, x, k, width, *carries)
+
     def timed_leading(*args):
         start = time.perf_counter()
         try:
@@ -212,13 +218,16 @@ def counts(p: dict, fns: list, passes: int = 3) -> dict:
         finally:
             tally["leading_s"] += time.perf_counter() - start
 
-    kernel._lanczos_series, hyp._series, hyp._leading_terms = counted_lanczos, counted_series, timed_leading
+    originals = lanczos, series, block, leading
+    kernel._lanczos_series, hyp._series, hyp._sum_block, hyp._leading_terms = (
+        counted_lanczos, counted_series, counted_block, timed_leading
+    )
     try:
         us = min(_run(fns) for _ in range(passes))
     finally:
-        kernel._lanczos_series, hyp._series, hyp._leading_terms = lanczos, series, leading
+        kernel._lanczos_series, hyp._series, hyp._sum_block, hyp._leading_terms = originals
     n = passes * len(fns)
-    return {"lanczos": tally["lanczos"] / n, "terms": tally["terms"] / n,
+    return {"lanczos": tally["lanczos"] / n, "terms": tally["terms"] / n, "block_terms": tally["block_terms"] / n,
             "leading_us": tally["leading_s"] * 1e6 / n, "instrumented_us": us}
 
 
@@ -263,8 +272,9 @@ def record(parent: str, change: str, rounds: int = 7, calls: int = 2000, seed: i
 def table(rec: dict) -> str:
     """The record as a markdown table."""
     lines = [
-        "| layer | calls | parent us | change us | ratio | Lanczos sums | 2F1 terms | leading-term us | instrumented us |",
-        "|---|---:|---:|---:|---:|---:|---:|---:|---:|",
+        "| layer | calls | parent us | change us | ratio | Lanczos sums | 2F1 terms | block terms | leading-term us"
+        " | instrumented us |",
+        "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|",
     ]
     for layer, row in rec["layers"].items():
         pc, cc = row["parent_counts"], row["change_counts"]
@@ -272,6 +282,7 @@ def table(rec: dict) -> str:
         lines.append(
             f"| {layer} | {row['calls']} | {row['parent_us']:.1f} | {row['change_us']:.1f} | {row['ratio']:.3f} | "
             f"{pair(pc['lanczos'], cc['lanczos'])} | {pair(pc['terms'], cc['terms'])} | "
+            f"{pair(pc['block_terms'], cc['block_terms'])} | "
             f"{pair(pc['leading_us'], cc['leading_us'])} | {pair(pc['instrumented_us'], cc['instrumented_us'])} |"
         )
     return "\n".join(lines)

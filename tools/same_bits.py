@@ -6,13 +6,15 @@ In a fresh process per checkout (its ``src/`` first on the path), makes
 ``--calls`` seeded scalar calls, ``jacobi_p`` and ``jacobi_q`` in turn, with
 a fresh (alpha, beta, gamma) from the catalog box (Re in [-0.65, 2.8],
 |Im| <= 0.45) and z uniform in |Re z| < 4, |Im z| < 2 (the box of the
-benchmark's scatter-eval workload); then ``--arrays`` seeded array calls,
-``jacobi_p`` and ``jacobi_q`` in turn, each with a fresh triple from the
-same box on a 16-point segment of the benchmark's grid-table workload (P
-right of -1: Re in [-0.9, 4], |Im| <= 2; Q off [-1, 1]: |Re| <= 4, Im of
-one sign with 0.1 <= |Im| <= 2); and writes the report of ``jacobifn
-verify --all --seed 7 --samples 5``.  Prints how many scalar calls and how
-many array calls differ in the bits of their values, of their error
+benchmark's scatter-eval workload); then one explicit-representation call
+per scalar call, of the same kind at the same triple and point, each kind
+taking REP1 to REP4 in turn (the path of the 2F1 continuation); then
+``--arrays`` seeded array calls, ``jacobi_p`` and ``jacobi_q`` in turn,
+each with a fresh triple from the same box on a 16-point segment of the
+benchmark's grid-table workload (P right of -1: Re in [-0.9, 4], |Im| <=
+2; Q off [-1, 1]: |Re| <= 4, Im of one sign with 0.1 <= |Im| <= 2); and
+writes the report of ``jacobifn verify --all --seed 7 --samples 5``.  Prints how many scalar, explicit
+and array calls differ in the bits of their values, of their error
 estimates, in their provenance or in the name of the error they raise,
 then each transition of the outcome (provenance or error name) with its
 count, as ``rep1 -> rep3: 7``, and whether the two reports and their exit
@@ -45,20 +47,21 @@ def _segment(u, kind: str):
 
 
 def dump(calls: int, arrays: int, seed: int) -> None:
-    """Print one line per call, the scalar calls first: the values and
-    estimates as hex floats and the provenance, or the error raised."""
+    """Print one line per call, the scalar calls first, then the explicit
+    and the array calls: the values and estimates as hex floats and the
+    provenance, or the error raised."""
     import numpy as np
 
     import jacobifn
     from jacobifn.errors import JacobiFnError
 
-    def line(i: int, u: list[float], z) -> str:
+    def line(i: int, u: list[float], z, *rep) -> str:
         params = jacobifn.JacobiParams(
             *(complex(_RE_LO + _RE_W * u[2 * j], _IM_W * (2.0 * u[2 * j + 1] - 1.0)) for j in range(3))
         )
         fn = jacobifn.jacobi_p if i % 2 == 0 else jacobifn.jacobi_q
         try:
-            r = fn(params, z(fn is jacobifn.jacobi_p))
+            r = fn(params, z(fn is jacobifn.jacobi_p), *rep)
         except JacobiFnError as exc:
             return f"! {type(exc).__name__}"
         v = np.atleast_1d(np.asarray(r.value, dtype=complex))
@@ -66,10 +69,12 @@ def dump(calls: int, arrays: int, seed: int) -> None:
         hexes = (" ".join(x.hex() for x in part.tolist()) for part in (v.real, v.imag, e))
         return "{} {}|{}|".format(*hexes) + r.provenance
 
-    out = [
-        line(i, u, lambda _: complex(-4.0 + 8.0 * u[6], -2.0 + 4.0 * u[7]))
-        for i, u in enumerate(np.random.default_rng(seed).random((calls, 8)).tolist())
-    ]
+    def point(u: list[float]):
+        return lambda _: complex(-4.0 + 8.0 * u[6], -2.0 + 4.0 * u[7])
+
+    scalar = np.random.default_rng(seed).random((calls, 8)).tolist()
+    out = [line(i, u, point(u)) for i, u in enumerate(scalar)]
+    out += [line(i, u, point(u), jacobifn.Representation(i // 2 % 4 + 1)) for i, u in enumerate(scalar)]
     out += [
         line(i, u, lambda p: _segment(u[6:], "P" if p else "Q"))
         for i, u in enumerate(np.random.default_rng([seed, 1]).random((arrays, 11)).tolist())
@@ -83,7 +88,7 @@ def _run(checkout: str, args: list[str]) -> subprocess.CompletedProcess:
 
 
 def outputs(checkout: str, calls: int, arrays: int, seed: int) -> list[str]:
-    """The dumped lines of ``calls`` scalar and ``arrays`` array calls in a fresh process of the checkout."""
+    """The dumped lines of ``calls`` scalar and explicit and ``arrays`` array calls in a fresh process of the checkout."""
     args = [os.path.abspath(__file__), "--dump", f"--calls={calls}", f"--arrays={arrays}", f"--seed={seed}"]
     proc = _run(checkout, args)
     if proc.returncode:
@@ -148,7 +153,12 @@ def main(argv=None) -> int:
         )
     same_report = text0 is not None and text0 == text1 and code0 == code1
     total = 0
-    for name, part in (("scalar calls", slice(None, args.calls)), ("array calls", slice(args.calls, None))):
+    parts = (
+        ("scalar calls", slice(None, args.calls)),
+        ("explicit calls", slice(args.calls, 2 * args.calls)),
+        ("array calls", slice(2 * args.calls, None)),
+    )
+    for name, part in parts:
         a, b = first[part], second[part]
         differing = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
         total += differing
