@@ -51,6 +51,10 @@ class RunConfig:
             raise CliError("tolerance must be positive")
         if self.samples < 1:
             raise CliError("samples must be >= 1")
+        if self.n_values is not None and min(self.n_values) < 0:
+            raise CliError("n_values must be >= 0")
+        if self.format not in ("text", "json", "csv"):
+            raise CliError(f"format must be text, json or csv, not {self.format!r}")
 
 
 def parse_complex(text: str) -> complex:
@@ -316,25 +320,16 @@ def _build_run_config(args) -> RunConfig:
     except ValueError:
         raise CliError("--n-values must be a comma list of integers") from None
 
-    fmt = "text"
-    path = None
-    if args.json is not None:
-        fmt, path = "json", args.json
-    elif args.csv is not None:
-        fmt, path = "csv", args.csv
-    elif args.out is not None:
-        fmt, path = pick(None, "format", str, "text"), args.out
-    elif "format" in file_vals or "output_path" in file_vals:
-        fmt = file_vals.get("format", "text").lower()
-        path = file_vals.get("output_path")
+    flag_format = "json" if args.json is not None else "csv" if args.csv is not None else None
+    flag_path = next((path for path in (args.json, args.csv, args.out) if path is not None), None)
 
     return RunConfig(
         tolerance=pick(args.tol, "tolerance", float, None),
         seed=pick(args.seed, "seed", int, 0),
         samples=pick(args.samples, "samples", int, 50),
         n_values=pick(n_values, "n_values", _n_values, None),
-        output_path=path,
-        format=fmt,
+        output_path=pick(flag_path, "output_path", str, None),
+        format=pick(flag_format, "format", str.lower, "text"),
     )
 
 

@@ -13,9 +13,8 @@ Three evaluation layers:
   Its term-ratio phase has a tight loop for two upper parameters and one
   lower (every call from the 2F1 routines); other arities take the generic
   loop, which is also the tight loop's reference.  The tight loop measures
-  |total| only for a term small enough to pass the stopping rule, and the
-  leading terms carry their Pochhammer products from term to term; neither
-  changes a bit.  The leading terms' reciprocal gammas of a lower parameter
+  |total| only for a term small enough to pass the stopping rule, which
+  changes no bit.  The leading terms' reciprocal gammas of a lower parameter
   come from one Lanczos sum and the recurrence 1/Gamma(w) = w / Gamma(w +
   1).  A term whose modulus passes double range raises FactorOverflow.  An
   adaptive 2F1 series predicted to be long (``_predicted_terms`` above
@@ -72,7 +71,7 @@ from .errors import (
     ZeroArgument,
 )
 from .quadrature import CUT_GUARD, Cut, modulus
-from .scalar_kernel import pochhammer_product, pochhammer_products, reciprocal_gamma
+from .scalar_kernel import POLE_TOL, pochhammer_product, reciprocal_gamma
 
 STOP_RATIO = 1e-15
 STOP_RUN = 3
@@ -144,24 +143,24 @@ class HypParams:
     argument: complex
 
 
-def termination_index(upper, tol: float = 1e-12) -> int | None:
-    """Smallest m >= 0 with an upper parameter within tol of -m, else None.
+def termination_index(upper) -> int | None:
+    """Smallest m >= 0 with an upper parameter within POLE_TOL of -m, else None.
 
-    A finite Re a above tol is within tol of no -m, so it is not measured.
+    A finite Re a above POLE_TOL is within POLE_TOL of no -m, so it is not measured.
     """
     best = None
     for a in upper:
         a = complex(a)
-        if tol < a.real < math.inf:
+        if POLE_TOL < a.real < math.inf:
             continue
         m = round(a.real)
-        if m <= 0 and abs(a - m) <= tol:
+        if m <= 0 and abs(a - m) <= POLE_TOL:
             if best is None or -m < best:
                 best = -m
     return best
 
 
-def _lower_pole_guard(lower, n_terms: int | None, tol: float = 1e-12) -> None:
+def _lower_pole_guard(lower, n_terms: int | None) -> None:
     """Raise LowerPoleError when a lower-parameter pole enters the sum.
 
     For b = -q the factor b+q first appears in (b)_k at k = q+1, so a sum of
@@ -170,7 +169,7 @@ def _lower_pole_guard(lower, n_terms: int | None, tol: float = 1e-12) -> None:
     for b in lower:
         b = complex(b)
         k_pole = round(b.real)
-        if k_pole <= 0 and abs(b - k_pole) <= tol:
+        if k_pole <= 0 and abs(b - k_pole) <= POLE_TOL:
             if n_terms is None or n_terms > -k_pole + 1:
                 raise LowerPoleError(f"lower parameter {b} pole not shielded")
 
@@ -221,13 +220,12 @@ def _leading_terms(upper, lower, z: complex, limit: int, regularized: bool):
         term *= run[0]
     total = 0j + term
     abs_acc = abs(term)
-    products = pochhammer_products(upper, k0)
     zk = 1.0 + 0.0j
     kfac = 1.0
     for k in range(1, k0 + 1):
         zk *= z
         kfac *= k
-        term = products[k] * zk / kfac
+        term = pochhammer_product(upper, k) * zk / kfac
         for run in rgammas:
             term *= run[k]
         total += term

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from operator import mul
@@ -173,6 +172,10 @@ def _connection_safe(a, b, g, z, n):
         (_near(a + g, 0), "alpha+gamma near a non-negative integer (degenerate connection)"),
         (_near(b + g, 0), "beta+gamma near a non-negative integer (degenerate connection)"),
     )
+
+
+def _integral_order(a, b, g, z, n):
+    return ((n < 1, "an n-fold integral needs n >= 1"),)
 
 
 def _check(hypotheses: tuple[Rows, ...], params: JacobiParams, z: complex, n: int) -> str | None:
@@ -395,7 +398,7 @@ def _finite_entry(
             spec = RepeatedIntegralSpec(n, 1.0, z, measure, "upper")
         return repeated_integral(f, spec, anchor_exponent=anchor_exp(params), rtol=1e-12).value
 
-    cons = _guarded("P", hypotheses)
+    cons = _guarded("P", _integral_order, hypotheses)
     _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, rhs, cons, sample, note))
 
 
@@ -436,7 +439,7 @@ def _ray_entry(ident, desc, kind, pairs, rhs, hypotheses, sample, note=None):
 
     _SOURCES[ident] = (_ray_entry, pairs, rhs, None)
     rows = (hypotheses, _connection_safe) if kind == "P" else (hypotheses,)
-    cons = _guarded(kind, *rows)
+    cons = _guarded(kind, _integral_order, *rows)
     closed = partial(rhs, _KINDS[kind])
     _register(IdentityDescriptor(ident, desc, (1, 2), 1e-6, lhs, closed, cons, sample, note))
 
@@ -1308,45 +1311,24 @@ def _ode_terms(kind: str, p: JacobiParams, z: complex) -> tuple[complex, complex
     return t1, t2, t3
 
 
-_pack_sample = struct.Struct("8d").pack
-
-
-def _sample_bits(p: JacobiParams, z: complex) -> bytes:
-    """The exact bits of (triple, z): 0.0 and -0.0 differ, as they do across a branch cut."""
-    a, b, g = complex(p.alpha), complex(p.beta), complex(p.gamma)
-    return _pack_sample(a.real, a.imag, b.real, b.imag, g.real, g.imag, z.real, z.imag)
-
-
-# The lhs leaves its third term in the entry's ``pending`` for the rhs of the
-# same sample, so a sample runs one contour.  The rhs takes the term out,
-# keyed on the exact bits of (triple, z), so nothing carries over to a later
-# sample.
-
-
-def _ode_lhs(kind: str, pending: dict, p: JacobiParams, z: complex, n: int) -> complex:
-    t1, t2, t3 = _ode_terms(kind, p, z)
-    pending.clear()
-    pending[_sample_bits(p, z)] = t3
+def _ode_lhs(kind: str, p: JacobiParams, z: complex, n: int) -> complex:
+    t1, t2, _ = _ode_terms(kind, p, z)
     return t1 + t2
 
 
-def _ode_rhs(kind: str, pending: dict, p: JacobiParams, z: complex, n: int) -> complex:
-    t3 = pending.pop(_sample_bits(p, z), None)
-    if t3 is None:
-        t3 = _ode_terms(kind, p, z)[2]
-    return -t3
+def _ode_rhs(kind: str, p: JacobiParams, z: complex, n: int) -> complex:
+    return -_ode_terms(kind, p, z)[2]
 
 
 for _kind, _sample in (("P", _P_DERIV_SAMPLE), ("Q", _Q_SAMPLE)):
-    _pending: dict[bytes, complex] = {}
     _register(
         IdentityDescriptor(
             f"ODE-{_kind}",
             f"differential-equation residual of the {_kind} solution",
             (0,),
             1e-7,
-            partial(_ode_lhs, _kind, _pending),
-            partial(_ode_rhs, _kind, _pending),
+            partial(_ode_lhs, _kind),
+            partial(_ode_rhs, _kind),
             _guarded(_kind),
             _sample,
         )

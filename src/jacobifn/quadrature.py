@@ -194,11 +194,11 @@ _TS_SEG_TMAX = 5.0
 _TS_CHUNK = 2048
 
 
-# Levels 0 to _TS_FIRST_LEVEL go to the integrand in one call: 151 ray
-# nodes or 161 segment nodes, within one Jacobi batch of BATCH_POINTS, where
-# most integrals stop.  A call costs far more than its points, so the nodes
-# of a level the rule may not reach are cheaper than a call per level.
-_TS_FIRST_LEVEL = 4
+# Levels 0 to 4 go to the integrand in one call: 151 ray nodes or 161
+# segment nodes, within one Jacobi batch of BATCH_POINTS, where most
+# integrals stop.  A call costs far more than its points, so the nodes of a
+# level the rule may not reach are cheaper than a call per level.
+_FIRST_LEVELS = (0, 1, 2, 3, 4)
 
 
 def _level_nodes(tmax: float, level: int) -> np.ndarray:
@@ -243,8 +243,8 @@ def _segment_map(t: np.ndarray) -> tuple[np.ndarray, ...]:
 def _columns(node_map, tmax: float, levels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """node_map at the new nodes of ``levels``, joined, built once and kept read-only.
 
-    A rule's first call takes levels 0 to _TS_FIRST_LEVEL, a deeper call one
-    level.  ``node_map`` takes an ndarray of t to the columns from which the
+    A rule's first call takes _FIRST_LEVELS, a deeper call one level.
+    ``node_map`` takes an ndarray of t to the columns from which the
     integrand's values are formed.
     """
     cols = node_map(np.concatenate([_level_nodes(tmax, level) for level in levels]))
@@ -257,11 +257,6 @@ def _columns(node_map, tmax: float, levels: tuple[int, ...]) -> tuple[np.ndarray
 def _offsets(tmax: float, levels: tuple[int, ...]) -> tuple[int, ...]:
     """Where each of ``levels`` starts in ``_columns``, and where the last ends."""
     return tuple(accumulate((_level_nodes(tmax, level).size for level in levels), initial=0))
-
-
-def _first_levels() -> tuple[int, ...]:
-    """The levels of a rule's first call: 0 to _TS_FIRST_LEVEL."""
-    return tuple(range(_TS_FIRST_LEVEL + 1))
 
 
 def _level_values(values, columns: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -278,15 +273,15 @@ def _tanh_sinh(values, node_map, tmax: float, rtol: float, label: str) -> EvalRe
     """Tanh-sinh doubling on t in [-tmax, tmax]: step 1, then 1/2, ..., 2^-_TS_MAX_LEVEL.
 
     ``values`` maps the columns of ``node_map`` at an ndarray of t to the
-    weighted integrand there.  Its first call takes the nodes of levels 0 to
-    _TS_FIRST_LEVEL, and each later level's new (odd) nodes follow in calls
-    of at most _TS_CHUNK nodes.  The sums, tests and result are those of one
+    weighted integrand there.  Its first call takes the nodes of
+    _FIRST_LEVELS, and each later level's new (odd) nodes follow in calls of
+    at most _TS_CHUNK nodes.  The sums, tests and result are those of one
     call per level, but the first call is speculative: an integrand that
     raises at a node of a level the rule would not have reached raises here
     too.
     """
-    first = values(*_columns(node_map, tmax, _first_levels()))
-    ends = _offsets(tmax, _first_levels())
+    first = values(*_columns(node_map, tmax, _FIRST_LEVELS))
+    ends = _offsets(tmax, _FIRST_LEVELS)
     v = first[: ends[1]]
     half = v.size // 2
     with np.errstate(**_QUIET):
@@ -296,7 +291,7 @@ def _tanh_sinh(values, node_map, tmax: float, rtol: float, label: str) -> EvalRe
     delta = math.inf
     for level in range(1, _TS_MAX_LEVEL + 1):
         h = 0.5**level
-        if level <= _TS_FIRST_LEVEL:
+        if level <= _FIRST_LEVELS[-1]:
             v = first[ends[level] : ends[level + 1]]
         else:
             v = _level_values(values, _columns(node_map, tmax, (level,)))

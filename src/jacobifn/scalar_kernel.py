@@ -247,22 +247,3 @@ def pochhammer_product(a_list: list[Complex] | tuple[Complex, ...], k: int) -> c
     for a in a_list:
         p *= pochhammer(a, k)
     return p
-
-
-def pochhammer_products(a_list: list[Complex] | tuple[Complex, ...], n: int) -> list[complex]:
-    """``pochhammer_product(a_list, k)`` for k = 0..n, with the same bits.
-
-    Each (a)_k is carried from (a)_(k-1) by ``pochhammer``'s own last
-    factor a + (k-1), and the list product is formed in the same order, so
-    the n + 1 products cost O(n) factors rather than O(n^2).
-    """
-    a_list = [complex(a) for a in a_list]
-    runs = [1.0 + 0.0j] * len(a_list)
-    out = [1.0 + 0.0j]
-    for k in range(n):
-        p = 1.0 + 0.0j
-        for i, a in enumerate(a_list):
-            runs[i] *= a + k
-            p *= runs[i]
-        out.append(p)
-    return out

@@ -145,6 +145,38 @@ def test_verify_config_n_values_unparseable(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("n_values=-1\n", "n_values must be >= 0"),
+        ("format=xml\n", "format must be text, json or csv, not 'xml'"),
+    ],
+)
+def test_verify_config_values_out_of_range_exit_2(tmp_path, capsys, lines, message):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(lines)
+    assert main(["verify", "--id", "FD4", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n{USAGE_HINT}\n"
+
+
+def test_verify_config_format_applies_to_every_path(tmp_path):
+    # The config's format, in any letter case, applies whether the path
+    # comes from --out or from the file's output_path.
+    flag_out, file_out = tmp_path / "flag.json", tmp_path / "file.json"
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"format=JSON\nsamples=2\noutput_path={file_out}\n")
+    assert main(["verify", "--id", "SN", "--config", str(cfg), "--out", str(flag_out)]) == 0
+    assert main(["verify", "--id", "SN", "--config", str(cfg)]) == 0
+    assert flag_out.read_bytes() == file_out.read_bytes()
+    assert json.loads(flag_out.read_text())["identity"] == "SN"
+
+
+def test_verify_integral_entry_at_degree_zero_has_no_admissible_sample(capsys):
+    # An n-fold integral needs n >= 1: every sample at n = 0 is skipped.
+    assert main(["verify", "--id", "FI1", "--n-values=0", "--samples", "2"]) == 1
+    assert capsys.readouterr().err.startswith("EmptyAdmissibleSet: ")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["eval", "--kind", "P", "--z", "banana"],
@@ -153,6 +185,7 @@ def test_verify_config_n_values_unparseable(tmp_path, capsys):
          "grid spec '0,1' needs start:stop:count (or real a,b,n)"),
         (["verify", "--id", "FD4", "--n-values", "1,x"],
          "--n-values must be a comma list of integers"),
+        (["verify", "--id", "FD4", "--n-values=-1"], "n_values must be >= 0"),
     ],
 )
 def test_parse_errors_exit_2_with_usage_hint(capsys, argv, message):

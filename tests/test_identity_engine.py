@@ -248,8 +248,9 @@ def _first_admissible(ident: str, seed: int):
 def test_oracle_cost_pinned():
     # One sample of every identity; the oracle evaluations (contour points,
     # quadrature nodes, integral calls) summed per family.  A change to a
-    # stopping rule, a node set or the doubling shows up here.  The ODE
-    # entries count one contour per sample (two before they shared it).
+    # stopping rule, a node set or the doubling shows up here.  Both sides
+    # of an ODE sample request its contour's points, so the ODE entries
+    # count two contours per sample, the rhs's from the memo.
     costs: dict[str, int] = {}
     for ident in list_identities():
         check = eval_identity_sides(ident, *_first_admissible(ident, 4242))
@@ -257,7 +258,7 @@ def test_oracle_cost_pinned():
         costs[fam] = costs.get(fam, 0) + check.oracle_cost
     assert costs == {
         "FD": 260, "FW": 488, "FR": 0, "FI": 647, "FJ": 1508, "FK": 1296, "FT": 0,
-        "SRL": 65, "SD": 196, "SI": 456, "SW": 520, "SQ": 4, "SN": 2, "ODE": 128,
+        "SRL": 65, "SD": 196, "SI": 456, "SW": 520, "SQ": 4, "SN": 2, "ODE": 256,
     }
 
 
@@ -271,31 +272,27 @@ def test_verify_memo_work_pinned(tmp_path):
     POINTS_MEMO.cache_clear()
     argv = ["verify", "--all", "--samples", "2", "--seed", "7", "--json", str(tmp_path / "r.json")]
     assert main(argv) == 0
-    assert POINTS_MEMO.cache_info()[:2] == (104, 46)
+    assert POINTS_MEMO.cache_info()[:2] == (112, 46)
 
 
-def test_ode_entry_runs_one_contour(monkeypatch):
-    from jacobifn import identity_catalog
-
-    contour = identity_catalog.contour_derivatives
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return contour(*args, **kwargs)
+def test_ode_rhs_takes_the_lhs_contour_from_the_memo():
+    # Both sides of an ODE sample run its contour; the rhs's P or Q array
+    # calls are hits of the points the lhs left in the memo.
+    from jacobifn.identity_catalog import _ode_terms
 
     for ident in ("ODE-P", "ODE-Q"):
+        entry = CATALOG[ident]
         params, z, n = _first_admissible(ident, 7)
-        t1, t2, t3 = identity_catalog._ode_terms(ident[-1], params, z)
-        calls.clear()
-        with monkeypatch.context() as m:
-            m.setattr(identity_catalog, "contour_derivatives", counted)
-            check = eval_identity_sides(ident, params, z, n)
-            # The rhs alone, as for a sample whose lhs did not run, computes
-            # its own contour.
-            rhs_alone = CATALOG[ident].rhs(params, z, n)
-        assert calls == [z, z]
-        assert (check.lhs_value, check.rhs_value, rhs_alone) == (t1 + t2, -t3, -t3)
+        t1, t2, t3 = _ode_terms(ident[-1], params, z)
+        POINTS_MEMO.cache_clear()
+        lhs = entry.lhs(params, z, n)
+        hits, misses = POINTS_MEMO.cache_info()[:2]
+        rhs = entry.rhs(params, z, n)
+        rhs_hits, rhs_misses = POINTS_MEMO.cache_info()[:2]
+        assert rhs_hits > hits and rhs_misses == misses
+        # The rhs alone, from a cold memo, gives the same term.
+        POINTS_MEMO.cache_clear()
+        assert (lhs, rhs, entry.rhs(params, z, n)) == (t1 + t2, -t3, -t3)
 
 
 def test_operator_power_of_order_zero_takes_arrays():

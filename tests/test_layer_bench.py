@@ -18,6 +18,8 @@ _LAYERS = {
     "2f1.modulus 0.00-0.25", "2f1.modulus 0.25-0.50", "2f1.modulus 0.50-0.75", "2f1.modulus 0.75-0.95",
     "P.rep1", "P.rep3", "P.connection", "Q", "plan.p.16", "plan.p.151", "plan.q.16", "plan.q.151",
     "series_batch.16", "series_batch.151", "series_batch.256", "connection_batch.16", "connection_batch.151",
+    "leading_terms",
+    *(f"verify.{family}" for family in ("FD", "FW", "FR", "FI", "FJ", "FK", "FT", "SRL", "SD", "SW", "SI", "SQ", "SN", "ODE")),
 }
 _COUNTS = {"lanczos", "terms", "block_terms", "leading_us", "instrumented_us"}
 

@@ -374,9 +374,9 @@ def test_tanh_sinh_raises_at_a_level_four_node():
 def test_tanh_sinh_node_tables_are_read_only():
     # The node maps are built once per rule and call and shared by every
     # integral, so nothing may write into them.
-    from jacobifn.quadrature import _TS_SEG_TMAX, _TS_TMAX, _columns, _first_levels, _ray_map, _segment_map
+    from jacobifn.quadrature import _FIRST_LEVELS, _TS_SEG_TMAX, _TS_TMAX, _columns, _ray_map, _segment_map
 
-    for table in _columns(_ray_map, _TS_TMAX, _first_levels()) + _columns(_segment_map, _TS_SEG_TMAX, (6,)):
+    for table in _columns(_ray_map, _TS_TMAX, _FIRST_LEVELS) + _columns(_segment_map, _TS_SEG_TMAX, (6,)):
         with pytest.raises(ValueError):
             table[0] = 0.0
 

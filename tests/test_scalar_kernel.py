@@ -17,7 +17,6 @@ from jacobifn.scalar_kernel import (
     nearest_nonpositive_integer,
     pochhammer,
     pochhammer_product,
-    pochhammer_products,
     reciprocal_gamma,
 )
 
@@ -190,7 +189,6 @@ def test_non_finite_argument_raises_validity_error_or_no_pole(z):
         lambda: pochhammer(z, -3),
         lambda: binomial(z, 3),
         lambda: pochhammer_product([z, 0.5], 3),
-        lambda: pochhammer_products([z, 0.5], 3),
     ):
         try:
             call()
@@ -319,18 +317,3 @@ def test_pole_test_exit_matches_the_distance():
         assert _pole_outcome(is_gamma_pole, complex(x, 0.0), POLE_TOL) is False
     assert is_gamma_pole(complex(-3.0 + 0.9 * POLE_TOL, 0.0))
     assert not is_gamma_pole(complex(0.5, 0.0))
-
-
-@given(
-    a_list=st.lists(
-        st.one_of(
-            st.builds(complex, st.floats(-12, 12), st.floats(-3, 3)),
-            st.sampled_from([complex(-0.0, -0.0), complex(-3.0, -0.0), complex(0.0, -0.0), -2.0, 1, complex(math.inf, 0.0)]),
-        ),
-        max_size=3,
-    ),
-)
-@settings(max_examples=200)
-def test_pochhammer_products_match_pochhammer_product(a_list):
-    products = pochhammer_products(a_list, 12)
-    assert [bits(p) for p in products] == [bits(pochhammer_product(a_list, k)) for k in range(13)]

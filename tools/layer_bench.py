@@ -19,7 +19,13 @@ the same fixed seeded inputs:
   151 and 256 points with |x| <= 0.75, at the parameters of Q's REP1;
 * ``jacobi_first._connection_batch`` at 16 and 151 points, its plan formed
   outside the timing and read by position (the connection is the plan's
-  last entry).
+  last entry);
+* the regularized series' leading terms, ``hypergeom._leading_terms``,
+  with Re c in (-4.5, 0.5), that is k0 = 1 to 5 (``leading_terms``);
+* ``identity_engine.eval_identity_sides`` at one admissible sample of each
+  catalog identity, a layer per family (``verify.FD`` ... ``verify.ODE``),
+  whatever ``--calls``.  Each call clears ``POINTS_MEMO`` first, so every
+  round times a cold sample and both checkouts count the same work.
 
 Inputs where either checkout raises are dropped.  In each round the
 checkouts take turns on each layer, the parent first in even rounds; a
@@ -43,9 +49,11 @@ import importlib.util
 import json
 import math
 import os
+import re
 import statistics
 import sys
 import time
+from random import Random
 
 import numpy as np
 
@@ -63,7 +71,8 @@ def load(checkout: str, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("scalar_kernel", "hypergeom", "jacobi_first")}
+    modules = ("scalar_kernel", "hypergeom", "jacobi_first", "identity_catalog", "identity_engine")
+    return {mod: importlib.import_module(f"{name}.{mod}") for mod in modules}
 
 
 def _triples(rng, n: int) -> list[tuple[complex, complex, complex]]:
@@ -153,7 +162,49 @@ def build(pkgs: dict, calls: int, seed: int) -> dict:
             if zs.size == size:
                 inputs.append((t, zs))
         add(f"connection_batch.{size}", _connection_batch_call, inputs)
+
+    # The leading terms of the regularized 2F1 at a lower parameter c with
+    # 1 to 5 terms before the last pole, and |x| <= 0.95.
+    args = []
+    for (a, b, _), r in zip(_triples(rng, calls), rng.random((calls, 4))):
+        c = complex(-4.5 + 5.0 * r[0], _IM_W * (2.0 * r[1] - 1.0))
+        args.append(((a, b), (c,), complex(0.95 * math.sqrt(r[2]) * np.exp(6.283j * r[3]))))
+    add("leading_terms", lambda p, x: (lambda: p["hypergeom"]._leading_terms(*x, p["hypergeom"].MAX_TERMS, True)), args)
+
+    # One admissible sample of each identity, in its family's layer.
+    catalog = next(iter(pkgs.values()))["identity_catalog"].CATALOG
+    families: dict[str, list] = {}
+    for ident, entry in catalog.items():
+        sample = _admissible(entry, seed)
+        if sample is not None:
+            families.setdefault(re.match(r"[A-Z]+", ident).group(0), []).append((ident, *sample))
+    for family, inputs in families.items():
+        add(f"verify.{family}", _verify_call, inputs)
     return layers
+
+
+def _admissible(entry, seed: int):
+    """The first of 40 seeded draws of a catalog entry that meets its constraints: (triple, z, n), or None."""
+    rng = Random(seed)
+    for i in range(40):
+        n = entry.n_values[i % len(entry.n_values)]
+        params, z = entry.sample(rng, n)
+        if entry.constraints(params, z, n) is None:
+            return (params.alpha, params.beta, params.gamma), z, n
+    return None
+
+
+def _verify_call(p: dict, x):
+    """Both sides of one identity at one sample, from a cleared memo."""
+    ident, triple, z, n = x
+    params = p["jacobi_first"].JacobiParams(*triple)
+    memo, sides = p["jacobi_first"].POINTS_MEMO, p["identity_engine"].eval_identity_sides
+
+    def call():
+        memo.cache_clear()
+        return sides(ident, params, z, n)
+
+    return call
 
 
 def _plan_call(plan, p: dict, x):
